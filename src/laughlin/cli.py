@@ -182,13 +182,10 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
 
 def cmd_expand(args) -> int:
     em = Emitter(args.out_dir, "expand", _config_dict(args))
-    tables = expansion.expand_all(args.p, args.N, cap=args.cap)
-    os.makedirs(args.cache_dir, exist_ok=True)
+    tables = _load_tables(args.p, args.N, args.cache_dir, cap=args.cap)
     entries = []
     for table in tables:
         path = expansion.cache_path(args.cache_dir, args.p, table.N)
-        if not os.path.exists(path):
-            expansion.save_cache(table, path)
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         entries.append({"N": table.N, "terms": len(table.coeffs),
@@ -282,12 +279,14 @@ def cmd_corr(args) -> int:
 def cmd_ham(args) -> int:
     em = Emitter(args.out_dir, "ham", _config_dict(args))
     params = ModelParams(args.p, args.N, args.gamma)
-    momentum = args.momentum
-    if momentum is None:
-        momentum = total_momentum(args.p, args.N)
+    ground = total_momentum(args.p, args.N)
+    momentum = ground if args.momentum is None else args.momentum
     cap = args.cap if args.cap is not None else hamiltonian.DEFAULT_SECTOR_CAP
     basis = hamiltonian.sector_basis(params, momentum=momentum, cap=cap)
     build = hamiltonian.build_H(params, basis=basis, variant=args.variant)
+    # The monomer-dimer state and the perturbation series live in the
+    # ground sector; reuse its basis and H when that is the sector built.
+    in_ground = momentum == ground
     doc: dict = {
         "p": args.p, "N": args.N, "gamma": args.gamma,
         "momentum": momentum, "dim": basis.dim,
@@ -313,7 +312,9 @@ def cmd_ham(args) -> int:
         failed = failed or not ok
 
     if args.monomer_dimer:
-        md = hamiltonian.build_monomer_dimer(params)
+        md_basis = basis if in_ground else hamiltonian.sector_basis(
+            params, momentum=ground, cap=cap)
+        md = hamiltonian.build_monomer_dimer(params, basis=md_basis)
         norm = float(np.linalg.norm(md.psi))
         residual = float(np.linalg.norm(md.H @ md.psi)) / norm
         report = hamiltonian.ground_check(md.H, md.psi)
@@ -326,9 +327,9 @@ def cmd_ham(args) -> int:
         failed = failed or not ok
 
     if args.perturbation_order is not None:
-        report = hamiltonian.perturbation_series(params,
-                                                 args.perturbation_order,
-                                                 cache_dir=args.cache_dir)
+        report = hamiltonian.perturbation_series(
+            params, args.perturbation_order, cache_dir=args.cache_dir,
+            build=build if in_ground else None)
         doc["perturbation"] = {
             "order": args.perturbation_order,
             "distances": list(report.distances),
@@ -487,7 +488,10 @@ def _verify_checks(args) -> list[dict]:
 
     if p == 3:
         N_md = min(6, Nmax)
-        md = hamiltonian.build_monomer_dimer(ModelParams(3, N_md, gamma))
+        params_md = ModelParams(3, N_md, gamma)
+        md = hamiltonian.build_monomer_dimer(
+            params_md, basis=hamiltonian.sector_basis(
+                params_md, momentum=total_momentum(3, N_md)))
         residual = float(np.linalg.norm(md.H @ md.psi)
                          / np.linalg.norm(md.psi))
         record("monomer-dimer-residual", residual, 1e-10, residual < 1e-10,
@@ -557,8 +561,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-dir", default=".",
                      help="directory for CSV/JSON artifacts")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker-count hint; outputs do not depend on it")
     sub.add_argument("--override-unconverged", action="store_true",
                      help="proceed when the rod-size tail is above threshold")
     sub.add_argument("--cap", type=int, default=None,
@@ -647,18 +649,12 @@ def _validate_common(args) -> None:
         val = getattr(args, attr, None)
         if val is not None and val < 1:
             raise ConfigError(f"{attr} must be >= 1, got {val}")
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"--threads must be positive, got {args.threads}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _validate_common(args)
-        if args.threads is not None:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                os.environ[var] = str(args.threads)
         return args.func(args)
     except renewal.UnconvergedError as exc:
         print(f"error: {exc} (pass --override-unconverged to proceed)",

@@ -12,15 +12,27 @@ configurations m = (m_1 <= ... <= m_N) on {0, ..., pN-p}:
 * occupation amplitudes ``A_N(n) = a_N(m) / sqrt(prod_k n_k!)`` (the
   factorial correction only matters for bosons).
 
-Coefficients are computed particle by particle: multiplying the full
-(K-1)-variable table by prod_{j<K} (Z_K - Z_j)^p reduces to enumerating
-binomial "transfer vectors" t in {0,...,p}^(K-1), aligning them against
-each stored key, and re-canonicalising.  Keys violating dominance are
-discarded on the fly (their totals cancel identically), which keeps the
-intermediate tables at the size of the admissible set.  Candidate
-generation and pruning are vectorised with numpy; the coefficient
-arithmetic itself stays in exact Python integers, since the entries
-overflow 64 bits already for moderate N.
+Each table is computed on its own by the squeezing recursion of
+Bernevig & Haldane, PRL 100, 246802 (2008), with the fermionic case of
+Bernevig & Regnault, PRL 103, 206801 (2009).  The polynomial is an
+eigenfunction of a Calogero-Sutherland-type operator whose off-diagonal
+part only squeezes a pair of orbitals towards each other.  Visiting the
+admissible configurations in decreasing sum m_j^2, starting from the
+root with coefficient 1, every coefficient follows from those of the
+configurations it squeezes out of:
+
+    c(nu) = B T(nu) / (2D(root) - 2D(nu)),
+    2D(nu) = 2 sum_k nu_k^2 + B sum_{i<j} (nu_j - nu_i),
+
+with B = 1 - p for bosons and B = -p for fermions, and T(nu) the sum
+over pairs i < j and 0 <= b < nu_i of w c(e), where e is nu with the
+pair (nu_i, nu_j) unsqueezed to (nu_i + nu_j - b, b), sorted.  The
+weight is w = 2(nu_i + nu_j - 2b) for bosons and 2(nu_i - nu_j) times
+the sign of the sorting permutation for fermions.  The division is
+exact; all arithmetic stays in Python integers, since the entries
+overflow 64 bits already for moderate N.  Reducible configurations are
+computed like all others, not filled in from the product rule, so
+:func:`verify_product_rule` stays an independent check.
 """
 
 from __future__ import annotations
@@ -28,15 +40,15 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
 
 import numpy as np
 
-from laughlin.lattice import (CapExceeded, ConfigError, DEFAULT_N_CAP,
-                              is_admissible, renewal_points, staircase,
-                              translate_config)
+from laughlin.lattice import (ConfigError, check_cap, enumerate_admissible,
+                              is_admissible, renewal_points, translate_config)
 
 
 class CacheError(ValueError):
@@ -112,160 +124,67 @@ def _config_factorial(m: tuple[int, ...]) -> int:
     return out
 
 
-def _transfer_vectors(p: int, width: int):
-    """All t in {0..p}^width with weights prod C(p, t_j) (-1)^(t_j).
+def _squeeze(p: int, N: int) -> dict[tuple[int, ...], int]:
+    """Nonzero coefficients of one table by the squeezing recursion.
 
-    Returns (t_array, weights, |t|) with deterministic ordering.
+    Configurations are visited from the root down in Sigma m^2, so every
+    configuration a squeeze leads back to already carries its final
+    coefficient.  The division by the eigenvalue gap is exact.
     """
-    ts = np.array(list(iproduct(range(p + 1), repeat=width)), dtype=np.int16)
-    binom = [math.comb(p, t) for t in range(p + 1)]
-    weights = []
-    for row in ts:
-        w = 1
-        for t in row:
-            w *= binom[t]
-        if int(row.sum()) % 2:
-            w = -w
-        weights.append(w)
-    return ts, weights, ts.sum(axis=1).astype(np.int64)
+    fermionic = p % 2 == 1
+    B = -p if fermionic else 1 - p
+    mmax = p * (N - 1)
+    configs = enumerate_admissible(p, N, cap=N)  # the caller checks the cap
 
+    def two_d(m):
+        # 2 Sigma m_k^2 + B Sigma_{i<j} (m_j - m_i), m sorted ascending
+        return sum(2 * v * v + B * (2 * k - N + 1) * v
+                   for k, v in enumerate(m))
 
-_PACK_BITS = 6  # orbital indices < 64 for every supported (p, N)
-
-
-def _pack_keys(sorted_cfg: np.ndarray, last: np.ndarray) -> np.ndarray:
-    key = last.astype(np.int64).copy()
-    width = sorted_cfg.shape[-1]
-    for j in range(width - 1, -1, -1):
-        key = (key << _PACK_BITS) | sorted_cfg[..., j].astype(np.int64)
-    return key
-
-
-def _unpack_key(key: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width + 1):
-        out.append(key & ((1 << _PACK_BITS) - 1))
-        key >>= _PACK_BITS
-    return tuple(out)
-
-
-def _extend_table(prev: dict[tuple[int, ...], int], p: int, K: int,
-                  fermionic: bool) -> dict[tuple[int, ...], int]:
-    """One block step: table for K-1 particles -> table for K particles."""
-    width = K - 1
-    D = p * width
-    lam = np.array(sorted(prev.keys()), dtype=np.int16).reshape(-1, width)
-    lam_coeff = [prev[tuple(int(v) for v in row)] for row in lam]
-    ts, t_weights, t_sums = _transfer_vectors(p, width)
-    d_all = (D - t_sums).astype(np.int16)
-    stair = np.array([staircase(p, k) for k in range(1, width + 1)],
-                     dtype=np.int64)
-
-    if not fermionic:
-        # Joint-canonical gauge: within runs of equal entries of lam the
-        # transfer entries must not decrease, and each kept candidate is
-        # weighted by the number of distinct joint rearrangements.  The
-        # accumulated totals are an A(m_prefix)-fold overcount, divided
-        # out exactly at the end.
-        fact = [math.factorial(k) for k in range(width + 2)]
-
-    acc: dict[int, int] = {}
-    chunk = max(1, 4_000_000 // max(1, len(ts)))
-    for start in range(0, len(lam), chunk):
-        lb = lam[start:start + chunk]
-        v = lb[:, None, :].astype(np.int16) + ts[None, :, :]
-        vs = np.sort(v, axis=-1)
-        d = np.broadcast_to(d_all[None, :], v.shape[:2])
-        if fermionic:
-            keep = d > vs[..., -1]
-            if width > 1:
-                keep &= (np.diff(vs, axis=-1) > 0).all(axis=-1)
-            # Parity of the permutation sorting v (entries are distinct
-            # wherever keep holds).
-            inv = np.zeros(v.shape[:2], dtype=np.int8)
-            for i in range(width):
-                for j in range(i + 1, width):
-                    inv += (v[..., i] > v[..., j]).astype(np.int8)
-            sign = np.where(inv % 2 == 0, 1, -1).astype(np.int8)
-        else:
-            keep = d >= vs[..., -1]
-            if width > 1:
-                tied = lb[:, None, :-1] == lb[:, None, 1:]
-                keep &= np.logical_or(~tied,
-                                      ts[None, :, :-1] <= ts[None, :, 1:]
-                                      ).all(axis=-1)
-            sign = None
-        # Dominance pruning on the candidate key (vs, d).
-        csum = np.cumsum(vs.astype(np.int64), axis=-1)
-        keep &= (csum >= stair).all(axis=-1)
-
-        li, ti = np.nonzero(keep)
-        if len(li) == 0:
-            continue
-        keys = _pack_keys(vs[li, ti], d[li, ti])
-        if fermionic:
-            signs = sign[li, ti]
-            for a, b, key, s in zip(li, ti, keys, signs):
-                w = lam_coeff[start + a] * t_weights[b]
-                acc[int(key)] = acc.get(int(key), 0) + (w if s > 0 else -w)
-        else:
-            vv = v[li, ti]
-            tt = ts[ti]
-            ll = lb[li]
-            for row in range(len(li)):
-                # Distinct joint rearrangements of the (lam, t) pairs.
-                mult = fact[width]
-                run = 1
-                for j in range(1, width):
-                    if (ll[row, j] == ll[row, j - 1]
-                            and tt[row, j] == tt[row, j - 1]):
-                        run += 1
-                        mult //= run
+    order = sorted(configs, key=lambda m: sum(v * v for v in m), reverse=True)
+    root = order[0]
+    top = two_d(root)
+    coeffs = {root: 1}
+    for nu in order[1:]:
+        total = 0
+        for i in range(N - 1):
+            vi = nu[i]
+            for j in range(i + 1, N):
+                vj = nu[j]
+                s = vi + vj
+                rest = nu[:i] + nu[i + 1:j] + nu[j + 1:]
+                if fermionic:
+                    w0 = 2 * (vi - vj)
+                    parity = j - i
+                # Unsqueeze (vi, vj) to (b, s - b) with b < vi <= vj < s - b.
+                for b in range(max(0, s - mmax), vi):
+                    a = s - b
+                    pb = bisect_left(rest, b)
+                    pa = bisect_left(rest, a, pb)
+                    c = coeffs.get(rest[:pb] + (b,) + rest[pb:pa] + (a,)
+                                   + rest[pa:])
+                    if c is None:
+                        continue
+                    if fermionic:
+                        # e holds a in slot i and b in slot j; sorting it
+                        # takes pa - pb + j - i transpositions, mod 2.
+                        total += -w0 * c if (pa - pb + parity) & 1 else w0 * c
                     else:
-                        run = 1
-                w = lam_coeff[start + int(li[row])] * t_weights[int(ti[row])] \
-                    * mult
-                key = int(keys[row])
-                acc[key] = acc.get(key, 0) + w
-
-    out: dict[tuple[int, ...], int] = {}
-    for key, total in acc.items():
-        if total == 0:
-            continue
-        m = _unpack_key(key, width)
-        if not fermionic:
-            arr = fact[width]
-            run = 1
-            for j in range(1, width):
-                if m[j] == m[j - 1]:
-                    run += 1
-                    arr //= run
-                else:
-                    run = 1
-            if total % arr:
-                raise AssertionError(
-                    f"non-integer canonical coefficient at {m}")
-            total //= arr
-            if total == 0:
-                continue
-        out[m] = total
-    return out
+                        total += 2 * (a - b) * c
+        c, rem = divmod(B * total, top - two_d(nu))
+        if rem:
+            raise AssertionError(f"non-integer coefficient at {nu}")
+        if c:
+            coeffs[nu] = c
+    # lexicographic order, the order load_cache reads a table back in
+    return {m: coeffs[m] for m in configs if m in coeffs}
 
 
 def expand_all(p: int, N: int, cap: int | None = None) -> list[CoefficientTable]:
-    """Coefficient tables for 1..N particles, computed in one sweep."""
-    if cap is None:
-        cap = DEFAULT_N_CAP.get(p, 8)
-    if N > cap:
-        raise CapExceeded(
-            f"N={N} exceeds the cap {cap} for p={p}; pass cap= to override")
-    fermionic = p % 2 == 1
-    tables = [CoefficientTable(p, 1, {(0,): 1})]
-    current = {(0,): 1}
-    for K in range(2, N + 1):
-        current = _extend_table(current, p, K, fermionic)
-        tables.append(CoefficientTable(p, K, current))
-    return tables[:N]
+    """Coefficient tables for 1..N particles, each in lexicographic order."""
+    check_cap(p, N, cap)
+    return [CoefficientTable(p, n, _squeeze(p, n))
+            for n in range(1, N + 1)]
 
 
 def expand(p: int, N: int, cache_dir: str | None = None,
@@ -442,10 +361,18 @@ def save_cache(table: CoefficientTable, path: str) -> None:
     for line in lines:
         digest.update(line.encode())
     lines.append(f"checksum={digest.hexdigest()}\n")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    # A private temporary file per writer, renamed into place, so that
+    # concurrent writers of one table never share a partial file.
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(lines)
+        os.chmod(tmp, 0o644)  # mkstemp creates 0600; the cache is shared
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_cache(path: str, expected_p: int | None = None,

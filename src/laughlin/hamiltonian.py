@@ -468,7 +468,8 @@ class PerturbationReport:
 
 def perturbation_series(params: ModelParams, order: int,
                         amp: AmplitudeTable | None = None,
-                        cache_dir=None) -> PerturbationReport:
+                        cache_dir=None, build: HBuild | None = None
+                        ) -> PerturbationReport:
     """Partial sums of the zero-energy perturbation series around the
     one-particle-per-rod state, with per-order distances to the exact
     ground state.
@@ -478,11 +479,21 @@ def perturbation_series(params: ModelParams, order: int,
     the previous term, where D is the truncated diagonal and Q projects
     off the seed.  Distances are Euclidean against the exact amplitude
     vector in the gauge where both have unit seed coefficient.
+
+    ``build`` is a ready assembly of H in the ground momentum sector of
+    ``params``; without it the sector and H are built here.
     """
     _require_p3(params)
     if order < 0:
         raise ConfigError("order must be nonnegative")
-    basis = sector_basis(params, momentum=total_momentum(params.p, params.N))
+    ground = total_momentum(params.p, params.N)
+    if build is None:
+        basis = sector_basis(params, momentum=ground)
+    else:
+        basis = build.basis
+    if (basis.p, basis.N, basis.momentum) != (params.p, params.N, ground):
+        raise ConfigError("perturbation series needs the ground momentum "
+                          f"sector {ground} of p={params.p}, N={params.N}")
     if amp is None:
         amp = amplitudes(expand(params.p, params.N, cache_dir=cache_dir),
                          params.gamma)
@@ -496,7 +507,9 @@ def perturbation_series(params: ModelParams, order: int,
     if np.any(energies[others] <= 1e-14):
         raise ConfigError("degenerate truncated diagonal; series undefined")
 
-    Hfull = build_H(params, basis=basis).H / (16.0 * params.gamma ** 2)
+    if build is None:
+        build = build_H(params, basis=basis)
+    Hfull = build.H / (16.0 * params.gamma ** 2)
     V = Hfull - sparse.diags(energies).tocsr()
 
     term = seed.copy()

@@ -38,6 +38,18 @@ class CapExceeded(RuntimeError):
 DEFAULT_N_CAP = {1: 10, 2: 10, 3: 8}
 
 
+def check_cap(p: int, N: int, cap: int | None = None) -> None:
+    """Raise :class:`CapExceeded` if N is beyond the enumeration cap.
+
+    ``cap=None`` takes the default for p from :data:`DEFAULT_N_CAP`.
+    """
+    if cap is None:
+        cap = DEFAULT_N_CAP.get(p, 8)
+    if N > cap:
+        raise CapExceeded(f"N={N} exceeds the cap {cap} for p={p}; "
+                          "pass a larger cap explicitly to override")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: exponent p, inverse radius gamma, particle number N.
@@ -84,15 +96,6 @@ class ModelParams:
     @property
     def circumference(self) -> float:
         return 2.0 * math.pi / self.gamma
-
-    def check_cap(self, cap: int | None = None) -> None:
-        """Raise :class:`CapExceeded` if N is beyond the enumeration cap."""
-        if cap is None:
-            cap = DEFAULT_N_CAP.get(self.p, 8)
-        if self.N > cap:
-            raise CapExceeded(
-                f"N={self.N} exceeds the cap {cap} for p={self.p}; "
-                "pass a larger cap explicitly to override")
 
 
 def staircase(p: int, k: int) -> int:
@@ -259,10 +262,7 @@ def enumerate_admissible(p: int, N: int, fermionic: bool | None = None,
     """
     if fermionic is None:
         fermionic = p % 2 == 1
-    if cap is None:
-        cap = DEFAULT_N_CAP.get(p, 8)
-    if N > cap:
-        raise CapExceeded(f"N={N} exceeds the cap {cap} for p={p}")
+    check_cap(p, N, cap)
 
     total = staircase(p, N)
     mmax = p * (N - 1)

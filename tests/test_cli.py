@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from laughlin import cli
+from laughlin import cli, hamiltonian
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.correlations import occupation_finite, occupation_infinite, \
     rod_expectations
@@ -58,6 +58,21 @@ def test_expand_writes_cache_and_summary(dirs):
     manifest = read_json(os.path.join(out, "expand_manifest.json"))
     assert "expand_summary.json" in manifest["artifacts"]
     assert manifest["inputs"]["p"] == 3
+
+
+def test_expand_reads_warm_cache(dirs, monkeypatch):
+    cache, out = dirs
+    assert run_cli("expand", "--p", "3", "--N", "4",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    first = read_json(os.path.join(out, "expand_summary.json"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expand_all called on a warm cache")
+
+    monkeypatch.setattr(cli.expansion, "expand_all", refuse)
+    assert run_cli("expand", "--p", "3", "--N", "4",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert read_json(os.path.join(out, "expand_summary.json")) == first
 
 
 def test_norms_csv_matches_library(dirs):
@@ -132,16 +147,34 @@ def test_ham_report(dirs):
     assert doc["ground_state"]["residual"] < 1e-12
 
 
-def test_ham_monomer_dimer_and_perturbation(dirs):
+def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
     cache, out = dirs
+    calls = []
+    build_H = hamiltonian.build_H
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_H(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "build_H", counting)
     assert run_cli("ham", "--p", "3", "--N", "3", "--gamma", "1.5",
                    "--monomer-dimer", "--perturbation-order", "2",
                    "--cache-dir", cache, "--out-dir", out) == 0
+    assert len(calls) == 1
     doc = read_json(os.path.join(out, "ham.json"))
     assert doc["monomer_dimer"]["passed"] is True
     assert doc["monomer_dimer"]["num_terms"] == 3
     dists = doc["perturbation"]["distances"]
     assert len(dists) == 3 and doc["perturbation"]["decreasing"] is True
+
+
+def test_ham_monomer_dimer_in_ground_sector(dirs):
+    cache, out = dirs
+    assert run_cli("ham", "--p", "3", "--N", "6", "--gamma", "1.5",
+                   "--monomer-dimer", "--cache-dir", cache,
+                   "--out-dir", out) == 0
+    md = read_json(os.path.join(out, "ham.json"))["monomer_dimer"]
+    assert md["passed"] is True and md["kernel_dim"] == 1
 
 
 def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path):

@@ -9,7 +9,8 @@ from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 cache_path, evaluate_oracle, expand,
                                 expand_all, load_cache, save_cache,
                                 verify_product_rule)
-from laughlin.lattice import CapExceeded, ConfigError, is_admissible
+from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
+                              is_admissible)
 
 
 def test_two_particle_tables_by_hand():
@@ -24,6 +25,7 @@ def test_two_particle_tables_by_hand():
 def test_vandermonde_reduces_to_root():
     for N in range(2, 9):
         assert expand_all(1, N, cap=10)[-1].coeffs == {tuple(range(N)): 1}
+    assert expand_all(1, 11, cap=11)[-1].coeffs == {tuple(range(11)): 1}
 
 
 def test_keys_admissible_and_root_positive():
@@ -35,10 +37,10 @@ def test_keys_admissible_and_root_positive():
 
 
 def test_oracle_exact():
-    for p in (1, 2, 3):
-        for N in (2, 3, 4, 5):
-            table = expand_all(p, N)[-1]
-            assert evaluate_oracle(table, npoints=4) == 0.0
+    cases = [(p, N) for p in (1, 2, 3) for N in (2, 3, 4, 5)]
+    for p, N in cases + [(4, 5), (5, 4)]:
+        table = expand_all(p, N)[-1]
+        assert evaluate_oracle(table, npoints=4) == 0.0
 
 
 def test_oracle_detects_corruption():
@@ -98,6 +100,9 @@ def test_cap_enforced():
         expand_all(3, 9)
     with pytest.raises(CapExceeded):
         expand(2, 11)
+    with pytest.raises(CapExceeded):
+        check_cap(3, 9)
+    check_cap(3, 9, cap=12)
 
 
 def test_cache_round_trip(tmp_path):
@@ -109,6 +114,22 @@ def test_cache_round_trip(tmp_path):
     # expand() must hit the cache and agree.
     again = expand(3, 4, cache_dir=str(tmp_path))
     assert again.coeffs == table.coeffs
+
+
+def test_cache_write_ignores_stale_temp_name(tmp_path):
+    table = expand_all(3, 3)[-1]
+    path = cache_path(str(tmp_path), 3, 3)
+    os.mkdir(path + ".tmp")
+    save_cache(table, path)
+    assert load_cache(path, expected_p=3, expected_N=3).coeffs == table.coeffs
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(path),
+                                            os.path.basename(path) + ".tmp"]
+    # A failed rename leaves no temporary file behind.
+    blocked = str(tmp_path / "blocked")
+    os.mkdir(blocked)
+    with pytest.raises(OSError):
+        save_cache(table, blocked)
+    assert len(os.listdir(tmp_path)) == 3
 
 
 def test_cache_rejects_tampering(tmp_path):

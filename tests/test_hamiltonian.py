@@ -268,3 +268,7 @@ def test_perturbation_guards(tables_p2):
         perturbation_series(ModelParams(2, 3, 1.0), 2)
     with pytest.raises(ConfigError):
         perturbation_series(ModelParams(3, 3, 1.0), -1)
+    params = ModelParams(3, 3, 1.0)
+    layer = build_H(params, basis=sector_basis(params))
+    with pytest.raises(ConfigError):
+        perturbation_series(params, 2, build=layer)

@@ -33,9 +33,6 @@ def test_model_params_validation():
         ModelParams(p=3, N=0, gamma=1.0)
     with pytest.raises(ConfigError):
         ModelParams(p=3, N=2, gamma=-1.0)
-    with pytest.raises(CapExceeded):
-        ModelParams(p=3, N=9, gamma=1.0).check_cap()
-    ModelParams(p=3, N=9, gamma=1.0).check_cap(cap=12)
 
 
 def test_admissible_p3_n3_by_hand():
