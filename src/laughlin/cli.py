@@ -3,16 +3,18 @@
 Every subcommand writes its numeric outputs as CSV or JSON into the
 output directory, then a ``<subcommand>_manifest.json`` recording the
 full configuration, library versions, SHA-256 checksums of the
-artifacts, and the wall time.  Apart from the manifest (whose wall time
-necessarily varies), reruns with the same configuration and seed
-produce byte-identical files.
+artifacts, the wall time and, where coefficient tables were read, a
+``cache`` record of the N read from the cache and the N computed.
+Apart from the manifest (whose wall time necessarily varies), reruns
+with the same configuration and seed produce byte-identical files.
 
 All floating-point output is printed with 17 significant digits so
 doubles round-trip exactly.
 
-Exit codes: 0 success, 1 a verification check failed, 2 invalid
-configuration (including an unconverged renewal model without
-``--override-unconverged``), 3 a resource cap was exceeded.
+Exit codes: 0 success, 1 a verification check failed (including a
+degenerate Metropolis run), 2 invalid configuration (including an
+unconverged renewal model without ``--override-unconverged``), 3 a
+resource cap was exceeded.
 """
 
 from __future__ import annotations
@@ -159,12 +161,19 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
-                 cap: int | None = None) -> list[expansion.CoefficientTable]:
-    """Coefficient tables 1..Nmax from cache, computing on a miss."""
+                 cap: int | None = None
+                 ) -> tuple[list[expansion.CoefficientTable], dict]:
+    """Coefficient tables 1..Nmax from cache, computing on a miss.
+
+    Also returns the manifest's ``cache`` record: the N read from the
+    cache (``hits``) and the N computed in this run (``computed``).
+    """
     paths = [expansion.cache_path(cache_dir, p, n) for n in range(1, Nmax + 1)]
+    every = list(range(1, Nmax + 1))
     if all(os.path.exists(path) for path in paths):
-        return [expansion.load_cache(path, expected_p=p, expected_N=n)
-                for n, path in enumerate(paths, start=1)]
+        return ([expansion.load_cache(path, expected_p=p, expected_N=n)
+                 for n, path in enumerate(paths, start=1)],
+                {"hits": every, "computed": []})
     if no_compute:
         raise ConfigError(
             f"cache at {cache_dir} lacks tables for p={p}, N<={Nmax}; "
@@ -174,7 +183,7 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
     for n, (table, path) in enumerate(zip(tables, paths), start=1):
         if not os.path.exists(path):
             expansion.save_cache(table, path)
-    return tables
+    return tables, {"hits": [], "computed": every}
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -182,7 +191,7 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
 
 def cmd_expand(args) -> int:
     em = Emitter(args.out_dir, "expand", _config_dict(args))
-    tables = _load_tables(args.p, args.N, args.cache_dir, cap=args.cap)
+    tables, cache = _load_tables(args.p, args.N, args.cache_dir, cap=args.cap)
     entries = []
     for table in tables:
         path = expansion.cache_path(args.cache_dir, args.p, table.N)
@@ -193,23 +202,25 @@ def cmd_expand(args) -> int:
                         "sha256": digest})
     em.json("expand_summary.json",
             {"p": args.p, "N": args.N, "tables": entries})
-    em.manifest()
+    em.manifest(extra={"cache": cache})
     return 0
 
 
 def cmd_norms(args) -> int:
     em = Emitter(args.out_dir, "norms", _config_dict(args))
-    tables = _load_tables(args.p, args.Nmax, args.cache_dir, cap=args.cap)
+    tables, cache = _load_tables(args.p, args.Nmax, args.cache_dir,
+                                 cap=args.cap)
     C = renewal.norms_from_tables(tables, args.gamma)
     em.csv("norms.csv", ["N", "C_N"],
            [(n, C[n]) for n in range(1, args.Nmax + 1)])
-    em.manifest()
+    em.manifest(extra={"cache": cache})
     return 0
 
 
 def cmd_renewal(args) -> int:
     em = Emitter(args.out_dir, "renewal", _config_dict(args))
-    tables = _load_tables(args.p, args.Nmax, args.cache_dir, cap=args.cap)
+    tables, cache = _load_tables(args.p, args.Nmax, args.cache_dir,
+                                 cap=args.cap)
     model = renewal.build_model(args.p, args.Nmax, args.gamma, tables=tables)
     model.require_converged(args.override_unconverged)
     u = model.renewal_sequence(args.Nmax)
@@ -221,14 +232,15 @@ def cmd_renewal(args) -> int:
         "c_sub": model.c_sub, "alpha_residual": model.alpha_residual,
         "root_shift": model.root_shift, "converged": not model.unconverged,
     })
-    em.manifest()
+    em.manifest(extra={"cache": cache})
     return 0
 
 
 def cmd_corr(args) -> int:
     em = Emitter(args.out_dir, "corr", _config_dict(args))
-    tables = _load_tables(args.p, max(args.Nmax, args.N or 0), args.cache_dir,
-                          no_compute=args.no_compute, cap=args.cap)
+    tables, cache = _load_tables(args.p, max(args.Nmax, args.N or 0),
+                                 args.cache_dir, no_compute=args.no_compute,
+                                 cap=args.cap)
     model = renewal.build_model(args.p, args.Nmax, args.gamma,
                                 tables=tables[:args.Nmax])
     model.require_converged(args.override_unconverged)
@@ -272,7 +284,7 @@ def cmd_corr(args) -> int:
         "used": report.used, "tolerance": report.tolerance,
         "deviations": list(report.deviations),
     })
-    em.manifest()
+    em.manifest(extra={"cache": cache})
     return 0
 
 
@@ -283,7 +295,7 @@ def cmd_ham(args) -> int:
     momentum = ground if args.momentum is None else args.momentum
     cap = args.cap if args.cap is not None else hamiltonian.DEFAULT_SECTOR_CAP
     basis = hamiltonian.sector_basis(params, momentum=momentum, cap=cap)
-    build = hamiltonian.build_H(params, basis=basis, variant=args.variant)
+    build = hamiltonian.build_H(params, basis=basis)
     # The monomer-dimer state and the perturbation series live in the
     # ground sector; reuse its basis and H when that is the sector built.
     in_ground = momentum == ground
@@ -293,6 +305,11 @@ def cmd_ham(args) -> int:
         "build_deviation": build.deviation,
     }
     failed = False
+    extra = {}
+    if args.check_ground_state or args.perturbation_order is not None:
+        tables, extra["cache"] = _load_tables(args.p, args.N, args.cache_dir,
+                                              cap=args.cap)
+        amp = expansion.amplitudes(tables[args.N - 1], args.gamma)
 
     if args.spectrum:
         count = min(args.spectrum, basis.dim)
@@ -300,8 +317,6 @@ def cmd_ham(args) -> int:
                                                     seed=args.seed))
 
     if args.check_ground_state:
-        tables = _load_tables(args.p, args.N, args.cache_dir, cap=args.cap)
-        amp = expansion.amplitudes(tables[args.N - 1], args.gamma)
         psi = hamiltonian.exact_vector(basis, amp)
         report = hamiltonian.ground_check(build.H, psi)
         ok = report.residual < 1e-8 and report.kernel_dim == 1
@@ -328,7 +343,7 @@ def cmd_ham(args) -> int:
 
     if args.perturbation_order is not None:
         report = hamiltonian.perturbation_series(
-            params, args.perturbation_order, cache_dir=args.cache_dir,
+            params, args.perturbation_order, amp=amp,
             build=build if in_ground else None)
         doc["perturbation"] = {
             "order": args.perturbation_order,
@@ -337,7 +352,7 @@ def cmd_ham(args) -> int:
         }
 
     em.json("ham.json", doc)
-    em.manifest()
+    em.manifest(extra=extra)
     return 1 if failed else 0
 
 
@@ -361,7 +376,11 @@ def cmd_mcmc(args) -> int:
         "rhat": run.rhat, "sigma": list(run.sigma),
         "pathological": run.pathological,
         "nsamples": pooled.shape[0],
+        "acceptance_band": list(plasma.ACCEPTANCE_BAND),
+        "rhat_tolerance": plasma.RHAT_TOLERANCE,
+        "passed": not run.pathological and run.rhat_ok,
     }
+    extra = {"run": run_info}
 
     if "density" in observables:
         width = args.gamma / 2.0
@@ -383,7 +402,8 @@ def cmd_mcmc(args) -> int:
         em.csv("excess.csv", ["xbar", "K", "probability"], rows)
 
     if "phase" in observables:
-        tables = _load_tables(args.p, args.Nmax, args.cache_dir, cap=args.cap)
+        tables, extra["cache"] = _load_tables(args.p, args.Nmax,
+                                              args.cache_dir, cap=args.cap)
         model = renewal.build_model(args.p, args.Nmax, args.gamma,
                                     tables=tables)
         model.require_converged(args.override_unconverged)
@@ -397,15 +417,16 @@ def cmd_mcmc(args) -> int:
                zip(centers, prof.observed, prof.predicted, prof.stderr))
         run_info["phase_contrast"] = prof.contrast
 
-    em.manifest(extra={"run": run_info})
-    return 0
+    em.manifest(extra=extra)
+    return 0 if run_info["passed"] else 1
 
 
 # -- verify-all ---------------------------------------------------------------------
 
 
-def _verify_checks(args) -> list[dict]:
-    """The cross-module consistency suite behind ``verify-all``."""
+def _verify_checks(args) -> tuple[list[dict], dict]:
+    """The cross-module consistency suite behind ``verify-all``, and the
+    cache record of the tables it read."""
     p, Nmax, gamma = args.p, args.Nmax, args.gamma
     checks: list[dict] = []
 
@@ -414,7 +435,7 @@ def _verify_checks(args) -> list[dict]:
         checks.append({"name": name, "measured": measured, "tolerance": tol,
                        "passed": bool(passed), "note": note})
 
-    tables = _load_tables(p, Nmax, args.cache_dir, cap=args.cap)
+    tables, cache = _load_tables(p, Nmax, args.cache_dir, cap=args.cap)
 
     worst = 0
     for N in range(2, Nmax + 1):
@@ -443,7 +464,7 @@ def _verify_checks(args) -> list[dict]:
            converged or args.override_unconverged,
            "rod-size distribution tail below threshold")
     if not converged and not args.override_unconverged:
-        return checks
+        return checks, cache
 
     override = args.override_unconverged
     rods = correlations.rod_expectations(tables, gamma)
@@ -508,9 +529,10 @@ def _verify_checks(args) -> list[dict]:
                "one-per-rod state annihilated by the diagonal truncation")
 
         if gamma >= 1.2:
+            N_pt = min(3, Nmax)
             rep = hamiltonian.perturbation_series(
-                ModelParams(3, min(3, Nmax), gamma), 3,
-                cache_dir=args.cache_dir)
+                ModelParams(3, N_pt, gamma), 3,
+                amp=expansion.amplitudes(tables[N_pt - 1], gamma))
             d = rep.distances
             ok = all(b < a for a, b in zip(d, d[1:]))
             record("perturbation-decreasing", d[-1], d[0], ok,
@@ -530,24 +552,30 @@ def _verify_checks(args) -> list[dict]:
     record("mcmc-excess", z, 4.0, z < 4.0,
            "sampled P(K=0) against the exact two-particle value, in sigma")
 
+    lo, hi = plasma.ACCEPTANCE_BAND
+    record("mcmc-chain", abs(run.rhat - 1.0), plasma.RHAT_TOLERANCE,
+           run.rhat_ok and not run.pathological,
+           f"|split R-hat - 1|; acceptance {fmt(run.acceptance)} "
+           f"must lie in [{fmt(lo)}, {fmt(hi)}]")
+
     est = plasma.density_histogram(
         pooled, np.linspace(-4.0, p * gamma + 4.0, 40), params2)
     crit = 1.63 / math.sqrt(pooled.shape[0] * pooled.shape[1])
     record("mcmc-y-uniform", est.y_ks, crit, est.y_ks < crit,
            "Kolmogorov-Smirnov distance of the angular marginal")
-    return checks
+    return checks, cache
 
 
 def cmd_verify(args) -> int:
     em = Emitter(args.out_dir, "verify", _config_dict(args))
-    checks = _verify_checks(args)
+    checks, cache = _verify_checks(args)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']}: measured {fmt(c['measured'])} "
               f"(tolerance {fmt(c['tolerance'])})")
     all_ok = all(c["passed"] for c in checks)
     em.json("verify.json", {"passed": all_ok, "checks": checks})
-    em.manifest()
+    em.manifest(extra={"cache": cache})
     return 0 if all_ok else 1
 
 
@@ -609,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--momentum", type=int, default=None,
                      help="momentum sector (default: ground sector)")
-    sub.add_argument("--variant", choices=("parity", "full"),
-                     default="parity")
     sub.add_argument("--spectrum", type=int, default=None, metavar="K",
                      help="report the lowest K eigenvalues")
     sub.add_argument("--check-ground-state", action="store_true")

@@ -13,6 +13,12 @@ Pair correlations split into a same-rod part and a two-rod part bridged
 by the renewal function; the truncation of rod sizes at the model's Nmax
 is converted into a reported error estimate via the long-interval bound.
 
+Finite-N expectations and the rod profiles are reductions over the
+columns of the coefficient table (see :mod:`laughlin.expansion`): with
+w the amplitude weights and occ the occupation rows, <n_k> is w . occ
+over sum w, the rod profile restricts both to the ``irreducible`` rows,
+and its pair moments are occ^T diag(w) occ.
+
 Conventions: orbitals are indexed 0..p(N-1) for a finite table; the
 occupation basis is ordered by increasing orbital, and fermionic signs
 follow from filling orbitals in increasing order.
@@ -27,9 +33,7 @@ import numpy as np
 from scipy.special import erf
 
 from laughlin.expansion import AmplitudeTable, CoefficientTable, amplitudes
-from laughlin.lattice import (ConfigError, config_to_occupation,
-                              enumerate_partitions, partition_of,
-                              renewal_points)
+from laughlin.lattice import ConfigError, enumerate_partitions
 from laughlin.renewal import RenewalModel, long_interval_bound
 
 
@@ -37,28 +41,8 @@ from laughlin.renewal import RenewalModel, long_interval_bound
 
 def occupation_finite(amp: AmplitudeTable) -> np.ndarray:
     """<n_k> for k = 0..p(N-1), normalized by C_N; sums to N."""
-    occ = np.zeros(amp.num_orbitals)
-    norm = 0.0
-    for m, A in amp.items_occ():
-        w = A * A
-        norm += w
-        for k in m:
-            occ[k] += w
-    return occ / norm
-
-
-def pair_moment_finite(amp: AmplitudeTable, k: int, l: int) -> float:
-    """<n_k n_{k+l}> by direct occupation counting."""
-    num = 0.0
-    norm = 0.0
-    for m, A in amp.items_occ():
-        w = A * A
-        norm += w
-        n = config_to_occupation(m, amp.num_orbitals)
-        k2 = k + l
-        if k < len(n) and k2 < len(n):
-            num += w * n[k] * n[k2]
-    return num / norm
+    occ = amp.table.occupations[:, :amp.num_orbitals]
+    return amp.weights @ occ / amp.norm_sq()
 
 
 def _apply_string(n: list[int], creation, annihilation, fermionic: bool
@@ -109,11 +93,10 @@ def moments_finite(amp: AmplitudeTable, creation, annihilation) -> float:
     if sum(creation) != sum(annihilation):
         return 0.0
     fermionic = amp.p % 2 == 1
-    by_occ = {config_to_occupation(m, sites): A for m, A in amp.items_occ()}
+    rows = amp.table.occupations[:, :sites].tolist()
+    by_occ = dict(zip(map(tuple, rows), amp.occ.tolist()))
     total = 0.0
-    norm = 0.0
     for occ, A in by_occ.items():
-        norm += A * A
         out = _apply_string(list(occ), creation, annihilation, fermionic)
         if out is None:
             continue
@@ -121,7 +104,7 @@ def moments_finite(amp: AmplitudeTable, creation, annihilation) -> float:
         A2 = by_occ.get(target)
         if A2 is not None:
             total += A2 * factor * A
-    return total / norm
+    return total / amp.norm_sq()
 
 
 # -- quasi-state decomposition ------------------------------------------------
@@ -130,8 +113,9 @@ def moments_finite(amp: AmplitudeTable, creation, annihilation) -> float:
 class QuasiStateDecomposition:
     """Rank-one-per-pair decomposition of the normalized projector.
 
-    ``basis`` orders the admissible configurations and ``amps`` their
-    occupation amplitudes; ``weights[X]`` and ``omega[X]`` give the
+    ``basis``, ``amps`` and ``occupations`` hold the configurations,
+    occupation amplitudes and occupation rows in the table's row order;
+    ``weights[X]`` and ``omega[X]`` give the
     probability and the operator block of each rod partition X (keyed by
     its tuple of rod lengths).  Partitions whose configuration class is
     empty carry weight zero and no block.
@@ -142,6 +126,7 @@ class QuasiStateDecomposition:
     gamma: float
     basis: tuple[tuple[int, ...], ...]
     amps: np.ndarray
+    occupations: np.ndarray
     weights: dict[tuple[int, ...], float]
     omega: dict[tuple[int, ...], np.ndarray]
     u_norm_sq: dict[tuple[int, ...], float]
@@ -159,10 +144,8 @@ class QuasiStateDecomposition:
 
     def diagonal_value(self, X: tuple[int, ...], site: int) -> float:
         """omega_X(n_site) evaluated as a state on the diagonal algebra."""
-        block = self.omega[X]
         # Diagonal observable: only the diagonal of the block survives.
-        return float(sum(block[i, i] * sum(1 for v in m if v == site)
-                         for i, m in enumerate(self.basis) if site in m))
+        return float(np.diag(self.omega[X]) @ self.occupations[:, site])
 
 
 def quasi_state(amp: AmplitudeTable, max_partitions: int = 256
@@ -178,28 +161,24 @@ def quasi_state(amp: AmplitudeTable, max_partitions: int = 256
     parts = enumerate_partitions(N)
     if len(parts) > max_partitions:
         raise ConfigError(f"{len(parts)} partitions exceed the sector limit")
-    basis = tuple(sorted(amp.amp))
-    index = {m: i for i, m in enumerate(basis)}
-    amps = np.array([amp.occ_amp(m) for m in basis])
+    table = amp.table
+    basis = tuple(table.coeffs)
+    amps = amp.occ
     C = float(amps @ amps)
 
-    vectors: dict[tuple[int, ...], np.ndarray] = {
-        X: np.zeros(len(basis)) for X in parts}
-    for m in basis:
-        X = partition_of(m, p).lengths
-        vectors[X][index[m]] = amp.occ_amp(m)
-
-    bounds = {X: set(renewal_points_from_lengths(p, X)) for X in parts}
+    # A partition is the set of its interior renewal points, a bit mask
+    # over rod coordinates 1..N-1, and R(Y) n R(Z) is the bitwise and.
+    bits = 1 << np.arange(N - 1)
+    row_masks = table.renewal[:, 1:N] @ bits
+    masks = {X: int(bits[np.cumsum(X)[:-1] - 1].sum()) for X in parts}
+    by_mask = {b: X for X, b in masks.items()}
+    vectors = {X: np.where(row_masks == masks[X], amps, 0.0) for X in parts}
     norms = {X: float(v @ v) for X, v in vectors.items()}
+    live = [X for X in parts if norms[X] != 0.0]
     blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for Y in parts:
-        if norms[Y] == 0.0:
-            continue
-        for Z in parts:
-            if norms[Z] == 0.0:
-                continue
-            meet = sorted(bounds[Y] & bounds[Z])
-            X = tuple((b - a) // p for a, b in zip(meet, meet[1:]))
+    for Y in live:
+        for Z in live:
+            X = by_mask[masks[Y] & masks[Z]]
             if X not in blocks:
                 blocks[X] = np.zeros((len(basis), len(basis)))
             blocks[X] += np.outer(vectors[Y], vectors[Z])
@@ -213,15 +192,9 @@ def quasi_state(amp: AmplitudeTable, max_partitions: int = 256
         weights[X] = norms[X] / C
         omega[X] = blocks[X] / norms[X]
     return QuasiStateDecomposition(p=p, N=N, gamma=amp.gamma, basis=basis,
-                                   amps=amps, weights=weights, omega=omega,
+                                   amps=amps, occupations=table.occupations,
+                                   weights=weights, omega=omega,
                                    u_norm_sq=norms)
-
-
-def renewal_points_from_lengths(p: int, lengths) -> tuple[int, ...]:
-    pts = [0]
-    for n in lengths:
-        pts.append(pts[-1] + p * n)
-    return tuple(pts)
 
 
 # -- rod expectations and the infinite volume ---------------------------------
@@ -231,15 +204,16 @@ class RodExpectations:
     """Occupation profile of the normalized irreducible rod states.
 
     ``nu[n-1][s]`` is the expectation of n_s (s = 0..pn-1) inside a rod
-    of n particles; ``pair[n-1][(s, t)]`` the corresponding diagonal
-    pair moment.  Rod classes that are empty (alpha_n = 0, e.g. every
-    n >= 2 at p = 1) are flagged in ``empty`` and carry zero profiles.
+    of n particles; ``pair[n-1]`` the (pn, pn) symmetric array of the
+    diagonal pair moments <n_s n_t>.  Rod classes that are empty
+    (alpha_n = 0, e.g. every n >= 2 at p = 1) are flagged in ``empty``
+    and carry zero profiles.
     """
 
     p: int
     nmax: int
-    nu: tuple[tuple[float, ...], ...]
-    pair: tuple[dict[tuple[int, int], float], ...]
+    nu: tuple[np.ndarray, ...]
+    pair: tuple[np.ndarray, ...]
     empty: tuple[bool, ...]
 
     def nu_at(self, n: int, s: int) -> float:
@@ -248,50 +222,32 @@ class RodExpectations:
         return 0.0
 
     def pair_at(self, n: int, s: int, t: int) -> float:
-        if s > t:
-            s, t = t, s
-        if 0 <= s and t < self.p * n:
-            return self.pair[n - 1].get((s, t), 0.0)
+        if 0 <= min(s, t) and max(s, t) < self.p * n:
+            return self.pair[n - 1][s, t]
         return 0.0
 
 
 def rod_expectations(tables: list[CoefficientTable], gamma: float
                      ) -> RodExpectations:
-    """nu_n profiles and in-rod pair moments from the irreducible classes."""
-    p = tables[0].p
+    """nu_n profiles and in-rod pair moments from the irreducible classes.
+
+    With w the amplitude weights of the irreducible rows and occ their
+    occupation rows, the profile is w . occ and the pair moments are
+    occ^T diag(w) occ, both over alpha_n = sum w.
+    """
     nu = []
     pair = []
     empty = []
     for table in tables:
-        n = table.N
-        sites = p * n
-        profile = np.zeros(sites)
-        moments: dict[tuple[int, int], float] = {}
-        alpha = 0.0
-        amp = amplitudes(table, gamma)
-        for m, A in amp.items_occ():
-            if len(renewal_points(m, p)) != 2:
-                continue
-            w = A * A
-            alpha += w
-            occ = config_to_occupation(m, sites)
-            for s, ns in enumerate(occ):
-                if ns:
-                    profile[s] += w * ns
-                    for t in range(s, sites):
-                        if occ[t]:
-                            pairval = ns * occ[t] if t != s else ns * ns
-                            moments[(s, t)] = moments.get((s, t), 0.0) \
-                                + w * pairval
-        if alpha == 0.0:
-            empty.append(True)
-            nu.append(tuple(0.0 for _ in range(sites)))
-            pair.append({})
-            continue
-        empty.append(False)
-        nu.append(tuple(profile / alpha))
-        pair.append({k: v / alpha for k, v in moments.items()})
-    return RodExpectations(p=p, nmax=len(tables), nu=tuple(nu),
+        keep = table.irreducible
+        w = amplitudes(table, gamma).weights[keep]
+        occ = table.occupations[keep].astype(float)
+        alpha = w.sum()
+        empty.append(alpha == 0.0)
+        alpha = alpha or 1.0  # an empty class keeps zero profiles
+        nu.append(w @ occ / alpha)
+        pair.append((occ.T * w) @ occ / alpha)
+    return RodExpectations(p=tables[0].p, nmax=len(tables), nu=tuple(nu),
                            pair=tuple(pair), empty=tuple(empty))
 
 
@@ -540,28 +496,20 @@ def domain_weighted(amp: AmplitudeTable, a: float, b: float) -> DomainReport:
     """
     if not a < b:
         raise ConfigError(f"empty domain [{a}, {b}]")
-    gamma = amp.gamma
-    ks = np.arange(amp.num_orbitals) * gamma
+    ks = np.arange(amp.num_orbitals) * amp.gamma
     w = 0.5 * (erf(b - ks) - erf(a - ks))
-    norm = 0.0
-    occ = np.zeros(amp.num_orbitals)
-    for m, A in amp.items_occ():
-        wprod = 1.0
-        for k in m:
-            wprod *= w[k]
-        norm += A * A * wprod
-        for k in set(m):
-            nk = sum(1 for v in m if v == k)
-            # One factor of w_k is dropped for the counted particle; do
-            # not divide, since w_k may vanish on remote domains.
-            dropped = 1.0
-            seen = False
-            for v in m:
-                if v == k and not seen:
-                    seen = True
-                    continue
-                dropped *= w[v]
-            occ[k] += A * A * nk * dropped
+    configs = amp.table.configs
+    wm = w[configs]
+    # The product over every particle but slot j, from prefix and suffix
+    # products; no division, since w_k may vanish on remote domains.
+    ones = np.ones((len(wm), 1))
+    before = np.hstack([ones, np.cumprod(wm[:, :-1], axis=1)])
+    after = np.hstack([np.cumprod(wm[:, :0:-1], axis=1)[:, ::-1], ones])
+    A2 = amp.weights
+    norm = float(A2 @ wm.prod(axis=1))
+    occ = np.bincount(configs.ravel(),
+                      weights=(A2[:, None] * before * after).ravel(),
+                      minlength=amp.num_orbitals)
     if norm <= 0:
         raise ConfigError("domain carries no weight")
     return DomainReport(a=a, b=b, weights=w, norm=norm, occupations=occ / norm)

@@ -12,6 +12,11 @@ configurations m = (m_1 <= ... <= m_N) on {0, ..., pN-p}:
 * occupation amplitudes ``A_N(n) = a_N(m) / sqrt(prod_k n_k!)`` (the
   factorial correction only matters for bosons).
 
+A :class:`CoefficientTable` computes each per-configuration quantity
+once, as a column aligned with its keys, and an :class:`AmplitudeTable`
+holds one amplitude array aligned with the same rows; the consumers
+downstream are reductions over these columns.
+
 Each table is computed on its own by the squeezing recursion of
 Bernevig & Haldane, PRL 100, 246802 (2008), with the fermionic case of
 Bernevig & Regnault, PRL 103, 206801 (2009).  The polynomial is an
@@ -32,7 +37,8 @@ the sign of the sorting permutation for fermions.  The division is
 exact; all arithmetic stays in Python integers, since the entries
 overflow 64 bits already for moderate N.  Reducible configurations are
 computed like all others, not filled in from the product rule, so
-:func:`verify_product_rule` stays an independent check.
+:func:`verify_product_rule` stays an independent check.  It and
+:func:`evaluate_oracle` read ``coeffs`` directly, not the columns.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +66,17 @@ class CacheError(ValueError):
 class CoefficientTable:
     """Exact integer expansion coefficients for given (p, N).
 
-    ``coeffs`` maps canonical configurations to nonzero integers.  The
-    table is independent of gamma.
+    ``coeffs`` maps canonical configurations to nonzero integers; the
+    table is independent of gamma.  The columns are computed on first
+    use, row i for the i-th key, and go stale if keys change after that:
+
+    * ``configs``: the configurations as a (D, N) integer array;
+    * ``occupations``: the occupation numbers of sites 0..pN-1, (D, pN);
+    * ``exponents``: e = p^2 S_N - sum m_j^2 >= 0, so a_N(m) carries
+      exp(-gamma^2 e / 2) and A_N(n)^2 carries x^e, x = exp(-gamma^2);
+    * ``factorials``: prod_k n_k!;
+    * ``renewal``: (D, N+1) booleans, column k marking the renewal
+      point pk, and ``irreducible``: the rows with no interior one.
     """
 
     p: int
@@ -80,48 +96,80 @@ class CoefficientTable:
     def __len__(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
+    def configs(self) -> np.ndarray:
+        return np.array(list(self.coeffs), dtype=np.int64)
 
-@dataclass
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        sites = self.p * self.N
+        flat = np.arange(len(self))[:, None] * sites + self.configs
+        counts = np.bincount(flat.ravel(), minlength=len(self) * sites)
+        return counts.astype(np.int8).reshape(len(self), sites)
+
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        base = self.p * self.p * sum(j * j for j in range(self.N))
+        expo = base - (self.configs ** 2).sum(axis=1)
+        if expo.min() < 0:
+            m = list(self.coeffs)[int(expo.argmin())]
+            raise AssertionError(f"positive Gaussian exponent at {m}")
+        return expo
+
+    @cached_property
+    def factorials(self) -> np.ndarray:
+        fact = np.array([math.factorial(n) for n in range(self.N + 1)])
+        return fact[self.occupations].prod(axis=1)
+
+    @cached_property
+    def renewal(self) -> np.ndarray:
+        k = np.arange(1, self.N + 1)
+        hits = self.configs.cumsum(axis=1) == self.p * k * (k - 1) // 2
+        return np.hstack([np.ones((len(self), 1), dtype=bool), hits])
+
+    @cached_property
+    def irreducible(self) -> np.ndarray:
+        return ~self.renewal[:, 1:-1].any(axis=1)
+
+
+@dataclass(eq=False)
 class AmplitudeTable:
     """Gaussian-weighted amplitudes of a coefficient table at fixed gamma.
 
-    ``amp`` maps each canonical configuration m to a_N(m); occupation
-    amplitudes carry the extra 1/sqrt(prod n_k!).  Amplitudes whose
-    Gaussian factor underflows to zero are kept (as 0.0) so the key set
-    matches the integer table.
+    ``amp[i]`` is a_N(m) for row i of ``table``; ``occ`` divides by
+    sqrt(prod n_k!) to give the occupation amplitudes A_N(n), and
+    ``weights`` squares them.  Amplitudes whose Gaussian factor
+    underflows to zero are kept (as 0.0) so the rows match the integer
+    table.
     """
 
-    p: int
-    N: int
+    table: CoefficientTable
     gamma: float
-    amp: dict[tuple[int, ...], float]
+    amp: np.ndarray
+
+    @property
+    def p(self) -> int:
+        return self.table.p
+
+    @property
+    def N(self) -> int:
+        return self.table.N
 
     @property
     def num_orbitals(self) -> int:
         return self.p * (self.N - 1) + 1
 
-    def occ_amp(self, m: tuple[int, ...]) -> float:
-        """Occupation amplitude A_N(n) for the configuration m."""
-        return self.amp[m] / math.sqrt(_config_factorial(m))
+    @cached_property
+    def occ(self) -> np.ndarray:
+        return self.amp / np.sqrt(self.table.factorials)
 
-    def items_occ(self):
-        """Iterate (m, A_N(n(m))) pairs."""
-        for m, a in self.amp.items():
-            yield m, a / math.sqrt(_config_factorial(m))
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.occ * self.occ
 
     def norm_sq(self) -> float:
         """Squared norm C_N = sum_n A_N(n)^2."""
-        return sum(A * A for _, A in self.items_occ())
-
-
-def _config_factorial(m: tuple[int, ...]) -> int:
-    """prod_k n_k! for the occupation numbers of a sorted configuration."""
-    out = 1
-    run = 1
-    for a, b in zip(m, m[1:]):
-        run = run + 1 if a == b else 1
-        out *= run
-    return out
+        return float(self.weights.sum())
 
 
 def _squeeze(p: int, N: int) -> dict[tuple[int, ...], int]:
@@ -194,7 +242,8 @@ def expand(p: int, N: int, cache_dir: str | None = None,
         path = cache_path(cache_dir, p, N)
         if os.path.exists(path):
             return load_cache(path, expected_p=p, expected_N=N)
-    table = expand_all(p, N, cap=cap)[-1]
+    check_cap(p, N, cap)
+    table = CoefficientTable(p, N, _squeeze(p, N))
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         save_cache(table, cache_path(cache_dir, p, N))
@@ -205,15 +254,15 @@ def amplitudes(table: CoefficientTable, gamma: float) -> AmplitudeTable:
     """Gaussian-weighted amplitudes a_N(m) at the given gamma."""
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ConfigError(f"gamma must be finite and > 0, got {gamma!r}")
-    p, N = table.p, table.N
-    base = p * p * sum(j * j for j in range(N))
-    amp = {}
-    for m, c in table.coeffs.items():
-        expo = 0.5 * gamma * gamma * (sum(mj * mj for mj in m) - base)
-        if expo > 1e-12:
-            raise AssertionError(f"positive Gaussian exponent at {m}")
-        amp[m] = float(c) * math.exp(min(expo, 0.0))
-    return AmplitudeTable(p, N, gamma, amp)
+    # One math.exp per distinct exponent: np.exp rounds differently on a
+    # few per cent of the entries, and the amplitudes stay exactly
+    # float(c) * math.exp(-gamma^2 e / 2).
+    distinct, inverse = np.unique(table.exponents, return_inverse=True)
+    half = 0.5 * gamma * gamma
+    gauss = np.array([math.exp(half * -e) for e in distinct.tolist()])
+    coeffs = np.fromiter(map(float, table.coeffs.values()), dtype=float,
+                         count=len(table))
+    return AmplitudeTable(table, gamma, coeffs * gauss[inverse])
 
 
 # -- verification ------------------------------------------------------------
@@ -328,7 +377,8 @@ def evaluate_oracle(table: CoefficientTable, npoints: int = 20,
             if fermionic:
                 term = _bareiss_det(mat)
             else:
-                term, rem = divmod(_ryser_permanent(mat), _config_factorial(m))
+                fact = math.prod(math.factorial(m.count(v)) for v in set(m))
+                term, rem = divmod(_ryser_permanent(mat), fact)
                 if rem:
                     raise AssertionError(f"permanent not divisible at {m}")
             total += c * term

@@ -72,11 +72,6 @@ class FormFactor:
         return sum(hermite_value(n, t) for n in self.indices) * damp
 
 
-def form_factor(t: float, p: int, variant: str = "parity") -> float:
-    """F(t) for filling 1/p; F(t) = 2t e^{-t^2/4} at p = 3."""
-    return FormFactor(p, variant)(t)
-
-
 # -- sector bases ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -345,7 +340,7 @@ def exact_vector(basis: SectorBasis, amp: AmplitudeTable) -> np.ndarray:
     """Amplitude table as a dense vector on the normalized Fock basis."""
     if amp.p != basis.p or amp.N != basis.N:
         raise ConfigError("amplitude table and basis disagree")
-    return basis.vector({m: amp.occ_amp(m) for m in amp.amp})
+    return basis.vector(dict(zip(amp.table.coeffs, amp.occ)))
 
 
 # -- monomer-dimer model (p = 3) ---------------------------------------------------

@@ -149,32 +149,6 @@ def renewal_points(m: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(points)
 
 
-def renewal_points_occupation(n: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Renewal points read off an occupation configuration.
-
-    pj is a renewal point iff the first pj sites hold exactly j particles
-    and those particles carry the minimal total momentum p*j*(j-1)/2.
-    Equivalent to :func:`renewal_points` on the sorted orbital tuple.
-    """
-    N = sum(n)
-    points = []
-    count = 0
-    moment = 0
-    for site in range(len(n) + 1):
-        if site % p == 0:
-            j = site // p
-            if count == j and moment == staircase(p, j):
-                points.append(site)
-        if site < len(n):
-            count += n[site]
-            moment += site * n[site]
-    # Sites beyond len(n) are empty; pN is always a renewal point.
-    last = p * N
-    if points[-1] != last:
-        points.append(last)
-    return tuple(points)
-
-
 @dataclass(frozen=True)
 class RodPartition:
     """Partition of the site block {0, ..., pN-1} into consecutive rods.
@@ -201,25 +175,6 @@ class RodPartition:
         for n in self.lengths:
             out.append(out[-1] + self.p * n)
         return tuple(out)
-
-    @property
-    def intervals(self) -> tuple[range, ...]:
-        b = self.boundaries
-        return tuple(range(b[i], b[i + 1]) for i in range(len(self.lengths)))
-
-    @classmethod
-    def from_intervals(cls, p: int, intervals) -> "RodPartition":
-        intervals = [sorted(iv) for iv in intervals]
-        intervals.sort(key=lambda iv: iv[0])
-        pos = 0
-        lengths = []
-        for iv in intervals:
-            if iv[0] != pos or iv != list(range(iv[0], iv[-1] + 1)) \
-                    or len(iv) % p != 0:
-                raise ConfigError(f"intervals {intervals} do not tile a rod block")
-            lengths.append(len(iv) // p)
-            pos = iv[-1] + 1
-        return cls(p, tuple(lengths))
 
 
 def partition_of(m: tuple[int, ...], p: int) -> RodPartition:

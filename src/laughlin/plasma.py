@@ -138,6 +138,12 @@ def _tune_widths(params: ModelParams, mc: McConfig,
     return sx, sy
 
 
+#: A run is degenerate when its mean acceptance leaves this band, or
+#: when its split R-hat is NaN or at least RHAT_TOLERANCE away from 1.
+ACCEPTANCE_BAND = (0.01, 0.99)
+RHAT_TOLERANCE = 0.1
+
+
 @dataclass
 class McRun:
     params: ModelParams
@@ -150,7 +156,12 @@ class McRun:
 
     @property
     def pathological(self) -> bool:
-        return not 0.01 <= self.acceptance <= 0.99
+        lo, hi = ACCEPTANCE_BAND
+        return not lo <= self.acceptance <= hi
+
+    @property
+    def rhat_ok(self) -> bool:
+        return abs(self.rhat - 1.0) < RHAT_TOLERANCE  # False for NaN
 
     def pooled(self) -> np.ndarray:
         c, n, N, _ = self.samples.shape
@@ -404,17 +415,13 @@ def exact_excess_zero(amp, xbar: float) -> float:
     if abs(k - round(k)) > 1e-9 or round(k) < 1:
         raise ConfigError(f"cut {xbar} is not of the form (k - 1/2) p gamma")
     k = int(round(k))
-    total = 0.0
-    norm = 0.0
-    for m, A in amp.items_occ():
-        w2 = A * A
-        norm += w2
-        probs = [0.5 * (1.0 + erf(xbar - mi * amp.gamma)) for mi in m]
-        dist = np.zeros(len(m) + 1)
-        dist[0] = 1.0
-        for q in probs:
-            dist[1:] = dist[1:] * (1 - q) + dist[:-1] * q
-            dist[0] *= 1 - q
-        if k <= len(m):
-            total += w2 * dist[k]
-    return total / norm
+    if k > amp.N:
+        return 0.0
+    probs = 0.5 * (1.0 + erf(xbar - amp.table.configs * amp.gamma))
+    # the law of the count left of the cut, one row per configuration
+    dist = np.zeros((len(probs), amp.N + 1))
+    dist[:, 0] = 1.0
+    for q in probs.T:
+        dist[:, 1:] = dist[:, 1:] * (1 - q[:, None]) + dist[:, :-1] * q[:, None]
+        dist[:, 0] *= 1 - q
+    return float(amp.weights @ dist[:, k]) / amp.norm_sq()

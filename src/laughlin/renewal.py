@@ -11,6 +11,11 @@ renewal points), so the exact norms C_N organise into a renewal process:
 * renewal function ``u_N = C_N r^N``, equal to the convolution
   ``u_N = sum_k p_k u_{N-k}`` and converging to 1/mu.
 
+Both are reductions over the columns of the coefficient tables: C_N
+sums the amplitude weights, and alpha_n sums c^2 / prod n_k! over the
+rows of the ``irreducible`` mask, grouped by the ``exponents`` column
+into an exact polynomial in exp(-gamma^2).
+
 Everything is built from a finite Nmax, so r carries a truncation bias.
 The model reports the root shift between Nmax and Nmax-1 and a geometric
 estimate of the waiting-time mass beyond Nmax; by construction the
@@ -31,10 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from laughlin.expansion import (CoefficientTable, _config_factorial,
-                                amplitudes, expand_all)
-from laughlin.lattice import (ConfigError, enumerate_partitions,
-                              renewal_points)
+from laughlin.expansion import CoefficientTable, amplitudes, expand_all
+from laughlin.lattice import ConfigError, enumerate_partitions
 
 TAIL_THRESHOLD = 0.01
 
@@ -46,31 +49,36 @@ class UnconvergedError(RuntimeError):
 
 def norms_from_tables(tables: list[CoefficientTable], gamma: float) -> np.ndarray:
     """Squared norms C_0..C_Nmax; C_0 = 1 is the empty-product convention."""
-    out = [1.0]
-    for table in tables:
-        out.append(amplitudes(table, gamma).norm_sq())
-    return np.array(out)
+    return np.array([1.0] + [amplitudes(t, gamma).norm_sq() for t in tables])
 
 
-def _squared_amplitude_poly(table: CoefficientTable, irreducible_only: bool
-                            ) -> dict[int, Fraction]:
-    """Sum of A_N(n)^2 as an exact polynomial in x = exp(-gamma^2).
+def _squared_amplitude_polys(table: CoefficientTable
+                             ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """Irreducible and full sums of A_N(n)^2 as exact polynomials in
+    x = exp(-gamma^2).
 
-    The squared Gaussian factor of every configuration is an integer
-    power x^(p^2 S_N - sum m_j^2), so norms and irreducible weights are
-    polynomials with nonnegative rational coefficients and can be
-    manipulated without rounding.
+    The squared Gaussian factor of every configuration is the integer
+    power x^e of its ``exponents`` column, so norms and irreducible
+    weights are polynomials with nonnegative rational coefficients and
+    can be manipulated without rounding.  One pass over the rows sums
+    c^2 per (exponent, factorial) in integers for both polynomials.
     """
-    p, N = table.p, table.N
-    base = p * p * sum(j * j for j in range(N))
-    poly: dict[int, Fraction] = {}
-    for m, c in table.coeffs.items():
-        if irreducible_only and len(renewal_points(m, p)) != 2:
-            continue
-        expo = base - sum(mj * mj for mj in m)
-        coeff = Fraction(c * c, _config_factorial(m))
-        poly[expo] = poly.get(expo, Fraction(0)) + coeff
-    return poly
+    full: dict[tuple[int, int], int] = {}
+    irr: dict[tuple[int, int], int] = {}
+    for c, e, f, irreducible in zip(
+            table.coeffs.values(), table.exponents.tolist(),
+            table.factorials.tolist(), table.irreducible.tolist()):
+        full[e, f] = full.get((e, f), 0) + c * c
+        if irreducible:
+            irr[e, f] = irr.get((e, f), 0) + c * c
+
+    def exact(sums):
+        poly: dict[int, Fraction] = {}
+        for (e, f), total in sums.items():
+            poly[e] = poly.get(e, Fraction(0)) + Fraction(total, f)
+        return poly
+
+    return exact(irr), exact(full)
 
 
 def _poly_eval(poly: dict[int, Fraction], x: float) -> float:
@@ -101,10 +109,8 @@ def irreducible_weights(tables: list[CoefficientTable], gamma: float
     smallest alpha_n; the exact route couples the expansion, the renewal
     detection, and the norms with no numerical slack.)
     """
-    p = tables[0].p
     x = math.exp(-gamma * gamma)
-    irr = [_squared_amplitude_poly(t, True) for t in tables]
-    full = [_squared_amplitude_poly(t, False) for t in tables]
+    irr, full = zip(*map(_squared_amplitude_polys, tables))
     direct = np.array([_poly_eval(q, x) for q in irr])
 
     residual = 0.0

@@ -62,9 +62,10 @@ def test_criterion_01_two_particle_exactness(tables_p3):
     assert table.coeffs == {(0, 3): 1, (1, 2): -3}
     gamma = 1.0
     amp = amplitudes(table, gamma)
-    assert amp.amp[(0, 3)] == pytest.approx(1.0, rel=1e-12)
-    assert amp.amp[(1, 2)] == pytest.approx(-3.0 * math.exp(-2.0 * gamma**2),
-                                            rel=1e-12)
+    a = dict(zip(table.coeffs, amp.amp))
+    assert a[(0, 3)] == pytest.approx(1.0, rel=1e-12)
+    assert a[(1, 2)] == pytest.approx(-3.0 * math.exp(-2.0 * gamma**2),
+                                      rel=1e-12)
     dec = quasi_state(amp)
     w = 9.0 * math.exp(-4.0 * gamma**2)
     assert dec.weights[(1, 1)] == pytest.approx(1.0 / (1.0 + w), rel=1e-12)

@@ -6,6 +6,7 @@ library calls they wrap.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from laughlin import cli, hamiltonian
+from laughlin import cli, hamiltonian, plasma
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.correlations import occupation_finite, occupation_infinite, \
     rod_expectations
@@ -202,6 +203,24 @@ def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path):
     manifest = read_json(os.path.join(out, "mcmc_manifest.json"))
     assert manifest["run"]["rhat"] == pytest.approx(1.0, abs=0.1)
     assert 0.0 < manifest["run"]["acceptance"] < 1.0
+    assert manifest["run"]["passed"] is True
+
+
+@pytest.mark.parametrize("change", [{"rhat": math.nan}, {"rhat": 1.25},
+                                    {"acceptance": 0.001}])
+def test_mcmc_degenerate_run_exits_one(dirs, monkeypatch, change):
+    cache, out = dirs
+    real = plasma.metropolis_run
+    monkeypatch.setattr(plasma, "metropolis_run", lambda params, mc:
+                        dataclasses.replace(real(params, mc), **change))
+    assert run_cli("mcmc", "--p", "3", "--N", "2", "--sweeps", "500",
+                   "--burn-in", "100", "--seed", "3", "--cache-dir", cache,
+                   "--out-dir", out) == 1
+    run = read_json(os.path.join(out, "mcmc_manifest.json"))["run"]
+    assert run["passed"] is False
+    assert run["rhat_tolerance"] == 0.1
+    assert run["acceptance_band"] == [0.01, 0.99]
+    assert os.path.exists(os.path.join(out, "density.csv"))
 
 
 def test_mcmc_phase_observable(dirs):
@@ -215,6 +234,18 @@ def test_mcmc_phase_observable(dirs):
     pred = [float(r["predicted"]) for r in rows]
     assert sum(pred) == pytest.approx(1.0, abs=1e-12)
     assert max(pred) > 2 * min(pred)
+
+
+def test_corr_manifest_records_cache_hits(dirs):
+    cache, out = dirs
+    argv = ["corr", "--p", "3", "--Nmax", "4", "--N", "4", "--kmax", "2",
+            "--cache-dir", cache, "--out-dir", out]
+    assert run_cli(*argv) == 0
+    cold = read_json(os.path.join(out, "corr_manifest.json"))["cache"]
+    assert cold == {"hits": [], "computed": [1, 2, 3, 4]}
+    assert run_cli(*argv, "--no-compute") == 0
+    warm = read_json(os.path.join(out, "corr_manifest.json"))["cache"]
+    assert warm == {"hits": [1, 2, 3, 4], "computed": []}
 
 
 def test_exit_code_cap(dirs):
@@ -267,8 +298,25 @@ def test_verify_all_passes(dirs, capsys):
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"product-rule", "expansion-oracle", "ground-residual",
-            "monomer-dimer-residual", "mcmc-excess"} <= names
+            "monomer-dimer-residual", "mcmc-excess", "mcmc-chain"} <= names
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_verify_all_fails_on_degenerate_chain(dirs, monkeypatch):
+    cache, out = dirs
+    real = plasma.metropolis_run
+
+    def degenerate(params, mc):
+        run = real(params, dataclasses.replace(mc, sweeps=600))
+        return dataclasses.replace(run, rhat=math.nan)
+
+    monkeypatch.setattr(plasma, "metropolis_run", degenerate)
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "3", "--seed", "5",
+                   "--cache-dir", cache, "--out-dir", out) == 1
+    doc = read_json(os.path.join(out, "verify.json"))
+    chain = next(c for c in doc["checks"] if c["name"] == "mcmc-chain")
+    assert chain["passed"] is False
+    assert chain["measured"] == "nan" and chain["tolerance"] == 0.1
 
 
 def test_cache_dir_env_default(monkeypatch, tmp_path):

@@ -20,14 +20,12 @@ from laughlin.correlations import (
     offdiag_bound_check,
     one_particle_matrix,
     pair_infinite,
-    pair_moment_finite,
     period_test,
     quasi_state,
-    renewal_points_from_lengths,
     rod_expectations,
 )
 from laughlin.expansion import amplitudes
-from laughlin.lattice import ConfigError
+from laughlin.lattice import ConfigError, RodPartition
 from laughlin.renewal import build_model
 
 
@@ -78,17 +76,27 @@ def test_occupation_invariants_any_gamma(tables_p3, gamma):
 
 
 def test_pair_moment_idempotent_for_fermions(amp_p3_n4):
-    # n_k^2 = n_k when occupation numbers are 0/1.
+    # n_k^2 = n_k + c*_k c*_k c_k c_k, and the second term vanishes for
+    # fermions, so n_k^2 = n_k when occupation numbers are 0/1.
     occ = occupation_finite(amp_p3_n4)
     for k in range(amp_p3_n4.num_orbitals):
-        assert pair_moment_finite(amp_p3_n4, k, 0) == approx(occ[k], abs=1e-14)
+        assert moments_finite(amp_p3_n4, (k,), (k,)) == approx(occ[k],
+                                                               abs=1e-14)
+        assert moments_finite(amp_p3_n4, (k, k), (k, k)) == 0.0
 
 
 def test_moments_match_pair_moments(amp_p3_n4):
+    # <c*_k c*_l c_l c_k> = <n_k n_l> for k != l, counted on the
+    # configurations directly.
+    weights = {}
+    for m, c in amp_p3_n4.table.coeffs.items():
+        expo = 9 * sum(j * j for j in range(4)) - sum(v * v for v in m)
+        weights[m] = (c * math.exp(-0.5 * expo)) ** 2
+    norm = sum(weights.values())
     for k, l in ((0, 3), (1, 5), (2, 7)):
-        direct = pair_moment_finite(amp_p3_n4, k, l - k)
+        direct = sum(w for m, w in weights.items() if k in m and l in m)
         ordered = moments_finite(amp_p3_n4, (k, l), (l, k))
-        assert ordered == approx(direct, abs=1e-14)
+        assert ordered == approx(direct / norm, abs=1e-14)
 
 
 def test_four_point_hop(amp_p3_n2):
@@ -151,7 +159,7 @@ def test_quasi_state_locality(tables_p3, rods_p3):
     for X, weight in dec.weights.items():
         if weight == 0.0:
             continue
-        bounds = renewal_points_from_lengths(3, X)
+        bounds = RodPartition(3, X).boundaries
         for site in range(dec.N * dec.p):
             r = next(i for i in range(len(X))
                      if bounds[i] <= site < bounds[i + 1])
@@ -173,8 +181,9 @@ def test_quasi_state_skips_dead_partitions(tables_p1):
 
 
 def test_renewal_points_from_lengths():
-    assert renewal_points_from_lengths(3, (1, 2, 1)) == (0, 3, 9, 12)
-    assert renewal_points_from_lengths(2, ()) == (0,)
+    assert RodPartition(3, (1, 2, 1)).boundaries == (0, 3, 9, 12)
+    with pytest.raises(ConfigError):
+        RodPartition(2, ())
 
 
 # -- rod profiles ---------------------------------------------------------------

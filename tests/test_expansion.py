@@ -1,10 +1,12 @@
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laughlin import expansion
 from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 cache_path, evaluate_oracle, expand,
                                 expand_all, load_cache, save_cache,
@@ -58,18 +60,33 @@ def test_product_rule_small():
         assert report.checked > 0
 
 
+def test_columns_worked_example():
+    # (Z2 - Z1)^2: keys (0,2) and (1,1) on the sites 0..3.
+    table = expand_all(2, 2)[-1]
+    assert table.configs.tolist() == [[0, 2], [1, 1]]
+    assert table.occupations.tolist() == [[1, 0, 1, 0], [0, 2, 0, 0]]
+    assert table.exponents.tolist() == [0, 2]
+    assert table.factorials.tolist() == [1, 2]
+    assert table.renewal.tolist() == [[True, True, True],
+                                      [True, False, True]]
+    assert table.irreducible.tolist() == [False, True]
+    amp = amplitudes(table, 1.0)
+    assert np.array_equal(amp.occ, amp.amp / np.sqrt([1.0, 2.0]))
+
+
 def test_amplitudes_worked_example():
     gamma = 1.0
     amp = amplitudes(expand_all(3, 2)[-1], gamma)
-    assert amp.amp[(0, 3)] == pytest.approx(1.0, abs=0.0)
-    assert amp.amp[(1, 2)] == pytest.approx(-3.0 * math.exp(-2 * gamma ** 2),
-                                            rel=1e-15)
+    a = dict(zip(amp.table.coeffs, amp.amp))
+    assert a[(0, 3)] == pytest.approx(1.0, abs=0.0)
+    assert a[(1, 2)] == pytest.approx(-3.0 * math.exp(-2 * gamma ** 2),
+                                      rel=1e-15)
     assert amp.norm_sq() == pytest.approx(1 + 9 * math.exp(-4 * gamma ** 2),
                                           rel=1e-15)
 
     bamp = amplitudes(expand_all(2, 2)[-1], gamma)
     # Occupation amplitude of the doubly occupied key carries 1/sqrt(2!).
-    assert bamp.occ_amp((1, 1)) == pytest.approx(
+    assert dict(zip(bamp.table.coeffs, bamp.occ))[(1, 1)] == pytest.approx(
         -math.sqrt(2.0) * math.exp(-gamma ** 2), rel=1e-15)
     assert bamp.norm_sq() == pytest.approx(1 + 2 * math.exp(-2 * gamma ** 2),
                                            rel=1e-15)
@@ -79,10 +96,11 @@ def test_root_dominates_amplitudes():
     for p, N in [(3, 5), (2, 5)]:
         amp = amplitudes(expand_all(p, N)[-1], 0.8)
         root = tuple(p * j for j in range(N))
-        assert amp.amp[root] == 1.0
-        assert all(abs(a) <= len(amp.amp) * 10 for a in amp.amp.values())
+        a_of = dict(zip(amp.table.coeffs, amp.amp))
+        assert a_of[root] == 1.0
+        assert all(abs(a) <= len(a_of) * 10 for a in a_of.values())
         # The Gaussian exponent is strictly negative off the root.
-        for m, a in amp.amp.items():
+        for m, a in a_of.items():
             if m != root:
                 assert abs(a) < abs(amp.p * amp.N * 100)
 
@@ -103,6 +121,20 @@ def test_cap_enforced():
     with pytest.raises(CapExceeded):
         check_cap(3, 9)
     check_cap(3, 9, cap=12)
+
+
+def test_expand_computes_one_table(monkeypatch):
+    calls = []
+    squeeze = expansion._squeeze
+
+    def counting(p, N):
+        calls.append(N)
+        return squeeze(p, N)
+
+    monkeypatch.setattr(expansion, "_squeeze", counting)
+    table = expand(3, 6)
+    assert calls == [6]
+    assert table.coeffs == expand_all(3, 6)[-1].coeffs
 
 
 def test_cache_round_trip(tmp_path):

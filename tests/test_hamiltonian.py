@@ -13,7 +13,6 @@ from laughlin.hamiltonian import (
     build_HTT,
     build_monomer_dimer,
     exact_vector,
-    form_factor,
     ground_check,
     hermite_value,
     perturbation_series,
@@ -49,12 +48,13 @@ def test_hermite_recurrence():
 
 
 def test_form_factor_values():
-    assert form_factor(0.0, 3) == 0.0
-    assert form_factor(2.0, 3) == approx(4.0 / math.e, rel=1e-14)
+    F3 = FormFactor(3)
+    assert F3(0.0) == 0.0
+    assert F3(2.0) == approx(4.0 / math.e, rel=1e-14)
     for g in (0.7, 1.0, 1.6):
-        ratio = form_factor(3 * g, 3) / form_factor(g, 3)
+        ratio = F3(3 * g) / F3(g)
         assert ratio == approx(3 * math.exp(-2 * g * g), rel=1e-13)
-    assert form_factor(1.3, 2) == approx(math.exp(-1.3 ** 2 / 4), rel=1e-14)
+    assert FormFactor(2)(1.3) == approx(math.exp(-1.3 ** 2 / 4), rel=1e-14)
 
 
 def test_form_factor_variants():
@@ -97,7 +97,7 @@ def test_two_particle_block_closed_form():
     params = ModelParams(3, 2, g)
     basis = sector_basis(params, momentum=total_momentum(3, 2))
     build = build_H(params, basis=basis)
-    F1, F3 = form_factor(g, 3), form_factor(3 * g, 3)
+    F1, F3 = FormFactor(3)(g), FormFactor(3)(3 * g)
     expect = 4 * np.array([[F3 * F3, F3 * F1], [F1 * F3, F1 * F1]])
     assert build.H.toarray() == approx(expect, abs=1e-13)
     vals = spectrum(build.H, count=2)

@@ -7,8 +7,12 @@ from laughlin.lattice import (CapExceeded, ConfigError, ModelParams,
                               enumerate_admissible, enumerate_partitions,
                               is_admissible, is_canonical,
                               occupation_to_config, partition_of,
-                              renewal_points, renewal_points_occupation,
-                              staircase, translate_config, total_momentum)
+                              renewal_points, staircase, translate_config,
+                              total_momentum)
+
+
+def _lengths(boundaries, p):
+    return tuple((b - a) // p for a, b in zip(boundaries, boundaries[1:]))
 
 
 def test_staircase_values():
@@ -63,9 +67,9 @@ def test_renewal_points_worked_examples():
 
 def test_renewal_points_occupation_matches():
     n = config_to_occupation((1, 2), 7)
-    assert renewal_points_occupation(n, 3) == (0, 6)
+    assert renewal_points(occupation_to_config(n), 3) == (0, 6)
     n = config_to_occupation((0, 3, 7, 8), 13)
-    assert renewal_points_occupation(n, 3) == (0, 3, 6, 12)
+    assert renewal_points(occupation_to_config(n), 3) == (0, 3, 6, 12)
 
 
 def test_partition_of_worked_example():
@@ -73,7 +77,7 @@ def test_partition_of_worked_example():
     assert part.lengths == (1, 1, 2, 1, 1)
     assert part.N == 6
     assert part.boundaries == (0, 3, 6, 12, 15, 18)
-    assert RodPartition.from_intervals(3, part.intervals) == part
+    assert RodPartition(3, _lengths(part.boundaries, 3)) == part
 
 
 def test_enumerate_partitions():
@@ -111,12 +115,11 @@ _POOL = admissible_pool()
 
 @given(st.sampled_from(_POOL))
 def test_renewal_criteria_agree(case):
-    # The partial-sum criterion on the configuration and the
-    # occupation-number criterion must pick out the same points.
+    # Renewal points survive the round trip through occupation numbers.
     p, m = case
     pts = renewal_points(m, p)
     n = config_to_occupation(m, p * (len(m) - 1) + 1)
-    assert renewal_points_occupation(n, p) == pts
+    assert renewal_points(occupation_to_config(n), p) == pts
     assert pts[0] == 0 and pts[-1] == p * len(m)
     assert total_momentum(p, len(m)) == sum(m)
     assert is_canonical(m)
@@ -138,7 +141,7 @@ def test_partition_round_trip(case):
     part = partition_of(m, p)
     assert sum(part.lengths) == len(m)
     assert part.boundaries == renewal_points(m, p)
-    assert RodPartition.from_intervals(p, part.intervals) == part
+    assert RodPartition(p, _lengths(part.boundaries, p)) == part
 
 
 @settings(max_examples=30)
