@@ -4,7 +4,10 @@ Every subcommand writes its numeric outputs as CSV or JSON into the
 output directory, then a ``<subcommand>_manifest.json`` recording the
 full configuration, library versions, SHA-256 checksums of the
 artifacts, the wall time and, where coefficient tables were read, a
-``cache`` record of the N read from the cache and the N computed.
+``cache`` record of the N read from the cache and the N computed.  The
+``ham`` manifest also lists its ``stages``: the seconds spent on sector
+enumeration (with the sector dimension), on each assembly of H (with
+its nnz), on the spectrum and on the ground-state check.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -27,6 +30,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from importlib import metadata
 
 import numpy as np
@@ -37,6 +41,7 @@ from laughlin.lattice import (
     CapExceeded,
     ConfigError,
     ModelParams,
+    check_cap,
     total_momentum,
 )
 
@@ -99,6 +104,7 @@ class Emitter:
         self.subcommand = subcommand
         self.config = config
         self.checksums: dict[str, str] = {}
+        self.stages: list[dict] = []
         self.t0 = time.perf_counter()
         os.makedirs(out_dir, exist_ok=True)
 
@@ -129,6 +135,19 @@ class Emitter:
     def json(self, name: str, obj) -> str:
         return self._write(name, _json_text(obj) + "\n")
 
+    def stage(self, name: str, seconds: float, **sizes) -> None:
+        """Record one stage of the run for the manifest's ``stages``."""
+        self.stages.append({"name": name, "seconds": seconds, **sizes})
+
+    @contextmanager
+    def timed(self, name: str):
+        """Time the enclosed block as a stage; sizes set on the yielded
+        dict are recorded with it."""
+        sizes: dict = {}
+        t0 = time.perf_counter()
+        yield sizes
+        self.stage(name, time.perf_counter() - t0, **sizes)
+
     def manifest(self, extra: dict | None = None) -> str:
         try:
             version = metadata.version("artifact")
@@ -146,6 +165,8 @@ class Emitter:
             "artifacts": dict(sorted(self.checksums.items())),
             "wall_time_s": time.perf_counter() - self.t0,
         }
+        if self.stages:
+            doc["stages"] = self.stages
         if extra:
             doc.update(extra)
         name = f"{self.subcommand}_manifest.json"
@@ -163,27 +184,24 @@ def _config_dict(args: argparse.Namespace) -> dict:
 def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
                  cap: int | None = None
                  ) -> tuple[list[expansion.CoefficientTable], dict]:
-    """Coefficient tables 1..Nmax from cache, computing on a miss.
+    """Coefficient tables 1..Nmax from cache, computing only those missing.
 
     Also returns the manifest's ``cache`` record: the N read from the
     cache (``hits``) and the N computed in this run (``computed``).
     """
-    paths = [expansion.cache_path(cache_dir, p, n) for n in range(1, Nmax + 1)]
-    every = list(range(1, Nmax + 1))
-    if all(os.path.exists(path) for path in paths):
-        return ([expansion.load_cache(path, expected_p=p, expected_N=n)
-                 for n, path in enumerate(paths, start=1)],
-                {"hits": every, "computed": []})
-    if no_compute:
-        raise ConfigError(
-            f"cache at {cache_dir} lacks tables for p={p}, N<={Nmax}; "
-            "run the expand subcommand or drop --no-compute")
-    tables = expansion.expand_all(p, Nmax, cap=cap)
-    os.makedirs(cache_dir, exist_ok=True)
-    for n, (table, path) in enumerate(zip(tables, paths), start=1):
-        if not os.path.exists(path):
-            expansion.save_cache(table, path)
-    return tables, {"hits": [], "computed": every}
+    every = range(1, Nmax + 1)
+    missing = [n for n in every
+               if not os.path.exists(expansion.cache_path(cache_dir, p, n))]
+    if missing:
+        if no_compute:
+            raise ConfigError(
+                f"cache at {cache_dir} lacks tables for p={p}, N<={Nmax}; "
+                "run the expand subcommand or drop --no-compute")
+        check_cap(p, missing[-1], cap)
+    tables = [expansion.expand(p, n, cache_dir=cache_dir, cap=cap)
+              for n in every]
+    return tables, {"hits": [n for n in every if n not in missing],
+                    "computed": missing}
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -294,8 +312,12 @@ def cmd_ham(args) -> int:
     ground = total_momentum(args.p, args.N)
     momentum = ground if args.momentum is None else args.momentum
     cap = args.cap if args.cap is not None else hamiltonian.DEFAULT_SECTOR_CAP
-    basis = hamiltonian.sector_basis(params, momentum=momentum, cap=cap)
+    with em.timed("sector") as sizes:
+        basis = hamiltonian.sector_basis(params, momentum=momentum, cap=cap)
+        sizes["dim"] = basis.dim
     build = hamiltonian.build_H(params, basis=basis)
+    em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz)
+    em.stage("bond_assembly", build.seconds["bond"], nnz=build.bond.nnz)
     # The monomer-dimer state and the perturbation series live in the
     # ground sector; reuse its basis and H when that is the sector built.
     in_ground = momentum == ground
@@ -313,12 +335,14 @@ def cmd_ham(args) -> int:
 
     if args.spectrum:
         count = min(args.spectrum, basis.dim)
-        doc["spectrum"] = list(hamiltonian.spectrum(build.H, count=count,
-                                                    seed=args.seed))
+        with em.timed("spectrum"):
+            doc["spectrum"] = list(hamiltonian.spectrum(build.H, count=count,
+                                                        seed=args.seed))
 
     if args.check_ground_state:
         psi = hamiltonian.exact_vector(basis, amp)
-        report = hamiltonian.ground_check(build.H, psi)
+        with em.timed("ground_check"):
+            report = hamiltonian.ground_check(build.H, psi)
         ok = report.residual < 1e-8 and report.kernel_dim == 1
         doc["ground_state"] = {
             "residual": report.residual, "kernel_dim": report.kernel_dim,

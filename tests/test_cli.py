@@ -76,6 +76,26 @@ def test_expand_reads_warm_cache(dirs, monkeypatch):
     assert read_json(os.path.join(out, "expand_summary.json")) == first
 
 
+def test_expand_computes_only_missing_tables(dirs, monkeypatch):
+    cache, out = dirs
+    assert run_cli("expand", "--p", "3", "--N", "7",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    calls = []
+    squeeze = cli.expansion._squeeze
+
+    def counting(p, N):
+        calls.append(N)
+        return squeeze(p, N)
+
+    monkeypatch.setattr(cli.expansion, "_squeeze", counting)
+    assert run_cli("expand", "--p", "3", "--N", "8",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert calls == [8]
+    manifest = read_json(os.path.join(out, "expand_manifest.json"))
+    assert manifest["cache"] == {"hits": [1, 2, 3, 4, 5, 6, 7],
+                                 "computed": [8]}
+
+
 def test_norms_csv_matches_library(dirs):
     cache, out = dirs
     assert run_cli("norms", "--p", "3", "--Nmax", "4", "--gamma", "1.0",
@@ -135,17 +155,31 @@ def test_corr_outputs(dirs):
     assert all(float(r["rho"]) >= 0.0 for r in profile)
 
 
-def test_ham_report(dirs):
+def test_ham_report(dirs, tmp_path):
     cache, out = dirs
-    assert run_cli("ham", "--p", "3", "--N", "2", "--spectrum", "2",
-                   "--check-ground-state", "--cache-dir", cache,
-                   "--out-dir", out) == 0
+    argv = ["ham", "--p", "3", "--N", "2", "--spectrum", "2",
+            "--check-ground-state", "--cache-dir", cache]
+    assert run_cli(*argv, "--out-dir", out) == 0
     doc = read_json(os.path.join(out, "ham.json"))
     assert doc["dim"] == 2 and doc["momentum"] == 3
     assert doc["spectrum"][0] == pytest.approx(0.0, abs=1e-12)
     assert doc["spectrum"][1] == pytest.approx(11.304186056909032, rel=1e-12)
     assert doc["ground_state"]["passed"] is True
     assert doc["ground_state"]["residual"] < 1e-12
+
+    stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
+    assert [s["name"] for s in stages] == [
+        "sector", "pair_assembly", "bond_assembly", "spectrum",
+        "ground_check"]
+    assert all(s["seconds"] >= 0.0 for s in stages)
+    assert stages[0]["dim"] == 2
+    assert stages[1]["nnz"] == stages[2]["nnz"] == 4
+
+    out2 = str(tmp_path / "out2")
+    assert run_cli(*argv, "--out-dir", out2) == 0
+    with open(os.path.join(out, "ham.json"), "rb") as fa, \
+            open(os.path.join(out2, "ham.json"), "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):

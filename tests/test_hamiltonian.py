@@ -89,6 +89,29 @@ def test_sector_basis_guards():
         sector_basis(ModelParams(3, 2, 1.0), momentum=999)
 
 
+def test_sector_cap_counts_the_sector():
+    # The ground sector of p=3, N=8 is enumerated directly; its layer of
+    # C(22, 8) = 319,770 states is over the default cap.
+    params = ModelParams(3, 8, 1.0)
+    ground = total_momentum(3, 8)
+    with pytest.raises(CapExceeded):
+        sector_basis(params)
+    assert sector_basis(params, momentum=ground, cap=8512).dim == 8512
+    with pytest.raises(CapExceeded):
+        sector_basis(params, momentum=ground, cap=8511)
+
+
+def test_occupation_keys_order_and_limit():
+    # Keys are (N+1)-ary for bosons and binary for fermions: 10^17 fits in
+    # int64 at p=2, N=9, while 11^19 at N=10 and 2^64 at p=3, N=22 do not.
+    basis = sector_basis(ModelParams(2, 9, 1.0), momentum=total_momentum(2, 9))
+    assert np.all(np.diff(basis.keys) > 0)
+    assert np.array_equal(basis.find(basis.keys), np.arange(basis.dim))
+    for p, N in ((2, 10), (3, 22)):
+        with pytest.raises(CapExceeded):
+            sector_basis(ModelParams(p, N, 1.0), momentum=total_momentum(p, N))
+
+
 # -- the repulsion and its kernel ---------------------------------------------------
 
 
@@ -130,6 +153,15 @@ def test_exact_states_span_kernel(tables_p3, tables_p2):
             assert rep.residual < 1e-12
             assert rep.kernel_dim == 1
             assert rep.min_eigenvalue > -1e-10
+
+
+def test_eight_fermion_ground_sector(tables_p3):
+    params = ModelParams(3, 8, 1.0)
+    sec = sector_basis(params, momentum=total_momentum(3, 8))
+    build = build_H(params, basis=sec)
+    assert build.deviation <= 1e-12
+    psi = exact_vector(sec, amplitudes(tables_p3[7], 1.0))
+    assert np.linalg.norm(build.H @ psi) / np.linalg.norm(psi) < 1e-8
 
 
 def test_five_boson_residual(tables_p2):

@@ -1,23 +1,28 @@
 """Per-configuration reference for the column reductions.
 
 The library reads every per-configuration quantity from the columns of
-a coefficient table.  Here each one is recomputed the direct way, one
-configuration of ``coeffs`` at a time, with the scalar lattice helpers,
-and the library's reductions must agree with it.
+a coefficient table or a sector basis.  Here each one is recomputed the
+direct way, one configuration at a time, with the scalar lattice
+helpers, and the library's array passes must agree with it.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 from pytest import approx
+from scipy import sparse
 from scipy.special import erf
 
-from laughlin import plasma
-from laughlin.correlations import occupation_finite, rod_expectations
+from laughlin import hamiltonian, plasma
+from laughlin.correlations import (_apply_string, occupation_finite,
+                                   rod_expectations)
 from laughlin.expansion import amplitudes, expand_all
-from laughlin.lattice import config_to_occupation, renewal_points
+from laughlin.lattice import (ModelParams, config_to_occupation,
+                              occupation_to_config, renewal_points,
+                              total_momentum)
 from laughlin.renewal import (_squared_amplitude_polys, irreducible_weights,
                               norms_from_tables)
 
@@ -138,3 +143,153 @@ def test_exact_excess_zero(tables, gamma):
             expect = total / sum(w.values())
             got = plasma.exact_excess_zero(amp, xbar)
             assert got == approx(expect, abs=1e-13)
+
+
+# -- parent Hamiltonians ------------------------------------------------------------
+
+
+def reference_operator(basis, terms, fermionic):
+    """sum_t coeff_t c*...c*... c...c, one configuration and term at a time."""
+    index = {m: i for i, m in enumerate(basis.configs)}
+    rows, cols, vals = [], [], []
+    for col, m in enumerate(basis.configs):
+        occ = config_to_occupation(m, basis.num_sites)
+        for creation, annihilation, coeff in terms:
+            out = _apply_string(list(occ), creation, annihilation, fermionic)
+            if out is None:
+                continue
+            target, factor = out
+            row = index.get(occupation_to_config(target))
+            if row is not None:
+                rows.append(row)
+                cols.append(col)
+                vals.append(coeff * factor)
+    return sparse.coo_matrix((vals, (rows, cols)),
+                             shape=(basis.dim, basis.dim)).tocsr()
+
+
+def reference_gram(basis, bonds, fermionic):
+    """sum_s B_s* B_s, summing c_i c_j over every pair of basis states
+    with a common image under B_s."""
+    out = sparse.csr_matrix((basis.dim, basis.dim))
+    for terms in bonds:
+        images = {}
+        for col, m in enumerate(basis.configs):
+            occ = config_to_occupation(m, basis.num_sites)
+            for (a, b), coeff in terms:
+                res = _apply_string(list(occ), (), (a, b), fermionic)
+                if res is not None:
+                    images.setdefault(res[0], []).append((col, coeff * res[1]))
+        rows, cols, vals = [], [], []
+        for entries in images.values():
+            for i, ci in entries:
+                for j, cj in entries:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(ci * cj)
+        out = out + sparse.coo_matrix((vals, (rows, cols)),
+                                      shape=(basis.dim, basis.dim)).tocsr()
+    return out
+
+
+def reference_configs(params, momentum):
+    """The layer filtered by momentum, in lexicographic order."""
+    sites = params.p * (params.N - 1) + 1
+    pool = (combinations if params.fermionic
+            else combinations_with_replacement)(range(sites), params.N)
+    return tuple(m for m in pool if momentum is None or sum(m) == momentum)
+
+
+def reference_vector(basis, coeffs):
+    index = {m: i for i, m in enumerate(basis.configs)}
+    v = np.zeros(basis.dim)
+    for m, c in coeffs.items():
+        v[index[tuple(sorted(m))]] = c
+    return v
+
+
+@pytest.fixture()
+def reference_assembly(monkeypatch):
+    """Swap the per-configuration loops in for the array assembly."""
+    def use():
+        monkeypatch.setattr(hamiltonian, "_operator_from_terms",
+                            reference_operator)
+        monkeypatch.setattr(hamiltonian, "_gram_build", reference_gram)
+    return use
+
+
+def assert_same_operator(got, expect):
+    """Same sparsity pattern, entries within 1e-13 of the largest."""
+    got, expect = got.tocsr(), expect.tocsr()
+    got.sort_indices()
+    expect.sort_indices()
+    assert np.array_equal(got.indptr, expect.indptr)
+    assert np.array_equal(got.indices, expect.indices)
+    scale = abs(expect).max()
+    assert np.abs(got.data - expect.data).max() <= 1e-13 * scale
+
+
+# (p, largest N of the whole layer, largest N of the ground sector); the
+# reference loop takes 69 s on the p=4, N=5 layer of 20,349 states.
+HAM_CASES = ((2, 5, 5), (3, 4, 5), (4, 3, 5))
+
+
+@pytest.mark.parametrize("variant", ("parity", "full"))
+@pytest.mark.parametrize("p,n_layer,n_sector", HAM_CASES)
+def test_build_H_matches_reference(p, n_layer, n_sector, variant,
+                                   reference_assembly):
+    bases = []
+    for N in range(2, n_sector + 1):
+        params = ModelParams(p, N, 1.3)
+        for momentum in (None, total_momentum(p, N)):
+            if momentum is None and N > n_layer:
+                continue
+            basis = hamiltonian.sector_basis(params, momentum=momentum)
+            assert basis.configs == reference_configs(params, momentum)
+            bases.append((params, basis))
+    got = [hamiltonian.build_H(params, basis=basis, variant=variant)
+           for params, basis in bases]
+    reference_assembly()
+    for (params, basis), build in zip(bases, got):
+        expect = hamiltonian.build_H(params, basis=basis, variant=variant)
+        assert_same_operator(build.pair, expect.pair)
+        assert_same_operator(build.bond, expect.bond)
+        assert build.deviation <= 1e-12 * abs(expect.bond).max()
+
+
+def test_monomer_dimer_matches_reference(reference_assembly):
+    cases = []
+    for N in range(2, 6):
+        params = ModelParams(3, N, 0.9)
+        for momentum in (None, total_momentum(3, N)):
+            basis = hamiltonian.sector_basis(params, momentum=momentum)
+            cases.append((params, basis,
+                          hamiltonian.build_monomer_dimer(params, basis)))
+    reference_assembly()
+    for params, basis, md in cases:
+        expect = hamiltonian.build_monomer_dimer(params, basis)
+        assert_same_operator(md.H, expect.H)
+        assert md.deviation <= 1e-13 * abs(expect.H).max()
+        assert np.array_equal(md.psi, expect.psi)
+
+
+def test_tt_energies_and_vectors(tables_p3, tables_p2):
+    for p, tables in ((3, tables_p3), (2, tables_p2)):
+        for N in (3, 5):
+            params = ModelParams(p, N, 1.2)
+            for momentum in (None, total_momentum(p, N)):
+                basis = hamiltonian.sector_basis(params, momentum=momentum)
+                energies = []
+                for m in basis.configs:
+                    occ = config_to_occupation(m, basis.num_sites + 2)
+                    near = sum(a * b for a, b in zip(occ, occ[1:]))
+                    next_near = sum(a * b for a, b in zip(occ, occ[2:]))
+                    energies.append(math.exp(-0.5 * 1.2 ** 2) * near
+                                    + 4 * math.exp(-2 * 1.2 ** 2) * next_near)
+                assert np.array_equal(hamiltonian.tt_energies(basis, 1.2),
+                                      energies)
+                amp = amplitudes(tables[N - 1], 1.2)
+                expect = reference_vector(
+                    basis, dict(zip(amp.table.coeffs, amp.occ)))
+                assert np.array_equal(hamiltonian.exact_vector(basis, amp),
+                                      expect)
