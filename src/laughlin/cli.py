@@ -15,9 +15,10 @@ All floating-point output is printed with 17 significant digits so
 doubles round-trip exactly.
 
 Exit codes: 0 success, 1 a verification check failed (including a
-degenerate Metropolis run), 2 invalid configuration (including an
-unconverged renewal model without ``--override-unconverged``), 3 a
-resource cap was exceeded.
+degenerate Metropolis run) or a cached coefficient table failed
+validation, 2 invalid configuration (including an unconverged renewal
+model without ``--override-unconverged``), 3 a resource cap was
+exceeded.
 """
 
 from __future__ import annotations
@@ -354,12 +355,10 @@ def cmd_ham(args) -> int:
         md_basis = basis if in_ground else hamiltonian.sector_basis(
             params, momentum=ground, cap=cap)
         md = hamiltonian.build_monomer_dimer(params, basis=md_basis)
-        norm = float(np.linalg.norm(md.psi))
-        residual = float(np.linalg.norm(md.H @ md.psi)) / norm
         report = hamiltonian.ground_check(md.H, md.psi)
-        ok = residual < 1e-10 and md.deviation < 1e-12
+        ok = report.residual < 1e-10 and md.deviation < 1e-12
         doc["monomer_dimer"] = {
-            "residual": residual, "kernel_dim": report.kernel_dim,
+            "residual": report.residual, "kernel_dim": report.kernel_dim,
             "build_deviation": md.deviation, "num_terms": md.num_terms,
             "passed": ok,
         }
@@ -606,19 +605,26 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, gamma: bool = True,
+                seed: bool = False, override: bool = False) -> None:
+    """The flags of every subcommand, plus ``--gamma``, ``--seed`` and
+    ``--override-unconverged`` where the subcommand reads them."""
     sub.add_argument("--cache-dir", default=default_cache_dir(),
                      help=f"coefficient cache (default ${CACHE_ENV} "
                           "or ~/.cache/laughlin)")
     sub.add_argument("--out-dir", default=".",
                      help="directory for CSV/JSON artifacts")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--override-unconverged", action="store_true",
-                     help="proceed when the rod-size tail is above threshold")
     sub.add_argument("--cap", type=int, default=None,
                      help="override the built-in particle-number cap")
     sub.add_argument("--p", type=int, default=3)
-    sub.add_argument("--gamma", type=float, default=1.0)
+    if gamma:
+        sub.add_argument("--gamma", type=float, default=1.0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
+    if override:
+        sub.add_argument("--override-unconverged", action="store_true",
+                         help="proceed when the rod-size tail is above "
+                              "threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -630,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     sub = subs.add_parser("expand", help="build and cache coefficient tables")
-    _add_common(sub)
+    _add_common(sub, gamma=False)
     sub.add_argument("--N", type=int, required=True)
     sub.set_defaults(func=cmd_expand)
 
@@ -640,13 +646,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_norms)
 
     sub = subs.add_parser("renewal", help="rod weights and renewal model")
-    _add_common(sub)
+    _add_common(sub, override=True)
     sub.add_argument("--Nmax", type=int, default=6)
     sub.set_defaults(func=cmd_renewal)
 
     sub = subs.add_parser("corr", help="occupations, pair correlations, "
                                        "density profile, period test")
-    _add_common(sub)
+    _add_common(sub, override=True)
     sub.add_argument("--Nmax", type=int, default=6)
     sub.add_argument("--N", type=int, default=None,
                      help="also emit exact finite-N occupations")
@@ -657,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_corr)
 
     sub = subs.add_parser("ham", help="parent Hamiltonian diagnostics")
-    _add_common(sub)
+    _add_common(sub, seed=True)
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--momentum", type=int, default=None,
                      help="momentum sector (default: ground sector)")
@@ -670,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_ham)
 
     sub = subs.add_parser("mcmc", help="Metropolis sampling of |Psi|^2")
-    _add_common(sub)
+    _add_common(sub, seed=True, override=True)
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--sweeps", type=int, default=20000)
     sub.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
@@ -683,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_mcmc)
 
     sub = subs.add_parser("verify-all", help="cross-module consistency suite")
-    _add_common(sub)
+    _add_common(sub, seed=True, override=True)
     sub.add_argument("--Nmax", type=int, default=6)
     sub.set_defaults(func=cmd_verify)
 
@@ -693,8 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_common(args) -> None:
     if args.p < 1:
         raise ConfigError(f"p must be a positive integer, got {args.p}")
-    if not (args.gamma > 0 and math.isfinite(args.gamma)):
-        raise ConfigError(f"gamma must be finite and > 0, got {args.gamma}")
+    gamma = getattr(args, "gamma", None)
+    if gamma is not None and not (gamma > 0 and math.isfinite(gamma)):
+        raise ConfigError(f"gamma must be finite and > 0, got {gamma}")
     for attr in ("N", "Nmax"):
         val = getattr(args, attr, None)
         if val is not None and val < 1:
@@ -716,6 +723,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except expansion.CacheError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -427,8 +427,9 @@ def save_cache(table: CoefficientTable, path: str) -> None:
 
 def load_cache(path: str, expected_p: int | None = None,
                expected_N: int | None = None) -> CoefficientTable:
-    """Read and fully validate a cache file written by :func:`save_cache`."""
-    with open(path) as fh:
+    """Read and fully validate a cache file written by :func:`save_cache`;
+    any fault in its contents raises :class:`CacheError`."""
+    with open(path, errors="replace") as fh:  # bad bytes fail the checks
         lines = fh.readlines()
     if len(lines) < 2:
         raise CacheError(f"{path}: truncated cache file")
@@ -461,13 +462,17 @@ def load_cache(path: str, expected_p: int | None = None,
             key_part, val_part = line.strip().split(":")
             m = tuple(int(v) for v in key_part.split(","))
             value = int(val_part)
-        except ValueError as exc:
+            admissible = len(m) == N and is_admissible(m, p)
+        except ValueError as exc:  # ConfigError too: an unsorted key
             raise CacheError(f"{path}: malformed line {line!r}") from exc
-        if len(m) != N or not is_admissible(m, p):
+        if not admissible:
             raise CacheError(f"{path}: inadmissible key {m}")
         if m in coeffs:
             raise CacheError(f"{path}: duplicate key {m}")
         if value == 0:
             raise CacheError(f"{path}: explicit zero coefficient at {m}")
         coeffs[m] = value
-    return CoefficientTable(p, N, coeffs)
+    try:
+        return CoefficientTable(p, N, coeffs)
+    except ConfigError as exc:
+        raise CacheError(f"{path}: {exc}") from exc

@@ -297,6 +297,57 @@ def test_exit_code_invalid_config(dirs):
     assert run_cli("mcmc", "--p", "3", "--N", "2", "--sweeps", "500",
                    "--observables", "bogus",
                    "--cache-dir", cache, "--out-dir", out) == 2
+    assert run_cli("ham", "--p", "3", "--N", "3", "--spectrum", "-1",
+                   "--cache-dir", cache, "--out-dir", out) == 2
+
+
+def _rewrite_cache_line(path, line, resign):
+    """Replace one body line of a cache file, re-signing it when asked."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    lines[1] = line
+    if resign:
+        digest = hashlib.sha256("".join(lines[:-1]).encode()).hexdigest()
+        lines[-1] = f"checksum={digest}\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+@pytest.mark.parametrize("line, resign, message", [
+    ("0,3,6:2\n", False, "checksum mismatch"),
+    ("6,3,0:1\n", True, "malformed line"),
+    ("0,3,6:2\n", True, "must carry coefficient +1"),
+])
+def test_exit_code_corrupt_cache(dirs, capsys, line, resign, message):
+    cache, out = dirs
+    assert run_cli("expand", "--p", "3", "--N", "3",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    capsys.readouterr()
+    _rewrite_cache_line(os.path.join(cache, "coeff_p3_N3.txt"), line, resign)
+    for sub in ("norms", "corr"):
+        assert run_cli(sub, "--p", "3", "--Nmax", "3",
+                       "--cache-dir", cache, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--N", "2", "--gamma", "1"],
+    ["expand", "--N", "2", "--seed", "1"],
+    ["expand", "--N", "2", "--override-unconverged"],
+    ["norms", "--seed", "1"],
+    ["norms", "--override-unconverged"],
+    ["renewal", "--seed", "1"],
+    ["corr", "--seed", "1"],
+    ["ham", "--N", "2", "--override-unconverged"],
+])
+def test_unread_flags_rejected(argv, dirs, capsys):
+    cache, out = dirs
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--cache-dir", cache, "--out-dir", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exit_code_no_compute_on_cold_cache(dirs):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -185,6 +186,30 @@ def test_cache_rejects_wrong_header(tmp_path):
         load_cache(path, expected_p=2)
     with open(path, "w") as fh:
         fh.write("NOT-A-CACHE\n")
+    with pytest.raises(CacheError):
+        load_cache(path)
+
+
+def test_cache_rejects_unsorted_key_under_valid_checksum(tmp_path):
+    table = expand_all(3, 3)[-1]
+    path = cache_path(str(tmp_path), 3, 3)
+    save_cache(table, path)
+    with open(path) as fh:
+        lines = fh.readlines()
+    key, value = lines[1].split(":")
+    lines[1] = ",".join(reversed(key.split(","))) + ":" + value
+    body = lines[:-1]
+    digest = hashlib.sha256("".join(body).encode()).hexdigest()
+    with open(path, "w") as fh:
+        fh.writelines(body + [f"checksum={digest}\n"])
+    with pytest.raises(CacheError, match="malformed line"):
+        load_cache(path)
+
+
+def test_cache_rejects_binary_file(tmp_path):
+    path = cache_path(str(tmp_path), 3, 3)
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe\x00garbage\n\x80\n")
     with pytest.raises(CacheError):
         load_cache(path)
 

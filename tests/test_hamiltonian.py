@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from pytest import approx
+from scipy import sparse
 
 from laughlin.expansion import amplitudes
 from laughlin.hamiltonian import (
@@ -162,6 +163,10 @@ def test_eight_fermion_ground_sector(tables_p3):
     assert build.deviation <= 1e-12
     psi = exact_vector(sec, amplitudes(tables_p3[7], 1.0))
     assert np.linalg.norm(build.H @ psi) / np.linalg.norm(psi) < 1e-8
+    # dim 8,512: the Lanczos-vector floor keeps this to about a second
+    vals = spectrum(build.H, count=2)
+    assert abs(vals[0]) < 1e-10
+    assert vals[1] > 1.0
 
 
 def test_five_boson_residual(tables_p2):
@@ -170,6 +175,21 @@ def test_five_boson_residual(tables_p2):
     build = build_H(params, basis=sec)
     psi = exact_vector(sec, amplitudes(tables_p2[4], 1.0))
     assert ground_check(build.H, psi).residual < 1e-12
+
+
+@pytest.mark.parametrize("p, N", [(3, 6), (2, 7)])
+def test_doubled_kernel_counted(p, N, tables_p3, tables_p2):
+    # Two copies of the ground sector (dims 676 and 3,312): the kernel
+    # is the exact state in either copy.
+    tables = tables_p3 if p == 3 else tables_p2
+    params = ModelParams(p, N, 1.0)
+    sec = sector_basis(params, momentum=total_momentum(p, N))
+    H = build_H(params, basis=sec).H
+    psi = exact_vector(sec, amplitudes(tables[N - 1], 1.0))
+    rep = ground_check(sparse.block_diag([H, H]),
+                       np.concatenate([psi, np.zeros(sec.dim)]))
+    assert rep.residual < 1e-8
+    assert rep.kernel_dim == 2
 
 
 def test_random_vector_is_not_ground(hbuild_p3_n3):
@@ -213,6 +233,15 @@ def test_monomer_dimer_counts_and_residuals():
         assert md.deviation < 1e-12
         resid = np.linalg.norm(md.H @ md.psi) / np.linalg.norm(md.psi)
         assert resid < 1e-12
+
+
+def test_monomer_dimer_eight_particles():
+    params = ModelParams(3, 8, 1.5)
+    md = build_monomer_dimer(params, basis=sector_basis(
+        params, momentum=total_momentum(3, 8)))
+    rep = ground_check(md.H, md.psi)
+    assert rep.residual < 1e-10
+    assert rep.kernel_dim == 1
 
 
 def test_monomer_dimer_matches_exact_two_particles(tables_p3):
