@@ -389,7 +389,10 @@ def cmd_mcmc(args) -> int:
     mc = plasma.McConfig(sweeps=args.sweeps, burn_in=args.burn_in,
                          thinning=args.thinning, seed=args.seed,
                          chains=args.chains)
-    run = plasma.metropolis_run(params, mc)
+    with em.timed("sample") as sizes:
+        run = plasma.metropolis_run(params, mc)
+        sizes["chains"] = args.chains
+        sizes["moves"] = run.moves
     pooled = run.pooled()
 
     run_info = {
@@ -410,14 +413,16 @@ def cmd_mcmc(args) -> int:
         lo = -4.0
         hi = args.p * (args.N - 1) * args.gamma + 4.0
         edges = np.arange(lo, hi + 0.5 * width, width)
-        est = plasma.density_histogram(pooled, edges, params)
+        with em.timed("density"):
+            est = plasma.density_histogram(pooled, edges, params)
         em.csv("density.csv", ["bin_center", "density", "stderr"],
                zip(est.centers, est.density, est.stderr))
         run_info["y_ks"] = est.y_ks
 
     if "excess" in observables:
         cuts = [(k - 0.5) * args.p * args.gamma for k in range(1, args.N)]
-        stats = plasma.measure_excess(pooled, cuts, params)
+        with em.timed("excess"):
+            stats = plasma.measure_excess(pooled, cuts, params)
         rows = []
         for xbar in stats.xbars:
             for K in sorted(stats.histogram[xbar]):
@@ -425,15 +430,16 @@ def cmd_mcmc(args) -> int:
         em.csv("excess.csv", ["xbar", "K", "probability"], rows)
 
     if "phase" in observables:
-        tables, extra["cache"] = _load_tables(args.p, args.Nmax,
-                                              args.cache_dir, cap=args.cap)
-        model = renewal.build_model(args.p, args.Nmax, args.gamma,
-                                    tables=tables)
-        model.require_converged(args.override_unconverged)
-        rods = correlations.rod_expectations(tables, args.gamma)
-        occ = correlations.occupation_infinite(
-            model, rods, override=args.override_unconverged)
-        prof = plasma.phase_profile(pooled, params, occ)
+        with em.timed("phase"):
+            tables, extra["cache"] = _load_tables(args.p, args.Nmax,
+                                                  args.cache_dir, cap=args.cap)
+            model = renewal.build_model(args.p, args.Nmax, args.gamma,
+                                        tables=tables)
+            model.require_converged(args.override_unconverged)
+            rods = correlations.rod_expectations(tables, args.gamma)
+            occ = correlations.occupation_infinite(
+                model, rods, override=args.override_unconverged)
+            prof = plasma.phase_profile(pooled, params, occ)
         centers = 0.5 * (prof.edges[:-1] + prof.edges[1:])
         em.csv("phase.csv",
                ["phase_center", "observed", "predicted", "stderr"],

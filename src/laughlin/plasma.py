@@ -7,7 +7,12 @@ which never exponentiates a positive number, so it stays finite at any
 separation; coincident points give -inf and are simply never accepted.
 
 Sampling uses single-particle proposals, Gaussian in x and
-uniform-wrapped in y, with widths tuned by short pilot runs.  Particle
+uniform-wrapped in y, with widths tuned by short pilot runs.  Each
+chain keeps an N x N matrix of pair terms, so a move evaluates one new
+row of pairs (the old energy is a sum over the cached row) and an
+accepted move writes it into row and column i.  Every generator is
+drawn in a fixed order: the initial state, then per move one normal
+and two uniform numbers, so a seed fixes every sample.  Particle
 labels are never sorted while sampling; order statistics appear only
 in the excess measurement.
 """
@@ -50,24 +55,32 @@ class PlasmaState:
     log_weight: float
 
 
-def _pair_terms(xi: float, yi: float, xs: np.ndarray, ys: np.ndarray,
-                params: ModelParams) -> float:
-    g = params.gamma
-    dx = np.abs(xi - xs)
-    top = 0.5 * (xi + xs + dx)
-    ea = np.exp(-g * dx)
-    mod = np.expm1(-g * dx) ** 2 + 4.0 * ea * np.sin(0.5 * g * (yi - ys)) ** 2
+def _pair_row(x: float, y: float, xs: np.ndarray, ys: np.ndarray,
+              gamma: float) -> np.ndarray:
+    """The bracket of the pair form for a charge at (x, y) and each point
+    of (xs, ys), without the factor 2p.
+
+    A coincident point gives -inf, with a divide warning unless the
+    caller ignores it.
+    """
+    dx = np.abs(x - xs)
+    decay = -gamma * dx
+    mod = np.expm1(decay) ** 2 \
+        + 4.0 * np.exp(decay) * np.sin(0.5 * gamma * (y - ys)) ** 2
+    return gamma * (0.5 * (x + xs + dx)) + 0.5 * np.log(mod)
+
+
+def _pair_matrix(coords: np.ndarray, gamma: float) -> np.ndarray:
+    """Symmetric N x N matrix of pair terms with a zero diagonal."""
+    n = coords.shape[0]
+    xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
+    pairs = np.zeros((n, n))
     with np.errstate(divide="ignore"):
-        logs = np.log(mod)
-    return 2.0 * params.p * float(np.sum(g * top + 0.5 * logs))
-
-
-def _particle_energy(coords: np.ndarray, i: int, params: ModelParams) -> float:
-    """Log-weight terms involving particle i: its Gaussian plus its pairs."""
-    mask = np.arange(coords.shape[0]) != i
-    xi, yi = coords[i]
-    return -xi * xi + _pair_terms(xi, yi, coords[mask, 0], coords[mask, 1],
-                                  params)
+        for i in range(1, n):
+            row = _pair_row(xs[i], ys[i], xs[:i], ys[:i], gamma)
+            pairs[i, :i] = row
+            pairs[:i, i] = row
+    return pairs
 
 
 def log_weight(state, params: ModelParams) -> float:
@@ -75,11 +88,8 @@ def log_weight(state, params: ModelParams) -> float:
     coords = np.asarray(getattr(state, "coordinates", state), dtype=float)
     if coords.shape != (params.N, 2):
         raise ConfigError(f"expected coordinate shape {(params.N, 2)}")
-    total = -float(np.sum(coords[:, 0] ** 2))
-    for i in range(1, params.N):
-        total += _pair_terms(coords[i, 0], coords[i, 1],
-                             coords[:i, 0], coords[:i, 1], params)
-    return total
+    pairs = _pair_matrix(coords, params.gamma)  # each pair counted twice
+    return -float(np.sum(coords[:, 0] ** 2)) + params.p * float(np.sum(pairs))
 
 
 def initial_state(params: ModelParams, rng: np.random.Generator) -> PlasmaState:
@@ -94,39 +104,61 @@ def initial_state(params: ModelParams, rng: np.random.Generator) -> PlasmaState:
 
 def _run_chain(params: ModelParams, mc: McConfig, rng: np.random.Generator,
                sigma: tuple[float, float], n_keep: int):
-    circ = 2.0 * math.pi / params.gamma
-    state = initial_state(params, rng)
-    coords = state.coordinates
+    """One chain from a fresh initial state: (kept samples, acceptance, moves).
+
+    The chain caches every pair term in a symmetric matrix, so the old
+    energy of particle i is a row sum and a move evaluates one new row.
+    An accepted move writes that row into row and column i.
+    """
+    g = params.gamma
+    two_p = 2.0 * params.p
+    circ = 2.0 * math.pi / g
+    coords = initial_state(params, rng).coordinates
+    xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
+    pairs = _pair_matrix(coords, g)
     sx, sy = sigma
     accepted = 0
-    proposed = 0
     kept = np.empty((n_keep, params.N, 2))
     stored = 0
     total_sweeps = mc.burn_in + n_keep * mc.thinning
-    for sweep in range(total_sweeps):
-        for i in range(params.N):
-            old = coords[i].copy()
-            e_old = _particle_energy(coords, i, params)
-            coords[i, 0] = old[0] + sx * rng.standard_normal()
-            coords[i, 1] = (old[1] + sy * rng.uniform(-1.0, 1.0)) % circ
-            e_new = _particle_energy(coords, i, params)
-            proposed += 1
-            if math.log(1.0 - rng.uniform()) < e_new - e_old:
-                accepted += 1
-            else:
-                coords[i] = old
-        if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
-            kept[stored] = coords
-            stored += 1
-    return kept[:stored], accepted / proposed
+    normal, uniform, row_sum = rng.standard_normal, rng.random, np.add.reduce
+    # a proposal onto an occupied point has energy -inf and is rejected
+    with np.errstate(divide="ignore"):
+        for sweep in range(total_sweeps):
+            for i in range(params.N):
+                x, y = xs.item(i), ys.item(i)
+                e_old = -x * x + two_p * float(row_sum(pairs[i]))
+                # uniform(a, b) is a + (b - a) * random(), so these are the
+                # draws and values of standard_normal(), uniform(-1, 1) and
+                # uniform() without their argument handling
+                x_new = x + sx * normal()
+                y_new = (y + sy * (2.0 * uniform() - 1.0)) % circ
+                row = _pair_row(x_new, y_new, xs, ys, g)
+                row[i] = 0.0
+                e_new = -x_new * x_new + two_p * float(row_sum(row))
+                if math.log(1.0 - uniform()) < e_new - e_old:
+                    accepted += 1
+                    xs[i] = x_new
+                    ys[i] = y_new
+                    pairs[i] = row
+                    pairs[:, i] = row
+            if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
+                kept[stored, :, 0] = xs
+                kept[stored, :, 1] = ys
+                stored += 1
+    moves = total_sweeps * params.N
+    return kept[:stored], accepted / moves, moves
 
 
-def _tune_widths(params: ModelParams, mc: McConfig,
-                 rng: np.random.Generator) -> tuple[float, float]:
+def _tune_widths(params: ModelParams, mc: McConfig, rng: np.random.Generator
+                 ) -> tuple[tuple[float, float], int]:
+    """Proposal widths from up to eight pilot chains, and their moves."""
     sx, sy = mc.sigma_x, mc.sigma_y
     pilot = replace(mc, burn_in=50, thinning=1, tune=False)
+    moves = 0
     for _ in range(8):
-        _, acc = _run_chain(params, pilot, rng, (sx, sy), 150)
+        _, acc, n = _run_chain(params, pilot, rng, (sx, sy), 150)
+        moves += n
         if acc < 0.30:
             sx *= 0.7
             sy *= 0.7
@@ -135,7 +167,7 @@ def _tune_widths(params: ModelParams, mc: McConfig,
             sy *= 1.4
         else:
             break
-    return sx, sy
+    return (sx, sy), moves
 
 
 #: A run is degenerate when its mean acceptance leaves this band, or
@@ -153,6 +185,8 @@ class McRun:
     acceptance: float
     chain_acceptance: tuple[float, ...]
     rhat: float
+    #: single-particle moves made, tuning pilots included
+    moves: int
 
     @property
     def pathological(self) -> bool:
@@ -194,20 +228,21 @@ def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
     if n_keep < 1:
         raise ConfigError("sweeps shorter than one thinning interval")
     seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains + 1)
-    sigma = (mc.sigma_x, mc.sigma_y)
+    sigma, moves = (mc.sigma_x, mc.sigma_y), 0
     if mc.tune:
-        sigma = _tune_widths(params, mc, np.random.default_rng(seeds[-1]))
+        sigma, moves = _tune_widths(params, mc,
+                                    np.random.default_rng(seeds[-1]))
     samples = np.empty((mc.chains, n_keep, params.N, 2))
     accs = []
     for c in range(mc.chains):
         rng = np.random.default_rng(seeds[c])
-        kept, acc = _run_chain(params, mc, rng, sigma, n_keep)
-        samples[c] = kept
+        samples[c], acc, n = _run_chain(params, mc, rng, sigma, n_keep)
         accs.append(acc)
+        moves += n
     rhat = _split_rhat(samples[:, :, :, 0].sum(axis=2))
     return McRun(params=params, config=mc, sigma=sigma, samples=samples,
                  acceptance=float(np.mean(accs)),
-                 chain_acceptance=tuple(accs), rhat=rhat)
+                 chain_acceptance=tuple(accs), rhat=rhat, moves=moves)
 
 
 def batch_stderr(series: np.ndarray, nbatches: int = 50) -> float:

@@ -212,12 +212,33 @@ def test_ham_monomer_dimer_in_ground_sector(dirs):
     assert md["passed"] is True and md["kernel_dim"] == 1
 
 
-def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path):
+def counting_chains(monkeypatch):
+    """Count every chain's moves, tuning pilots included, from its arguments."""
+    moves = []
+    real = plasma._run_chain
+
+    def counted(params, mc, rng, sigma, n_keep):
+        moves.append((mc.burn_in + n_keep * mc.thinning) * params.N)
+        return real(params, mc, rng, sigma, n_keep)
+
+    monkeypatch.setattr(plasma, "_run_chain", counted)
+    return moves
+
+
+def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path, monkeypatch):
     cache, out = dirs
     out2 = str(tmp_path / "out2")
     argv = ["mcmc", "--p", "3", "--N", "3", "--sweeps", "3000",
             "--burn-in", "300", "--seed", "11", "--cache-dir", cache]
+    moves = counting_chains(monkeypatch)
     assert run_cli(*argv, "--out-dir", out) == 0
+    # two chains of 300 + 3000 sweeps after at least one 200-sweep pilot
+    assert len(moves) >= 3 and moves[-2:] == [3 * 3300, 3 * 3300]
+    stages = read_json(os.path.join(out, "mcmc_manifest.json"))["stages"]
+    assert [s["name"] for s in stages] == ["sample", "density", "excess"]
+    assert all(s["seconds"] >= 0.0 for s in stages)
+    assert stages[0]["chains"] == 2
+    assert stages[0]["moves"] == sum(moves)
     assert run_cli(*argv, "--out-dir", out2) == 0
     for name in ("density.csv", "excess.csv"):
         with open(os.path.join(out, name), "rb") as fa, \
@@ -257,12 +278,16 @@ def test_mcmc_degenerate_run_exits_one(dirs, monkeypatch, change):
     assert os.path.exists(os.path.join(out, "density.csv"))
 
 
-def test_mcmc_phase_observable(dirs):
+def test_mcmc_phase_observable(dirs, monkeypatch):
     cache, out = dirs
+    moves = counting_chains(monkeypatch)
     assert run_cli("mcmc", "--p", "3", "--N", "12", "--sweeps", "2500",
                    "--burn-in", "300", "--seed", "11",
                    "--observables", "phase", "--Nmax", "6",
                    "--cache-dir", cache, "--out-dir", out) == 0
+    stages = read_json(os.path.join(out, "mcmc_manifest.json"))["stages"]
+    assert [s["name"] for s in stages] == ["sample", "phase"]
+    assert stages[0]["moves"] == sum(moves)
     rows = read_csv(os.path.join(out, "phase.csv"))
     assert len(rows) == 6
     pred = [float(r["predicted"]) for r in rows]

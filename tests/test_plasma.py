@@ -7,7 +7,9 @@ excess distribution exactly computable), so failures indicate a sampler
 bug rather than bad luck.
 """
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,7 +93,43 @@ def test_sorted_form_identity():
 def test_coincident_points_have_zero_weight():
     params = ModelParams(3, 2, 1.0)
     state = np.array([[0.3, 1.1], [0.3, 1.1]])
-    assert plasma.log_weight(state, params) == -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert plasma.log_weight(state, params) == -math.inf
+
+
+class OntoNeighbourRng:
+    """Draws that start two particles at x = 0 and x = p gamma with y = 1
+    and then propose each move onto the other particle's position."""
+
+    def __init__(self, step):
+        self.steps = itertools.cycle((step, -step))
+
+    def standard_normal(self, size=None):
+        return next(self.steps) if size is None else np.zeros(size)
+
+    def random(self):
+        return 0.5
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + 0.5 * (high - low) if size is None else np.ones(size)
+
+
+def test_proposal_onto_occupied_point_rejected(monkeypatch):
+    params = ModelParams(3, 2, 1.0)
+    mc = plasma.McConfig(sweeps=40, burn_in=5, thinning=1)
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate",
+                        lambda **kw: entered.append(kw) or errstate(**kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept, acc, moves = plasma._run_chain(params, mc, OntoNeighbourRng(3.0),
+                                             (1.0, 1.0), 40)
+    assert moves == 90 and acc == 0.0
+    assert np.array_equal(kept, np.tile([[0.0, 1.0], [3.0, 1.0]], (40, 1, 1)))
+    # a few entries per chain, none per move
+    assert len(entered) <= 3
 
 
 def test_log_weight_shape_validation():

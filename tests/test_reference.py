@@ -3,9 +3,12 @@
 The library reads every per-configuration quantity from the columns of
 a coefficient table or a sector basis.  Here each one is recomputed the
 direct way, one configuration at a time, with the scalar lattice
-helpers, and the library's array passes must agree with it.
+helpers, and the library's array passes must agree with it.  The
+Metropolis sampler is checked the same way against a move loop that
+evaluates both energies of every move from the positions.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -293,3 +296,95 @@ def test_tt_energies_and_vectors(tables_p3, tables_p2):
                     basis, dict(zip(amp.table.coeffs, amp.occ)))
                 assert np.array_equal(hamiltonian.exact_vector(basis, amp),
                                       expect)
+
+
+# -- plasma sampler -----------------------------------------------------------------
+
+
+def reference_particle_energy(coords, i, params):
+    """Log-weight terms involving particle i, recomputed from the positions."""
+    g = params.gamma
+    mask = np.arange(coords.shape[0]) != i
+    xi, yi = coords[i]
+    xs, ys = coords[mask, 0], coords[mask, 1]
+    dx = np.abs(xi - xs)
+    top = 0.5 * (xi + xs + dx)
+    ea = np.exp(-g * dx)
+    mod = np.expm1(-g * dx) ** 2 + 4.0 * ea * np.sin(0.5 * g * (yi - ys)) ** 2
+    with np.errstate(divide="ignore"):
+        logs = np.log(mod)
+    return -xi * xi + 2.0 * params.p * float(np.sum(g * top + 0.5 * logs))
+
+
+def reference_chain(params, mc, rng, sigma, n_keep):
+    """Metropolis with both energies of every move evaluated afresh."""
+    circ = 2.0 * math.pi / params.gamma
+    coords = np.empty((params.N, 2))
+    coords[:, 0] = params.p * params.gamma * np.arange(params.N) \
+        + 0.05 * rng.standard_normal(params.N)
+    coords[:, 1] = rng.uniform(0.0, circ, params.N)
+    sx, sy = sigma
+    accepted = proposed = 0
+    kept = []
+    for sweep in range(mc.burn_in + n_keep * mc.thinning):
+        for i in range(params.N):
+            old = coords[i].copy()
+            e_old = reference_particle_energy(coords, i, params)
+            coords[i, 0] = old[0] + sx * rng.standard_normal()
+            coords[i, 1] = (old[1] + sy * rng.uniform(-1.0, 1.0)) % circ
+            e_new = reference_particle_energy(coords, i, params)
+            proposed += 1
+            if math.log(1.0 - rng.uniform()) < e_new - e_old:
+                accepted += 1
+            else:
+                coords[i] = old
+        if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
+            kept.append(coords.copy())
+    return np.array(kept), accepted / proposed
+
+
+def reference_run(params, mc):
+    """(samples, sigma, chain acceptances) with the library's seeding and
+    pilot schedule: eight pilots of 50 + 150 sweeps at most."""
+    n_keep = mc.sweeps // mc.thinning
+    seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains + 1)
+    sx, sy = mc.sigma_x, mc.sigma_y
+    if mc.tune:
+        rng = np.random.default_rng(seeds[-1])
+        pilot = dataclasses.replace(mc, burn_in=50, thinning=1)
+        for _ in range(8):
+            _, acc = reference_chain(params, pilot, rng, (sx, sy), 150)
+            if acc < 0.30:
+                sx, sy = sx * 0.7, sy * 0.7
+            elif acc > 0.60:
+                sx, sy = sx * 1.4, sy * 1.4
+            else:
+                break
+    chains = [reference_chain(params, mc, np.random.default_rng(seeds[c]),
+                              (sx, sy), n_keep) for c in range(mc.chains)]
+    return (np.array([k for k, _ in chains]), (sx, sy),
+            tuple(a for _, a in chains))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("chains", (1, 2))
+@pytest.mark.parametrize("tune", (True, False))
+@pytest.mark.parametrize("N", (1, 2, 4, 9))
+@pytest.mark.parametrize("p", (2, 3))
+def test_metropolis_matches_reference(p, N, tune, chains):
+    params = ModelParams(p, N, 0.9)
+    mc = plasma.McConfig(sweeps=60, burn_in=20, thinning=2, sigma_x=0.3,
+                         sigma_y=0.8, seed=17 * p + N, chains=chains,
+                         tune=tune)
+    run = plasma.metropolis_run(params, mc)
+    samples, sigma, accs = reference_run(params, mc)
+    assert same_bits(run.samples, samples)
+    assert same_bits(run.sigma, sigma)
+    assert same_bits(run.chain_acceptance, accs)
+    assert same_bits(run.rhat,
+                     plasma._split_rhat(samples[:, :, :, 0].sum(axis=2)))
