@@ -5,9 +5,12 @@ output directory, then a ``<subcommand>_manifest.json`` recording the
 full configuration, library versions, SHA-256 checksums of the
 artifacts, the wall time and, where coefficient tables were read, a
 ``cache`` record of the N read from the cache and the N computed.  The
-``ham`` manifest also lists its ``stages``: the seconds spent on sector
-enumeration (with the sector dimension), on each assembly of H (with
-its nnz), on the spectrum and on the ground-state check.
+``expand`` manifest also lists its ``stages``: one ``squeeze`` per
+computed table, with its N, the Sigma m^2 levels of the recursion, the
+unsqueezed candidates looked up, the terms and the bit length of the
+largest coefficient.  So does the ``ham`` manifest: the seconds spent
+on sector enumeration (with the sector dimension), on each assembly of
+H (with its nnz), on the spectrum and on the ground-state check.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -183,12 +186,15 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
-                 cap: int | None = None
+                 cap: int | None = None, em: Emitter | None = None
                  ) -> tuple[list[expansion.CoefficientTable], dict]:
     """Coefficient tables 1..Nmax from cache, computing only those missing.
 
     Also returns the manifest's ``cache`` record: the N read from the
     cache (``hits``) and the N computed in this run (``computed``).
+    With an emitter, each computed table is a ``squeeze`` stage with its
+    N, Sigma m^2 ``levels``, unsqueezed ``candidates`` looked up,
+    ``terms`` and ``max_coeff_bits``.
     """
     every = range(1, Nmax + 1)
     missing = [n for n in every
@@ -199,8 +205,19 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
                 f"cache at {cache_dir} lacks tables for p={p}, N<={Nmax}; "
                 "run the expand subcommand or drop --no-compute")
         check_cap(p, missing[-1], cap)
-    tables = [expansion.expand(p, n, cache_dir=cache_dir, cap=cap)
-              for n in every]
+    tables = []
+    for n in every:
+        if em is not None and n in missing:
+            with em.timed("squeeze") as sizes:
+                sizes["N"] = n
+                table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
+                                         sizes=sizes)
+                biggest = max(map(abs, table.coeffs.values()))
+                sizes.update(terms=len(table),
+                             max_coeff_bits=biggest.bit_length())
+        else:
+            table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap)
+        tables.append(table)
     return tables, {"hits": [n for n in every if n not in missing],
                     "computed": missing}
 
@@ -210,7 +227,8 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
 
 def cmd_expand(args) -> int:
     em = Emitter(args.out_dir, "expand", _config_dict(args))
-    tables, cache = _load_tables(args.p, args.N, args.cache_dir, cap=args.cap)
+    tables, cache = _load_tables(args.p, args.N, args.cache_dir, cap=args.cap,
+                                 em=em)
     entries = []
     for table in tables:
         path = expansion.cache_path(args.cache_dir, args.p, table.N)

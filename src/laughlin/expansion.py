@@ -33,10 +33,16 @@ with B = 1 - p for bosons and B = -p for fermions, and T(nu) the sum
 over pairs i < j and 0 <= b < nu_i of w c(e), where e is nu with the
 pair (nu_i, nu_j) unsqueezed to (nu_i + nu_j - b, b), sorted.  The
 weight is w = 2(nu_i + nu_j - 2b) for bosons and 2(nu_i - nu_j) times
-the sign of the sorting permutation for fermions.  The division is
-exact; all arithmetic stays in Python integers, since the entries
-overflow 64 bits already for moderate N.  Reducible configurations are
-computed like all others, not filled in from the product rule, so
+the sign of the sorting permutation for fermions.  The configurations
+of one Sigma m^2 level depend only on higher levels, so each level is
+computed at once, as array passes over all its unsqueezes, which are
+looked up by packed integer keys.  The arithmetic is int64 and exact:
+a bound on T(nu) is checked per level (the largest coefficient has 21
+bits at p=3, N=8 and 26 bits at N=9), and a table whose keys or sums
+could leave the int64 range raises
+:class:`~laughlin.lattice.CapExceeded` instead of wrapping.  The
+division is exact.  Reducible configurations are computed like all
+others, not filled in from the product rule, so
 :func:`verify_product_rule` stays an independent check.  It and
 :func:`evaluate_oracle` read ``coeffs`` directly, not the columns.
 """
@@ -47,15 +53,16 @@ import hashlib
 import math
 import os
 import tempfile
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from laughlin.lattice import (ConfigError, check_cap, enumerate_admissible,
-                              is_admissible, renewal_points, translate_config)
+from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
+                              enumerate_admissible, find_keys, occupation_rows,
+                              renewal_points, staircase, translate_config)
 
 
 class CacheError(ValueError):
@@ -102,10 +109,7 @@ class CoefficientTable:
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        sites = self.p * self.N
-        flat = np.arange(len(self))[:, None] * sites + self.configs
-        counts = np.bincount(flat.ravel(), minlength=len(self) * sites)
-        return counts.astype(np.int8).reshape(len(self), sites)
+        return occupation_rows(self.configs, self.p * self.N)
 
     @cached_property
     def exponents(self) -> np.ndarray:
@@ -172,60 +176,107 @@ class AmplitudeTable:
         return float(self.weights.sum())
 
 
-def _squeeze(p: int, N: int) -> dict[tuple[int, ...], int]:
+#: Exclusive bound on the packed keys and every sum of the squeezing
+#: pass, which are int64.
+_INT64_LIMIT = 2 ** 63
+
+
+def _squeeze(p: int, N: int, *, sizes: dict | None = None
+             ) -> dict[tuple[int, ...], int]:
     """Nonzero coefficients of one table by the squeezing recursion.
 
-    Configurations are visited from the root down in Sigma m^2, so every
-    configuration a squeeze leads back to already carries its final
-    coefficient.  The division by the eigenvalue gap is exact.
+    Every configuration of one Sigma m^2 level squeezes out of higher
+    levels only, so the levels are visited from the root down and each
+    is one array pass over all its unsqueezes.  A configuration is
+    found by its packed key: the negated mixed-radix number of its
+    occupations, site 0 most significant, each site's radix one more
+    than its largest occupation among the admissible configurations
+    (the last two sites carry no digit).  Keys increase along the lexicographic order and add up over
+    particles, so an unsqueeze shifts a key by four site weights.  Every
+    sum stays below ``_INT64_LIMIT`` by a bound checked per level, and
+    the division by the eigenvalue gap is exact.  ``sizes``, if given,
+    receives the number of ``levels`` and of ``candidates`` looked up.
     """
     fermionic = p % 2 == 1
     B = -p if fermionic else 1 - p
     mmax = p * (N - 1)
-    configs = enumerate_admissible(p, N, cap=N)  # the caller checks the cap
+    admissible = enumerate_admissible(p, N, cap=N)  # the caller checks the cap
+    configs = np.array(admissible, dtype=np.int64)
+    count = len(configs)
+    sites = mmax + 1
+    occ = occupation_rows(configs, sites)
+    limit = occ.max(axis=0)
+    # Particle number and total momentum, common to every configuration,
+    # fix the occupations of the last two sites from the others, so
+    # those sites carry no digit.
+    radix = (limit[:-2] + 1).tolist()
+    if math.prod(radix) >= _INT64_LIMIT:
+        raise CapExceeded(f"occupation keys of p={p}, N={N} overflow int64")
+    weight = np.zeros(sites, dtype=np.int64)
+    weight[:len(radix)] = [math.prod(radix[s + 1:]) for s in range(len(radix))]
+    keys = -(occ @ weight)
+    below = np.hstack([np.zeros((count, 1), dtype=np.int8),
+                       occ.cumsum(axis=1, dtype=np.int8)]) if fermionic else None
 
-    def two_d(m):
-        # 2 Sigma m_k^2 + B Sigma_{i<j} (m_j - m_i), m sorted ascending
-        return sum(2 * v * v + B * (2 * k - N + 1) * v
-                   for k, v in enumerate(m))
-
-    order = sorted(configs, key=lambda m: sum(v * v for v in m), reverse=True)
-    root = order[0]
-    top = two_d(root)
-    coeffs = {root: 1}
-    for nu in order[1:]:
-        total = 0
-        for i in range(N - 1):
-            vi = nu[i]
-            for j in range(i + 1, N):
-                vj = nu[j]
-                s = vi + vj
-                rest = nu[:i] + nu[i + 1:j] + nu[j + 1:]
-                if fermionic:
-                    w0 = 2 * (vi - vj)
-                    parity = j - i
-                # Unsqueeze (vi, vj) to (b, s - b) with b < vi <= vj < s - b.
-                for b in range(max(0, s - mmax), vi):
-                    a = s - b
-                    pb = bisect_left(rest, b)
-                    pa = bisect_left(rest, a, pb)
-                    c = coeffs.get(rest[:pb] + (b,) + rest[pb:pa] + (a,)
-                                   + rest[pa:])
-                    if c is None:
-                        continue
-                    if fermionic:
-                        # e holds a in slot i and b in slot j; sorting it
-                        # takes pa - pb + j - i transpositions, mod 2.
-                        total += -w0 * c if (pa - pb + parity) & 1 else w0 * c
-                    else:
-                        total += 2 * (a - b) * c
-        c, rem = divmod(B * total, top - two_d(nu))
-        if rem:
+    squares = (configs ** 2).sum(axis=1)
+    # 2D(nu) = 2 Sigma nu_k^2 + B Sigma_{i<j} (nu_j - nu_i), nu sorted
+    two_d = 2 * squares + B * (configs @ (2 * np.arange(N) - N + 1))
+    order = np.argsort(-squares, kind="stable")
+    levels = np.split(order, np.flatnonzero(np.diff(squares[order])) + 1)
+    root = levels[0][0]
+    coeffs = np.zeros(count, dtype=np.int64)
+    coeffs[root] = 1
+    I, J = np.triu_indices(N, 1)
+    looked_up = 0
+    for rows in levels[1:]:
+        # Unsqueeze each pair (vi, vj) to (b, s - b), b < vi <= vj < s - b.
+        vi, vj = configs[rows][:, I].ravel(), configs[rows][:, J].ravel()
+        s = vi + vj
+        lo = np.maximum(s - mmax, 0)
+        span = vi - lo
+        pair = np.repeat(np.arange(span.size), span)
+        b = lo[pair] + np.arange(pair.size) - (np.cumsum(span) - span)[pair]
+        a = s[pair] - b
+        row = rows[pair // len(I)]
+        # A site already at its largest occupation would carry into the
+        # next digit and alias another configuration.
+        keep = (occ[row, a] < limit[a]) & (occ[row, b] < limit[b])
+        pair, a, b, row = pair[keep], a[keep], b[keep], row[keep]
+        looked_up += pair.size
+        target = (keys[row] + weight[vi[pair]] + weight[vj[pair]]
+                  - weight[a] - weight[b])
+        pos = find_keys(keys, target)
+        hit = pos >= 0
+        pair, a, b, row, pos = pair[hit], a[hit], b[hit], row[hit], pos[hit]
+        if fermionic:
+            # e holds a in slot i and b in slot j; sorting it takes
+            # pa - pb + j - i transpositions, mod 2, pa - pb being the
+            # particles of nu on sites b..a-1 less the two of the pair.
+            parity = (below[row, a] - below[row, b]
+                      + (J - I)[pair % len(I)]) & 1
+            w = 2 * (vi[pair] - vj[pair]) * (1 - 2 * parity)
+        else:
+            w = 2 * (a - b)
+        local = pair // len(I)
+        if pos.size:
+            bound = (int(np.abs(coeffs[pos]).max()) * int(np.abs(w).max())
+                     * int(np.bincount(local).max()) * abs(B))
+            if bound >= _INT64_LIMIT:
+                raise CapExceeded(f"squeezing sums of p={p}, N={N} could "
+                                  f"reach {bound}, past the int64 range")
+        total = np.zeros(len(rows), dtype=np.int64)
+        np.add.at(total, local, w * coeffs[pos])
+        c, rem = np.divmod(B * total, two_d[root] - two_d[rows])
+        if rem.any():
+            nu = admissible[rows[np.flatnonzero(rem)[0]]]
             raise AssertionError(f"non-integer coefficient at {nu}")
-        if c:
-            coeffs[nu] = c
+        coeffs[rows] = c
+    if sizes is not None:
+        sizes.update(levels=len(levels), candidates=looked_up)
+    nonzero = np.flatnonzero(coeffs)
     # lexicographic order, the order load_cache reads a table back in
-    return {m: coeffs[m] for m in configs if m in coeffs}
+    return {admissible[i]: c
+            for i, c in zip(nonzero.tolist(), coeffs[nonzero].tolist())}
 
 
 def expand_all(p: int, N: int, cap: int | None = None) -> list[CoefficientTable]:
@@ -236,14 +287,19 @@ def expand_all(p: int, N: int, cap: int | None = None) -> list[CoefficientTable]
 
 
 def expand(p: int, N: int, cache_dir: str | None = None,
-           cap: int | None = None) -> CoefficientTable:
-    """Exact integer coefficient table for (p, N), with optional disk cache."""
+           cap: int | None = None, sizes: dict | None = None
+           ) -> CoefficientTable:
+    """Exact integer coefficient table for (p, N), with optional disk cache.
+
+    ``sizes``, if given, receives the sizes of the squeezing pass when
+    the table is computed rather than read from the cache.
+    """
     if cache_dir is not None:
         path = cache_path(cache_dir, p, N)
         if os.path.exists(path):
             return load_cache(path, expected_p=p, expected_N=N)
     check_cap(p, N, cap)
-    table = CoefficientTable(p, N, _squeeze(p, N))
+    table = CoefficientTable(p, N, _squeeze(p, N, sizes=sizes))
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         save_cache(table, cache_path(cache_dir, p, N))
@@ -439,6 +495,8 @@ def load_cache(path: str, expected_p: int | None = None,
     try:
         fields = dict(part.split("=") for part in header[2:])
         p, N, count = int(fields["p"]), int(fields["N"]), int(fields["count"])
+        if p < 1 or N < 1:
+            raise ValueError("p and N must be positive")
     except (KeyError, ValueError) as exc:
         raise CacheError(f"{path}: malformed header") from exc
     if expected_p is not None and p != expected_p:
@@ -447,31 +505,47 @@ def load_cache(path: str, expected_p: int | None = None,
         raise CacheError(f"{path}: header N={N}, expected {expected_N}")
     if not lines[-1].startswith("checksum="):
         raise CacheError(f"{path}: missing checksum line")
-    digest = hashlib.sha256()
-    for line in lines[:-1]:
-        digest.update(line.encode())
+    digest = hashlib.sha256("".join(lines[:-1]).encode())
     stated = lines[-1].strip().split("=", 1)[1]
     if stated != digest.hexdigest():
         raise CacheError(f"{path}: checksum mismatch")
     body = lines[1:-1]
     if len(body) != count:
         raise CacheError(f"{path}: header count {count} != {len(body)} lines")
-    coeffs: dict[tuple[int, ...], int] = {}
+    rows, values = [], []
     for line in body:
         try:
-            key_part, val_part = line.strip().split(":")
-            m = tuple(int(v) for v in key_part.split(","))
-            value = int(val_part)
-            admissible = len(m) == N and is_admissible(m, p)
-        except ValueError as exc:  # ConfigError too: an unsorted key
+            key, value = line.split(":")
+            rows.append(tuple(map(int, key.split(","))))
+            values.append(int(value))
+        except ValueError as exc:
             raise CacheError(f"{path}: malformed line {line!r}") from exc
-        if not admissible:
-            raise CacheError(f"{path}: inadmissible key {m}")
-        if m in coeffs:
-            raise CacheError(f"{path}: duplicate key {m}")
-        if value == 0:
-            raise CacheError(f"{path}: explicit zero coefficient at {m}")
-        coeffs[m] = value
+    misfit = next((m for m in rows if len(m) != N), None)
+    if misfit is not None:
+        raise CacheError(f"{path}: inadmissible key {misfit}")
+    try:
+        keys = np.array(rows, dtype=np.int64).reshape(count, N)
+    except OverflowError as exc:  # far off any lattice
+        raise CacheError(f"{path}: inadmissible key beyond int64") from exc
+    unsorted = (keys[:, 1:] < keys[:, :-1]).any(axis=1)
+    if unsorted.any():
+        line = body[int(np.argmax(unsorted))]
+        raise CacheError(f"{path}: malformed line {line!r}")
+    # m_1 >= 0 is the first partial sum.  In a sorted row the first sum
+    # to overflow int64 turns negative, below the staircase.
+    partial = keys.cumsum(axis=1)
+    inadmissible = ((partial < staircase(p, np.arange(1, N + 1))).any(axis=1)
+                    | (partial[:, -1] != staircase(p, N)))
+    if inadmissible.any():
+        m = rows[int(np.argmax(inadmissible))]
+        raise CacheError(f"{path}: inadmissible key {m}")
+    coeffs = dict(zip(rows, values))
+    if len(coeffs) != count:
+        m = next(m for m, seen in Counter(rows).items() if seen > 1)
+        raise CacheError(f"{path}: duplicate key {m}")
+    if 0 in values:
+        m = rows[values.index(0)]
+        raise CacheError(f"{path}: explicit zero coefficient at {m}")
     try:
         return CoefficientTable(p, N, coeffs)
     except ConfigError as exc:

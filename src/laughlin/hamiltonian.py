@@ -42,7 +42,8 @@ from scipy import sparse
 from scipy.special import eval_hermite
 
 from .expansion import AmplitudeTable, amplitudes, expand
-from .lattice import CapExceeded, ConfigError, ModelParams, total_momentum
+from .lattice import (CapExceeded, ConfigError, ModelParams, find_keys,
+                      occupation_rows, total_momentum)
 
 DEFAULT_SECTOR_CAP = 200_000
 
@@ -137,9 +138,7 @@ class SectorBasis:
     @cached_property
     def occupations(self) -> np.ndarray:
         configs = np.array(self.configs, dtype=np.int64)
-        flat = np.arange(self.dim)[:, None] * self.num_sites + configs
-        counts = np.bincount(flat.ravel(), minlength=self.dim * self.num_sites)
-        return counts.astype(np.int8).reshape(self.dim, self.num_sites)
+        return occupation_rows(configs, self.num_sites)
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -148,8 +147,7 @@ class SectorBasis:
     def find(self, keys: np.ndarray) -> np.ndarray:
         """Basis index of each packed occupation row, -1 where it is not a
         basis state."""
-        pos = np.minimum(np.searchsorted(self.keys, keys), self.dim - 1)
-        return np.where(self.keys[pos] == keys, pos, -1)
+        return find_keys(self.keys, keys)
 
     def vector(self, configs, values) -> np.ndarray:
         """Dense vector with values[i] on the label configs[i]."""

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Raised for parameter values outside the model's domain."""
@@ -247,6 +249,22 @@ def enumerate_admissible(p: int, N: int, fermionic: bool | None = None,
 
     rec([], 0)
     return out
+
+
+def occupation_rows(configs: np.ndarray, num_sites: int) -> np.ndarray:
+    """Occupation numbers of sites 0..num_sites-1 for each row of a (D, N)
+    array of orbital configurations, as a (D, num_sites) int8 array."""
+    count = len(configs)
+    flat = np.arange(count)[:, None] * num_sites + configs
+    counts = np.bincount(flat.ravel(), minlength=count * num_sites)
+    return counts.astype(np.int8).reshape(count, num_sites)
+
+
+def find_keys(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of each target in the increasing array ``keys``, -1 where it
+    is absent: the lookup of configurations by packed occupation keys."""
+    pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
+    return np.where(keys[pos] == targets, pos, -1)
 
 
 def config_to_occupation(m: tuple[int, ...], num_sites: int) -> tuple[int, ...]:

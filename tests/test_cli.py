@@ -17,6 +17,7 @@ import pytest
 
 from laughlin import cli, hamiltonian, plasma
 from laughlin.expansion import amplitudes, expand_all
+from laughlin.lattice import enumerate_admissible
 from laughlin.correlations import occupation_finite, occupation_infinite, \
     rod_expectations
 from laughlin.renewal import build_model
@@ -59,6 +60,18 @@ def test_expand_writes_cache_and_summary(dirs):
     manifest = read_json(os.path.join(out, "expand_manifest.json"))
     assert "expand_summary.json" in manifest["artifacts"]
     assert manifest["inputs"]["p"] == 3
+    stages = manifest["stages"]
+    assert [s["name"] for s in stages] == ["squeeze"] * 4
+    assert [s["N"] for s in stages] == [1, 2, 3, 4]
+    for stage, table in zip(stages, tables):
+        configs = enumerate_admissible(3, table.N)
+        assert stage["seconds"] >= 0.0
+        assert stage["terms"] == len(table)
+        assert stage["levels"] == len({sum(v * v for v in m)
+                                       for m in configs})
+        assert (stage["candidates"] > 0) == (table.N > 1)
+        assert stage["max_coeff_bits"] == \
+            max(abs(c) for c in table.coeffs.values()).bit_length()
 
 
 def test_expand_reads_warm_cache(dirs, monkeypatch):
@@ -74,6 +87,8 @@ def test_expand_reads_warm_cache(dirs, monkeypatch):
     assert run_cli("expand", "--p", "3", "--N", "4",
                    "--cache-dir", cache, "--out-dir", out) == 0
     assert read_json(os.path.join(out, "expand_summary.json")) == first
+    manifest = read_json(os.path.join(out, "expand_manifest.json"))
+    assert "stages" not in manifest
 
 
 def test_expand_computes_only_missing_tables(dirs, monkeypatch):
@@ -83,9 +98,9 @@ def test_expand_computes_only_missing_tables(dirs, monkeypatch):
     calls = []
     squeeze = cli.expansion._squeeze
 
-    def counting(p, N):
+    def counting(p, N, **kwargs):
         calls.append(N)
-        return squeeze(p, N)
+        return squeeze(p, N, **kwargs)
 
     monkeypatch.setattr(cli.expansion, "_squeeze", counting)
     assert run_cli("expand", "--p", "3", "--N", "8",
@@ -94,6 +109,9 @@ def test_expand_computes_only_missing_tables(dirs, monkeypatch):
     manifest = read_json(os.path.join(out, "expand_manifest.json"))
     assert manifest["cache"] == {"hits": [1, 2, 3, 4, 5, 6, 7],
                                  "computed": [8]}
+    assert [(s["name"], s["N"]) for s in manifest["stages"]] == \
+        [("squeeze", 8)]
+    assert manifest["stages"][0]["terms"] == 5294
 
 
 def test_norms_csv_matches_library(dirs):

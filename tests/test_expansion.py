@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 expand_all, load_cache, save_cache,
                                 verify_product_rule)
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
+                              config_to_occupation, enumerate_admissible,
                               is_admissible)
 
 
@@ -128,14 +130,102 @@ def test_expand_computes_one_table(monkeypatch):
     calls = []
     squeeze = expansion._squeeze
 
-    def counting(p, N):
+    def counting(p, N, **kwargs):
         calls.append(N)
-        return squeeze(p, N)
+        return squeeze(p, N, **kwargs)
 
     monkeypatch.setattr(expansion, "_squeeze", counting)
     table = expand(3, 6)
     assert calls == [6]
     assert table.coeffs == expand_all(3, 6)[-1].coeffs
+
+
+@pytest.mark.parametrize("limit, what", ((2 ** 10, "occupation keys"),
+                                         (2 ** 20, "squeezing sums")))
+def test_int64_bound_raises_cap(monkeypatch, tmp_path, limit, what):
+    # At p=3, N=6 the keys need 14 bits and the squeezing sums over 20.
+    monkeypatch.setattr(expansion, "_INT64_LIMIT", limit)
+    with pytest.raises(CapExceeded, match=f"{what} of p=3, N=6"):
+        expand(3, 6, cache_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(CapExceeded):
+        expand_all(3, 6)
+
+
+def test_carrying_unsqueeze_never_looked_up(monkeypatch):
+    # Some unsqueezes put more bosons on a site than any admissible
+    # configuration has there; packed, that site's digit would carry and
+    # the key would name a different configuration.  Exactly the other
+    # unsqueezes of every configuration below the root are looked up,
+    # each by the key of the configuration it makes.
+    p, N = 2, 5
+    configs = enumerate_admissible(p, N)
+    sites = p * (N - 1) + 1
+    limit = [max(col) for col in
+             zip(*(config_to_occupation(m, sites) for m in configs))]
+    radix = [n + 1 for n in limit[:-2]]
+    weight = [math.prod(radix[s + 1:]) for s in range(len(radix))] + [0, 0]
+    expected, carrying = Counter(), 0
+    root = tuple(p * j for j in range(N))
+    for m in configs:
+        if m == root:
+            continue
+        for i in range(N):
+            for j in range(i + 1, N):
+                s = m[i] + m[j]
+                rest = m[:i] + m[i + 1:j] + m[j + 1:]
+                for b in range(max(0, s - p * (N - 1)), m[i]):
+                    occ = config_to_occupation(rest + (b, s - b), sites)
+                    if any(n > cap for n, cap in zip(occ, limit)):
+                        carrying += 1
+                    else:
+                        expected[-sum(map(math.prod, zip(occ, weight)))] += 1
+    assert carrying > 0
+    coeffs = expand_all(p, N)[-1].coeffs
+    looked_up = Counter()
+    find = expansion.find_keys
+
+    def spy(keys, targets):
+        looked_up.update(targets.tolist())
+        return find(keys, targets)
+
+    monkeypatch.setattr(expansion, "find_keys", spy)
+    assert expansion._squeeze(p, N) == coeffs
+    assert looked_up == expected
+
+
+def write_body(path, p, N, body):
+    """A cache file around the given body lines, with a valid checksum."""
+    lines = [f"LAUGHLIN-COEFF v1 p={p} N={N} count={len(body)}\n", *body]
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    with open(path, "w") as fh:
+        fh.writelines(lines + [f"checksum={digest}\n"])
+
+
+@pytest.mark.parametrize("body, message", (
+    (["0,3,6:1\n", "0,4,5\n"], "malformed line"),
+    (["0,3,6:1\n", "0,4,5:2:3\n"], "malformed line"),
+    (["0,3,6:1\n", "0,x,5:-3\n"], "malformed line"),
+    (["0,3,6:1\n", "0,4,5:y\n"], "malformed line"),
+    (["0,3,6:1\n", "0,5,4:-3\n"], "malformed line"),
+    (["0,3,6:1\n", "0,9:-3\n"], r"inadmissible key \(0, 9\)"),
+    (["0,3,6:1\n", "1,1,7:-3\n"], r"inadmissible key \(1, 1, 7\)"),
+    (["-1,4,6:1\n", "0,3,6:1\n"], r"inadmissible key \(-1, 4, 6\)"),
+    (["0,3,6:1\n", "0,4,6:-3\n"], r"inadmissible key \(0, 4, 6\)"),
+    # a sum past int64 that would wrap around to the staircase total
+    (["0,3,6:1\n", f"11,{2 ** 63 - 1},{2 ** 63 - 1}:-3\n"],
+     r"inadmissible key \(11, "),
+    (["0,3,6:1\n", f"0,4,{2 ** 64}:-3\n"], "inadmissible key beyond int64"),
+    (["0,3,6:1\n", "0,4,5:-3\n", "0,3,6:1\n"],
+     r"duplicate key \(0, 3, 6\)"),
+    (["0,3,6:1\n", "0,4,5:0\n"], r"explicit zero coefficient at \(0, 4, 5\)"),
+    (["0,4,5:-3\n"], "must carry coefficient"),
+))
+def test_cache_rejects_corrupt_body(tmp_path, body, message):
+    path = str(tmp_path / "table.txt")
+    write_body(path, 3, 3, body)
+    with pytest.raises(CacheError, match=message):
+        load_cache(path)
 
 
 def test_cache_round_trip(tmp_path):

@@ -4,12 +4,15 @@ The library reads every per-configuration quantity from the columns of
 a coefficient table or a sector basis.  Here each one is recomputed the
 direct way, one configuration at a time, with the scalar lattice
 helpers, and the library's array passes must agree with it.  The
-Metropolis sampler is checked the same way against a move loop that
-evaluates both energies of every move from the positions.
+level-batched squeezing pass is checked against the recursion that
+visits one configuration and one unsqueeze at a time, and the
+Metropolis sampler against a move loop that evaluates both energies of
+every move from the positions.
 """
 
 import dataclasses
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -24,6 +27,7 @@ from laughlin.correlations import (_apply_string, occupation_finite,
                                    rod_expectations)
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import (ModelParams, config_to_occupation,
+                              enumerate_admissible,
                               occupation_to_config, renewal_points,
                               total_momentum)
 from laughlin.renewal import (_squared_amplitude_polys, irreducible_weights,
@@ -146,6 +150,72 @@ def test_exact_excess_zero(tables, gamma):
             expect = total / sum(w.values())
             got = plasma.exact_excess_zero(amp, xbar)
             assert got == approx(expect, abs=1e-13)
+
+
+# -- coefficient recursion ----------------------------------------------------------
+
+
+def reference_squeeze(p: int, N: int) -> dict[tuple[int, ...], int]:
+    """Nonzero coefficients of one table by the squeezing recursion.
+
+    Configurations are visited from the root down in Sigma m^2, so every
+    configuration a squeeze leads back to already carries its final
+    coefficient.  The division by the eigenvalue gap is exact.
+    """
+    fermionic = p % 2 == 1
+    B = -p if fermionic else 1 - p
+    mmax = p * (N - 1)
+    configs = enumerate_admissible(p, N, cap=N)  # the caller checks the cap
+
+    def two_d(m):
+        # 2 Sigma m_k^2 + B Sigma_{i<j} (m_j - m_i), m sorted ascending
+        return sum(2 * v * v + B * (2 * k - N + 1) * v
+                   for k, v in enumerate(m))
+
+    order = sorted(configs, key=lambda m: sum(v * v for v in m), reverse=True)
+    root = order[0]
+    top = two_d(root)
+    coeffs = {root: 1}
+    for nu in order[1:]:
+        total = 0
+        for i in range(N - 1):
+            vi = nu[i]
+            for j in range(i + 1, N):
+                vj = nu[j]
+                s = vi + vj
+                rest = nu[:i] + nu[i + 1:j] + nu[j + 1:]
+                if fermionic:
+                    w0 = 2 * (vi - vj)
+                    parity = j - i
+                # Unsqueeze (vi, vj) to (b, s - b) with b < vi <= vj < s - b.
+                for b in range(max(0, s - mmax), vi):
+                    a = s - b
+                    pb = bisect_left(rest, b)
+                    pa = bisect_left(rest, a, pb)
+                    c = coeffs.get(rest[:pb] + (b,) + rest[pb:pa] + (a,)
+                                   + rest[pa:])
+                    if c is None:
+                        continue
+                    if fermionic:
+                        # e holds a in slot i and b in slot j; sorting it
+                        # takes pa - pb + j - i transpositions, mod 2.
+                        total += -w0 * c if (pa - pb + parity) & 1 else w0 * c
+                    else:
+                        total += 2 * (a - b) * c
+        c, rem = divmod(B * total, top - two_d(nu))
+        if rem:
+            raise AssertionError(f"non-integer coefficient at {nu}")
+        if c:
+            coeffs[nu] = c
+    # lexicographic order, the order load_cache reads a table back in
+    return {m: coeffs[m] for m in configs if m in coeffs}
+
+
+@pytest.mark.parametrize("p, n_max", ((1, 11), (2, 8), (3, 8), (4, 6), (5, 5)))
+def test_squeeze_matches_reference(p, n_max):
+    for table in expand_all(p, n_max, cap=n_max):
+        expect = reference_squeeze(p, table.N)
+        assert list(table.coeffs.items()) == list(expect.items())
 
 
 # -- parent Hamiltonians ------------------------------------------------------------
