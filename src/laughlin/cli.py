@@ -4,13 +4,21 @@ Every subcommand writes its numeric outputs as CSV or JSON into the
 output directory, then a ``<subcommand>_manifest.json`` recording the
 full configuration, library versions, SHA-256 checksums of the
 artifacts, the wall time and, where coefficient tables were read, a
-``cache`` record of the N read from the cache and the N computed.  The
-``expand`` manifest also lists its ``stages``: one ``squeeze`` per
+``cache`` record of the N read from the cache and the N computed.
+``norms``, ``renewal``, ``corr`` and the ``mcmc`` phase read the
+gamma-free moment tables of :mod:`laughlin.moments` instead, deriving
+and writing any missing moment file from its coefficient table, and
+their ``cache`` record also lists the moment files read and derived.
+The ``expand`` manifest also lists its ``stages``: one ``squeeze`` per
 computed table, with its N, the Sigma m^2 levels of the recursion, the
 unsqueezed candidates looked up, the terms and the bit length of the
 largest coefficient.  So does the ``ham`` manifest: the seconds spent
 on sector enumeration (with the sector dimension), on each assembly of
-H (with its nnz), on the spectrum and on the ground-state check.
+H (with its nnz), on the spectrum and on the ground-state check.  The
+``norms``, ``renewal`` and ``corr`` manifests time reading the moment
+tables (with the exponent count of each) and their further stages; the
+``model`` stage records the renewal tail mass, root shift and alpha
+residual.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -18,10 +26,10 @@ All floating-point output is printed with 17 significant digits so
 doubles round-trip exactly.
 
 Exit codes: 0 success, 1 a verification check failed (including a
-degenerate Metropolis run) or a cached coefficient table failed
-validation, 2 invalid configuration (including an unconverged renewal
-model without ``--override-unconverged``), 3 a resource cap was
-exceeded.
+degenerate Metropolis run) or a cached coefficient table or moment
+file failed validation, 2 invalid configuration (including an
+unconverged renewal model without ``--override-unconverged``), 3 a
+resource cap was exceeded.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from importlib import metadata
 import numpy as np
 import scipy
 
-from laughlin import correlations, expansion, hamiltonian, plasma, renewal
+from laughlin import (correlations, expansion, hamiltonian, moments, plasma,
+                      renewal)
 from laughlin.lattice import (
     CapExceeded,
     ConfigError,
@@ -186,9 +195,11 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
-                 cap: int | None = None, em: Emitter | None = None
+                 cap: int | None = None, em: Emitter | None = None,
+                 only: list[int] | None = None
                  ) -> tuple[list[expansion.CoefficientTable], dict]:
-    """Coefficient tables 1..Nmax from cache, computing only those missing.
+    """Coefficient tables 1..Nmax (or the N in ``only``) from cache,
+    computing only those missing.
 
     Also returns the manifest's ``cache`` record: the N read from the
     cache (``hits``) and the N computed in this run (``computed``).
@@ -196,7 +207,7 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
     N, Sigma m^2 ``levels``, unsqueezed ``candidates`` looked up,
     ``terms`` and ``max_coeff_bits``.
     """
-    every = range(1, Nmax + 1)
+    every = range(1, Nmax + 1) if only is None else only
     missing = [n for n in every
                if not os.path.exists(expansion.cache_path(cache_dir, p, n))]
     if missing:
@@ -222,6 +233,52 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
                     "computed": missing}
 
 
+def _load_moments(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
+                  cap: int | None = None
+                  ) -> tuple[list[moments.MomentTable], dict]:
+    """Moment tables 1..Nmax from cache, deriving those missing.
+
+    A missing moment file is derived from its coefficient table, read
+    from the cache or computed (never with ``no_compute``), and written
+    beside it; a stored one is read without parsing its coefficient
+    file.  The ``cache`` record of :func:`_load_tables`, for the
+    coefficient tables read, gains the N whose moment files were read
+    (``moments_read``) and derived (``moments_derived``).
+    """
+    every = range(1, Nmax + 1)
+    derive = [n for n in every if not (
+        os.path.exists(moments.moment_path(cache_dir, p, n))
+        and os.path.exists(expansion.cache_path(cache_dir, p, n)))]
+    tables, cache = _load_tables(p, Nmax, cache_dir, no_compute=no_compute,
+                                 cap=cap, only=derive)
+    derived = {t.N: moments.store(t, cache_dir) for t in tables}
+    cache.update(moments_read=[n for n in every if n not in derived],
+                 moments_derived=derive)
+    return [derived[n] if n in derived else moments.read(cache_dir, p, n)
+            for n in every], cache
+
+
+def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
+    """The renewal model as a ``model`` stage with its convergence record."""
+    with em.timed("model") as sizes:
+        model = renewal.build_model(args.p, args.Nmax, args.gamma,
+                                    tables=tables)
+        sizes.update(tail_mass=model.tail_mass, root_shift=model.root_shift,
+                     alpha_residual=model.alpha_residual)
+    return model
+
+
+def _moments_stage(em: Emitter, args, Nmax: int, no_compute: bool = False
+                   ) -> tuple[list[moments.MomentTable], dict]:
+    """The moment tables as a ``moments`` stage, with the number of
+    distinct exponents of each."""
+    with em.timed("moments") as sizes:
+        tables, cache = _load_moments(args.p, Nmax, args.cache_dir,
+                                      no_compute=no_compute, cap=args.cap)
+        sizes["exponents"] = [len(m.exponents) for m in tables]
+    return tables, cache
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -245,9 +302,9 @@ def cmd_expand(args) -> int:
 
 def cmd_norms(args) -> int:
     em = Emitter(args.out_dir, "norms", _config_dict(args))
-    tables, cache = _load_tables(args.p, args.Nmax, args.cache_dir,
-                                 cap=args.cap)
-    C = renewal.norms_from_tables(tables, args.gamma)
+    tables, cache = _moments_stage(em, args, args.Nmax)
+    with em.timed("norms"):
+        C = renewal.norms_from_tables(tables, args.gamma)
     em.csv("norms.csv", ["N", "C_N"],
            [(n, C[n]) for n in range(1, args.Nmax + 1)])
     em.manifest(extra={"cache": cache})
@@ -256,9 +313,8 @@ def cmd_norms(args) -> int:
 
 def cmd_renewal(args) -> int:
     em = Emitter(args.out_dir, "renewal", _config_dict(args))
-    tables, cache = _load_tables(args.p, args.Nmax, args.cache_dir,
-                                 cap=args.cap)
-    model = renewal.build_model(args.p, args.Nmax, args.gamma, tables=tables)
+    tables, cache = _moments_stage(em, args, args.Nmax)
+    model = _model_stage(em, args, tables)
     model.require_converged(args.override_unconverged)
     u = model.renewal_sequence(args.Nmax)
     em.csv("renewal.csv", ["n", "alpha_n", "p_n", "u_n"],
@@ -275,30 +331,37 @@ def cmd_renewal(args) -> int:
 
 def cmd_corr(args) -> int:
     em = Emitter(args.out_dir, "corr", _config_dict(args))
-    tables, cache = _load_tables(args.p, max(args.Nmax, args.N or 0),
-                                 args.cache_dir, no_compute=args.no_compute,
-                                 cap=args.cap)
-    model = renewal.build_model(args.p, args.Nmax, args.gamma,
-                                tables=tables[:args.Nmax])
+    tables, cache = _moments_stage(em, args, max(args.Nmax, args.N or 0),
+                                   no_compute=args.no_compute)
+    model = _model_stage(em, args, tables[:args.Nmax])
     model.require_converged(args.override_unconverged)
-    rods = correlations.rod_expectations(tables[:args.Nmax], args.gamma)
+    with em.timed("rods"):
+        rods = correlations.rod_expectations(tables[:args.Nmax], args.gamma)
     override = args.override_unconverged
 
-    occ_inf = correlations.occupation_infinite(model, rods, override=override)
-    rows = [(k, occ_inf[k], "renewal", model.tail_mass)
-            for k in range(args.p)]
-    if args.N:
-        amp = expansion.amplitudes(tables[args.N - 1], args.gamma)
-        occ_fin = correlations.occupation_finite(amp)
-        rows += [(k, occ_fin[k], "exact", 0.0) for k in range(occ_fin.size)]
+    with em.timed("occupations"):
+        occ_inf = correlations.occupation_infinite(model, rods,
+                                                   override=override)
+        rows = [(k, occ_inf[k], "renewal", model.tail_mass)
+                for k in range(args.p)]
+        if args.N:
+            occ_fin = correlations.occupation_finite(tables[args.N - 1],
+                                                     args.gamma)
+            rows += [(k, occ_fin[k], "exact", 0.0)
+                     for k in range(occ_fin.size)]
     em.csv("occupations.csv", ["k", "value", "source", "error_estimate"],
            rows)
 
     kmax = args.kmax if args.kmax is not None else 5 * args.p
-    pair_rows = []
-    for l in range(kmax + 1):
-        pc = correlations.pair_infinite(model, rods, 0, l, override=override)
-        pair_rows.append((l, pc.truncated, "renewal", pc.error_estimate))
+    with em.timed("pairs") as sizes:
+        u = model.renewal_sequence(kmax // args.p + 1)
+        pair_rows = []
+        for l in range(kmax + 1):
+            pc = correlations.pair_infinite(model, rods, 0, l,
+                                            override=override, occ=occ_inf,
+                                            u=u)
+            pair_rows.append((l, pc.truncated, "renewal", pc.error_estimate))
+        sizes["separations"] = kmax + 1
     em.csv("pairs.csv", ["l", "value", "source", "error_estimate"], pair_rows)
 
     step = args.gamma / 10.0
@@ -312,10 +375,14 @@ def cmd_corr(args) -> int:
         x_lo = 5 * args.p * args.gamma
         x_hi = 8 * args.p * args.gamma
     xs = np.arange(x_lo, x_hi + 0.5 * step, step)
-    rho = correlations.density_profile(occ, args.gamma, xs, k_start=k_start)
+    with em.timed("profile") as sizes:
+        rho = correlations.density_profile(occ, args.gamma, xs,
+                                           k_start=k_start)
+        sizes["points"] = xs.size
     em.csv("profile.csv", ["x", "rho"], zip(xs, rho))
 
-    report = correlations.period_test(model, rods, override=override)
+    with em.timed("period"):
+        report = correlations.period_test(model, rods, override=override)
     em.json("period.json", {
         "period": report.period, "margin": report.margin,
         "used": report.used, "tolerance": report.tolerance,
@@ -449,8 +516,8 @@ def cmd_mcmc(args) -> int:
 
     if "phase" in observables:
         with em.timed("phase"):
-            tables, extra["cache"] = _load_tables(args.p, args.Nmax,
-                                                  args.cache_dir, cap=args.cap)
+            tables, extra["cache"] = _load_moments(
+                args.p, args.Nmax, args.cache_dir, cap=args.cap)
             model = renewal.build_model(args.p, args.Nmax, args.gamma,
                                         tables=tables)
             model.require_converged(args.override_unconverged)
@@ -471,6 +538,48 @@ def cmd_mcmc(args) -> int:
 # -- verify-all ---------------------------------------------------------------------
 
 
+def _moments_vs_rows(tables: list[expansion.CoefficientTable],
+                     moment_tables: list[moments.MomentTable],
+                     gamma: float) -> float:
+    """Worst relative gap between the moment route and the row route.
+
+    The row route sums the amplitude weights w of every row of each
+    table: C_N = sum w, alpha_N over the irreducible rows, the finite
+    occupations, and the rod profile and pair moments.  C_N and alpha_N
+    are compared each against itself, the profiles against their
+    largest entry.
+    """
+    worst = 0.0
+
+    def gap(got, want):
+        nonlocal worst
+        want = np.asarray(want)
+        scale = float(np.max(np.abs(want)))
+        if scale:
+            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+        elif np.any(got):
+            worst = math.inf
+
+    C = renewal.norms_from_tables(moment_tables, gamma)
+    alpha, _ = renewal.irreducible_weights(moment_tables, gamma)
+    rods = correlations.rod_expectations(moment_tables, gamma)
+    for table, m in zip(tables, moment_tables):
+        n = table.N
+        w = expansion.amplitudes(table, gamma).weights
+        occ = table.occupations.astype(float)
+        keep = table.irreducible
+        gap(C[n], w.sum())
+        gap(correlations.occupation_finite(m, gamma),
+            w @ occ[:, :m.p * (n - 1) + 1] / w.sum())
+        a = w[keep].sum()
+        gap(alpha[n - 1], a)
+        if a:
+            gap(rods.nu[n - 1], w[keep] @ occ[keep] / a)
+            gap(rods.pair[n - 1], (occ[keep].T * w[keep]) @ occ[keep] / a)
+    return worst
+
+
+
 def _verify_checks(args) -> tuple[list[dict], dict]:
     """The cross-module consistency suite behind ``verify-all``, and the
     cache record of the tables it read."""
@@ -483,6 +592,7 @@ def _verify_checks(args) -> tuple[list[dict], dict]:
                        "passed": bool(passed), "note": note})
 
     tables, cache = _load_tables(p, Nmax, args.cache_dir, cap=args.cap)
+    moment_tables = moments.as_moments(tables)
 
     worst = 0
     for N in range(2, Nmax + 1):
@@ -496,7 +606,12 @@ def _verify_checks(args) -> tuple[list[dict], dict]:
     record("expansion-oracle", dev, 0.0, dev == 0.0,
            "exact big-integer evaluation at random points")
 
-    model = renewal.build_model(p, Nmax, gamma, tables=tables)
+    dev = _moments_vs_rows(tables, moment_tables, gamma)
+    record("moments-vs-rows", dev, 1e-13, dev <= 1e-13,
+           "C_N, alpha_n, rod profiles and pair moments and finite "
+           "occupations from the moment tables against sums over the rows")
+
+    model = renewal.build_model(p, Nmax, gamma, tables=moment_tables)
     record("alpha-residual", model.alpha_residual, 1e-12,
            model.alpha_residual <= 1e-12,
            "direct vs recursive irreducible weights")
@@ -514,14 +629,13 @@ def _verify_checks(args) -> tuple[list[dict], dict]:
         return checks, cache
 
     override = args.override_unconverged
-    rods = correlations.rod_expectations(tables, gamma)
+    rods = correlations.rod_expectations(moment_tables, gamma)
     occ_inf = correlations.occupation_infinite(model, rods, override=override)
     dev = abs(float(occ_inf.sum()) - 1.0)
     record("occupation-normalization", dev, 1e-8, dev <= 1e-8,
            "bulk occupations over one period sum to 1")
 
-    amp = expansion.amplitudes(tables[Nmax - 1], gamma)
-    occ_fin = correlations.occupation_finite(amp)
+    occ_fin = correlations.occupation_finite(moment_tables[Nmax - 1], gamma)
     via = correlations.occupation_finite_via_renewal(model, rods, Nmax)
     dev = float(np.max(np.abs(occ_fin - via)))
     record("finite-renewal-match", dev, 1e-10, dev <= 1e-10,
@@ -683,7 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--kmax", type=int, default=None,
                      help="largest pair separation (default 5p)")
     sub.add_argument("--no-compute", action="store_true",
-                     help="fail instead of filling a cold cache")
+                     help="never run the expander: fail on a missing "
+                          "coefficient table; missing moment files are "
+                          "still derived from cached tables")
     sub.set_defaults(func=cmd_corr)
 
     sub = subs.add_parser("ham", help="parent Hamiltonian diagnostics")

@@ -13,11 +13,13 @@ Pair correlations split into a same-rod part and a two-rod part bridged
 by the renewal function; the truncation of rod sizes at the model's Nmax
 is converted into a reported error estimate via the long-interval bound.
 
-Finite-N expectations and the rod profiles are reductions over the
-columns of the coefficient table (see :mod:`laughlin.expansion`): with
-w the amplitude weights and occ the occupation rows, <n_k> is w . occ
-over sum w, the rod profile restricts both to the ``irreducible`` rows,
-and its pair moments are occ^T diag(w) occ.
+Finite-N occupations, the rod profiles and the rod pair moments are
+read from the moment tables (see :mod:`laughlin.moments`): per
+Gaussian exponent e, the sums of c^2 / prod n_k! times occ (all rows
+and the irreducible rows) and occ occ^T (the irreducible rows),
+weighted by x^e, x = exp(-gamma^2), and divided by C_N or alpha_n.
+The quasi-state, finite-domain and operator-string expectations need
+single rows and read the amplitude table.
 
 Conventions: orbitals are indexed 0..p(N-1) for a finite table; the
 occupation basis is ordered by increasing orbital, and fermionic signs
@@ -32,17 +34,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from laughlin.expansion import AmplitudeTable, CoefficientTable, amplitudes
+from laughlin.expansion import AmplitudeTable, CoefficientTable
 from laughlin.lattice import ConfigError, enumerate_partitions
+from laughlin.moments import MomentTable, as_moments, derive
 from laughlin.renewal import RenewalModel, long_interval_bound
 
 
 # -- finite N ----------------------------------------------------------------
 
-def occupation_finite(amp: AmplitudeTable) -> np.ndarray:
-    """<n_k> for k = 0..p(N-1), normalized by C_N; sums to N."""
-    occ = amp.table.occupations[:, :amp.num_orbitals]
-    return amp.weights @ occ / amp.norm_sq()
+def occupation_finite(amp: AmplitudeTable | MomentTable,
+                      gamma: float | None = None) -> np.ndarray:
+    """<n_k> for k = 0..p(N-1), normalized by C_N; sums to N.
+
+    Read from a moment table at ``gamma``, or from the moments of the
+    table and gamma of an amplitude table.
+    """
+    if isinstance(amp, AmplitudeTable):
+        amp, gamma = derive(amp.table), amp.gamma
+    return amp.occupation(gamma)
 
 
 def _apply_string(n: list[int], creation, annihilation, fermionic: bool
@@ -227,26 +236,24 @@ class RodExpectations:
         return 0.0
 
 
-def rod_expectations(tables: list[CoefficientTable], gamma: float
-                     ) -> RodExpectations:
+def rod_expectations(tables: list[CoefficientTable] | list[MomentTable],
+                     gamma: float) -> RodExpectations:
     """nu_n profiles and in-rod pair moments from the irreducible classes.
 
-    With w the amplitude weights of the irreducible rows and occ their
-    occupation rows, the profile is w . occ and the pair moments are
-    occ^T diag(w) occ, both over alpha_n = sum w.
+    The moment table of each n holds, per Gaussian exponent, the sums
+    of c^2 / prod n_k! times occ and occ occ^T over the irreducible
+    rows; weighted by x^e they give the profile and the pair moments,
+    both over alpha_n.
     """
     nu = []
     pair = []
     empty = []
-    for table in tables:
-        keep = table.irreducible
-        w = amplitudes(table, gamma).weights[keep]
-        occ = table.occupations[keep].astype(float)
-        alpha = w.sum()
+    for moments in as_moments(tables):
+        alpha, profile, pairs = moments.rod(gamma)
         empty.append(alpha == 0.0)
         alpha = alpha or 1.0  # an empty class keeps zero profiles
-        nu.append(w @ occ / alpha)
-        pair.append((occ.T * w) @ occ / alpha)
+        nu.append(profile / alpha)
+        pair.append(pairs / alpha)
     return RodExpectations(p=tables[0].p, nmax=len(tables), nu=tuple(nu),
                            pair=tuple(pair), empty=tuple(empty))
 
@@ -288,7 +295,8 @@ class PairCorrelation:
 
 
 def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
-                  override: bool = False) -> PairCorrelation:
+                  override: bool = False, occ: np.ndarray | None = None,
+                  u: np.ndarray | None = None) -> PairCorrelation:
     """<n_k n_{k+l}> in the bulk, with the truncated correlation.
 
     Same-rod part: both sites inside one rod, using in-rod pair moments.
@@ -296,7 +304,10 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
     renewal bridge u_c crosses the gap, and an independent rod covers
     the second site.  Rod sizes beyond Nmax are out of reach of the
     exact tables; their weight is estimated by the long-interval bound
-    and reported as the error.
+    and reported as the error.  A caller looping over separations
+    passes the bulk occupations ``occ`` of :func:`occupation_infinite`
+    and a renewal sequence ``u`` of at least l // p + 2 terms, computed
+    once; they are computed here otherwise.
     """
     model.require_converged(override)
     p = model.p
@@ -318,7 +329,9 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
 
     split = 0.0
     if l >= 1:
-        u = model.renewal_sequence(l // p + 1)
+        if u is None:
+            u = model.renewal_sequence(l // p + 1)
+        psi = [_psi_split(model, rods, s) for s in range(l)]
         for n1 in range(1, nmax + 1):
             pn1 = model.pn[n1 - 1]
             if pn1 == 0.0:
@@ -334,11 +347,11 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
                 if left == 0.0:
                     continue
                 for c in range((l - reach) // p + 1):
-                    s2 = l - reach - p * c
-                    split += left * u[c] * _psi_split(model, rods, s2)
+                    split += left * u[c] * psi[l - reach - p * c]
         split /= model.mu
 
-    occ = occupation_infinite(model, rods, override=override)
+    if occ is None:
+        occ = occupation_infinite(model, rods, override=override)
     value = same + split
     truncated = value - occ[k] * occ[(k + l) % p]
     err = 2.0 * long_interval_bound(model, model.Nmax + 1)
@@ -541,12 +554,14 @@ def period_test(model: RenewalModel, rods: RodExpectations,
     for d in range(1, p + 1):
         devs.append(max(abs(occ[k] - occ[(k + d) % p]) for k in range(p)))
     if any(dev <= tol for dev in devs[:-1]):
-        pairs = {(k, l): pair_infinite(model, rods, k, l,
-                                       override=override).value
-                 for k in range(p) for l in range(1, 2 * p + 1)}
+        seps = range(1, 2 * p + 1)
+        u = model.renewal_sequence(seps[-1] // p + 1)
+        pairs = {(k, l): pair_infinite(model, rods, k, l, override=override,
+                                       occ=occ, u=u).value
+                 for k in range(p) for l in seps}
         for d in range(1, p + 1):
             pair_dev = max(abs(pairs[(k, l)] - pairs[((k + d) % p, l)])
-                           for k in range(p) for l in range(1, 2 * p + 1))
+                           for k in range(p) for l in seps)
             devs[d - 1] = max(devs[d - 1], pair_dev)
         used = "occupations+pair_moments"
     else:

@@ -467,13 +467,18 @@ def save_cache(table: CoefficientTable, path: str) -> None:
     for line in lines:
         digest.update(line.encode())
     lines.append(f"checksum={digest.hexdigest()}\n")
-    # A private temporary file per writer, renamed into place, so that
-    # concurrent writers of one table never share a partial file.
+    write_atomic(path, "".join(lines).encode())
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write a cache file through a private temporary file per writer,
+    renamed into place, so that concurrent writers of one file never
+    share a partial file."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(lines)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.chmod(tmp, 0o644)  # mkstemp creates 0600; the cache is shared
         os.replace(tmp, path)
     except BaseException:

@@ -11,10 +11,12 @@ renewal points), so the exact norms C_N organise into a renewal process:
 * renewal function ``u_N = C_N r^N``, equal to the convolution
   ``u_N = sum_k p_k u_{N-k}`` and converging to 1/mu.
 
-Both are reductions over the columns of the coefficient tables: C_N
-sums the amplitude weights, and alpha_n sums c^2 / prod n_k! over the
-rows of the ``irreducible`` mask, grouped by the ``exponents`` column
-into an exact polynomial in exp(-gamma^2).
+Both are read from the moment tables of :mod:`laughlin.moments`: C_N
+and alpha_n are polynomials in x = exp(-gamma^2) whose coefficients,
+the sums of c^2 / prod n_k! per Gaussian exponent over all rows and
+over the irreducible rows, are exact integers over a common
+denominator.  Evaluating them costs one exponential per exponent, and
+the renewal identity between them is checked in integers.
 
 Everything is built from a finite Nmax, so r carries a truncation bias.
 The model reports the root shift between Nmax and Nmax-1 and a geometric
@@ -32,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from laughlin.expansion import CoefficientTable, amplitudes, expand_all
+from laughlin.expansion import CoefficientTable, expand_all
 from laughlin.lattice import ConfigError, enumerate_partitions
+from laughlin.moments import MomentTable, as_moments
 
 TAIL_THRESHOLD = 0.01
 
@@ -47,85 +49,68 @@ class UnconvergedError(RuntimeError):
     truncation tail is too large."""
 
 
-def norms_from_tables(tables: list[CoefficientTable], gamma: float) -> np.ndarray:
+def norms_from_tables(tables: list[CoefficientTable] | list[MomentTable],
+                      gamma: float) -> np.ndarray:
     """Squared norms C_0..C_Nmax; C_0 = 1 is the empty-product convention."""
-    return np.array([1.0] + [amplitudes(t, gamma).norm_sq() for t in tables])
+    return np.array([1.0] + [m.norm_sq(gamma) for m in as_moments(tables)])
 
 
-def _squared_amplitude_polys(table: CoefficientTable
-                             ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """Irreducible and full sums of A_N(n)^2 as exact polynomials in
-    x = exp(-gamma^2).
+def alpha_residual(moments: list[MomentTable], gamma: float) -> float:
+    """Defect of the renewal identity C_n = sum_{k=1}^n alpha_k C_{n-k}.
 
-    The squared Gaussian factor of every configuration is the integer
-    power x^e of its ``exponents`` column, so norms and irreducible
-    weights are polynomials with nonnegative rational coefficients and
-    can be manipulated without rounding.  One pass over the rows sums
-    c^2 per (exponent, factorial) in integers for both polynomials.
+    With C_N and alpha_N the polynomials in x = exp(-gamma^2) of
+    integer numerators F_N and I_N over the denominator D_N of the
+    moment tables, the identity reads
+    F_n = sum_k (D_n / (D_k D_{n-k})) I_k F_{n-k} (F_0 = D_0 = 1), and
+    is compared exponent by exponent in integers.  A correct expansion
+    leaves no defect, so the result is 0.0 identically; otherwise the
+    worst defect at gamma relative to max(C_n, 1).  (A floating-point
+    recursion would be limited by cancellation to ~1e-15 absolute, far
+    too coarse for the smallest alpha_n.)
     """
-    full: dict[tuple[int, int], int] = {}
-    irr: dict[tuple[int, int], int] = {}
-    for c, e, f, irreducible in zip(
-            table.coeffs.values(), table.exponents.tolist(),
-            table.factorials.tolist(), table.irreducible.tolist()):
-        full[e, f] = full.get((e, f), 0) + c * c
-        if irreducible:
-            irr[e, f] = irr.get((e, f), 0) + c * c
-
-    def exact(sums):
-        poly: dict[int, Fraction] = {}
-        for (e, f), total in sums.items():
-            poly[e] = poly.get(e, Fraction(0)) + Fraction(total, f)
-        return poly
-
-    return exact(irr), exact(full)
-
-
-def _poly_eval(poly: dict[int, Fraction], x: float) -> float:
-    return math.fsum(float(c) * x ** e for e, c in poly.items())
-
-
-def _poly_mul(a: dict[int, Fraction], b: dict[int, Fraction]
-              ) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return out
+    # (denominator, exponents, norm and alpha numerators); C_0 = 1 first
+    polys = [(1, [0], (1,), ())] + [
+        (m.denominator, m.exponents.tolist(), m.norm, m.alpha)
+        for m in moments]
+    residual = 0.0
+    for n in range(1, len(polys)):
+        den, expo, norm, _ = polys[n]
+        defect = dict(zip(expo, norm))
+        for k in range(1, n + 1):
+            den_k, expo_k, _, alpha_k = polys[k]
+            den_r, expo_r, norm_r, _ = polys[n - k]
+            factor, rem = divmod(den, den_k * den_r)
+            if rem:
+                raise AssertionError(f"denominators of N={k}, {n - k} do "
+                                     f"not divide that of N={n}")
+            for ea, ca in zip(expo_k, alpha_k):
+                if ca:
+                    ca *= factor
+                    for eb, cb in zip(expo_r, norm_r):
+                        defect[ea + eb] = defect.get(ea + eb, 0) - ca * cb
+        defect = {e: c for e, c in defect.items() if c}
+        if defect:
+            g2 = gamma * gamma
+            value = math.fsum(c / den * math.exp(-g2 * e)
+                              for e, c in defect.items())
+            scale = max(moments[n - 1].norm_sq(gamma), 1.0)
+            residual = max(residual, abs(value) / scale)
+    return residual
 
 
-def irreducible_weights(tables: list[CoefficientTable], gamma: float
-                        ) -> tuple[np.ndarray, float]:
+def irreducible_weights(tables: list[CoefficientTable] | list[MomentTable],
+                        gamma: float) -> tuple[np.ndarray, float]:
     """Weights alpha_1..alpha_Nmax plus the recursion cross-check residual.
 
     Direct route: sum A_n(m)^2 over configurations m whose renewal set
-    is just {0, pn}.  Cross-check: alpha_N = C_N - sum_{k<N} alpha_k
-    C_{N-k}.  Both sides are exact polynomials in exp(-gamma^2), so the
-    comparison is done term by term in rational arithmetic: a correct
-    expansion gives residual 0.0 identically, and any disagreement is
-    reported at the scale of C_N.  (A floating-point recursion would be
-    limited by cancellation to ~1e-15 absolute, far too coarse for the
-    smallest alpha_n; the exact route couples the expansion, the renewal
-    detection, and the norms with no numerical slack.)
+    is just {0, pn}, read from the moment tables.  Cross-check:
+    alpha_N = C_N - sum_{k<N} alpha_k C_{N-k}, compared exactly by
+    :func:`alpha_residual`, which couples the expansion, the renewal
+    detection and the norms with no numerical slack.
     """
-    x = math.exp(-gamma * gamma)
-    irr, full = zip(*map(_squared_amplitude_polys, tables))
-    direct = np.array([_poly_eval(q, x) for q in irr])
-
-    residual = 0.0
-    for n in range(1, len(tables) + 1):
-        defect = dict(full[n - 1])
-        for k in range(1, n):
-            for e, c in _poly_mul(irr[k - 1], full[n - k - 1]).items():
-                defect[e] = defect.get(e, Fraction(0)) - c
-        for e, c in irr[n - 1].items():
-            defect[e] = defect.get(e, Fraction(0)) - c
-        defect = {e: c for e, c in defect.items() if c != 0}
-        if defect:
-            scale = max(_poly_eval(full[n - 1], x), 1.0)
-            residual = max(residual, abs(_poly_eval(defect, x)) / scale)
-    return direct, residual
+    moments = as_moments(tables)
+    direct = np.array([m.irreducible_weight(gamma) for m in moments])
+    return direct, alpha_residual(moments, gamma)
 
 
 def solve_activity(alpha: np.ndarray, tol: float = 1e-12,
@@ -226,13 +211,14 @@ def _tail_estimate(pn: np.ndarray) -> float:
 
 
 def build_model(p: int, Nmax: int, gamma: float,
-                tables: list[CoefficientTable] | None = None,
-                cap: int | None = None, extended_recheck: bool = False
-                ) -> RenewalModel:
-    """Assemble the renewal model from exact tables up to Nmax."""
+                tables: list[CoefficientTable] | list[MomentTable] | None
+                = None, cap: int | None = None,
+                extended_recheck: bool = False) -> RenewalModel:
+    """Assemble the renewal model from exact tables up to Nmax, given as
+    coefficient tables or their moment tables."""
     if tables is None:
         tables = expand_all(p, Nmax, cap=cap)
-    tables = tables[:Nmax]
+    tables = as_moments(tables[:Nmax])
     if len(tables) < Nmax:
         raise ConfigError(f"need tables up to N={Nmax}, got {len(tables)}")
     alpha, residual = irreducible_weights(tables, gamma)

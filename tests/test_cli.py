@@ -319,10 +319,12 @@ def test_corr_manifest_records_cache_hits(dirs):
             "--cache-dir", cache, "--out-dir", out]
     assert run_cli(*argv) == 0
     cold = read_json(os.path.join(out, "corr_manifest.json"))["cache"]
-    assert cold == {"hits": [], "computed": [1, 2, 3, 4]}
+    assert cold == {"hits": [], "computed": [1, 2, 3, 4],
+                    "moments_read": [], "moments_derived": [1, 2, 3, 4]}
     assert run_cli(*argv, "--no-compute") == 0
     warm = read_json(os.path.join(out, "corr_manifest.json"))["cache"]
-    assert warm == {"hits": [1, 2, 3, 4], "computed": []}
+    assert warm == {"hits": [], "computed": [],
+                    "moments_read": [1, 2, 3, 4], "moments_derived": []}
 
 
 def test_exit_code_cap(dirs):
@@ -425,8 +427,9 @@ def test_verify_all_passes(dirs, capsys):
     doc = read_json(os.path.join(out, "verify.json"))
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
-    assert {"product-rule", "expansion-oracle", "ground-residual",
-            "monomer-dimer-residual", "mcmc-excess", "mcmc-chain"} <= names
+    assert {"product-rule", "expansion-oracle", "moments-vs-rows",
+            "ground-residual", "monomer-dimer-residual", "mcmc-excess",
+            "mcmc-chain"} <= names
     assert all(c["passed"] for c in doc["checks"])
 
 
@@ -469,3 +472,100 @@ def test_seventeen_digit_round_trip():
     rng = np.random.default_rng(2)
     for x in rng.normal(size=50) * 10.0 ** rng.integers(-12, 12, size=50):
         assert float(cli.fmt(float(x))) == float(x)
+
+
+def test_corr_no_compute_derives_moment_files(dirs, capsys):
+    cache, out = dirs
+    argv = ["corr", "--p", "3", "--Nmax", "4", "--kmax", "2", "--no-compute",
+            "--cache-dir", cache, "--out-dir", out]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "lacks tables for p=3, N<=4" in err[0]
+    assert run_cli("expand", "--p", "3", "--N", "4",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert run_cli(*argv) == 0
+    manifest = read_json(os.path.join(out, "corr_manifest.json"))
+    assert manifest["cache"] == {"hits": [1, 2, 3, 4], "computed": [],
+                                 "moments_read": [],
+                                 "moments_derived": [1, 2, 3, 4]}
+    assert sorted(f for f in os.listdir(cache) if f.startswith("moments")) \
+        == [f"moments_p3_N{n}.bin" for n in range(1, 5)]
+
+
+def test_warm_moment_cache_reads_no_coefficient_table(dirs, monkeypatch):
+    cache, out = dirs
+    base = ["--p", "3", "--Nmax", "5", "--cache-dir", cache, "--out-dir", out]
+    assert run_cli("corr", *base) == 0
+    calls = []
+    load_cache = cli.expansion.load_cache
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return load_cache(*args, **kwargs)
+
+    monkeypatch.setattr(cli.expansion, "load_cache", counting)
+    for sub in ("corr", "renewal", "norms"):
+        assert run_cli(sub, *base) == 0
+    assert calls == []
+    os.remove(os.path.join(cache, "moments_p3_N5.bin"))
+    assert run_cli("corr", *base) == 0
+    assert len(calls) == 1
+    cached = read_json(os.path.join(out, "corr_manifest.json"))["cache"]
+    assert cached["hits"] == [5] and cached["moments_derived"] == [5]
+
+
+@pytest.mark.parametrize("sub, names", [
+    ("corr", ["moments", "model", "rods", "occupations", "pairs", "profile",
+              "period"]),
+    ("renewal", ["moments", "model"]),
+    ("norms", ["moments", "norms"]),
+])
+def test_manifest_stages(dirs, sub, names):
+    cache, out = dirs
+    assert run_cli(sub, "--p", "3", "--Nmax", "5", "--cache-dir", cache,
+                   "--out-dir", out) == 0
+    stages = read_json(os.path.join(out, f"{sub}_manifest.json"))["stages"]
+    assert [s["name"] for s in stages] == names
+    assert all(s["seconds"] >= 0.0 for s in stages)
+    assert stages[0]["exponents"] == [1, 2, 4, 10, 23]
+    if sub != "norms":
+        model = build_model(3, 5, 1.0)
+        assert stages[1]["alpha_residual"] == 0.0
+        assert stages[1]["tail_mass"] == model.tail_mass
+        assert stages[1]["root_shift"] == model.root_shift
+
+
+def _corrupt_moments(path, how):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    trailer = len("checksum=") + 65
+    body = data[:-trailer]
+    if how == "header":
+        body = body.replace(b"LAUGHLIN-MOMENTS", b"LAUGHLIN-MOMENTX", 1)
+    elif how == "body":
+        body = body[:-1] + bytes([body[-1] ^ 1])
+    elif how == "stale":
+        body = body.replace(b"source=", b"source=0", 1)
+    resign = how != "body"
+    digest = hashlib.sha256(body).hexdigest() if resign else data[-65:-1]
+    with open(path, "wb") as fh:
+        fh.write(body + b"checksum=" + (digest.encode() if resign
+                                        else digest) + b"\n")
+
+
+@pytest.mark.parametrize("how, message", [
+    ("header", "bad magic"),
+    ("body", "checksum mismatch"),
+    ("stale", "stale"),
+])
+def test_exit_code_corrupt_moment_file(dirs, capsys, how, message):
+    cache, out = dirs
+    argv = ["--p", "3", "--Nmax", "3", "--cache-dir", cache, "--out-dir", out]
+    assert run_cli("norms", *argv) == 0
+    capsys.readouterr()
+    _corrupt_moments(os.path.join(cache, "moments_p3_N3.bin"), how)
+    for sub in ("norms", "corr"):
+        assert run_cli(sub, *argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and message in err[0]

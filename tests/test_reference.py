@@ -3,11 +3,14 @@
 The library reads every per-configuration quantity from the columns of
 a coefficient table or a sector basis.  Here each one is recomputed the
 direct way, one configuration at a time, with the scalar lattice
-helpers, and the library's array passes must agree with it.  The
-level-batched squeezing pass is checked against the recursion that
-visits one configuration and one unsqueeze at a time, and the
-Metropolis sampler against a move loop that evaluates both energies of
-every move from the positions.
+helpers, and the library's array passes must agree with it; the
+moment-table route of the norms, weights, rod moments and finite
+occupations to 1e-13, the exact polynomials exactly.  The bulk pair
+correlation is checked bit for bit against one call that recomputes
+all its inputs.  The level-batched squeezing pass is checked against
+the recursion that visits one configuration and one unsqueeze at a
+time, and the Metropolis sampler against a move loop that evaluates
+both energies of every move from the positions.
 """
 
 import dataclasses
@@ -24,13 +27,15 @@ from scipy.special import erf
 
 from laughlin import hamiltonian, plasma
 from laughlin.correlations import (_apply_string, occupation_finite,
+                                   occupation_infinite, pair_infinite,
                                    rod_expectations)
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import (ModelParams, config_to_occupation,
                               enumerate_admissible,
                               occupation_to_config, renewal_points,
                               total_momentum)
-from laughlin.renewal import (_squared_amplitude_polys, irreducible_weights,
+from laughlin.moments import derive
+from laughlin.renewal import (build_model, irreducible_weights,
                               norms_from_tables)
 
 
@@ -81,7 +86,12 @@ def test_exact_polynomials(tables):
             full[e] = full.get(e, 0) + term
             if irreducible(m, table.p):
                 irr[e] = irr.get(e, 0) + term
-        assert _squared_amplitude_polys(table) == (irr, full)
+        moments = derive(table)
+        exponents = moments.exponents.tolist()
+        assert {e: Fraction(c, moments.denominator)
+                for e, c in zip(exponents, moments.alpha) if c} == irr
+        assert {e: Fraction(c, moments.denominator)
+                for e, c in zip(exponents, moments.norm)} == full
 
 
 @pytest.mark.parametrize("gamma", (0.7, 1.5))
@@ -150,6 +160,70 @@ def test_exact_excess_zero(tables, gamma):
             expect = total / sum(w.values())
             got = plasma.exact_excess_zero(amp, xbar)
             assert got == approx(expect, abs=1e-13)
+
+
+def reference_pair_infinite(model, rods, k, l):
+    """<n_k n_{k+l}> as one call that recomputes the bulk occupations,
+    the renewal sequence and every split weight itself."""
+    p = model.p
+    k = k % p
+    nmax = min(model.Nmax, rods.nmax)
+
+    def psi_split(s):
+        total = 0.0
+        for n in range(1, nmax + 1):
+            if model.pn[n - 1]:
+                total += model.pn[n - 1] * rods.nu_at(n, s)
+        return total
+
+    same = 0.0
+    for n in range(1, nmax + 1):
+        pn = model.pn[n - 1]
+        if pn == 0.0:
+            continue
+        for j in range(n):
+            s = k + p * j
+            if s + l <= p * n - 1:
+                same += pn * rods.pair_at(n, s, s + l)
+    same /= model.mu
+    split = 0.0
+    if l >= 1:
+        u = model.renewal_sequence(l // p + 1)
+        for n1 in range(1, nmax + 1):
+            pn1 = model.pn[n1 - 1]
+            if pn1 == 0.0:
+                continue
+            for j in range(n1):
+                s1 = k + p * j
+                if s1 >= p * n1:
+                    break
+                reach = p * n1 - s1
+                if reach > l:
+                    continue
+                left = pn1 * rods.nu_at(n1, s1)
+                if left == 0.0:
+                    continue
+                for c in range((l - reach) // p + 1):
+                    split += left * u[c] * psi_split(l - reach - p * c)
+        split /= model.mu
+    occ = occupation_infinite(model, rods)
+    value = same + split
+    return value, value - occ[k] * occ[(k + l) % p]
+
+
+@pytest.mark.parametrize("gamma", (0.7, 1.5))
+def test_pair_infinite_matches_reference(tables, gamma):
+    p = tables[0].p
+    model = build_model(p, len(tables), gamma, tables=tables)
+    rods = rod_expectations(tables, gamma)
+    occ = occupation_infinite(model, rods)
+    u = model.renewal_sequence(20)
+    for k in range(p):
+        for l in range(16):
+            expect = reference_pair_infinite(model, rods, k, l)
+            for got in (pair_infinite(model, rods, k, l),
+                        pair_infinite(model, rods, k, l, occ=occ, u=u)):
+                assert (got.value, got.truncated) == expect
 
 
 # -- coefficient recursion ----------------------------------------------------------
