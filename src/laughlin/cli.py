@@ -68,16 +68,17 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "laughlin")
 
 
-def fmt(x: float) -> str:
-    """17-significant-digit decimal form, exact for doubles."""
+def fmt(x) -> str:
+    """Text of one scalar: true or false, an integer's digits, a float in
+    its 17-significant-digit decimal form (exact for doubles; nan, inf
+    and -inf as such), anything else as str."""
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
     if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -95,18 +96,13 @@ def _json_text(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{_json_text(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isfinite(x):
-            return fmt(x)
-        return json.dumps(fmt(x))  # inf/nan are not JSON numbers
     if obj is None:
         return "null"
-    return json.dumps(str(obj))
+    if isinstance(obj, (bool, np.bool_, int, np.integer)):
+        return fmt(obj)
+    if isinstance(obj, (float, np.floating)) and math.isfinite(obj):
+        return fmt(obj)
+    return json.dumps(fmt(obj))  # text, and inf/nan: not JSON numbers
 
 
 class Emitter:
@@ -131,18 +127,7 @@ class Emitter:
 
     def csv(self, name: str, header: list[str], rows) -> str:
         lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, (bool, np.bool_)):
-                    cells.append(str(bool(v)).lower())
-                elif isinstance(v, (int, np.integer)):
-                    cells.append(str(int(v)))
-                elif isinstance(v, (float, np.floating)):
-                    cells.append(fmt(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
+        lines += [",".join(map(fmt, row)) for row in rows]
         return self._write(name, "\n".join(lines) + "\n")
 
     def json(self, name: str, obj) -> str:
@@ -289,11 +274,9 @@ def cmd_expand(args) -> int:
     entries = []
     for table in tables:
         path = expansion.cache_path(args.cache_dir, args.p, table.N)
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
         entries.append({"N": table.N, "terms": len(table.coeffs),
                         "cache_file": os.path.basename(path),
-                        "sha256": digest})
+                        "sha256": moments.file_sha256(path)})
     em.json("expand_summary.json",
             {"p": args.p, "N": args.N, "tables": entries})
     em.manifest(extra={"cache": cache})
@@ -366,18 +349,15 @@ def cmd_corr(args) -> int:
 
     step = args.gamma / 10.0
     if args.N:
-        occ, k_start = occ_fin, 0
+        occ = occ_fin
         x_lo, x_hi = -3.0, args.p * (args.N - 1) * args.gamma + 3.0
     else:
-        tile = 13
-        occ = np.tile(occ_inf, tile)
-        k_start = 0
+        occ = np.tile(occ_inf, 13)
         x_lo = 5 * args.p * args.gamma
         x_hi = 8 * args.p * args.gamma
     xs = np.arange(x_lo, x_hi + 0.5 * step, step)
     with em.timed("profile") as sizes:
-        rho = correlations.density_profile(occ, args.gamma, xs,
-                                           k_start=k_start)
+        rho = correlations.density_profile(occ, args.gamma, xs)
         sizes["points"] = xs.size
     em.csv("profile.csv", ["x", "rho"], zip(xs, rho))
 
@@ -842,10 +822,10 @@ def _validate_common(args) -> None:
     gamma = getattr(args, "gamma", None)
     if gamma is not None and not (gamma > 0 and math.isfinite(gamma)):
         raise ConfigError(f"gamma must be finite and > 0, got {gamma}")
-    for attr in ("N", "Nmax"):
+    for attr, least in (("N", 1), ("Nmax", 1), ("kmax", 0), ("spectrum", 1)):
         val = getattr(args, attr, None)
-        if val is not None and val < 1:
-            raise ConfigError(f"{attr} must be >= 1, got {val}")
+        if val is not None and val < least:
+            raise ConfigError(f"{attr} must be >= {least}, got {val}")
 
 
 def main(argv=None) -> int:

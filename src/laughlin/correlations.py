@@ -416,25 +416,25 @@ def bulk_epsilon(model: RenewalModel, rods: RodExpectations, N: int, k: int
 
 # -- continuum density and off-diagonal bound ---------------------------------
 
-def density_profile(occ: np.ndarray, gamma: float, xs: np.ndarray,
-                    k_start: int = 0) -> np.ndarray:
+def density_profile(occ: np.ndarray, gamma: float, xs: np.ndarray
+                    ) -> np.ndarray:
     """One-particle density per unit area on the cylinder axis grid.
 
-    ``occ[i]`` is the occupation of orbital k_start + i; the density is
+    ``occ[k]`` is the occupation of orbital k; the density is
     rho(x) = (2 pi R)^{-1} pi^{-1/2} sum_k <n_k> exp(-(x - k gamma)^2).
     """
     xs = np.asarray(xs, dtype=float)
-    ks = (k_start + np.arange(len(occ))) * gamma
+    ks = np.arange(len(occ)) * gamma
     gauss = np.exp(-(xs[:, None] - ks[None, :]) ** 2)
     return gamma / (2.0 * math.pi ** 1.5) * (gauss @ np.asarray(occ))
 
 
-def one_particle_matrix(occ: np.ndarray, gamma: float, z, zp,
-                        k_start: int = 0) -> complex:
-    """rho_1(z; z') = sum_k <n_k> psi_k(z) conj(psi_k(z'))."""
+def one_particle_matrix(occ: np.ndarray, gamma: float, z, zp) -> complex:
+    """rho_1(z; z') = sum_k <n_k> psi_k(z) conj(psi_k(z')), occ[k] the
+    occupation of orbital k."""
     x, y = z
     xp, yp = zp
-    ks = k_start + np.arange(len(occ))
+    ks = np.arange(len(occ))
     phase = np.exp(1j * ks * gamma * (y - yp))
     gauss = np.exp(-0.5 * (x - ks * gamma) ** 2 - 0.5 * (xp - ks * gamma) ** 2)
     return complex(gamma / (2.0 * math.pi ** 1.5)

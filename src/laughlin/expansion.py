@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
-                              enumerate_admissible, find_keys, occupation_rows,
+                              configurations, find_keys, occupation_rows,
                               renewal_points, staircase, translate_config)
 
 
@@ -185,25 +185,28 @@ def _squeeze(p: int, N: int, *, sizes: dict | None = None
              ) -> dict[tuple[int, ...], int]:
     """Nonzero coefficients of one table by the squeezing recursion.
 
-    Every configuration of one Sigma m^2 level squeezes out of higher
+    The admissible configurations come from the lattice search under
+    the dominance floor; the caller checks the cap on N.  Every
+    configuration of one Sigma m^2 level squeezes out of higher
     levels only, so the levels are visited from the root down and each
     is one array pass over all its unsqueezes.  A configuration is
     found by its packed key: the negated mixed-radix number of its
     occupations, site 0 most significant, each site's radix one more
     than its largest occupation among the admissible configurations
-    (the last two sites carry no digit).  Keys increase along the lexicographic order and add up over
-    particles, so an unsqueeze shifts a key by four site weights.  Every
-    sum stays below ``_INT64_LIMIT`` by a bound checked per level, and
-    the division by the eigenvalue gap is exact.  ``sizes``, if given,
-    receives the number of ``levels`` and of ``candidates`` looked up.
+    (the last two sites carry no digit).  Keys increase along the
+    lexicographic order and add up over particles, so an unsqueeze
+    shifts a key by four site weights.  Every sum stays below
+    ``_INT64_LIMIT`` by a bound checked per level, and the division by
+    the eigenvalue gap is exact.  ``sizes``, if given, receives the
+    number of ``levels`` and of ``candidates`` looked up.
     """
     fermionic = p % 2 == 1
     B = -p if fermionic else 1 - p
     mmax = p * (N - 1)
-    admissible = enumerate_admissible(p, N, cap=N)  # the caller checks the cap
+    sites = mmax + 1
+    admissible = configurations(N, sites, staircase(p, N), fermionic, floor=p)
     configs = np.array(admissible, dtype=np.int64)
     count = len(configs)
-    sites = mmax + 1
     occ = occupation_rows(configs, sites)
     limit = occ.max(axis=0)
     # Particle number and total momentum, common to every configuration,

@@ -5,10 +5,11 @@ polynomials; the full interaction is assembled both as a sum over
 momentum-conserving quadruples and as a sum of bond operators B_s*B_s
 over half-integer bond centers (iterated as integer doubled centers).
 
-A momentum sector is enumerated directly, by a depth-first search
-bounded by the momentum sum, so its cap counts the sector and not the
-whole layer: the ground sector of p=3, N=8 has 8,512 states in a layer
-of 319,770.  Both assemblies are array passes over the sector's
+A momentum sector is enumerated directly, by the depth-first search of
+:func:`~laughlin.lattice.configurations` that also lists the admissible
+configurations of the expansion, so its cap counts the sector and not
+the whole layer: the ground sector of p=3, N=8 has 8,512 states in a
+layer of 319,770.  Both assemblies are array passes over the sector's
 occupation column: each operator of a string acts on every basis row
 at once (an occupied/empty mask, a fermionic sign from the parity of a
 prefix count, bosonic square-root factors), and the images are found
@@ -42,8 +43,8 @@ from scipy import sparse
 from scipy.special import eval_hermite
 
 from .expansion import AmplitudeTable, amplitudes, expand
-from .lattice import (CapExceeded, ConfigError, ModelParams, find_keys,
-                      occupation_rows, total_momentum)
+from .lattice import (CapExceeded, ConfigError, ModelParams, configurations,
+                      find_keys, occupation_rows, total_momentum)
 
 DEFAULT_SECTOR_CAP = 200_000
 
@@ -160,39 +161,6 @@ class SectorBasis:
         return v
 
 
-def _sector_configs(N: int, sites: int, momentum: int, fermionic: bool,
-                    cap: int) -> list[tuple[int, ...]]:
-    """The N-particle configurations with the given orbital sum, in
-    lexicographic order, by a depth-first search that cuts every branch
-    whose remaining particles cannot reach the sum."""
-    step = 1 if fermionic else 0
-    out: list[tuple[int, ...]] = []
-
-    def least(r: int, lo: int) -> int:     # r particles at or above lo
-        return r * lo + step * r * (r - 1) // 2
-
-    def most(r: int) -> int:               # r particles at or below sites-1
-        return r * (sites - 1) - step * r * (r - 1) // 2
-
-    def place(prefix: tuple[int, ...], lo: int, rest: int):
-        r = N - len(prefix) - 1
-        for v in range(lo, sites):
-            if least(r, v + step) > rest - v:
-                break
-            if rest - v > most(r):
-                continue
-            if r == 0:
-                out.append(prefix + (v,))
-                if len(out) > cap:
-                    raise CapExceeded(f"momentum sector {momentum} has more "
-                                      f"than {cap} states")
-            else:
-                place(prefix + (v,), v + step, rest - v)
-
-    place((), 0, momentum)
-    return out
-
-
 def sector_basis(params: ModelParams, momentum: int | None = None,
                  cap: int = DEFAULT_SECTOR_CAP) -> SectorBasis:
     """Enumerate the N-particle layer on {0..p(N-1)}, or one momentum sector.
@@ -204,7 +172,8 @@ def sector_basis(params: ModelParams, momentum: int | None = None,
     sites = p * (N - 1) + 1
     _key_base(p, N, sites)  # refuse a basis its keys cannot pack
     if momentum is not None:
-        configs = _sector_configs(N, sites, momentum, params.fermionic, cap)
+        configs = configurations(N, sites, momentum, params.fermionic,
+                                 limit=cap)
     else:
         if params.fermionic:
             count = math.comb(sites, N)

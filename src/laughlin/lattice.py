@@ -7,6 +7,10 @@ orbital indices), occupation configurations (per-site particle counts),
 the dominance/admissibility condition, renewal points of a configuration,
 and partitions of the site block {0, ..., pN-1} into rods of length p*n.
 
+One depth-first search, :func:`configurations`, lists the configurations
+of a fixed orbital sum in lexicographic order: a momentum sector of the
+parent Hamiltonian or, under the dominance floor, the admissible set.
+
 Conventions
 -----------
 * An orbital configuration is stored canonically as a weakly increasing
@@ -209,46 +213,52 @@ def translate_config(m: tuple[int, ...], p: int, shift: int) -> tuple[int, ...]:
     return tuple(mj + p * shift for mj in m)
 
 
-def enumerate_admissible(p: int, N: int, fermionic: bool | None = None,
-                         cap: int | None = None) -> list[tuple[int, ...]]:
-    """All admissible canonical configurations, lexicographically ordered.
+def configurations(N: int, sites: int, total: int, fermionic: bool,
+                   floor: int = 0, limit: int | None = None
+                   ) -> list[tuple[int, ...]]:
+    """The N-particle configurations on orbitals 0..sites-1 with orbital
+    sum ``total``, in lexicographic order.
 
-    Depth-first construction of weakly (strictly, for fermions) increasing
-    tuples with partial-sum pruning against the staircase; branches that
-    cannot reach the required total are cut as well.
+    Tuples increase strictly for fermions and weakly for bosons, and
+    their first k entries sum to at least staircase(floor, k) for every
+    k: ``floor=p`` is the dominance condition of :func:`is_admissible`,
+    ``floor=0`` leaves a whole momentum sector.  A depth-first search
+    that gives each entry only the values from which the particles
+    still to place can reach ``total``.  Raises :class:`CapExceeded` as
+    soon as it finds more than ``limit`` configurations.
     """
-    if fermionic is None:
-        fermionic = p % 2 == 1
-    check_cap(p, N, cap)
-
-    total = staircase(p, N)
-    mmax = p * (N - 1)
-    out: list[tuple[int, ...]] = []
     step = 1 if fermionic else 0
+    out: list[tuple[int, ...]] = []
 
-    def rec(prefix, s):
-        k = len(prefix)
-        if k == N:
-            if s == total:
-                out.append(tuple(prefix))
-            return
-        lo = prefix[-1] + step if prefix else 0
-        for mk in range(lo, mmax + 1):
-            s2 = s + mk
-            if s2 < staircase(p, k + 1):
+    def place(prefix: tuple[int, ...], lo: int, s: int):
+        k = len(prefix) + 1        # the entry v placed here is the k-th
+        r = N - k
+        # The r entries after v lie in v + step .. sites - 1, strictly
+        # apart for fermions; v must leave them a sum they can reach.
+        first = max(lo, staircase(floor, k) - s,
+                    total - s - r * (sites - 1) + step * r * (r - 1) // 2)
+        last = min(sites - 1, (total - s - step * r * (r + 1) // 2) // (r + 1))
+        for v in range(first, last + 1):
+            if r:
+                place(prefix + (v,), v + step, s + v)
                 continue
-            rest = N - k - 1
-            # Remaining entries are >= mk (+step each for fermions) and
-            # <= mmax; prune when the total is out of reach either way.
-            lo_rest = rest * mk + step * rest * (rest + 1) // 2
-            if s2 + lo_rest > total:
-                break
-            if s2 + rest * mmax - step * rest * (rest - 1) // 2 < total:
-                continue
-            rec(prefix + [mk], s2)
+            out.append(prefix + (v,))
+            if limit is not None and len(out) > limit:
+                raise CapExceeded(f"more than {limit} configurations of {N} "
+                                  f"particles with orbital sum {total}")
 
-    rec([], 0)
+    place((), 0, 0)
     return out
+
+
+def enumerate_admissible(p: int, N: int, cap: int | None = None
+                         ) -> list[tuple[int, ...]]:
+    """All admissible canonical configurations, lexicographically ordered:
+    the ground momentum sector under the dominance floor, for N within
+    the cap of :func:`check_cap`."""
+    check_cap(p, N, cap)
+    return configurations(N, p * (N - 1) + 1, staircase(p, N), p % 2 == 1,
+                          floor=p)
 
 
 def occupation_rows(configs: np.ndarray, num_sites: int) -> np.ndarray:

@@ -212,8 +212,7 @@ def _tail_estimate(pn: np.ndarray) -> float:
 
 def build_model(p: int, Nmax: int, gamma: float,
                 tables: list[CoefficientTable] | list[MomentTable] | None
-                = None, cap: int | None = None,
-                extended_recheck: bool = False) -> RenewalModel:
+                = None, cap: int | None = None) -> RenewalModel:
     """Assemble the renewal model from exact tables up to Nmax, given as
     coefficient tables or their moment tables."""
     if tables is None:
@@ -224,11 +223,6 @@ def build_model(p: int, Nmax: int, gamma: float,
     alpha, residual = irreducible_weights(tables, gamma)
     C = norms_from_tables(tables, gamma)
     r = solve_activity(alpha)
-    if extended_recheck:
-        r_ext = solve_activity(alpha, extended=True)
-        if abs(r - r_ext) > 1e-9 * r:
-            raise ConfigError(
-                f"double/extended precision roots disagree: {r} vs {r_ext}")
     pn = alpha * r ** np.arange(1, Nmax + 1)
     mu = float(np.arange(1, Nmax + 1) @ pn)
     root_shift = abs(r - solve_activity(alpha[:-1])) if Nmax >= 2 else 0.0

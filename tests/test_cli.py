@@ -346,6 +346,20 @@ def test_exit_code_invalid_config(dirs):
                    "--cache-dir", cache, "--out-dir", out) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["corr", "--Nmax", "3", "--kmax", "-1"], "kmax must be >= 0, got -1"),
+    (["ham", "--p", "3", "--N", "3", "--spectrum", "0"],
+     "spectrum must be >= 1, got 0"),
+])
+def test_exit_code_count_that_asks_for_nothing(dirs, capsys, argv, message):
+    # A negative kmax would write a header-only pairs.csv, and a zero
+    # spectrum a report without its spectrum section.
+    cache, out = dirs
+    assert run_cli(*argv, "--cache-dir", cache, "--out-dir", out) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not os.path.exists(out)
+
+
 def _rewrite_cache_line(path, line, resign):
     """Replace one body line of a cache file, re-signing it when asked."""
     with open(path) as fh:

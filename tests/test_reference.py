@@ -10,7 +10,9 @@ correlation is checked bit for bit against one call that recomputes
 all its inputs.  The level-batched squeezing pass is checked against
 the recursion that visits one configuration and one unsqueeze at a
 time, and the Metropolis sampler against a move loop that evaluates
-both energies of every move from the positions.
+both energies of every move from the positions.  The one configuration
+search behind sector bases and admissible sets is checked against the
+whole layer filtered by momentum, and by dominance.
 """
 
 import dataclasses
@@ -30,8 +32,8 @@ from laughlin.correlations import (_apply_string, occupation_finite,
                                    occupation_infinite, pair_infinite,
                                    rod_expectations)
 from laughlin.expansion import amplitudes, expand_all
-from laughlin.lattice import (ModelParams, config_to_occupation,
-                              enumerate_admissible,
+from laughlin.lattice import (ConfigError, ModelParams, config_to_occupation,
+                              enumerate_admissible, is_admissible,
                               occupation_to_config, renewal_points,
                               total_momentum)
 from laughlin.moments import derive
@@ -345,6 +347,30 @@ def reference_configs(params, momentum):
     pool = (combinations if params.fermionic
             else combinations_with_replacement)(range(sites), params.N)
     return tuple(m for m in pool if momentum is None or sum(m) == momentum)
+
+
+@pytest.mark.parametrize("p, N", ((1, 6), (2, 5), (3, 5), (4, 4), (5, 4)))
+def test_sector_basis_matches_reference_in_every_sector(p, N):
+    for n in range(1, N + 1):
+        params = ModelParams(p, n, 1.0)
+        layer = reference_configs(params, None)
+        sums = [sum(m) for m in layer]
+        for momentum in range(min(sums), max(sums) + 1):
+            basis = hamiltonian.sector_basis(params, momentum=momentum)
+            assert basis.configs == tuple(
+                m for m, s in zip(layer, sums) if s == momentum)
+        for momentum in (min(sums) - 1, max(sums) + 1):
+            with pytest.raises(ConfigError):
+                hamiltonian.sector_basis(params, momentum=momentum)
+
+
+@pytest.mark.parametrize("p, n_max", ((1, 8), (2, 8), (3, 8), (4, 6), (5, 5)))
+def test_admissible_is_the_dominant_ground_sector(p, n_max):
+    for N in range(1, n_max + 1):
+        ground = reference_configs(ModelParams(p, N, 1.0),
+                                   total_momentum(p, N))
+        expect = [m for m in ground if is_admissible(m, p)]
+        assert enumerate_admissible(p, N) == expect
 
 
 def reference_vector(basis, coeffs):
