@@ -11,14 +11,16 @@ and writing any missing moment file from its coefficient table, and
 their ``cache`` record also lists the moment files read and derived.
 The ``expand`` manifest also lists its ``stages``: one ``squeeze`` per
 computed table, with its N, the Sigma m^2 levels of the recursion, the
-unsqueezed candidates looked up, the terms and the bit length of the
-largest coefficient.  So does the ``ham`` manifest: the seconds spent
-on sector enumeration (with the sector dimension), on each assembly of
-H (with its nnz), on the spectrum and on the ground-state check.  The
-``norms``, ``renewal`` and ``corr`` manifests time reading the moment
-tables (with the exponent count of each) and their further stages; the
-``model`` stage records the renewal tail mass, root shift and alpha
-residual.
+unsqueezed candidates looked up, the reducible rows filled by the
+product rule from the tables of fewer particles (held in the run or
+read from the cache, never read or computed twice), the terms and the
+bit length of the largest coefficient.  So does the ``ham`` manifest:
+the seconds spent on sector enumeration (with the sector dimension),
+on each assembly of H (with its nnz), on the spectrum and on the
+ground-state check.  The ``norms``, ``renewal`` and ``corr`` manifests
+time reading the moment tables (with the exponent count of each) and
+their further stages; the ``model`` stage records the renewal tail
+mass, root shift and alpha residual.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -35,6 +37,7 @@ resource cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -66,6 +69,13 @@ def default_cache_dir() -> str:
     if env:
         return env
     return os.path.join(os.path.expanduser("~"), ".cache", "laughlin")
+
+
+def _cache_dir_arg(text: str) -> str:
+    """The ``--cache-dir`` value.  argparse also passes the empty default
+    through here when it parses the arguments, so the default directory
+    is read then, not when the parser is built."""
+    return text or default_cache_dir()
 
 
 def fmt(x) -> str:
@@ -186,11 +196,15 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
     """Coefficient tables 1..Nmax (or the N in ``only``) from cache,
     computing only those missing.
 
+    A computed table takes its reducible rows from the product rule
+    over the tables of fewer particles: those already held in this run,
+    else the cached ones, so no table is read or computed twice.
     Also returns the manifest's ``cache`` record: the N read from the
     cache (``hits``) and the N computed in this run (``computed``).
     With an emitter, each computed table is a ``squeeze`` stage with its
     N, Sigma m^2 ``levels``, unsqueezed ``candidates`` looked up,
-    ``terms`` and ``max_coeff_bits``.
+    reducible rows ``filled`` by the product rule, ``terms`` and
+    ``max_coeff_bits``.
     """
     every = range(1, Nmax + 1) if only is None else only
     missing = [n for n in every
@@ -201,18 +215,22 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
                 f"cache at {cache_dir} lacks tables for p={p}, N<={Nmax}; "
                 "run the expand subcommand or drop --no-compute")
         check_cap(p, missing[-1], cap)
-    tables = []
+    tables: list[expansion.CoefficientTable] = []
     for n in every:
+        # ``every`` increases, so the tables held are those of 1..n-1
+        # exactly when there are n - 1 of them.
+        smaller = tables if len(tables) == n - 1 else None
         if em is not None and n in missing:
             with em.timed("squeeze") as sizes:
                 sizes["N"] = n
                 table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
-                                         sizes=sizes)
+                                         sizes=sizes, smaller=smaller)
                 biggest = max(map(abs, table.coeffs.values()))
                 sizes.update(terms=len(table),
                              max_coeff_bits=biggest.bit_length())
         else:
-            table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap)
+            table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
+                                     smaller=smaller)
         tables.append(table)
     return tables, {"hits": [n for n in every if n not in missing],
                     "computed": missing}
@@ -579,7 +597,7 @@ def _verify_checks(args) -> tuple[list[dict], dict]:
         report = expansion.verify_product_rule(p, N, tables=tables)
         worst = max(worst, len(report.failures))
     record("product-rule", float(worst), 0.0, worst == 0,
-           "coefficient recursion failures")
+           "cached tables inconsistent across renewal points")
 
     dev = max(expansion.evaluate_oracle(tables[N - 1])
               for N in range(2, min(4, Nmax) + 1))
@@ -727,7 +745,7 @@ def _add_common(sub: argparse.ArgumentParser, gamma: bool = True,
                 seed: bool = False, override: bool = False) -> None:
     """The flags of every subcommand, plus ``--gamma``, ``--seed`` and
     ``--override-unconverged`` where the subcommand reads them."""
-    sub.add_argument("--cache-dir", default=default_cache_dir(),
+    sub.add_argument("--cache-dir", type=_cache_dir_arg, default="",
                      help=f"coefficient cache (default ${CACHE_ENV} "
                           "or ~/.cache/laughlin)")
     sub.add_argument("--out-dir", default=".",
@@ -828,8 +846,14 @@ def _validate_common(args) -> None:
             raise ConfigError(f"{attr} must be >= {least}, got {val}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _validate_common(args)
         return args.func(args)

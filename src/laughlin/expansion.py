@@ -17,9 +17,18 @@ once, as a column aligned with its keys, and an :class:`AmplitudeTable`
 holds one amplitude array aligned with the same rows; the consumers
 downstream are reductions over these columns.
 
-Each table is computed on its own by the squeezing recursion of
-Bernevig & Haldane, PRL 100, 246802 (2008), with the fermionic case of
-Bernevig & Regnault, PRL 103, 206801 (2009).  The polynomial is an
+A table is computed from the tables of fewer particles and the
+squeezing recursion of Bernevig & Haldane, PRL 100, 246802 (2008),
+with the fermionic case of Bernevig & Regnault, PRL 103, 206801 (2009).
+A reducible configuration, one whose partial sums hit the staircase at
+some interior point pk, factorises exactly there (Thomale et al.,
+arXiv:1010.4837):
+
+    c_N(m) = c_k(m_1..m_k) * c_{N-k}(m_{k+1}-pk, ..., m_N-pk),
+
+so every reducible coefficient is filled in from the smaller tables
+first, and only the irreducible configurations go through the
+recursion.  The polynomial is an
 eigenfunction of a Calogero-Sutherland-type operator whose off-diagonal
 part only squeezes a pair of orbitals towards each other.  Visiting the
 admissible configurations in decreasing sum m_j^2, starting from the
@@ -38,13 +47,19 @@ of one Sigma m^2 level depend only on higher levels, so each level is
 computed at once, as array passes over all its unsqueezes, which are
 looked up by packed integer keys.  The arithmetic is int64 and exact:
 a bound on T(nu) is checked per level (the largest coefficient has 21
-bits at p=3, N=8 and 26 bits at N=9), and a table whose keys or sums
-could leave the int64 range raises
+bits at p=3, N=8, 26 at N=9 and 30 at N=10), and a table whose keys,
+sums or products could leave the int64 range raises
 :class:`~laughlin.lattice.CapExceeded` instead of wrapping.  The
-division is exact.  Reducible configurations are computed like all
-others, not filled in from the product rule, so
-:func:`verify_product_rule` stays an independent check.  It and
-:func:`evaluate_oracle` read ``coeffs`` directly, not the columns.
+division is exact.
+
+A table built this way agrees with the product rule by construction.
+The checks independent of it are the loop ``reference_squeeze`` of the
+tests, which squeezes every configuration and must match every table
+entry for entry, and :func:`evaluate_oracle`, which ``verify-all`` and
+the benchmark run on the finished tables.  :func:`verify_product_rule`
+checks that tables stored apart, such as the files of one cache, are
+consistent with each other.  It and :func:`evaluate_oracle` read
+``coeffs`` directly, not the columns.
 """
 
 from __future__ import annotations
@@ -61,8 +76,9 @@ from functools import cached_property
 import numpy as np
 
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
-                              configurations, find_keys, occupation_rows,
-                              renewal_points, staircase, translate_config)
+                              config_tuples, configurations, find_keys,
+                              occupation_rows, renewal_points, staircase,
+                              translate_config)
 
 
 class CacheError(ValueError):
@@ -181,16 +197,60 @@ class AmplitudeTable:
 _INT64_LIMIT = 2 ** 63
 
 
-def _squeeze(p: int, N: int, *, sizes: dict | None = None
-             ) -> dict[tuple[int, ...], int]:
+def _products(p: int, N: int, configs: np.ndarray,
+              smaller: list[CoefficientTable], coeffs: np.ndarray
+              ) -> np.ndarray:
+    """Fill every reducible row of ``configs`` by the product rule over
+    its first interior renewal point pk,
+    c_N(m) = c_k(m_1..m_k) * c_{N-k}(m_{k+1}-pk, ..., m_N-pk), from the
+    tables ``smaller`` of 1..N-1 particles; return the reducible mask.
+
+    A part absent from its table has coefficient 0.  The tables'
+    largest coefficients bound every product, and a bound past int64
+    raises :class:`~laughlin.lattice.CapExceeded`.
+    """
+    hits = configs[:, :-1].cumsum(axis=1) == staircase(p, np.arange(1, N))
+    reducible = hits.any(axis=1)
+    first = hits.argmax(axis=1) + 1
+    biggest = [max(map(abs, t.coeffs.values())) for t in smaller]
+    for k in np.unique(first[reducible]).tolist():
+        bound = biggest[k - 1] * biggest[N - k - 1]
+        if bound >= _INT64_LIMIT:
+            raise CapExceeded(f"product-rule coefficients of p={p}, N={N} "
+                              f"could reach {bound}, past the int64 range")
+        rows = np.flatnonzero(reducible & (first == k))
+        left = _lookup(smaller[k - 1], configs[rows, :k])
+        right = _lookup(smaller[N - k - 1], configs[rows, k:] - p * k)
+        coeffs[rows] = left * right
+    return reducible
+
+
+def _lookup(table: CoefficientTable, parts: np.ndarray) -> np.ndarray:
+    """The int64 coefficient of each row of ``parts`` in ``table``, 0
+    where the table has no such key."""
+    keys = table.configs
+    _, first, inverse = np.unique(np.vstack([keys, parts]), axis=0,
+                                  return_index=True, return_inverse=True)
+    pos = first[inverse.ravel()[len(keys):]]
+    values = np.fromiter(table.coeffs.values(), dtype=np.int64,
+                         count=len(table))
+    found = pos < len(keys)
+    return np.where(found, values[np.where(found, pos, 0)], 0)
+
+
+def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
+             sizes: dict | None = None) -> dict[tuple[int, ...], int]:
     """Nonzero coefficients of one table by the squeezing recursion.
 
     The admissible configurations come from the lattice search under
-    the dominance floor; the caller checks the cap on N.  Every
-    configuration of one Sigma m^2 level squeezes out of higher
-    levels only, so the levels are visited from the root down and each
-    is one array pass over all its unsqueezes.  A configuration is
-    found by its packed key: the negated mixed-radix number of its
+    the dominance floor; the caller checks the cap on N.  Given the
+    tables ``smaller`` of 1..N-1 particles, every reducible row takes
+    its coefficient from the product rule first (see :func:`_products`),
+    and only the irreducible rows are squeezed; without them every row
+    is.  Every configuration of one Sigma m^2 level squeezes out of
+    higher levels only, so the levels are visited from the root down
+    and each is one array pass over all its unsqueezes.  A configuration
+    is found by its packed key: the negated mixed-radix number of its
     occupations, site 0 most significant, each site's radix one more
     than its largest occupation among the admissible configurations
     (the last two sites carry no digit).  Keys increase along the
@@ -198,15 +258,22 @@ def _squeeze(p: int, N: int, *, sizes: dict | None = None
     shifts a key by four site weights.  Every sum stays below
     ``_INT64_LIMIT`` by a bound checked per level, and the division by
     the eigenvalue gap is exact.  ``sizes``, if given, receives the
-    number of ``levels`` and of ``candidates`` looked up.
+    number of ``levels``, of ``candidates`` looked up and of reducible
+    rows ``filled`` by the product rule.
     """
     fermionic = p % 2 == 1
     B = -p if fermionic else 1 - p
     mmax = p * (N - 1)
     sites = mmax + 1
-    admissible = configurations(N, sites, staircase(p, N), fermionic, floor=p)
-    configs = np.array(admissible, dtype=np.int64)
+    configs = configurations(N, sites, staircase(p, N), fermionic, floor=p)
     count = len(configs)
+    coeffs = np.zeros(count, dtype=np.int64)
+    filled = np.zeros(count, dtype=bool)
+    if smaller:
+        if [(t.p, t.N) for t in smaller] != [(p, n) for n in range(1, N)]:
+            raise ConfigError(f"the smaller tables of p={p}, N={N} must "
+                              f"be those of 1..{N - 1} particles")
+        filled = _products(p, N, configs, smaller, coeffs)
     occ = occupation_rows(configs, sites)
     limit = occ.max(axis=0)
     # Particle number and total momentum, common to every configuration,
@@ -227,11 +294,13 @@ def _squeeze(p: int, N: int, *, sizes: dict | None = None
     order = np.argsort(-squares, kind="stable")
     levels = np.split(order, np.flatnonzero(np.diff(squares[order])) + 1)
     root = levels[0][0]
-    coeffs = np.zeros(count, dtype=np.int64)
     coeffs[root] = 1
     I, J = np.triu_indices(N, 1)
     looked_up = 0
     for rows in levels[1:]:
+        rows = rows[~filled[rows]]
+        if not rows.size:
+            continue
         # Unsqueeze each pair (vi, vj) to (b, s - b), b < vi <= vj < s - b.
         vi, vj = configs[rows][:, I].ravel(), configs[rows][:, J].ravel()
         s = vi + vj
@@ -271,38 +340,50 @@ def _squeeze(p: int, N: int, *, sizes: dict | None = None
         np.add.at(total, local, w * coeffs[pos])
         c, rem = np.divmod(B * total, two_d[root] - two_d[rows])
         if rem.any():
-            nu = admissible[rows[np.flatnonzero(rem)[0]]]
+            nu = tuple(configs[rows[np.flatnonzero(rem)[0]]].tolist())
             raise AssertionError(f"non-integer coefficient at {nu}")
         coeffs[rows] = c
     if sizes is not None:
-        sizes.update(levels=len(levels), candidates=looked_up)
+        sizes.update(levels=len(levels), candidates=looked_up,
+                     filled=int(filled.sum()))
     nonzero = np.flatnonzero(coeffs)
     # lexicographic order, the order load_cache reads a table back in
-    return {admissible[i]: c
-            for i, c in zip(nonzero.tolist(), coeffs[nonzero].tolist())}
+    return dict(zip(config_tuples(configs[nonzero]), coeffs[nonzero].tolist()))
 
 
 def expand_all(p: int, N: int, cap: int | None = None) -> list[CoefficientTable]:
     """Coefficient tables for 1..N particles, each in lexicographic order."""
     check_cap(p, N, cap)
-    return [CoefficientTable(p, n, _squeeze(p, n))
-            for n in range(1, N + 1)]
+    tables: list[CoefficientTable] = []
+    for n in range(1, N + 1):
+        tables.append(CoefficientTable(p, n, _squeeze(p, n, smaller=tables)))
+    return tables
 
 
 def expand(p: int, N: int, cache_dir: str | None = None,
-           cap: int | None = None, sizes: dict | None = None
-           ) -> CoefficientTable:
+           cap: int | None = None, sizes: dict | None = None,
+           smaller: list[CoefficientTable] | None = None) -> CoefficientTable:
     """Exact integer coefficient table for (p, N), with optional disk cache.
 
-    ``sizes``, if given, receives the sizes of the squeezing pass when
-    the table is computed rather than read from the cache.
+    A table that is computed takes its reducible rows from the tables
+    of 1..N-1 particles: ``smaller`` where the caller holds them, else
+    the cached ones where the cache has them all; with neither, every
+    row is squeezed.  ``sizes``, if given, receives the sizes of the
+    squeezing pass when the table is computed rather than read from
+    the cache.
     """
     if cache_dir is not None:
         path = cache_path(cache_dir, p, N)
         if os.path.exists(path):
             return load_cache(path, expected_p=p, expected_N=N)
     check_cap(p, N, cap)
-    table = CoefficientTable(p, N, _squeeze(p, N, sizes=sizes))
+    if smaller is None and cache_dir is not None:
+        paths = [cache_path(cache_dir, p, n) for n in range(1, N)]
+        if all(map(os.path.exists, paths)):
+            smaller = [load_cache(path, expected_p=p, expected_N=n)
+                       for n, path in enumerate(paths, start=1)]
+    table = CoefficientTable(p, N, _squeeze(p, N, smaller=smaller,
+                                            sizes=sizes))
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         save_cache(table, cache_path(cache_dir, p, N))
@@ -463,14 +544,13 @@ def save_cache(table: CoefficientTable, path: str) -> None:
     ``m_1,...,m_N:<integer>`` line per key in lexicographic order, and a
     trailing ``checksum=<hex>`` over all preceding bytes.
     """
-    digest = hashlib.sha256()
-    lines = [f"{_CACHE_MAGIC} p={table.p} N={table.N} count={len(table.coeffs)}\n"]
-    for m in sorted(table.coeffs):
-        lines.append(",".join(str(v) for v in m) + f":{table.coeffs[m]}\n")
-    for line in lines:
-        digest.update(line.encode())
-    lines.append(f"checksum={digest.hexdigest()}\n")
-    write_atomic(path, "".join(lines).encode())
+    row = ",".join(["%d"] * table.N) + ":%d\n"
+    coeffs = table.coeffs
+    data = (f"{_CACHE_MAGIC} p={table.p} N={table.N} count={len(table)}\n"
+            + "".join([row % (*m, coeffs[m]) for m in sorted(coeffs)])
+            ).encode()
+    write_atomic(path, data + b"checksum=%s\n"
+                 % hashlib.sha256(data).hexdigest().encode())
 
 
 def write_atomic(path: str, data: bytes) -> None:

@@ -5,7 +5,7 @@ polynomials; the full interaction is assembled both as a sum over
 momentum-conserving quadruples and as a sum of bond operators B_s*B_s
 over half-integer bond centers (iterated as integer doubled centers).
 
-A momentum sector is enumerated directly, by the depth-first search of
+A momentum sector is enumerated directly, by the array search of
 :func:`~laughlin.lattice.configurations` that also lists the admissible
 configurations of the expansion, so its cap counts the sector and not
 the whole layer: the ground sector of p=3, N=8 has 8,512 states in a
@@ -43,8 +43,9 @@ from scipy import sparse
 from scipy.special import eval_hermite
 
 from .expansion import AmplitudeTable, amplitudes, expand
-from .lattice import (CapExceeded, ConfigError, ModelParams, configurations,
-                      find_keys, occupation_rows, total_momentum)
+from .lattice import (CapExceeded, ConfigError, ModelParams, config_tuples,
+                      configurations, find_keys, occupation_rows,
+                      total_momentum)
 
 DEFAULT_SECTOR_CAP = 200_000
 
@@ -172,8 +173,8 @@ def sector_basis(params: ModelParams, momentum: int | None = None,
     sites = p * (N - 1) + 1
     _key_base(p, N, sites)  # refuse a basis its keys cannot pack
     if momentum is not None:
-        configs = configurations(N, sites, momentum, params.fermionic,
-                                 limit=cap)
+        configs = config_tuples(configurations(N, sites, momentum,
+                                               params.fermionic, limit=cap))
     else:
         if params.fermionic:
             count = math.comb(sites, N)

@@ -7,7 +7,7 @@ orbital indices), occupation configurations (per-site particle counts),
 the dominance/admissibility condition, renewal points of a configuration,
 and partitions of the site block {0, ..., pN-1} into rods of length p*n.
 
-One depth-first search, :func:`configurations`, lists the configurations
+One search, :func:`configurations`, lists the configurations
 of a fixed orbital sum in lexicographic order: a momentum sector of the
 parent Hamiltonian or, under the dominance floor, the admissible set.
 
@@ -41,7 +41,7 @@ class CapExceeded(RuntimeError):
 #: Default particle-number caps for exact enumeration, keyed by p.
 #: Anything above these is refused unless the caller raises the cap
 #: explicitly; coefficient growth and configuration counts blow up fast.
-DEFAULT_N_CAP = {1: 10, 2: 10, 3: 8}
+DEFAULT_N_CAP = {1: 10, 2: 10, 3: 10}
 
 
 def check_cap(p: int, N: int, cap: int | None = None) -> None:
@@ -214,40 +214,49 @@ def translate_config(m: tuple[int, ...], p: int, shift: int) -> tuple[int, ...]:
 
 
 def configurations(N: int, sites: int, total: int, fermionic: bool,
-                   floor: int = 0, limit: int | None = None
-                   ) -> list[tuple[int, ...]]:
+                   floor: int = 0, limit: int | None = None) -> np.ndarray:
     """The N-particle configurations on orbitals 0..sites-1 with orbital
-    sum ``total``, in lexicographic order.
+    sum ``total``, in lexicographic order, as the rows of a (D, N) int64
+    array.
 
-    Tuples increase strictly for fermions and weakly for bosons, and
-    their first k entries sum to at least staircase(floor, k) for every
-    k: ``floor=p`` is the dominance condition of :func:`is_admissible`,
-    ``floor=0`` leaves a whole momentum sector.  A depth-first search
-    that gives each entry only the values from which the particles
-    still to place can reach ``total``.  Raises :class:`CapExceeded` as
-    soon as it finds more than ``limit`` configurations.
+    Rows increase strictly for fermions and weakly for bosons, and their
+    first k entries sum to at least staircase(floor, k) for every k:
+    ``floor=p`` is the dominance condition of :func:`is_admissible`,
+    ``floor=0`` leaves a whole momentum sector.  The search extends all
+    prefixes of one length at once, giving each prefix the values of its
+    next entry, in increasing order, from which the particles still to
+    place can reach ``total``; so the rows come out in lexicographic
+    order.  Without a floor every prefix completes, so the search raises
+    :class:`CapExceeded` as soon as more than ``limit`` prefixes of one
+    length exist, before it builds the sector.
     """
     step = 1 if fermionic else 0
-    out: list[tuple[int, ...]] = []
-
-    def place(prefix: tuple[int, ...], lo: int, s: int):
-        k = len(prefix) + 1        # the entry v placed here is the k-th
+    s = lo = np.zeros(1, dtype=np.int64)  # partial sum, least next entry
+    values, parents = [], []
+    for k in range(1, N + 1):              # place the k-th entry v
         r = N - k
         # The r entries after v lie in v + step .. sites - 1, strictly
         # apart for fermions; v must leave them a sum they can reach.
-        first = max(lo, staircase(floor, k) - s,
-                    total - s - r * (sites - 1) + step * r * (r - 1) // 2)
-        last = min(sites - 1, (total - s - step * r * (r + 1) // 2) // (r + 1))
-        for v in range(first, last + 1):
-            if r:
-                place(prefix + (v,), v + step, s + v)
-                continue
-            out.append(prefix + (v,))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} configurations of {N} "
-                                  f"particles with orbital sum {total}")
-
-    place((), 0, 0)
+        first = np.maximum(
+            np.maximum(lo, staircase(floor, k) - s),
+            total - s - r * (sites - 1) + step * r * (r - 1) // 2)
+        last = np.minimum(sites - 1,
+                          (total - s - step * r * (r + 1) // 2) // (r + 1))
+        span = np.maximum(last - first + 1, 0)
+        parent = np.repeat(np.arange(span.size), span)
+        v = first[parent] + (np.arange(parent.size)
+                             - (np.cumsum(span) - span)[parent])
+        if limit is not None and v.size > limit and (floor == 0 or r == 0):
+            raise CapExceeded(f"more than {limit} configurations of {N} "
+                              f"particles with orbital sum {total}")
+        values.append(v)
+        parents.append(parent)
+        s, lo = s[parent] + v, v + step
+    out = np.empty((values[-1].size, N), dtype=np.int64)
+    row = np.arange(values[-1].size)
+    for k in range(N - 1, -1, -1):
+        out[:, k] = values[k][row]
+        row = parents[k][row]
     return out
 
 
@@ -257,8 +266,13 @@ def enumerate_admissible(p: int, N: int, cap: int | None = None
     the ground momentum sector under the dominance floor, for N within
     the cap of :func:`check_cap`."""
     check_cap(p, N, cap)
-    return configurations(N, p * (N - 1) + 1, staircase(p, N), p % 2 == 1,
-                          floor=p)
+    return config_tuples(configurations(N, p * (N - 1) + 1, staircase(p, N),
+                                        p % 2 == 1, floor=p))
+
+
+def config_tuples(configs: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a (D, N) configuration array as tuples."""
+    return list(zip(*configs.T.tolist()))
 
 
 def occupation_rows(configs: np.ndarray, num_sites: int) -> np.ndarray:

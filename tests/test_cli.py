@@ -17,7 +17,7 @@ import pytest
 
 from laughlin import cli, hamiltonian, plasma
 from laughlin.expansion import amplitudes, expand_all
-from laughlin.lattice import enumerate_admissible
+from laughlin.lattice import enumerate_admissible, renewal_points
 from laughlin.correlations import occupation_finite, occupation_infinite, \
     rod_expectations
 from laughlin.renewal import build_model
@@ -70,6 +70,10 @@ def test_expand_writes_cache_and_summary(dirs):
         assert stage["levels"] == len({sum(v * v for v in m)
                                        for m in configs})
         assert (stage["candidates"] > 0) == (table.N > 1)
+        # every reducible row comes from the product rule, every
+        # irreducible one from the squeezing recursion
+        irreducible = sum(len(renewal_points(m, 3)) == 2 for m in configs)
+        assert stage["filled"] + irreducible == len(configs)
         assert stage["max_coeff_bits"] == \
             max(abs(c) for c in table.coeffs.values()).bit_length()
 

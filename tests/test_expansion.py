@@ -15,7 +15,7 @@ from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 verify_product_rule)
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
                               config_to_occupation, enumerate_admissible,
-                              is_admissible)
+                              is_admissible, renewal_points)
 
 
 def test_two_particle_tables_by_hand():
@@ -118,15 +118,15 @@ def test_amplitudes_bad_gamma():
 
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
-        expand_all(3, 9)
+        expand_all(3, 11)
     with pytest.raises(CapExceeded):
         expand(2, 11)
     with pytest.raises(CapExceeded):
-        check_cap(3, 9)
-    check_cap(3, 9, cap=12)
+        check_cap(3, 11)
+    check_cap(3, 11, cap=12)
 
 
-def test_expand_computes_one_table(monkeypatch):
+def test_expand_computes_one_table(monkeypatch, tmp_path):
     calls = []
     squeeze = expansion._squeeze
 
@@ -135,8 +135,22 @@ def test_expand_computes_one_table(monkeypatch):
         return squeeze(p, N, **kwargs)
 
     monkeypatch.setattr(expansion, "_squeeze", counting)
-    table = expand(3, 6)
+    alone = {}
+    table = expand(3, 6, sizes=alone)
     assert calls == [6]
+    assert alone["filled"] == 0
+    # With the smaller tables in the cache, the product rule fills the
+    # reducible rows of the one table computed.
+    for smaller in expand_all(3, 5):
+        save_cache(smaller, cache_path(str(tmp_path), 3, smaller.N))
+    calls.clear()
+    cached = {}
+    assert expand(3, 6, cache_dir=str(tmp_path), sizes=cached).coeffs == \
+        table.coeffs
+    assert calls == [6]
+    reducible = sum(len(renewal_points(m, 3)) > 2
+                    for m in enumerate_admissible(3, 6))
+    assert cached["filled"] == reducible > 0
     assert table.coeffs == expand_all(3, 6)[-1].coeffs
 
 
@@ -150,6 +164,20 @@ def test_int64_bound_raises_cap(monkeypatch, tmp_path, limit, what):
     assert os.listdir(tmp_path) == []
     with pytest.raises(CapExceeded):
         expand_all(3, 6)
+
+
+def test_product_bound_raises_cap(monkeypatch, tmp_path):
+    # At p=3, N=6 the largest coefficients of the tables of 1..5
+    # particles multiply to at most 945 (10 bits), while the keys need
+    # 14 bits and the squeezing sums over 20.
+    smaller = expand_all(3, 5)
+    monkeypatch.setattr(expansion, "_INT64_LIMIT", 2 ** 9)
+    with pytest.raises(CapExceeded,
+                       match="product-rule coefficients of p=3, N=6"):
+        expand(3, 6, cache_dir=str(tmp_path), smaller=smaller)
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ConfigError, match="those of 1..5 particles"):
+        expand(3, 6, smaller=smaller[:4])
 
 
 def test_carrying_unsqueeze_never_looked_up(monkeypatch):

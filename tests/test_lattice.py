@@ -1,11 +1,14 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laughlin.lattice import (CapExceeded, ConfigError, ModelParams,
                               RodPartition, config_to_occupation,
-                              enumerate_admissible, enumerate_partitions,
-                              is_admissible, is_canonical,
+                              configurations, enumerate_admissible,
+                              enumerate_partitions, is_admissible,
+                              is_canonical,
                               occupation_to_config, partition_of,
                               renewal_points, staircase, translate_config,
                               total_momentum)
@@ -49,6 +52,23 @@ def test_admissible_p3_n3_by_hand():
     assert not is_admissible((0, 2, 7), 3)   # second partial sum too small
     assert not is_admissible((0, 4, 6), 3)   # wrong total
     assert not is_admissible((-1, 4, 6), 3)  # negative orbital
+
+
+def test_configurations_limit_raises_before_building_the_sector():
+    # Without a floor every prefix completes, so the search stops at the
+    # first length with more than `limit` prefixes instead of building
+    # the 81,805 rows (5.2 MB) of this bosonic sector.
+    full = configurations(8, 22, 84, False)
+    assert len(full) == 81805
+    assert len(configurations(8, 22, 84, False, limit=81805)) == 81805
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="more than 100 configurations"):
+            configurations(8, 22, 84, False, limit=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full.nbytes / 20
 
 
 def test_is_admissible_requires_sorted():
