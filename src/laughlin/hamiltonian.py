@@ -24,8 +24,8 @@ states, the monomer-dimer Hamiltonian and the nearest/next-nearest
 repulsion whose kernel is the one-particle-every-three-sites state,
 plus the ground-state perturbation series seeded by the latter.
 
-Operator convention: a basis label is the sorted orbital tuple m, and
-|m> carries the creation operators in ascending orbital order.  In
+Operator convention: a basis label m is a row of ascending orbitals,
+and |m> carries the creation operators in ascending orbital order.  In
 operator strings the rightmost factor acts first; fermionic signs
 count occupied orbitals below the acted site.
 """
@@ -36,16 +36,14 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 from scipy import sparse
 from scipy.special import eval_hermite
 
 from .expansion import AmplitudeTable, amplitudes, expand
-from .lattice import (CapExceeded, ConfigError, ModelParams, config_tuples,
-                      configurations, find_keys, occupation_rows,
-                      total_momentum)
+from .lattice import (CapExceeded, ConfigError, ModelParams, configurations,
+                      find_keys, occupation_rows, total_momentum)
 
 DEFAULT_SECTOR_CAP = 200_000
 
@@ -101,14 +99,14 @@ def _key_base(p: int, N: int, num_sites: int) -> int:
     return base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Deterministically ordered N-particle configurations on a lattice.
 
-    Labels are sorted orbital tuples in lexicographic order, optionally
-    restricted to one total-momentum sector.  Like the columns of a
-    coefficient table, the arrays are computed on first use, row i for
-    the i-th label:
+    ``configs`` holds the labels, rows of ascending orbitals in
+    lexicographic order, as a (D, N) int64 array, optionally restricted
+    to one total-momentum sector.  Like the columns of a coefficient
+    table, the further arrays are computed on first use, row i for label i:
 
     * ``occupations``: the occupation numbers of every site, (D, sites) int8;
     * ``keys``: each occupation row packed into one int64, the negated
@@ -124,7 +122,7 @@ class SectorBasis:
     N: int
     num_sites: int
     momentum: int | None
-    configs: tuple[tuple[int, ...], ...]
+    configs: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -139,8 +137,7 @@ class SectorBasis:
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        configs = np.array(self.configs, dtype=np.int64)
-        return occupation_rows(configs, self.num_sites)
+        return occupation_rows(self.configs, self.num_sites)
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -167,28 +164,27 @@ def sector_basis(params: ModelParams, momentum: int | None = None,
     """Enumerate the N-particle layer on {0..p(N-1)}, or one momentum sector.
 
     A momentum sector is enumerated directly, and the cap applies to its
-    own dimension; the whole layer is capped before it is enumerated.
+    own dimension; the whole layer is capped before it is enumerated, as
+    every momentum sector in turn, then sorted lexicographically.
     """
-    p, N = params.p, params.N
+    p, N, fermionic = params.p, params.N, params.fermionic
     sites = p * (N - 1) + 1
     _key_base(p, N, sites)  # refuse a basis its keys cannot pack
     if momentum is not None:
-        configs = config_tuples(configurations(N, sites, momentum,
-                                               params.fermionic, limit=cap))
+        configs = configurations(N, sites, momentum, fermionic, limit=cap)
     else:
-        if params.fermionic:
-            count = math.comb(sites, N)
-            pool = combinations(range(sites), N)
-        else:
-            count = math.comb(sites + N - 1, N)
-            pool = combinations_with_replacement(range(sites), N)
+        count = math.comb(sites if fermionic else sites + N - 1, N)
         if count > cap:
             raise CapExceeded(f"layer dimension {count} exceeds cap {cap}")
-        configs = list(pool)
-    if not configs:
+        low = N * (N - 1) // 2 if fermionic else 0  # least orbital sum
+        configs = np.concatenate([
+            configurations(N, sites, total, fermionic)
+            for total in range(low, N * (sites - 1) - low + 1)])
+        configs = configs[np.lexsort(configs.T[::-1])]
+    if not len(configs):
         raise ConfigError("empty sector")
     return SectorBasis(p=p, N=N, num_sites=sites, momentum=momentum,
-                       configs=tuple(configs))
+                       configs=configs)
 
 
 # -- sparse assembly --------------------------------------------------------------
@@ -383,7 +379,7 @@ def build_H(params: ModelParams, basis: SectorBasis | None = None,
 # eigenvalues of the p=3, N=8 ground sector do not converge in 600
 # restarts; with 41 they take 0.9 s.
 _NCV = 41
-_KERNEL_COUNT = 40  # lowest eigenvalues ground_check examines
+KERNEL_COUNT = 40  # lowest eigenvalues ground_check examines
 _KERNEL_CUT = 1e-10  # its kernel cut at unit scale
 
 
@@ -422,17 +418,24 @@ class GroundReport:
     min_eigenvalue: float
 
 
-def ground_check(H, psi: np.ndarray) -> GroundReport:
+def ground_check(H, psi: np.ndarray, eigenvalues: np.ndarray | None = None
+                 ) -> GroundReport:
     """Relative residual |H psi| / |psi| and the kernel dimension: how
     many of the lowest 40 eigenvalues lie within max(1e-10, 1e-12 scale)
-    of zero, scale the largest of their magnitudes and 1."""
-    H = sparse.csr_matrix(H)
+    of zero, scale the largest of their magnitudes and 1.  They are
+    solved for here unless passed, ascending, as ``eigenvalues``."""
     psi = np.asarray(psi, dtype=float)
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ConfigError("zero vector has no residual")
     residual = float(np.linalg.norm(H @ psi) / norm)
-    vals = spectrum(H, count=_KERNEL_COUNT)
+    count = min(KERNEL_COUNT, H.shape[0])
+    if eigenvalues is None:
+        eigenvalues = spectrum(H, count=count)
+    if len(eigenvalues) < count:
+        raise ConfigError(f"the kernel check needs the lowest {count} "
+                          f"eigenvalues, got {len(eigenvalues)}")
+    vals = np.asarray(eigenvalues)[:count]
     scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
     cut = max(_KERNEL_CUT, 1e-12 * scale)
     kernel = int(np.sum(np.abs(vals) <= cut))
@@ -547,8 +550,7 @@ def build_HTT(params: ModelParams, basis: SectorBasis | None = None
 def tao_thouless(params: ModelParams, basis: SectorBasis) -> np.ndarray:
     """The one-particle-every-three-sites occupation state as a vector."""
     _require_p3(params)
-    root = tuple(3 * k for k in range(params.N))
-    return basis.vector([root], [1.0])
+    return basis.vector([params.root_config], [1.0])
 
 
 @dataclass(frozen=True)
@@ -565,8 +567,7 @@ class PerturbationReport:
 
 def perturbation_series(params: ModelParams, order: int,
                         amp: AmplitudeTable | None = None,
-                        cache_dir=None, build: HBuild | None = None
-                        ) -> PerturbationReport:
+                        build: HBuild | None = None) -> PerturbationReport:
     """Partial sums of the zero-energy perturbation series around the
     one-particle-per-rod state, with per-order distances to the exact
     ground state.
@@ -585,15 +586,13 @@ def perturbation_series(params: ModelParams, order: int,
         raise ConfigError("order must be nonnegative")
     ground = total_momentum(params.p, params.N)
     if build is None:
-        basis = sector_basis(params, momentum=ground)
-    else:
-        basis = build.basis
+        build = build_H(params, basis=sector_basis(params, momentum=ground))
+    basis = build.basis
     if (basis.p, basis.N, basis.momentum) != (params.p, params.N, ground):
         raise ConfigError("perturbation series needs the ground momentum "
                           f"sector {ground} of p={params.p}, N={params.N}")
     if amp is None:
-        amp = amplitudes(expand(params.p, params.N, cache_dir=cache_dir),
-                         params.gamma)
+        amp = amplitudes(expand(params.p, params.N), params.gamma)
     exact = exact_vector(basis, amp)
 
     seed = tao_thouless(params, basis)
@@ -604,8 +603,6 @@ def perturbation_series(params: ModelParams, order: int,
     if np.any(energies[others] <= 1e-14):
         raise ConfigError("degenerate truncated diagonal; series undefined")
 
-    if build is None:
-        build = build_H(params, basis=basis)
     Hfull = build.H / (16.0 * params.gamma ** 2)
     V = Hfull - sparse.diags(energies).tocsr()
 
@@ -613,12 +610,9 @@ def perturbation_series(params: ModelParams, order: int,
     partial = seed.copy()
     distances = [float(np.linalg.norm(partial - exact))]
     for _ in range(order):
-        w = V @ term
-        w[i_seed] = 0.0
-        w[others] /= energies[others]
-        w = -w
-        w[i_seed] = 0.0
-        term = w
+        term = V @ term
+        term[i_seed] = 0.0
+        term[others] /= -energies[others]
         partial = partial + term
         distances.append(float(np.linalg.norm(partial - exact)))
     return PerturbationReport(distances=tuple(distances), vector=partial,

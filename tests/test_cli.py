@@ -204,6 +204,47 @@ def test_ham_report(dirs, tmp_path):
         assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("flags, count", [
+    (["--spectrum", "2", "--check-ground-state"], 40),
+    (["--spectrum", "45", "--check-ground-state"], 45),
+    (["--spectrum", "3"], 3),
+    (["--check-ground-state"], 40),
+])
+def test_ham_solves_once(dirs, monkeypatch, flags, count):
+    """The spectrum and the kernel check share one eigensolve of H, with
+    at least the 40 values the check reads (dim 338, so ARPACK runs),
+    seeded by --seed."""
+    cache, out = dirs
+    calls = []
+    spectrum = hamiltonian.spectrum
+
+    def counting(H, count=6, **kwargs):
+        calls.append((count, kwargs.get("seed")))
+        return spectrum(H, count=count, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "spectrum", counting)
+    assert run_cli("ham", "--p", "3", "--N", "6", *flags, "--seed", "3",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert calls == [(count, 3)]
+    doc = read_json(os.path.join(out, "ham.json"))
+    assert doc["dim"] == 338
+    stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
+    solve = [s for s in stages if s["name"] == "spectrum"]
+    assert [s["count"] for s in solve] == [count]
+    if "--spectrum" in flags:
+        assert len(doc["spectrum"]) == int(flags[1])
+        assert doc["spectrum"][0] == pytest.approx(0.0, abs=1e-10)
+    else:
+        assert "spectrum" not in doc
+    if "--check-ground-state" in flags:
+        ground = doc["ground_state"]
+        assert ground["kernel_dim"] == 1 and ground["passed"] is True
+        if "spectrum" in doc:
+            assert ground["min_eigenvalue"] == doc["spectrum"][0]
+    else:
+        assert "ground_state" not in doc
+
+
 def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
     cache, out = dirs
     calls = []
@@ -223,6 +264,11 @@ def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
     assert doc["monomer_dimer"]["num_terms"] == 3
     dists = doc["perturbation"]["distances"]
     assert len(dists) == 3 and doc["perturbation"]["decreasing"] is True
+    stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
+    assert [s["name"] for s in stages] == [
+        "sector", "pair_assembly", "bond_assembly", "monomer_dimer",
+        "perturbation"]
+    assert stages[3]["dim"] == doc["dim"] and stages[3]["num_terms"] == 3
 
 
 def test_ham_monomer_dimer_in_ground_sector(dirs):

@@ -22,7 +22,8 @@ from laughlin.hamiltonian import (
     tao_thouless,
     tt_energies,
 )
-from laughlin.lattice import CapExceeded, ConfigError, ModelParams, total_momentum
+from laughlin.lattice import (CapExceeded, ConfigError, ModelParams,
+                              config_tuples, total_momentum)
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +80,9 @@ def test_sector_basis_layer_counts():
 
 def test_sector_basis_momentum_block():
     basis = sector_basis(ModelParams(3, 2, 1.0), momentum=3)
-    assert basis.configs == ((0, 3), (1, 2))
-    assert list(basis.configs) == sorted(basis.configs)
+    rows = config_tuples(basis.configs)
+    assert rows == [(0, 3), (1, 2)]
+    assert rows == sorted(rows)
 
 
 def test_sector_basis_guards():
@@ -201,6 +203,15 @@ def test_random_vector_is_not_ground(hbuild_p3_n3):
 def test_ground_check_rejects_zero(hbuild_p3_n3):
     with pytest.raises(ConfigError):
         ground_check(hbuild_p3_n3.H, np.zeros(hbuild_p3_n3.basis.dim))
+
+
+def test_ground_check_reads_given_eigenvalues(hbuild_p3_n3):
+    H = hbuild_p3_n3.H
+    v = np.random.default_rng(5).standard_normal(hbuild_p3_n3.basis.dim)
+    vals = np.linalg.eigvalsh(H.toarray())  # all 35 of them
+    assert ground_check(H, v, vals) == ground_check(H, v)
+    with pytest.raises(ConfigError, match="lowest 35 eigenvalues, got 34"):
+        ground_check(H, v, vals[:34])
 
 
 # -- eigensolver --------------------------------------------------------------------

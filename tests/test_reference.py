@@ -33,9 +33,9 @@ from laughlin.correlations import (_apply_string, occupation_finite,
                                    rod_expectations)
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import (ConfigError, ModelParams, config_to_occupation,
-                              enumerate_admissible, is_admissible,
-                              occupation_to_config, renewal_points,
-                              total_momentum)
+                              config_tuples, enumerate_admissible,
+                              is_admissible, occupation_to_config,
+                              renewal_points, total_momentum)
 from laughlin.moments import derive
 from laughlin.renewal import (build_model, irreducible_weights,
                               norms_from_tables)
@@ -299,9 +299,10 @@ def test_squeeze_matches_reference(p, n_max):
 
 def reference_operator(basis, terms, fermionic):
     """sum_t coeff_t c*...c*... c...c, one configuration and term at a time."""
-    index = {m: i for i, m in enumerate(basis.configs)}
+    configs = config_tuples(basis.configs)
+    index = {m: i for i, m in enumerate(configs)}
     rows, cols, vals = [], [], []
-    for col, m in enumerate(basis.configs):
+    for col, m in enumerate(configs):
         occ = config_to_occupation(m, basis.num_sites)
         for creation, annihilation, coeff in terms:
             out = _apply_string(list(occ), creation, annihilation, fermionic)
@@ -323,7 +324,7 @@ def reference_gram(basis, bonds, fermionic):
     out = sparse.csr_matrix((basis.dim, basis.dim))
     for terms in bonds:
         images = {}
-        for col, m in enumerate(basis.configs):
+        for col, m in enumerate(config_tuples(basis.configs)):
             occ = config_to_occupation(m, basis.num_sites)
             for (a, b), coeff in terms:
                 res = _apply_string(list(occ), (), (a, b), fermionic)
@@ -351,13 +352,19 @@ def reference_configs(params, momentum):
 
 @pytest.mark.parametrize("p, N", ((1, 6), (2, 5), (3, 5), (4, 4), (5, 4)))
 def test_sector_basis_matches_reference_in_every_sector(p, N):
+    def labels(basis):
+        assert basis.configs.dtype == np.int64
+        assert basis.configs.shape == (basis.dim, basis.N)
+        return tuple(config_tuples(basis.configs))
+
     for n in range(1, N + 1):
         params = ModelParams(p, n, 1.0)
         layer = reference_configs(params, None)
+        assert labels(hamiltonian.sector_basis(params)) == layer
         sums = [sum(m) for m in layer]
         for momentum in range(min(sums), max(sums) + 1):
             basis = hamiltonian.sector_basis(params, momentum=momentum)
-            assert basis.configs == tuple(
+            assert labels(basis) == tuple(
                 m for m, s in zip(layer, sums) if s == momentum)
         for momentum in (min(sums) - 1, max(sums) + 1):
             with pytest.raises(ConfigError):
@@ -374,7 +381,7 @@ def test_admissible_is_the_dominant_ground_sector(p, n_max):
 
 
 def reference_vector(basis, coeffs):
-    index = {m: i for i, m in enumerate(basis.configs)}
+    index = {m: i for i, m in enumerate(config_tuples(basis.configs))}
     v = np.zeros(basis.dim)
     for m, c in coeffs.items():
         v[index[tuple(sorted(m))]] = c
@@ -418,7 +425,8 @@ def test_build_H_matches_reference(p, n_layer, n_sector, variant,
             if momentum is None and N > n_layer:
                 continue
             basis = hamiltonian.sector_basis(params, momentum=momentum)
-            assert basis.configs == reference_configs(params, momentum)
+            assert tuple(config_tuples(basis.configs)) == \
+                reference_configs(params, momentum)
             bases.append((params, basis))
     got = [hamiltonian.build_H(params, basis=basis, variant=variant)
            for params, basis in bases]
