@@ -416,7 +416,7 @@ def cmd_ham(args) -> int:
     extra = {}
     if args.check_ground_state or args.perturbation_order is not None:
         tables, extra["cache"] = _load_tables(args.p, args.N, args.cache_dir,
-                                              cap=args.cap)
+                                              cap=args.cap, em=em)
         amp = expansion.amplitudes(tables[args.N - 1], args.gamma)
 
     if args.spectrum or args.check_ground_state:
@@ -485,6 +485,7 @@ def cmd_mcmc(args) -> int:
         run = plasma.metropolis_run(params, mc)
         sizes["chains"] = args.chains
         sizes["moves"] = run.moves
+        sizes["pilot_moves"] = run.pilot_moves
     pooled = run.pooled()
 
     run_info = {

@@ -10,11 +10,14 @@ Sampling uses single-particle proposals, Gaussian in x and
 uniform-wrapped in y, with widths tuned by short pilot runs.  Each
 chain keeps an N x N matrix of pair terms, so a move evaluates one new
 row of pairs (the old energy is a sum over the cached row) and an
-accepted move writes it into row and column i.  Every generator is
-drawn in a fixed order: the initial state, then per move one normal
-and two uniform numbers, so a seed fixes every sample.  Particle
-labels are never sorted while sampling; order statistics appear only
-in the excess measurement.
+accepted move writes it into row and column i.  The chains of a run
+advance in lockstep: one vectorised row evaluation serves the moves of
+particle i in every chain, and each chain then makes its own accept
+test.  Every generator is drawn in a fixed order: the initial state,
+then per move one normal and two uniform numbers, so a seed fixes every
+sample, however many chains run beside it.  Particle labels are never
+sorted while sampling; order statistics appear only in the excess
+measurement.
 """
 
 from __future__ import annotations
@@ -55,29 +58,41 @@ class PlasmaState:
     log_weight: float
 
 
-def _pair_row(x: float, y: float, xs: np.ndarray, ys: np.ndarray,
-              gamma: float) -> np.ndarray:
-    """The bracket of the pair form for a charge at (x, y) and each point
-    of (xs, ys), without the factor 2p.
+def _pair_factors(gamma: float) -> tuple[np.ndarray, ...]:
+    """-gamma, gamma / 2, gamma, 1/2 and 4 as 0-d arrays, the constants of
+    ``_pair_row``: a ufunc takes these without the conversion it makes of
+    a Python float on every call."""
+    return tuple(np.array(v) for v in (-gamma, 0.5 * gamma, gamma, 0.5, 4.0))
 
-    A coincident point gives -inf, with a divide warning unless the
-    caller ignores it.
+
+def _pair_row(x, y, xs: np.ndarray, ys: np.ndarray,
+              factors: tuple[np.ndarray, ...],
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The bracket of the pair form for a charge at (x, y) and each point
+    of (xs, ys), without the factor 2p; factors is ``_pair_factors(gamma)``.
+
+    x and y may be scalars, or (C, 1) columns against (C, N) points;
+    each element goes through the same ufuncs either way, so its bits do
+    not depend on the shape.  A coincident point gives -inf, with a
+    divide warning unless the caller ignores it.
     """
+    neg_g, half_g, g, half, four = factors
     dx = np.abs(x - xs)
-    decay = -gamma * dx
-    mod = np.expm1(decay) ** 2 \
-        + 4.0 * np.exp(decay) * np.sin(0.5 * gamma * (y - ys)) ** 2
-    return gamma * (0.5 * (x + xs + dx)) + 0.5 * np.log(mod)
+    decay = neg_g * dx
+    mod = np.square(np.expm1(decay)) \
+        + four * np.exp(decay) * np.square(np.sin(half_g * (y - ys)))
+    return np.add(g * (half * (x + xs + dx)), half * np.log(mod), out=out)
 
 
 def _pair_matrix(coords: np.ndarray, gamma: float) -> np.ndarray:
     """Symmetric N x N matrix of pair terms with a zero diagonal."""
     n = coords.shape[0]
     xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
+    factors = _pair_factors(gamma)
     pairs = np.zeros((n, n))
     with np.errstate(divide="ignore"):
         for i in range(1, n):
-            row = _pair_row(xs[i], ys[i], xs[:i], ys[:i], gamma)
+            row = _pair_row(xs[i], ys[i], xs[:i], ys[:i], factors)
             pairs[i, :i] = row
             pairs[:i, i] = row
     return pairs
@@ -92,62 +107,91 @@ def log_weight(state, params: ModelParams) -> float:
     return -float(np.sum(coords[:, 0] ** 2)) + params.p * float(np.sum(pairs))
 
 
-def initial_state(params: ModelParams, rng: np.random.Generator) -> PlasmaState:
+def _start_coordinates(params: ModelParams, rng: np.random.Generator
+                       ) -> np.ndarray:
     """Particles near the root-configuration positions, random y."""
     circ = 2.0 * math.pi / params.gamma
     coords = np.empty((params.N, 2))
     coords[:, 0] = params.p * params.gamma * np.arange(params.N) \
         + 0.05 * rng.standard_normal(params.N)
     coords[:, 1] = rng.uniform(0.0, circ, params.N)
+    return coords
+
+
+def initial_state(params: ModelParams, rng: np.random.Generator) -> PlasmaState:
+    """Particles near the root-configuration positions, random y."""
+    coords = _start_coordinates(params, rng)
     return PlasmaState(coords, log_weight(coords, params))
 
 
-def _run_chain(params: ModelParams, mc: McConfig, rng: np.random.Generator,
+def _run_chain(params: ModelParams, mc: McConfig, rngs,
                sigma: tuple[float, float], n_keep: int):
-    """One chain from a fresh initial state: (kept samples, acceptance, moves).
+    """One chain per generator in rngs, each from a fresh initial state,
+    advanced in lockstep: (kept samples of shape (C, n_keep, N, 2),
+    per-chain acceptances, moves of all chains).
 
-    The chain caches every pair term in a symmetric matrix, so the old
-    energy of particle i is a row sum and a move evaluates one new row.
-    An accepted move writes that row into row and column i.
+    Each chain caches every pair term in a symmetric matrix, so the old
+    energy of particle i is a row sum.  The proposals of all chains for
+    particle i are evaluated by one ``_pair_row`` call on (C, 1) against
+    (C, N) arrays, whose elements are those of C separate calls.  Each
+    chain then makes its own accept test and an accepted move writes its
+    row into row and column i of that chain's matrix.
     """
     g = params.gamma
     two_p = 2.0 * params.p
     circ = 2.0 * math.pi / g
-    coords = initial_state(params, rng).coordinates
-    xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
-    pairs = _pair_matrix(coords, g)
+    n, chains = params.N, len(rngs)
+    start = np.stack([_start_coordinates(params, rng) for rng in rngs])
+    xs, ys = start[:, :, 0].copy(), start[:, :, 1].copy()
+    pairs = np.stack([_pair_matrix(coords, g) for coords in start])
+    factors = _pair_factors(g)
+    # rows[c, 0] holds chain c's cached row i and rows[c, 1] its proposed
+    # row, so one reduction gives both energies of every chain
+    rows = np.empty((chains, 2, n))
+    cached, proposed = rows[:, 0], rows[:, 1]
+    x_new, y_new = np.empty(chains), np.empty(chains)
+    x_col, y_col = x_new[:, None], y_new[:, None]
     sx, sy = sigma
-    accepted = 0
-    kept = np.empty((n_keep, params.N, 2))
+    accepted = [0] * chains
+    kept = np.empty((chains, n_keep, n, 2))
     stored = 0
     total_sweeps = mc.burn_in + n_keep * mc.thinning
-    normal, uniform, row_sum = rng.standard_normal, rng.random, np.add.reduce
+    draws = [(c, rng.standard_normal, rng.random)
+             for c, rng in enumerate(rngs)]
+    row_sums = np.add.reduce
     # a proposal onto an occupied point has energy -inf and is rejected
     with np.errstate(divide="ignore"):
         for sweep in range(total_sweeps):
-            for i in range(params.N):
-                x, y = xs.item(i), ys.item(i)
-                e_old = -x * x + two_p * float(row_sum(pairs[i]))
-                # uniform(a, b) is a + (b - a) * random(), so these are the
-                # draws and values of standard_normal(), uniform(-1, 1) and
-                # uniform() without their argument handling
-                x_new = x + sx * normal()
-                y_new = (y + sy * (2.0 * uniform() - 1.0)) % circ
-                row = _pair_row(x_new, y_new, xs, ys, g)
-                row[i] = 0.0
-                e_new = -x_new * x_new + two_p * float(row_sum(row))
-                if math.log(1.0 - uniform()) < e_new - e_old:
-                    accepted += 1
-                    xs[i] = x_new
-                    ys[i] = y_new
-                    pairs[i] = row
-                    pairs[:, i] = row
+            for i in range(n):
+                steps = []
+                for c, normal, uniform in draws:
+                    # uniform(a, b) is a + (b - a) * random(), so these are
+                    # the draws and values of standard_normal(),
+                    # uniform(-1, 1) and uniform() without their argument
+                    # handling
+                    x = xs.item(c, i)
+                    x_new[c] = x_c = x + sx * normal()
+                    y_new[c] = (ys.item(c, i)
+                                + sy * (2.0 * uniform() - 1.0)) % circ
+                    steps.append((x, x_c, math.log(1.0 - uniform())))
+                cached[...] = pairs[:, i]
+                _pair_row(x_col, y_col, xs, ys, factors, out=proposed)
+                proposed[:, i] = 0.0
+                sums = row_sums(rows, axis=2).tolist()
+                for c, ((x, x_c, log_u), (s_old, s_new)) in enumerate(
+                        zip(steps, sums)):
+                    if log_u < (-x_c * x_c + two_p * s_new) \
+                            - (-x * x + two_p * s_old):
+                        accepted[c] += 1
+                        xs[c, i] = x_c
+                        ys[c, i] = y_new.item(c)
+                        pairs[c, i] = pairs[c, :, i] = proposed[c]
             if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
-                kept[stored, :, 0] = xs
-                kept[stored, :, 1] = ys
+                kept[:, stored, :, 0] = xs
+                kept[:, stored, :, 1] = ys
                 stored += 1
-    moves = total_sweeps * params.N
-    return kept[:stored], accepted / moves, moves
+    moves = total_sweeps * n
+    return kept[:, :stored], [a / moves for a in accepted], moves * chains
 
 
 def _tune_widths(params: ModelParams, mc: McConfig, rng: np.random.Generator
@@ -157,7 +201,7 @@ def _tune_widths(params: ModelParams, mc: McConfig, rng: np.random.Generator
     pilot = replace(mc, burn_in=50, thinning=1, tune=False)
     moves = 0
     for _ in range(8):
-        _, acc, n = _run_chain(params, pilot, rng, (sx, sy), 150)
+        _, (acc,), n = _run_chain(params, pilot, [rng], (sx, sy), 150)
         moves += n
         if acc < 0.30:
             sx *= 0.7
@@ -187,6 +231,8 @@ class McRun:
     rhat: float
     #: single-particle moves made, tuning pilots included
     moves: int
+    #: the tuning pilots' share of moves
+    pilot_moves: int
 
     @property
     def pathological(self) -> bool:
@@ -220,29 +266,26 @@ def _split_rhat(series: np.ndarray) -> float:
 def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
     """Sample |Psi|^2 with mc.chains independent chains.
 
-    Chains get independent generators spawned from the master seed, so
-    the result is reproducible given (seed, chains).  The number of
-    kept samples per chain is sweeps // thinning.
+    Chains get independent generators spawned from the master seed and
+    advance in lockstep after the tuning pilots, so the result is
+    reproducible given (seed, chains).  The number of kept samples per
+    chain is sweeps // thinning.
     """
     n_keep = mc.sweeps // mc.thinning
     if n_keep < 1:
         raise ConfigError("sweeps shorter than one thinning interval")
     seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains + 1)
-    sigma, moves = (mc.sigma_x, mc.sigma_y), 0
+    sigma, pilot_moves = (mc.sigma_x, mc.sigma_y), 0
     if mc.tune:
-        sigma, moves = _tune_widths(params, mc,
-                                    np.random.default_rng(seeds[-1]))
-    samples = np.empty((mc.chains, n_keep, params.N, 2))
-    accs = []
-    for c in range(mc.chains):
-        rng = np.random.default_rng(seeds[c])
-        samples[c], acc, n = _run_chain(params, mc, rng, sigma, n_keep)
-        accs.append(acc)
-        moves += n
+        sigma, pilot_moves = _tune_widths(params, mc,
+                                          np.random.default_rng(seeds[-1]))
+    rngs = [np.random.default_rng(seed) for seed in seeds[:-1]]
+    samples, accs, moves = _run_chain(params, mc, rngs, sigma, n_keep)
     rhat = _split_rhat(samples[:, :, :, 0].sum(axis=2))
     return McRun(params=params, config=mc, sigma=sigma, samples=samples,
                  acceptance=float(np.mean(accs)),
-                 chain_acceptance=tuple(accs), rhat=rhat, moves=moves)
+                 chain_acceptance=tuple(accs), rhat=rhat,
+                 moves=pilot_moves + moves, pilot_moves=pilot_moves)
 
 
 def batch_stderr(series: np.ndarray, nbatches: int = 50) -> float:
@@ -304,6 +347,22 @@ def measure_excess(samples: np.ndarray, xbars, params: ModelParams
                        p_zero_stderr=p_err, tail=tails)
 
 
+def _sample_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts of each row of values in the bins of edges, those that
+    np.histogram gives row by row: every bin is half-open but the last,
+    which holds its right edge, and values outside the edges are left out.
+    """
+    rows, nbins = values.shape[0], edges.size - 1
+    bins = np.searchsorted(edges, values, side="right")
+    bins -= 1
+    bins[values == edges[-1]] = nbins - 1
+    # values outside the edges go to an extra column, dropped at the end
+    bins[(bins < 0) | (bins >= nbins)] = nbins
+    bins += np.arange(0, rows * (nbins + 1), nbins + 1)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=rows * (nbins + 1))
+    return counts.reshape(rows, nbins + 1)[:, :nbins].copy()
+
+
 @dataclass
 class DensityEstimate:
     edges: np.ndarray
@@ -330,8 +389,7 @@ def density_histogram(samples: np.ndarray, bins: np.ndarray,
         raise ConfigError("bins must be increasing edges")
     nsamp = samples.shape[0]
     widths = np.diff(edges)
-    per_sample = np.stack([np.histogram(s[:, 0], bins=edges)[0]
-                           for s in samples])
+    per_sample = _sample_counts(samples[:, :, 0], edges)
     density = per_sample.mean(axis=0) / widths
     stderr = np.array([batch_stderr(per_sample[:, b]) for b in
                        range(widths.size)]) / widths
@@ -411,8 +469,7 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
     xs = samples[:, :, 0]
     inside = (xs >= lo) & (xs < hi)
     phase = np.where(inside, np.mod(xs, period), -1.0)
-    per_sample = np.stack([np.histogram(row[row >= 0], bins=edges)[0]
-                           for row in phase]).astype(float)
+    per_sample = _sample_counts(phase, edges).astype(float)
     totals = per_sample.sum(axis=1)
     if totals.sum() == 0:
         raise ConfigError("no samples fell inside the bulk window")

@@ -190,15 +190,21 @@ def test_ham_report(dirs, tmp_path):
     assert doc["ground_state"]["residual"] < 1e-12
 
     stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
+    # the empty cache makes ham compute tables 1 and 2
     assert [s["name"] for s in stages] == [
-        "sector", "pair_assembly", "bond_assembly", "spectrum",
-        "ground_check"]
+        "sector", "pair_assembly", "bond_assembly", "squeeze", "squeeze",
+        "spectrum", "ground_check"]
+    assert [s["N"] for s in stages[3:5]] == [1, 2]
     assert all(s["seconds"] >= 0.0 for s in stages)
     assert stages[0]["dim"] == 2
     assert stages[1]["nnz"] == stages[2]["nnz"] == 4
 
     out2 = str(tmp_path / "out2")
     assert run_cli(*argv, "--out-dir", out2) == 0
+    stages = read_json(os.path.join(out2, "ham_manifest.json"))["stages"]
+    assert [s["name"] for s in stages] == [
+        "sector", "pair_assembly", "bond_assembly", "spectrum",
+        "ground_check"]
     with open(os.path.join(out, "ham.json"), "rb") as fa, \
             open(os.path.join(out2, "ham.json"), "rb") as fb:
         assert fa.read() == fb.read()
@@ -266,9 +272,26 @@ def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
     assert len(dists) == 3 and doc["perturbation"]["decreasing"] is True
     stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
     assert [s["name"] for s in stages] == [
-        "sector", "pair_assembly", "bond_assembly", "monomer_dimer",
-        "perturbation"]
-    assert stages[3]["dim"] == doc["dim"] and stages[3]["num_terms"] == 3
+        "sector", "pair_assembly", "bond_assembly", "squeeze", "squeeze",
+        "squeeze", "monomer_dimer", "perturbation"]
+    assert stages[6]["dim"] == doc["dim"] and stages[6]["num_terms"] == 3
+
+
+def test_ham_records_each_computed_table(dirs):
+    """A table missing from the cache is computed as a squeeze stage."""
+    cache, out = dirs
+    assert run_cli("expand", "--p", "3", "--N", "5", "--cache-dir", cache,
+                   "--out-dir", out) == 0
+    os.remove(cli.expansion.cache_path(cache, 3, 4))
+    assert run_cli("ham", "--p", "3", "--N", "5", "--check-ground-state",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    manifest = read_json(os.path.join(out, "ham_manifest.json"))
+    assert manifest["cache"]["computed"] == [4]
+    assert manifest["cache"]["hits"] == [1, 2, 3, 5]
+    squeezed = [s for s in manifest["stages"] if s["name"] == "squeeze"]
+    assert [s["N"] for s in squeezed] == [4]
+    assert squeezed[0]["terms"] == len(expand_all(3, 4)[3])
+    assert os.path.exists(cli.expansion.cache_path(cache, 3, 4))
 
 
 def test_ham_monomer_dimer_in_ground_sector(dirs):
@@ -285,9 +308,10 @@ def counting_chains(monkeypatch):
     moves = []
     real = plasma._run_chain
 
-    def counted(params, mc, rng, sigma, n_keep):
-        moves.append((mc.burn_in + n_keep * mc.thinning) * params.N)
-        return real(params, mc, rng, sigma, n_keep)
+    def counted(params, mc, rngs, sigma, n_keep):
+        moves.extend([(mc.burn_in + n_keep * mc.thinning) * params.N]
+                     * len(rngs))
+        return real(params, mc, rngs, sigma, n_keep)
 
     monkeypatch.setattr(plasma, "_run_chain", counted)
     return moves
@@ -307,6 +331,9 @@ def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path, monkeypatch):
     assert all(s["seconds"] >= 0.0 for s in stages)
     assert stages[0]["chains"] == 2
     assert stages[0]["moves"] == sum(moves)
+    # every pilot before the two chains makes 50 + 150 sweeps
+    assert stages[0]["pilot_moves"] == sum(moves[:-2]) \
+        == 3 * 200 * (len(moves) - 2)
     assert run_cli(*argv, "--out-dir", out2) == 0
     for name in ("density.csv", "excess.csv"):
         with open(os.path.join(out, name), "rb") as fa, \

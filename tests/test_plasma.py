@@ -124,12 +124,39 @@ def test_proposal_onto_occupied_point_rejected(monkeypatch):
                         lambda **kw: entered.append(kw) or errstate(**kw))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kept, acc, moves = plasma._run_chain(params, mc, OntoNeighbourRng(3.0),
-                                             (1.0, 1.0), 40)
-    assert moves == 90 and acc == 0.0
-    assert np.array_equal(kept, np.tile([[0.0, 1.0], [3.0, 1.0]], (40, 1, 1)))
+        kept, accs, moves = plasma._run_chain(
+            params, mc, [OntoNeighbourRng(3.0)], (1.0, 1.0), 40)
+    assert moves == 90 and accs == [0.0]
+    assert np.array_equal(kept,
+                          np.tile([[0.0, 1.0], [3.0, 1.0]], (1, 40, 1, 1)))
     # a few entries per chain, none per move
     assert len(entered) <= 3
+
+
+@pytest.mark.parametrize("N", (2, 9))
+def test_lockstep_chains_match_single_chains(N):
+    """One call over C generators gives the bits of C one-generator calls,
+    also when one chain proposes onto an occupied point and the others
+    do not."""
+    params = ModelParams(3, N, 1.0)
+    mc = plasma.McConfig(sweeps=30, burn_in=7, thinning=3)
+
+    def generators():
+        middle = OntoNeighbourRng(3.0) if N == 2 \
+            else np.random.default_rng(3)
+        return [np.random.default_rng(1), middle, np.random.default_rng(2)]
+
+    kept, accs, moves = plasma._run_chain(params, mc, generators(),
+                                          (1.0, 0.9), 10)
+    singles = [plasma._run_chain(params, mc, [rng], (1.0, 0.9), 10)
+               for rng in generators()]
+    expect = np.concatenate([k for k, _, _ in singles])
+    assert kept.shape == expect.shape == (3, 10, N, 2)
+    assert np.array_equal(kept.view(np.uint64), expect.view(np.uint64))
+    assert accs == [a for _, (a,), _ in singles]
+    assert moves == sum(n for _, _, n in singles) == 3 * 37 * N
+    if N == 2:
+        assert accs[1] == 0.0 and 0.0 < accs[0] < 1.0
 
 
 def test_log_weight_shape_validation():
@@ -212,6 +239,21 @@ def test_density_histogram_normalization(run_p3_n4):
     assert mass == pytest.approx(params.N, abs=1e-12)
     with pytest.raises(ConfigError):
         plasma.density_histogram(run_p3_n4.pooled(), np.array([1.0]), params)
+
+
+def test_sample_counts_match_row_histograms():
+    """One binning pass gives the counts of np.histogram row by row:
+    values on every edge, the closed last edge, and values outside."""
+    rng = np.random.default_rng(4)
+    edges = np.arange(-4.0, 10.25, 0.5)
+    values = rng.normal(3.0, 5.0, size=(300, 7))
+    values[:, 0] = rng.choice(edges, size=300)
+    values[:, 1] = np.where(values[:, 1] > 3.0, -1.0, values[:, 1])
+    values[0, :3] = edges[-1], edges[0], np.nextafter(edges[-1], np.inf)
+    counts = plasma._sample_counts(values, edges)
+    expect = np.stack([np.histogram(row, bins=edges)[0] for row in values])
+    assert counts.dtype == expect.dtype
+    assert np.array_equal(counts, expect)
 
 
 def test_batch_stderr_scaling():

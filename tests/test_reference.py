@@ -550,7 +550,7 @@ def same_bits(a, b):
                                                  b.view(np.uint64))
 
 
-@pytest.mark.parametrize("chains", (1, 2))
+@pytest.mark.parametrize("chains", (1, 2, 3))
 @pytest.mark.parametrize("tune", (True, False))
 @pytest.mark.parametrize("N", (1, 2, 4, 9))
 @pytest.mark.parametrize("p", (2, 3))
