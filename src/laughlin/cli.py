@@ -227,9 +227,8 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
                 sizes["N"] = n
                 table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
                                          sizes=sizes, smaller=smaller)
-                biggest = max(map(abs, table.coeffs.values()))
-                sizes.update(terms=len(table),
-                             max_coeff_bits=biggest.bit_length())
+                bits = int(np.abs(table.values).max()).bit_length()
+                sizes.update(terms=len(table), max_coeff_bits=bits)
         else:
             table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
                                      smaller=smaller)
@@ -294,7 +293,7 @@ def cmd_expand(args) -> int:
     entries = []
     for table in tables:
         path = expansion.cache_path(args.cache_dir, args.p, table.N)
-        entries.append({"N": table.N, "terms": len(table.coeffs),
+        entries.append({"N": table.N, "terms": len(table),
                         "cache_file": os.path.basename(path),
                         "sha256": moments.file_sha256(path)})
     em.json("expand_summary.json",
@@ -730,6 +729,8 @@ def _verify_checks(args) -> tuple[list[dict], dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.Nmax < 2:
+        raise ConfigError(f"verify-all needs Nmax >= 2, got {args.Nmax}")
     em = Emitter(args.out_dir, "verify", _config_dict(args))
     checks, cache = _verify_checks(args)
     for c in checks:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import erf
 
 from laughlin.expansion import AmplitudeTable, CoefficientTable
-from laughlin.lattice import ConfigError, enumerate_partitions
+from laughlin.lattice import ConfigError, config_tuples, enumerate_partitions
 from laughlin.moments import MomentTable, as_moments, derive
 from laughlin.renewal import RenewalModel, long_interval_bound
 
@@ -171,7 +171,7 @@ def quasi_state(amp: AmplitudeTable, max_partitions: int = 256
     if len(parts) > max_partitions:
         raise ConfigError(f"{len(parts)} partitions exceed the sector limit")
     table = amp.table
-    basis = tuple(table.coeffs)
+    basis = tuple(config_tuples(table.configs))
     amps = amp.occ
     C = float(amps @ amps)
 

@@ -12,9 +12,9 @@ configurations m = (m_1 <= ... <= m_N) on {0, ..., pN-p}:
 * occupation amplitudes ``A_N(n) = a_N(m) / sqrt(prod_k n_k!)`` (the
   factorial correction only matters for bosons).
 
-A :class:`CoefficientTable` computes each per-configuration quantity
-once, as a column aligned with its keys, and an :class:`AmplitudeTable`
-holds one amplitude array aligned with the same rows; the consumers
+A :class:`CoefficientTable` is two int64 arrays, configurations and
+coefficients, and columns aligned with them; an :class:`AmplitudeTable`
+holds one amplitude array aligned with the same rows.  The consumers
 downstream are reductions over these columns.
 
 A table is computed from the tables of fewer particles and the
@@ -58,8 +58,8 @@ tests, which squeezes every configuration and must match every table
 entry for entry, and :func:`evaluate_oracle`, which ``verify-all`` and
 the benchmark run on the finished tables.  :func:`verify_product_rule`
 checks that tables stored apart, such as the files of one cache, are
-consistent with each other.  It and :func:`evaluate_oracle` read
-``coeffs`` directly, not the columns.
+consistent with each other.  Only these two checks read the mapping
+``coeffs`` that a table derives from its arrays; the rest read arrays.
 """
 
 from __future__ import annotations
@@ -68,60 +68,64 @@ import hashlib
 import math
 import os
 import tempfile
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
-                              config_tuples, configurations, find_keys,
-                              occupation_rows, renewal_points, staircase,
-                              translate_config)
+                              configurations, find_keys, occupation_rows,
+                              renewal_points, staircase, translate_config)
 
 
 class CacheError(ValueError):
     """Raised when an on-disk coefficient table fails validation."""
 
 
-@dataclass
 class CoefficientTable:
     """Exact integer expansion coefficients for given (p, N).
 
-    ``coeffs`` maps canonical configurations to nonzero integers; the
-    table is independent of gamma.  The columns are computed on first
-    use, row i for the i-th key, and go stale if keys change after that:
+    Two read-only int64 arrays, independent of gamma: ``configs``, the
+    (D, N) configurations in strictly increasing lexicographic order, and
+    ``values``, their nonzero coefficients (a mapping is sorted into them).
+    The other columns are computed on first use, row i for row i of both:
 
-    * ``configs``: the configurations as a (D, N) integer array;
     * ``occupations``: the occupation numbers of sites 0..pN-1, (D, pN);
     * ``exponents``: e = p^2 S_N - sum m_j^2 >= 0, so a_N(m) carries
       exp(-gamma^2 e / 2) and A_N(n)^2 carries x^e, x = exp(-gamma^2);
     * ``factorials``: prod_k n_k!;
     * ``renewal``: (D, N+1) booleans, column k marking the renewal
-      point pk, and ``irreducible``: the rows with no interior one.
+      point pk, and ``irreducible``: the rows with no interior one;
+    * ``coeffs``: a read-only mapping of configuration tuples to ints.
     """
 
-    p: int
-    N: int
-    coeffs: dict[tuple[int, ...], int]
-
-    def __post_init__(self):
-        root = tuple(self.p * j for j in range(self.N))
-        if self.coeffs.get(root) != 1:
-            raise ConfigError(
-                f"root configuration {root} must carry coefficient +1")
+    def __init__(self, p: int, N: int, coeffs: Mapping | None = None, *,
+                 configs: np.ndarray | None = None,
+                 values: np.ndarray | None = None):
+        if coeffs is not None:
+            keys = sorted(coeffs)
+            configs = np.array(keys, dtype=np.int64).reshape(len(keys), N)
+            values = np.array([coeffs[m] for m in keys], dtype=np.int64)
+        configs.flags.writeable = values.flags.writeable = False
+        self.p, self.N, self.configs, self.values = p, N, configs, values
+        if not (values[(configs == self.root_config).all(axis=1)] == 1).any():
+            raise ConfigError(f"root configuration {self.root_config} "
+                              "must carry coefficient +1")
 
     @property
     def root_config(self) -> tuple[int, ...]:
         return tuple(self.p * j for j in range(self.N))
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.values)
 
     @cached_property
-    def configs(self) -> np.ndarray:
-        return np.array(list(self.coeffs), dtype=np.int64)
+    def coeffs(self) -> Mapping[tuple[int, ...], int]:
+        return MappingProxyType(dict(zip(map(tuple, self.configs.tolist()),
+                                         self.values.tolist())))
 
     @cached_property
     def occupations(self) -> np.ndarray:
@@ -132,7 +136,7 @@ class CoefficientTable:
         base = self.p * self.p * sum(j * j for j in range(self.N))
         expo = base - (self.configs ** 2).sum(axis=1)
         if expo.min() < 0:
-            m = list(self.coeffs)[int(expo.argmin())]
+            m = tuple(self.configs[expo.argmin()].tolist())
             raise AssertionError(f"positive Gaussian exponent at {m}")
         return expo
 
@@ -198,7 +202,7 @@ _INT64_LIMIT = 2 ** 63
 
 
 def _products(p: int, N: int, configs: np.ndarray,
-              smaller: list[CoefficientTable], coeffs: np.ndarray
+              smaller: list[CoefficientTable], values: np.ndarray
               ) -> np.ndarray:
     """Fill every reducible row of ``configs`` by the product rule over
     its first interior renewal point pk,
@@ -212,7 +216,7 @@ def _products(p: int, N: int, configs: np.ndarray,
     hits = configs[:, :-1].cumsum(axis=1) == staircase(p, np.arange(1, N))
     reducible = hits.any(axis=1)
     first = hits.argmax(axis=1) + 1
-    biggest = [max(map(abs, t.coeffs.values())) for t in smaller]
+    biggest = [int(np.abs(t.values).max()) for t in smaller]
     for k in np.unique(first[reducible]).tolist():
         bound = biggest[k - 1] * biggest[N - k - 1]
         if bound >= _INT64_LIMIT:
@@ -221,7 +225,7 @@ def _products(p: int, N: int, configs: np.ndarray,
         rows = np.flatnonzero(reducible & (first == k))
         left = _lookup(smaller[k - 1], configs[rows, :k])
         right = _lookup(smaller[N - k - 1], configs[rows, k:] - p * k)
-        coeffs[rows] = left * right
+        values[rows] = left * right
     return reducible
 
 
@@ -232,15 +236,13 @@ def _lookup(table: CoefficientTable, parts: np.ndarray) -> np.ndarray:
     _, first, inverse = np.unique(np.vstack([keys, parts]), axis=0,
                                   return_index=True, return_inverse=True)
     pos = first[inverse.ravel()[len(keys):]]
-    values = np.fromiter(table.coeffs.values(), dtype=np.int64,
-                         count=len(table))
     found = pos < len(keys)
-    return np.where(found, values[np.where(found, pos, 0)], 0)
+    return np.where(found, table.values[np.where(found, pos, 0)], 0)
 
 
 def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
-             sizes: dict | None = None) -> dict[tuple[int, ...], int]:
-    """Nonzero coefficients of one table by the squeezing recursion.
+             sizes: dict | None = None) -> CoefficientTable:
+    """The table of (p, N) by the squeezing recursion.
 
     The admissible configurations come from the lattice search under
     the dominance floor; the caller checks the cap on N.  Given the
@@ -267,13 +269,13 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
     sites = mmax + 1
     configs = configurations(N, sites, staircase(p, N), fermionic, floor=p)
     count = len(configs)
-    coeffs = np.zeros(count, dtype=np.int64)
+    values = np.zeros(count, dtype=np.int64)
     filled = np.zeros(count, dtype=bool)
     if smaller:
         if [(t.p, t.N) for t in smaller] != [(p, n) for n in range(1, N)]:
             raise ConfigError(f"the smaller tables of p={p}, N={N} must "
                               f"be those of 1..{N - 1} particles")
-        filled = _products(p, N, configs, smaller, coeffs)
+        filled = _products(p, N, configs, smaller, values)
     occ = occupation_rows(configs, sites)
     limit = occ.max(axis=0)
     # Particle number and total momentum, common to every configuration,
@@ -294,7 +296,7 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
     order = np.argsort(-squares, kind="stable")
     levels = np.split(order, np.flatnonzero(np.diff(squares[order])) + 1)
     root = levels[0][0]
-    coeffs[root] = 1
+    values[root] = 1
     I, J = np.triu_indices(N, 1)
     looked_up = 0
     for rows in levels[1:]:
@@ -331,24 +333,23 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
             w = 2 * (a - b)
         local = pair // len(I)
         if pos.size:
-            bound = (int(np.abs(coeffs[pos]).max()) * int(np.abs(w).max())
+            bound = (int(np.abs(values[pos]).max()) * int(np.abs(w).max())
                      * int(np.bincount(local).max()) * abs(B))
             if bound >= _INT64_LIMIT:
                 raise CapExceeded(f"squeezing sums of p={p}, N={N} could "
                                   f"reach {bound}, past the int64 range")
         total = np.zeros(len(rows), dtype=np.int64)
-        np.add.at(total, local, w * coeffs[pos])
+        np.add.at(total, local, w * values[pos])
         c, rem = np.divmod(B * total, two_d[root] - two_d[rows])
         if rem.any():
             nu = tuple(configs[rows[np.flatnonzero(rem)[0]]].tolist())
             raise AssertionError(f"non-integer coefficient at {nu}")
-        coeffs[rows] = c
+        values[rows] = c
     if sizes is not None:
         sizes.update(levels=len(levels), candidates=looked_up,
                      filled=int(filled.sum()))
-    nonzero = np.flatnonzero(coeffs)
-    # lexicographic order, the order load_cache reads a table back in
-    return dict(zip(config_tuples(configs[nonzero]), coeffs[nonzero].tolist()))
+    keep = values != 0
+    return CoefficientTable(p, N, configs=configs[keep], values=values[keep])
 
 
 def expand_all(p: int, N: int, cap: int | None = None) -> list[CoefficientTable]:
@@ -356,7 +357,7 @@ def expand_all(p: int, N: int, cap: int | None = None) -> list[CoefficientTable]
     check_cap(p, N, cap)
     tables: list[CoefficientTable] = []
     for n in range(1, N + 1):
-        tables.append(CoefficientTable(p, n, _squeeze(p, n, smaller=tables)))
+        tables.append(_squeeze(p, n, smaller=tables))
     return tables
 
 
@@ -382,8 +383,7 @@ def expand(p: int, N: int, cache_dir: str | None = None,
         if all(map(os.path.exists, paths)):
             smaller = [load_cache(path, expected_p=p, expected_N=n)
                        for n, path in enumerate(paths, start=1)]
-    table = CoefficientTable(p, N, _squeeze(p, N, smaller=smaller,
-                                            sizes=sizes))
+    table = _squeeze(p, N, smaller=smaller, sizes=sizes)
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         save_cache(table, cache_path(cache_dir, p, N))
@@ -400,9 +400,7 @@ def amplitudes(table: CoefficientTable, gamma: float) -> AmplitudeTable:
     distinct, inverse = np.unique(table.exponents, return_inverse=True)
     half = 0.5 * gamma * gamma
     gauss = np.array([math.exp(half * -e) for e in distinct.tolist()])
-    coeffs = np.fromiter(map(float, table.coeffs.values()), dtype=float,
-                         count=len(table))
-    return AmplitudeTable(table, gamma, coeffs * gauss[inverse])
+    return AmplitudeTable(table, gamma, table.values * gauss[inverse])
 
 
 # -- verification ------------------------------------------------------------
@@ -541,14 +539,13 @@ def save_cache(table: CoefficientTable, path: str) -> None:
     """Write a table in the line-oriented cache format.
 
     Header ``LAUGHLIN-COEFF v1 p=<p> N=<N> count=<k>``, one
-    ``m_1,...,m_N:<integer>`` line per key in lexicographic order, and a
-    trailing ``checksum=<hex>`` over all preceding bytes.
+    ``m_1,...,m_N:<integer>`` line per row, in the table's lexicographic
+    order, and a trailing ``checksum=<hex>`` over all preceding bytes.
     """
     row = ",".join(["%d"] * table.N) + ":%d\n"
-    coeffs = table.coeffs
+    rows = zip(*table.configs.T.tolist(), table.values.tolist())
     data = (f"{_CACHE_MAGIC} p={table.p} N={table.N} count={len(table)}\n"
-            + "".join([row % (*m, coeffs[m]) for m in sorted(coeffs)])
-            ).encode()
+            + "".join([row % r for r in rows])).encode()
     write_atomic(path, data + b"checksum=%s\n"
                  % hashlib.sha256(data).hexdigest().encode())
 
@@ -600,21 +597,25 @@ def load_cache(path: str, expected_p: int | None = None,
     body = lines[1:-1]
     if len(body) != count:
         raise CacheError(f"{path}: header count {count} != {len(body)} lines")
-    rows, values = [], []
+    keys, values = [], []
     for line in body:
         try:
             key, value = line.split(":")
-            rows.append(tuple(map(int, key.split(","))))
+            keys.append(tuple(map(int, key.split(","))))
             values.append(int(value))
         except ValueError as exc:
             raise CacheError(f"{path}: malformed line {line!r}") from exc
-    misfit = next((m for m in rows if len(m) != N), None)
+    misfit = next((m for m in keys if len(m) != N), None)
     if misfit is not None:
         raise CacheError(f"{path}: inadmissible key {misfit}")
+    big = [m for m, c in zip(keys, values) if abs(c) >= _INT64_LIMIT]
+    if big:
+        raise CacheError(f"{path}: coefficient beyond int64 at {big[0]}")
     try:
-        keys = np.array(rows, dtype=np.int64).reshape(count, N)
+        keys = np.array(keys, dtype=np.int64).reshape(count, N)
     except OverflowError as exc:  # far off any lattice
         raise CacheError(f"{path}: inadmissible key beyond int64") from exc
+    values = np.array(values, dtype=np.int64)
     unsorted = (keys[:, 1:] < keys[:, :-1]).any(axis=1)
     if unsorted.any():
         line = body[int(np.argmax(unsorted))]
@@ -625,16 +626,23 @@ def load_cache(path: str, expected_p: int | None = None,
     inadmissible = ((partial < staircase(p, np.arange(1, N + 1))).any(axis=1)
                     | (partial[:, -1] != staircase(p, N)))
     if inadmissible.any():
-        m = rows[int(np.argmax(inadmissible))]
+        m = tuple(keys[np.argmax(inadmissible)].tolist())
         raise CacheError(f"{path}: inadmissible key {m}")
-    coeffs = dict(zip(rows, values))
-    if len(coeffs) != count:
-        m = next(m for m, seen in Counter(rows).items() if seen > 1)
+    # The rows strictly increase: no key twice, and sorted.
+    order = np.lexsort(keys.T[::-1])
+    twice = (np.diff(keys[order], axis=0) == 0).all(axis=1)
+    if twice.any():
+        m = tuple(keys[order[np.argmax(twice)]].tolist())
         raise CacheError(f"{path}: duplicate key {m}")
-    if 0 in values:
-        m = rows[values.index(0)]
+    moved = order != np.arange(count)
+    if moved.any():
+        m = tuple(keys[np.argmax(moved)].tolist())
+        raise CacheError(f"{path}: row out of lexicographic order at {m}")
+    if not values.all():
+        m = tuple(keys[np.argmin(values != 0)].tolist())
         raise CacheError(f"{path}: explicit zero coefficient at {m}")
     try:
-        return CoefficientTable(p, N, coeffs)
+        return CoefficientTable(p, N, configs=keys, values=values)
     except ConfigError as exc:
         raise CacheError(f"{path}: {exc}") from exc
+

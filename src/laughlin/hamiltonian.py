@@ -255,6 +255,8 @@ def _images(basis: SectorBasis, creation, annihilation, fermionic: bool):
 def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
                          ) -> sparse.csr_matrix:
     """Assemble sum_t coeff_t c*...c*... c...c from (creation, annihilation, coeff)."""
+    if not terms:
+        return sparse.csr_matrix((basis.dim, basis.dim))
     creation, annihilation, coeff = zip(*terms)
     coeff = np.array(coeff)
     rows, cols, vals = [], [], []
@@ -299,6 +301,8 @@ def _gram_build(basis: SectorBasis, bonds, fermionic: bool
     Row (s, n) of A holds <n|B_s|m> over the basis states m, one row per
     distinct image n of a bond s.
     """
+    if not bonds:
+        return sparse.csr_matrix((basis.dim, basis.dim))
     rows, cols, vals = [], [], []
     count = 0
     for terms in bonds:

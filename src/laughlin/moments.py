@@ -121,15 +121,15 @@ def derive(table: CoefficientTable, source_sha256: str = "") -> MomentTable:
     scale = (denominator // table.factorials).tolist()
     norm = [0] * len(distinct)
     alpha = [0] * len(distinct)
-    for c, k, s, irreducible in zip(table.coeffs.values(), inverse.tolist(),
-                                    scale, table.irreducible.tolist()):
-        term = c * c * s
+    squares = [c * c for c in table.values.tolist()]  # exact Python ints
+    for c2, k, s, irreducible in zip(squares, inverse.tolist(), scale,
+                                     table.irreducible.tolist()):
+        term = c2 * s
         norm[k] += term
         if irreducible:
             alpha[k] += term
 
-    weight = np.fromiter((c * c for c in table.coeffs.values()), dtype=float,
-                         count=len(table)) / table.factorials
+    weight = np.array(squares, dtype=float) / table.factorials
     sites = p * N
     occupations = np.zeros((len(distinct), sites))
     rod_profile = np.zeros((len(distinct), sites))

@@ -50,14 +50,6 @@ class McConfig:
             raise ConfigError("proposal widths must be nonnegative")
 
 
-@dataclass
-class PlasmaState:
-    """N particle coordinates (x, y with y in [0, 2 pi R)) plus cached log-weight."""
-
-    coordinates: np.ndarray
-    log_weight: float
-
-
 def _pair_factors(gamma: float) -> tuple[np.ndarray, ...]:
     """-gamma, gamma / 2, gamma, 1/2 and 4 as 0-d arrays, the constants of
     ``_pair_row``: a ufunc takes these without the conversion it makes of
@@ -116,12 +108,6 @@ def _start_coordinates(params: ModelParams, rng: np.random.Generator
         + 0.05 * rng.standard_normal(params.N)
     coords[:, 1] = rng.uniform(0.0, circ, params.N)
     return coords
-
-
-def initial_state(params: ModelParams, rng: np.random.Generator) -> PlasmaState:
-    """Particles near the root-configuration positions, random y."""
-    coords = _start_coordinates(params, rng)
-    return PlasmaState(coords, log_weight(coords, params))
 
 
 def _run_chain(params: ModelParams, mc: McConfig, rngs,

@@ -210,6 +210,19 @@ def test_ham_report(dirs, tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_ham_one_fermion(dirs):
+    # F(0) = 0 for odd p: one particle on one orbital has no pair term,
+    # so H is the 1x1 zero matrix and the one state is its kernel.
+    cache, out = dirs
+    assert run_cli("ham", "--p", "3", "--N", "1", "--check-ground-state",
+                   "--spectrum", "1", "--cache-dir", cache,
+                   "--out-dir", out) == 0
+    doc = read_json(os.path.join(out, "ham.json"))
+    assert doc["dim"] == 1 and doc["spectrum"] == [0.0]
+    assert doc["ground_state"]["kernel_dim"] == 1
+    assert doc["ground_state"]["passed"] is True
+
+
 @pytest.mark.parametrize("flags, count", [
     (["--spectrum", "2", "--check-ground-state"], 40),
     (["--spectrum", "45", "--check-ground-state"], 45),
@@ -427,6 +440,7 @@ def test_exit_code_invalid_config(dirs):
     (["corr", "--Nmax", "3", "--kmax", "-1"], "kmax must be >= 0, got -1"),
     (["ham", "--p", "3", "--N", "3", "--spectrum", "0"],
      "spectrum must be >= 1, got 0"),
+    (["verify-all", "--Nmax", "1"], "verify-all needs Nmax >= 2, got 1"),
 ])
 def test_exit_code_count_that_asks_for_nothing(dirs, capsys, argv, message):
     # A negative kmax would write a header-only pairs.csv, and a zero

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 from collections import Counter
 
 import numpy as np
@@ -14,8 +15,9 @@ from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 expand_all, load_cache, save_cache,
                                 verify_product_rule)
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
-                              config_to_occupation, enumerate_admissible,
-                              is_admissible, renewal_points)
+                              config_to_occupation, config_tuples,
+                              enumerate_admissible, is_admissible,
+                              renewal_points)
 
 
 def test_two_particle_tables_by_hand():
@@ -75,6 +77,23 @@ def test_columns_worked_example():
     assert table.irreducible.tolist() == [False, True]
     amp = amplitudes(table, 1.0)
     assert np.array_equal(amp.occ, amp.amp / np.sqrt([1.0, 2.0]))
+
+
+def test_coeffs_is_a_read_only_view_of_the_arrays():
+    table = expand_all(3, 6)[-1]
+    with pytest.raises(TypeError):
+        table.coeffs[table.root_config] = 2
+    with pytest.raises(ValueError):
+        table.values[0] = 2
+    assert table.coeffs == dict(zip(config_tuples(table.configs),
+                                    table.values.tolist()))
+    # a hand-built table sorts its keys into the same arrays
+    items = list(table.coeffs.items())
+    random.Random(5).shuffle(items)
+    rebuilt = CoefficientTable(3, 6, dict(items))
+    assert rebuilt.configs.dtype == rebuilt.values.dtype == np.int64
+    assert np.array_equal(rebuilt.configs, table.configs)
+    assert np.array_equal(rebuilt.values, table.values)
 
 
 def test_amplitudes_worked_example():
@@ -218,7 +237,7 @@ def test_carrying_unsqueeze_never_looked_up(monkeypatch):
         return find(keys, targets)
 
     monkeypatch.setattr(expansion, "find_keys", spy)
-    assert expansion._squeeze(p, N) == coeffs
+    assert expansion._squeeze(p, N).coeffs == coeffs
     assert looked_up == expected
 
 
@@ -248,12 +267,33 @@ def write_body(path, p, N, body):
      r"duplicate key \(0, 3, 6\)"),
     (["0,3,6:1\n", "0,4,5:0\n"], r"explicit zero coefficient at \(0, 4, 5\)"),
     (["0,4,5:-3\n"], "must carry coefficient"),
+    # rows in reverse order: the root is not the first row
+    (["0,4,5:-3\n", "0,3,6:1\n"],
+     r"row out of lexicographic order at \(0, 4, 5\)"),
+    (["0,3,6:1\n", f"0,4,5:{2 ** 63}\n"],
+     r"coefficient beyond int64 at \(0, 4, 5\)"),
+    # int64 holds -2^63, but not its absolute value
+    (["0,3,6:1\n", f"0,4,5:{-2 ** 63}\n"],
+     r"coefficient beyond int64 at \(0, 4, 5\)"),
 ))
 def test_cache_rejects_corrupt_body(tmp_path, body, message):
     path = str(tmp_path / "table.txt")
     write_body(path, 3, 3, body)
     with pytest.raises(CacheError, match=message):
         load_cache(path)
+
+
+@pytest.mark.parametrize("p, N, digest", (
+    (3, 7, "7526b5cba98122d23d8da9964dffb529df6bf0f616649aee2e68fbb2370ef4f6"),
+    (2, 7, "fb78fabf6936c2469d1d22bab237f1193e8931eab0b340505b252eb19bf6e460"),
+    (4, 5, "d53ed596f9a3350b385f7b62d0d4dc9be875c402475579f87d5ab395cf22f7b9"),
+))
+def test_cache_file_bytes_pinned(tmp_path, p, N, digest):
+    # The files are integer text, so their digests hold on any host.
+    path = cache_path(str(tmp_path), p, N)
+    save_cache(expand_all(p, N)[-1], path)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_cache_round_trip(tmp_path):

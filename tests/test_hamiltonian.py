@@ -130,6 +130,15 @@ def test_two_particle_block_closed_form():
     assert vals == approx([0.0, 4 * (F1 ** 2 + F3 ** 2)], abs=1e-12)
 
 
+def test_operator_without_terms_is_zero():
+    # F(0) = 0 for odd p, so one site carries neither a pair term nor a
+    # bond: both assemblies are the zero matrix of the basis dimension.
+    build = build_H(ModelParams(3, 1, 1.0))
+    for H in (build.pair, build.bond):
+        assert H.shape == (1, 1) and H.nnz == 0
+    assert build.deviation == 0.0
+
+
 def test_builds_agree_and_are_symmetric(tables_p3, tables_p2):
     for p in (2, 3):
         for N in (2, 3, 4):

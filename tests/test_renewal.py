@@ -84,8 +84,10 @@ def test_recursion_residual_detects_bad_weights(tables_p3):
     # identically); the recursions above it see the corruption through
     # products and cannot cancel.
     from laughlin.expansion import CoefficientTable
-    bad = [CoefficientTable(t.p, t.N, dict(t.coeffs)) for t in tables_p3[:5]]
-    bad[2].coeffs[(1, 3, 5)] += 1
+    coeffs = dict(tables_p3[2].coeffs)
+    coeffs[(1, 3, 5)] += 1
+    bad = tables_p3[:5]
+    bad[2] = CoefficientTable(3, 3, coeffs)
     _, residual = irreducible_weights(bad[:3], 1.0)
     assert residual == 0.0
     _, residual = irreducible_weights(bad, 1.0)
