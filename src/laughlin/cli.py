@@ -33,7 +33,8 @@ Exit codes: 0 success, 1 a verification check failed (including a
 degenerate Metropolis run) or a cached coefficient table or moment
 file failed validation, 2 invalid configuration (including an
 unconverged renewal model without ``--override-unconverged``), 3 a
-resource cap was exceeded.
+resource cap was exceeded (including occupation keys past int64 and a
+Lanczos eigensolve that does not converge within its restarts).
 """
 
 from __future__ import annotations

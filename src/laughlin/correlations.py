@@ -19,7 +19,8 @@ Gaussian exponent e, the sums of c^2 / prod n_k! times occ (all rows
 and the irreducible rows) and occ occ^T (the irreducible rows),
 weighted by x^e, x = exp(-gamma^2), and divided by C_N or alpha_n.
 The quasi-state, finite-domain and operator-string expectations need
-single rows and read the amplitude table.
+single rows and read the amplitude table, an operator string through
+the table's configuration index.
 
 Conventions: orbitals are indexed 0..p(N-1) for a finite table; the
 occupation basis is ordered by increasing orbital, and fermionic signs
@@ -35,7 +36,8 @@ import numpy as np
 from scipy.special import erf
 
 from laughlin.expansion import AmplitudeTable, CoefficientTable
-from laughlin.lattice import ConfigError, config_tuples, enumerate_partitions
+from laughlin.lattice import (ConfigError, config_tuples,
+                              enumerate_partitions, find_keys)
 from laughlin.moments import MomentTable, as_moments, derive
 from laughlin.renewal import RenewalModel, long_interval_bound
 
@@ -54,37 +56,6 @@ def occupation_finite(amp: AmplitudeTable | MomentTable,
     return amp.occupation(gamma)
 
 
-def _apply_string(n: list[int], creation, annihilation, fermionic: bool
-                  ) -> tuple[tuple[int, ...], float] | None:
-    """Apply c*_{creation} ... c_{annihilation} to the occupation config.
-
-    Both tuples are in left-to-right operator order, so the rightmost
-    operator acts first.  Returns (resulting config, matrix factor) or
-    None if the string annihilates the state.  Fermionic signs count the
-    occupied orbitals below the acted site.
-    """
-    factor = 1.0
-    for site in reversed(tuple(annihilation)):
-        if n[site] == 0:
-            return None
-        if fermionic:
-            factor *= (-1) ** sum(n[:site])
-            n[site] = 0
-        else:
-            factor *= math.sqrt(n[site])
-            n[site] -= 1
-    for site in reversed(tuple(creation)):
-        if fermionic:
-            if n[site]:
-                return None
-            factor *= (-1) ** sum(n[:site])
-            n[site] = 1
-        else:
-            factor *= math.sqrt(n[site] + 1)
-            n[site] += 1
-    return tuple(n), factor
-
-
 def moments_finite(amp: AmplitudeTable, creation, annihilation) -> float:
     """Normalized expectation of a Wick-ordered monomial.
 
@@ -101,18 +72,17 @@ def moments_finite(amp: AmplitudeTable, creation, annihilation) -> float:
         raise ConfigError("operator site out of range")
     if sum(creation) != sum(annihilation):
         return 0.0
-    fermionic = amp.p % 2 == 1
-    rows = amp.table.occupations[:, :sites].tolist()
-    by_occ = dict(zip(map(tuple, rows), amp.occ.tolist()))
+    if not creation:
+        return 1.0
+    from laughlin.hamiltonian import _images  # and scipy.sparse: only here
+    index = amp.table.index
     total = 0.0
-    for occ, A in by_occ.items():
-        out = _apply_string(list(occ), creation, annihilation, fermionic)
-        if out is None:
-            continue
-        target, factor = out
-        A2 = by_occ.get(target)
-        if A2 is not None:
-            total += A2 * factor * A
+    for col, _, key, factor in _images(
+            index, np.array([creation], dtype=np.intp),
+            np.array([annihilation], dtype=np.intp), amp.p % 2 == 1):
+        row = find_keys(index.keys, key)
+        hit = row >= 0
+        total += float(amp.occ[row[hit]] @ (factor[hit] * amp.occ[col[hit]]))
     return total / amp.norm_sq()
 
 

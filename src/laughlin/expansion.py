@@ -45,7 +45,9 @@ weight is w = 2(nu_i + nu_j - 2b) for bosons and 2(nu_i - nu_j) times
 the sign of the sorting permutation for fermions.  The configurations
 of one Sigma m^2 level depend only on higher levels, so each level is
 computed at once, as array passes over all its unsqueezes, which are
-looked up by packed integer keys.  The arithmetic is int64 and exact:
+looked up by their packed occupation keys in the
+:class:`~laughlin.lattice.ConfigIndex` of the admissible
+configurations.  The arithmetic is int64 and exact:
 a bound on T(nu) is checked per level (the largest coefficient has 21
 bits at p=3, N=8, 26 at N=9 and 30 at N=10), and a table whose keys,
 sums or products could leave the int64 range raises
@@ -76,9 +78,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
-                              configurations, find_keys, occupation_rows,
-                              renewal_points, staircase, translate_config)
+from laughlin import lattice
+from laughlin.lattice import (CapExceeded, ConfigError, ConfigIndex,
+                              check_cap, configurations, find_keys,
+                              occupation_rows, renewal_points, staircase,
+                              translate_config)
 
 
 class CacheError(ValueError):
@@ -99,6 +103,8 @@ class CoefficientTable:
     * ``factorials``: prod_k n_k!;
     * ``renewal``: (D, N+1) booleans, column k marking the renewal
       point pk, and ``irreducible``: the rows with no interior one;
+    * ``index``: the :class:`~laughlin.lattice.ConfigIndex` of the rows
+      on the pN-p+1 sites of the lattice;
     * ``coeffs``: a read-only mapping of configuration tuples to ints.
     """
 
@@ -130,6 +136,10 @@ class CoefficientTable:
     @cached_property
     def occupations(self) -> np.ndarray:
         return occupation_rows(self.configs, self.p * self.N)
+
+    @cached_property
+    def index(self) -> ConfigIndex:
+        return ConfigIndex(self.configs, self.p * (self.N - 1) + 1)
 
     @cached_property
     def exponents(self) -> np.ndarray:
@@ -196,11 +206,6 @@ class AmplitudeTable:
         return float(self.weights.sum())
 
 
-#: Exclusive bound on the packed keys and every sum of the squeezing
-#: pass, which are int64.
-_INT64_LIMIT = 2 ** 63
-
-
 def _products(p: int, N: int, configs: np.ndarray,
               smaller: list[CoefficientTable], values: np.ndarray
               ) -> np.ndarray:
@@ -209,35 +214,29 @@ def _products(p: int, N: int, configs: np.ndarray,
     c_N(m) = c_k(m_1..m_k) * c_{N-k}(m_{k+1}-pk, ..., m_N-pk), from the
     tables ``smaller`` of 1..N-1 particles; return the reducible mask.
 
-    A part absent from its table has coefficient 0.  The tables'
-    largest coefficients bound every product, and a bound past int64
-    raises :class:`~laughlin.lattice.CapExceeded`.
+    A part is looked up in its table's index, and one absent from it
+    has coefficient 0.  The tables' largest coefficients bound every
+    product, and a bound past int64 raises
+    :class:`~laughlin.lattice.CapExceeded` before any lookup.
     """
     hits = configs[:, :-1].cumsum(axis=1) == staircase(p, np.arange(1, N))
     reducible = hits.any(axis=1)
     first = hits.argmax(axis=1) + 1
+    splits = np.unique(first[reducible]).tolist()
     biggest = [int(np.abs(t.values).max()) for t in smaller]
-    for k in np.unique(first[reducible]).tolist():
-        bound = biggest[k - 1] * biggest[N - k - 1]
-        if bound >= _INT64_LIMIT:
-            raise CapExceeded(f"product-rule coefficients of p={p}, N={N} "
-                              f"could reach {bound}, past the int64 range")
+    bound = max((biggest[k - 1] * biggest[N - k - 1] for k in splits),
+                default=0)
+    if bound >= lattice.INT64_LIMIT:
+        raise CapExceeded(f"product-rule coefficients of p={p}, N={N} "
+                          f"could reach {bound}, past the int64 range")
+    for k in splits:
         rows = np.flatnonzero(reducible & (first == k))
-        left = _lookup(smaller[k - 1], configs[rows, :k])
-        right = _lookup(smaller[N - k - 1], configs[rows, k:] - p * k)
-        values[rows] = left * right
+        left, right = smaller[k - 1], smaller[N - k - 1]
+        i = left.index.find(configs[rows, :k])
+        j = right.index.find(configs[rows, k:] - p * k)
+        values[rows] = np.where((i >= 0) & (j >= 0),
+                                left.values[i] * right.values[j], 0)
     return reducible
-
-
-def _lookup(table: CoefficientTable, parts: np.ndarray) -> np.ndarray:
-    """The int64 coefficient of each row of ``parts`` in ``table``, 0
-    where the table has no such key."""
-    keys = table.configs
-    _, first, inverse = np.unique(np.vstack([keys, parts]), axis=0,
-                                  return_index=True, return_inverse=True)
-    pos = first[inverse.ravel()[len(keys):]]
-    found = pos < len(keys)
-    return np.where(found, table.values[np.where(found, pos, 0)], 0)
 
 
 def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
@@ -252,14 +251,16 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
     is.  Every configuration of one Sigma m^2 level squeezes out of
     higher levels only, so the levels are visited from the root down
     and each is one array pass over all its unsqueezes.  A configuration
-    is found by its packed key: the negated mixed-radix number of its
-    occupations, site 0 most significant, each site's radix one more
-    than its largest occupation among the admissible configurations
-    (the last two sites carry no digit).  Keys increase along the
-    lexicographic order and add up over particles, so an unsqueeze
-    shifts a key by four site weights.  Every sum stays below
-    ``_INT64_LIMIT`` by a bound checked per level, and the division by
-    the eigenvalue gap is exact.  ``sizes``, if given, receives the
+    is found by its packed key in the
+    :class:`~laughlin.lattice.ConfigIndex` of the admissible
+    configurations, which share particle number and orbital sum, so
+    their last two sites carry no digit.  Keys add up over particles,
+    so an unsqueeze shifts a key by four site weights; one that would
+    put more particles on a site than any admissible configuration has
+    there is dropped before the lookup, since its key would carry into
+    the next digit.  Every sum stays below ``INT64_LIMIT`` by a bound
+    checked per level, and the division by the eigenvalue gap is
+    exact.  ``sizes``, if given, receives the
     number of ``levels``, of ``candidates`` looked up and of reducible
     rows ``filled`` by the product rule.
     """
@@ -276,17 +277,9 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
             raise ConfigError(f"the smaller tables of p={p}, N={N} must "
                               f"be those of 1..{N - 1} particles")
         filled = _products(p, N, configs, smaller, values)
-    occ = occupation_rows(configs, sites)
-    limit = occ.max(axis=0)
-    # Particle number and total momentum, common to every configuration,
-    # fix the occupations of the last two sites from the others, so
-    # those sites carry no digit.
-    radix = (limit[:-2] + 1).tolist()
-    if math.prod(radix) >= _INT64_LIMIT:
-        raise CapExceeded(f"occupation keys of p={p}, N={N} overflow int64")
-    weight = np.zeros(sites, dtype=np.int64)
-    weight[:len(radix)] = [math.prod(radix[s + 1:]) for s in range(len(radix))]
-    keys = -(occ @ weight)
+    index = ConfigIndex(configs, sites)
+    occ, limit, weight, keys = (index.occupations, index.limit,
+                                index.weights, index.keys)
     below = np.hstack([np.zeros((count, 1), dtype=np.int8),
                        occ.cumsum(axis=1, dtype=np.int8)]) if fermionic else None
 
@@ -312,13 +305,11 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
         b = lo[pair] + np.arange(pair.size) - (np.cumsum(span) - span)[pair]
         a = s[pair] - b
         row = rows[pair // len(I)]
-        # A site already at its largest occupation would carry into the
-        # next digit and alias another configuration.
         keep = (occ[row, a] < limit[a]) & (occ[row, b] < limit[b])
         pair, a, b, row = pair[keep], a[keep], b[keep], row[keep]
         looked_up += pair.size
-        target = (keys[row] + weight[vi[pair]] + weight[vj[pair]]
-                  - weight[a] - weight[b])
+        target = (keys[row] - weight[vi[pair]] - weight[vj[pair]]
+                  + weight[a] + weight[b])
         pos = find_keys(keys, target)
         hit = pos >= 0
         pair, a, b, row, pos = pair[hit], a[hit], b[hit], row[hit], pos[hit]
@@ -335,7 +326,7 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
         if pos.size:
             bound = (int(np.abs(values[pos]).max()) * int(np.abs(w).max())
                      * int(np.bincount(local).max()) * abs(B))
-            if bound >= _INT64_LIMIT:
+            if bound >= lattice.INT64_LIMIT:
                 raise CapExceeded(f"squeezing sums of p={p}, N={N} could "
                                   f"reach {bound}, past the int64 range")
         total = np.zeros(len(rows), dtype=np.int64)
@@ -608,7 +599,7 @@ def load_cache(path: str, expected_p: int | None = None,
     misfit = next((m for m in keys if len(m) != N), None)
     if misfit is not None:
         raise CacheError(f"{path}: inadmissible key {misfit}")
-    big = [m for m, c in zip(keys, values) if abs(c) >= _INT64_LIMIT]
+    big = [m for m, c in zip(keys, values) if abs(c) >= lattice.INT64_LIMIT]
     if big:
         raise CacheError(f"{path}: coefficient beyond int64 at {big[0]}")
     try:

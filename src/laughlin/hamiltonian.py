@@ -1,20 +1,24 @@
 """Parent Hamiltonians on the orbital lattice.
 
-The two-body repulsion is fixed by a form factor F built from Hermite
-polynomials; the full interaction is assembled both as a sum over
-momentum-conserving quadruples and as a sum of bond operators B_s*B_s
-over half-integer bond centers (iterated as integer doubled centers).
+The two-body repulsion is fixed by form-factor components f_n built
+from Hermite polynomials H_n; the full interaction is assembled both as
+a sum over momentum-conserving quadruples and as a sum of bond operators
+B_{s,n}*B_{s,n} over components n and half-integer bond centers s
+(iterated as integer doubled centers).
 
 A momentum sector is enumerated directly, by the array search of
 :func:`~laughlin.lattice.configurations` that also lists the admissible
 configurations of the expansion, so its cap counts the sector and not
 the whole layer: the ground sector of p=3, N=8 has 8,512 states in a
-layer of 319,770.  Both assemblies are array passes over the sector's
-occupation column: each operator of a string acts on every basis row
-at once (an occupied/empty mask, a fermionic sign from the parity of a
-prefix count, bosonic square-root factors), and the images are found
-in the basis by their packed occupation keys.  The bond form is A^T A,
-with one row of A per image of a bond.
+layer of 319,770.  A sector basis is the
+:class:`~laughlin.lattice.ConfigIndex` of its configurations, with the
+squeezing pass's mixed-radix keys (56 bits for the bosonic ground
+sector of p=4, N=7).  Both assemblies are array passes over its
+occupation rows: each operator of a string acts on every row at once
+(an occupied/empty mask or a site's largest occupation, a fermionic
+sign from the parity of a prefix count, bosonic square-root factors),
+and the images are found by their packed keys.  The bond form is
+A^T A, with one row of A per image of a bond.
 
 Spectra, and the kernel of the ground-state check at every dimension,
 come from ARPACK's implicitly restarted Lanczos from a seeded vector.
@@ -35,15 +39,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.special import eval_hermite
 
 from .expansion import AmplitudeTable, amplitudes, expand
-from .lattice import (CapExceeded, ConfigError, ModelParams, configurations,
-                      find_keys, occupation_rows, total_momentum)
+from .lattice import (CapExceeded, ConfigError, ConfigIndex, ModelParams,
+                      configurations, find_keys, total_momentum)
 
 DEFAULT_SECTOR_CAP = 200_000
 
@@ -59,11 +62,12 @@ def hermite_value(n: int, t: float) -> float:
 
 @dataclass(frozen=True)
 class FormFactor:
-    """Gaussian-damped pair form factor F(t) = sum_n H_n(t) e^{-t^2/4}.
+    """Gaussian-damped pair form factor F(t) = sum_n f_n(t), with the
+    components f_n(t) = H_n(t) e^{-t^2/4}.
 
     The ``parity`` variant keeps only n < p with n = p mod 2; the
     ``full`` variant keeps every n < p.  Both give the same pair
-    operators: the wrong-parity terms cancel when contracted with
+    operators: the wrong-parity components vanish when contracted with
     (anti)symmetric pairs.
     """
 
@@ -82,76 +86,36 @@ class FormFactor:
             return tuple(range(self.p))
         return tuple(n for n in range(self.p) if n % 2 == self.p % 2)
 
-    def __call__(self, t: float) -> float:
+    def components(self, t: float) -> tuple[float, ...]:
+        """f_n(t) for each n of ``indices``."""
         damp = math.exp(-0.25 * t * t)
-        return sum(hermite_value(n, t) for n in self.indices) * damp
+        return tuple(hermite_value(n, t) * damp for n in self.indices)
+
+    def __call__(self, t: float) -> float:
+        return sum(self.components(t))
 
 
 # -- sector bases ----------------------------------------------------------------
 
-def _key_base(p: int, N: int, num_sites: int) -> int:
-    """Radix of the packed occupation keys: one more than the largest
-    occupation number.  Raises before the packing could overflow int64."""
-    base = 2 if p % 2 == 1 else N + 1
-    if base ** num_sites > np.iinfo(np.int64).max:
-        raise CapExceeded(f"occupation keys of {num_sites} sites in base "
-                          f"{base} overflow 64 bits")
-    return base
-
-
-@dataclass(frozen=True, eq=False)
-class SectorBasis:
-    """Deterministically ordered N-particle configurations on a lattice.
-
-    ``configs`` holds the labels, rows of ascending orbitals in
-    lexicographic order, as a (D, N) int64 array, optionally restricted
-    to one total-momentum sector.  Like the columns of a coefficient
-    table, the further arrays are computed on first use, row i for label i:
-
-    * ``occupations``: the occupation numbers of every site, (D, sites) int8;
-    * ``keys``: each occupation row packed into one int64, the negated
-      number whose base-b digits (b = 2 for fermions, N + 1 for bosons)
-      are the occupations, site 0 the most significant.  Of two labels,
-      the lexicographically smaller has more particles on the first site
-      where they differ, so keys increase strictly along the basis; and
-      an operator string shifts the key of every row it acts on by the
-      same amount.
+class SectorBasis(ConfigIndex):
+    """Deterministically ordered N-particle configurations on a lattice,
+    optionally one total-momentum sector ``momentum``: the
+    :class:`~laughlin.lattice.ConfigIndex` of the labels ``configs``,
+    rows of ascending orbitals in lexicographic order, (D, N) int64.
     """
 
-    p: int
-    N: int
-    num_sites: int
-    momentum: int | None
-    configs: np.ndarray
+    def __init__(self, p: int, N: int, momentum: int | None,
+                 configs: np.ndarray, num_sites: int):
+        super().__init__(configs, num_sites)
+        self.p, self.N, self.momentum = p, N, momentum
 
     @property
     def dim(self) -> int:
         return len(self.configs)
 
-    @cached_property
-    def digits(self) -> np.ndarray:
-        """Key weight of one particle on each site."""
-        base = _key_base(self.p, self.N, self.num_sites)
-        return -(base ** np.arange(self.num_sites - 1, -1, -1,
-                                   dtype=np.int64))
-
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        return occupation_rows(self.configs, self.num_sites)
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        return self.occupations @ self.digits
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """Basis index of each packed occupation row, -1 where it is not a
-        basis state."""
-        return find_keys(self.keys, keys)
-
     def vector(self, configs, values) -> np.ndarray:
         """Dense vector with values[i] on the label configs[i]."""
-        configs = np.asarray(configs, dtype=np.int64).reshape(-1, self.N)
-        rows = self.find(self.digits[configs].sum(axis=1))
+        rows = self.find(configs)
         if np.any(rows < 0):
             raise ConfigError("configuration outside the basis")
         v = np.zeros(self.dim)
@@ -169,7 +133,6 @@ def sector_basis(params: ModelParams, momentum: int | None = None,
     """
     p, N, fermionic = params.p, params.N, params.fermionic
     sites = p * (N - 1) + 1
-    _key_base(p, N, sites)  # refuse a basis its keys cannot pack
     if momentum is not None:
         configs = configurations(N, sites, momentum, fermionic, limit=cap)
     else:
@@ -183,8 +146,7 @@ def sector_basis(params: ModelParams, momentum: int | None = None,
         configs = configs[np.lexsort(configs.T[::-1])]
     if not len(configs):
         raise ConfigError("empty sector")
-    return SectorBasis(p=p, N=N, num_sites=sites, momentum=momentum,
-                       configs=configs)
+    return SectorBasis(p, N, momentum, configs, sites)
 
 
 # -- sparse assembly --------------------------------------------------------------
@@ -194,15 +156,18 @@ def sector_basis(params: ModelParams, momentum: int | None = None,
 _BATCH = 1 << 17
 
 
-def _images(basis: SectorBasis, creation, annihilation, fermionic: bool):
-    """Apply each string c*_{creation} ... c_{annihilation} to every basis row.
+def _images(index: ConfigIndex, creation, annihilation, fermionic: bool):
+    """Apply each string c*_{creation} ... c_{annihilation} to every row
+    of ``index``, a sector basis or the index of a coefficient table.
 
     ``creation`` and ``annihilation`` are (T, k) site arrays in
     left-to-right operator order, so the rightmost operator acts first.
     Yields, batch by batch, the (row, string) pairs the strings do not
-    annihilate as flat arrays: ``col`` the basis row acted on, ``term``
-    the string, ``key`` the packed occupation row of the image and
-    ``factor`` the matrix element.
+    annihilate as flat arrays: ``col`` the row acted on, ``term`` the
+    string, ``key`` the packed occupation row of the image and
+    ``factor`` the matrix element.  A creation is allowed while its site
+    stays within the index's ``limit`` (for fermions the Pauli rule):
+    past it the image is none of the rows, and its key would carry.
     Fermionic signs count the occupied orbitals below the acted site;
     bosonic factors are sqrt(n) and sqrt(n + 1).
     """
@@ -217,22 +182,22 @@ def _images(basis: SectorBasis, creation, annihilation, fermionic: bool):
                         np.zeros(len(site), dtype=np.int64)))
         lower.append(sum((s * (prev < site) for prev, s in ops[:i]),
                          np.zeros(len(site), dtype=np.int64)))
-    shift = sum((s * basis.digits[site] for site, s in ops),
+    shift = sum((s * index.weights[site] for site, s in ops),
                 np.zeros(len(annihilation), dtype=np.int64))
 
-    def allowed(n, step):
-        return n > 0 if step < 0 else n == 0 if fermionic else n >= 0
+    def allowed(n, step, site):
+        return n > 0 if step < 0 else n < index.limit[site]
 
-    occ = basis.occupations
+    occ = index.occupations
     below = (occ.cumsum(axis=1) - occ).ravel()
     flat = occ.ravel()
-    sites = basis.num_sites
-    batch = max(1, _BATCH // basis.dim)
+    sites = index.num_sites
+    batch = max(1, _BATCH // len(occ))
     for lo in range(0, len(annihilation), batch):
-        # The first operator sees the basis rows unchanged: pick the rows
-        # it keeps from one dense block, then follow only those.
-        site0, step0 = ops[0]
-        col, term = np.nonzero(allowed(occ[:, site0[lo:lo + batch]], step0))
+        # The first operator sees the rows unchanged: pick the rows it
+        # keeps from one dense block, then follow only those.
+        site0, step0 = ops[0][0][lo:lo + batch], ops[0][1]
+        col, term = np.nonzero(allowed(occ[:, site0], step0, site0))
         term += lo
         acc = np.zeros(col.size, dtype=np.int64) if fermionic else \
             np.ones(col.size, dtype=np.int64)
@@ -241,7 +206,7 @@ def _images(basis: SectorBasis, creation, annihilation, fermionic: bool):
             at = col * sites + site[term]
             n = flat[at] + dsame[term]
             if i:
-                keep = allowed(n, step)
+                keep = allowed(n, step, site[term])
                 col, term, acc, at, n = (col[keep], term[keep], acc[keep],
                                          at[keep], n[keep])
             if fermionic:
@@ -249,7 +214,7 @@ def _images(basis: SectorBasis, creation, annihilation, fermionic: bool):
             else:
                 acc *= n if step < 0 else n + 1
         factor = 1.0 - 2.0 * (acc & 1) if fermionic else np.sqrt(acc)
-        yield col, term, basis.keys[col] + shift[term], factor
+        yield col, term, index.keys[col] + shift[term], factor
 
 
 def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
@@ -263,7 +228,7 @@ def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
     for col, term, key, factor in _images(
             basis, np.array(creation, dtype=np.intp),
             np.array(annihilation, dtype=np.intp), fermionic):
-        row = basis.find(key)
+        row = find_keys(basis.keys, key)
         keep = row >= 0
         rows.append(row[keep].astype(np.int32))
         cols.append(col[keep].astype(np.int32))
@@ -274,29 +239,29 @@ def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
     return mat.tocsr()
 
 
-def _bond_annihilators(basis: SectorBasis, F: FormFactor, gamma: float):
-    """For each doubled bond center 2s, the terms of B_s = sum_k F(2k*gamma) c_{s-k} c_{s+k}.
+def _bond_annihilators(sites: int, f: dict[int, tuple[float, ...]]):
+    """For each doubled bond center 2s and each form-factor component j,
+    the terms of B_{s,j} = sum_k f_j(2k*gamma) c_{s-k} c_{s+k}, given
+    f[d][j] = f_j(d*gamma).
 
     The offset k runs over both signs (and zero for bosons), so the
-    adjoint pairs B_s* B_s reproduce the quadruple sum exactly.
+    adjoint pairs B_{s,j}* B_{s,j} reproduce the quadruple sum exactly.
     """
-    sites = basis.num_sites
     bonds = []
     for S in range(2 * sites - 1):
-        terms = []
-        for a in range(max(0, S - sites + 1), min(S, sites - 1) + 1):
-            b = S - a
-            coeff = F((b - a) * gamma)
-            if coeff != 0.0:
-                terms.append(((a, b), coeff))
-        if terms:
-            bonds.append(terms)
+        pairs = [(a, S - a) for a in range(max(0, S - sites + 1),
+                                           min(S, sites - 1) + 1)]
+        for j in range(len(f[0])):
+            terms = [((a, b), f[b - a][j]) for a, b in pairs
+                     if f[b - a][j] != 0.0]
+            if terms:
+                bonds.append(terms)
     return bonds
 
 
 def _gram_build(basis: SectorBasis, bonds, fermionic: bool
                 ) -> sparse.csr_matrix:
-    """Assemble sum_s B_s* B_s as A^T A.
+    """Assemble sum_s B_s* B_s over the bonds s as A^T A.
 
     Row (s, n) of A holds <n|B_s|m> over the basis states m, one row per
     distinct image n of a bond s.
@@ -342,10 +307,11 @@ def build_H(params: ModelParams, basis: SectorBasis | None = None,
     """Assemble the repulsion twice: quadruple sum and bond squares.
 
     Quadruple route: sum over ordered (k1, k2, n1, n2) with
-    k1 + k2 = n1 + n2 of F((k1-k2)g) F((n1-n2)g) c*_{k1} c*_{k2} c_{n2} c_{n1}.
-    Bond route: sum_s B_s* B_s over doubled centers.  The two agree
-    entrywise up to rounding; the bond form is returned as ``H``
-    because its positivity is manifest.
+    k1 + k2 = n1 + n2 of sum_j f_j((k1-k2)g) f_j((n1-n2)g)
+    c*_{k1} c*_{k2} c_{n2} c_{n1}, over the form-factor components j.
+    Bond route: sum_{s,j} B_{s,j}* B_{s,j} over doubled centers and
+    components.  The two agree entrywise up to rounding; the bond form
+    is returned as ``H`` because its positivity is manifest.
     """
     if basis is None:
         basis = sector_basis(params, cap=cap)
@@ -355,22 +321,23 @@ def build_H(params: ModelParams, basis: SectorBasis | None = None,
     sites = basis.num_sites
 
     t0 = time.perf_counter()
-    f = {d: F(d * g) for d in range(1 - sites, sites)}
+    f = {d: F.components(d * g) for d in range(1 - sites, sites)}
     terms = []
     for S in range(2 * sites - 1):
         modes = [(a, S - a) for a in range(max(0, S - sites + 1),
                                            min(S, sites - 1) + 1)]
         for k1, k2 in modes:
             fk = f[k1 - k2]
-            if fk == 0.0:
+            if not any(fk):
                 continue
             for n1, n2 in modes:
                 fn = f[n1 - n2]
-                if fn != 0.0:
-                    terms.append(((k1, k2), (n2, n1), fk * fn))
+                if any(fn):
+                    terms.append(((k1, k2), (n2, n1),
+                                  sum(a * b for a, b in zip(fk, fn))))
     pair = _operator_from_terms(basis, terms, fermionic)
     t1 = time.perf_counter()
-    bond = _gram_build(basis, _bond_annihilators(basis, F, g), fermionic)
+    bond = _gram_build(basis, _bond_annihilators(sites, f), fermionic)
     t2 = time.perf_counter()
     dev = abs(pair - bond).max() if basis.dim else 0.0
     return HBuild(basis=basis, pair=pair, bond=bond, deviation=float(dev),
@@ -395,11 +362,13 @@ def spectrum(H, count: int = 6, maxiter: int = 600, tol: float = 1e-11,
     relative accuracy of the Ritz values and ``maxiter`` its limit on
     restarts; the start vector comes from a fixed-seed generator, so
     repeated runs agree far below the tolerance.  Raises
-    ``ArpackNoConvergence`` (a ``RuntimeError``) if the requested values
-    have not converged.  Where ARPACK cannot run (count >= dim - 1) the
-    dense eigensolver takes over.
+    :class:`~laughlin.lattice.CapExceeded` (a ``RuntimeError``) if
+    ARPACK fails or the requested values have not converged.  Where
+    ARPACK cannot run (count >= dim - 1) the dense eigensolver takes
+    over.
     """
-    from scipy.sparse.linalg import eigsh  # 0.08 s: import only to solve
+    # 0.08 s: import only to solve
+    from scipy.sparse.linalg import ArpackError, eigsh
 
     H = sparse.csr_matrix(H)
     dim = H.shape[0]
@@ -409,9 +378,14 @@ def spectrum(H, count: int = 6, maxiter: int = 600, tol: float = 1e-11,
     if count >= dim - 1:
         return np.linalg.eigvalsh(H.toarray())[:count]
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    vals = eigsh(H, k=count, which="SA", v0=v0, maxiter=maxiter, tol=tol,
-                 ncv=min(dim, max(2 * count + 1, _NCV)),
-                 return_eigenvectors=False)
+    try:
+        vals = eigsh(H, k=count, which="SA", v0=v0, maxiter=maxiter, tol=tol,
+                     ncv=min(dim, max(2 * count + 1, _NCV)),
+                     return_eigenvectors=False)
+    except ArpackError as exc:
+        raise CapExceeded(f"Lanczos did not converge the lowest {count} "
+                          f"eigenvalues within maxiter={maxiter} restarts: "
+                          f"{exc}") from exc
     return np.sort(vals)
 
 

@@ -10,6 +10,10 @@ and partitions of the site block {0, ..., pN-1} into rods of length p*n.
 One search, :func:`configurations`, lists the configurations
 of a fixed orbital sum in lexicographic order: a momentum sector of the
 parent Hamiltonian or, under the dominance floor, the admissible set.
+One index, :class:`ConfigIndex`, finds a configuration among the rows
+of such an array by its packed occupation key; the squeezing pass, the
+product rule, sector bases and operator strings all look rows up
+through it.
 
 Conventions
 -----------
@@ -289,6 +293,60 @@ def find_keys(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
     is absent: the lookup of configurations by packed occupation keys."""
     pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
     return np.where(keys[pos] == targets, pos, -1)
+
+
+#: Exclusive bound on int64 magnitudes: the packed keys, and every sum
+#: and product of the exact integer passes, stay below it.
+INT64_LIMIT = 2 ** 63
+
+
+class ConfigIndex:
+    """The rows of a nonempty (D, N) configuration array on sites
+    0..num_sites-1, in strictly increasing lexicographic order, found
+    by packed occupation keys.
+
+    ``occupations`` holds the int8 occupation rows and ``limit`` each
+    site's largest occupation.  A key is the negated mixed-radix number
+    of a row's occupations, site 0 the most significant, each site's
+    radix one more than its limit; ``weights`` holds the key of one
+    particle on each site.  Particle number fixes the last site from
+    the others, and an orbital sum that every row shares fixes the site
+    before it, so those carry no digit.  The ``keys`` of the rows
+    increase strictly.  A string of operators that keeps particle
+    number and orbital sum, and creates nowhere past ``limit``, shifts
+    a row's key by its sites' weights, and :func:`find_keys` finds the
+    image.  Raises :class:`CapExceeded` when the radix product reaches
+    2^63.
+    """
+
+    def __init__(self, configs: np.ndarray, num_sites: int):
+        occ = occupation_rows(configs, num_sites)
+        limit = occ.max(axis=0)
+        sums = configs.sum(axis=1)
+        fixed = 2 if num_sites > 1 and (sums == sums[0]).all() else 1
+        radix = (limit[:num_sites - fixed] + 1).tolist()
+        if (size := math.prod(radix)) >= INT64_LIMIT:
+            raise CapExceeded(f"occupation keys of {configs.shape[1]} "
+                              f"particles on {num_sites} sites need "
+                              f"{math.log2(size):.1f} bits, past int64")
+        weights = np.zeros(num_sites, dtype=np.int64)
+        weights[:len(radix)] = [-math.prod(radix[s + 1:])
+                                for s in range(len(radix))]
+        self.configs, self.num_sites = configs, num_sites
+        self.occupations, self.limit, self.weights = occ, limit, weights
+        self.keys = occ @ weights
+
+    def find(self, configs) -> np.ndarray:
+        """Row of each configuration, -1 where it is none of the rows:
+        off the lattice, past a site's limit, or on the key of a row
+        that differs on the sites with no digit."""
+        configs = np.asarray(configs, dtype=np.int64).reshape(
+            -1, self.configs.shape[1])
+        inside = ((configs >= 0) & (configs < self.num_sites)).all(axis=1)
+        occ = occupation_rows(configs * inside[:, None], self.num_sites)
+        rows = find_keys(self.keys, occ @ self.weights)
+        same = (self.occupations[rows] == occ).all(axis=1)
+        return np.where(inside & same, rows, -1)
 
 
 def config_to_occupation(m: tuple[int, ...], num_sites: int) -> tuple[int, ...]:

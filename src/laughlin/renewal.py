@@ -202,11 +202,17 @@ class RenewalModel:
         return u
 
 
-def _tail_estimate(pn: np.ndarray) -> float:
-    """Geometric extrapolation of the waiting-time mass beyond Nmax."""
+def _tail_ratio(pn: np.ndarray) -> float:
+    """Ratio q <= 0.99 of the geometric tail p_k ~ p_Nmax q^(k-Nmax)
+    beyond Nmax; 0, no tail, where the last two weights give none."""
     if len(pn) < 2 or pn[-1] <= 0 or pn[-2] <= 0:
         return 0.0
-    q = min(pn[-1] / pn[-2], 0.99)
+    return min(pn[-1] / pn[-2], 0.99)
+
+
+def _tail_estimate(pn: np.ndarray) -> float:
+    """Geometric extrapolation of the waiting-time mass beyond Nmax."""
+    q = _tail_ratio(pn)
     return float(pn[-1] * q / (1.0 - q))
 
 
@@ -389,11 +395,9 @@ def long_interval_bound(model: RenewalModel, d: int) -> float:
     pn = np.asarray(model.pn)
     k = np.arange(1, model.Nmax + 1)
     total = float((k[d - 1:] @ pn[d - 1:]) if d <= model.Nmax else 0.0)
-    if len(pn) >= 2 and pn[-1] > 0 and pn[-2] > 0:
-        q = min(pn[-1] / pn[-2], 0.99)
-        # sum_{k>Nmax} k p_k with p_k ~ p_Nmax q^(k-Nmax)
-        n0 = model.Nmax
-        start = max(d, n0 + 1)
-        head = pn[-1] * q ** (start - n0)
-        total += float(head * (start + q / (1 - q)) / (1 - q))
+    # sum_{k>Nmax} k p_k with p_k ~ p_Nmax q^(k-Nmax)
+    q = _tail_ratio(pn)
+    start = max(d, model.Nmax + 1)
+    head = pn[-1] * q ** (start - model.Nmax)
+    total += float(head * (start + q / (1 - q)) / (1 - q))
     return model.c_sub * total

@@ -423,6 +423,21 @@ def test_exit_code_cap(dirs):
                    "--cache-dir", cache, "--out-dir", out) == 3
 
 
+def test_exit_code_unconverged_eigensolve(dirs, capsys, monkeypatch):
+    # A Lanczos solve that runs out of restarts is a resource limit: one
+    # error line and exit 3, not an ARPACK traceback.
+    cache, out = dirs
+    spectrum = hamiltonian.spectrum
+    monkeypatch.setattr(hamiltonian, "spectrum", lambda H, **kwargs:
+                        spectrum(H, **kwargs, maxiter=1))
+    assert run_cli("ham", "--p", "3", "--N", "6", "--spectrum", "6",
+                   "--cache-dir", cache, "--out-dir", out) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: Lanczos did not converge the lowest 6 "
+                             "eigenvalues within maxiter=1 restarts")
+
+
 def test_exit_code_invalid_config(dirs):
     cache, out = dirs
     assert run_cli("norms", "--p", "0", "--Nmax", "3",

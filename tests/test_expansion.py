@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laughlin import expansion
+from laughlin import expansion, lattice
 from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 cache_path, evaluate_oracle, expand,
                                 expand_all, load_cache, save_cache,
@@ -177,8 +177,10 @@ def test_expand_computes_one_table(monkeypatch, tmp_path):
                                          (2 ** 20, "squeezing sums")))
 def test_int64_bound_raises_cap(monkeypatch, tmp_path, limit, what):
     # At p=3, N=6 the keys need 14 bits and the squeezing sums over 20.
-    monkeypatch.setattr(expansion, "_INT64_LIMIT", limit)
-    with pytest.raises(CapExceeded, match=f"{what} of p=3, N=6"):
+    monkeypatch.setattr(lattice, "INT64_LIMIT", limit)
+    where = {"occupation keys": "6 particles on 16 sites",
+             "squeezing sums": "p=3, N=6"}[what]
+    with pytest.raises(CapExceeded, match=f"{what} of {where}"):
         expand(3, 6, cache_dir=str(tmp_path))
     assert os.listdir(tmp_path) == []
     with pytest.raises(CapExceeded):
@@ -190,7 +192,7 @@ def test_product_bound_raises_cap(monkeypatch, tmp_path):
     # particles multiply to at most 945 (10 bits), while the keys need
     # 14 bits and the squeezing sums over 20.
     smaller = expand_all(3, 5)
-    monkeypatch.setattr(expansion, "_INT64_LIMIT", 2 ** 9)
+    monkeypatch.setattr(lattice, "INT64_LIMIT", 2 ** 9)
     with pytest.raises(CapExceeded,
                        match="product-rule coefficients of p=3, N=6"):
         expand(3, 6, cache_dir=str(tmp_path), smaller=smaller)

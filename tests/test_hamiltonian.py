@@ -7,9 +7,10 @@ import pytest
 from pytest import approx
 from scipy import sparse
 
-from laughlin.expansion import amplitudes
+from laughlin.expansion import amplitudes, expand_all
 from laughlin.hamiltonian import (
     FormFactor,
+    _images,
     build_H,
     build_HTT,
     build_monomer_dimer,
@@ -22,8 +23,9 @@ from laughlin.hamiltonian import (
     tao_thouless,
     tt_energies,
 )
-from laughlin.lattice import (CapExceeded, ConfigError, ModelParams,
-                              config_tuples, total_momentum)
+from laughlin.lattice import (CapExceeded, ConfigError, ConfigIndex,
+                              ModelParams, config_tuples, find_keys,
+                              occupation_rows, total_momentum)
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +107,53 @@ def test_sector_cap_counts_the_sector():
 
 
 def test_occupation_keys_order_and_limit():
-    # Keys are (N+1)-ary for bosons and binary for fermions: 10^17 fits in
-    # int64 at p=2, N=9, while 11^19 at N=10 and 2^64 at p=3, N=22 do not.
+    # Keys are mixed-radix over each site's largest occupation, with no
+    # digit on the two sites that particle number and momentum fix: the
+    # p=6, N=5 ground sector packs into 46 bits, where base N + 1 = 6 over
+    # all 25 sites would need 64.6.
     basis = sector_basis(ModelParams(2, 9, 1.0), momentum=total_momentum(2, 9))
     assert np.all(np.diff(basis.keys) > 0)
-    assert np.array_equal(basis.find(basis.keys), np.arange(basis.dim))
-    for p, N in ((2, 10), (3, 22)):
-        with pytest.raises(CapExceeded):
-            sector_basis(ModelParams(p, N, 1.0), momentum=total_momentum(p, N))
+    rows = np.arange(basis.dim)
+    assert np.array_equal(find_keys(basis.keys, basis.keys), rows)
+    assert np.array_equal(basis.find(basis.configs), rows)
+    six = sector_basis(ModelParams(6, 5, 1.0), momentum=total_momentum(6, 5))
+    assert six.dim == 2649
+    # One particle on one of n sites, the orbital sums all differ: only
+    # the last site carries no digit, so n - 1 binary digits.
+    assert ConfigIndex(np.arange(63).reshape(-1, 1), 63).keys[0] == -2 ** 61
+    with pytest.raises(CapExceeded, match="occupation keys"):
+        ConfigIndex(np.arange(64).reshape(-1, 1), 64)
+
+
+def test_vector_rejects_configurations_outside_the_basis():
+    # A lookup by key alone finds a row for both: (0, 2, 4, 5) moves the
+    # root's last particle onto site 5, which carries no digit, and
+    # (0, 1, 1, 1) puts three bosons on site 1, where no row has more
+    # than two, so its digit carries into site 0's, as in (0, 0, 6, 6).
+    basis = sector_basis(ModelParams(2, 4, 1.0), momentum=total_momentum(2, 4))
+    for m in ((0, 2, 4, 5), (0, 1, 1, 1)):
+        key = occupation_rows(np.array([m]), basis.num_sites) @ basis.weights
+        assert find_keys(basis.keys, key)[0] >= 0
+        assert basis.find([m])[0] == -1
+        with pytest.raises(ConfigError, match="configuration outside the basis"):
+            basis.vector([m], [1.0])
+    assert basis.vector([(0, 2, 4, 6)], [1.0])[2] == 1.0
+
+
+def test_images_create_within_the_index_limit():
+    # The one row (0, 3) leaves sites 1 and 2 empty, so they carry no
+    # room in the key: (1, 2), the image of c*_1 c*_2 c_3 c_0, packs to
+    # the key of (0, 3).  The creations are refused before any lookup.
+    index = ConfigIndex(np.array([[0, 3]]), 4)
+    image = occupation_rows(np.array([[1, 2]]), 4) @ index.weights
+    assert find_keys(index.keys, image)[0] == 0
+    for fermionic in (True, False):
+        col, _, _, _ = next(_images(index, np.array([[1, 2]]),
+                                    np.array([[3, 0]]), fermionic))
+        assert col.size == 0
+        col, _, key, _ = next(_images(index, np.array([[0, 3]]),
+                                      np.array([[3, 0]]), fermionic))
+        assert col.tolist() == [0] and key.tolist() == index.keys.tolist()
 
 
 # -- the repulsion and its kernel ---------------------------------------------------
@@ -165,6 +206,31 @@ def test_exact_states_span_kernel(tables_p3, tables_p2):
             assert rep.residual < 1e-12
             assert rep.kernel_dim == 1
             assert rep.min_eigenvalue > -1e-10
+    # p = 4 and 5 have two form-factor components, and the kernel is one
+    # state only with bonds of each component apart.  Dense eigenvalues
+    # count an exactly degenerate kernel, which one Lanczos run cannot.
+    for p in (4, 5):
+        tables = expand_all(p, 5)
+        for N in (2, 3, 4, 5):
+            params = ModelParams(p, N, 1.0)
+            basis = sector_basis(params, momentum=None if N <= 3
+                                 else total_momentum(p, N))
+            H = build_H(params, basis=basis).H
+            psi = exact_vector(basis, amplitudes(tables[N - 1], 1.0))
+            rep = ground_check(H, psi, np.linalg.eigvalsh(H.toarray()))
+            assert rep.residual < 1e-12
+            assert rep.kernel_dim == 1
+            assert rep.min_eigenvalue > -1e-10
+
+
+def test_p6_boson_ground_sector():
+    # 2,649 states of five bosons on 25 sites, keys of 46 bits.
+    params = ModelParams(6, 5, 1.0)
+    sec = sector_basis(params, momentum=total_momentum(6, 5))
+    build = build_H(params, basis=sec)
+    assert build.deviation <= 1e-12 * abs(build.H).max()
+    psi = exact_vector(sec, amplitudes(expand_all(6, 5)[-1], 1.0))
+    assert np.linalg.norm(build.H @ psi) / np.linalg.norm(psi) < 1e-8
 
 
 def test_eight_fermion_ground_sector(tables_p3):

@@ -10,7 +10,9 @@ correlation is checked bit for bit against one call that recomputes
 all its inputs.  The level-batched squeezing pass is checked against
 the recursion that visits one configuration and one unsqueeze at a
 time, and the Metropolis sampler against a move loop that evaluates
-both energies of every move from the positions.  The one configuration
+both energies of every move from the positions.  Operator strings, on
+sector bases and on amplitude tables alike, are checked against a walk
+that applies them to one occupation row at a time.  The one configuration
 search behind sector bases and admissible sets is checked against the
 whole layer filtered by momentum, and by dominance.
 """
@@ -19,7 +21,7 @@ import dataclasses
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from scipy import sparse
 from scipy.special import erf
 
 from laughlin import hamiltonian, plasma
-from laughlin.correlations import (_apply_string, occupation_finite,
+from laughlin.correlations import (moments_finite, occupation_finite,
                                    occupation_infinite, pair_infinite,
                                    rod_expectations)
 from laughlin.expansion import amplitudes, expand_all
@@ -294,6 +296,80 @@ def test_squeeze_matches_reference(p, n_max):
         assert list(table.coeffs.items()) == list(expect.items())
 
 
+# -- operator strings ---------------------------------------------------------------
+
+
+def apply_string(n: list[int], creation, annihilation, fermionic: bool
+                 ) -> tuple[tuple[int, ...], float] | None:
+    """Apply c*_{creation} ... c_{annihilation} to the occupation config.
+
+    Both tuples are in left-to-right operator order, so the rightmost
+    operator acts first.  Returns (resulting config, matrix factor) or
+    None if the string annihilates the state.  Fermionic signs count the
+    occupied orbitals below the acted site.
+    """
+    factor = 1.0
+    for site in reversed(tuple(annihilation)):
+        if n[site] == 0:
+            return None
+        if fermionic:
+            factor *= (-1) ** sum(n[:site])
+            n[site] = 0
+        else:
+            factor *= math.sqrt(n[site])
+            n[site] -= 1
+    for site in reversed(tuple(creation)):
+        if fermionic:
+            if n[site]:
+                return None
+            factor *= (-1) ** sum(n[:site])
+            n[site] = 1
+        else:
+            factor *= math.sqrt(n[site] + 1)
+            n[site] += 1
+    return tuple(n), factor
+
+
+def reference_moments(amp, creation, annihilation):
+    """<c*...c*... c...c> / C_N by a walk over the table's occupation
+    rows, each image looked up in a dict of the rows."""
+    if sum(creation) != sum(annihilation):
+        return 0.0
+    rows = amp.table.occupations[:, :amp.num_orbitals].tolist()
+    by_occ = dict(zip(map(tuple, rows), amp.occ.tolist()))
+    total = 0.0
+    for occ, A in by_occ.items():
+        out = apply_string(list(occ), creation, annihilation, amp.p % 2 == 1)
+        if out is not None and out[0] in by_occ:
+            total += by_occ[out[0]] * out[1] * A
+    return total / amp.norm_sq()
+
+
+@pytest.mark.parametrize("p, N", ((3, 4), (2, 4), (4, 3)))
+def test_moments_finite_matches_reference(p, N):
+    # Every string of one or two creations and as many annihilations.
+    # At p=2, N=4 some of them create past the largest occupation any
+    # row has on a site, where a packed key would carry.
+    amp = amplitudes(expand_all(p, N)[-1], 1.1)
+    sites = amp.num_orbitals
+    rows = amp.table.occupations[:, :sites].tolist()
+    limit = amp.table.index.limit.tolist()
+    past = 0
+    for k in (1, 2):
+        for string in product(range(sites), repeat=2 * k):
+            creation, annihilation = string[:k], string[k:]
+            expect = reference_moments(amp, creation, annihilation)
+            got = moments_finite(amp, creation, annihilation)
+            assert got == approx(expect, rel=0, abs=1e-14)
+            if p == 2 and sum(creation) == sum(annihilation):
+                for occ in rows:
+                    out = apply_string(list(occ), creation, annihilation,
+                                       False)
+                    past += out is not None and any(
+                        n > top for n, top in zip(out[0], limit))
+    assert past > 0 or p != 2
+
+
 # -- parent Hamiltonians ------------------------------------------------------------
 
 
@@ -305,7 +381,7 @@ def reference_operator(basis, terms, fermionic):
     for col, m in enumerate(configs):
         occ = config_to_occupation(m, basis.num_sites)
         for creation, annihilation, coeff in terms:
-            out = _apply_string(list(occ), creation, annihilation, fermionic)
+            out = apply_string(list(occ), creation, annihilation, fermionic)
             if out is None:
                 continue
             target, factor = out
@@ -327,7 +403,7 @@ def reference_gram(basis, bonds, fermionic):
         for col, m in enumerate(config_tuples(basis.configs)):
             occ = config_to_occupation(m, basis.num_sites)
             for (a, b), coeff in terms:
-                res = _apply_string(list(occ), (), (a, b), fermionic)
+                res = apply_string(list(occ), (), (a, b), fermionic)
                 if res is not None:
                     images.setdefault(res[0], []).append((col, coeff * res[1]))
         rows, cols, vals = [], [], []
