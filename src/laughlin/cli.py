@@ -5,24 +5,24 @@ output directory, then a ``<subcommand>_manifest.json`` recording the
 full configuration, library versions, SHA-256 checksums of the
 artifacts, the wall time and, where coefficient tables were read, a
 ``cache`` record of the N read from the cache and the N computed.
-``norms``, ``renewal``, ``corr`` and the ``mcmc`` phase read the
-gamma-free moment tables of :mod:`laughlin.moments` instead, deriving
-and writing any missing moment file from its coefficient table, and
-their ``cache`` record also lists the moment files read and derived.
-The ``expand`` manifest also lists its ``stages``: one ``squeeze`` per
-computed table, with its N, the Sigma m^2 levels of the recursion, the
-unsqueezed candidates looked up, the reducible rows filled by the
-product rule from the tables of fewer particles (held in the run or
-read from the cache, never read or computed twice), the terms and the
-bit length of the largest coefficient.  So does the ``ham`` manifest:
-the seconds spent on sector enumeration (with the sector dimension),
-on each assembly of H (with its nnz), on its one eigensolve (with the
-count of values, shared with the ground-state check), on that check,
-on the monomer-dimer model (with its dimension and number of terms)
-and on the perturbation series.  The ``norms``, ``renewal`` and
-``corr`` manifests time reading the moment tables (with the exponent
-count of each) and their further stages; the ``model`` stage records
-the renewal tail mass, root shift and alpha residual.
+One loader, :func:`_load_tables`, decides for each N whether its table
+is read from the cache or computed, and records every computed table
+as a ``squeeze`` stage with the sizes of its squeezing pass.  ``norms``,
+``renewal``, ``corr`` and the ``mcmc`` phase read the gamma-free moment
+tables of :mod:`laughlin.moments` instead, deriving and writing any
+missing moment file from its coefficient table, and their ``cache``
+record also lists the moment files read and derived.
+Each manifest lists the ``stages`` of its run, and a stage's seconds
+leave out those of any stage recorded inside it, so the stage seconds
+sum to at most the wall time.  The ``ham`` manifest records the seconds
+spent on sector enumeration (with the sector dimension), on each
+assembly of H (with its nnz), on its one eigensolve (with the count of
+values, shared with the ground-state check), on that check, on the
+monomer-dimer model (with its dimension and number of terms) and on the
+perturbation series.  Reading and deriving the moment tables is a
+``moments`` stage (with the exponent count of each), and the renewal
+model a ``model`` stage recording its tail mass, root shift and alpha
+residual, before the further stages of each subcommand.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -49,13 +49,12 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
-from importlib import metadata
 
 import numpy as np
 import scipy
 
-from laughlin import (correlations, expansion, hamiltonian, moments, plasma,
-                      renewal)
+from laughlin import (__version__, correlations, expansion, hamiltonian,
+                      moments, plasma, renewal)
 from laughlin.lattice import (
     CapExceeded,
     ConfigError,
@@ -127,6 +126,7 @@ class Emitter:
         self.config = config
         self.checksums: dict[str, str] = {}
         self.stages: list[dict] = []
+        self.recorded = 0.0  # the seconds of every stage recorded so far
         self.t0 = time.perf_counter()
         os.makedirs(out_dir, exist_ok=True)
 
@@ -149,21 +149,19 @@ class Emitter:
     def stage(self, name: str, seconds: float, **sizes) -> None:
         """Record one stage of the run for the manifest's ``stages``."""
         self.stages.append({"name": name, "seconds": seconds, **sizes})
+        self.recorded += seconds
 
     @contextmanager
     def timed(self, name: str):
-        """Time the enclosed block as a stage; sizes set on the yielded
-        dict are recorded with it."""
+        """Time the enclosed block as a stage, less the stages recorded
+        inside it; sizes set on the yielded dict are recorded with it."""
         sizes: dict = {}
-        t0 = time.perf_counter()
+        t0, inner = time.perf_counter(), self.recorded
         yield sizes
-        self.stage(name, time.perf_counter() - t0, **sizes)
+        self.stage(name, time.perf_counter() - t0 - (self.recorded - inner),
+                   **sizes)
 
     def manifest(self, extra: dict | None = None) -> str:
-        try:
-            version = metadata.version("artifact")
-        except metadata.PackageNotFoundError:
-            version = "unknown"
         doc = {
             "subcommand": self.subcommand,
             "inputs": self.config,
@@ -171,7 +169,7 @@ class Emitter:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
-                "artifact": version,
+                "artifact": __version__,
             },
             "artifacts": dict(sorted(self.checksums.items())),
             "wall_time_s": time.perf_counter() - self.t0,
@@ -192,25 +190,27 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
-                 cap: int | None = None, em: Emitter | None = None,
+def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
+                 cap: int | None = None, no_compute: bool = False,
                  only: list[int] | None = None
                  ) -> tuple[list[expansion.CoefficientTable], dict]:
-    """Coefficient tables 1..Nmax (or the N in ``only``) from cache,
-    computing only those missing.
+    """Coefficient tables 1..Nmax (or the N in ``only``): the one place
+    that decides whether a table is read from the cache or computed.
 
-    A computed table takes its reducible rows from the product rule
-    over the tables of fewer particles: those already held in this run,
-    else the cached ones, so no table is read or computed twice.
-    Also returns the manifest's ``cache`` record: the N read from the
-    cache (``hits``) and the N computed in this run (``computed``).
-    With an emitter, each computed table is a ``squeeze`` stage with its
-    N, Sigma m^2 ``levels``, unsqueezed ``candidates`` looked up,
+    Every N up to the largest asked for whose cache file is missing is
+    computed, once ``no_compute`` and the cap have been checked for all
+    of them.  A computed table takes its reducible rows from
+    the product rule over the tables of 1..N-1 particles, each held
+    from earlier in the run or read from the cache, so no table is read
+    or computed twice.  Each computed table is a ``squeeze`` stage with
+    its N, Sigma m^2 ``levels``, unsqueezed ``candidates`` looked up,
     reducible rows ``filled`` by the product rule, ``terms`` and
-    ``max_coeff_bits``.
+    ``max_coeff_bits``.  Also returns the manifest's ``cache`` record:
+    the N asked for that were read from the cache (``hits``) and the N
+    computed in this run (``computed``).
     """
     every = range(1, Nmax + 1) if only is None else only
-    missing = [n for n in every
+    missing = [n for n in range(1, max(every, default=0) + 1)
                if not os.path.exists(expansion.cache_path(cache_dir, p, n))]
     if missing:
         if no_compute:
@@ -218,70 +218,67 @@ def _load_tables(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
                 f"cache at {cache_dir} lacks tables for p={p}, N<={Nmax}; "
                 "run the expand subcommand or drop --no-compute")
         check_cap(p, missing[-1], cap)
-    tables: list[expansion.CoefficientTable] = []
-    for n in every:
-        # ``every`` increases, so the tables held are those of 1..n-1
-        # exactly when there are n - 1 of them.
-        smaller = tables if len(tables) == n - 1 else None
-        if em is not None and n in missing:
-            with em.timed("squeeze") as sizes:
-                sizes["N"] = n
-                table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
-                                         sizes=sizes, smaller=smaller)
-                bits = int(np.abs(table.values).max()).bit_length()
-                sizes.update(terms=len(table), max_coeff_bits=bits)
-        else:
-            table = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
-                                     smaller=smaller)
-        tables.append(table)
-    return tables, {"hits": [n for n in every if n not in missing],
-                    "computed": missing}
+    held: dict[int, expansion.CoefficientTable] = {}
+
+    def table(n: int) -> expansion.CoefficientTable:
+        if n not in held:
+            held[n] = expansion.load_cache(
+                expansion.cache_path(cache_dir, p, n), expected_p=p,
+                expected_N=n)
+        return held[n]
+
+    for n in missing:
+        smaller = [table(k) for k in range(1, n)]
+        with em.timed("squeeze") as sizes:
+            sizes["N"] = n
+            held[n] = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
+                                       sizes=sizes, smaller=smaller)
+            bits = int(np.abs(held[n].values).max()).bit_length()
+            sizes.update(terms=len(held[n]), max_coeff_bits=bits)
+    return [table(n) for n in every], {
+        "hits": [n for n in every if n not in missing], "computed": missing}
 
 
-def _load_moments(p: int, Nmax: int, cache_dir: str, no_compute: bool = False,
-                  cap: int | None = None
+def _load_moments(em: Emitter, args, Nmax: int, no_compute: bool = False
                   ) -> tuple[list[moments.MomentTable], dict]:
-    """Moment tables 1..Nmax from cache, deriving those missing.
+    """Moment tables 1..Nmax as a ``moments`` stage, with the number of
+    distinct exponents of each.
 
     A missing moment file is derived from its coefficient table, read
-    from the cache or computed (never with ``no_compute``), and written
-    beside it; a stored one is read without parsing its coefficient
-    file.  The ``cache`` record of :func:`_load_tables`, for the
-    coefficient tables read, gains the N whose moment files were read
-    (``moments_read``) and derived (``moments_derived``).
+    from the cache or computed by :func:`_load_tables` (never with
+    ``no_compute``), and written beside it; a stored one is read without
+    parsing its coefficient file.  The ``cache`` record of
+    :func:`_load_tables`, for the coefficient tables read, gains the N
+    whose moment files were read (``moments_read``) and derived
+    (``moments_derived``).
     """
-    every = range(1, Nmax + 1)
-    derive = [n for n in every if not (
-        os.path.exists(moments.moment_path(cache_dir, p, n))
-        and os.path.exists(expansion.cache_path(cache_dir, p, n)))]
-    tables, cache = _load_tables(p, Nmax, cache_dir, no_compute=no_compute,
-                                 cap=cap, only=derive)
-    derived = {t.N: moments.store(t, cache_dir) for t in tables}
-    cache.update(moments_read=[n for n in every if n not in derived],
-                 moments_derived=derive)
-    return [derived[n] if n in derived else moments.read(cache_dir, p, n)
-            for n in every], cache
+    p, cache_dir, every = args.p, args.cache_dir, range(1, Nmax + 1)
+    with em.timed("moments") as sizes:
+        derive = [n for n in every if not (
+            os.path.exists(moments.moment_path(cache_dir, p, n))
+            and os.path.exists(expansion.cache_path(cache_dir, p, n)))]
+        tables, cache = _load_tables(em, p, Nmax, cache_dir, cap=args.cap,
+                                     no_compute=no_compute, only=derive)
+        derived = {t.N: moments.store(t, cache_dir) for t in tables}
+        cache.update(moments_read=[n for n in every if n not in derived],
+                     moments_derived=derive)
+        tables = [derived[n] if n in derived else moments.read(cache_dir, p, n)
+                  for n in every]
+        sizes["exponents"] = [len(m.exponents) for m in tables]
+    return tables, cache
 
 
 def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
-    """The renewal model as a ``model`` stage with its convergence record."""
+    """The renewal model of ``args.Nmax`` rods as a ``model`` stage with
+    its convergence record; an unconverged model ends the run unless
+    ``--override-unconverged`` is given."""
     with em.timed("model") as sizes:
         model = renewal.build_model(args.p, args.Nmax, args.gamma,
                                     tables=tables)
         sizes.update(tail_mass=model.tail_mass, root_shift=model.root_shift,
                      alpha_residual=model.alpha_residual)
+    model.require_converged(args.override_unconverged)
     return model
-
-
-def _moments_stage(em: Emitter, args, Nmax: int, no_compute: bool = False
-                   ) -> tuple[list[moments.MomentTable], dict]:
-    """The moment tables as a ``moments`` stage, with the number of
-    distinct exponents of each."""
-    with em.timed("moments") as sizes:
-        tables, cache = _load_moments(args.p, Nmax, args.cache_dir,
-                                      no_compute=no_compute, cap=args.cap)
-        sizes["exponents"] = [len(m.exponents) for m in tables]
-    return tables, cache
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -289,8 +286,8 @@ def _moments_stage(em: Emitter, args, Nmax: int, no_compute: bool = False
 
 def cmd_expand(args) -> int:
     em = Emitter(args.out_dir, "expand", _config_dict(args))
-    tables, cache = _load_tables(args.p, args.N, args.cache_dir, cap=args.cap,
-                                 em=em)
+    tables, cache = _load_tables(em, args.p, args.N, args.cache_dir,
+                                 cap=args.cap)
     entries = []
     for table in tables:
         path = expansion.cache_path(args.cache_dir, args.p, table.N)
@@ -305,7 +302,7 @@ def cmd_expand(args) -> int:
 
 def cmd_norms(args) -> int:
     em = Emitter(args.out_dir, "norms", _config_dict(args))
-    tables, cache = _moments_stage(em, args, args.Nmax)
+    tables, cache = _load_moments(em, args, args.Nmax)
     with em.timed("norms"):
         C = renewal.norms_from_tables(tables, args.gamma)
     em.csv("norms.csv", ["N", "C_N"],
@@ -316,9 +313,8 @@ def cmd_norms(args) -> int:
 
 def cmd_renewal(args) -> int:
     em = Emitter(args.out_dir, "renewal", _config_dict(args))
-    tables, cache = _moments_stage(em, args, args.Nmax)
+    tables, cache = _load_moments(em, args, args.Nmax)
     model = _model_stage(em, args, tables)
-    model.require_converged(args.override_unconverged)
     u = model.renewal_sequence(args.Nmax)
     em.csv("renewal.csv", ["n", "alpha_n", "p_n", "u_n"],
            [(n, model.alpha[n - 1], model.pn[n - 1], u[n])
@@ -334,10 +330,9 @@ def cmd_renewal(args) -> int:
 
 def cmd_corr(args) -> int:
     em = Emitter(args.out_dir, "corr", _config_dict(args))
-    tables, cache = _moments_stage(em, args, max(args.Nmax, args.N or 0),
-                                   no_compute=args.no_compute)
-    model = _model_stage(em, args, tables[:args.Nmax])
-    model.require_converged(args.override_unconverged)
+    tables, cache = _load_moments(em, args, max(args.Nmax, args.N or 0),
+                                  no_compute=args.no_compute)
+    model = _model_stage(em, args, tables)
     with em.timed("rods"):
         rods = correlations.rod_expectations(tables[:args.Nmax], args.gamma)
     override = args.override_unconverged
@@ -415,8 +410,8 @@ def cmd_ham(args) -> int:
     failed = False
     extra = {}
     if args.check_ground_state or args.perturbation_order is not None:
-        tables, extra["cache"] = _load_tables(args.p, args.N, args.cache_dir,
-                                              cap=args.cap, em=em)
+        tables, extra["cache"] = _load_tables(em, args.p, args.N,
+                                              args.cache_dir, cap=args.cap)
         amp = expansion.amplitudes(tables[args.N - 1], args.gamma)
 
     if args.spectrum or args.check_ground_state:
@@ -523,12 +518,9 @@ def cmd_mcmc(args) -> int:
         em.csv("excess.csv", ["xbar", "K", "probability"], rows)
 
     if "phase" in observables:
+        tables, extra["cache"] = _load_moments(em, args, args.Nmax)
+        model = _model_stage(em, args, tables)
         with em.timed("phase"):
-            tables, extra["cache"] = _load_moments(
-                args.p, args.Nmax, args.cache_dir, cap=args.cap)
-            model = renewal.build_model(args.p, args.Nmax, args.gamma,
-                                        tables=tables)
-            model.require_converged(args.override_unconverged)
             rods = correlations.rod_expectations(tables, args.gamma)
             occ = correlations.occupation_infinite(
                 model, rods, override=args.override_unconverged)
@@ -588,7 +580,7 @@ def _moments_vs_rows(tables: list[expansion.CoefficientTable],
 
 
 
-def _verify_checks(args) -> tuple[list[dict], dict]:
+def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
     """The cross-module consistency suite behind ``verify-all``, and the
     cache record of the tables it read."""
     p, Nmax, gamma = args.p, args.Nmax, args.gamma
@@ -599,7 +591,7 @@ def _verify_checks(args) -> tuple[list[dict], dict]:
         checks.append({"name": name, "measured": measured, "tolerance": tol,
                        "passed": bool(passed), "note": note})
 
-    tables, cache = _load_tables(p, Nmax, args.cache_dir, cap=args.cap)
+    tables, cache = _load_tables(em, p, Nmax, args.cache_dir, cap=args.cap)
     moment_tables = moments.as_moments(tables)
 
     failures = expansion.verify_product_rule(p, Nmax, tables=tables).failures
@@ -733,7 +725,7 @@ def cmd_verify(args) -> int:
     if args.Nmax < 2:
         raise ConfigError(f"verify-all needs Nmax >= 2, got {args.Nmax}")
     em = Emitter(args.out_dir, "verify", _config_dict(args))
-    checks, cache = _verify_checks(args)
+    checks, cache = _verify_checks(em, args)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']}: measured {fmt(c['measured'])} "

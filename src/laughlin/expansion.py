@@ -357,23 +357,20 @@ def expand(p: int, N: int, cache_dir: str | None = None,
            smaller: list[CoefficientTable] | None = None) -> CoefficientTable:
     """Exact integer coefficient table for (p, N), with optional disk cache.
 
-    A table that is computed takes its reducible rows from the tables
-    of 1..N-1 particles: ``smaller`` where the caller holds them, else
-    the cached ones where the cache has them all; with neither, every
-    row is squeezed.  ``sizes``, if given, receives the sizes of the
-    squeezing pass when the table is computed rather than read from
-    the cache.
+    A table that is computed takes its reducible rows from the product
+    rule over ``smaller``, the tables of 1..N-1 particles, when the
+    caller hands them in; without them every row is squeezed.  The
+    cache is read for this table only: where the tables of fewer
+    particles come from is the caller's decision (in the command line,
+    that of its one table loader).  ``sizes``, if given, receives the
+    sizes of the squeezing pass when the table is computed rather than
+    read from the cache.
     """
     if cache_dir is not None:
         path = cache_path(cache_dir, p, N)
         if os.path.exists(path):
             return load_cache(path, expected_p=p, expected_N=N)
     check_cap(p, N, cap)
-    if smaller is None and cache_dir is not None:
-        paths = [cache_path(cache_dir, p, n) for n in range(1, N)]
-        if all(map(os.path.exists, paths)):
-            smaller = [load_cache(path, expected_p=p, expected_N=n)
-                       for n, path in enumerate(paths, start=1)]
     table = _squeeze(p, N, smaller=smaller, sizes=sizes)
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)

@@ -303,7 +303,7 @@ class HBuild:
 
 
 def build_H(params: ModelParams, basis: SectorBasis | None = None,
-            variant: str = "parity", cap: int = DEFAULT_SECTOR_CAP) -> HBuild:
+            variant: str = "parity") -> HBuild:
     """Assemble the repulsion twice: quadruple sum and bond squares.
 
     Quadruple route: sum over ordered (k1, k2, n1, n2) with
@@ -314,7 +314,7 @@ def build_H(params: ModelParams, basis: SectorBasis | None = None,
     is returned as ``H`` because its positivity is manifest.
     """
     if basis is None:
-        basis = sector_basis(params, cap=cap)
+        basis = sector_basis(params)
     F = FormFactor(params.p, variant)
     g = params.gamma
     fermionic = params.fermionic

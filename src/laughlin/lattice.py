@@ -91,10 +91,6 @@ class ModelParams:
         return self.p * (self.N - 1) + 1
 
     @property
-    def orbitals(self) -> range:
-        return range(self.num_orbitals)
-
-    @property
     def root_config(self) -> tuple[int, ...]:
         """The maximally spread configuration (0, p, 2p, ...)."""
         return tuple(self.p * j for j in range(self.N))
@@ -102,10 +98,6 @@ class ModelParams:
     @property
     def radius(self) -> float:
         return 1.0 / self.gamma
-
-    @property
-    def circumference(self) -> float:
-        return 2.0 * math.pi / self.gamma
 
 
 def staircase(p: int, k: int) -> int:

@@ -356,7 +356,6 @@ class DensityEstimate:
     density: np.ndarray
     stderr: np.ndarray
     y_ks: float
-    nsamples: int
 
 
 def density_histogram(samples: np.ndarray, bins: np.ndarray,
@@ -373,7 +372,6 @@ def density_histogram(samples: np.ndarray, bins: np.ndarray,
     edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ConfigError("bins must be increasing edges")
-    nsamp = samples.shape[0]
     widths = np.diff(edges)
     per_sample = _sample_counts(samples[:, :, 0], edges)
     density = per_sample.mean(axis=0) / widths
@@ -386,8 +384,7 @@ def density_histogram(samples: np.ndarray, bins: np.ndarray,
     else:
         y_ks = math.nan
     return DensityEstimate(edges=edges, centers=0.5 * (edges[:-1] + edges[1:]),
-                           density=density, stderr=stderr, y_ks=y_ks,
-                           nsamples=nsamp)
+                           density=density, stderr=stderr, y_ks=y_ks)
 
 
 # -- exact references for cross-validation ------------------------------------------
@@ -415,7 +412,6 @@ class PhaseProfile:
     stderr: np.ndarray
     predicted: np.ndarray
     window: tuple[float, float]
-    nsamples: int
 
     @property
     def zscores(self) -> np.ndarray:
@@ -476,8 +472,7 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
                                               - erf(edges[:-1] - c))
     predicted /= predicted.sum()
     return PhaseProfile(edges=edges, observed=observed, stderr=stderr,
-                        predicted=predicted, window=(lo, hi),
-                        nsamples=samples.shape[0])
+                        predicted=predicted, window=(lo, hi))
 
 
 def exact_excess_zero(amp, xbar: float) -> float:

@@ -23,7 +23,8 @@ The model reports the root shift between Nmax and Nmax-1 and a geometric
 estimate of the waiting-time mass beyond Nmax; by construction the
 truncated p_n sum to one exactly, so the literal missing mass is not
 observable and the estimate extrapolates the decay of the last two
-weights instead.  Models whose estimated tail exceeds 1% refuse to feed
+weights instead; one weight (Nmax = 1) gives no estimate, an infinite
+tail.  Models whose estimated tail exceeds 1% refuse to feed
 infinite-volume quantities unless overridden.
 
 Positions and window arguments below are in rod coordinates: rod
@@ -211,7 +212,10 @@ def _tail_ratio(pn: np.ndarray) -> float:
 
 
 def _tail_estimate(pn: np.ndarray) -> float:
-    """Geometric extrapolation of the waiting-time mass beyond Nmax."""
+    """Geometric extrapolation of the waiting-time mass beyond Nmax; inf,
+    a tail that cannot be estimated, from fewer than two weights."""
+    if len(pn) < 2:
+        return math.inf
     q = _tail_ratio(pn)
     return float(pn[-1] * q / (1.0 - q))
 

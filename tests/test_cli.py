@@ -394,8 +394,14 @@ def test_mcmc_phase_observable(dirs, monkeypatch):
                    "--observables", "phase", "--Nmax", "6",
                    "--cache-dir", cache, "--out-dir", out) == 0
     stages = read_json(os.path.join(out, "mcmc_manifest.json"))["stages"]
-    assert [s["name"] for s in stages] == ["sample", "phase"]
+    # the empty cache makes the phase prediction compute tables 1..6
+    assert [s["name"] for s in stages] == \
+        ["sample"] + ["squeeze"] * 6 + ["moments", "model", "phase"]
     assert stages[0]["moves"] == sum(moves)
+    model = build_model(3, 6, 1.0)
+    assert stages[8]["alpha_residual"] == 0.0
+    assert stages[8]["tail_mass"] == model.tail_mass
+    assert stages[8]["root_shift"] == model.root_shift
     rows = read_csv(os.path.join(out, "phase.csv"))
     assert len(rows) == 6
     pred = [float(r["predicted"]) for r in rows]
@@ -522,14 +528,17 @@ def test_exit_code_no_compute_on_cold_cache(dirs):
 
 
 def test_exit_code_unconverged(dirs):
+    # One rod weight gives no tail estimate, and so no convergence.
     cache, out = dirs
-    assert run_cli("renewal", "--p", "3", "--Nmax", "8", "--gamma", "0.4",
-                   "--cache-dir", cache, "--out-dir", out) == 2
-    assert run_cli("renewal", "--p", "3", "--Nmax", "8", "--gamma", "0.4",
-                   "--override-unconverged",
-                   "--cache-dir", cache, "--out-dir", out) == 0
-    summary = read_json(os.path.join(out, "renewal_summary.json"))
-    assert summary["converged"] is False
+    for argv in (["renewal", "--Nmax", "8", "--gamma", "0.4"],
+                 ["renewal", "--Nmax", "1", "--gamma", "0.5"],
+                 ["corr", "--Nmax", "1", "--gamma", "0.5"]):
+        argv += ["--p", "3", "--cache-dir", cache, "--out-dir", out]
+        assert run_cli(*argv) == 2
+        assert run_cli(*argv, "--override-unconverged") == 0
+        if argv[0] == "renewal":
+            summary = read_json(os.path.join(out, "renewal_summary.json"))
+            assert summary["converged"] is False
 
 
 def test_missing_subcommand_exits_two():
@@ -641,18 +650,75 @@ def test_warm_moment_cache_reads_no_coefficient_table(dirs, monkeypatch):
     ("norms", ["moments", "norms"]),
 ])
 def test_manifest_stages(dirs, sub, names):
+    # The empty cache makes each subcommand compute tables 1..5 first,
+    # inside its moments stage.
     cache, out = dirs
     assert run_cli(sub, "--p", "3", "--Nmax", "5", "--cache-dir", cache,
                    "--out-dir", out) == 0
     stages = read_json(os.path.join(out, f"{sub}_manifest.json"))["stages"]
-    assert [s["name"] for s in stages] == names
+    assert [s["name"] for s in stages] == ["squeeze"] * 5 + names
+    assert [s["N"] for s in stages[:5]] == [1, 2, 3, 4, 5]
     assert all(s["seconds"] >= 0.0 for s in stages)
-    assert stages[0]["exponents"] == [1, 2, 4, 10, 23]
+    assert stages[5]["exponents"] == [1, 2, 4, 10, 23]
     if sub != "norms":
         model = build_model(3, 5, 1.0)
-        assert stages[1]["alpha_residual"] == 0.0
-        assert stages[1]["tail_mass"] == model.tail_mass
-        assert stages[1]["root_shift"] == model.root_shift
+        assert stages[6]["alpha_residual"] == 0.0
+        assert stages[6]["tail_mass"] == model.tail_mass
+        assert stages[6]["root_shift"] == model.root_shift
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--N", "4"],
+    ["norms", "--Nmax", "4"],
+    ["renewal", "--Nmax", "5"],
+    ["corr", "--Nmax", "4", "--N", "5", "--kmax", "2"],
+    ["ham", "--N", "3", "--check-ground-state"],
+    ["mcmc", "--N", "12", "--sweeps", "600", "--burn-in", "100",
+     "--observables", "phase", "--Nmax", "5"],
+    ["verify-all", "--Nmax", "3", "--seed", "5"],
+], ids=lambda argv: argv[0])
+def test_manifest_records_every_computed_table(dirs, argv):
+    """From an empty cache every subcommand records one squeeze stage
+    per table it computes, and its stages, each timed without the
+    stages inside it, sum to at most the wall time."""
+    cache, out = dirs
+    assert run_cli(*argv, "--p", "3", "--cache-dir", cache,
+                   "--out-dir", out) == 0
+    sub = "verify" if argv[0] == "verify-all" else argv[0]
+    manifest = read_json(os.path.join(out, f"{sub}_manifest.json"))
+    computed = manifest["cache"]["computed"]
+    assert computed == list(range(1, len(computed) + 1)) and computed
+    stages = manifest["stages"]
+    assert [s["N"] for s in stages if s["name"] == "squeeze"] == computed
+    assert all(s["seconds"] >= 0.0 for s in stages)
+    assert sum(s["seconds"] for s in stages) <= manifest["wall_time_s"]
+
+
+def test_loader_reads_each_smaller_table_once(dirs, monkeypatch):
+    """A computed table takes its reducible rows from the product rule
+    over the cached tables of fewer particles, each read once."""
+    cache, out = dirs
+    os.makedirs(cache)
+    for smaller in expand_all(3, 5):
+        cli.expansion.save_cache(
+            smaller, cli.expansion.cache_path(cache, 3, smaller.N))
+    calls = []
+    load_cache = cli.expansion.load_cache
+
+    def counting(path, **kwargs):
+        calls.append(kwargs["expected_N"])
+        return load_cache(path, **kwargs)
+
+    monkeypatch.setattr(cli.expansion, "load_cache", counting)
+    assert run_cli("expand", "--p", "3", "--N", "6",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert sorted(calls) == [1, 2, 3, 4, 5]
+    manifest = read_json(os.path.join(out, "expand_manifest.json"))
+    assert manifest["cache"] == {"hits": [1, 2, 3, 4, 5], "computed": [6]}
+    [stage] = manifest["stages"]
+    reducible = sum(len(renewal_points(m, 3)) > 2
+                    for m in enumerate_admissible(3, 6))
+    assert stage["N"] == 6 and stage["filled"] == reducible > 0
 
 
 def _corrupt_moments(path, how):

@@ -16,8 +16,7 @@ from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 verify_product_rule)
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
                               config_to_occupation, config_tuples,
-                              enumerate_admissible, is_admissible,
-                              renewal_points)
+                              enumerate_admissible, is_admissible)
 
 
 def test_two_particle_tables_by_hand():
@@ -158,18 +157,21 @@ def test_expand_computes_one_table(monkeypatch, tmp_path):
     table = expand(3, 6, sizes=alone)
     assert calls == [6]
     assert alone["filled"] == 0
-    # With the smaller tables in the cache, the product rule fills the
-    # reducible rows of the one table computed.
+    # The cache is read for the table asked for only: with the smaller
+    # tables cached but not handed in, every row is still squeezed.
     for smaller in expand_all(3, 5):
         save_cache(smaller, cache_path(str(tmp_path), 3, smaller.N))
+
+    def refuse(path, **kwargs):
+        raise AssertionError(f"expand read {path}")
+
+    monkeypatch.setattr(expansion, "load_cache", refuse)
     calls.clear()
     cached = {}
     assert expand(3, 6, cache_dir=str(tmp_path), sizes=cached).coeffs == \
         table.coeffs
     assert calls == [6]
-    reducible = sum(len(renewal_points(m, 3)) > 2
-                    for m in enumerate_admissible(3, 6))
-    assert cached["filled"] == reducible > 0
+    assert cached["filled"] == 0
     assert table.coeffs == expand_all(3, 6)[-1].coeffs
 
 
