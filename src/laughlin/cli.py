@@ -6,8 +6,11 @@ full configuration, library versions, SHA-256 checksums of the
 artifacts, the wall time and, where coefficient tables were read, a
 ``cache`` record of the N read from the cache and the N computed.
 One loader, :func:`_load_tables`, decides for each N whether its table
-is read from the cache or computed, and records every computed table
-as a ``squeeze`` stage with the sizes of its squeezing pass.  ``norms``,
+is read from the cache or computed by the one route that computes a
+table, :func:`laughlin.expansion.expand`, which it calls with the
+tables of fewer particles; it writes every computed table to the cache
+and records it as a ``squeeze`` stage with the sizes of its squeezing
+pass.  ``ham`` asks it for table N alone.  ``norms``,
 ``renewal``, ``corr`` and the ``mcmc`` phase read the gamma-free moment
 tables of :mod:`laughlin.moments` instead, deriving and writing any
 missing moment file from its coefficient table, and their ``cache``
@@ -198,7 +201,8 @@ def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
     that decides whether a table is read from the cache or computed.
 
     Every N up to the largest asked for whose cache file is missing is
-    computed, once ``no_compute`` and the cap have been checked for all
+    computed by :func:`~laughlin.expansion.expand` and written to the
+    cache, once ``no_compute`` and the cap have been checked for all
     of them.  A computed table takes its reducible rows from
     the product rule over the tables of 1..N-1 particles, each held
     from earlier in the run or read from the cache, so no table is read
@@ -218,6 +222,7 @@ def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
                 f"cache at {cache_dir} lacks tables for p={p}, N<={Nmax}; "
                 "run the expand subcommand or drop --no-compute")
         check_cap(p, missing[-1], cap)
+        os.makedirs(cache_dir, exist_ok=True)
     held: dict[int, expansion.CoefficientTable] = {}
 
     def table(n: int) -> expansion.CoefficientTable:
@@ -231,10 +236,11 @@ def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
         smaller = [table(k) for k in range(1, n)]
         with em.timed("squeeze") as sizes:
             sizes["N"] = n
-            held[n] = expansion.expand(p, n, cache_dir=cache_dir, cap=cap,
-                                       sizes=sizes, smaller=smaller)
+            held[n] = expansion.expand(p, n, smaller, sizes=sizes)
             bits = int(np.abs(held[n].values).max()).bit_length()
             sizes.update(terms=len(held[n]), max_coeff_bits=bits)
+            expansion.save_cache(held[n],
+                                 expansion.cache_path(cache_dir, p, n))
     return [table(n) for n in every], {
         "hits": [n for n in every if n not in missing], "computed": missing}
 
@@ -410,9 +416,9 @@ def cmd_ham(args) -> int:
     failed = False
     extra = {}
     if args.check_ground_state or args.perturbation_order is not None:
-        tables, extra["cache"] = _load_tables(em, args.p, args.N,
-                                              args.cache_dir, cap=args.cap)
-        amp = expansion.amplitudes(tables[args.N - 1], args.gamma)
+        (table,), extra["cache"] = _load_tables(
+            em, args.p, args.N, args.cache_dir, cap=args.cap, only=[args.N])
+        amp = expansion.amplitudes(table, args.gamma)
 
     if args.spectrum or args.check_ground_state:
         # One solve serves both the spectrum and the kernel check.
@@ -856,7 +862,7 @@ def main(argv=None) -> int:
         _validate_common(args)
         return args.func(args)
     except renewal.UnconvergedError as exc:
-        print(f"error: {exc} (pass --override-unconverged to proceed)",
+        print(f"error: {exc}; pass --override-unconverged to proceed",
               file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -17,9 +17,13 @@ coefficients, and columns aligned with them; an :class:`AmplitudeTable`
 holds one amplitude array aligned with the same rows.  The consumers
 downstream are reductions over these columns.
 
-A table is computed from the tables of fewer particles and the
-squeezing recursion of Bernevig & Haldane, PRL 100, 246802 (2008),
-with the fermionic case of Bernevig & Regnault, PRL 103, 206801 (2009).
+One function, :func:`expand`, computes a table, from the tables of
+fewer particles and the squeezing recursion of Bernevig & Haldane,
+PRL 100, 246802 (2008), with the fermionic case of Bernevig & Regnault,
+PRL 103, 206801 (2009); :func:`expand_all` runs it for 1..N.  Neither
+reads nor writes the disk cache, and no other function of the library
+computes or reads a table for its caller: which tables are read from
+the cache and which are computed is decided by the command line alone.
 A reducible configuration, one whose partial sums hit the staircase at
 some interior point pk, factorises exactly there (Thomale et al.,
 arXiv:1010.4837):
@@ -55,9 +59,9 @@ sums or products could leave the int64 range raises
 division is exact.
 
 A table built this way agrees with the product rule by construction.
-The checks independent of it are the loop ``reference_squeeze`` of the
-tests, which squeezes every configuration and must match every table
-entry for entry, and :func:`evaluate_oracle`, which ``verify-all`` and
+The checks independent of it are the reference loop of the tests
+(``tests/test_reference.py``), which squeezes every configuration and
+must match every table entry for entry, and :func:`evaluate_oracle`, which ``verify-all`` and
 the benchmark run on the finished tables.  :func:`verify_product_rule`
 checks that tables stored apart, such as the files of one cache, are
 consistent with each other.  Only these two checks read the mapping
@@ -239,16 +243,18 @@ def _products(p: int, N: int, configs: np.ndarray,
     return reducible
 
 
-def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
-             sizes: dict | None = None) -> CoefficientTable:
-    """The table of (p, N) by the squeezing recursion.
+def expand(p: int, N: int, smaller: list[CoefficientTable], *,
+           sizes: dict | None = None) -> CoefficientTable:
+    """The table of (p, N) by the squeezing recursion: the one function
+    that computes a coefficient table.
 
-    The admissible configurations come from the lattice search under
-    the dominance floor; the caller checks the cap on N.  Given the
-    tables ``smaller`` of 1..N-1 particles, every reducible row takes
-    its coefficient from the product rule first (see :func:`_products`),
-    and only the irreducible rows are squeezed; without them every row
-    is.  Every configuration of one Sigma m^2 level squeezes out of
+    ``smaller`` are the tables of 1..N-1 particles (``[]`` at N=1);
+    every reducible row takes its coefficient from the product rule over
+    them (see :func:`_products`), and only the irreducible rows are
+    squeezed.  The admissible configurations come from the lattice
+    search under the dominance floor; the caller checks the cap on N
+    and decides where the tables come from and whether to cache them.
+    Every configuration of one Sigma m^2 level squeezes out of
     higher levels only, so the levels are visited from the root down
     and each is one array pass over all its unsqueezes.  A configuration
     is found by its packed key in the
@@ -264,6 +270,9 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
     number of ``levels``, of ``candidates`` looked up and of reducible
     rows ``filled`` by the product rule.
     """
+    if [(t.p, t.N) for t in smaller] != [(p, n) for n in range(1, N)]:
+        raise ConfigError(f"the smaller tables of p={p}, N={N} must "
+                          f"be those of 1..{N - 1} particles")
     fermionic = p % 2 == 1
     B = -p if fermionic else 1 - p
     mmax = p * (N - 1)
@@ -271,12 +280,8 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
     configs = configurations(N, sites, staircase(p, N), fermionic, floor=p)
     count = len(configs)
     values = np.zeros(count, dtype=np.int64)
-    filled = np.zeros(count, dtype=bool)
-    if smaller:
-        if [(t.p, t.N) for t in smaller] != [(p, n) for n in range(1, N)]:
-            raise ConfigError(f"the smaller tables of p={p}, N={N} must "
-                              f"be those of 1..{N - 1} particles")
-        filled = _products(p, N, configs, smaller, values)
+    filled = (_products(p, N, configs, smaller, values) if N > 1
+              else np.zeros(count, dtype=bool))
     index = ConfigIndex(configs, sites)
     occ, limit, weight, keys = (index.occupations, index.limit,
                                 index.weights, index.keys)
@@ -344,38 +349,13 @@ def _squeeze(p: int, N: int, *, smaller: list[CoefficientTable] | None = None,
 
 
 def expand_all(p: int, N: int, cap: int | None = None) -> list[CoefficientTable]:
-    """Coefficient tables for 1..N particles, each in lexicographic order."""
+    """Coefficient tables for 1..N particles, each computed by
+    :func:`expand` from the ones before it."""
     check_cap(p, N, cap)
     tables: list[CoefficientTable] = []
     for n in range(1, N + 1):
-        tables.append(_squeeze(p, n, smaller=tables))
+        tables.append(expand(p, n, tables))
     return tables
-
-
-def expand(p: int, N: int, cache_dir: str | None = None,
-           cap: int | None = None, sizes: dict | None = None,
-           smaller: list[CoefficientTable] | None = None) -> CoefficientTable:
-    """Exact integer coefficient table for (p, N), with optional disk cache.
-
-    A table that is computed takes its reducible rows from the product
-    rule over ``smaller``, the tables of 1..N-1 particles, when the
-    caller hands them in; without them every row is squeezed.  The
-    cache is read for this table only: where the tables of fewer
-    particles come from is the caller's decision (in the command line,
-    that of its one table loader).  ``sizes``, if given, receives the
-    sizes of the squeezing pass when the table is computed rather than
-    read from the cache.
-    """
-    if cache_dir is not None:
-        path = cache_path(cache_dir, p, N)
-        if os.path.exists(path):
-            return load_cache(path, expected_p=p, expected_N=N)
-    check_cap(p, N, cap)
-    table = _squeeze(p, N, smaller=smaller, sizes=sizes)
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_cache(table, cache_path(cache_dir, p, N))
-    return table
 
 
 def amplitudes(table: CoefficientTable, gamma: float) -> AmplitudeTable:
@@ -405,17 +385,15 @@ class ProductRuleReport:
         return not self.failures
 
 
-def verify_product_rule(p: int, N: int, tables: list[CoefficientTable] | None
-                        = None, cap: int | None = None) -> ProductRuleReport:
+def verify_product_rule(p: int, N: int, tables: list[CoefficientTable]
+                        ) -> ProductRuleReport:
     """Check the exact factorisation across interior renewal points.
 
-    For every key m of every table up to N and every interior renewal
-    point pk of m, the integer identity
+    For every key m of each of the ``tables`` of 1..N particles and
+    every interior renewal point pk of m, the integer identity
     ``c_N(m) = c_k(m_1..m_k) * c_{N-k}(m_{k+1}-pk, ..., m_N-pk)``
     must hold exactly.
     """
-    if tables is None:
-        tables = expand_all(p, N, cap=cap)
     report = ProductRuleReport(p, N, 0)
     for table in tables:
         n = table.N

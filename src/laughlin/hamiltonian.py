@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import eval_hermite
 
-from .expansion import AmplitudeTable, amplitudes, expand
+from .expansion import AmplitudeTable
 from .lattice import (CapExceeded, ConfigError, ConfigIndex, ModelParams,
                       configurations, find_keys, total_momentum)
 
@@ -544,7 +544,7 @@ class PerturbationReport:
 
 
 def perturbation_series(params: ModelParams, order: int,
-                        amp: AmplitudeTable | None = None,
+                        amp: AmplitudeTable,
                         build: HBuild | None = None) -> PerturbationReport:
     """Partial sums of the zero-energy perturbation series around the
     one-particle-per-rod state, with per-order distances to the exact
@@ -554,7 +554,8 @@ def perturbation_series(params: ModelParams, order: int,
     nearest/next-nearest truncation; each order applies -(QD^{-1}Q)V to
     the previous term, where D is the truncated diagonal and Q projects
     off the seed.  Distances are Euclidean against the exact amplitude
-    vector in the gauge where both have unit seed coefficient.
+    vector of ``amp``, the amplitudes of (p, N) at gamma, in the gauge
+    where both have unit seed coefficient.
 
     ``build`` is a ready assembly of H in the ground momentum sector of
     ``params``; without it the sector and H are built here.
@@ -569,8 +570,6 @@ def perturbation_series(params: ModelParams, order: int,
     if (basis.p, basis.N, basis.momentum) != (params.p, params.N, ground):
         raise ConfigError("perturbation series needs the ground momentum "
                           f"sector {ground} of p={params.p}, N={params.N}")
-    if amp is None:
-        amp = amplitudes(expand(params.p, params.N), params.gamma)
     exact = exact_vector(basis, amp)
 
     seed = tao_thouless(params, basis)

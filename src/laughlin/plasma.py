@@ -304,10 +304,9 @@ class ExcessStats:
 
 def measure_excess(samples: np.ndarray, xbars, params: ModelParams
                    ) -> ExcessStats:
-    """Excess K = #{x_j <= xbar} - k at each cut xbar = (k - 1/2) p gamma."""
+    """Excess K = #{x_j <= xbar} - k at each cut xbar = (k - 1/2) p gamma,
+    over ``samples`` of shape (S, N, 2), such as ``McRun.pooled()``."""
     samples = np.asarray(samples)
-    if samples.ndim == 4:
-        samples = samples.reshape(-1, *samples.shape[2:])
     xs = samples[:, :, 0]
     step = params.p * params.gamma
     hist: dict[float, dict[int, float]] = {}
@@ -360,15 +359,14 @@ class DensityEstimate:
 
 def density_histogram(samples: np.ndarray, bins: np.ndarray,
                       params: ModelParams) -> DensityEstimate:
-    """x-histogram normalized to N particles, with a y-uniformity statistic.
+    """x-histogram normalized to N particles, with a y-uniformity statistic,
+    over ``samples`` of shape (S, N, 2), such as ``McRun.pooled()``.
 
     The y marginal is exactly uniform by rotation invariance; y_ks is
     the Kolmogorov-Smirnov distance of the pooled wrapped y values
     from the uniform law, a cheap detector for sampler bugs.
     """
     samples = np.asarray(samples)
-    if samples.ndim == 4:
-        samples = samples.reshape(-1, *samples.shape[2:])
     edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ConfigError("bins must be increasing edges")
@@ -427,7 +425,8 @@ class PhaseProfile:
 def phase_profile(samples: np.ndarray, params: ModelParams,
                   bulk_occ: np.ndarray, nbins: int = 6,
                   window: tuple[float, float] = (0.3, 0.7)) -> PhaseProfile:
-    """Fold bulk x samples by the lattice period and compare to occupations.
+    """Fold bulk x samples by the lattice period and compare to occupations;
+    ``samples`` has shape (S, N, 2), such as ``McRun.pooled()``.
 
     The window is given as fractions of the droplet length and snapped
     inward to whole periods so every phase bin covers the same number
@@ -436,8 +435,6 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
     """
     from scipy.special import erf
     samples = np.asarray(samples)
-    if samples.ndim == 4:
-        samples = samples.reshape(-1, *samples.shape[2:])
     bulk_occ = np.asarray(bulk_occ, dtype=float)
     if bulk_occ.size != params.p:
         raise ConfigError(f"need {params.p} bulk occupations, got {bulk_occ.size}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from laughlin.expansion import CoefficientTable, expand_all
+from laughlin.expansion import CoefficientTable
 from laughlin.lattice import ConfigError, enumerate_partitions
 from laughlin.moments import MomentTable, as_moments
 
@@ -191,7 +191,7 @@ class RenewalModel:
         if self.unconverged and not override:
             raise UnconvergedError(
                 f"estimated waiting-time tail {self.tail_mass:.3g} exceeds "
-                f"{TAIL_THRESHOLD}; pass override to proceed anyway")
+                f"{TAIL_THRESHOLD}")
 
     def renewal_sequence(self, kmax: int) -> np.ndarray:
         """u_0..u_kmax by the convolution recursion."""
@@ -221,12 +221,10 @@ def _tail_estimate(pn: np.ndarray) -> float:
 
 
 def build_model(p: int, Nmax: int, gamma: float,
-                tables: list[CoefficientTable] | list[MomentTable] | None
-                = None, cap: int | None = None) -> RenewalModel:
+                tables: list[CoefficientTable] | list[MomentTable]
+                ) -> RenewalModel:
     """Assemble the renewal model from exact tables up to Nmax, given as
     coefficient tables or their moment tables."""
-    if tables is None:
-        tables = expand_all(p, Nmax, cap=cap)
     tables = as_moments(tables[:Nmax])
     if len(tables) < Nmax:
         raise ConfigError(f"need tables up to N={Nmax}, got {len(tables)}")

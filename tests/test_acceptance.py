@@ -246,8 +246,9 @@ def test_criterion_11_mcmc_cross_validation(run_n4, tables_p3, model_p3_g1,
                f"{elapsed:.0f}s with period-3 contrast {prof.contrast:.2f}")
 
 
-def test_criterion_12_perturbation_series():
-    rep = perturbation_series(ModelParams(3, 3, 2.0), 4)
+def test_criterion_12_perturbation_series(tables_p3):
+    rep = perturbation_series(ModelParams(3, 3, 2.0), 4,
+                              amp=amplitudes(tables_p3[2], 2.0))
     d = rep.distances
     assert all(b < a for a, b in zip(d, d[1:]))
     assert d[4] < 1e-6

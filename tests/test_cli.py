@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from laughlin import cli, hamiltonian, plasma
+from laughlin import cli, hamiltonian, lattice, plasma
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import enumerate_admissible, renewal_points
 from laughlin.correlations import occupation_finite, occupation_infinite, \
@@ -85,9 +85,9 @@ def test_expand_reads_warm_cache(dirs, monkeypatch):
     first = read_json(os.path.join(out, "expand_summary.json"))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("expand_all called on a warm cache")
+        raise AssertionError("expand called on a warm cache")
 
-    monkeypatch.setattr(cli.expansion, "expand_all", refuse)
+    monkeypatch.setattr(cli.expansion, "expand", refuse)
     assert run_cli("expand", "--p", "3", "--N", "4",
                    "--cache-dir", cache, "--out-dir", out) == 0
     assert read_json(os.path.join(out, "expand_summary.json")) == first
@@ -100,13 +100,13 @@ def test_expand_computes_only_missing_tables(dirs, monkeypatch):
     assert run_cli("expand", "--p", "3", "--N", "7",
                    "--cache-dir", cache, "--out-dir", out) == 0
     calls = []
-    squeeze = cli.expansion._squeeze
+    expand = cli.expansion.expand
 
-    def counting(p, N, **kwargs):
+    def counting(p, N, smaller, **kwargs):
         calls.append(N)
-        return squeeze(p, N, **kwargs)
+        return expand(p, N, smaller, **kwargs)
 
-    monkeypatch.setattr(cli.expansion, "_squeeze", counting)
+    monkeypatch.setattr(cli.expansion, "expand", counting)
     assert run_cli("expand", "--p", "3", "--N", "8",
                    "--cache-dir", cache, "--out-dir", out) == 0
     assert calls == [8]
@@ -134,7 +134,7 @@ def test_renewal_outputs(dirs):
     assert run_cli("renewal", "--p", "3", "--Nmax", "6",
                    "--cache-dir", cache, "--out-dir", out) == 0
     rows = read_csv(os.path.join(out, "renewal.csv"))
-    model = build_model(3, 6, 1.0)
+    model = build_model(3, 6, 1.0, tables=expand_all(3, 6))
     u = model.renewal_sequence(6)
     assert float(rows[0]["alpha_n"]) == 1.0
     for i, row in enumerate(rows):
@@ -290,21 +290,34 @@ def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
     assert stages[6]["dim"] == doc["dim"] and stages[6]["num_terms"] == 3
 
 
-def test_ham_records_each_computed_table(dirs):
-    """A table missing from the cache is computed as a squeeze stage."""
+def test_ham_records_each_computed_table(dirs, monkeypatch):
+    """A table missing from the cache is computed as a squeeze stage;
+    ``ham`` reads table N alone."""
     cache, out = dirs
+    argv = ["ham", "--p", "3", "--N", "5", "--check-ground-state",
+            "--cache-dir", cache, "--out-dir", out]
     assert run_cli("expand", "--p", "3", "--N", "5", "--cache-dir", cache,
                    "--out-dir", out) == 0
     os.remove(cli.expansion.cache_path(cache, 3, 4))
-    assert run_cli("ham", "--p", "3", "--N", "5", "--check-ground-state",
-                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert run_cli(*argv) == 0
     manifest = read_json(os.path.join(out, "ham_manifest.json"))
-    assert manifest["cache"]["computed"] == [4]
-    assert manifest["cache"]["hits"] == [1, 2, 3, 5]
+    assert manifest["cache"] == {"hits": [5], "computed": [4]}
     squeezed = [s for s in manifest["stages"] if s["name"] == "squeeze"]
     assert [s["N"] for s in squeezed] == [4]
     assert squeezed[0]["terms"] == len(expand_all(3, 4)[3])
     assert os.path.exists(cli.expansion.cache_path(cache, 3, 4))
+    calls = []
+    load_cache = cli.expansion.load_cache
+
+    def counting(path, **kwargs):
+        calls.append(kwargs["expected_N"])
+        return load_cache(path, **kwargs)
+
+    monkeypatch.setattr(cli.expansion, "load_cache", counting)
+    assert run_cli(*argv) == 0
+    assert calls == [5]
+    manifest = read_json(os.path.join(out, "ham_manifest.json"))
+    assert manifest["cache"] == {"hits": [5], "computed": []}
 
 
 def test_ham_monomer_dimer_in_ground_sector(dirs):
@@ -398,7 +411,7 @@ def test_mcmc_phase_observable(dirs, monkeypatch):
     assert [s["name"] for s in stages] == \
         ["sample"] + ["squeeze"] * 6 + ["moments", "model", "phase"]
     assert stages[0]["moves"] == sum(moves)
-    model = build_model(3, 6, 1.0)
+    model = build_model(3, 6, 1.0, tables=expand_all(3, 6))
     assert stages[8]["alpha_residual"] == 0.0
     assert stages[8]["tail_mass"] == model.tail_mass
     assert stages[8]["root_shift"] == model.root_shift
@@ -427,6 +440,23 @@ def test_exit_code_cap(dirs):
     cache, out = dirs
     assert run_cli("expand", "--p", "3", "--N", "40",
                    "--cache-dir", cache, "--out-dir", out) == 3
+
+
+@pytest.mark.parametrize("limit", (2 ** 12, 2 ** 20))
+def test_exit_code_cap_writes_no_table(dirs, monkeypatch, limit):
+    # At p=3, N=6 the occupation keys need 14 bits and the squeezing sums
+    # over 20 (those of N=5 fit): the table that would leave the range
+    # exits 3 and leaves no file in the cache.
+    cache, out = dirs
+    os.makedirs(cache)
+    for smaller in expand_all(3, 5):
+        cli.expansion.save_cache(
+            smaller, cli.expansion.cache_path(cache, 3, smaller.N))
+    monkeypatch.setattr(lattice, "INT64_LIMIT", limit)
+    assert run_cli("expand", "--p", "3", "--N", "6",
+                   "--cache-dir", cache, "--out-dir", out) == 3
+    assert sorted(os.listdir(cache)) == \
+        [f"coeff_p3_N{n}.txt" for n in range(1, 6)]
 
 
 def test_exit_code_unconverged_eigensolve(dirs, capsys, monkeypatch):
@@ -527,14 +557,19 @@ def test_exit_code_no_compute_on_cold_cache(dirs):
                    "--cache-dir", cache, "--out-dir", out) == 2
 
 
-def test_exit_code_unconverged(dirs):
+def test_exit_code_unconverged(dirs, capsys):
     # One rod weight gives no tail estimate, and so no convergence.
     cache, out = dirs
     for argv in (["renewal", "--Nmax", "8", "--gamma", "0.4"],
                  ["renewal", "--Nmax", "1", "--gamma", "0.5"],
                  ["corr", "--Nmax", "1", "--gamma", "0.5"]):
         argv += ["--p", "3", "--cache-dir", cache, "--out-dir", out]
+        capsys.readouterr()
         assert run_cli(*argv) == 2
+        if argv[2] == "1":
+            assert capsys.readouterr().err.splitlines() == [
+                "error: estimated waiting-time tail inf exceeds 0.01; "
+                "pass --override-unconverged to proceed"]
         assert run_cli(*argv, "--override-unconverged") == 0
         if argv[0] == "renewal":
             summary = read_json(os.path.join(out, "renewal_summary.json"))
@@ -661,7 +696,7 @@ def test_manifest_stages(dirs, sub, names):
     assert all(s["seconds"] >= 0.0 for s in stages)
     assert stages[5]["exponents"] == [1, 2, 4, 10, 23]
     if sub != "norms":
-        model = build_model(3, 5, 1.0)
+        model = build_model(3, 5, 1.0, tables=expand_all(3, 5))
         assert stages[6]["alpha_residual"] == 0.0
         assert stages[6]["tail_mass"] == model.tail_mass
         assert stages[6]["root_shift"] == model.root_shift

@@ -16,7 +16,8 @@ from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 verify_product_rule)
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
                               config_to_occupation, config_tuples,
-                              enumerate_admissible, is_admissible)
+                              enumerate_admissible, is_admissible,
+                              renewal_points)
 
 
 def test_two_particle_tables_by_hand():
@@ -59,7 +60,7 @@ def test_oracle_detects_corruption():
 
 def test_product_rule_small():
     for p in (1, 2, 3):
-        report = verify_product_rule(p, 5)
+        report = verify_product_rule(p, 5, tables=expand_all(p, 5))
         assert report.ok
         assert report.checked > 0
 
@@ -138,58 +139,51 @@ def test_cap_enforced():
     with pytest.raises(CapExceeded):
         expand_all(3, 11)
     with pytest.raises(CapExceeded):
-        expand(2, 11)
+        expand_all(2, 11)
     with pytest.raises(CapExceeded):
         check_cap(3, 11)
     check_cap(3, 11, cap=12)
 
 
-def test_expand_computes_one_table(monkeypatch, tmp_path):
-    calls = []
-    squeeze = expansion._squeeze
+def test_expand_computes_one_table(monkeypatch):
+    # Given the tables of 1..5 particles, expand computes the table of 6
+    # alone, filling its reducible rows from them, and reads no file.
+    tables = expand_all(3, 6)
+    searched = []
+    search = expansion.configurations
 
-    def counting(p, N, **kwargs):
-        calls.append(N)
-        return squeeze(p, N, **kwargs)
-
-    monkeypatch.setattr(expansion, "_squeeze", counting)
-    alone = {}
-    table = expand(3, 6, sizes=alone)
-    assert calls == [6]
-    assert alone["filled"] == 0
-    # The cache is read for the table asked for only: with the smaller
-    # tables cached but not handed in, every row is still squeezed.
-    for smaller in expand_all(3, 5):
-        save_cache(smaller, cache_path(str(tmp_path), 3, smaller.N))
+    def counting(N, *args, **kwargs):
+        searched.append(N)
+        return search(N, *args, **kwargs)
 
     def refuse(path, **kwargs):
         raise AssertionError(f"expand read {path}")
 
+    monkeypatch.setattr(expansion, "configurations", counting)
     monkeypatch.setattr(expansion, "load_cache", refuse)
-    calls.clear()
-    cached = {}
-    assert expand(3, 6, cache_dir=str(tmp_path), sizes=cached).coeffs == \
-        table.coeffs
-    assert calls == [6]
-    assert cached["filled"] == 0
-    assert table.coeffs == expand_all(3, 6)[-1].coeffs
+    sizes = {}
+    table = expand(3, 6, tables[:5], sizes=sizes)
+    assert searched == [6]
+    assert sizes["filled"] > 0
+    assert table.coeffs == tables[5].coeffs
 
 
-@pytest.mark.parametrize("limit, what", ((2 ** 10, "occupation keys"),
+@pytest.mark.parametrize("limit, what", ((2 ** 12, "occupation keys"),
                                          (2 ** 20, "squeezing sums")))
-def test_int64_bound_raises_cap(monkeypatch, tmp_path, limit, what):
-    # At p=3, N=6 the keys need 14 bits and the squeezing sums over 20.
+def test_int64_bound_raises_cap(monkeypatch, limit, what):
+    # At p=3 the keys need 11 bits at N=5 and 14 at N=6, and the
+    # squeezing sums of N=6 over 20.
+    smaller = expand_all(3, 5)
     monkeypatch.setattr(lattice, "INT64_LIMIT", limit)
     where = {"occupation keys": "6 particles on 16 sites",
              "squeezing sums": "p=3, N=6"}[what]
     with pytest.raises(CapExceeded, match=f"{what} of {where}"):
-        expand(3, 6, cache_dir=str(tmp_path))
-    assert os.listdir(tmp_path) == []
+        expand(3, 6, smaller)
     with pytest.raises(CapExceeded):
         expand_all(3, 6)
 
 
-def test_product_bound_raises_cap(monkeypatch, tmp_path):
+def test_product_bound_raises_cap(monkeypatch):
     # At p=3, N=6 the largest coefficients of the tables of 1..5
     # particles multiply to at most 945 (10 bits), while the keys need
     # 14 bits and the squeezing sums over 20.
@@ -197,42 +191,43 @@ def test_product_bound_raises_cap(monkeypatch, tmp_path):
     monkeypatch.setattr(lattice, "INT64_LIMIT", 2 ** 9)
     with pytest.raises(CapExceeded,
                        match="product-rule coefficients of p=3, N=6"):
-        expand(3, 6, cache_dir=str(tmp_path), smaller=smaller)
-    assert os.listdir(tmp_path) == []
+        expand(3, 6, smaller)
     with pytest.raises(ConfigError, match="those of 1..5 particles"):
-        expand(3, 6, smaller=smaller[:4])
+        expand(3, 6, smaller[:4])
 
 
 def test_carrying_unsqueeze_never_looked_up(monkeypatch):
     # Some unsqueezes put more bosons on a site than any admissible
     # configuration has there; packed, that site's digit would carry and
     # the key would name a different configuration.  Exactly the other
-    # unsqueezes of every configuration below the root are looked up,
-    # each by the key of the configuration it makes.
-    p, N = 2, 5
+    # unsqueezes of every irreducible configuration are looked up, each
+    # by the key of the configuration it makes; the reducible ones take
+    # their coefficients from the product rule and unsqueeze nothing.
+    # (At p=2, N=5 the irreducible rows have no carrying unsqueeze.)
+    p, N = 4, 5
     configs = enumerate_admissible(p, N)
     sites = p * (N - 1) + 1
     limit = [max(col) for col in
              zip(*(config_to_occupation(m, sites) for m in configs))]
     radix = [n + 1 for n in limit[:-2]]
     weight = [math.prod(radix[s + 1:]) for s in range(len(radix))] + [0, 0]
-    expected, carrying = Counter(), 0
-    root = tuple(p * j for j in range(N))
+    expected, carrying, reducible = Counter(), 0, 0
     for m in configs:
-        if m == root:
-            continue
+        irreducible = len(renewal_points(m, p)) == 2
         for i in range(N):
             for j in range(i + 1, N):
                 s = m[i] + m[j]
                 rest = m[:i] + m[i + 1:j] + m[j + 1:]
                 for b in range(max(0, s - p * (N - 1)), m[i]):
                     occ = config_to_occupation(rest + (b, s - b), sites)
-                    if any(n > cap for n, cap in zip(occ, limit)):
+                    if not irreducible:
+                        reducible += 1
+                    elif any(n > cap for n, cap in zip(occ, limit)):
                         carrying += 1
                     else:
                         expected[-sum(map(math.prod, zip(occ, weight)))] += 1
-    assert carrying > 0
-    coeffs = expand_all(p, N)[-1].coeffs
+    assert carrying > 0 and reducible > 0
+    tables = expand_all(p, N)
     looked_up = Counter()
     find = expansion.find_keys
 
@@ -241,7 +236,7 @@ def test_carrying_unsqueeze_never_looked_up(monkeypatch):
         return find(keys, targets)
 
     monkeypatch.setattr(expansion, "find_keys", spy)
-    assert expansion._squeeze(p, N).coeffs == coeffs
+    assert expand(p, N, tables[:-1]).coeffs == tables[-1].coeffs
     assert looked_up == expected
 
 
@@ -306,9 +301,6 @@ def test_cache_round_trip(tmp_path):
     save_cache(table, path)
     loaded = load_cache(path, expected_p=3, expected_N=4)
     assert loaded.coeffs == table.coeffs
-    # expand() must hit the cache and agree.
-    again = expand(3, 4, cache_dir=str(tmp_path))
-    assert again.coeffs == table.coeffs
 
 
 def test_cache_write_ignores_stale_temp_name(tmp_path):

@@ -410,12 +410,14 @@ def test_perturbation_divergence_reported(tables_p3):
     assert all(math.isfinite(d) for d in rep.distances)
 
 
-def test_perturbation_guards(tables_p2):
+def test_perturbation_guards(tables_p2, tables_p3):
     with pytest.raises(ConfigError):
-        perturbation_series(ModelParams(2, 3, 1.0), 2)
+        perturbation_series(ModelParams(2, 3, 1.0), 2,
+                            amp=amplitudes(tables_p2[2], 1.0))
+    amp = amplitudes(tables_p3[2], 1.0)
     with pytest.raises(ConfigError):
-        perturbation_series(ModelParams(3, 3, 1.0), -1)
+        perturbation_series(ModelParams(3, 3, 1.0), -1, amp=amp)
     params = ModelParams(3, 3, 1.0)
     layer = build_H(params, basis=sector_basis(params))
     with pytest.raises(ConfigError):
-        perturbation_series(params, 2, build=layer)
+        perturbation_series(params, 2, amp=amp, build=layer)

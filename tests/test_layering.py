@@ -1,0 +1,42 @@
+"""Module layering of the package, read from its source.
+
+A coefficient table is computed by ``expansion.expand`` (and its loop
+``expand_all``) and read from disk by ``expansion.load_cache``; the
+command line's table loader alone decides which of the two each table
+takes.  Every other module receives its tables from its caller.
+"""
+
+import ast
+import pathlib
+
+import laughlin
+
+TABLE_SOURCES = {"expand", "expand_all", "load_cache"}
+MAY_SOURCE_TABLES = {"expansion", "cli"}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a module imports, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
+def test_only_expansion_and_cli_source_tables():
+    package = pathlib.Path(laughlin.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {m.stem for m in modules} >= MAY_SOURCE_TABLES | {"renewal"}
+    offenders = {}
+    for path in modules:
+        if path.stem in MAY_SOURCE_TABLES:
+            continue
+        used = referenced_names(ast.parse(path.read_text(), str(path)))
+        if used & TABLE_SOURCES:
+            offenders[path.stem] = sorted(used & TABLE_SOURCES)
+    assert offenders == {}

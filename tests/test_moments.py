@@ -11,8 +11,17 @@ import pytest
 
 from laughlin import moments
 from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
-                                cache_path, expand, expand_all, save_cache)
+                                cache_path, expand_all, load_cache,
+                                save_cache)
 from laughlin.moments import derive, load_moments, moment_path
+
+
+def cache_table(cache: str, p: int, N: int) -> CoefficientTable:
+    """Compute the coefficient table of (p, N) and write it to ``cache``."""
+    table = expand_all(p, N)[-1]
+    os.makedirs(cache, exist_ok=True)
+    save_cache(table, cache_path(cache, p, N))
+    return table
 
 
 @pytest.fixture(params=[(3, 5), (2, 5)])
@@ -20,7 +29,7 @@ def cached(request, tmp_path):
     """A cache holding the coefficient table and moment file of (p, N)."""
     p, N = request.param
     cache = str(tmp_path / "cache")
-    table = expand(p, N, cache_dir=cache)
+    table = cache_table(cache, p, N)
     moments.store(table, cache)
     return cache, table
 
@@ -70,7 +79,8 @@ def test_rederived_file_is_byte_identical(cached, tmp_path):
     with open(path, "rb") as fh:
         first = fh.read()
     os.remove(path)
-    reloaded = expand(table.p, table.N, cache_dir=cache)
+    reloaded = load_cache(cache_path(cache, table.p, table.N),
+                          expected_p=table.p, expected_N=table.N)
     moments.store(reloaded, cache)
     with open(path, "rb") as fh:
         assert fh.read() == first
@@ -78,7 +88,7 @@ def test_rederived_file_is_byte_identical(cached, tmp_path):
 
 def test_concurrent_derivations_leave_one_valid_file(tmp_path):
     cache = str(tmp_path / "cache")
-    table = expand(3, 6, cache_dir=cache)
+    table = cache_table(cache, 3, 6)
     writers = 4   # more than the cores of a small host
     start = threading.Barrier(writers)
     errors = []

@@ -194,8 +194,8 @@ def test_stationary_event_errors(model_p3_g1):
         stationary_event_probability(model_p3_g1, [])
 
 
-def test_unconverged_gate():
-    model = build_model(3, 6, 0.4)
+def test_unconverged_gate(tables_p3):
+    model = build_model(3, 6, 0.4, tables=tables_p3)
     assert model.unconverged
     with pytest.raises(UnconvergedError):
         stationary_event_probability(model, WindowEvent(0))
