@@ -406,8 +406,16 @@ def cmd_ham(args) -> int:
     em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz)
     em.stage("bond_assembly", build.seconds["bond"], nnz=build.bond.nnz)
     # The monomer-dimer state and the perturbation series live in the
-    # ground sector; reuse its basis and H when that is the sector built.
+    # ground sector: the one built above, or else one enumerated here,
+    # once and under the run's cap, for both.
     in_ground = momentum == ground
+    ground_basis = basis
+    if not in_ground and (args.monomer_dimer
+                          or args.perturbation_order is not None):
+        with em.timed("ground_sector") as sizes:
+            ground_basis = hamiltonian.sector_basis(params, momentum=ground,
+                                                    cap=cap)
+            sizes["dim"] = ground_basis.dim
     doc: dict = {
         "p": args.p, "N": args.N, "gamma": args.gamma,
         "momentum": momentum, "dim": basis.dim,
@@ -443,11 +451,9 @@ def cmd_ham(args) -> int:
 
     if args.monomer_dimer:
         with em.timed("monomer_dimer") as sizes:
-            md_basis = basis if in_ground else hamiltonian.sector_basis(
-                params, momentum=ground, cap=cap)
-            md = hamiltonian.build_monomer_dimer(params, basis=md_basis)
+            md = hamiltonian.build_monomer_dimer(params, basis=ground_basis)
             report = hamiltonian.ground_check(md.H, md.psi)
-            sizes.update(dim=md_basis.dim, num_terms=md.num_terms)
+            sizes.update(dim=ground_basis.dim, num_terms=md.num_terms)
         ok = report.residual < 1e-10 and md.deviation < 1e-12
         doc["monomer_dimer"] = {
             "residual": report.residual, "kernel_dim": report.kernel_dim,
@@ -460,7 +466,8 @@ def cmd_ham(args) -> int:
         with em.timed("perturbation"):
             report = hamiltonian.perturbation_series(
                 params, args.perturbation_order, amp=amp,
-                build=build if in_ground else None)
+                build=build if in_ground else hamiltonian.build_H(
+                    params, basis=ground_basis))
         doc["perturbation"] = {
             "order": args.perturbation_order,
             "distances": list(report.distances),
@@ -691,10 +698,13 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
                "one-per-rod state annihilated by the diagonal truncation")
 
         if gamma >= 1.2:
-            N_pt = min(3, Nmax)
+            params_pt = ModelParams(3, min(3, Nmax), gamma)
+            build_pt = hamiltonian.build_H(
+                params_pt, basis=hamiltonian.sector_basis(
+                    params_pt, momentum=total_momentum(3, params_pt.N)))
             rep = hamiltonian.perturbation_series(
-                ModelParams(3, N_pt, gamma), 3,
-                amp=expansion.amplitudes(tables[N_pt - 1], gamma))
+                params_pt, 3, amp=expansion.amplitudes(
+                    tables[params_pt.N - 1], gamma), build=build_pt)
             d = rep.distances
             record("perturbation-decreasing", d[-1], d[0], rep.decreasing,
                    "series distances to the exact state shrink per order")

@@ -19,8 +19,10 @@ Gaussian exponent e, the sums of c^2 / prod n_k! times occ (all rows
 and the irreducible rows) and occ occ^T (the irreducible rows),
 weighted by x^e, x = exp(-gamma^2), and divided by C_N or alpha_n.
 The quasi-state, finite-domain and operator-string expectations need
-single rows and read the amplitude table, an operator string through
-the table's configuration index.
+single rows and read the amplitude table.  An operator string is
+applied by the operator engine of the table's configuration index,
+:meth:`~laughlin.lattice.ConfigIndex.images`, the same engine that
+assembles the parent Hamiltonians.
 
 Conventions: orbitals are indexed 0..p(N-1) for a finite table; the
 occupation basis is ordered by increasing orbital, and fermionic signs
@@ -74,11 +76,10 @@ def moments_finite(amp: AmplitudeTable, creation, annihilation) -> float:
         return 0.0
     if not creation:
         return 1.0
-    from laughlin.hamiltonian import _images  # and scipy.sparse: only here
     index = amp.table.index
     total = 0.0
-    for col, _, key, factor in _images(
-            index, np.array([creation], dtype=np.intp),
+    for col, _, key, factor in index.images(
+            np.array([creation], dtype=np.intp),
             np.array([annihilation], dtype=np.intp), amp.p % 2 == 1):
         row = find_keys(index.keys, key)
         hit = row >= 0

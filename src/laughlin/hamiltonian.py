@@ -11,14 +11,17 @@ A momentum sector is enumerated directly, by the array search of
 configurations of the expansion, so its cap counts the sector and not
 the whole layer: the ground sector of p=3, N=8 has 8,512 states in a
 layer of 319,770.  A sector basis is the
-:class:`~laughlin.lattice.ConfigIndex` of its configurations, with the
-squeezing pass's mixed-radix keys (56 bits for the bosonic ground
-sector of p=4, N=7).  Both assemblies are array passes over its
-occupation rows: each operator of a string acts on every row at once
-(an occupied/empty mask or a site's largest occupation, a fermionic
-sign from the parity of a prefix count, bosonic square-root factors),
-and the images are found by their packed keys.  The bond form is
-A^T A, with one row of A per image of a bond.
+:class:`~laughlin.lattice.ConfigIndex` of its configurations, labelled
+with p, N and the momentum, with the squeezing pass's mixed-radix keys
+(56 bits for the bosonic ground sector of p=4, N=7).  Every operator
+here is assembled by the index's operator engine,
+:meth:`~laughlin.lattice.ConfigIndex.images`: each operator of a string
+acts on every row at once (an occupied/empty mask or a site's largest
+occupation, a fermionic sign from the parity of a prefix count, bosonic
+square-root factors), and the images are found by their packed keys.
+The quadruple sum and the monomer-dimer terms are one engine pass each;
+the bond form is A^T A, with one row of A per image of a bond, from one
+engine pass over the terms of every bond.
 
 Spectra, and the kernel of the ground-state check at every dimension,
 come from ARPACK's implicitly restarted Lanczos from a seeded vector.
@@ -101,7 +104,8 @@ class SectorBasis(ConfigIndex):
     """Deterministically ordered N-particle configurations on a lattice,
     optionally one total-momentum sector ``momentum``: the
     :class:`~laughlin.lattice.ConfigIndex` of the labels ``configs``,
-    rows of ascending orbitals in lexicographic order, (D, N) int64.
+    rows of ascending orbitals in lexicographic order, (D, N) int64,
+    labelled with p, N and the momentum.
     """
 
     def __init__(self, p: int, N: int, momentum: int | None,
@@ -112,15 +116,6 @@ class SectorBasis(ConfigIndex):
     @property
     def dim(self) -> int:
         return len(self.configs)
-
-    def vector(self, configs, values) -> np.ndarray:
-        """Dense vector with values[i] on the label configs[i]."""
-        rows = self.find(configs)
-        if np.any(rows < 0):
-            raise ConfigError("configuration outside the basis")
-        v = np.zeros(self.dim)
-        v[rows] = values
-        return v
 
 
 def sector_basis(params: ModelParams, momentum: int | None = None,
@@ -151,72 +146,6 @@ def sector_basis(params: ModelParams, momentum: int | None = None,
 
 # -- sparse assembly --------------------------------------------------------------
 
-# Basis rows times operator strings handled per batch in _images: about
-# 1 MB per int64 array of the batch.
-_BATCH = 1 << 17
-
-
-def _images(index: ConfigIndex, creation, annihilation, fermionic: bool):
-    """Apply each string c*_{creation} ... c_{annihilation} to every row
-    of ``index``, a sector basis or the index of a coefficient table.
-
-    ``creation`` and ``annihilation`` are (T, k) site arrays in
-    left-to-right operator order, so the rightmost operator acts first.
-    Yields, batch by batch, the (row, string) pairs the strings do not
-    annihilate as flat arrays: ``col`` the row acted on, ``term`` the
-    string, ``key`` the packed occupation row of the image and
-    ``factor`` the matrix element.  A creation is allowed while its site
-    stays within the index's ``limit`` (for fermions the Pauli rule):
-    past it the image is none of the rows, and its key would carry.
-    Fermionic signs count the occupied orbitals below the acted site;
-    bosonic factors are sqrt(n) and sqrt(n + 1).
-    """
-    ops = [(annihilation[:, j], -1)
-           for j in reversed(range(annihilation.shape[1]))]
-    ops += [(creation[:, j], 1) for j in reversed(range(creation.shape[1]))]
-    # Occupation changes the earlier operators of a string made at, and
-    # below, the site of each operator.
-    same, lower = [], []
-    for i, (site, _) in enumerate(ops):
-        same.append(sum((s * (prev == site) for prev, s in ops[:i]),
-                        np.zeros(len(site), dtype=np.int64)))
-        lower.append(sum((s * (prev < site) for prev, s in ops[:i]),
-                         np.zeros(len(site), dtype=np.int64)))
-    shift = sum((s * index.weights[site] for site, s in ops),
-                np.zeros(len(annihilation), dtype=np.int64))
-
-    def allowed(n, step, site):
-        return n > 0 if step < 0 else n < index.limit[site]
-
-    occ = index.occupations
-    below = (occ.cumsum(axis=1) - occ).ravel()
-    flat = occ.ravel()
-    sites = index.num_sites
-    batch = max(1, _BATCH // len(occ))
-    for lo in range(0, len(annihilation), batch):
-        # The first operator sees the rows unchanged: pick the rows it
-        # keeps from one dense block, then follow only those.
-        site0, step0 = ops[0][0][lo:lo + batch], ops[0][1]
-        col, term = np.nonzero(allowed(occ[:, site0], step0, site0))
-        term += lo
-        acc = np.zeros(col.size, dtype=np.int64) if fermionic else \
-            np.ones(col.size, dtype=np.int64)
-        for i, ((site, step), dsame, dlower) in enumerate(
-                zip(ops, same, lower)):
-            at = col * sites + site[term]
-            n = flat[at] + dsame[term]
-            if i:
-                keep = allowed(n, step, site[term])
-                col, term, acc, at, n = (col[keep], term[keep], acc[keep],
-                                         at[keep], n[keep])
-            if fermionic:
-                acc += below[at] + dlower[term]
-            else:
-                acc *= n if step < 0 else n + 1
-        factor = 1.0 - 2.0 * (acc & 1) if fermionic else np.sqrt(acc)
-        yield col, term, index.keys[col] + shift[term], factor
-
-
 def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
                          ) -> sparse.csr_matrix:
     """Assemble sum_t coeff_t c*...c*... c...c from (creation, annihilation, coeff)."""
@@ -225,8 +154,8 @@ def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
     creation, annihilation, coeff = zip(*terms)
     coeff = np.array(coeff)
     rows, cols, vals = [], [], []
-    for col, term, key, factor in _images(
-            basis, np.array(creation, dtype=np.intp),
+    for col, term, key, factor in basis.images(
+            np.array(creation, dtype=np.intp),
             np.array(annihilation, dtype=np.intp), fermionic):
         row = find_keys(basis.keys, key)
         keep = row >= 0
@@ -264,27 +193,35 @@ def _gram_build(basis: SectorBasis, bonds, fermionic: bool
     """Assemble sum_s B_s* B_s over the bonds s as A^T A.
 
     Row (s, n) of A holds <n|B_s|m> over the basis states m, one row per
-    distinct image n of a bond s.
+    distinct image n of a bond s; the rows are numbered by (s, key of
+    n).  One pass of the engine applies the terms of every bond.
     """
     if not bonds:
         return sparse.csr_matrix((basis.dim, basis.dim))
-    rows, cols, vals = [], [], []
-    count = 0
-    for terms in bonds:
-        pairs = np.array([pair for pair, _ in terms], dtype=np.intp)
-        coeff = np.array([c for _, c in terms])
-        col, term, key, factor = (np.concatenate(parts) for parts in zip(
-            *_images(basis, np.zeros((len(pairs), 0), dtype=np.intp), pairs,
-                     fermionic)))
-        images, row = np.unique(key, return_inverse=True)
-        rows.append(row + count)
-        cols.append(col)
-        vals.append(coeff[term] * factor)
-        count += images.size
-    A = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                  np.concatenate(cols))),
-                          shape=(count, basis.dim))
+    terms = [term for bond in bonds for term in bond]
+    pairs = np.array([pair for pair, _ in terms], dtype=np.intp)
+    coeff = np.array([c for _, c in terms])
+    bond_of = np.repeat(np.arange(len(bonds), dtype=np.int32),
+                        [len(bond) for bond in bonds])
+    col, bond, key, vals = (np.concatenate(parts) for parts in zip(*(
+        (col.astype(np.int32), bond_of[term], key, coeff[term] * factor)
+        for col, term, key, factor in basis.images(
+            np.zeros((len(pairs), 0), dtype=np.intp), pairs, fermionic))))
+    row, count = _number_pairs(bond, key)
+    A = sparse.csr_matrix((vals, (row, col)), shape=(count, basis.dim))
     return (A.T @ A).tocsr()
+
+
+def _number_pairs(bond, key):
+    """Number the distinct (bond, key) pairs in increasing order: the
+    number of each entry's pair, and the count of pairs."""
+    order = np.lexsort((key, bond))
+    bond, key = bond[order], key[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (bond[1:] != bond[:-1]) | (key[1:] != key[:-1])
+    number = np.empty(order.size, dtype=np.intp)
+    number[order] = np.cumsum(first) - 1
+    return number, int(first.sum())
 
 
 @dataclass
@@ -544,8 +481,8 @@ class PerturbationReport:
 
 
 def perturbation_series(params: ModelParams, order: int,
-                        amp: AmplitudeTable,
-                        build: HBuild | None = None) -> PerturbationReport:
+                        amp: AmplitudeTable, build: HBuild
+                        ) -> PerturbationReport:
     """Partial sums of the zero-energy perturbation series around the
     one-particle-per-rod state, with per-order distances to the exact
     ground state.
@@ -557,15 +494,13 @@ def perturbation_series(params: ModelParams, order: int,
     vector of ``amp``, the amplitudes of (p, N) at gamma, in the gauge
     where both have unit seed coefficient.
 
-    ``build`` is a ready assembly of H in the ground momentum sector of
-    ``params``; without it the sector and H are built here.
+    ``build`` is the caller's assembly of H in the ground momentum
+    sector of ``params``.
     """
     _require_p3(params)
     if order < 0:
         raise ConfigError("order must be nonnegative")
     ground = total_momentum(params.p, params.N)
-    if build is None:
-        build = build_H(params, basis=sector_basis(params, momentum=ground))
     basis = build.basis
     if (basis.p, basis.N, basis.momentum) != (params.p, params.N, ground):
         raise ConfigError("perturbation series needs the ground momentum "

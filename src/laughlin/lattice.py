@@ -12,8 +12,10 @@ of a fixed orbital sum in lexicographic order: a momentum sector of the
 parent Hamiltonian or, under the dominance floor, the admissible set.
 One index, :class:`ConfigIndex`, finds a configuration among the rows
 of such an array by its packed occupation key; the squeezing pass, the
-product rule, sector bases and operator strings all look rows up
-through it.
+product rule and sector bases all look rows up through it.  The index
+is also the one operator engine: :meth:`ConfigIndex.images` applies
+strings of creation and annihilation operators to all of its rows at
+once, for the parent Hamiltonians and the finite-N correlations alike.
 
 Conventions
 -----------
@@ -291,6 +293,10 @@ def find_keys(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
 #: and product of the exact integer passes, stay below it.
 INT64_LIMIT = 2 ** 63
 
+# Rows times operator strings handled per batch in ConfigIndex.images:
+# about 1 MB per int64 array of the batch.
+_BATCH = 1 << 17
+
 
 class ConfigIndex:
     """The rows of a nonempty (D, N) configuration array on sites
@@ -307,8 +313,8 @@ class ConfigIndex:
     increase strictly.  A string of operators that keeps particle
     number and orbital sum, and creates nowhere past ``limit``, shifts
     a row's key by its sites' weights, and :func:`find_keys` finds the
-    image.  Raises :class:`CapExceeded` when the radix product reaches
-    2^63.
+    image; :meth:`images` applies such strings.  Raises
+    :class:`CapExceeded` when the radix product reaches 2^63.
     """
 
     def __init__(self, configs: np.ndarray, num_sites: int):
@@ -339,6 +345,77 @@ class ConfigIndex:
         rows = find_keys(self.keys, occ @ self.weights)
         same = (self.occupations[rows] == occ).all(axis=1)
         return np.where(inside & same, rows, -1)
+
+    def vector(self, configs, values) -> np.ndarray:
+        """Dense vector with values[i] on the row of configs[i]."""
+        rows = self.find(configs)
+        if np.any(rows < 0):
+            raise ConfigError("configuration outside the basis")
+        v = np.zeros(len(self.configs))
+        v[rows] = values
+        return v
+
+    def images(self, creation, annihilation, fermionic: bool):
+        """Apply each string c*_{creation} ... c_{annihilation} to every
+        row.
+
+        ``creation`` and ``annihilation`` are (T, k) site arrays in
+        left-to-right operator order, so the rightmost operator acts
+        first.  Yields, batch by batch of strings, the (row, string)
+        pairs the strings do not annihilate as flat arrays: ``col`` the
+        row acted on, ``term`` the string, ``key`` the packed occupation
+        row of the image and ``factor`` the matrix element.  A creation
+        is allowed while its site stays within ``limit`` (for fermions
+        the Pauli rule): past it the image is none of the rows, and its
+        key would carry.  Fermionic signs count the occupied orbitals
+        below the acted site; bosonic factors are sqrt(n) and
+        sqrt(n + 1).  :func:`find_keys` on ``keys`` finds each image.
+        """
+        ops = [(annihilation[:, j], -1)
+               for j in reversed(range(annihilation.shape[1]))]
+        ops += [(creation[:, j], 1)
+                for j in reversed(range(creation.shape[1]))]
+        # Occupation changes the earlier operators of a string made at,
+        # and below, the site of each operator.
+        same, lower = [], []
+        for i, (site, _) in enumerate(ops):
+            same.append(sum((s * (prev == site) for prev, s in ops[:i]),
+                            np.zeros(len(site), dtype=np.int64)))
+            lower.append(sum((s * (prev < site) for prev, s in ops[:i]),
+                             np.zeros(len(site), dtype=np.int64)))
+        shift = sum((s * self.weights[site] for site, s in ops),
+                    np.zeros(len(annihilation), dtype=np.int64))
+
+        def allowed(n, step, site):
+            return n > 0 if step < 0 else n < self.limit[site]
+
+        occ = self.occupations
+        if fermionic:
+            below = (occ.cumsum(axis=1) - occ).ravel()
+        flat = occ.ravel()
+        batch = max(1, _BATCH // len(occ))
+        for lo in range(0, len(annihilation), batch):
+            # The first operator sees the rows unchanged: pick the rows
+            # it keeps from one dense block, then follow only those.
+            site0, step0 = ops[0][0][lo:lo + batch], ops[0][1]
+            col, term = np.nonzero(allowed(occ[:, site0], step0, site0))
+            term += lo
+            acc = np.zeros(col.size, dtype=np.int64) if fermionic else \
+                np.ones(col.size, dtype=np.int64)
+            for i, ((site, step), dsame, dlower) in enumerate(
+                    zip(ops, same, lower)):
+                at = col * self.num_sites + site[term]
+                n = flat[at] + dsame[term]
+                if i:
+                    keep = allowed(n, step, site[term])
+                    col, term, acc, at, n = (col[keep], term[keep],
+                                             acc[keep], at[keep], n[keep])
+                if fermionic:
+                    acc += below[at] + dlower[term]
+                else:
+                    acc *= n if step < 0 else n + 1
+            factor = 1.0 - 2.0 * (acc & 1) if fermionic else np.sqrt(acc)
+            yield col, term, self.keys[col] + shift[term], factor
 
 
 def config_to_occupation(m: tuple[int, ...], num_sites: int) -> tuple[int, ...]:

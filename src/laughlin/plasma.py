@@ -90,9 +90,12 @@ def _pair_matrix(coords: np.ndarray, gamma: float) -> np.ndarray:
     return pairs
 
 
-def log_weight(state, params: ModelParams) -> float:
-    """log |Psi|^2 up to a state-independent constant; -inf at coincidences."""
-    coords = np.asarray(getattr(state, "coordinates", state), dtype=float)
+def log_weight(coords, params: ModelParams) -> float:
+    """log |Psi|^2 up to a state-independent constant; -inf at coincidences.
+
+    ``coords`` is an (N, 2) array of particle positions (x, y).
+    """
+    coords = np.asarray(coords, dtype=float)
     if coords.shape != (params.N, 2):
         raise ConfigError(f"expected coordinate shape {(params.N, 2)}")
     pairs = _pair_matrix(coords, params.gamma)  # each pair counted twice

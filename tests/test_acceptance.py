@@ -247,8 +247,11 @@ def test_criterion_11_mcmc_cross_validation(run_n4, tables_p3, model_p3_g1,
 
 
 def test_criterion_12_perturbation_series(tables_p3):
-    rep = perturbation_series(ModelParams(3, 3, 2.0), 4,
-                              amp=amplitudes(tables_p3[2], 2.0))
+    params = ModelParams(3, 3, 2.0)
+    build = build_H(params, basis=sector_basis(
+        params, momentum=total_momentum(3, 3)))
+    rep = perturbation_series(params, 4, amp=amplitudes(tables_p3[2], 2.0),
+                              build=build)
     d = rep.distances
     assert all(b < a for a, b in zip(d, d[1:]))
     assert d[4] < 1e-6

@@ -329,6 +329,33 @@ def test_ham_monomer_dimer_in_ground_sector(dirs):
     assert md["passed"] is True and md["kernel_dim"] == 1
 
 
+def test_ham_enumerates_the_ground_sector_once_under_the_cap(dirs,
+                                                             monkeypatch):
+    """Outside the ground sector (momentum 45 at p=3, N=6, 338 states)
+    the monomer-dimer state and the perturbation series share one
+    ground sector, enumerated under the run's cap."""
+    cache, out = dirs
+    argv = ["ham", "--p", "3", "--N", "6", "--gamma", "1.5", "--momentum",
+            "60", "--cache-dir", cache, "--out-dir", out]
+    assert run_cli(*argv, "--cap", "300", "--perturbation-order", "2") == 3
+    calls = []
+    sector_basis = hamiltonian.sector_basis
+
+    def counting(params, momentum=None, **kwargs):
+        calls.append(momentum)
+        return sector_basis(params, momentum=momentum, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "sector_basis", counting)
+    assert run_cli(*argv, "--monomer-dimer", "--perturbation-order", "2") == 0
+    assert calls == [60, 45]
+    doc = read_json(os.path.join(out, "ham.json"))
+    assert doc["monomer_dimer"]["passed"] is True
+    assert doc["perturbation"]["decreasing"] is True
+    stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
+    ground = [s for s in stages if s["name"] == "ground_sector"]
+    assert [s["dim"] for s in ground] == [338]
+
+
 def counting_chains(monkeypatch):
     """Count every chain's moves, tuning pilots included, from its arguments."""
     moves = []

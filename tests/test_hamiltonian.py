@@ -10,7 +10,8 @@ from scipy import sparse
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.hamiltonian import (
     FormFactor,
-    _images,
+    _bond_annihilators,
+    _gram_build,
     build_H,
     build_HTT,
     build_monomer_dimer,
@@ -148,12 +149,51 @@ def test_images_create_within_the_index_limit():
     image = occupation_rows(np.array([[1, 2]]), 4) @ index.weights
     assert find_keys(index.keys, image)[0] == 0
     for fermionic in (True, False):
-        col, _, _, _ = next(_images(index, np.array([[1, 2]]),
-                                    np.array([[3, 0]]), fermionic))
+        col, _, _, _ = next(index.images(np.array([[1, 2]]),
+                                         np.array([[3, 0]]), fermionic))
         assert col.size == 0
-        col, _, key, _ = next(_images(index, np.array([[0, 3]]),
-                                      np.array([[3, 0]]), fermionic))
+        col, _, key, _ = next(index.images(np.array([[0, 3]]),
+                                           np.array([[3, 0]]), fermionic))
         assert col.tolist() == [0] and key.tolist() == index.keys.tolist()
+
+
+def counting_passes(monkeypatch):
+    """Record the number of strings of every pass of the operator engine."""
+    passes = []
+    images = ConfigIndex.images
+
+    def counted(self, creation, annihilation, fermionic):
+        passes.append(len(annihilation))
+        return images(self, creation, annihilation, fermionic)
+
+    monkeypatch.setattr(ConfigIndex, "images", counted)
+    return passes
+
+
+@pytest.mark.parametrize("p, N", ((3, 5), (2, 5)))
+def test_gram_build_is_one_engine_pass(p, N, monkeypatch):
+    """All bonds go through one pass, not one pass per bond, and the
+    rows of A follow (bond, image key) as in a per-bond assembly."""
+    params = ModelParams(p, N, 1.1)
+    basis = sector_basis(params, momentum=total_momentum(p, N))
+    sites = basis.num_sites
+    F = FormFactor(p)
+    bonds = _bond_annihilators(
+        sites, {d: F.components(d * 1.1) for d in range(1 - sites, sites)})
+    assert len(bonds) > 1
+    passes = counting_passes(monkeypatch)
+    gram = _gram_build(basis, bonds, params.fermionic)
+    assert passes == [sum(len(bond) for bond in bonds)]
+    expect = sum(_gram_build(basis, [bond], params.fermionic)
+                 for bond in bonds)
+    assert abs(gram - expect).max() <= 1e-13 * abs(expect).max()
+    passes.clear()
+    build_H(params, basis=basis)
+    assert len(passes) == 2  # the quadruple sum and the bonds
+    if p == 3:
+        passes.clear()
+        build_monomer_dimer(params, basis)
+        assert len(passes) == 3  # the diagonal, the bonds, the direct sum
 
 
 # -- the repulsion and its kernel ---------------------------------------------------
@@ -378,10 +418,16 @@ def test_tt_overlap_with_exact_is_unity(tables_p3):
     assert float(tt @ psi) == 1.0
 
 
+def ground_build(params):
+    """Both assemblies of H in the ground momentum sector of ``params``."""
+    return build_H(params, basis=sector_basis(
+        params, momentum=total_momentum(params.p, params.N)))
+
+
 def test_perturbation_order_zero_distance(tables_p3):
     params = ModelParams(3, 3, 2.0)
     amp = amplitudes(tables_p3[2], 2.0)
-    rep = perturbation_series(params, 0, amp=amp)
+    rep = perturbation_series(params, 0, amp=amp, build=ground_build(params))
     exact = exact_vector(rep.basis, amp)
     tt = tao_thouless(params, rep.basis)
     assert rep.distances[0] == approx(float(np.linalg.norm(exact - tt)),
@@ -390,34 +436,40 @@ def test_perturbation_order_zero_distance(tables_p3):
 
 def test_perturbation_converges(tables_p3):
     params = ModelParams(3, 3, 1.5)
-    rep = perturbation_series(params, 5, amp=amplitudes(tables_p3[2], 1.5))
+    rep = perturbation_series(params, 5, amp=amplitudes(tables_p3[2], 1.5),
+                              build=ground_build(params))
     assert rep.decreasing
     assert rep.distances[4] < 1e-12
 
 
 def test_perturbation_strong_coupling(tables_p3):
-    rep = perturbation_series(ModelParams(3, 3, 2.0), 4,
-                              amp=amplitudes(tables_p3[2], 2.0))
+    params = ModelParams(3, 3, 2.0)
+    rep = perturbation_series(params, 4, amp=amplitudes(tables_p3[2], 2.0),
+                              build=ground_build(params))
     d = rep.distances
     assert all(d[i + 1] < d[i] for i in range(4))
     assert d[4] < 1e-6
 
 
 def test_perturbation_divergence_reported(tables_p3):
-    rep = perturbation_series(ModelParams(3, 3, 0.3), 5,
-                              amp=amplitudes(tables_p3[2], 0.3))
+    params = ModelParams(3, 3, 0.3)
+    rep = perturbation_series(params, 5, amp=amplitudes(tables_p3[2], 0.3),
+                              build=ground_build(params))
     assert rep.distances[-1] > rep.distances[0]
     assert all(math.isfinite(d) for d in rep.distances)
 
 
 def test_perturbation_guards(tables_p2, tables_p3):
+    bosons = ModelParams(2, 3, 1.0)
+    build = ground_build(bosons)
     with pytest.raises(ConfigError):
-        perturbation_series(ModelParams(2, 3, 1.0), 2,
-                            amp=amplitudes(tables_p2[2], 1.0))
+        perturbation_series(bosons, 2, amp=amplitudes(tables_p2[2], 1.0),
+                            build=build)
     amp = amplitudes(tables_p3[2], 1.0)
-    with pytest.raises(ConfigError):
-        perturbation_series(ModelParams(3, 3, 1.0), -1, amp=amp)
     params = ModelParams(3, 3, 1.0)
+    build = ground_build(params)
+    with pytest.raises(ConfigError):
+        perturbation_series(params, -1, amp=amp, build=build)
     layer = build_H(params, basis=sector_basis(params))
     with pytest.raises(ConfigError):
         perturbation_series(params, 2, amp=amp, build=layer)

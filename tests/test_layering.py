@@ -4,6 +4,10 @@ A coefficient table is computed by ``expansion.expand`` (and its loop
 ``expand_all``) and read from disk by ``expansion.load_cache``; the
 command line's table loader alone decides which of the two each table
 takes.  Every other module receives its tables from its caller.
+
+A module reaches another only through its public names: none imports,
+or reads as an attribute of an imported module, a ``_``-prefixed name
+of another module of the package.
 """
 
 import ast
@@ -39,4 +43,38 @@ def test_only_expansion_and_cli_source_tables():
         used = referenced_names(ast.parse(path.read_text(), str(path)))
         if used & TABLE_SOURCES:
             offenders[path.stem] = sorted(used & TABLE_SOURCES)
+    assert offenders == {}
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_names_from_other_modules(tree: ast.AST) -> set[str]:
+    """The ``_``-prefixed names a module takes from other package modules,
+    by ``from ... import`` or as an attribute of an imported module."""
+    found, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("laughlin")):
+            for alias in node.names:
+                if private(alias.name):
+                    found.add(f"{node.module}.{alias.name}")
+                elif node.module in (None, "laughlin"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_takes_a_private_name_of_another():
+    package = pathlib.Path(laughlin.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if names := private_names_from_other_modules(tree):
+            offenders[path.stem] = sorted(names)
     assert offenders == {}
