@@ -194,7 +194,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
-                 cap: int | None = None, no_compute: bool = False,
+                 cap: int | None, no_compute: bool = False,
                  only: list[int] | None = None
                  ) -> tuple[list[expansion.CoefficientTable], dict]:
     """Coefficient tables 1..Nmax (or the N in ``only``): the one place
@@ -452,7 +452,9 @@ def cmd_ham(args) -> int:
     if args.monomer_dimer:
         with em.timed("monomer_dimer") as sizes:
             md = hamiltonian.build_monomer_dimer(params, basis=ground_basis)
-            report = hamiltonian.ground_check(md.H, md.psi)
+            vals = hamiltonian.spectrum(md.H, count=min(
+                hamiltonian.KERNEL_COUNT, ground_basis.dim))
+            report = hamiltonian.ground_check(md.H, md.psi, vals)
             sizes.update(dim=ground_basis.dim, num_terms=md.num_terms)
         ok = report.residual < 1e-10 and md.deviation < 1e-12
         doc["monomer_dimer"] = {
@@ -465,9 +467,9 @@ def cmd_ham(args) -> int:
     if args.perturbation_order is not None:
         with em.timed("perturbation"):
             report = hamiltonian.perturbation_series(
-                params, args.perturbation_order, amp=amp,
-                build=build if in_ground else hamiltonian.build_H(
-                    params, basis=ground_basis))
+                params, args.perturbation_order, amp, ground_basis,
+                build.H if in_ground else hamiltonian.repulsion(
+                    params, ground_basis))
         doc["perturbation"] = {
             "order": args.perturbation_order,
             "distances": list(report.distances),
@@ -600,7 +602,7 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
     checks: list[dict] = []
 
     def record(name: str, measured: float, tol: float, passed: bool,
-               note: str = ""):
+               note: str):
         checks.append({"name": name, "measured": measured, "tolerance": tol,
                        "passed": bool(passed), "note": note})
 
@@ -672,7 +674,8 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
 
     amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
     psi = hamiltonian.exact_vector(basis, amp_h)
-    report = hamiltonian.ground_check(build.H, psi)
+    report = hamiltonian.ground_check(build.H, psi, hamiltonian.spectrum(
+        build.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim)))
     record("ground-residual", report.residual, 1e-8,
            report.residual < 1e-8, f"N={N_h} momentum sector")
     record("ground-kernel", float(report.kernel_dim), 1.0,
@@ -684,8 +687,7 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
         md = hamiltonian.build_monomer_dimer(
             params_md, basis=hamiltonian.sector_basis(
                 params_md, momentum=total_momentum(3, N_md)))
-        residual = float(np.linalg.norm(md.H @ md.psi)
-                         / np.linalg.norm(md.psi))
+        residual = hamiltonian.residual(md.H, md.psi)
         record("monomer-dimer-residual", residual, 1e-10, residual < 1e-10,
                f"N={N_md} tiling state against the truncated Hamiltonian")
 
@@ -693,18 +695,18 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
         basis_tt = hamiltonian.sector_basis(params_tt)
         htt = hamiltonian.build_HTT(params_tt, basis=basis_tt)
         vec = hamiltonian.tao_thouless(params_tt, basis_tt)
-        res_tt = float(np.linalg.norm(htt @ vec))
+        res_tt = hamiltonian.residual(htt, vec)
         record("thin-torus-zero-mode", res_tt, 1e-12, res_tt <= 1e-12,
                "one-per-rod state annihilated by the diagonal truncation")
 
         if gamma >= 1.2:
             params_pt = ModelParams(3, min(3, Nmax), gamma)
-            build_pt = hamiltonian.build_H(
-                params_pt, basis=hamiltonian.sector_basis(
-                    params_pt, momentum=total_momentum(3, params_pt.N)))
+            basis_pt = hamiltonian.sector_basis(
+                params_pt, momentum=total_momentum(3, params_pt.N))
             rep = hamiltonian.perturbation_series(
-                params_pt, 3, amp=expansion.amplitudes(
-                    tables[params_pt.N - 1], gamma), build=build_pt)
+                params_pt, 3, expansion.amplitudes(
+                    tables[params_pt.N - 1], gamma), basis_pt,
+                hamiltonian.repulsion(params_pt, basis_pt))
             d = rep.distances
             record("perturbation-decreasing", d[-1], d[0], rep.decreasing,
                    "series distances to the exact state shrink per order")

@@ -43,6 +43,13 @@ from laughlin.lattice import (ConfigError, config_tuples,
 from laughlin.moments import MomentTable, as_moments, derive
 from laughlin.renewal import RenewalModel, long_interval_bound
 
+#: Largest deviation between shifted bulk correlations that
+#: :func:`period_test` counts as equal.
+PERIOD_TOLERANCE = 1e-8
+# x (and x') points and angle differences of offdiag_bound_check's grid
+_GRID_X = 41
+_GRID_DY = 5
+
 
 # -- finite N ----------------------------------------------------------------
 
@@ -229,17 +236,26 @@ def rod_expectations(tables: list[CoefficientTable] | list[MomentTable],
                            pair=tuple(pair), empty=tuple(empty))
 
 
+def _check_rods(model: RenewalModel, rods: RodExpectations) -> None:
+    """The rods must be those of the model: the same p, and a profile for
+    every rod size up to the model's Nmax."""
+    if rods.p != model.p:
+        raise ConfigError(f"rod expectations of p={rods.p} and a model of "
+                          f"p={model.p}")
+    if rods.nmax < model.Nmax:
+        raise ConfigError(f"rod expectations up to n={rods.nmax} and a "
+                          f"model up to Nmax={model.Nmax}")
+
+
 def occupation_infinite(model: RenewalModel, rods: RodExpectations,
                         override: bool = False) -> np.ndarray:
     """Bulk occupations <n_0..n_{p-1}>; exactly p-periodic, summing to 1."""
     model.require_converged(override)
-    if rods.p != model.p:
-        raise ConfigError("rod expectations and model disagree on p")
-    nmax = min(model.Nmax, rods.nmax)
+    _check_rods(model, rods)
     occ = np.zeros(model.p)
     for k in range(model.p):
         total = 0.0
-        for n in range(1, nmax + 1):
+        for n in range(1, model.Nmax + 1):
             pn = model.pn[n - 1]
             if pn == 0.0:
                 continue
@@ -252,7 +268,7 @@ def occupation_infinite(model: RenewalModel, rods: RodExpectations,
 def _psi_split(model: RenewalModel, rods: RodExpectations, s: int) -> float:
     """sum_n p_n nu_n(s): weight that a rod started s sites back covers s."""
     total = 0.0
-    for n in range(1, min(model.Nmax, rods.nmax) + 1):
+    for n in range(1, model.Nmax + 1):
         if model.pn[n - 1]:
             total += model.pn[n - 1] * rods.nu_at(n, s)
     return total
@@ -281,14 +297,14 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
     once; they are computed here otherwise.
     """
     model.require_converged(override)
+    _check_rods(model, rods)
     p = model.p
     k = k % p
     if l < 0:
         raise ConfigError("site separation must be >= 0")
-    nmax = min(model.Nmax, rods.nmax)
 
     same = 0.0
-    for n in range(1, nmax + 1):
+    for n in range(1, model.Nmax + 1):
         pn = model.pn[n - 1]
         if pn == 0.0:
             continue
@@ -303,7 +319,7 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
         if u is None:
             u = model.renewal_sequence(l // p + 1)
         psi = [_psi_split(model, rods, s) for s in range(l)]
-        for n1 in range(1, nmax + 1):
+        for n1 in range(1, model.Nmax + 1):
             pn1 = model.pn[n1 - 1]
             if pn1 == 0.0:
                 continue
@@ -339,6 +355,7 @@ def occupation_finite_via_renewal(model: RenewalModel, rods: RodExpectations,
     occupation_finite exactly; exercises the amplitude factorization,
     the rod profiles, and the renewal bridge in one identity.
     """
+    _check_rods(model, rods)
     if N > model.Nmax:
         raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
     p = model.p
@@ -368,6 +385,7 @@ def bulk_epsilon(model: RenewalModel, rods: RodExpectations, N: int, k: int
     nu over the full index set bounds the gap by the triangle
     inequality, up to rod sizes beyond Nmax.
     """
+    _check_rods(model, rods)
     if N > model.Nmax:
         raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
     p = model.p
@@ -423,9 +441,9 @@ class OffdiagReport:
         return self.max_violation <= 1e-12 * max(self.K_analytic, 1.0)
 
 
-def offdiag_bound_check(amp: AmplitudeTable, nx: int = 41, ndy: int = 5
-                        ) -> OffdiagReport:
-    """Scan |rho_1(z; z')| against K exp(-(x-x')^2 / 4) on a grid.
+def offdiag_bound_check(amp: AmplitudeTable) -> OffdiagReport:
+    """Scan |rho_1(z; z')| against K exp(-(x-x')^2 / 4) on a grid of 41
+    x (and x') points and 5 angle differences.
 
     The analytic constant comes from completing the square in the two
     Gaussians: (x-kg)^2 + (x'-kg)^2 = 2(xbar-kg)^2 + (x-x')^2/2, so
@@ -436,8 +454,8 @@ def offdiag_bound_check(amp: AmplitudeTable, nx: int = 41, ndy: int = 5
     gamma = amp.gamma
     occ = occupation_finite(amp)
     L = gamma * (len(occ) - 1)
-    xs = np.linspace(-2.0, L + 2.0, nx)
-    dys = np.linspace(0.0, math.pi / gamma, ndy)
+    xs = np.linspace(-2.0, L + 2.0, _GRID_X)
+    dys = np.linspace(0.0, math.pi / gamma, _GRID_DY)
     ks = np.arange(len(occ)) * gamma
 
     def K_at(xbar):
@@ -511,15 +529,16 @@ class PeriodReport:
 
 
 def period_test(model: RenewalModel, rods: RodExpectations,
-                tol: float = 1e-8, override: bool = False) -> PeriodReport:
-    """Smallest lattice shift fixing the bulk correlations.
+                override: bool = False) -> PeriodReport:
+    """Smallest lattice shift fixing the bulk correlations, up to
+    :data:`PERIOD_TOLERANCE`.
 
     Shifts d = 1..p are compared on the occupation p-vector; if the
     occupations alone would declare a period smaller than p, the pair
     moments up to separation 2p are consulted as well, so flat first
     moments cannot fake a short period.
     """
-    p = model.p
+    p, tol = model.p, PERIOD_TOLERANCE
     occ = occupation_infinite(model, rods, override=override)
     devs = []
     for d in range(1, p + 1):

@@ -1,10 +1,11 @@
 """Parent Hamiltonians on the orbital lattice.
 
 The two-body repulsion is fixed by form-factor components f_n built
-from Hermite polynomials H_n; the full interaction is assembled both as
-a sum over momentum-conserving quadruples and as a sum of bond operators
-B_{s,n}*B_{s,n} over components n and half-integer bond centers s
-(iterated as integer doubled centers).
+from Hermite polynomials H_n.  :func:`repulsion` assembles it as a sum
+of bond operators B_{s,n}*B_{s,n} over components n and half-integer
+bond centers s (iterated as integer doubled centers); :func:`build_H`
+assembles it a second time, as a sum over momentum-conserving
+quadruples, and reports how far the two routes differ.
 
 A momentum sector is enumerated directly, by the array search of
 :func:`~laughlin.lattice.configurations` that also lists the admissible
@@ -23,8 +24,12 @@ The quadruple sum and the monomer-dimer terms are one engine pass each;
 the bond form is A^T A, with one row of A per image of a bond, from one
 engine pass over the terms of every bond.
 
-Spectra, and the kernel of the ground-state check at every dimension,
-come from ARPACK's implicitly restarted Lanczos from a seeded vector.
+Every builder and check takes the sector basis, and every check the
+eigenvalues, that its caller enumerated or solved; only
+:func:`build_monomer_dimer` still enumerates the whole layer when it is
+given no basis.  Spectra, and so the kernel of the ground-state check
+at every dimension, come from :func:`spectrum`, ARPACK's implicitly
+restarted Lanczos from a seeded vector.
 
 The module also builds two truncations with exactly known ground
 states, the monomer-dimer Hamiltonian and the nearest/next-nearest
@@ -68,25 +73,19 @@ class FormFactor:
     """Gaussian-damped pair form factor F(t) = sum_n f_n(t), with the
     components f_n(t) = H_n(t) e^{-t^2/4}.
 
-    The ``parity`` variant keeps only n < p with n = p mod 2; the
-    ``full`` variant keeps every n < p.  Both give the same pair
-    operators: the wrong-parity components vanish when contracted with
-    (anti)symmetric pairs.
+    Only the n < p with n = p mod 2 are kept: the other components
+    vanish when contracted with (anti)symmetric pairs, so every n < p
+    gives the same pair operators.
     """
 
     p: int
-    variant: str = "parity"
 
     def __post_init__(self):
         if self.p < 1:
             raise ConfigError("p must be positive")
-        if self.variant not in ("parity", "full"):
-            raise ConfigError(f"unknown form factor variant {self.variant!r}")
 
     @property
     def indices(self) -> tuple[int, ...]:
-        if self.variant == "full":
-            return tuple(range(self.p))
         return tuple(n for n in range(self.p) if n % 2 == self.p % 2)
 
     def components(self, t: float) -> tuple[float, ...]:
@@ -168,6 +167,14 @@ def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
     return mat.tocsr()
 
 
+def _components(params: ModelParams, sites: int
+                ) -> dict[int, tuple[float, ...]]:
+    """f[d] = the form-factor components f_j(d*gamma), for every
+    distance d between two of the ``sites`` orbitals."""
+    F = FormFactor(params.p)
+    return {d: F.components(d * params.gamma) for d in range(1 - sites, sites)}
+
+
 def _bond_annihilators(sites: int, f: dict[int, tuple[float, ...]]):
     """For each doubled bond center 2s and each form-factor component j,
     the terms of B_{s,j} = sum_k f_j(2k*gamma) c_{s-k} c_{s+k}, given
@@ -239,26 +246,29 @@ class HBuild:
         return self.bond
 
 
-def build_H(params: ModelParams, basis: SectorBasis | None = None,
-            variant: str = "parity") -> HBuild:
+def repulsion(params: ModelParams, basis: SectorBasis) -> sparse.csr_matrix:
+    """The repulsion on ``basis`` as bond squares: sum_{s,j} B_{s,j}* B_{s,j}
+    over doubled bond centers s and form-factor components j, positive
+    semidefinite by construction."""
+    sites = basis.num_sites
+    return _gram_build(basis, _bond_annihilators(
+        sites, _components(params, sites)), params.fermionic)
+
+
+def build_H(params: ModelParams, basis: SectorBasis) -> HBuild:
     """Assemble the repulsion twice: quadruple sum and bond squares.
 
     Quadruple route: sum over ordered (k1, k2, n1, n2) with
     k1 + k2 = n1 + n2 of sum_j f_j((k1-k2)g) f_j((n1-n2)g)
     c*_{k1} c*_{k2} c_{n2} c_{n1}, over the form-factor components j.
-    Bond route: sum_{s,j} B_{s,j}* B_{s,j} over doubled centers and
-    components.  The two agree entrywise up to rounding; the bond form
-    is returned as ``H`` because its positivity is manifest.
+    Bond route: :func:`repulsion`.  The two agree entrywise up to
+    rounding; the bond form is returned as ``H`` because its positivity
+    is manifest.
     """
-    if basis is None:
-        basis = sector_basis(params)
-    F = FormFactor(params.p, variant)
-    g = params.gamma
-    fermionic = params.fermionic
     sites = basis.num_sites
 
     t0 = time.perf_counter()
-    f = {d: F.components(d * g) for d in range(1 - sites, sites)}
+    f = _components(params, sites)
     terms = []
     for S in range(2 * sites - 1):
         modes = [(a, S - a) for a in range(max(0, S - sites + 1),
@@ -272,9 +282,9 @@ def build_H(params: ModelParams, basis: SectorBasis | None = None,
                 if any(fn):
                     terms.append(((k1, k2), (n2, n1),
                                   sum(a * b for a, b in zip(fk, fn))))
-    pair = _operator_from_terms(basis, terms, fermionic)
+    pair = _operator_from_terms(basis, terms, params.fermionic)
     t1 = time.perf_counter()
-    bond = _gram_build(basis, _bond_annihilators(sites, f), fermionic)
+    bond = repulsion(params, basis)
     t2 = time.perf_counter()
     dev = abs(pair - bond).max() if basis.dim else 0.0
     return HBuild(basis=basis, pair=pair, bond=bond, deviation=float(dev),
@@ -287,16 +297,17 @@ def build_H(params: ModelParams, basis: SectorBasis | None = None,
 # eigenvalues of the p=3, N=8 ground sector do not converge in 600
 # restarts; with 41 they take 0.9 s.
 _NCV = 41
+_LANCZOS_TOL = 1e-11  # ARPACK's relative accuracy of the Ritz values
 KERNEL_COUNT = 40  # lowest eigenvalues ground_check examines
 _KERNEL_CUT = 1e-10  # its kernel cut at unit scale
 
 
-def spectrum(H, count: int = 6, maxiter: int = 600, tol: float = 1e-11,
-             seed: int = 1234) -> np.ndarray:
+def spectrum(H, count: int = 6, maxiter: int = 600, seed: int = 1234
+             ) -> np.ndarray:
     """Lowest eigenvalues of a symmetric operator, ascending.
 
-    ARPACK's implicitly restarted Lanczos (``eigsh``) with ``tol`` its
-    relative accuracy of the Ritz values and ``maxiter`` its limit on
+    ARPACK's implicitly restarted Lanczos (``eigsh``) to a relative
+    accuracy of 1e-11 in the Ritz values, with ``maxiter`` its limit on
     restarts; the start vector comes from a fixed-seed generator, so
     repeated runs agree far below the tolerance.  Raises
     :class:`~laughlin.lattice.CapExceeded` (a ``RuntimeError``) if
@@ -316,7 +327,8 @@ def spectrum(H, count: int = 6, maxiter: int = 600, tol: float = 1e-11,
         return np.linalg.eigvalsh(H.toarray())[:count]
     v0 = np.random.default_rng(seed).standard_normal(dim)
     try:
-        vals = eigsh(H, k=count, which="SA", v0=v0, maxiter=maxiter, tol=tol,
+        vals = eigsh(H, k=count, which="SA", v0=v0, maxiter=maxiter,
+                     tol=_LANCZOS_TOL,
                      ncv=min(dim, max(2 * count + 1, _NCV)),
                      return_eigenvectors=False)
     except ArpackError as exc:
@@ -333,20 +345,22 @@ class GroundReport:
     min_eigenvalue: float
 
 
-def ground_check(H, psi: np.ndarray, eigenvalues: np.ndarray | None = None
-                 ) -> GroundReport:
-    """Relative residual |H psi| / |psi| and the kernel dimension: how
-    many of the lowest 40 eigenvalues lie within max(1e-10, 1e-12 scale)
-    of zero, scale the largest of their magnitudes and 1.  They are
-    solved for here unless passed, ascending, as ``eigenvalues``."""
+def residual(H, psi: np.ndarray) -> float:
+    """Relative residual |H psi| / |psi| of a claimed zero mode."""
     psi = np.asarray(psi, dtype=float)
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ConfigError("zero vector has no residual")
-    residual = float(np.linalg.norm(H @ psi) / norm)
+    return float(np.linalg.norm(H @ psi) / norm)
+
+
+def ground_check(H, psi: np.ndarray, eigenvalues: np.ndarray) -> GroundReport:
+    """:func:`residual` of psi and the kernel dimension: how many of the
+    lowest 40 eigenvalues, passed ascending as ``eigenvalues`` (from
+    :func:`spectrum`), lie within max(1e-10, 1e-12 scale) of zero, scale
+    the largest of their magnitudes and 1."""
+    res = residual(H, psi)
     count = min(KERNEL_COUNT, H.shape[0])
-    if eigenvalues is None:
-        eigenvalues = spectrum(H, count=count)
     if len(eigenvalues) < count:
         raise ConfigError(f"the kernel check needs the lowest {count} "
                           f"eigenvalues, got {len(eigenvalues)}")
@@ -354,7 +368,7 @@ def ground_check(H, psi: np.ndarray, eigenvalues: np.ndarray | None = None
     scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
     cut = max(_KERNEL_CUT, 1e-12 * scale)
     kernel = int(np.sum(np.abs(vals) <= cut))
-    return GroundReport(residual=residual, kernel_dim=kernel,
+    return GroundReport(residual=res, kernel_dim=kernel,
                         min_eigenvalue=float(vals[0]))
 
 
@@ -453,12 +467,9 @@ def tt_energies(basis: SectorBasis, gamma: float) -> np.ndarray:
     return e1 * near + e2 * next_near
 
 
-def build_HTT(params: ModelParams, basis: SectorBasis | None = None
-              ) -> sparse.csr_matrix:
+def build_HTT(params: ModelParams, basis: SectorBasis) -> sparse.csr_matrix:
     """Diagonal nearest/next-nearest repulsion (p = 3 truncation)."""
     _require_p3(params)
-    if basis is None:
-        basis = sector_basis(params)
     return sparse.diags(tt_energies(basis, params.gamma)).tocsr()
 
 
@@ -481,7 +492,7 @@ class PerturbationReport:
 
 
 def perturbation_series(params: ModelParams, order: int,
-                        amp: AmplitudeTable, build: HBuild
+                        amp: AmplitudeTable, basis: SectorBasis, H
                         ) -> PerturbationReport:
     """Partial sums of the zero-energy perturbation series around the
     one-particle-per-rod state, with per-order distances to the exact
@@ -494,17 +505,19 @@ def perturbation_series(params: ModelParams, order: int,
     vector of ``amp``, the amplitudes of (p, N) at gamma, in the gauge
     where both have unit seed coefficient.
 
-    ``build`` is the caller's assembly of H in the ground momentum
-    sector of ``params``.
+    ``H`` is the repulsion on ``basis``, the ground momentum sector of
+    ``params``, such as :func:`repulsion` assembles.
     """
     _require_p3(params)
     if order < 0:
         raise ConfigError("order must be nonnegative")
     ground = total_momentum(params.p, params.N)
-    basis = build.basis
     if (basis.p, basis.N, basis.momentum) != (params.p, params.N, ground):
         raise ConfigError("perturbation series needs the ground momentum "
                           f"sector {ground} of p={params.p}, N={params.N}")
+    if H.shape != (basis.dim, basis.dim):
+        raise ConfigError(f"operator of shape {H.shape} is not on the "
+                          f"{basis.dim}-state sector")
     exact = exact_vector(basis, amp)
 
     seed = tao_thouless(params, basis)
@@ -515,7 +528,7 @@ def perturbation_series(params: ModelParams, order: int,
     if np.any(energies[others] <= 1e-14):
         raise ConfigError("degenerate truncated diagonal; series undefined")
 
-    Hfull = build.H / (16.0 * params.gamma ** 2)
+    Hfull = H / (16.0 * params.gamma ** 2)
     V = Hfull - sparse.diags(energies).tocsr()
 
     term = seed.copy()

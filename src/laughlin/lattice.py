@@ -48,6 +48,7 @@ class CapExceeded(RuntimeError):
 #: Anything above these is refused unless the caller raises the cap
 #: explicitly; coefficient growth and configuration counts blow up fast.
 DEFAULT_N_CAP = {1: 10, 2: 10, 3: 10}
+_PARTITION_CAP = 20  # largest N whose compositions are listed
 
 
 def check_cap(p: int, N: int, cap: int | None = None) -> None:
@@ -188,10 +189,12 @@ def partition_of(m: tuple[int, ...], p: int) -> RodPartition:
     return RodPartition(p, lengths)
 
 
-def enumerate_partitions(N: int, cap: int = 20) -> list[tuple[int, ...]]:
-    """All 2**(N-1) compositions of N, in lexicographic order."""
-    if N > cap:
-        raise CapExceeded(f"2**{N - 1} compositions exceed the cap (N={N} > {cap})")
+def enumerate_partitions(N: int) -> list[tuple[int, ...]]:
+    """All 2**(N-1) compositions of N, in lexicographic order; at most
+    N = 20."""
+    if N > _PARTITION_CAP:
+        raise CapExceeded(f"2**{N - 1} compositions exceed the cap "
+                          f"(N={N} > {_PARTITION_CAP})")
 
     out: list[tuple[int, ...]] = []
 

@@ -7,7 +7,8 @@ which never exponentiates a positive number, so it stays finite at any
 separation; coincident points give -inf and are simply never accepted.
 
 Sampling uses single-particle proposals, Gaussian in x and
-uniform-wrapped in y, with widths tuned by short pilot runs.  Each
+uniform-wrapped in y, with widths tuned by short pilot runs from the
+configured ones.  Each
 chain keeps an N x N matrix of pair terms, so a move evaluates one new
 row of pairs (the old energy is a sum over the cached row) and an
 accepted move writes it into row and column i.  The chains of a run
@@ -32,7 +33,11 @@ from .lattice import ConfigError, ModelParams
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampler schedule: all counts positive; the seed fixes every chain."""
+    """Sampler schedule: all counts positive; the seed fixes every chain.
+
+    ``sigma_x`` and ``sigma_y`` are the proposal widths the tuning
+    pilots start from; every run tunes them.
+    """
 
     sweeps: int
     burn_in: int = 500
@@ -41,7 +46,6 @@ class McConfig:
     sigma_y: float = 0.5
     seed: int = 0
     chains: int = 2
-    tune: bool = True
 
     def __post_init__(self):
         if min(self.sweeps, self.burn_in, self.thinning, self.chains) <= 0:
@@ -187,7 +191,7 @@ def _tune_widths(params: ModelParams, mc: McConfig, rng: np.random.Generator
                  ) -> tuple[tuple[float, float], int]:
     """Proposal widths from up to eight pilot chains, and their moves."""
     sx, sy = mc.sigma_x, mc.sigma_y
-    pilot = replace(mc, burn_in=50, thinning=1, tune=False)
+    pilot = replace(mc, burn_in=50, thinning=1)
     moves = 0
     for _ in range(8):
         _, (acc,), n = _run_chain(params, pilot, [rng], (sx, sy), 150)
@@ -207,6 +211,12 @@ def _tune_widths(params: ModelParams, mc: McConfig, rng: np.random.Generator
 #: when its split R-hat is NaN or at least RHAT_TOLERANCE away from 1.
 ACCEPTANCE_BAND = (0.01, 0.99)
 RHAT_TOLERANCE = 0.1
+#: Batches of the batch-means standard errors.
+BATCHES = 50
+#: Phase bins of :func:`phase_profile`, and its bulk window as fractions
+#: of the droplet length.
+PHASE_BINS = 6
+PHASE_WINDOW = (0.3, 0.7)
 
 
 @dataclass
@@ -264,10 +274,8 @@ def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
     if n_keep < 1:
         raise ConfigError("sweeps shorter than one thinning interval")
     seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains + 1)
-    sigma, pilot_moves = (mc.sigma_x, mc.sigma_y), 0
-    if mc.tune:
-        sigma, pilot_moves = _tune_widths(params, mc,
-                                          np.random.default_rng(seeds[-1]))
+    sigma, pilot_moves = _tune_widths(params, mc,
+                                      np.random.default_rng(seeds[-1]))
     rngs = [np.random.default_rng(seed) for seed in seeds[:-1]]
     samples, accs, moves = _run_chain(params, mc, rngs, sigma, n_keep)
     rhat = _split_rhat(samples[:, :, :, 0].sum(axis=2))
@@ -277,9 +285,11 @@ def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
                  moves=pilot_moves + moves, pilot_moves=pilot_moves)
 
 
-def batch_stderr(series: np.ndarray, nbatches: int = 50) -> float:
-    """Standard error of the mean by batch means (>= 50 batches)."""
+def batch_stderr(series: np.ndarray) -> float:
+    """Standard error of the mean by batch means: :data:`BATCHES`
+    batches, fewer (at least 2) for a series shorter than 2 BATCHES."""
     series = np.asarray(series, dtype=float).ravel()
+    nbatches = BATCHES
     if series.size < 2 * nbatches:
         nbatches = max(2, series.size // 2)
     size = series.size // nbatches
@@ -426,12 +436,12 @@ class PhaseProfile:
 
 
 def phase_profile(samples: np.ndarray, params: ModelParams,
-                  bulk_occ: np.ndarray, nbins: int = 6,
-                  window: tuple[float, float] = (0.3, 0.7)) -> PhaseProfile:
-    """Fold bulk x samples by the lattice period and compare to occupations;
-    ``samples`` has shape (S, N, 2), such as ``McRun.pooled()``.
+                  bulk_occ: np.ndarray) -> PhaseProfile:
+    """Fold bulk x samples by the lattice period into :data:`PHASE_BINS`
+    bins and compare to occupations; ``samples`` has shape (S, N, 2),
+    such as ``McRun.pooled()``.
 
-    The window is given as fractions of the droplet length and snapped
+    The window, :data:`PHASE_WINDOW` of the droplet length, is snapped
     inward to whole periods so every phase bin covers the same number
     of orbitals.  bulk_occ is the length-p vector of stationary
     occupations; the prediction is the wrapped-Gaussian mix it induces.
@@ -443,11 +453,11 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
         raise ConfigError(f"need {params.p} bulk occupations, got {bulk_occ.size}")
     period = params.p * params.gamma
     length = (params.N - 1) * period
-    lo = math.ceil(window[0] * length / period) * period
-    hi = math.floor(window[1] * length / period) * period
+    lo = math.ceil(PHASE_WINDOW[0] * length / period) * period
+    hi = math.floor(PHASE_WINDOW[1] * length / period) * period
     if hi - lo < period:
         raise ConfigError("window too narrow to hold one full period")
-    edges = np.linspace(0.0, period, nbins + 1)
+    edges = np.linspace(0.0, period, PHASE_BINS + 1)
     xs = samples[:, :, 0]
     inside = (xs >= lo) & (xs < hi)
     phase = np.where(inside, np.mod(xs, period), -1.0)
@@ -457,13 +467,13 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
         raise ConfigError("no samples fell inside the bulk window")
     observed = per_sample.sum(axis=0) / totals.sum()
     # batch the fractions, not the raw counts: the window total fluctuates
-    nb = min(50, per_sample.shape[0])
+    nb = min(BATCHES, per_sample.shape[0])
     cut = (per_sample.shape[0] // nb) * nb
-    batches = per_sample[:cut].reshape(nb, -1, nbins).sum(axis=1)
+    batches = per_sample[:cut].reshape(nb, -1, PHASE_BINS).sum(axis=1)
     fr = batches / batches.sum(axis=1, keepdims=True)
     stderr = fr.std(axis=0, ddof=1) / math.sqrt(nb)
     # wrapped Gaussian mass of each phase bin, weighted by occupation
-    predicted = np.zeros(nbins)
+    predicted = np.zeros(PHASE_BINS)
     reach = int(math.ceil(6.0 / period)) + 1
     for r in range(params.p):
         for j in range(-reach, reach + 1):

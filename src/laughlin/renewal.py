@@ -43,6 +43,7 @@ from laughlin.lattice import ConfigError, enumerate_partitions
 from laughlin.moments import MomentTable, as_moments
 
 TAIL_THRESHOLD = 0.01
+_ACTIVITY_TOL = 1e-12  # relative width at which the bisection stops
 
 
 class UnconvergedError(RuntimeError):
@@ -114,18 +115,19 @@ def irreducible_weights(tables: list[CoefficientTable] | list[MomentTable],
     return direct, alpha_residual(moments, gamma)
 
 
-def solve_activity(alpha: np.ndarray, tol: float = 1e-12,
-                   extended: bool = False) -> float:
+def solve_activity(alpha: np.ndarray) -> float:
     """Root r in (0, 1] of sum_n alpha_n r^n = 1.
 
     The left side is strictly increasing in r with value 0 at r = 0, and
     alpha_1 = 1 guarantees a value >= 1 at r = 1, so the root exists and
-    is unique.  Bisection to the requested tolerance, then a few Newton
-    steps to polish to machine precision.  ``extended`` redoes the
-    arithmetic in long double as a round-off check at large gamma, where
-    the alpha_n span many orders of magnitude.
+    is unique.  Bisection to a relative width of 1e-12, then a few
+    Newton steps to polish to machine precision.  The arithmetic is
+    that of the input's dtype, at least double: a long-double ``alpha``
+    solves in long double, a round-off check at large gamma, where the
+    alpha_n span many orders of magnitude.
     """
-    alpha = np.asarray(alpha, dtype=np.longdouble if extended else np.float64)
+    alpha = np.asarray(alpha)
+    alpha = alpha.astype(np.promote_types(alpha.dtype, np.float64))
     one = alpha.dtype.type(1.0)
     if len(alpha) == 0 or not alpha[0] > 0:
         raise ConfigError("alpha_1 must be positive to solve for the activity")
@@ -146,7 +148,7 @@ def solve_activity(alpha: np.ndarray, tol: float = 1e-12,
         raise ConfigError(
             "truncated weights sum below 1 at r=1; tail-dominated model")
     lo, hi = alpha.dtype.type(0.0), one
-    while hi - lo > tol * hi:
+    while hi - lo > _ACTIVITY_TOL * hi:
         mid = (lo + hi) / 2
         if f(mid) < 0:
             lo = mid

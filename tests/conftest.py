@@ -1,6 +1,8 @@
 import pytest
 
+from laughlin import plasma
 from laughlin.expansion import expand_all
+from laughlin.hamiltonian import FormFactor
 from laughlin.renewal import build_model
 
 
@@ -27,3 +29,23 @@ def model_p3_g1(tables_p3):
 @pytest.fixture(scope="session")
 def model_p2_g1(tables_p2):
     return build_model(2, 8, 1.0, tables=tables_p2)
+
+
+@pytest.fixture
+def full_form_factor(monkeypatch):
+    """Calling it makes the form factor keep every component n < p, not
+    only those of p's parity, for the rest of the test."""
+    def use():
+        monkeypatch.setattr(FormFactor, "indices",
+                            property(lambda self: tuple(range(self.p))))
+    return use
+
+
+@pytest.fixture
+def fixed_widths(monkeypatch):
+    """Calling it makes the sampler keep the configured proposal widths,
+    with no tuning pilots, for the rest of the test."""
+    def use():
+        monkeypatch.setattr(plasma, "_tune_widths", lambda params, mc, rng:
+                            ((mc.sigma_x, mc.sigma_y), 0))
+    return use

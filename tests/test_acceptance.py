@@ -29,12 +29,16 @@ from laughlin.correlations import (
     rod_expectations,
 )
 from laughlin.hamiltonian import (
+    KERNEL_COUNT,
     build_H,
     build_monomer_dimer,
     exact_vector,
     ground_check,
     perturbation_series,
+    repulsion,
+    residual,
     sector_basis,
+    spectrum,
 )
 from laughlin.lattice import ModelParams, total_momentum
 from laughlin.renewal import build_model
@@ -124,14 +128,15 @@ def test_criterion_05_ground_states(tables_p2, tables_p3):
             build = build_H(params, basis=basis)
             worst_build = max(worst_build, build.deviation)
             amp = amplitudes(tables[N - 1], 1.0)
-            rep = ground_check(build.H, exact_vector(basis, amp))
+            rep = ground_check(build.H, exact_vector(basis, amp), spectrum(
+                build.H, count=min(KERNEL_COUNT, basis.dim)))
             assert rep.residual < 1e-8, f"p={p} N={N}"
             assert rep.kernel_dim == 1, f"p={p} N={N}"
             worst_residual = max(worst_residual, rep.residual)
     worst_md = 0.0
     for N in range(2, 7):
         md = build_monomer_dimer(ModelParams(3, N, 1.0))
-        res = float(np.linalg.norm(md.H @ md.psi) / np.linalg.norm(md.psi))
+        res = residual(md.H, md.psi)
         assert res < 1e-10, f"N={N}"
         worst_md = max(worst_md, res)
         worst_build = max(worst_build, md.deviation)
@@ -248,10 +253,9 @@ def test_criterion_11_mcmc_cross_validation(run_n4, tables_p3, model_p3_g1,
 
 def test_criterion_12_perturbation_series(tables_p3):
     params = ModelParams(3, 3, 2.0)
-    build = build_H(params, basis=sector_basis(
-        params, momentum=total_momentum(3, 3)))
-    rep = perturbation_series(params, 4, amp=amplitudes(tables_p3[2], 2.0),
-                              build=build)
+    basis = sector_basis(params, momentum=total_momentum(3, 3))
+    rep = perturbation_series(params, 4, amplitudes(tables_p3[2], 2.0),
+                              basis, repulsion(params, basis))
     d = rep.distances
     assert all(b < a for a, b in zip(d, d[1:]))
     assert d[4] < 1e-6

@@ -333,7 +333,9 @@ def test_ham_enumerates_the_ground_sector_once_under_the_cap(dirs,
                                                              monkeypatch):
     """Outside the ground sector (momentum 45 at p=3, N=6, 338 states)
     the monomer-dimer state and the perturbation series share one
-    ground sector, enumerated under the run's cap."""
+    ground sector, enumerated under the run's cap, and the series reads
+    the bond route alone there: the quadruple sum is assembled once, on
+    the requested sector."""
     cache, out = dirs
     argv = ["ham", "--p", "3", "--N", "6", "--gamma", "1.5", "--momentum",
             "60", "--cache-dir", cache, "--out-dir", out]
@@ -346,8 +348,17 @@ def test_ham_enumerates_the_ground_sector_once_under_the_cap(dirs,
         return sector_basis(params, momentum=momentum, **kwargs)
 
     monkeypatch.setattr(hamiltonian, "sector_basis", counting)
+    builds = []
+    for name in ("build_H", "repulsion"):
+        def counted(params, basis, real=getattr(hamiltonian, name),
+                    name=name):
+            builds.append((name, basis.momentum))
+            return real(params, basis)
+        monkeypatch.setattr(hamiltonian, name, counted)
     assert run_cli(*argv, "--monomer-dimer", "--perturbation-order", "2") == 0
     assert calls == [60, 45]
+    # build_H's own bond route, then the series' operator
+    assert builds == [("build_H", 60), ("repulsion", 60), ("repulsion", 45)]
     doc = read_json(os.path.join(out, "ham.json"))
     assert doc["monomer_dimer"]["passed"] is True
     assert doc["perturbation"]["decreasing"] is True

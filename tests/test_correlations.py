@@ -273,6 +273,32 @@ def test_pair_infinite_decay(model_p3_g1, rods_p3):
     assert envelope[14] < 1e-3   # decayed by five rod spacings
 
 
+BULK_CALLS = {
+    "occupation_infinite": lambda m, r: tuple(occupation_infinite(m, r)),
+    "pair_infinite": lambda m, r: pair_infinite(m, r, 0, 2,
+                                                occ=np.full(m.p, 1 / m.p)),
+    "occupation_finite_via_renewal":
+        lambda m, r: tuple(occupation_finite_via_renewal(m, r, 6)),
+    "bulk_epsilon": lambda m, r: bulk_epsilon(m, r, 6, 7),
+    "period_test": lambda m, r: period_test(m, r),
+}
+
+
+@pytest.mark.parametrize("rods_of", ("p2", "four_sizes"))
+@pytest.mark.parametrize("name", sorted(BULK_CALLS))
+def test_bulk_functions_check_their_rods(name, rods_of, tables_p3,
+                                         tables_p2):
+    """A p=3 model of six rod sizes refuses rods of p=2 or of four sizes."""
+    model = build_model(3, 6, 1.0, tables=tables_p3)
+    rods = (rod_expectations(tables_p2[:6], 1.0) if rods_of == "p2"
+            else rod_expectations(tables_p3[:4], 1.0))
+    with pytest.raises(ConfigError, match="rod expectations"):
+        BULK_CALLS[name](model, rods)
+    # rods of more sizes than the model has are read up to its Nmax
+    assert BULK_CALLS[name](model, rod_expectations(tables_p3, 1.0)) == \
+        BULK_CALLS[name](model, rod_expectations(tables_p3[:6], 1.0))
+
+
 def test_pair_infinite_p1_truncated_vanishes(tables_p1):
     model = build_model(1, 8, 1.0, tables=tables_p1[:8])
     rods = rod_expectations(tables_p1[:8], 1.0)

@@ -9,6 +9,7 @@ from scipy import sparse
 
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.hamiltonian import (
+    KERNEL_COUNT,
     FormFactor,
     _bond_annihilators,
     _gram_build,
@@ -19,6 +20,8 @@ from laughlin.hamiltonian import (
     ground_check,
     hermite_value,
     perturbation_series,
+    repulsion,
+    residual,
     sector_basis,
     spectrum,
     tao_thouless,
@@ -37,6 +40,11 @@ def layer_p3_n3():
 @pytest.fixture(scope="module")
 def hbuild_p3_n3(layer_p3_n3):
     return build_H(ModelParams(3, 3, 1.0), basis=layer_p3_n3)
+
+
+def kernel_values(H):
+    """The lowest eigenvalues that ground_check examines."""
+    return spectrum(H, count=min(KERNEL_COUNT, H.shape[0]))
 
 
 # -- form factor -----------------------------------------------------------------
@@ -65,10 +73,7 @@ def test_form_factor_values():
 def test_form_factor_variants():
     F = FormFactor(3)
     assert F.indices == (1,)
-    assert FormFactor(3, "full").indices == (0, 1, 2)
     assert FormFactor(2).indices == (0,)
-    with pytest.raises(ConfigError):
-        FormFactor(3, "bogus")
 
 
 # -- sector bases ------------------------------------------------------------------
@@ -214,7 +219,8 @@ def test_two_particle_block_closed_form():
 def test_operator_without_terms_is_zero():
     # F(0) = 0 for odd p, so one site carries neither a pair term nor a
     # bond: both assemblies are the zero matrix of the basis dimension.
-    build = build_H(ModelParams(3, 1, 1.0))
+    params = ModelParams(3, 1, 1.0)
+    build = build_H(params, basis=sector_basis(params))
     for H in (build.pair, build.bond):
         assert H.shape == (1, 1) and H.nnz == 0
     assert build.deviation == 0.0
@@ -224,15 +230,27 @@ def test_builds_agree_and_are_symmetric(tables_p3, tables_p2):
     for p in (2, 3):
         for N in (2, 3, 4):
             params = ModelParams(p, N, 1.0)
-            build = build_H(params)
+            build = build_H(params, basis=sector_basis(params))
             assert build.deviation < 1e-12
             H = build.H.toarray()
             assert H == approx(H.T, abs=1e-13)
 
 
-def test_variants_build_same_operator(layer_p3_n3, hbuild_p3_n3):
-    full = build_H(ModelParams(3, 3, 1.0), basis=layer_p3_n3, variant="full")
+def test_variants_build_same_operator(layer_p3_n3, hbuild_p3_n3,
+                                      full_form_factor):
+    full_form_factor()
+    full = build_H(ModelParams(3, 3, 1.0), basis=layer_p3_n3)
     assert abs(full.H - hbuild_p3_n3.H).max() < 1e-12
+
+
+@pytest.mark.parametrize("p, N", ((3, 5), (2, 6), (4, 4)))
+def test_repulsion_is_the_bond_route(p, N):
+    params = ModelParams(p, N, 1.2)
+    basis = sector_basis(params, momentum=total_momentum(p, N))
+    got, bond = repulsion(params, basis), build_H(params, basis).bond
+    assert np.array_equal(got.indptr, bond.indptr)
+    assert np.array_equal(got.indices, bond.indices)
+    assert np.array_equal(got.data, bond.data)
 
 
 def test_exact_states_span_kernel(tables_p3, tables_p2):
@@ -242,7 +260,7 @@ def test_exact_states_span_kernel(tables_p3, tables_p2):
             layer = sector_basis(params)
             build = build_H(params, basis=layer)
             psi = exact_vector(layer, amplitudes(tables[N - 1], 1.0))
-            rep = ground_check(build.H, psi)
+            rep = ground_check(build.H, psi, kernel_values(build.H))
             assert rep.residual < 1e-12
             assert rep.kernel_dim == 1
             assert rep.min_eigenvalue > -1e-10
@@ -291,7 +309,7 @@ def test_five_boson_residual(tables_p2):
     sec = sector_basis(params, momentum=total_momentum(2, 5))
     build = build_H(params, basis=sec)
     psi = exact_vector(sec, amplitudes(tables_p2[4], 1.0))
-    assert ground_check(build.H, psi).residual < 1e-12
+    assert residual(build.H, psi) < 1e-12
 
 
 @pytest.mark.parametrize("p, N", [(3, 6), (2, 7)])
@@ -303,8 +321,9 @@ def test_doubled_kernel_counted(p, N, tables_p3, tables_p2):
     sec = sector_basis(params, momentum=total_momentum(p, N))
     H = build_H(params, basis=sec).H
     psi = exact_vector(sec, amplitudes(tables[N - 1], 1.0))
-    rep = ground_check(sparse.block_diag([H, H]),
-                       np.concatenate([psi, np.zeros(sec.dim)]))
+    doubled = sparse.block_diag([H, H])
+    rep = ground_check(doubled, np.concatenate([psi, np.zeros(sec.dim)]),
+                       kernel_values(doubled))
     assert rep.residual < 1e-8
     assert rep.kernel_dim == 2
 
@@ -312,19 +331,21 @@ def test_doubled_kernel_counted(p, N, tables_p3, tables_p2):
 def test_random_vector_is_not_ground(hbuild_p3_n3):
     rng = np.random.default_rng(5)
     v = rng.standard_normal(hbuild_p3_n3.basis.dim)
-    assert ground_check(hbuild_p3_n3.H, v).residual > 0.1
+    assert residual(hbuild_p3_n3.H, v) > 0.1
 
 
 def test_ground_check_rejects_zero(hbuild_p3_n3):
+    H, zero = hbuild_p3_n3.H, np.zeros(hbuild_p3_n3.basis.dim)
     with pytest.raises(ConfigError):
-        ground_check(hbuild_p3_n3.H, np.zeros(hbuild_p3_n3.basis.dim))
+        residual(H, zero)
+    with pytest.raises(ConfigError):
+        ground_check(H, zero, kernel_values(H))
 
 
 def test_ground_check_reads_given_eigenvalues(hbuild_p3_n3):
     H = hbuild_p3_n3.H
     v = np.random.default_rng(5).standard_normal(hbuild_p3_n3.basis.dim)
     vals = np.linalg.eigvalsh(H.toarray())  # all 35 of them
-    assert ground_check(H, v, vals) == ground_check(H, v)
     with pytest.raises(ConfigError, match="lowest 35 eigenvalues, got 34"):
         ground_check(H, v, vals[:34])
 
@@ -357,15 +378,14 @@ def test_monomer_dimer_counts_and_residuals():
         md = build_monomer_dimer(ModelParams(3, N, 1.0))
         assert md.num_terms == count
         assert md.deviation < 1e-12
-        resid = np.linalg.norm(md.H @ md.psi) / np.linalg.norm(md.psi)
-        assert resid < 1e-12
+        assert residual(md.H, md.psi) < 1e-12
 
 
 def test_monomer_dimer_eight_particles():
     params = ModelParams(3, 8, 1.5)
     md = build_monomer_dimer(params, basis=sector_basis(
         params, momentum=total_momentum(3, 8)))
-    rep = ground_check(md.H, md.psi)
+    rep = ground_check(md.H, md.psi, kernel_values(md.H))
     assert rep.residual < 1e-10
     assert rep.kernel_dim == 1
 
@@ -407,7 +427,7 @@ def test_tt_state_is_unique_zero_mode():
     energies = tt_energies(sec, 1.0)
     assert int(np.sum(energies < 1e-14)) == 1
     with pytest.raises(ConfigError):
-        build_HTT(ModelParams(2, 3, 1.0))
+        build_HTT(ModelParams(2, 3, 1.0), sec)
 
 
 def test_tt_overlap_with_exact_is_unity(tables_p3):
@@ -418,16 +438,17 @@ def test_tt_overlap_with_exact_is_unity(tables_p3):
     assert float(tt @ psi) == 1.0
 
 
-def ground_build(params):
-    """Both assemblies of H in the ground momentum sector of ``params``."""
-    return build_H(params, basis=sector_basis(
-        params, momentum=total_momentum(params.p, params.N)))
+def ground_operator(params):
+    """The ground momentum sector of ``params`` and H on it."""
+    basis = sector_basis(params,
+                         momentum=total_momentum(params.p, params.N))
+    return basis, repulsion(params, basis)
 
 
 def test_perturbation_order_zero_distance(tables_p3):
     params = ModelParams(3, 3, 2.0)
     amp = amplitudes(tables_p3[2], 2.0)
-    rep = perturbation_series(params, 0, amp=amp, build=ground_build(params))
+    rep = perturbation_series(params, 0, amp, *ground_operator(params))
     exact = exact_vector(rep.basis, amp)
     tt = tao_thouless(params, rep.basis)
     assert rep.distances[0] == approx(float(np.linalg.norm(exact - tt)),
@@ -436,16 +457,16 @@ def test_perturbation_order_zero_distance(tables_p3):
 
 def test_perturbation_converges(tables_p3):
     params = ModelParams(3, 3, 1.5)
-    rep = perturbation_series(params, 5, amp=amplitudes(tables_p3[2], 1.5),
-                              build=ground_build(params))
+    rep = perturbation_series(params, 5, amplitudes(tables_p3[2], 1.5),
+                              *ground_operator(params))
     assert rep.decreasing
     assert rep.distances[4] < 1e-12
 
 
 def test_perturbation_strong_coupling(tables_p3):
     params = ModelParams(3, 3, 2.0)
-    rep = perturbation_series(params, 4, amp=amplitudes(tables_p3[2], 2.0),
-                              build=ground_build(params))
+    rep = perturbation_series(params, 4, amplitudes(tables_p3[2], 2.0),
+                              *ground_operator(params))
     d = rep.distances
     assert all(d[i + 1] < d[i] for i in range(4))
     assert d[4] < 1e-6
@@ -453,23 +474,25 @@ def test_perturbation_strong_coupling(tables_p3):
 
 def test_perturbation_divergence_reported(tables_p3):
     params = ModelParams(3, 3, 0.3)
-    rep = perturbation_series(params, 5, amp=amplitudes(tables_p3[2], 0.3),
-                              build=ground_build(params))
+    rep = perturbation_series(params, 5, amplitudes(tables_p3[2], 0.3),
+                              *ground_operator(params))
     assert rep.distances[-1] > rep.distances[0]
     assert all(math.isfinite(d) for d in rep.distances)
 
 
 def test_perturbation_guards(tables_p2, tables_p3):
     bosons = ModelParams(2, 3, 1.0)
-    build = ground_build(bosons)
+    ground = ground_operator(bosons)
     with pytest.raises(ConfigError):
-        perturbation_series(bosons, 2, amp=amplitudes(tables_p2[2], 1.0),
-                            build=build)
+        perturbation_series(bosons, 2, amplitudes(tables_p2[2], 1.0), *ground)
     amp = amplitudes(tables_p3[2], 1.0)
     params = ModelParams(3, 3, 1.0)
-    build = ground_build(params)
+    basis, H = ground_operator(params)
     with pytest.raises(ConfigError):
-        perturbation_series(params, -1, amp=amp, build=build)
-    layer = build_H(params, basis=sector_basis(params))
+        perturbation_series(params, -1, amp, basis, H)
+    layer = sector_basis(params)
+    layer_H = repulsion(params, layer)
     with pytest.raises(ConfigError):
-        perturbation_series(params, 2, amp=amp, build=layer)
+        perturbation_series(params, 2, amp, layer, layer_H)
+    with pytest.raises(ConfigError, match="is not on the"):
+        perturbation_series(params, 2, amp, basis, layer_H)

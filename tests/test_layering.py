@@ -8,6 +8,11 @@ takes.  Every other module receives its tables from its caller.
 A module reaches another only through its public names: none imports,
 or reads as an attribute of an imported module, a ``_``-prefixed name
 of another module of the package.
+
+Every settable value of the package (a function parameter with a
+default, a dataclass field with a default, a command-line option) is
+listed in ``settings_inventory.txt``; a new one is added there on
+purpose.
 """
 
 import ast
@@ -78,3 +83,61 @@ def test_no_module_takes_a_private_name_of_another():
         if names := private_names_from_other_modules(tree):
             offenders[path.stem] = sorted(names)
     assert offenders == {}
+
+
+class SettableValues(ast.NodeVisitor):
+    """The settable values of one module, in source order: defaulted
+    parameters as ``f(name)``, defaulted dataclass fields as
+    ``Class.name`` and argparse options as ``f[subcommand --option]``,
+    each prefixed with its module and enclosing scopes."""
+
+    def __init__(self, module: str):
+        self.scope, self.found, self.subcommand = [module], [], ""
+
+    def where(self, name: str) -> str:
+        return ".".join(self.scope + [name])
+
+    def inside(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ClassDef(self, node):
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            self.found += [self.where(f"{node.name}.{field.target.id}")
+                           for field in node.body
+                           if isinstance(field, ast.AnnAssign)
+                           and field.value is not None]
+        self.inside(node)
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+        self.found += [self.where(f"{node.name}({arg.arg})")
+                       for arg in defaulted]
+        self.inside(node)
+
+    def visit_Call(self, node):
+        method = getattr(node.func, "attr", None)
+        if method == "add_parser":
+            self.subcommand = node.args[0].value + " "
+        elif method == "add_argument":
+            self.found.append(f"{'.'.join(self.scope)}"
+                              f"[{self.subcommand}{node.args[0].value}]")
+        self.generic_visit(node)
+
+
+def test_settings_inventory():
+    package = pathlib.Path(laughlin.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        visitor = SettableValues(path.stem)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found += visitor.found
+    listed = (pathlib.Path(__file__).parent
+              / "settings_inventory.txt").read_text().splitlines()
+    assert listed == sorted(listed)
+    assert sorted(found) == listed

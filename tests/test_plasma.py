@@ -187,10 +187,11 @@ def test_sweeps_below_thinning_rejected():
         plasma.metropolis_run(params, plasma.McConfig(sweeps=3, thinning=5))
 
 
-def test_frozen_proposal_chain_is_constant():
+def test_frozen_proposal_chain_is_constant(fixed_widths):
+    fixed_widths()
     params = ModelParams(3, 3, 1.0)
     mc = plasma.McConfig(sweeps=200, burn_in=10, thinning=2, sigma_x=0.0,
-                         sigma_y=0.0, seed=4, tune=False, chains=1)
+                         sigma_y=0.0, seed=4, chains=1)
     run = plasma.metropolis_run(params, mc)
     first = run.samples[0, 0]
     assert np.all(run.samples == first[None, None, :, :])

@@ -493,7 +493,9 @@ HAM_CASES = ((2, 5, 5), (3, 4, 5), (4, 3, 5))
 @pytest.mark.parametrize("variant", ("parity", "full"))
 @pytest.mark.parametrize("p,n_layer,n_sector", HAM_CASES)
 def test_build_H_matches_reference(p, n_layer, n_sector, variant,
-                                   reference_assembly):
+                                   reference_assembly, full_form_factor):
+    if variant == "full":
+        full_form_factor()
     bases = []
     for N in range(2, n_sector + 1):
         params = ModelParams(p, N, 1.3)
@@ -504,11 +506,10 @@ def test_build_H_matches_reference(p, n_layer, n_sector, variant,
             assert tuple(config_tuples(basis.configs)) == \
                 reference_configs(params, momentum)
             bases.append((params, basis))
-    got = [hamiltonian.build_H(params, basis=basis, variant=variant)
-           for params, basis in bases]
+    got = [hamiltonian.build_H(params, basis=basis) for params, basis in bases]
     reference_assembly()
     for (params, basis), build in zip(bases, got):
-        expect = hamiltonian.build_H(params, basis=basis, variant=variant)
+        expect = hamiltonian.build_H(params, basis=basis)
         assert_same_operator(build.pair, expect.pair)
         assert_same_operator(build.bond, expect.bond)
         assert build.deviation <= 1e-12 * abs(expect.bond).max()
@@ -597,13 +598,14 @@ def reference_chain(params, mc, rng, sigma, n_keep):
     return np.array(kept), accepted / proposed
 
 
-def reference_run(params, mc):
-    """(samples, sigma, chain acceptances) with the library's seeding and
-    pilot schedule: eight pilots of 50 + 150 sweeps at most."""
+def reference_run(params, mc, tune):
+    """(samples, sigma, chain acceptances) with the library's seeding and,
+    if ``tune``, its pilot schedule: eight pilots of 50 + 150 sweeps at
+    most."""
     n_keep = mc.sweeps // mc.thinning
     seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains + 1)
     sx, sy = mc.sigma_x, mc.sigma_y
-    if mc.tune:
+    if tune:
         rng = np.random.default_rng(seeds[-1])
         pilot = dataclasses.replace(mc, burn_in=50, thinning=1)
         for _ in range(8):
@@ -630,13 +632,14 @@ def same_bits(a, b):
 @pytest.mark.parametrize("tune", (True, False))
 @pytest.mark.parametrize("N", (1, 2, 4, 9))
 @pytest.mark.parametrize("p", (2, 3))
-def test_metropolis_matches_reference(p, N, tune, chains):
+def test_metropolis_matches_reference(p, N, tune, chains, fixed_widths):
     params = ModelParams(p, N, 0.9)
     mc = plasma.McConfig(sweeps=60, burn_in=20, thinning=2, sigma_x=0.3,
-                         sigma_y=0.8, seed=17 * p + N, chains=chains,
-                         tune=tune)
+                         sigma_y=0.8, seed=17 * p + N, chains=chains)
+    if not tune:
+        fixed_widths()
     run = plasma.metropolis_run(params, mc)
-    samples, sigma, accs = reference_run(params, mc)
+    samples, sigma, accs = reference_run(params, mc, tune)
     assert same_bits(run.samples, samples)
     assert same_bits(run.sigma, sigma)
     assert same_bits(run.chain_acceptance, accs)
