@@ -277,13 +277,15 @@ def _load_moments(em: Emitter, args, Nmax: int, no_compute: bool = False
 def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
     """The renewal model of ``args.Nmax`` rods as a ``model`` stage with
     its convergence record; an unconverged model ends the run unless
-    ``--override-unconverged`` is given."""
+    ``--override-unconverged`` is given, which the model then admits in
+    every infinite-volume quantity."""
     with em.timed("model") as sizes:
-        model = renewal.build_model(args.p, args.Nmax, args.gamma,
-                                    tables=tables)
+        model = renewal.build_model(
+            args.p, args.Nmax, args.gamma, tables=tables,
+            admit_unconverged=args.override_unconverged)
         sizes.update(tail_mass=model.tail_mass, root_shift=model.root_shift,
                      alpha_residual=model.alpha_residual)
-    model.require_converged(args.override_unconverged)
+    model.require_converged()
     return model
 
 
@@ -341,11 +343,9 @@ def cmd_corr(args) -> int:
     model = _model_stage(em, args, tables)
     with em.timed("rods"):
         rods = correlations.rod_expectations(tables[:args.Nmax], args.gamma)
-    override = args.override_unconverged
 
     with em.timed("occupations"):
-        occ_inf = correlations.occupation_infinite(model, rods,
-                                                   override=override)
+        occ_inf = correlations.occupation_infinite(model, rods)
         rows = [(k, occ_inf[k], "renewal", model.tail_mass)
                 for k in range(args.p)]
         if args.N:
@@ -358,12 +358,9 @@ def cmd_corr(args) -> int:
 
     kmax = args.kmax if args.kmax is not None else 5 * args.p
     with em.timed("pairs") as sizes:
-        u = model.renewal_sequence(kmax // args.p + 1)
         pair_rows = []
         for l in range(kmax + 1):
-            pc = correlations.pair_infinite(model, rods, 0, l,
-                                            override=override, occ=occ_inf,
-                                            u=u)
+            pc = correlations.pair_infinite(model, rods, 0, l)
             pair_rows.append((l, pc.truncated, "renewal", pc.error_estimate))
         sizes["separations"] = kmax + 1
     em.csv("pairs.csv", ["l", "value", "source", "error_estimate"], pair_rows)
@@ -383,7 +380,7 @@ def cmd_corr(args) -> int:
     em.csv("profile.csv", ["x", "rho"], zip(xs, rho))
 
     with em.timed("period"):
-        report = correlations.period_test(model, rods, override=override)
+        report = correlations.period_test(model, rods)
     em.json("period.json", {
         "period": report.period, "margin": report.margin,
         "used": report.used, "tolerance": report.tolerance,
@@ -394,8 +391,10 @@ def cmd_corr(args) -> int:
 
 
 def cmd_ham(args) -> int:
-    em = Emitter(args.out_dir, "ham", _config_dict(args))
     params = ModelParams(args.p, args.N, args.gamma)
+    if args.monomer_dimer or args.perturbation_order is not None:
+        hamiltonian.require_p3(params)
+    em = Emitter(args.out_dir, "ham", _config_dict(args))
     ground = total_momentum(args.p, args.N)
     momentum = ground if args.momentum is None else args.momentum
     cap = args.cap if args.cap is not None else hamiltonian.DEFAULT_SECTOR_CAP
@@ -482,12 +481,14 @@ def cmd_ham(args) -> int:
 
 
 def cmd_mcmc(args) -> int:
-    em = Emitter(args.out_dir, "mcmc", _config_dict(args))
     params = ModelParams(args.p, args.N, args.gamma)
     observables = [s.strip() for s in args.observables.split(",") if s.strip()]
     unknown = set(observables) - {"density", "excess", "phase"}
     if unknown:
         raise ConfigError(f"unknown observables: {sorted(unknown)}")
+    if "phase" in observables:
+        plasma.phase_window(params)
+    em = Emitter(args.out_dir, "mcmc", _config_dict(args))
     mc = plasma.McConfig(sweeps=args.sweeps, burn_in=args.burn_in,
                          thinning=args.thinning, seed=args.seed,
                          chains=args.chains)
@@ -537,8 +538,7 @@ def cmd_mcmc(args) -> int:
         model = _model_stage(em, args, tables)
         with em.timed("phase"):
             rods = correlations.rod_expectations(tables, args.gamma)
-            occ = correlations.occupation_infinite(
-                model, rods, override=args.override_unconverged)
+            occ = correlations.occupation_infinite(model, rods)
             prof = plasma.phase_profile(pooled, params, occ)
         centers = 0.5 * (prof.edges[:-1] + prof.edges[1:])
         em.csv("phase.csv",
@@ -623,7 +623,8 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
            "C_N, alpha_n, rod profiles and pair moments and finite "
            "occupations from the moment tables against sums over the rows")
 
-    model = renewal.build_model(p, Nmax, gamma, tables=moment_tables)
+    model = renewal.build_model(p, Nmax, gamma, tables=moment_tables,
+                                admit_unconverged=args.override_unconverged)
     record("alpha-residual", model.alpha_residual, 1e-12,
            model.alpha_residual <= 1e-12,
            "direct vs recursive irreducible weights")
@@ -633,16 +634,14 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
     record("activity-equation", act, 1e-10, act <= 1e-10,
            "sum alpha_n r^n = 1 at the solved activity")
 
-    converged = not model.unconverged
-    record("tail-converged", model.tail_mass, renewal.TAIL_THRESHOLD,
-           converged or args.override_unconverged,
+    usable = not model.unconverged or model.admit_unconverged
+    record("tail-converged", model.tail_mass, renewal.TAIL_THRESHOLD, usable,
            "rod-size distribution tail below threshold")
-    if not converged and not args.override_unconverged:
+    if not usable:
         return checks, cache
 
-    override = args.override_unconverged
     rods = correlations.rod_expectations(moment_tables, gamma)
-    occ_inf = correlations.occupation_infinite(model, rods, override=override)
+    occ_inf = correlations.occupation_infinite(model, rods)
     dev = abs(float(occ_inf.sum()) - 1.0)
     record("occupation-normalization", dev, 1e-8, dev <= 1e-8,
            "bulk occupations over one period sum to 1")
@@ -856,7 +855,8 @@ def _validate_common(args) -> None:
     gamma = getattr(args, "gamma", None)
     if gamma is not None and not (gamma > 0 and math.isfinite(gamma)):
         raise ConfigError(f"gamma must be finite and > 0, got {gamma}")
-    for attr, least in (("N", 1), ("Nmax", 1), ("kmax", 0), ("spectrum", 1)):
+    for attr, least in (("N", 1), ("Nmax", 1), ("kmax", 0), ("spectrum", 1),
+                        ("perturbation_order", 0)):
         val = getattr(args, attr, None)
         if val is not None and val < least:
             raise ConfigError(f"{attr} must be >= {least}, got {val}")

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.special import erf
@@ -58,10 +60,15 @@ def occupation_finite(amp: AmplitudeTable | MomentTable,
     """<n_k> for k = 0..p(N-1), normalized by C_N; sums to N.
 
     Read from a moment table at ``gamma``, or from the moments of the
-    table and gamma of an amplitude table.
+    table and gamma of an amplitude table, which takes no other gamma.
     """
     if isinstance(amp, AmplitudeTable):
+        if gamma is not None:
+            raise ConfigError(f"an amplitude table carries its own gamma "
+                              f"{amp.gamma}; got another, {gamma}")
         amp, gamma = derive(amp.table), amp.gamma
+    elif gamma is None:
+        raise ConfigError("occupations of a moment table need a gamma")
     return amp.occupation(gamma)
 
 
@@ -247,30 +254,35 @@ def _check_rods(model: RenewalModel, rods: RodExpectations) -> None:
                           f"model up to Nmax={model.Nmax}")
 
 
-def occupation_infinite(model: RenewalModel, rods: RodExpectations,
-                        override: bool = False) -> np.ndarray:
-    """Bulk occupations <n_0..n_{p-1}>; exactly p-periodic, summing to 1."""
-    model.require_converged(override)
+def occupation_infinite(model: RenewalModel, rods: RodExpectations
+                        ) -> np.ndarray:
+    """Bulk occupations <n_0..n_{p-1}>; exactly p-periodic, summing to 1.
+
+    Refuses an unconverged model that does not admit its tail, and rods
+    that are not the model's.
+    """
+    model.require_converged()
     _check_rods(model, rods)
-    occ = np.zeros(model.p)
-    for k in range(model.p):
-        total = 0.0
-        for n in range(1, model.Nmax + 1):
-            pn = model.pn[n - 1]
-            if pn == 0.0:
-                continue
-            total += pn * sum(rods.nu_at(n, k + model.p * j)
-                              for j in range(n))
-        occ[k] = total / model.mu
-    return occ
+    p = model.p
+    total = [0.0] * p
+    for n, pn in enumerate(model.pn, 1):
+        if pn == 0.0:
+            continue
+        pn, nu = float(pn), rods.nu[n - 1].tolist()
+        for k in range(p):
+            # the sites k, k + p, ..., k + p (n - 1) of a rod of n, added
+            # left to right (sum() of floats compensates on Python 3.12+)
+            total[k] += pn * reduce(add, nu[k::p])
+    return np.array(total) / model.mu
 
 
 def _psi_split(model: RenewalModel, rods: RodExpectations, s: int) -> float:
-    """sum_n p_n nu_n(s): weight that a rod started s sites back covers s."""
+    """sum_n p_n nu_n(s): weight that a rod started s sites back covers s;
+    only rods of more than s // p particles reach site s."""
     total = 0.0
-    for n in range(1, model.Nmax + 1):
+    for n in range(s // model.p + 1, model.Nmax + 1):
         if model.pn[n - 1]:
-            total += model.pn[n - 1] * rods.nu_at(n, s)
+            total += model.pn[n - 1] * rods.nu[n - 1][s]
     return total
 
 
@@ -281,9 +293,8 @@ class PairCorrelation:
     error_estimate: float
 
 
-def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
-                  override: bool = False, occ: np.ndarray | None = None,
-                  u: np.ndarray | None = None) -> PairCorrelation:
+def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int
+                  ) -> PairCorrelation:
     """<n_k n_{k+l}> in the bulk, with the truncated correlation.
 
     Same-rod part: both sites inside one rod, using in-rod pair moments.
@@ -291,13 +302,11 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
     renewal bridge u_c crosses the gap, and an independent rod covers
     the second site.  Rod sizes beyond Nmax are out of reach of the
     exact tables; their weight is estimated by the long-interval bound
-    and reported as the error.  A caller looping over separations
-    passes the bulk occupations ``occ`` of :func:`occupation_infinite`
-    and a renewal sequence ``u`` of at least l // p + 2 terms, computed
-    once; they are computed here otherwise.
+    and reported as the error.  The truncation subtracts the bulk
+    occupations of :func:`occupation_infinite`, which also refuses a
+    model or rods it cannot use.
     """
-    model.require_converged(override)
-    _check_rods(model, rods)
+    occ = occupation_infinite(model, rods)
     p = model.p
     k = k % p
     if l < 0:
@@ -311,34 +320,29 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int,
         for j in range(n):
             s = k + p * j
             if s + l <= p * n - 1:
-                same += pn * rods.pair_at(n, s, s + l)
+                same += pn * rods.pair[n - 1][s, s + l]
     same /= model.mu
 
     split = 0.0
     if l >= 1:
-        if u is None:
-            u = model.renewal_sequence(l // p + 1)
+        u = model.renewal_sequence(l // p + 1)
         psi = [_psi_split(model, rods, s) for s in range(l)]
         for n1 in range(1, model.Nmax + 1):
             pn1 = model.pn[n1 - 1]
             if pn1 == 0.0:
                 continue
             for j in range(n1):
-                s1 = k + p * j
-                if s1 >= p * n1:
-                    break
+                s1 = k + p * j  # inside rod1, as k < p
                 reach = p * n1 - s1  # distance from site k to rod1's end
                 if reach > l:
                     continue
-                left = pn1 * rods.nu_at(n1, s1)
+                left = pn1 * rods.nu[n1 - 1][s1]
                 if left == 0.0:
                     continue
                 for c in range((l - reach) // p + 1):
                     split += left * u[c] * psi[l - reach - p * c]
         split /= model.mu
 
-    if occ is None:
-        occ = occupation_infinite(model, rods, override=override)
     value = same + split
     truncated = value - occ[k] * occ[(k + l) % p]
     err = 2.0 * long_interval_bound(model, model.Nmax + 1)
@@ -528,26 +532,24 @@ class PeriodReport:
     deviations: tuple[float, ...]
 
 
-def period_test(model: RenewalModel, rods: RodExpectations,
-                override: bool = False) -> PeriodReport:
+def period_test(model: RenewalModel, rods: RodExpectations) -> PeriodReport:
     """Smallest lattice shift fixing the bulk correlations, up to
     :data:`PERIOD_TOLERANCE`.
 
-    Shifts d = 1..p are compared on the occupation p-vector; if the
-    occupations alone would declare a period smaller than p, the pair
-    moments up to separation 2p are consulted as well, so flat first
-    moments cannot fake a short period.
+    Shifts d = 1..p are compared on the occupation p-vector of
+    :func:`occupation_infinite`; if the occupations alone would declare
+    a period smaller than p, the pair moments of :func:`pair_infinite`
+    up to separation 2p are consulted as well, so flat first moments
+    cannot fake a short period.
     """
     p, tol = model.p, PERIOD_TOLERANCE
-    occ = occupation_infinite(model, rods, override=override)
+    occ = occupation_infinite(model, rods)
     devs = []
     for d in range(1, p + 1):
         devs.append(max(abs(occ[k] - occ[(k + d) % p]) for k in range(p)))
     if any(dev <= tol for dev in devs[:-1]):
         seps = range(1, 2 * p + 1)
-        u = model.renewal_sequence(seps[-1] // p + 1)
-        pairs = {(k, l): pair_infinite(model, rods, k, l, override=override,
-                                       occ=occ, u=u).value
+        pairs = {(k, l): pair_infinite(model, rods, k, l).value
                  for k in range(p) for l in seps}
         for d in range(1, p + 1):
             pair_dev = max(abs(pairs[(k, l)] - pairs[((k + d) % p, l)])

@@ -381,7 +381,10 @@ def exact_vector(basis: SectorBasis, amp: AmplitudeTable) -> np.ndarray:
 
 # -- monomer-dimer model (p = 3) ---------------------------------------------------
 
-def _require_p3(params: ModelParams):
+def require_p3(params: ModelParams) -> None:
+    """Refuse a model other than filling 1/3, the only one the
+    monomer-dimer model, the thin-torus truncation and the perturbation
+    series are defined at."""
     if params.p != 3:
         raise ConfigError("defined at filling 1/3 only")
 
@@ -407,7 +410,7 @@ def build_monomer_dimer(params: ModelParams,
     particle at 3k, a dimer places the pair (3k+1, 3k+2) with
     coefficient -3 e^{-2g^2}.
     """
-    _require_p3(params)
+    require_p3(params)
     if basis is None:
         basis = sector_basis(params)
     g2 = params.gamma ** 2
@@ -469,13 +472,13 @@ def tt_energies(basis: SectorBasis, gamma: float) -> np.ndarray:
 
 def build_HTT(params: ModelParams, basis: SectorBasis) -> sparse.csr_matrix:
     """Diagonal nearest/next-nearest repulsion (p = 3 truncation)."""
-    _require_p3(params)
+    require_p3(params)
     return sparse.diags(tt_energies(basis, params.gamma)).tocsr()
 
 
 def tao_thouless(params: ModelParams, basis: SectorBasis) -> np.ndarray:
     """The one-particle-every-three-sites occupation state as a vector."""
-    _require_p3(params)
+    require_p3(params)
     return basis.vector([params.root_config], [1.0])
 
 
@@ -508,7 +511,7 @@ def perturbation_series(params: ModelParams, order: int,
     ``H`` is the repulsion on ``basis``, the ground momentum sector of
     ``params``, such as :func:`repulsion` assembles.
     """
-    _require_p3(params)
+    require_p3(params)
     if order < 0:
         raise ConfigError("order must be nonnegative")
     ground = total_momentum(params.p, params.N)

@@ -435,28 +435,41 @@ class PhaseProfile:
                      / self.observed.mean())
 
 
-def phase_profile(samples: np.ndarray, params: ModelParams,
-                  bulk_occ: np.ndarray) -> PhaseProfile:
-    """Fold bulk x samples by the lattice period into :data:`PHASE_BINS`
-    bins and compare to occupations; ``samples`` has shape (S, N, 2),
-    such as ``McRun.pooled()``.
+def phase_window(params: ModelParams) -> tuple[float, float]:
+    """The bulk window (lo, hi) of :func:`phase_profile` in x.
 
-    The window, :data:`PHASE_WINDOW` of the droplet length, is snapped
-    inward to whole periods so every phase bin covers the same number
-    of orbitals.  bulk_occ is the length-p vector of stationary
-    occupations; the prediction is the wrapped-Gaussian mix it induces.
+    :data:`PHASE_WINDOW` of the droplet length, snapped inward to whole
+    periods p gamma so every phase bin covers the same number of
+    orbitals.  A window that holds no full period is refused.
     """
-    from scipy.special import erf
-    samples = np.asarray(samples)
-    bulk_occ = np.asarray(bulk_occ, dtype=float)
-    if bulk_occ.size != params.p:
-        raise ConfigError(f"need {params.p} bulk occupations, got {bulk_occ.size}")
     period = params.p * params.gamma
     length = (params.N - 1) * period
     lo = math.ceil(PHASE_WINDOW[0] * length / period) * period
     hi = math.floor(PHASE_WINDOW[1] * length / period) * period
     if hi - lo < period:
         raise ConfigError("window too narrow to hold one full period")
+    return lo, hi
+
+
+def phase_profile(samples: np.ndarray, params: ModelParams,
+                  bulk_occ: np.ndarray) -> PhaseProfile:
+    """Fold bulk x samples by the lattice period into :data:`PHASE_BINS`
+    bins and compare to occupations; ``samples`` has shape (S, N, 2),
+    such as ``McRun.pooled()``.
+
+    Only the samples inside :func:`phase_window` are folded.  bulk_occ
+    is the length-p vector of stationary occupations; the prediction is
+    the wrapped-Gaussian mix it induces.  The standard errors come from
+    at least two batches of consecutive samples, each of which must
+    hold a sample inside the window.
+    """
+    from scipy.special import erf
+    samples = np.asarray(samples)
+    bulk_occ = np.asarray(bulk_occ, dtype=float)
+    if bulk_occ.size != params.p:
+        raise ConfigError(f"need {params.p} bulk occupations, got {bulk_occ.size}")
+    lo, hi = phase_window(params)
+    period = params.p * params.gamma
     edges = np.linspace(0.0, period, PHASE_BINS + 1)
     xs = samples[:, :, 0]
     inside = (xs >= lo) & (xs < hi)
@@ -468,8 +481,15 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
     observed = per_sample.sum(axis=0) / totals.sum()
     # batch the fractions, not the raw counts: the window total fluctuates
     nb = min(BATCHES, per_sample.shape[0])
+    if nb < 2:
+        raise ConfigError("one kept sample gives no standard error; "
+                          "run more sweeps")
     cut = (per_sample.shape[0] // nb) * nb
     batches = per_sample[:cut].reshape(nb, -1, PHASE_BINS).sum(axis=1)
+    empty = np.flatnonzero(batches.sum(axis=1) == 0)
+    if empty.size:
+        raise ConfigError(f"batches {empty.tolist()} of {nb} hold no sample "
+                          "inside the bulk window; run more sweeps")
     fr = batches / batches.sum(axis=1, keepdims=True)
     stderr = fr.std(axis=0, ddof=1) / math.sqrt(nb)
     # wrapped Gaussian mass of each phase bin, weighted by occupation

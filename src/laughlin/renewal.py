@@ -24,8 +24,10 @@ estimate of the waiting-time mass beyond Nmax; by construction the
 truncated p_n sum to one exactly, so the literal missing mass is not
 observable and the estimate extrapolates the decay of the last two
 weights instead; one weight (Nmax = 1) gives no estimate, an infinite
-tail.  Models whose estimated tail exceeds 1% refuse to feed
-infinite-volume quantities unless overridden.
+tail.  A model whose estimated tail exceeds 1% refuses to feed
+infinite-volume quantities unless it admits its unconverged tail, which
+is decided once, where the model is built (:func:`build_model`'s
+``admit_unconverged``); every consumer asks the model.
 
 Positions and window arguments below are in rod coordinates: rod
 coordinate a means lattice position p*a.
@@ -184,13 +186,16 @@ class RenewalModel:
     tail_mass: float
     root_shift: float
     c_sub: float
+    admit_unconverged: bool
 
     @property
     def unconverged(self) -> bool:
         return self.tail_mass > TAIL_THRESHOLD
 
-    def require_converged(self, override: bool = False) -> None:
-        if self.unconverged and not override:
+    def require_converged(self) -> None:
+        """Raise :class:`UnconvergedError` for an unconverged model that
+        does not admit its tail."""
+        if self.unconverged and not self.admit_unconverged:
             raise UnconvergedError(
                 f"estimated waiting-time tail {self.tail_mass:.3g} exceeds "
                 f"{TAIL_THRESHOLD}")
@@ -223,10 +228,12 @@ def _tail_estimate(pn: np.ndarray) -> float:
 
 
 def build_model(p: int, Nmax: int, gamma: float,
-                tables: list[CoefficientTable] | list[MomentTable]
-                ) -> RenewalModel:
+                tables: list[CoefficientTable] | list[MomentTable],
+                admit_unconverged: bool = False) -> RenewalModel:
     """Assemble the renewal model from exact tables up to Nmax, given as
-    coefficient tables or their moment tables."""
+    coefficient tables or their moment tables.  With
+    ``admit_unconverged`` the model feeds infinite-volume quantities even
+    when its tail is above :data:`TAIL_THRESHOLD`."""
     tables = as_moments(tables[:Nmax])
     if len(tables) < Nmax:
         raise ConfigError(f"need tables up to N={Nmax}, got {len(tables)}")
@@ -243,7 +250,8 @@ def build_model(p: int, Nmax: int, gamma: float,
     return RenewalModel(p=p, gamma=gamma, Nmax=Nmax, C=tuple(C),
                         alpha=tuple(alpha), alpha_residual=residual, r=r,
                         pn=tuple(pn), mu=mu, tail_mass=_tail_estimate(pn),
-                        root_shift=root_shift, c_sub=csub)
+                        root_shift=root_shift, c_sub=csub,
+                        admit_unconverged=admit_unconverged)
 
 
 @dataclass(frozen=True)
@@ -306,15 +314,15 @@ class WindowEvent:
 
 
 def stationary_event_probability(model: RenewalModel,
-                                 events: WindowEvent | list[WindowEvent],
-                                 override: bool = False) -> float:
+                                 events: WindowEvent | list[WindowEvent]
+                                 ) -> float:
     """Stationary probability of one or two pinned window events.
 
     A single window costs mu^{-1} prod p_{n_i}; a second window is tied
     to the first by the renewal bridge u_gap, which is what makes the
     process clustering.
     """
-    model.require_converged(override)
+    model.require_converged()
     if isinstance(events, WindowEvent):
         events = [events]
     if not 1 <= len(events) <= 2:

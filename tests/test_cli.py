@@ -15,11 +15,11 @@ import os
 import numpy as np
 import pytest
 
-from laughlin import cli, hamiltonian, lattice, plasma
+from laughlin import cli, hamiltonian, lattice, moments, plasma
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import enumerate_admissible, renewal_points
 from laughlin.correlations import occupation_finite, occupation_infinite, \
-    rod_expectations
+    pair_infinite, period_test, rod_expectations
 from laughlin.renewal import build_model
 
 
@@ -530,14 +530,27 @@ def test_exit_code_invalid_config(dirs):
     (["ham", "--p", "3", "--N", "3", "--spectrum", "0"],
      "spectrum must be >= 1, got 0"),
     (["verify-all", "--Nmax", "1"], "verify-all needs Nmax >= 2, got 1"),
+    (["ham", "--p", "3", "--N", "3", "--perturbation-order", "-1"],
+     "perturbation_order must be >= 0, got -1"),
+    (["ham", "--p", "2", "--N", "5", "--perturbation-order", "2"],
+     "defined at filling 1/3 only"),
+    (["ham", "--p", "2", "--N", "3", "--monomer-dimer"],
+     "defined at filling 1/3 only"),
+    (["mcmc", "--p", "3", "--N", "3", "--sweeps", "200",
+      "--observables", "density,excess,phase"],
+     "window too narrow to hold one full period"),
+    (["mcmc", "--p", "3", "--N", "2", "--sweeps", "200",
+      "--observables", "density,bogus"], "unknown observables: ['bogus']"),
 ])
 def test_exit_code_count_that_asks_for_nothing(dirs, capsys, argv, message):
     # A negative kmax would write a header-only pairs.csv, and a zero
-    # spectrum a report without its spectrum section.
+    # spectrum a report without its spectrum section; the ham and mcmc
+    # refusals come before any table is computed or any sample drawn.
     cache, out = dirs
     assert run_cli(*argv, "--cache-dir", cache, "--out-dir", out) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not os.path.exists(out)
+    assert not os.path.exists(cache)
 
 
 def _rewrite_cache_line(path, line, resign):
@@ -612,6 +625,31 @@ def test_exit_code_unconverged(dirs, capsys):
         if argv[0] == "renewal":
             summary = read_json(os.path.join(out, "renewal_summary.json"))
             assert summary["converged"] is False
+
+
+def test_corr_override_admits_the_model(dirs):
+    """--override-unconverged builds a model that admits its tail, and
+    every bulk output of corr is that model's."""
+    cache, out = dirs
+    argv = ["corr", "--p", "3", "--Nmax", "6", "--gamma", "0.35",
+            "--kmax", "4", "--cache-dir", cache, "--out-dir", out]
+    assert run_cli(*argv) == 2
+    assert run_cli(*argv, "--override-unconverged") == 0
+    tables = [moments.read(cache, 3, n) for n in range(1, 7)]
+    model = build_model(3, 6, 0.35, tables=tables, admit_unconverged=True)
+    rods = rod_expectations(tables, 0.35)
+    assert model.unconverged
+    occ = read_csv(os.path.join(out, "occupations.csv"))
+    assert [r["value"] for r in occ] == \
+        [cli.fmt(x) for x in occupation_infinite(model, rods)]
+    pairs = read_csv(os.path.join(out, "pairs.csv"))
+    assert [r["value"] for r in pairs] == \
+        [cli.fmt(pair_infinite(model, rods, 0, l).truncated)
+         for l in range(5)]
+    report = period_test(model, rods)
+    period = read_json(os.path.join(out, "period.json"))
+    assert (period["period"], period["used"], period["deviations"]) == \
+        (report.period, report.used, list(report.deviations))
 
 
 def test_missing_subcommand_exits_two():

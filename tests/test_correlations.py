@@ -26,7 +26,9 @@ from laughlin.correlations import (
 )
 from laughlin.expansion import amplitudes
 from laughlin.lattice import ConfigError, RodPartition
-from laughlin.renewal import build_model
+from laughlin.moments import derive
+from laughlin.renewal import (UnconvergedError, WindowEvent, build_model,
+                              stationary_event_probability)
 
 
 @pytest.fixture(scope="module")
@@ -275,8 +277,7 @@ def test_pair_infinite_decay(model_p3_g1, rods_p3):
 
 BULK_CALLS = {
     "occupation_infinite": lambda m, r: tuple(occupation_infinite(m, r)),
-    "pair_infinite": lambda m, r: pair_infinite(m, r, 0, 2,
-                                                occ=np.full(m.p, 1 / m.p)),
+    "pair_infinite": lambda m, r: pair_infinite(m, r, 0, 2),
     "occupation_finite_via_renewal":
         lambda m, r: tuple(occupation_finite_via_renewal(m, r, 6)),
     "bulk_epsilon": lambda m, r: bulk_epsilon(m, r, 6, 7),
@@ -297,6 +298,36 @@ def test_bulk_functions_check_their_rods(name, rods_of, tables_p3,
     # rods of more sizes than the model has are read up to its Nmax
     assert BULK_CALLS[name](model, rod_expectations(tables_p3, 1.0)) == \
         BULK_CALLS[name](model, rod_expectations(tables_p3[:6], 1.0))
+
+
+ADMISSION_CALLS = {
+    "occupation_infinite": occupation_infinite,
+    "pair_infinite": lambda m, r: pair_infinite(m, r, 0, 2),
+    "period_test": period_test,
+    "stationary_event_probability":
+        lambda m, r: stationary_event_probability(m, WindowEvent(0, (1,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSION_CALLS))
+def test_bulk_consumers_ask_the_model_for_admission(name, tables_p3):
+    """An unconverged model feeds bulk quantities only when it was built
+    to admit its tail."""
+    rods = rod_expectations(tables_p3[:6], 0.4)
+    refused = build_model(3, 6, 0.4, tables=tables_p3)
+    admitted = build_model(3, 6, 0.4, tables=tables_p3,
+                           admit_unconverged=True)
+    assert refused.unconverged and admitted.unconverged
+    with pytest.raises(UnconvergedError):
+        ADMISSION_CALLS[name](refused, rods)
+    assert ADMISSION_CALLS[name](admitted, rods) is not None
+
+
+def test_occupation_finite_refuses_a_missing_or_second_gamma(tables_p3):
+    with pytest.raises(ConfigError, match="need a gamma"):
+        occupation_finite(derive(tables_p3[2]))
+    with pytest.raises(ConfigError, match="its own gamma 1.0; got another"):
+        occupation_finite(amplitudes(tables_p3[2], 1.0), 2.0)
 
 
 def test_pair_infinite_p1_truncated_vanishes(tables_p1):

@@ -393,3 +393,17 @@ def test_phase_profile_validation(model_p3_g1, tables_p3):
         plasma.phase_profile(samples, ModelParams(3, 2, 1.0), occ)
     with pytest.raises(ConfigError):
         plasma.phase_profile(samples, ModelParams(3, 12, 1.0), occ[:2])
+
+
+def test_phase_profile_refuses_an_empty_batch():
+    # 100 samples make 50 batches of two.  Only the first sample has a
+    # particle inside the window, so every later batch would divide 0 by 0.
+    params = ModelParams(3, 6, 1.0)
+    assert plasma.phase_window(params) == (6.0, 9.0)
+    samples = np.full((100, 6, 2), 20.0)
+    samples[0, 0, 0] = 7.0
+    with pytest.raises(ConfigError, match=r"batches \[1, 2, .*, 49\] of 50 "
+                                          "hold no sample"):
+        plasma.phase_profile(samples, params, np.full(3, 1 / 3))
+    with pytest.raises(ConfigError, match="one kept sample"):
+        plasma.phase_profile(samples[:1], params, np.full(3, 1 / 3))

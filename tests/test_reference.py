@@ -220,14 +220,11 @@ def test_pair_infinite_matches_reference(tables, gamma):
     p = tables[0].p
     model = build_model(p, len(tables), gamma, tables=tables)
     rods = rod_expectations(tables, gamma)
-    occ = occupation_infinite(model, rods)
-    u = model.renewal_sequence(20)
     for k in range(p):
         for l in range(16):
-            expect = reference_pair_infinite(model, rods, k, l)
-            for got in (pair_infinite(model, rods, k, l),
-                        pair_infinite(model, rods, k, l, occ=occ, u=u)):
-                assert (got.value, got.truncated) == expect
+            got = pair_infinite(model, rods, k, l)
+            assert (got.value, got.truncated) == \
+                reference_pair_infinite(model, rods, k, l)
 
 
 # -- coefficient recursion ----------------------------------------------------------
