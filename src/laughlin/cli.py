@@ -3,7 +3,9 @@
 Every subcommand writes its numeric outputs as CSV or JSON into the
 output directory, then a ``<subcommand>_manifest.json`` recording the
 full configuration, library versions, SHA-256 checksums of the
-artifacts, the wall time and, where coefficient tables were read, a
+artifacts, the wall time, the run's ``checks`` (the name, measured
+value, tolerance, ``passed`` and note of each verdict, recorded by
+:meth:`Emitter.check`) and, where coefficient tables were read, a
 ``cache`` record of the N read from the cache and the N computed.
 One loader, :func:`_load_tables`, decides for each N whether its table
 is read from the cache or computed by the one route that computes a
@@ -32,9 +34,9 @@ with the same configuration and seed produce byte-identical files.
 All floating-point output is printed with 17 significant digits so
 doubles round-trip exactly.
 
-Exit codes: 0 success, 1 a verification check failed (including a
-degenerate Metropolis run) or a cached coefficient table or moment
-file failed validation, 2 invalid configuration (including an
+Exit codes: 0 success, 1 one of the manifest's ``checks`` failed
+(including ``mcmc-chain`` on a degenerate Metropolis run) or a cached
+coefficient table or moment file failed validation, 2 invalid configuration (including an
 unconverged renewal model without ``--override-unconverged``), 3 a
 resource cap was exceeded (including occupation keys past int64 and a
 Lanczos eigensolve that does not converge within its restarts).
@@ -129,6 +131,8 @@ class Emitter:
         self.config = config
         self.checksums: dict[str, str] = {}
         self.stages: list[dict] = []
+        self.checks: list[dict] = []
+        self.cache: dict = {}  # filled by the table loaders
         self.recorded = 0.0  # the seconds of every stage recorded so far
         self.t0 = time.perf_counter()
         os.makedirs(out_dir, exist_ok=True)
@@ -164,7 +168,20 @@ class Emitter:
         self.stage(name, time.perf_counter() - t0 - (self.recorded - inner),
                    **sizes)
 
-    def manifest(self, extra: dict | None = None) -> str:
+    def check(self, name: str, measured, tolerance, passed: bool,
+              note: str) -> bool:
+        """Record one verdict for the manifest's ``checks``; returns it."""
+        self.checks.append({"name": name, "measured": measured,
+                            "tolerance": tolerance, "passed": bool(passed),
+                            "note": note})
+        return bool(passed)
+
+    @property
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks)
+
+    def manifest(self, **records) -> int:
+        """Write the manifest; returns the exit code, 1 if a check failed."""
         doc = {
             "subcommand": self.subcommand,
             "inputs": self.config,
@@ -179,13 +196,14 @@ class Emitter:
         }
         if self.stages:
             doc["stages"] = self.stages
-        if extra:
-            doc.update(extra)
+        doc.update(records)
+        if self.cache:
+            doc["cache"] = self.cache
+        doc["checks"] = self.checks
         name = f"{self.subcommand}_manifest.json"
-        path = os.path.join(self.out_dir, name)
-        with open(path, "wb") as fh:
+        with open(os.path.join(self.out_dir, name), "wb") as fh:
             fh.write((_json_text(doc) + "\n").encode())
-        return path
+        return 0 if self.passed else 1
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -196,7 +214,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
 def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
                  cap: int | None, no_compute: bool = False,
                  only: list[int] | None = None
-                 ) -> tuple[list[expansion.CoefficientTable], dict]:
+                 ) -> list[expansion.CoefficientTable]:
     """Coefficient tables 1..Nmax (or the N in ``only``): the one place
     that decides whether a table is read from the cache or computed.
 
@@ -209,7 +227,7 @@ def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
     or computed twice.  Each computed table is a ``squeeze`` stage with
     its N, Sigma m^2 ``levels``, unsqueezed ``candidates`` looked up,
     reducible rows ``filled`` by the product rule, ``terms`` and
-    ``max_coeff_bits``.  Also returns the manifest's ``cache`` record:
+    ``max_coeff_bits``.  Records the manifest's ``cache`` on ``em``:
     the N asked for that were read from the cache (``hits``) and the N
     computed in this run (``computed``).
     """
@@ -241,12 +259,13 @@ def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
             sizes.update(terms=len(held[n]), max_coeff_bits=bits)
             expansion.save_cache(held[n],
                                  expansion.cache_path(cache_dir, p, n))
-    return [table(n) for n in every], {
-        "hits": [n for n in every if n not in missing], "computed": missing}
+    em.cache.update(hits=[n for n in every if n not in missing],
+                    computed=missing)
+    return [table(n) for n in every]
 
 
 def _load_moments(em: Emitter, args, Nmax: int, no_compute: bool = False
-                  ) -> tuple[list[moments.MomentTable], dict]:
+                  ) -> list[moments.MomentTable]:
     """Moment tables 1..Nmax as a ``moments`` stage, with the number of
     distinct exponents of each.
 
@@ -263,15 +282,15 @@ def _load_moments(em: Emitter, args, Nmax: int, no_compute: bool = False
         derive = [n for n in every if not (
             os.path.exists(moments.moment_path(cache_dir, p, n))
             and os.path.exists(expansion.cache_path(cache_dir, p, n)))]
-        tables, cache = _load_tables(em, p, Nmax, cache_dir, cap=args.cap,
-                                     no_compute=no_compute, only=derive)
+        tables = _load_tables(em, p, Nmax, cache_dir, cap=args.cap,
+                              no_compute=no_compute, only=derive)
         derived = {t.N: moments.store(t, cache_dir) for t in tables}
-        cache.update(moments_read=[n for n in every if n not in derived],
-                     moments_derived=derive)
+        em.cache.update(moments_read=[n for n in every if n not in derived],
+                        moments_derived=derive)
         tables = [derived[n] if n in derived else moments.read(cache_dir, p, n)
                   for n in every]
         sizes["exponents"] = [len(m.exponents) for m in tables]
-    return tables, cache
+    return tables
 
 
 def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
@@ -289,13 +308,42 @@ def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
     return model
 
 
+# -- verdicts shared by subcommands -------------------------------------------------
+
+
+def _ground_verdict(em: Emitter, report: hamiltonian.GroundReport,
+                    N: int) -> bool:
+    """The Laughlin state is the one zero mode of H in its sector."""
+    residual_ok = em.check("ground-residual", report.residual, 1e-8,
+                           report.residual < 1e-8, f"N={N} momentum sector")
+    kernel_ok = em.check("ground-kernel", float(report.kernel_dim), 1.0,
+                         report.kernel_dim == 1,
+                         "kernel dimension in the sector")
+    return residual_ok and kernel_ok
+
+
+def _monomer_dimer_verdict(em: Emitter, residual: float, N: int) -> bool:
+    """The monomer-dimer state is a zero mode of its truncated H."""
+    return em.check("monomer-dimer-residual", residual, 1e-10,
+                    residual < 1e-10,
+                    f"N={N} tiling state against the truncated Hamiltonian")
+
+
+def _chain_verdict(em: Emitter, run: plasma.McRun) -> bool:
+    """Split R-hat near 1 and the acceptance inside its band."""
+    lo, hi = plasma.ACCEPTANCE_BAND
+    return em.check("mcmc-chain", abs(run.rhat - 1.0), plasma.RHAT_TOLERANCE,
+                    run.rhat_ok and not run.pathological,
+                    f"|split R-hat - 1|; acceptance {fmt(run.acceptance)} "
+                    f"must lie in [{fmt(lo)}, {fmt(hi)}]")
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
 def cmd_expand(args) -> int:
     em = Emitter(args.out_dir, "expand", _config_dict(args))
-    tables, cache = _load_tables(em, args.p, args.N, args.cache_dir,
-                                 cap=args.cap)
+    tables = _load_tables(em, args.p, args.N, args.cache_dir, cap=args.cap)
     entries = []
     for table in tables:
         path = expansion.cache_path(args.cache_dir, args.p, table.N)
@@ -304,24 +352,22 @@ def cmd_expand(args) -> int:
                         "sha256": moments.file_sha256(path)})
     em.json("expand_summary.json",
             {"p": args.p, "N": args.N, "tables": entries})
-    em.manifest(extra={"cache": cache})
-    return 0
+    return em.manifest()
 
 
 def cmd_norms(args) -> int:
     em = Emitter(args.out_dir, "norms", _config_dict(args))
-    tables, cache = _load_moments(em, args, args.Nmax)
+    tables = _load_moments(em, args, args.Nmax)
     with em.timed("norms"):
         C = renewal.norms_from_tables(tables, args.gamma)
     em.csv("norms.csv", ["N", "C_N"],
            [(n, C[n]) for n in range(1, args.Nmax + 1)])
-    em.manifest(extra={"cache": cache})
-    return 0
+    return em.manifest()
 
 
 def cmd_renewal(args) -> int:
     em = Emitter(args.out_dir, "renewal", _config_dict(args))
-    tables, cache = _load_moments(em, args, args.Nmax)
+    tables = _load_moments(em, args, args.Nmax)
     model = _model_stage(em, args, tables)
     u = model.renewal_sequence(args.Nmax)
     em.csv("renewal.csv", ["n", "alpha_n", "p_n", "u_n"],
@@ -332,14 +378,13 @@ def cmd_renewal(args) -> int:
         "c_sub": model.c_sub, "alpha_residual": model.alpha_residual,
         "root_shift": model.root_shift, "converged": not model.unconverged,
     })
-    em.manifest(extra={"cache": cache})
-    return 0
+    return em.manifest()
 
 
 def cmd_corr(args) -> int:
     em = Emitter(args.out_dir, "corr", _config_dict(args))
-    tables, cache = _load_moments(em, args, max(args.Nmax, args.N or 0),
-                                  no_compute=args.no_compute)
+    tables = _load_moments(em, args, max(args.Nmax, args.N or 0),
+                           no_compute=args.no_compute)
     model = _model_stage(em, args, tables)
     with em.timed("rods"):
         rods = correlations.rod_expectations(tables[:args.Nmax], args.gamma)
@@ -386,17 +431,20 @@ def cmd_corr(args) -> int:
         "used": report.used, "tolerance": report.tolerance,
         "deviations": list(report.deviations),
     })
-    em.manifest(extra={"cache": cache})
-    return 0
+    return em.manifest()
 
 
 def cmd_ham(args) -> int:
     params = ModelParams(args.p, args.N, args.gamma)
     if args.monomer_dimer or args.perturbation_order is not None:
         hamiltonian.require_p3(params)
-    em = Emitter(args.out_dir, "ham", _config_dict(args))
     ground = total_momentum(args.p, args.N)
     momentum = ground if args.momentum is None else args.momentum
+    if args.check_ground_state and momentum != ground:
+        raise ConfigError(
+            f"--check-ground-state needs the ground sector (momentum "
+            f"{ground}), where the Laughlin state lies; got {momentum}")
+    em = Emitter(args.out_dir, "ham", _config_dict(args))
     cap = args.cap if args.cap is not None else hamiltonian.DEFAULT_SECTOR_CAP
     with em.timed("sector") as sizes:
         basis = hamiltonian.sector_basis(params, momentum=momentum, cap=cap)
@@ -420,11 +468,9 @@ def cmd_ham(args) -> int:
         "momentum": momentum, "dim": basis.dim,
         "build_deviation": build.deviation,
     }
-    failed = False
-    extra = {}
     if args.check_ground_state or args.perturbation_order is not None:
-        (table,), extra["cache"] = _load_tables(
-            em, args.p, args.N, args.cache_dir, cap=args.cap, only=[args.N])
+        (table,) = _load_tables(em, args.p, args.N, args.cache_dir,
+                                cap=args.cap, only=[args.N])
         amp = expansion.amplitudes(table, args.gamma)
 
     if args.spectrum or args.check_ground_state:
@@ -441,12 +487,11 @@ def cmd_ham(args) -> int:
         psi = hamiltonian.exact_vector(basis, amp)
         with em.timed("ground_check"):
             report = hamiltonian.ground_check(build.H, psi, vals)
-        ok = report.residual < 1e-8 and report.kernel_dim == 1
         doc["ground_state"] = {
             "residual": report.residual, "kernel_dim": report.kernel_dim,
-            "min_eigenvalue": report.min_eigenvalue, "passed": ok,
+            "min_eigenvalue": report.min_eigenvalue,
+            "passed": _ground_verdict(em, report, args.N),
         }
-        failed = failed or not ok
 
     if args.monomer_dimer:
         with em.timed("monomer_dimer") as sizes:
@@ -455,13 +500,15 @@ def cmd_ham(args) -> int:
                 hamiltonian.KERNEL_COUNT, ground_basis.dim))
             report = hamiltonian.ground_check(md.H, md.psi, vals)
             sizes.update(dim=ground_basis.dim, num_terms=md.num_terms)
-        ok = report.residual < 1e-10 and md.deviation < 1e-12
+        residual_ok = _monomer_dimer_verdict(em, report.residual, args.N)
+        build_ok = em.check(
+            "monomer-dimer-build", md.deviation, 1e-12, md.deviation < 1e-12,
+            "square and expanded assemblies of the truncated Hamiltonian")
         doc["monomer_dimer"] = {
             "residual": report.residual, "kernel_dim": report.kernel_dim,
             "build_deviation": md.deviation, "num_terms": md.num_terms,
-            "passed": ok,
+            "passed": residual_ok and build_ok,
         }
-        failed = failed or not ok
 
     if args.perturbation_order is not None:
         with em.timed("perturbation"):
@@ -476,8 +523,7 @@ def cmd_ham(args) -> int:
         }
 
     em.json("ham.json", doc)
-    em.manifest(extra=extra)
-    return 1 if failed else 0
+    return em.manifest()
 
 
 def cmd_mcmc(args) -> int:
@@ -508,9 +554,8 @@ def cmd_mcmc(args) -> int:
         "nsamples": pooled.shape[0],
         "acceptance_band": list(plasma.ACCEPTANCE_BAND),
         "rhat_tolerance": plasma.RHAT_TOLERANCE,
-        "passed": not run.pathological and run.rhat_ok,
+        "passed": _chain_verdict(em, run),
     }
-    extra = {"run": run_info}
 
     if "density" in observables:
         width = args.gamma / 2.0
@@ -534,7 +579,7 @@ def cmd_mcmc(args) -> int:
         em.csv("excess.csv", ["xbar", "K", "probability"], rows)
 
     if "phase" in observables:
-        tables, extra["cache"] = _load_moments(em, args, args.Nmax)
+        tables = _load_moments(em, args, args.Nmax)
         model = _model_stage(em, args, tables)
         with em.timed("phase"):
             rods = correlations.rod_expectations(tables, args.gamma)
@@ -546,8 +591,7 @@ def cmd_mcmc(args) -> int:
                zip(centers, prof.observed, prof.predicted, prof.stderr))
         run_info["phase_contrast"] = prof.contrast
 
-    em.manifest(extra=extra)
-    return 0 if run_info["passed"] else 1
+    return em.manifest(run=run_info)
 
 
 # -- verify-all ---------------------------------------------------------------------
@@ -595,90 +639,80 @@ def _moments_vs_rows(tables: list[expansion.CoefficientTable],
 
 
 
-def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
-    """The cross-module consistency suite behind ``verify-all``, and the
-    cache record of the tables it read."""
+def _verify_checks(em: Emitter, args) -> None:
+    """The cross-module consistency suite behind ``verify-all``, each
+    check recorded on ``em``."""
     p, Nmax, gamma = args.p, args.Nmax, args.gamma
-    checks: list[dict] = []
-
-    def record(name: str, measured: float, tol: float, passed: bool,
-               note: str):
-        checks.append({"name": name, "measured": measured, "tolerance": tol,
-                       "passed": bool(passed), "note": note})
-
-    tables, cache = _load_tables(em, p, Nmax, args.cache_dir, cap=args.cap)
+    tables = _load_tables(em, p, Nmax, args.cache_dir, cap=args.cap)
     moment_tables = moments.as_moments(tables)
 
     failures = expansion.verify_product_rule(p, Nmax, tables=tables).failures
-    record("product-rule", float(len(failures)), 0.0, not failures,
-           "cached tables inconsistent across renewal points")
+    em.check("product-rule", float(len(failures)), 0.0, not failures,
+             "cached tables inconsistent across renewal points")
 
     dev = max(expansion.evaluate_oracle(tables[N - 1])
               for N in range(2, min(4, Nmax) + 1))
-    record("expansion-oracle", dev, 0.0, dev == 0.0,
-           "exact big-integer evaluation at random points")
+    em.check("expansion-oracle", dev, 0.0, dev == 0.0,
+             "exact big-integer evaluation at random points")
 
     dev = _moments_vs_rows(tables, moment_tables, gamma)
-    record("moments-vs-rows", dev, 1e-13, dev <= 1e-13,
-           "C_N, alpha_n, rod profiles and pair moments and finite "
-           "occupations from the moment tables against sums over the rows")
+    em.check("moments-vs-rows", dev, 1e-13, dev <= 1e-13,
+             "C_N, alpha_n, rod profiles and pair moments and finite "
+             "occupations from the moment tables against sums over the rows")
 
     model = renewal.build_model(p, Nmax, gamma, tables=moment_tables,
                                 admit_unconverged=args.override_unconverged)
-    record("alpha-residual", model.alpha_residual, 1e-12,
-           model.alpha_residual <= 1e-12,
-           "direct vs recursive irreducible weights")
+    em.check("alpha-residual", model.alpha_residual, 1e-12,
+             model.alpha_residual <= 1e-12,
+             "direct vs recursive irreducible weights")
 
     act = abs(float(np.polyval(
         np.concatenate(([0.0], np.asarray(model.alpha)))[::-1], model.r)) - 1.0)
-    record("activity-equation", act, 1e-10, act <= 1e-10,
-           "sum alpha_n r^n = 1 at the solved activity")
+    em.check("activity-equation", act, 1e-10, act <= 1e-10,
+             "sum alpha_n r^n = 1 at the solved activity")
 
     usable = not model.unconverged or model.admit_unconverged
-    record("tail-converged", model.tail_mass, renewal.TAIL_THRESHOLD, usable,
-           "rod-size distribution tail below threshold")
+    em.check("tail-converged", model.tail_mass, renewal.TAIL_THRESHOLD,
+             usable, "rod-size distribution tail below threshold")
     if not usable:
-        return checks, cache
+        return
 
     rods = correlations.rod_expectations(moment_tables, gamma)
     occ_inf = correlations.occupation_infinite(model, rods)
     dev = abs(float(occ_inf.sum()) - 1.0)
-    record("occupation-normalization", dev, 1e-8, dev <= 1e-8,
-           "bulk occupations over one period sum to 1")
+    em.check("occupation-normalization", dev, 1e-8, dev <= 1e-8,
+             "bulk occupations over one period sum to 1")
 
     occ_fin = correlations.occupation_finite(moment_tables[Nmax - 1], gamma)
     via = correlations.occupation_finite_via_renewal(model, rods, Nmax)
     dev = float(np.max(np.abs(occ_fin - via)))
-    record("finite-renewal-match", dev, 1e-10, dev <= 1e-10,
-           "finite occupations reassembled from the renewal form")
+    em.check("finite-renewal-match", dev, 1e-10, dev <= 1e-10,
+             "finite occupations reassembled from the renewal form")
 
     dev = float(np.max(np.abs(occ_fin - occ_fin[::-1])))
-    record("occupation-reflection", dev, 1e-12, dev <= 1e-12,
-           "finite occupations reflection-symmetric")
+    em.check("occupation-reflection", dev, 1e-12, dev <= 1e-12,
+             "finite occupations reflection-symmetric")
 
     k_mid = p * (Nmax // 2)
     eps = correlations.bulk_epsilon(model, rods, Nmax, k_mid)
     dev = abs(occ_fin[k_mid] - occ_inf[k_mid % p])
-    record("bulk-epsilon", dev, eps, dev <= eps,
-           f"center occupation at N={Nmax} within the bridge-weight bound")
+    em.check("bulk-epsilon", dev, eps, dev <= eps,
+             f"center occupation at N={Nmax} within the bridge-weight bound")
 
     N_h = min(4, Nmax)
     params = ModelParams(p, N_h, gamma)
     basis = hamiltonian.sector_basis(params,
                                      momentum=total_momentum(p, N_h))
     build = hamiltonian.build_H(params, basis=basis)
-    record("build-agreement", build.deviation, 1e-12,
-           build.deviation <= 1e-12,
-           "quadruple and bond assemblies of the parent Hamiltonian")
+    em.check("build-agreement", build.deviation, 1e-12,
+             build.deviation <= 1e-12,
+             "quadruple and bond assemblies of the parent Hamiltonian")
 
     amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
     psi = hamiltonian.exact_vector(basis, amp_h)
     report = hamiltonian.ground_check(build.H, psi, hamiltonian.spectrum(
         build.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim)))
-    record("ground-residual", report.residual, 1e-8,
-           report.residual < 1e-8, f"N={N_h} momentum sector")
-    record("ground-kernel", float(report.kernel_dim), 1.0,
-           report.kernel_dim == 1, "kernel dimension in the sector")
+    _ground_verdict(em, report, N_h)
 
     if p == 3:
         N_md = min(6, Nmax)
@@ -686,17 +720,15 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
         md = hamiltonian.build_monomer_dimer(
             params_md, basis=hamiltonian.sector_basis(
                 params_md, momentum=total_momentum(3, N_md)))
-        residual = hamiltonian.residual(md.H, md.psi)
-        record("monomer-dimer-residual", residual, 1e-10, residual < 1e-10,
-               f"N={N_md} tiling state against the truncated Hamiltonian")
+        _monomer_dimer_verdict(em, hamiltonian.residual(md.H, md.psi), N_md)
 
         params_tt = ModelParams(3, min(3, Nmax), gamma)
         basis_tt = hamiltonian.sector_basis(params_tt)
         htt = hamiltonian.build_HTT(params_tt, basis=basis_tt)
         vec = hamiltonian.tao_thouless(params_tt, basis_tt)
         res_tt = hamiltonian.residual(htt, vec)
-        record("thin-torus-zero-mode", res_tt, 1e-12, res_tt <= 1e-12,
-               "one-per-rod state annihilated by the diagonal truncation")
+        em.check("thin-torus-zero-mode", res_tt, 1e-12, res_tt <= 1e-12,
+                 "one-per-rod state annihilated by the diagonal truncation")
 
         if gamma >= 1.2:
             params_pt = ModelParams(3, min(3, Nmax), gamma)
@@ -707,8 +739,8 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
                     tables[params_pt.N - 1], gamma), basis_pt,
                 hamiltonian.repulsion(params_pt, basis_pt))
             d = rep.distances
-            record("perturbation-decreasing", d[-1], d[0], rep.decreasing,
-                   "series distances to the exact state shrink per order")
+            em.check("perturbation-decreasing", d[-1], d[0], rep.decreasing,
+                     "series distances to the exact state shrink per order")
 
     params2 = ModelParams(p, 2, gamma)
     mc = plasma.McConfig(sweeps=12000, burn_in=500, thinning=3,
@@ -721,36 +753,29 @@ def _verify_checks(em: Emitter, args) -> tuple[list[dict], dict]:
         expansion.amplitudes(tables[1], gamma), xbar)
     se = stats.p_zero_stderr[xbar]
     z = abs(stats.p_zero[xbar] - exact) / se if se > 0 else math.inf
-    record("mcmc-excess", z, 4.0, z < 4.0,
-           "sampled P(K=0) against the exact two-particle value, in sigma")
+    em.check("mcmc-excess", z, 4.0, z < 4.0,
+             "sampled P(K=0) against the exact two-particle value, in sigma")
 
-    lo, hi = plasma.ACCEPTANCE_BAND
-    record("mcmc-chain", abs(run.rhat - 1.0), plasma.RHAT_TOLERANCE,
-           run.rhat_ok and not run.pathological,
-           f"|split R-hat - 1|; acceptance {fmt(run.acceptance)} "
-           f"must lie in [{fmt(lo)}, {fmt(hi)}]")
+    _chain_verdict(em, run)
 
     est = plasma.density_histogram(
         pooled, np.linspace(-4.0, p * gamma + 4.0, 40), params2)
     crit = 1.63 / math.sqrt(pooled.shape[0] * pooled.shape[1])
-    record("mcmc-y-uniform", est.y_ks, crit, est.y_ks < crit,
-           "Kolmogorov-Smirnov distance of the angular marginal")
-    return checks, cache
+    em.check("mcmc-y-uniform", est.y_ks, crit, est.y_ks < crit,
+             "Kolmogorov-Smirnov distance of the angular marginal")
 
 
 def cmd_verify(args) -> int:
     if args.Nmax < 2:
         raise ConfigError(f"verify-all needs Nmax >= 2, got {args.Nmax}")
     em = Emitter(args.out_dir, "verify", _config_dict(args))
-    checks, cache = _verify_checks(em, args)
-    for c in checks:
+    _verify_checks(em, args)
+    for c in em.checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']}: measured {fmt(c['measured'])} "
               f"(tolerance {fmt(c['tolerance'])})")
-    all_ok = all(c["passed"] for c in checks)
-    em.json("verify.json", {"passed": all_ok, "checks": checks})
-    em.manifest(extra={"cache": cache})
-    return 0 if all_ok else 1
+    em.json("verify.json", {"passed": em.passed, "checks": em.checks})
+    return em.manifest()
 
 
 # -- parser -------------------------------------------------------------------------

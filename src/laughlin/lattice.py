@@ -5,7 +5,8 @@ orbital lattice {0, ..., pN-p}.  Everything in this module is integer
 combinatorics on that lattice: orbital configurations (sorted tuples of
 orbital indices), occupation configurations (per-site particle counts),
 the dominance/admissibility condition, renewal points of a configuration,
-and partitions of the site block {0, ..., pN-1} into rods of length p*n.
+and the compositions of N that split the site block {0, ..., pN-1} into
+rods of length p*n.
 
 One search, :func:`configurations`, lists the configurations
 of a fixed orbital sum in lexicographic order: a momentum sector of the
@@ -24,8 +25,8 @@ Conventions
   are strictly increasing, but the canonical form does not enforce that.
 * A renewal point of ``m`` is a value pk, 0 <= k <= N, with
   ``m_1 + ... + m_k == p*k*(k-1)/2``; k = 0 and k = N always qualify.
-* Rod partitions split {0, ..., pN-1} into consecutive intervals of
-  lengths ``p*n_i``; they are encoded by the composition (n_1, ..., n_D).
+* A rod partition splits {0, ..., pN-1} into consecutive intervals of
+  lengths ``p*n_i``; it is encoded by the composition (n_1, ..., n_D).
 """
 
 from __future__ import annotations
@@ -152,41 +153,6 @@ def renewal_points(m: tuple[int, ...], p: int) -> tuple[int, ...]:
         if s == staircase(p, k):
             points.append(p * k)
     return tuple(points)
-
-
-@dataclass(frozen=True)
-class RodPartition:
-    """Partition of the site block {0, ..., pN-1} into consecutive rods.
-
-    ``lengths`` is the composition (n_1, ..., n_D) of N; rod i covers the
-    p*n_i sites starting right after rod i-1.
-    """
-
-    p: int
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.lengths or any(n < 1 for n in self.lengths):
-            raise ConfigError(f"invalid rod lengths {self.lengths}")
-
-    @property
-    def N(self) -> int:
-        return sum(self.lengths)
-
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        """Renewal points 0 = b_0 < b_1 < ... < b_D = pN delimiting the rods."""
-        out = [0]
-        for n in self.lengths:
-            out.append(out[-1] + self.p * n)
-        return tuple(out)
-
-
-def partition_of(m: tuple[int, ...], p: int) -> RodPartition:
-    """Rod partition generated by the renewal points of ``m``."""
-    pts = renewal_points(m, p)
-    lengths = tuple((b - a) // p for a, b in zip(pts, pts[1:]))
-    return RodPartition(p, lengths)
 
 
 def enumerate_partitions(N: int) -> list[tuple[int, ...]]:

@@ -287,8 +287,12 @@ def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
 
 def batch_stderr(series: np.ndarray) -> float:
     """Standard error of the mean by batch means: :data:`BATCHES`
-    batches, fewer (at least 2) for a series shorter than 2 BATCHES."""
+    batches, fewer (at least 2) for a series shorter than 2 BATCHES.
+    A series of fewer than two samples has none."""
     series = np.asarray(series, dtype=float).ravel()
+    if series.size < 2:
+        raise ConfigError("one kept sample gives no standard error; "
+                          "run more sweeps")
     nbatches = BATCHES
     if series.size < 2 * nbatches:
         nbatches = max(2, series.size // 2)

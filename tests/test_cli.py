@@ -329,6 +329,64 @@ def test_ham_monomer_dimer_in_ground_sector(dirs):
     assert md["passed"] is True and md["kernel_dim"] == 1
 
 
+def failed_checks(out, sub):
+    manifest = read_json(os.path.join(out, f"{sub}_manifest.json"))
+    return [c["name"] for c in manifest["checks"] if not c["passed"]]
+
+
+def test_ham_failed_kernel_check_exits_one(dirs, monkeypatch):
+    cache, out = dirs
+    real = hamiltonian.ground_check
+    monkeypatch.setattr(hamiltonian, "ground_check", lambda H, psi, vals:
+                        dataclasses.replace(real(H, psi, vals), kernel_dim=2))
+    assert run_cli("ham", "--p", "3", "--N", "4", "--check-ground-state",
+                   "--cache-dir", cache, "--out-dir", out) == 1
+    assert failed_checks(out, "ham") == ["ground-kernel"]
+    ground = read_json(os.path.join(out, "ham.json"))["ground_state"]
+    assert ground["kernel_dim"] == 2 and ground["passed"] is False
+
+
+@pytest.mark.parametrize("target, change, failed", [
+    ("ground_check", {"residual": 1e-9}, "monomer-dimer-residual"),
+    ("build_monomer_dimer", {"deviation": 1e-11}, "monomer-dimer-build"),
+])
+def test_ham_failed_monomer_dimer_check_exits_one(dirs, monkeypatch, target,
+                                                  change, failed):
+    cache, out = dirs
+    real = getattr(hamiltonian, target)
+    monkeypatch.setattr(hamiltonian, target, lambda *args, **kwargs:
+                        dataclasses.replace(real(*args, **kwargs), **change))
+    assert run_cli("ham", "--p", "3", "--N", "5", "--monomer-dimer",
+                   "--cache-dir", cache, "--out-dir", out) == 1
+    assert failed_checks(out, "ham") == [failed]
+    md = read_json(os.path.join(out, "ham.json"))["monomer_dimer"]
+    assert md["passed"] is False
+
+
+def test_ham_and_verify_all_share_their_verdicts(dirs, tmp_path):
+    """The ground-state and monomer-dimer verdicts of ``ham`` at N=4 are
+    those ``verify-all --Nmax 4`` records."""
+    cache, out = dirs
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "4", "--seed", "5",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    verify = {c["name"]: c for c in
+              read_json(os.path.join(out, "verify.json"))["checks"]}
+    out2 = str(tmp_path / "out2")
+    assert run_cli("ham", "--p", "3", "--N", "4", "--check-ground-state",
+                   "--monomer-dimer", "--cache-dir", cache,
+                   "--out-dir", out2) == 0
+    ham = read_json(os.path.join(out2, "ham_manifest.json"))["checks"]
+    assert [c["name"] for c in ham] == [
+        "ground-residual", "ground-kernel", "monomer-dimer-residual",
+        "monomer-dimer-build"]
+    for check in ham[:3]:
+        shared = verify[check["name"]]
+        for key in ("tolerance", "passed", "note"):
+            assert check[key] == shared[key]
+        assert check["measured"] == pytest.approx(shared["measured"],
+                                                  abs=1e-15)
+
+
 def test_ham_enumerates_the_ground_sector_once_under_the_cap(dirs,
                                                              monkeypatch):
     """Outside the ground sector (momentum 45 at p=3, N=6, 338 states)
@@ -434,7 +492,22 @@ def test_mcmc_degenerate_run_exits_one(dirs, monkeypatch, change):
     assert run["passed"] is False
     assert run["rhat_tolerance"] == 0.1
     assert run["acceptance_band"] == [0.01, 0.99]
+    assert failed_checks(out, "mcmc") == ["mcmc-chain"]
     assert os.path.exists(os.path.join(out, "density.csv"))
+
+
+@pytest.mark.parametrize("observable", ["density", "excess"])
+def test_mcmc_one_kept_sample_exits_two(dirs, capsys, observable):
+    """One kept sample per chain has no batch-means standard error; the
+    run refuses it instead of writing NaN standard errors."""
+    cache, out = dirs
+    assert run_cli("mcmc", "--p", "3", "--N", "6", "--sweeps", "5",
+                   "--thinning", "5", "--burn-in", "1", "--chains", "1",
+                   "--observables", observable, "--cache-dir", cache,
+                   "--out-dir", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: one kept sample gives no standard error; run more sweeps"]
+    assert not [f for f in os.listdir(out) if f.endswith(".csv")]
 
 
 def test_mcmc_phase_observable(dirs, monkeypatch):
@@ -541,6 +614,10 @@ def test_exit_code_invalid_config(dirs):
      "window too narrow to hold one full period"),
     (["mcmc", "--p", "3", "--N", "2", "--sweeps", "200",
       "--observables", "density,bogus"], "unknown observables: ['bogus']"),
+    (["ham", "--p", "3", "--N", "4", "--momentum", "17",
+      "--check-ground-state"],
+     "--check-ground-state needs the ground sector (momentum 18), where the "
+     "Laughlin state lies; got 17"),
 ])
 def test_exit_code_count_that_asks_for_nothing(dirs, capsys, argv, message):
     # A negative kmax would write a header-only pairs.csv, and a zero
@@ -803,6 +880,37 @@ def test_manifest_records_every_computed_table(dirs, argv):
     assert [s["N"] for s in stages if s["name"] == "squeeze"] == computed
     assert all(s["seconds"] >= 0.0 for s in stages)
     assert sum(s["seconds"] for s in stages) <= manifest["wall_time_s"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--N", "3"],
+    ["norms", "--Nmax", "3"],
+    ["renewal", "--Nmax", "5"],
+    ["corr", "--Nmax", "4", "--kmax", "2"],
+    ["ham", "--N", "5", "--check-ground-state", "--monomer-dimer"],
+    ["mcmc", "--N", "2", "--sweeps", "500", "--burn-in", "100", "--seed", "3"],
+    ["verify-all", "--Nmax", "3", "--seed", "5"],
+], ids=lambda argv: argv[0])
+def test_manifest_checks_give_the_exit_code(dirs, argv):
+    """Every manifest lists the run's checks, and the exit code is 1
+    exactly when one of them failed; verify-all's are those of
+    verify.json."""
+    cache, out = dirs
+    code = run_cli(*argv, "--p", "3", "--cache-dir", cache, "--out-dir", out)
+    sub = "verify" if argv[0] == "verify-all" else argv[0]
+    checks = read_json(os.path.join(out, f"{sub}_manifest.json"))["checks"]
+    assert code == (0 if all(c["passed"] for c in checks) else 1)
+    assert all(list(c) == ["name", "measured", "tolerance", "passed", "note"]
+               for c in checks)
+    names = [c["name"] for c in checks]
+    if sub == "verify":
+        assert names and checks == \
+            read_json(os.path.join(out, "verify.json"))["checks"]
+    else:
+        assert names == {
+            "ham": ["ground-residual", "ground-kernel",
+                    "monomer-dimer-residual", "monomer-dimer-build"],
+            "mcmc": ["mcmc-chain"]}.get(sub, [])
 
 
 def test_loader_reads_each_smaller_table_once(dirs, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for finite- and infinite-volume correlation functions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from laughlin.correlations import (
     rod_expectations,
 )
 from laughlin.expansion import amplitudes
-from laughlin.lattice import ConfigError, RodPartition
+from laughlin.lattice import ConfigError
 from laughlin.moments import derive
 from laughlin.renewal import (UnconvergedError, WindowEvent, build_model,
                               stationary_event_probability)
@@ -161,7 +162,7 @@ def test_quasi_state_locality(tables_p3, rods_p3):
     for X, weight in dec.weights.items():
         if weight == 0.0:
             continue
-        bounds = RodPartition(3, X).boundaries
+        bounds = (0, *itertools.accumulate(3 * n for n in X))
         for site in range(dec.N * dec.p):
             r = next(i for i in range(len(X))
                      if bounds[i] <= site < bounds[i + 1])
@@ -180,12 +181,6 @@ def test_quasi_state_skips_dead_partitions(tables_p1):
     dec = quasi_state(amplitudes(tables_p1[2], 1.0))
     assert dec.weights[(1, 1, 1)] == approx(1.0, abs=1e-14)
     assert all(w == 0.0 for X, w in dec.weights.items() if X != (1, 1, 1))
-
-
-def test_renewal_points_from_lengths():
-    assert RodPartition(3, (1, 2, 1)).boundaries == (0, 3, 9, 12)
-    with pytest.raises(ConfigError):
-        RodPartition(2, ())
 
 
 # -- rod profiles ---------------------------------------------------------------

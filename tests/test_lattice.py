@@ -5,17 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laughlin.lattice import (CapExceeded, ConfigError, ModelParams,
-                              RodPartition, config_to_occupation,
-                              configurations, enumerate_admissible,
-                              enumerate_partitions, is_admissible,
-                              is_canonical,
-                              occupation_to_config, partition_of,
-                              renewal_points, staircase, translate_config,
-                              total_momentum)
-
-
-def _lengths(boundaries, p):
-    return tuple((b - a) // p for a, b in zip(boundaries, boundaries[1:]))
+                              config_to_occupation, configurations,
+                              enumerate_admissible, enumerate_partitions,
+                              is_admissible, is_canonical,
+                              occupation_to_config, renewal_points,
+                              staircase, translate_config, total_momentum)
 
 
 def test_staircase_values():
@@ -92,14 +86,6 @@ def test_renewal_points_occupation_matches():
     assert renewal_points(occupation_to_config(n), 3) == (0, 3, 6, 12)
 
 
-def test_partition_of_worked_example():
-    part = partition_of((0, 3, 7, 8, 12, 15), 3)
-    assert part.lengths == (1, 1, 2, 1, 1)
-    assert part.N == 6
-    assert part.boundaries == (0, 3, 6, 12, 15, 18)
-    assert RodPartition(3, _lengths(part.boundaries, 3)) == part
-
-
 def test_enumerate_partitions():
     parts = enumerate_partitions(4)
     # Compositions of 4: 2^3 of them.
@@ -153,15 +139,6 @@ def test_translate_preserves_structure(case, shift):
     base = renewal_points(m, p)
     # Translation moves every renewal point rigidly.
     assert renewal_points(tuple(v - p * shift for v in shifted), p) == base
-
-
-@given(st.sampled_from(_POOL))
-def test_partition_round_trip(case):
-    p, m = case
-    part = partition_of(m, p)
-    assert sum(part.lengths) == len(m)
-    assert part.boundaries == renewal_points(m, p)
-    assert RodPartition(p, _lengths(part.boundaries, p)) == part
 
 
 @settings(max_examples=30)

@@ -9,6 +9,10 @@ A module reaches another only through its public names: none imports,
 or reads as an attribute of an imported module, a ``_``-prefixed name
 of another module of the package.
 
+Every subcommand of the command line has one ``return``, of its
+manifest's exit code, so no subcommand decides its exit code apart from
+the checks it records.
+
 Every settable value of the package (a function parameter with a
 default, a dataclass field with a default, a command-line option) is
 listed in ``settings_inventory.txt``; a new one is added there on
@@ -82,6 +86,32 @@ def test_no_module_takes_a_private_name_of_another():
         tree = ast.parse(path.read_text(), str(path))
         if names := private_names_from_other_modules(tree):
             offenders[path.stem] = sorted(names)
+    assert offenders == {}
+
+
+def exits_through_manifest(ret: ast.Return) -> bool:
+    """Whether a ``return`` returns ``em.manifest(...)``."""
+    call = ret.value
+    return (isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "manifest"
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "em")
+
+
+def test_every_subcommand_exits_through_its_manifest():
+    path = pathlib.Path(laughlin.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")]
+    assert commands
+    offenders = {}
+    for command in commands:
+        returns = [node for node in ast.walk(command)
+                   if isinstance(node, ast.Return)]
+        if len(returns) != 1 or not exits_through_manifest(returns[0]):
+            offenders[command.name] = [ast.unparse(r) for r in returns]
     assert offenders == {}
 
 

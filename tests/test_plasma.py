@@ -264,6 +264,14 @@ def test_batch_stderr_scaling():
     assert 0.5 / math.sqrt(5000) < se < 2.0 / math.sqrt(5000)
 
 
+@pytest.mark.parametrize("size", [0, 1])
+def test_batch_stderr_refuses_fewer_than_two_samples(size):
+    with pytest.raises(ConfigError, match="one kept sample gives no "
+                                          "standard error"):
+        plasma.batch_stderr(np.ones(size))
+    assert math.isfinite(plasma.batch_stderr(np.arange(2.0)))
+
+
 # -- excess statistics --------------------------------------------------------------
 
 
