@@ -61,11 +61,15 @@ division is exact.
 A table built this way agrees with the product rule by construction.
 The checks independent of it are the reference loop of the tests
 (``tests/test_reference.py``), which squeezes every configuration and
-must match every table entry for entry, and :func:`evaluate_oracle`, which ``verify-all`` and
-the benchmark run on the finished tables.  :func:`verify_product_rule`
-checks that tables stored apart, such as the files of one cache, are
-consistent with each other.  Only these two checks read the mapping
-``coeffs`` that a table derives from its arrays; the rest read arrays.
+must match every table entry for entry, and :func:`evaluate_oracle`,
+which ``verify-all`` and the benchmark run on the finished tables: it
+evaluates every row modulo a prime at random points, in batched
+determinants and permanents.  :func:`verify_product_rule` checks that
+tables stored apart, such as the files of one cache, are consistent
+with each other, through the same product-rule kernel as the builder,
+:func:`_split_products`.  Every function here reads a table's arrays;
+the mapping ``coeffs`` it derives from them is for the tests and the
+benchmark.
 """
 
 from __future__ import annotations
@@ -76,8 +80,7 @@ import os
 import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -85,8 +88,7 @@ import numpy as np
 from laughlin import lattice
 from laughlin.lattice import (CapExceeded, ConfigError, ConfigIndex,
                               check_cap, configurations, find_keys,
-                              occupation_rows, renewal_points, staircase,
-                              translate_config)
+                              occupation_rows, staircase)
 
 
 class CacheError(ValueError):
@@ -109,7 +111,8 @@ class CoefficientTable:
       point pk, and ``irreducible``: the rows with no interior one;
     * ``index``: the :class:`~laughlin.lattice.ConfigIndex` of the rows
       on the pN-p+1 sites of the lattice;
-    * ``coeffs``: a read-only mapping of configuration tuples to ints.
+    * ``coeffs``: a read-only mapping of configuration tuples to ints,
+      which no library code reads.
     """
 
     def __init__(self, p: int, N: int, coeffs: Mapping | None = None, *,
@@ -210,37 +213,36 @@ class AmplitudeTable:
         return float(self.weights.sum())
 
 
-def _products(p: int, N: int, configs: np.ndarray,
-              smaller: list[CoefficientTable], values: np.ndarray
-              ) -> np.ndarray:
-    """Fill every reducible row of ``configs`` by the product rule over
-    its first interior renewal point pk,
-    c_N(m) = c_k(m_1..m_k) * c_{N-k}(m_{k+1}-pk, ..., m_N-pk), from the
-    tables ``smaller`` of 1..N-1 particles; return the reducible mask.
+def _split_products(p: int, configs: np.ndarray, splits: np.ndarray,
+                    smaller: list[CoefficientTable]
+                    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The product rule's right-hand side
+    c_k(m_1..m_k) * c_{N-k}(m_{k+1}-pk, ..., m_N-pk), from the tables
+    ``smaller`` of 1..N-1 particles, for the rows of ``configs`` that
+    the (D, N-1) mask ``splits`` marks in column k-1: one
+    (k, rows, products) for each interior point pk marked anywhere.
 
     A part is looked up in its table's index, and one absent from it
     has coefficient 0.  The tables' largest coefficients bound every
     product, and a bound past int64 raises
     :class:`~laughlin.lattice.CapExceeded` before any lookup.
     """
-    hits = configs[:, :-1].cumsum(axis=1) == staircase(p, np.arange(1, N))
-    reducible = hits.any(axis=1)
-    first = hits.argmax(axis=1) + 1
-    splits = np.unique(first[reducible]).tolist()
+    N = configs.shape[1]
+    ks = (np.flatnonzero(splits.any(axis=0)) + 1).tolist()
     biggest = [int(np.abs(t.values).max()) for t in smaller]
-    bound = max((biggest[k - 1] * biggest[N - k - 1] for k in splits),
-                default=0)
+    bound = max((biggest[k - 1] * biggest[N - k - 1] for k in ks), default=0)
     if bound >= lattice.INT64_LIMIT:
         raise CapExceeded(f"product-rule coefficients of p={p}, N={N} "
                           f"could reach {bound}, past the int64 range")
-    for k in splits:
-        rows = np.flatnonzero(reducible & (first == k))
+    out = []
+    for k in ks:
+        rows = np.flatnonzero(splits[:, k - 1])
         left, right = smaller[k - 1], smaller[N - k - 1]
         i = left.index.find(configs[rows, :k])
         j = right.index.find(configs[rows, k:] - p * k)
-        values[rows] = np.where((i >= 0) & (j >= 0),
-                                left.values[i] * right.values[j], 0)
-    return reducible
+        out.append((k, rows, np.where((i >= 0) & (j >= 0),
+                                      left.values[i] * right.values[j], 0)))
+    return out
 
 
 def expand(p: int, N: int, smaller: list[CoefficientTable], *,
@@ -250,7 +252,7 @@ def expand(p: int, N: int, smaller: list[CoefficientTable], *,
 
     ``smaller`` are the tables of 1..N-1 particles (``[]`` at N=1);
     every reducible row takes its coefficient from the product rule over
-    them (see :func:`_products`), and only the irreducible rows are
+    them (see :func:`_split_products`), and only the irreducible rows are
     squeezed.  The admissible configurations come from the lattice
     search under the dominance floor; the caller checks the cap on N
     and decides where the tables come from and whether to cache them.
@@ -280,8 +282,13 @@ def expand(p: int, N: int, smaller: list[CoefficientTable], *,
     configs = configurations(N, sites, staircase(p, N), fermionic, floor=p)
     count = len(configs)
     values = np.zeros(count, dtype=np.int64)
-    filled = (_products(p, N, configs, smaller, values) if N > 1
-              else np.zeros(count, dtype=bool))
+    # A reducible row takes the product rule at its first interior
+    # renewal point.
+    hits = configs[:, :-1].cumsum(axis=1) == staircase(p, np.arange(1, N))
+    first = hits & (hits.cumsum(axis=1) == 1)
+    for _, rows, products in _split_products(p, configs, first, smaller):
+        values[rows] = products
+    filled = hits.any(axis=1)
     index = ConfigIndex(configs, sites)
     occ, limit, weight, keys = (index.occupations, index.limit,
                                 index.weights, index.keys)
@@ -387,109 +394,109 @@ class ProductRuleReport:
 
 def verify_product_rule(p: int, N: int, tables: list[CoefficientTable]
                         ) -> ProductRuleReport:
-    """Check the exact factorisation across interior renewal points.
-
-    For every key m of each of the ``tables`` of 1..N particles and
-    every interior renewal point pk of m, the integer identity
-    ``c_N(m) = c_k(m_1..m_k) * c_{N-k}(m_{k+1}-pk, ..., m_N-pk)``
-    must hold exactly.
-    """
+    """Check c_n(m) = c_k(m_1..m_k) * c_{n-k}(m_{k+1}-pk, ..., m_n-pk)
+    exactly, for every row m of each of the ``tables`` of 1..N particles
+    and every interior renewal point pk of m (``table.renewal[:, k]``),
+    by the builder's kernel :func:`_split_products`.  ``failures`` lists
+    each (m, difference) by table, row and renewal point."""
+    if [(t.p, t.N) for t in tables] != [(p, n) for n in range(1, N + 1)]:
+        raise ConfigError(f"the tables checked at p={p}, N={N} must be "
+                          f"those of 1..{N} particles")
     report = ProductRuleReport(p, N, 0)
     for table in tables:
-        n = table.N
-        for m, c in table.coeffs.items():
-            for point in renewal_points(m, p)[1:-1]:
-                k = point // p
-                left = tables[k - 1].coeffs.get(m[:k], 0)
-                right = tables[n - k - 1].coeffs.get(
-                    translate_config(m[k:], p, -k), 0)
-                report.checked += 1
-                if c != left * right:
-                    report.failures.append((m, c - left * right))
+        c, bad = table.values, []
+        for k, rows, products in _split_products(
+                p, table.configs, table.renewal[:, 1:-1], tables[:table.N - 1]):
+            report.checked += rows.size
+            wrong = c[rows] != products
+            bad += [(r, k, int(c[r]) - q) for r, q in
+                    zip(rows[wrong].tolist(), products[wrong].tolist())]
+        report.failures += [(tuple(table.configs[r].tolist()), diff)
+                            for r, _, diff in sorted(bad)]
     return report
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+_PRIME = 2 ** 31 - 1  # the oracle's modulus: residues multiply below 2^62
+_BLOCK = 1 << 18  # matrix entries per block of the oracle
 
 
-def _ryser_permanent(mat: list[list[int]]) -> int:
-    """Exact permanent of an integer matrix by Ryser's inclusion-exclusion."""
-    n = len(mat)
-    total = 0
-    for mask in range(1, 1 << n):
-        sums = [0] * n
-        for j in range(n):
-            if mask >> j & 1:
-                for i in range(n):
-                    sums[i] += mat[i][j]
-        prod = 1
-        for s in sums:
-            prod *= s
-        total += prod if (n - bin(mask).count("1")) % 2 == 0 else -prod
-    return total
+def _inverse(x: np.ndarray) -> np.ndarray:
+    """x^(P-2) mod P elementwise: each nonzero residue's inverse; 0 for 0."""
+    out, e = np.ones_like(x), _PRIME - 2
+    while e:
+        out = out * x % _PRIME if e & 1 else out
+        x, e = x * x % _PRIME, e >> 1
+    return out
+
+
+def _det_mod(a: np.ndarray) -> np.ndarray:
+    """Determinants mod P of a (B, n, n) stack of residues by Gaussian
+    elimination, exchanging a zero pivot for the first nonzero entry
+    below it.  Where there is none, the pivot 0 makes the determinant 0
+    and the elimination factors 0."""
+    a, at = a.copy(), np.arange(len(a))
+    det = np.ones(len(a), dtype=np.int64)
+    for c in range(a.shape[1]):
+        r = c + (a[:, c:, c] != 0).argmax(axis=1)
+        a[at, r], a[:, c] = a[:, c].copy(), a[at, r]
+        det = np.where(r == c, det, _PRIME - det) * a[:, c, c] % _PRIME
+        f = a[:, c + 1:, c] * _inverse(a[:, c, c])[:, None] % _PRIME
+        a[:, c + 1:] = (a[:, c + 1:]
+                        - f[:, :, None] * a[:, None, c] % _PRIME) % _PRIME
+    return det
+
+
+def _perm_mod(a: np.ndarray) -> np.ndarray:
+    """Permanents mod P of a (B, n, n) stack of residues by Ryser's
+    formula, perm A = sum_S (-1)^(n-|S|) prod_i sum_{j in S} a_ij over
+    the nonempty column sets S, in Gray-code order: each step adds or
+    removes one column."""
+    n = a.shape[1]
+    cols = np.ascontiguousarray(a.transpose(2, 1, 0))  # [j, i, matrix]
+    sums, total = np.zeros(cols.shape[1:], dtype=np.int64), 0
+    for step in range(1, 1 << n):
+        j = (step & -step).bit_length() - 1
+        added = (step ^ step >> 1) >> j & 1
+        sums = (sums + cols[j] if added else sums - cols[j]) % _PRIME
+        prod = reduce(lambda x, y: x * y % _PRIME, sums)
+        total += prod if (n - step) % 2 == 0 else _PRIME - prod
+    return total % _PRIME
 
 
 def evaluate_oracle(table: CoefficientTable, npoints: int = 20,
                     seed: int = 7) -> float:
-    """Worst relative deviation of the table against direct evaluation.
+    """Share of random points at which the table misses its polynomial.
 
-    Draws distinct random integer points, sums the stored coefficients
-    times exactly evaluated (anti)symmetrised monomials in big-integer
-    arithmetic, and compares with the directly multiplied product
-    prod_{j<k} (Z_k - Z_j)^p.  Everything is exact, so a correct table
-    reports 0.0; any mismatch at any point reports its relative size.
-    This checks the expansion end to end, independent of how the table
-    was produced.
-
-    For bosons the permanent identity carries the occupation factorials:
-    perm(Z_j^{m_k}) sums over all alignments, counting each distinct
-    monomial prod n_k! times.
+    A point is N distinct nonzero residues z mod the prime P = 2^31 - 1.
+    Every row is evaluated there mod P, in blocks: det(z_a^{m_b}) for
+    fermions; perm(z_a^{m_b}) / prod n_k! for bosons, as the permanent
+    counts each monomial prod n_k! times.  The coefficient-weighted sum
+    must equal prod_{j<k} (z_k - z_j)^p mod P, so a correct table gives
+    0.0.  A wrong one differs by a nonzero polynomial of degree
+    pN(N-1)/2, which vanishes at a random point with probability at
+    most pN(N-1)/2P (Schwartz-Zippel).  The check is independent of how
+    the table was produced.
     """
     p, N = table.p, table.N
     rng = np.random.default_rng(seed)
-    fermionic = p % 2 == 1
-    pool = [v for v in range(-60, 61) if v != 0]
-    worst = 0.0
+    kernel = _det_mod if p % 2 else _perm_mod
+    coeffs = table.values % _PRIME
+    if p % 2 == 0:
+        coeffs = coeffs * _inverse(table.factorials % _PRIME) % _PRIME
+    size = _BLOCK // (N * N) + 1
+    blocks = [(table.configs[lo:lo + size], coeffs[lo:lo + size])
+              for lo in range(0, len(table), size)]
+    misses = 0
     for _ in range(npoints):
-        Z = [int(v) for v in rng.permutation(pool)[:N]]
-        direct = 1
-        for j in range(N):
-            for k in range(j + 1, N):
-                direct *= (Z[k] - Z[j]) ** p
-        total = 0
-        for m, c in table.coeffs.items():
-            mat = [[z ** mk for mk in m] for z in Z]
-            if fermionic:
-                term = _bareiss_det(mat)
-            else:
-                fact = math.prod(math.factorial(m.count(v)) for v in set(m))
-                term, rem = divmod(_ryser_permanent(mat), fact)
-                if rem:
-                    raise AssertionError(f"permanent not divisible at {m}")
-            total += c * term
-        diff = abs(total - direct)
-        if diff:
-            worst = max(worst, float(Fraction(diff, max(abs(direct), 1))))
-    return worst
+        z = (rng.choice(_PRIME - 1, size=N, replace=False) + 1).tolist()
+        powers = np.array([[pow(v, e, _PRIME) for e in range(p * N - p + 1)]
+                           for v in z])  # [a, e] = z_a^e
+        total = sum(int((c * kernel(powers[:, m].transpose(1, 0, 2))
+                         % _PRIME).sum()) for m, c in blocks)
+        direct = math.prod(z[k] - z[j] for j in range(N)
+                           for k in range(j + 1, N))
+        misses += (total - pow(direct, p, _PRIME)) % _PRIME != 0
+    return misses / npoints
 
 
 # -- disk cache --------------------------------------------------------------

@@ -175,11 +175,6 @@ def enumerate_partitions(N: int) -> list[tuple[int, ...]]:
     return out
 
 
-def translate_config(m: tuple[int, ...], p: int, shift: int) -> tuple[int, ...]:
-    """Shift a configuration by ``shift`` rod units (p orbitals each)."""
-    return tuple(mj + p * shift for mj in m)
-
-
 def configurations(N: int, sites: int, total: int, fermionic: bool,
                    floor: int = 0, limit: int | None = None) -> np.ndarray:
     """The N-particle configurations on orbitals 0..sites-1 with orbital

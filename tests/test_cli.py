@@ -507,7 +507,19 @@ def test_mcmc_one_kept_sample_exits_two(dirs, capsys, observable):
                    "--out-dir", out) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: one kept sample gives no standard error; run more sweeps"]
-    assert not [f for f in os.listdir(out) if f.endswith(".csv")]
+    assert not os.path.exists(out)
+
+
+def test_failed_runs_leave_no_output_directory(dirs):
+    cache, out = dirs
+    assert run_cli("ham", "--p", "3", "--N", "4", "--momentum", "1000",
+                   "--spectrum", "2", "--cache-dir", cache,
+                   "--out-dir", out) == 2
+    assert run_cli("mcmc", "--p", "3", "--N", "6", "--sweeps", "5",
+                   "--thinning", "5", "--burn-in", "1", "--chains", "1",
+                   "--observables", "density", "--cache-dir", cache,
+                   "--out-dir", out) == 2
+    assert not os.path.exists(out)
 
 
 def test_mcmc_phase_observable(dirs, monkeypatch):

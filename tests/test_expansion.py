@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -50,12 +51,72 @@ def test_oracle_exact():
         assert evaluate_oracle(table, npoints=4) == 0.0
 
 
+def corrupted(table, row, delta=1):
+    values = table.values.copy()
+    values[row] += delta
+    return CoefficientTable(table.p, table.N, configs=table.configs,
+                            values=values)
+
+
 def test_oracle_detects_corruption():
     table = expand_all(3, 3)[-1]
     bad = dict(table.coeffs)
     bad[(1, 3, 5)] += 1
     corrupt = CoefficientTable(3, 3, bad)
     assert evaluate_oracle(corrupt, npoints=2) > 0.0
+    # bosonic tables, one coefficient off by one in either direction
+    for p, N in ((2, 4), (2, 6), (4, 4)):
+        table = expand_all(p, N)[-1]
+        for row, delta in ((len(table) // 2, 1), (len(table) - 1, -1)):
+            assert evaluate_oracle(corrupted(table, row, delta),
+                                   npoints=2) == 1.0
+
+
+def test_oracle_deterministic_for_a_seed(monkeypatch):
+    # Modulo a small prime a wrong table passes at some points, so the
+    # share of failing points depends on the points drawn; and zero
+    # pivots, which need a row exchange, are frequent.
+    monkeypatch.setattr(expansion, "_PRIME", 31)
+    for p, N in ((3, 4), (2, 4)):
+        table = expand_all(p, N)[-1]
+        assert evaluate_oracle(table, npoints=30, seed=5) == 0.0
+        bad = corrupted(table, len(table) // 2)
+        share = evaluate_oracle(bad, npoints=30, seed=5)
+        assert 0.0 < share < 1.0
+        assert evaluate_oracle(bad, npoints=30, seed=5) == share
+
+
+def leibniz(mat, sign):
+    """The determinant (sign=True) or the permanent of an integer matrix,
+    summed over all permutations."""
+    n, total = len(mat), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        total += ((-1) ** inversions if sign else 1) * math.prod(
+            mat[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_modular_det_and_permanent_match_exact_values():
+    P = expansion._PRIME
+    rng = np.random.default_rng(0)
+    mats = [[[0, 1], [1, 0]],                    # exchange at the first pivot
+            [[1, 2, 3], [2, 4, 7], [1, 5, 2]],   # exchange at the second
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],   # singular
+            [[0, 0], [3, 4]],                    # zero column
+            [[-5, 2**40], [7, -(2**35)]]]
+    mats += [rng.integers(-10**6, 10**6, (n, n)).tolist() for n in (1, 2, 4)]
+    for mat in mats:
+        a = np.array(mat, dtype=np.int64)[None] % P
+        assert expansion._det_mod(a).tolist() == [leibniz(mat, True) % P]
+        assert expansion._perm_mod(a).tolist() == [leibniz(mat, False) % P]
+    # a stack of the same size at once, each matrix on its own
+    stack = rng.integers(0, P, (6, 3, 3))
+    assert expansion._det_mod(stack).tolist() == [
+        leibniz(m.tolist(), True) % P for m in stack]
+    assert expansion._perm_mod(stack).tolist() == [
+        leibniz(m.tolist(), False) % P for m in stack]
 
 
 def test_product_rule_small():
@@ -63,6 +124,14 @@ def test_product_rule_small():
         report = verify_product_rule(p, 5, tables=expand_all(p, 5))
         assert report.ok
         assert report.checked > 0
+
+
+def test_product_rule_takes_the_tables_of_1_to_N():
+    tables = expand_all(3, 5)
+    for p, N, given in ((3, 4, tables), (3, 5, tables[1:]),
+                        (2, 5, tables), (3, 6, tables)):
+        with pytest.raises(ConfigError, match="1.."):
+            verify_product_rule(p, N, tables=given)
 
 
 def test_columns_worked_example():

@@ -9,7 +9,7 @@ from laughlin.lattice import (CapExceeded, ConfigError, ModelParams,
                               enumerate_admissible, enumerate_partitions,
                               is_admissible, is_canonical,
                               occupation_to_config, renewal_points,
-                              staircase, translate_config, total_momentum)
+                              staircase, total_momentum)
 
 
 def test_staircase_values():
@@ -96,11 +96,6 @@ def test_enumerate_partitions():
         enumerate_partitions(25)
 
 
-def test_translate_config():
-    assert translate_config((0, 3), 3, 2) == (6, 9)
-    assert translate_config((6, 9), 3, -2) == (0, 3)
-
-
 def test_occupation_round_trip():
     m = (0, 3, 3, 7)
     n = config_to_occupation(m, 9)
@@ -129,16 +124,6 @@ def test_renewal_criteria_agree(case):
     assert pts[0] == 0 and pts[-1] == p * len(m)
     assert total_momentum(p, len(m)) == sum(m)
     assert is_canonical(m)
-
-
-@given(st.sampled_from(_POOL), st.integers(min_value=0, max_value=5))
-def test_translate_preserves_structure(case, shift):
-    p, m = case
-    shifted = translate_config(m, p, shift)
-    assert is_admissible(m, p)
-    base = renewal_points(m, p)
-    # Translation moves every renewal point rigidly.
-    assert renewal_points(tuple(v - p * shift for v in shifted), p) == base
 
 
 @settings(max_examples=30)

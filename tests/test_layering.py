@@ -3,7 +3,9 @@
 A coefficient table is computed by ``expansion.expand`` (and its loop
 ``expand_all``) and read from disk by ``expansion.load_cache``; the
 command line's table loader alone decides which of the two each table
-takes.  Every other module receives its tables from its caller.
+takes.  Every other module receives its tables from its caller, and
+no module reads a table's ``coeffs`` mapping: the library reads its
+arrays.
 
 A module reaches another only through its public names: none imports,
 or reads as an attribute of an imported module, a ``_``-prefixed name
@@ -52,6 +54,20 @@ def test_only_expansion_and_cli_source_tables():
         used = referenced_names(ast.parse(path.read_text(), str(path)))
         if used & TABLE_SOURCES:
             offenders[path.stem] = sorted(used & TABLE_SOURCES)
+    assert offenders == {}
+
+
+def test_no_module_reads_the_coefficient_mapping():
+    # Attribute reads only: the mapping constructor's parameter and
+    # local dicts named ``coeffs`` are plain names.
+    package = pathlib.Path(laughlin.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
+        if reads:
+            offenders[path.stem] = reads
     assert offenders == {}
 
 

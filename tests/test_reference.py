@@ -14,7 +14,9 @@ both energies of every move from the positions.  Operator strings, on
 sector bases and on amplitude tables alike, are checked against a walk
 that applies them to one occupation row at a time.  The one configuration
 search behind sector bases and admissible sets is checked against the
-whole layer filtered by momentum, and by dominance.
+whole layer filtered by momentum, and by dominance.  The array-native
+product-rule check must report the same checks and failures as a loop
+over every configuration's renewal points.
 """
 
 import dataclasses
@@ -33,7 +35,8 @@ from laughlin import hamiltonian, plasma
 from laughlin.correlations import (moments_finite, occupation_finite,
                                    occupation_infinite, pair_infinite,
                                    rod_expectations)
-from laughlin.expansion import amplitudes, expand_all
+from laughlin.expansion import (CoefficientTable, amplitudes, expand_all,
+                                verify_product_rule)
 from laughlin.lattice import (ConfigError, ModelParams, config_to_occupation,
                               config_tuples, enumerate_admissible,
                               is_admissible, occupation_to_config,
@@ -291,6 +294,49 @@ def test_squeeze_matches_reference(p, n_max):
     for table in expand_all(p, n_max, cap=n_max):
         expect = reference_squeeze(p, table.N)
         assert list(table.coeffs.items()) == list(expect.items())
+
+
+def reference_product_rule(p, tables):
+    """(checked, failures) of the product rule over the tables' mappings,
+    one configuration and one interior renewal point at a time."""
+    checked, failures = 0, []
+    for table in tables:
+        n = table.N
+        for m, c in table.coeffs.items():
+            for point in renewal_points(m, p)[1:-1]:
+                k = point // p
+                left = tables[k - 1].coeffs.get(m[:k], 0)
+                right = tables[n - k - 1].coeffs.get(
+                    tuple(v - point for v in m[k:]), 0)
+                checked += 1
+                if c != left * right:
+                    failures.append((m, c - left * right))
+    return checked, failures
+
+
+def corrupt_every(table, step):
+    """The table with every step-th row but the root off by its index."""
+    values = table.values.copy()
+    rows = np.arange(step, len(values), step)
+    rows = rows[(table.configs[rows] != table.root_config).any(axis=1)]
+    values[rows] += np.where(rows % 2, -rows, rows)
+    return CoefficientTable(table.p, table.N, configs=table.configs,
+                            values=values)
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_product_rule_matches_reference(p, tables_p1, tables_p2, tables_p3):
+    tables = {1: tables_p1, 2: tables_p2, 3: tables_p3}[p][:8]
+    for N in range(1, 9):
+        report = verify_product_rule(p, N, tables=tables[:N])
+        assert (report.checked, report.failures) == \
+            reference_product_rule(p, tables[:N])
+    # wrong rows in every table: wrong parts and wrong products alike
+    bad = [corrupt_every(t, 5) for t in tables]
+    report = verify_product_rule(p, 8, tables=bad)
+    assert (report.checked, report.failures) == \
+        reference_product_rule(p, bad)
+    assert report.failures or p == 1
 
 
 # -- operator strings ---------------------------------------------------------------
