@@ -540,15 +540,16 @@ def cmd_mcmc(args) -> int:
         raise ConfigError(f"unknown observables: {sorted(unknown)}")
     if "phase" in observables:
         plasma.phase_window(params)
-    em = Emitter(args.out_dir, "mcmc", _config_dict(args))
     mc = plasma.McConfig(sweeps=args.sweeps, burn_in=args.burn_in,
                          thinning=args.thinning, seed=args.seed,
                          chains=args.chains)
+    if observables and mc.chains * (mc.sweeps // mc.thinning) < 2:
+        raise ConfigError(plasma.ONE_SAMPLE)
+    em = Emitter(args.out_dir, "mcmc", _config_dict(args))
     with em.timed("sample") as sizes:
         run = plasma.metropolis_run(params, mc)
         sizes["chains"] = args.chains
         sizes["moves"] = run.moves
-        sizes["pilot_moves"] = run.pilot_moves
     pooled = run.pooled()
 
     run_info = {

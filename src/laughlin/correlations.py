@@ -199,12 +199,13 @@ class RodExpectations:
 
     ``nu[n-1][s]`` is the expectation of n_s (s = 0..pn-1) inside a rod
     of n particles; ``pair[n-1]`` the (pn, pn) symmetric array of the
-    diagonal pair moments <n_s n_t>.  Rod classes that are empty
-    (alpha_n = 0, e.g. every n >= 2 at p = 1) are flagged in ``empty``
-    and carry zero profiles.
+    diagonal pair moments <n_s n_t>, both at ``gamma``.  Rod classes that
+    are empty (alpha_n = 0, e.g. every n >= 2 at p = 1) are flagged in
+    ``empty`` and carry zero profiles.
     """
 
     p: int
+    gamma: float
     nmax: int
     nu: tuple[np.ndarray, ...]
     pair: tuple[np.ndarray, ...]
@@ -239,16 +240,17 @@ def rod_expectations(tables: list[CoefficientTable] | list[MomentTable],
         alpha = alpha or 1.0  # an empty class keeps zero profiles
         nu.append(profile / alpha)
         pair.append(pairs / alpha)
-    return RodExpectations(p=tables[0].p, nmax=len(tables), nu=tuple(nu),
-                           pair=tuple(pair), empty=tuple(empty))
+    return RodExpectations(p=tables[0].p, gamma=gamma, nmax=len(tables),
+                           nu=tuple(nu), pair=tuple(pair), empty=tuple(empty))
 
 
 def _check_rods(model: RenewalModel, rods: RodExpectations) -> None:
-    """The rods must be those of the model: the same p, and a profile for
-    every rod size up to the model's Nmax."""
-    if rods.p != model.p:
-        raise ConfigError(f"rod expectations of p={rods.p} and a model of "
-                          f"p={model.p}")
+    """The rods must be those of the model: the same p and gamma, and a
+    profile for every rod size up to the model's Nmax."""
+    if (rods.p, rods.gamma) != (model.p, model.gamma):
+        raise ConfigError(f"rod expectations of p={rods.p} at gamma="
+                          f"{rods.gamma} and a model of p={model.p} at "
+                          f"gamma={model.gamma}")
     if rods.nmax < model.Nmax:
         raise ConfigError(f"rod expectations up to n={rods.nmax} and a "
                           f"model up to Nmax={model.Nmax}")

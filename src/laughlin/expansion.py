@@ -160,7 +160,8 @@ class CoefficientTable:
     @cached_property
     def factorials(self) -> np.ndarray:
         fact = np.array([math.factorial(n) for n in range(self.N + 1)])
-        return fact[self.occupations].prod(axis=1)
+        # site by site, with no (D, pN) temporary
+        return math.prod(fact[site] for site in self.occupations.T)
 
     @cached_property
     def renewal(self) -> np.ndarray:

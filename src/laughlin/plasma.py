@@ -7,24 +7,23 @@ which never exponentiates a positive number, so it stays finite at any
 separation; coincident points give -inf and are simply never accepted.
 
 Sampling uses single-particle proposals, Gaussian in x and
-uniform-wrapped in y, with widths tuned by short pilot runs from the
-configured ones.  Each
-chain keeps an N x N matrix of pair terms, so a move evaluates one new
-row of pairs (the old energy is a sum over the cached row) and an
-accepted move writes it into row and column i.  The chains of a run
-advance in lockstep: one vectorised row evaluation serves the moves of
-particle i in every chain, and each chain then makes its own accept
-test.  Every generator is drawn in a fixed order: the initial state,
-then per move one normal and two uniform numbers, so a seed fixes every
-sample, however many chains run beside it.  Particle labels are never
-sorted while sampling; order statistics appear only in the excess
+uniform-wrapped in y, with widths each chain adapts in its discarded
+burn-in only.  Each chain keeps an N x N matrix of pair terms, so a move
+evaluates one new row of pairs (the old energy is a sum over the cached
+row) and an accepted move writes it into row and column i.  The chains
+of a run advance in lockstep: one vectorised row evaluation serves the
+moves of particle i in every chain, and each chain then makes its own
+accept test.  Every generator is drawn in a fixed order: the initial
+state, then per move one normal and two uniform numbers, so a seed fixes
+every sample, however many chains run beside it.  Particle labels are
+never sorted while sampling; order statistics appear only in the excess
 measurement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +34,8 @@ from .lattice import ConfigError, ModelParams
 class McConfig:
     """Sampler schedule: all counts positive; the seed fixes every chain.
 
-    ``sigma_x`` and ``sigma_y`` are the proposal widths the tuning
-    pilots start from; every run tunes them.
+    ``sigma_x`` and ``sigma_y`` are the proposal widths every chain
+    starts from; each adapts them in its burn-in (see :func:`_run_chain`).
     """
 
     sweeps: int
@@ -117,11 +116,21 @@ def _start_coordinates(params: ModelParams, rng: np.random.Generator
     return coords
 
 
+#: Burn-in sweeps per window in which a chain adapts its proposal widths.
+ADAPT_SWEEPS = 50
+
+
 def _run_chain(params: ModelParams, mc: McConfig, rngs,
                sigma: tuple[float, float], n_keep: int):
-    """One chain per generator in rngs, each from a fresh initial state,
-    advanced in lockstep: (kept samples of shape (C, n_keep, N, 2),
-    per-chain acceptances, moves of all chains).
+    """One chain per generator in rngs, each from a fresh initial state
+    and the widths sigma, advanced in lockstep: (kept samples of shape
+    (C, n_keep, N, 2), per-chain acceptances over all moves, moves of
+    all chains, per-chain final widths).
+
+    After each whole window of :data:`ADAPT_SWEEPS` burn-in sweeps, a
+    chain multiplies both its widths by 0.7 if it accepted below 0.30 of
+    the window's moves, by 1.4 if above 0.60; the kept samples are drawn
+    with the widths the burn-in ends with.
 
     Each chain caches every pair term in a symmetric matrix, so the old
     energy of particle i is a row sum.  The proposals of all chains for
@@ -144,8 +153,8 @@ def _run_chain(params: ModelParams, mc: McConfig, rngs,
     cached, proposed = rows[:, 0], rows[:, 1]
     x_new, y_new = np.empty(chains), np.empty(chains)
     x_col, y_col = x_new[:, None], y_new[:, None]
-    sx, sy = sigma
-    accepted = [0] * chains
+    widths = [sigma] * chains
+    accepted, window_start = [0] * chains, [0] * chains
     kept = np.empty((chains, n_keep, n, 2))
     stored = 0
     total_sweeps = mc.burn_in + n_keep * mc.thinning
@@ -158,6 +167,7 @@ def _run_chain(params: ModelParams, mc: McConfig, rngs,
             for i in range(n):
                 steps = []
                 for c, normal, uniform in draws:
+                    sx, sy = widths[c]
                     # uniform(a, b) is a + (b - a) * random(), so these are
                     # the draws and values of standard_normal(),
                     # uniform(-1, 1) and uniform() without their argument
@@ -179,40 +189,29 @@ def _run_chain(params: ModelParams, mc: McConfig, rngs,
                         xs[c, i] = x_c
                         ys[c, i] = y_new.item(c)
                         pairs[c, i] = pairs[c, :, i] = proposed[c]
+            if sweep < mc.burn_in and (sweep + 1) % ADAPT_SWEEPS == 0:
+                for c, (sx, sy) in enumerate(widths):
+                    rate = (accepted[c] - window_start[c]) / (ADAPT_SWEEPS * n)
+                    scale = 0.7 if rate < 0.30 else 1.4 if rate > 0.60 else 1.0
+                    widths[c] = (sx * scale, sy * scale)
+                window_start = accepted.copy()
             if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
                 kept[:, stored, :, 0] = xs
                 kept[:, stored, :, 1] = ys
                 stored += 1
     moves = total_sweeps * n
-    return kept[:, :stored], [a / moves for a in accepted], moves * chains
-
-
-def _tune_widths(params: ModelParams, mc: McConfig, rng: np.random.Generator
-                 ) -> tuple[tuple[float, float], int]:
-    """Proposal widths from up to eight pilot chains, and their moves."""
-    sx, sy = mc.sigma_x, mc.sigma_y
-    pilot = replace(mc, burn_in=50, thinning=1)
-    moves = 0
-    for _ in range(8):
-        _, (acc,), n = _run_chain(params, pilot, [rng], (sx, sy), 150)
-        moves += n
-        if acc < 0.30:
-            sx *= 0.7
-            sy *= 0.7
-        elif acc > 0.60:
-            sx *= 1.4
-            sy *= 1.4
-        else:
-            break
-    return (sx, sy), moves
+    return (kept[:, :stored], [a / moves for a in accepted], moves * chains,
+            widths)
 
 
 #: A run is degenerate when its mean acceptance leaves this band, or
 #: when its split R-hat is NaN or at least RHAT_TOLERANCE away from 1.
 ACCEPTANCE_BAND = (0.01, 0.99)
 RHAT_TOLERANCE = 0.1
-#: Batches of the batch-means standard errors.
+#: Batches of the batch-means standard errors, and the refusal of a
+#: series too short for one.
 BATCHES = 50
+ONE_SAMPLE = "one kept sample gives no standard error; run more sweeps"
 #: Phase bins of :func:`phase_profile`, and its bulk window as fractions
 #: of the droplet length.
 PHASE_BINS = 6
@@ -223,15 +222,14 @@ PHASE_WINDOW = (0.3, 0.7)
 class McRun:
     params: ModelParams
     config: McConfig
-    sigma: tuple[float, float]
+    #: each chain's final proposal widths, in the order of chain_acceptance
+    sigma: tuple[tuple[float, float], ...]
     samples: np.ndarray
     acceptance: float
     chain_acceptance: tuple[float, ...]
     rhat: float
-    #: single-particle moves made, tuning pilots included
+    #: single-particle moves made by all chains, burn-in included
     moves: int
-    #: the tuning pilots' share of moves
-    pilot_moves: int
 
     @property
     def pathological(self) -> bool:
@@ -266,23 +264,21 @@ def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
     """Sample |Psi|^2 with mc.chains independent chains.
 
     Chains get independent generators spawned from the master seed and
-    advance in lockstep after the tuning pilots, so the result is
-    reproducible given (seed, chains).  The number of kept samples per
-    chain is sweeps // thinning.
+    advance in lockstep, each adapting its widths in its own burn-in, so
+    the result is reproducible given (seed, chains).  The number of kept
+    samples per chain is sweeps // thinning.
     """
     n_keep = mc.sweeps // mc.thinning
     if n_keep < 1:
         raise ConfigError("sweeps shorter than one thinning interval")
-    seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains + 1)
-    sigma, pilot_moves = _tune_widths(params, mc,
-                                      np.random.default_rng(seeds[-1]))
-    rngs = [np.random.default_rng(seed) for seed in seeds[:-1]]
-    samples, accs, moves = _run_chain(params, mc, rngs, sigma, n_keep)
+    rngs = [np.random.default_rng(seed)
+            for seed in np.random.SeedSequence(mc.seed).spawn(mc.chains)]
+    samples, accs, moves, sigma = _run_chain(
+        params, mc, rngs, (mc.sigma_x, mc.sigma_y), n_keep)
     rhat = _split_rhat(samples[:, :, :, 0].sum(axis=2))
-    return McRun(params=params, config=mc, sigma=sigma, samples=samples,
-                 acceptance=float(np.mean(accs)),
-                 chain_acceptance=tuple(accs), rhat=rhat,
-                 moves=pilot_moves + moves, pilot_moves=pilot_moves)
+    return McRun(params=params, config=mc, sigma=tuple(sigma),
+                 samples=samples, acceptance=float(np.mean(accs)),
+                 chain_acceptance=tuple(accs), rhat=rhat, moves=moves)
 
 
 def batch_stderr(series: np.ndarray) -> float:
@@ -291,8 +287,7 @@ def batch_stderr(series: np.ndarray) -> float:
     A series of fewer than two samples has none."""
     series = np.asarray(series, dtype=float).ravel()
     if series.size < 2:
-        raise ConfigError("one kept sample gives no standard error; "
-                          "run more sweeps")
+        raise ConfigError(ONE_SAMPLE)
     nbatches = BATCHES
     if series.size < 2 * nbatches:
         nbatches = max(2, series.size // 2)
@@ -319,6 +314,14 @@ class ExcessStats:
     tail: dict[float, tuple[float, ...]]
 
 
+def _cut_index(xbar: float, step: float) -> int:
+    """The k >= 1 of a cut xbar = (k - 1/2) step, where step = p gamma."""
+    k = xbar / step + 0.5
+    if abs(k - round(k)) > 1e-9 or round(k) < 1:
+        raise ConfigError(f"cut {xbar} is not of the form (k - 1/2) p gamma")
+    return int(round(k))
+
+
 def measure_excess(samples: np.ndarray, xbars, params: ModelParams
                    ) -> ExcessStats:
     """Excess K = #{x_j <= xbar} - k at each cut xbar = (k - 1/2) p gamma,
@@ -332,11 +335,7 @@ def measure_excess(samples: np.ndarray, xbars, params: ModelParams
     tails: dict[float, tuple[float, ...]] = {}
     xbars = tuple(float(x) for x in xbars)
     for xbar in xbars:
-        k = xbar / step + 0.5
-        if abs(k - round(k)) > 1e-9 or round(k) < 1:
-            raise ConfigError(f"cut {xbar} is not of the form (k - 1/2) p gamma")
-        k = int(round(k))
-        K = np.sum(xs <= xbar, axis=1) - k
+        K = np.sum(xs <= xbar, axis=1) - _cut_index(xbar, step)
         values, counts = np.unique(K, return_counts=True)
         freq = counts / K.size
         hist[xbar] = {int(v): float(f) for v, f in zip(values, freq)}
@@ -486,8 +485,7 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
     # batch the fractions, not the raw counts: the window total fluctuates
     nb = min(BATCHES, per_sample.shape[0])
     if nb < 2:
-        raise ConfigError("one kept sample gives no standard error; "
-                          "run more sweeps")
+        raise ConfigError(ONE_SAMPLE)
     cut = (per_sample.shape[0] // nb) * nb
     batches = per_sample[:cut].reshape(nb, -1, PHASE_BINS).sum(axis=1)
     empty = np.flatnonzero(batches.sum(axis=1) == 0)
@@ -517,11 +515,7 @@ def exact_excess_zero(amp, xbar: float) -> float:
     the count left of the cut is a sum of independent Bernoullis.
     """
     from scipy.special import erf
-    step = amp.p * amp.gamma
-    k = xbar / step + 0.5
-    if abs(k - round(k)) > 1e-9 or round(k) < 1:
-        raise ConfigError(f"cut {xbar} is not of the form (k - 1/2) p gamma")
-    k = int(round(k))
+    k = _cut_index(xbar, amp.p * amp.gamma)
     if k > amp.N:
         return 0.0
     probs = 0.5 * (1.0 + erf(xbar - amp.table.configs * amp.gamma))

@@ -1,6 +1,5 @@
 import pytest
 
-from laughlin import plasma
 from laughlin.expansion import expand_all
 from laughlin.hamiltonian import FormFactor
 from laughlin.renewal import build_model
@@ -38,14 +37,4 @@ def full_form_factor(monkeypatch):
     def use():
         monkeypatch.setattr(FormFactor, "indices",
                             property(lambda self: tuple(range(self.p))))
-    return use
-
-
-@pytest.fixture
-def fixed_widths(monkeypatch):
-    """Calling it makes the sampler keep the configured proposal widths,
-    with no tuning pilots, for the rest of the test."""
-    def use():
-        monkeypatch.setattr(plasma, "_tune_widths", lambda params, mc, rng:
-                            ((mc.sigma_x, mc.sigma_y), 0))
     return use

@@ -426,7 +426,7 @@ def test_ham_enumerates_the_ground_sector_once_under_the_cap(dirs,
 
 
 def counting_chains(monkeypatch):
-    """Count every chain's moves, tuning pilots included, from its arguments."""
+    """Count every chain's moves from the arguments of each lockstep call."""
     moves = []
     real = plasma._run_chain
 
@@ -446,16 +446,14 @@ def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path, monkeypatch):
             "--burn-in", "300", "--seed", "11", "--cache-dir", cache]
     moves = counting_chains(monkeypatch)
     assert run_cli(*argv, "--out-dir", out) == 0
-    # two chains of 300 + 3000 sweeps after at least one 200-sweep pilot
-    assert len(moves) >= 3 and moves[-2:] == [3 * 3300, 3 * 3300]
+    # one lockstep call: two chains of 300 + 3000 sweeps
+    assert moves == [3 * 3300, 3 * 3300]
     stages = read_json(os.path.join(out, "mcmc_manifest.json"))["stages"]
     assert [s["name"] for s in stages] == ["sample", "density", "excess"]
     assert all(s["seconds"] >= 0.0 for s in stages)
     assert stages[0]["chains"] == 2
     assert stages[0]["moves"] == sum(moves)
-    # every pilot before the two chains makes 50 + 150 sweeps
-    assert stages[0]["pilot_moves"] == sum(moves[:-2]) \
-        == 3 * 200 * (len(moves) - 2)
+    assert "pilot_moves" not in stages[0]
     assert run_cli(*argv, "--out-dir", out2) == 0
     for name in ("density.csv", "excess.csv"):
         with open(os.path.join(out, name), "rb") as fa, \
@@ -497,10 +495,13 @@ def test_mcmc_degenerate_run_exits_one(dirs, monkeypatch, change):
 
 
 @pytest.mark.parametrize("observable", ["density", "excess"])
-def test_mcmc_one_kept_sample_exits_two(dirs, capsys, observable):
+def test_mcmc_one_kept_sample_exits_two(dirs, capsys, monkeypatch,
+                                       observable):
     """One kept sample per chain has no batch-means standard error; the
-    run refuses it instead of writing NaN standard errors."""
+    run refuses it before sampling instead of writing NaN standard
+    errors."""
     cache, out = dirs
+    moves = counting_chains(monkeypatch)
     assert run_cli("mcmc", "--p", "3", "--N", "6", "--sweeps", "5",
                    "--thinning", "5", "--burn-in", "1", "--chains", "1",
                    "--observables", observable, "--cache-dir", cache,
@@ -508,6 +509,7 @@ def test_mcmc_one_kept_sample_exits_two(dirs, capsys, observable):
     assert capsys.readouterr().err.splitlines() == [
         "error: one kept sample gives no standard error; run more sweeps"]
     assert not os.path.exists(out)
+    assert moves == []
 
 
 def test_failed_runs_leave_no_output_directory(dirs):

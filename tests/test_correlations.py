@@ -280,15 +280,20 @@ BULK_CALLS = {
 }
 
 
-@pytest.mark.parametrize("rods_of", ("p2", "four_sizes"))
+@pytest.mark.parametrize("rods_of", ("p2", "four_sizes", "other_gamma"))
 @pytest.mark.parametrize("name", sorted(BULK_CALLS))
 def test_bulk_functions_check_their_rods(name, rods_of, tables_p3,
                                          tables_p2):
-    """A p=3 model of six rod sizes refuses rods of p=2 or of four sizes."""
+    """A p=3 model of six rod sizes at gamma 1 refuses rods of p=2, of
+    four sizes, or at gamma 0.6."""
     model = build_model(3, 6, 1.0, tables=tables_p3)
-    rods = (rod_expectations(tables_p2[:6], 1.0) if rods_of == "p2"
-            else rod_expectations(tables_p3[:4], 1.0))
-    with pytest.raises(ConfigError, match="rod expectations"):
+    tables, gamma = {"p2": (tables_p2[:6], 1.0),
+                     "four_sizes": (tables_p3[:4], 1.0),
+                     "other_gamma": (tables_p3[:6], 0.6)}[rods_of]
+    rods = rod_expectations(tables, gamma)
+    match = ("p=3 at gamma=0.6 and a model of p=3 at gamma=1.0"
+             if rods_of == "other_gamma" else "rod expectations")
+    with pytest.raises(ConfigError, match=match):
         BULK_CALLS[name](model, rods)
     # rods of more sizes than the model has are read up to its Nmax
     assert BULK_CALLS[name](model, rod_expectations(tables_p3, 1.0)) == \

@@ -148,6 +148,16 @@ def test_columns_worked_example():
     assert np.array_equal(amp.occ, amp.amp / np.sqrt([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("p, N", ((1, 8), (2, 7), (3, 6), (4, 5)))
+def test_factorials_match_the_row_products(p, N):
+    """The site-by-site column holds prod_k n_k! of each row, as int64."""
+    for table in expand_all(p, N):
+        fact = np.array([math.factorial(n) for n in range(N + 1)])
+        expect = fact[table.occupations].prod(axis=1)
+        assert table.factorials.dtype == np.int64
+        assert np.array_equal(table.factorials, expect)
+
+
 def test_coeffs_is_a_read_only_view_of_the_arrays():
     table = expand_all(3, 6)[-1]
     with pytest.raises(TypeError):

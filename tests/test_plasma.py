@@ -124,9 +124,9 @@ def test_proposal_onto_occupied_point_rejected(monkeypatch):
                         lambda **kw: entered.append(kw) or errstate(**kw))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kept, accs, moves = plasma._run_chain(
+        kept, accs, moves, widths = plasma._run_chain(
             params, mc, [OntoNeighbourRng(3.0)], (1.0, 1.0), 40)
-    assert moves == 90 and accs == [0.0]
+    assert moves == 90 and accs == [0.0] and widths == [(1.0, 1.0)]
     assert np.array_equal(kept,
                           np.tile([[0.0, 1.0], [3.0, 1.0]], (1, 40, 1, 1)))
     # a few entries per chain, none per move
@@ -146,15 +146,16 @@ def test_lockstep_chains_match_single_chains(N):
             else np.random.default_rng(3)
         return [np.random.default_rng(1), middle, np.random.default_rng(2)]
 
-    kept, accs, moves = plasma._run_chain(params, mc, generators(),
-                                          (1.0, 0.9), 10)
+    kept, accs, moves, widths = plasma._run_chain(params, mc, generators(),
+                                                  (1.0, 0.9), 10)
     singles = [plasma._run_chain(params, mc, [rng], (1.0, 0.9), 10)
                for rng in generators()]
-    expect = np.concatenate([k for k, _, _ in singles])
+    expect = np.concatenate([k for k, _, _, _ in singles])
     assert kept.shape == expect.shape == (3, 10, N, 2)
     assert np.array_equal(kept.view(np.uint64), expect.view(np.uint64))
-    assert accs == [a for _, (a,), _ in singles]
-    assert moves == sum(n for _, _, n in singles) == 3 * 37 * N
+    assert accs == [a for _, (a,), _, _ in singles]
+    assert moves == sum(n for _, _, n, _ in singles) == 3 * 37 * N
+    assert widths == [w for _, _, _, (w,) in singles] == [(1.0, 0.9)] * 3
     if N == 2:
         assert accs[1] == 0.0 and 0.0 < accs[0] < 1.0
 
@@ -181,14 +182,30 @@ def test_mcconfig_validation():
         plasma.McConfig(sweeps=100, chains=0)
 
 
+def test_one_lockstep_call_makes_every_move(monkeypatch):
+    calls = []
+    real = plasma._run_chain
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(plasma, "_run_chain", counted)
+    mc = plasma.McConfig(sweeps=30, burn_in=70, thinning=4, chains=3)
+    run = plasma.metropolis_run(ModelParams(3, 4, 1.0), mc)
+    assert calls == [3]
+    assert run.moves == 3 * (70 + 7 * 4) * 4
+    assert len(run.sigma) == len(run.chain_acceptance) == 3
+
+
 def test_sweeps_below_thinning_rejected():
     params = ModelParams(3, 2, 1.0)
     with pytest.raises(ConfigError):
         plasma.metropolis_run(params, plasma.McConfig(sweeps=3, thinning=5))
 
 
-def test_frozen_proposal_chain_is_constant(fixed_widths):
-    fixed_widths()
+def test_frozen_proposal_chain_is_constant():
+    # a burn-in shorter than one adaptation window keeps the zero widths
     params = ModelParams(3, 3, 1.0)
     mc = plasma.McConfig(sweeps=200, burn_in=10, thinning=2, sigma_x=0.0,
                          sigma_y=0.0, seed=4, chains=1)
@@ -313,8 +330,9 @@ def test_exact_excess_zero_frozen_value(tables_p3):
     amp = amplitudes(tables_p3[1], 1.0)
     assert plasma.exact_excess_zero(amp, 1.5) == pytest.approx(
         0.9198075274580999, rel=1e-12)
-    with pytest.raises(ConfigError):
-        plasma.exact_excess_zero(amp, 2.0)
+    for xbar in (2.0, -1.5):
+        with pytest.raises(ConfigError):
+            plasma.exact_excess_zero(amp, xbar)
 
 
 def test_excess_zero_quadrature_oracle(tables_p3):

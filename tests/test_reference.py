@@ -19,7 +19,6 @@ product-rule check must report the same checks and failures as a loop
 over every configuration's renewal points.
 """
 
-import dataclasses
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -615,14 +614,17 @@ def reference_particle_energy(coords, i, params):
 
 
 def reference_chain(params, mc, rng, sigma, n_keep):
-    """Metropolis with both energies of every move evaluated afresh."""
+    """Metropolis with both energies of every move evaluated afresh, and
+    the widths adapted after each whole window of 50 burn-in sweeps:
+    times 0.7 below an acceptance of 0.30 in the window, times 1.4 above
+    0.60.  Returns (kept samples, acceptance, final widths)."""
     circ = 2.0 * math.pi / params.gamma
     coords = np.empty((params.N, 2))
     coords[:, 0] = params.p * params.gamma * np.arange(params.N) \
         + 0.05 * rng.standard_normal(params.N)
     coords[:, 1] = rng.uniform(0.0, circ, params.N)
     sx, sy = sigma
-    accepted = proposed = 0
+    accepted = proposed = in_window = 0
     kept = []
     for sweep in range(mc.burn_in + n_keep * mc.thinning):
         for i in range(params.N):
@@ -634,35 +636,31 @@ def reference_chain(params, mc, rng, sigma, n_keep):
             proposed += 1
             if math.log(1.0 - rng.uniform()) < e_new - e_old:
                 accepted += 1
+                in_window += 1
             else:
                 coords[i] = old
+        if sweep + 1 <= mc.burn_in and (sweep + 1) % 50 == 0:
+            rate = in_window / (50 * params.N)
+            if rate < 0.30:
+                sx, sy = sx * 0.7, sy * 0.7
+            elif rate > 0.60:
+                sx, sy = sx * 1.4, sy * 1.4
+            in_window = 0
         if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
             kept.append(coords.copy())
-    return np.array(kept), accepted / proposed
+    return np.array(kept), accepted / proposed, (sx, sy)
 
 
-def reference_run(params, mc, tune):
-    """(samples, sigma, chain acceptances) with the library's seeding and,
-    if ``tune``, its pilot schedule: eight pilots of 50 + 150 sweeps at
-    most."""
+def reference_run(params, mc):
+    """(samples, widths, chain acceptances) with the library's seeding:
+    chain c draws from child c of the seed's SeedSequence."""
     n_keep = mc.sweeps // mc.thinning
-    seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains + 1)
-    sx, sy = mc.sigma_x, mc.sigma_y
-    if tune:
-        rng = np.random.default_rng(seeds[-1])
-        pilot = dataclasses.replace(mc, burn_in=50, thinning=1)
-        for _ in range(8):
-            _, acc = reference_chain(params, pilot, rng, (sx, sy), 150)
-            if acc < 0.30:
-                sx, sy = sx * 0.7, sy * 0.7
-            elif acc > 0.60:
-                sx, sy = sx * 1.4, sy * 1.4
-            else:
-                break
-    chains = [reference_chain(params, mc, np.random.default_rng(seeds[c]),
-                              (sx, sy), n_keep) for c in range(mc.chains)]
-    return (np.array([k for k, _ in chains]), (sx, sy),
-            tuple(a for _, a in chains))
+    seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains)
+    chains = [reference_chain(params, mc, np.random.default_rng(seed),
+                              (mc.sigma_x, mc.sigma_y), n_keep)
+              for seed in seeds]
+    return (np.array([k for k, _, _ in chains]),
+            tuple(w for _, _, w in chains), tuple(a for _, a, _ in chains))
 
 
 def same_bits(a, b):
@@ -671,20 +669,44 @@ def same_bits(a, b):
                                                  b.view(np.uint64))
 
 
-@pytest.mark.parametrize("chains", (1, 2, 3))
-@pytest.mark.parametrize("tune", (True, False))
-@pytest.mark.parametrize("N", (1, 2, 4, 9))
-@pytest.mark.parametrize("p", (2, 3))
-def test_metropolis_matches_reference(p, N, tune, chains, fixed_widths):
-    params = ModelParams(p, N, 0.9)
-    mc = plasma.McConfig(sweeps=60, burn_in=20, thinning=2, sigma_x=0.3,
-                         sigma_y=0.8, seed=17 * p + N, chains=chains)
-    if not tune:
-        fixed_widths()
+def check_against_reference(params, mc):
+    """The run's samples, widths, chain acceptances and R-hat are the
+    reference's to the bit; returns the run."""
     run = plasma.metropolis_run(params, mc)
-    samples, sigma, accs = reference_run(params, mc, tune)
+    samples, sigma, accs = reference_run(params, mc)
     assert same_bits(run.samples, samples)
     assert same_bits(run.sigma, sigma)
     assert same_bits(run.chain_acceptance, accs)
     assert same_bits(run.rhat,
                      plasma._split_rhat(samples[:, :, :, 0].sum(axis=2)))
+    return run
+
+
+@pytest.mark.parametrize("chains", (1, 2, 3))
+@pytest.mark.parametrize("tune", (True, False))
+@pytest.mark.parametrize("N", (1, 2, 4, 9))
+@pytest.mark.parametrize("p", (2, 3))
+def test_metropolis_matches_reference(p, N, tune, chains):
+    """``tune`` runs a burn-in of two whole adaptation windows and a part
+    of a third; without it the burn-in is shorter than one window and
+    every chain keeps the configured widths."""
+    params = ModelParams(p, N, 0.9)
+    mc = plasma.McConfig(sweeps=60, burn_in=120 if tune else 20, thinning=2,
+                         sigma_x=0.3, sigma_y=0.8, seed=17 * p + N,
+                         chains=chains)
+    run = check_against_reference(params, mc)
+    assert (run.sigma == ((0.3, 0.8),) * chains) != tune
+
+
+@pytest.mark.parametrize("burn_in", (50, 99, 260))
+@pytest.mark.parametrize("N", (2, 9))
+def test_metropolis_adapts_like_reference(N, burn_in):
+    """One whole adaptation window (with a burn-in that ends one sweep
+    before the second window would), and five, with three chains whose
+    widths start too wide for any of them to stay."""
+    params = ModelParams(3, N, 0.9)
+    mc = plasma.McConfig(sweeps=60, burn_in=burn_in, thinning=2,
+                         sigma_x=6.0, sigma_y=6.0, seed=5 * N + burn_in,
+                         chains=3)
+    run = check_against_reference(params, mc)
+    assert all(sx == sy < 6.0 for sx, sy in run.sigma)
