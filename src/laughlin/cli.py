@@ -19,7 +19,10 @@ missing moment file from its coefficient table, and their ``cache``
 record also lists the moment files read and derived.
 Each manifest lists the ``stages`` of its run, and a stage's seconds
 leave out those of any stage recorded inside it, so the stage seconds
-sum to at most the wall time.  The ``ham`` manifest records the seconds
+sum to at most the wall time.  A stage timed around its work also
+records ``rss_rise_mb``, the rise of the process's peak resident size
+over it, so the ``mcmc`` manifest's ``sample`` stage shows the memory
+the sampler took.  The ``ham`` manifest records the seconds
 spent on sector enumeration (with the sector dimension), on each
 assembly of H (with its nnz), on its one eigensolve (with the count of
 values, shared with the ground-state check), on that check, on the
@@ -51,6 +54,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -122,6 +126,11 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(fmt(obj))  # text, and inf/nan: not JSON numbers
 
 
+def _peak_rss_kb() -> int:
+    """The process's peak resident size so far, in kilobytes (Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 class Emitter:
     """Collects artifacts in the output directory and writes the manifest.
 
@@ -167,12 +176,14 @@ class Emitter:
     @contextmanager
     def timed(self, name: str):
         """Time the enclosed block as a stage, less the stages recorded
-        inside it; sizes set on the yielded dict are recorded with it."""
+        inside it; sizes set on the yielded dict are recorded with it,
+        and so is ``rss_rise_mb``, the rise of the process's peak resident
+        size over the block, inner stages included (0 if the peak held)."""
         sizes: dict = {}
-        t0, inner = time.perf_counter(), self.recorded
+        t0, inner, peak = time.perf_counter(), self.recorded, _peak_rss_kb()
         yield sizes
         self.stage(name, time.perf_counter() - t0 - (self.recorded - inner),
-                   **sizes)
+                   **sizes, rss_rise_mb=(_peak_rss_kb() - peak) / 1024.0)
 
     def check(self, name: str, measured, tolerance, passed: bool,
               note: str) -> bool:

@@ -8,15 +8,17 @@ separation; coincident points give -inf and are simply never accepted.
 
 Sampling uses single-particle proposals, Gaussian in x and
 uniform-wrapped in y, with widths each chain adapts in its discarded
-burn-in only.  Each chain keeps an N x N matrix of pair terms, so a move
-evaluates one new row of pairs (the old energy is a sum over the cached
-row) and an accepted move writes it into row and column i.  The chains
-of a run advance in lockstep: one vectorised row evaluation serves the
-moves of particle i in every chain, and each chain then makes its own
-accept test.  Every generator is drawn in a fixed order: the initial
-state, then per move one normal and two uniform numbers, so a seed fixes
-every sample, however many chains run beside it.  Particle labels are
-never sorted while sampling; order statistics appear only in the excess
+burn-in only.  Each chain keeps an N x N matrix of pair terms, so the old
+energy of a move is a sum over a cached row, and an accepted move writes
+its new row into row and column i.  The chains of a run advance in
+lockstep, and a sweep evaluates its proposals in blocks of up to
+:data:`BLOCK` particles: one vectorised call pairs the block's proposals
+of every chain with the current points and with each other, and each
+chain then makes its own accept test move by move.  Every generator is
+drawn in a fixed order: the initial state, then per move one normal and
+two uniform numbers, so a seed fixes every sample, however many chains
+run beside it and whatever the block size.  Particle labels are never
+sorted while sampling; order statistics appear only in the excess
 measurement.
 """
 
@@ -61,35 +63,32 @@ def _pair_factors(gamma: float) -> tuple[np.ndarray, ...]:
 
 
 def _pair_row(x, y, xs: np.ndarray, ys: np.ndarray,
-              factors: tuple[np.ndarray, ...],
-              out: np.ndarray | None = None) -> np.ndarray:
+              factors: tuple[np.ndarray, ...]) -> np.ndarray:
     """The bracket of the pair form for a charge at (x, y) and each point
     of (xs, ys), without the factor 2p; factors is ``_pair_factors(gamma)``.
 
-    x and y may be scalars, or (C, 1) columns against (C, N) points;
-    each element goes through the same ufuncs either way, so its bits do
-    not depend on the shape.  A coincident point gives -inf, with a
-    divide warning unless the caller ignores it.
+    x, y, xs and ys broadcast against each other, so one call may pair
+    many charges with many points; each element goes through the same
+    ufuncs whatever the shapes, so its bits do not depend on them.  The
+    bracket is symmetric bit for bit under exchange of the two points.
+    A coincident point gives -inf, with a divide warning unless the
+    caller ignores it.
     """
     neg_g, half_g, g, half, four = factors
     dx = np.abs(x - xs)
     decay = neg_g * dx
     mod = np.square(np.expm1(decay)) \
         + four * np.exp(decay) * np.square(np.sin(half_g * (y - ys)))
-    return np.add(g * (half * (x + xs + dx)), half * np.log(mod), out=out)
+    return g * (half * (x + xs + dx)) + half * np.log(mod)
 
 
 def _pair_matrix(coords: np.ndarray, gamma: float) -> np.ndarray:
     """Symmetric N x N matrix of pair terms with a zero diagonal."""
-    n = coords.shape[0]
-    xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
-    factors = _pair_factors(gamma)
-    pairs = np.zeros((n, n))
-    with np.errstate(divide="ignore"):
-        for i in range(1, n):
-            row = _pair_row(xs[i], ys[i], xs[:i], ys[:i], factors)
-            pairs[i, :i] = row
-            pairs[:i, i] = row
+    xs, ys = coords[:, 0], coords[:, 1]
+    with np.errstate(divide="ignore"):  # each point meets itself
+        pairs = _pair_row(xs[:, None], ys[:, None], xs[None, :], ys[None, :],
+                          _pair_factors(gamma))
+    np.fill_diagonal(pairs, 0.0)
     return pairs
 
 
@@ -118,6 +117,8 @@ def _start_coordinates(params: ModelParams, rng: np.random.Generator
 
 #: Burn-in sweeps per window in which a chain adapts its proposal widths.
 ADAPT_SWEEPS = 50
+#: The most moves of a sweep whose proposals one ``_pair_row`` call pairs.
+BLOCK = 32
 
 
 def _run_chain(params: ModelParams, mc: McConfig, rngs,
@@ -132,63 +133,89 @@ def _run_chain(params: ModelParams, mc: McConfig, rngs,
     the window's moves, by 1.4 if above 0.60; the kept samples are drawn
     with the widths the burn-in ends with.
 
-    Each chain caches every pair term in a symmetric matrix, so the old
-    energy of particle i is a row sum.  The proposals of all chains for
-    particle i are evaluated by one ``_pair_row`` call on (C, 1) against
-    (C, N) arrays, whose elements are those of C separate calls.  Each
-    chain then makes its own accept test and an accepted move writes its
-    row into row and column i of that chain's matrix.
+    A sweep moves each particle once, in label order, with widths fixed
+    for the sweep, and no draw depends on the state, so each chain makes
+    a sweep's draws at its start, in the per-move order.  Each chain
+    caches every pair term in a symmetric matrix, so the old energy of
+    particle i is a row sum.  One ``_pair_row`` call per block of up to
+    :data:`BLOCK` moves pairs the block's proposals of every chain,
+    shaped (m, C, 1), with the current points followed by the block's
+    proposals, shaped (C, N + m).  Per move, one reduction over the
+    cached and the proposed row gives both energies in every chain, and
+    each chain makes its own accept test.  An accepted move writes its
+    row into row and column i of its matrix and into column i of the
+    block's later rows, cached and proposed (the latter from the
+    proposal-to-proposal terms).  ``_pair_row`` is symmetric bit for bit,
+    so every term is the one a call per move would give, and the samples
+    do not depend on BLOCK.
     """
     g = params.gamma
     two_p = 2.0 * params.p
     circ = 2.0 * math.pi / g
     n, chains = params.N, len(rngs)
     start = np.stack([_start_coordinates(params, rng) for rng in rngs])
-    xs, ys = start[:, :, 0].copy(), start[:, :, 1].copy()
     pairs = np.stack([_pair_matrix(coords, g) for coords in start])
     factors = _pair_factors(g)
-    # rows[c, 0] holds chain c's cached row i and rows[c, 1] its proposed
-    # row, so one reduction gives both energies of every chain
-    rows = np.empty((chains, 2, n))
-    cached, proposed = rows[:, 0], rows[:, 1]
-    x_new, y_new = np.empty(chains), np.empty(chains)
-    x_col, y_col = x_new[:, None], y_new[:, None]
+    # points[0] and points[1] hold every chain's x and y, then room for the
+    # proposals of one block
+    points = np.empty((2, chains, n + min(BLOCK, n)))
+    points[:, :, :n] = start.transpose(2, 0, 1)
+    xs, ys = points[:, :, :n]
+    # rows[k, c, 0] holds chain c's cached row of the block's k-th particle
+    # and rows[k, c, 1] its proposed row, so one reduction gives both
+    # energies of that move in every chain
+    rows = np.empty((min(BLOCK, n), chains, 2, n))
+    own = np.arange(min(BLOCK, n))
     widths = [sigma] * chains
     accepted, window_start = [0] * chains, [0] * chains
     kept = np.empty((chains, n_keep, n, 2))
     stored = 0
     total_sweeps = mc.burn_in + n_keep * mc.thinning
-    draws = [(c, rng.standard_normal, rng.random)
-             for c, rng in enumerate(rngs)]
+    draws = [(rng.standard_normal, rng.random) for rng in rngs]
     row_sums = np.add.reduce
     # a proposal onto an occupied point has energy -inf and is rejected
     with np.errstate(divide="ignore"):
         for sweep in range(total_sweeps):
-            for i in range(n):
-                steps = []
-                for c, normal, uniform in draws:
-                    sx, sy = widths[c]
-                    # uniform(a, b) is a + (b - a) * random(), so these are
-                    # the draws and values of standard_normal(),
-                    # uniform(-1, 1) and uniform() without their argument
-                    # handling
-                    x = xs.item(c, i)
-                    x_new[c] = x_c = x + sx * normal()
-                    y_new[c] = (ys.item(c, i)
-                                + sy * (2.0 * uniform() - 1.0)) % circ
-                    steps.append((x, x_c, math.log(1.0 - uniform())))
-                cached[...] = pairs[:, i]
-                _pair_row(x_col, y_col, xs, ys, factors, out=proposed)
-                proposed[:, i] = 0.0
-                sums = row_sums(rows, axis=2).tolist()
-                for c, ((x, x_c, log_u), (s_old, s_new)) in enumerate(
-                        zip(steps, sums)):
-                    if log_u < (-x_c * x_c + two_p * s_new) \
-                            - (-x * x + two_p * s_old):
-                        accepted[c] += 1
-                        xs[c, i] = x_c
-                        ys[c, i] = y_new.item(c)
-                        pairs[c, i] = pairs[c, :, i] = proposed[c]
+            # steps[c][i]: chain c's proposed x and y for particle i and the
+            # log of its accept test's uniform.  uniform(a, b) is
+            # a + (b - a) * random(), so these are the draws and values of
+            # standard_normal(), uniform(-1, 1) and uniform(), in move order
+            x_old = xs.tolist()
+            steps = [[(x + sx * normal(),
+                       (y + sy * (2.0 * uniform() - 1.0)) % circ,
+                       math.log(1.0 - uniform())) for x, y in zip(xc, yc)]
+                     for (normal, uniform), (sx, sy), xc, yc
+                     in zip(draws, widths, x_old, ys.tolist())]
+            proposals = np.array(list(zip(*steps)))  # (N, C, 3)
+            for b0 in range(0, n, BLOCK):
+                b1 = min(b0 + BLOCK, n)
+                m = b1 - b0
+                mine = proposals[b0:b1]
+                points[:, :, n:n + m] = mine[:, :, :2].T
+                # terms[k, c]: chain c's k-th proposal of the block against
+                # the current points, then against the block's proposals
+                terms = _pair_row(mine[:, :, :1], mine[:, :, 1:2],
+                                  points[0, :, :n + m], points[1, :, :n + m],
+                                  factors)
+                block = rows[:m]
+                block[:, :, 0] = pairs[:, b0:b1].swapaxes(0, 1)
+                block[:, :, 1] = terms[:, :, :n]
+                # no proposal pairs with its own particle's old point
+                block[own[:m], :, 1, b0 + own[:m]] = 0.0
+                for k, i in enumerate(range(b0, b1)):
+                    sums = row_sums(block[k], axis=2).tolist()
+                    for c, (s_old, s_new) in enumerate(sums):
+                        x = x_old[c][i]
+                        x_c, y_c, log_u = steps[c][i]
+                        if log_u < (-x_c * x_c + two_p * s_new) \
+                                - (-x * x + two_p * s_old):
+                            accepted[c] += 1
+                            xs[c, i], ys[c, i] = x_c, y_c
+                            row = block[k, c, 1]
+                            pairs[c, i] = pairs[c, :, i] = row
+                            # the block's later moves see i at its new point
+                            block[k + 1:, c, 0, i] = row[i + 1:b1]
+                            block[k + 1:, c, 1, i] = terms[k + 1:, c, n + k]
             if sweep < mc.burn_in and (sweep + 1) % ADAPT_SWEEPS == 0:
                 for c, (sx, sy) in enumerate(widths):
                     rate = (accepted[c] - window_start[c]) / (ADAPT_SWEEPS * n)

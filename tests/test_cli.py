@@ -425,6 +425,19 @@ def test_ham_enumerates_the_ground_sector_once_under_the_cap(dirs,
     assert [s["dim"] for s in ground] == [338]
 
 
+def test_timed_stage_records_the_rise_of_the_peak(tmp_path, monkeypatch):
+    """rss_rise_mb is the peak's rise over the block in MB, 0 if it held."""
+    peaks = iter([1000, 1000, 5000, 8072])
+    monkeypatch.setattr(cli, "_peak_rss_kb", lambda: next(peaks))
+    em = cli.Emitter(str(tmp_path), "test", {})
+    with em.timed("held") as sizes:
+        sizes["n"] = 3
+    with em.timed("rose"):
+        pass
+    assert [(s["name"], s.get("n"), s["rss_rise_mb"]) for s in em.stages] \
+        == [("held", 3, 0.0), ("rose", None, 3.0)]
+
+
 def counting_chains(monkeypatch):
     """Count every chain's moves from the arguments of each lockstep call."""
     moves = []
@@ -454,6 +467,7 @@ def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path, monkeypatch):
     assert stages[0]["chains"] == 2
     assert stages[0]["moves"] == sum(moves)
     assert "pilot_moves" not in stages[0]
+    assert all(s["rss_rise_mb"] >= 0.0 for s in stages)
     assert run_cli(*argv, "--out-dir", out2) == 0
     for name in ("density.csv", "excess.csv"):
         with open(os.path.join(out, name), "rb") as fa, \

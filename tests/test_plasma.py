@@ -160,6 +160,190 @@ def test_lockstep_chains_match_single_chains(N):
         assert accs[1] == 0.0 and 0.0 < accs[0] < 1.0
 
 
+def row_loop_pair_matrix(xs, ys, factors):
+    """The pair matrix one row at a time, below the diagonal, mirrored."""
+    n = xs.size
+    pairs = np.zeros((n, n))
+    for i in range(1, n):
+        row = plasma._pair_row(xs[i], ys[i], xs[:i], ys[:i], factors)
+        pairs[i, :i] = pairs[:i, i] = row
+    return pairs
+
+
+def reference_chain(params, mc, rngs, sigma, n_keep):
+    """The lockstep sampler one move at a time: one ``_pair_row`` call
+    pairs particle i's proposals of every chain with the current points,
+    and an accepted move writes its row into row and column i.  This is
+    the route that blocked sweeps replace; it returns what ``_run_chain``
+    returns."""
+    g, n, chains = params.gamma, params.N, len(rngs)
+    two_p, circ = 2.0 * params.p, 2.0 * math.pi / g
+    factors = plasma._pair_factors(g)
+    start = np.stack([plasma._start_coordinates(params, rng) for rng in rngs])
+    xs, ys = start[:, :, 0].copy(), start[:, :, 1].copy()
+    with np.errstate(divide="ignore"):
+        pairs = np.stack([row_loop_pair_matrix(x, y, factors)
+                          for x, y in zip(xs, ys)])
+    rows = np.empty((chains, 2, n))
+    x_new, y_new = np.empty((chains, 1)), np.empty((chains, 1))
+    widths = [sigma] * chains
+    accepted, window_start = [0] * chains, [0] * chains
+    kept = []
+    total_sweeps = mc.burn_in + n_keep * mc.thinning
+    with np.errstate(divide="ignore"):
+        for sweep in range(total_sweeps):
+            for i in range(n):
+                steps = []
+                for c, rng in enumerate(rngs):
+                    sx, sy = widths[c]
+                    x = xs.item(c, i)
+                    x_new[c] = x_c = x + sx * rng.standard_normal()
+                    y_new[c] = (ys.item(c, i)
+                                + sy * (2.0 * rng.random() - 1.0)) % circ
+                    steps.append((x, x_c, math.log(1.0 - rng.random())))
+                rows[:, 0] = pairs[:, i]
+                rows[:, 1] = plasma._pair_row(x_new, y_new, xs, ys, factors)
+                rows[:, 1, i] = 0.0
+                sums = np.add.reduce(rows, axis=2).tolist()
+                for c, ((x, x_c, log_u), (s_old, s_new)) in enumerate(
+                        zip(steps, sums)):
+                    if log_u < (-x_c * x_c + two_p * s_new) \
+                            - (-x * x + two_p * s_old):
+                        accepted[c] += 1
+                        xs[c, i], ys[c, i] = x_c, y_new.item(c)
+                        pairs[c, i] = pairs[c, :, i] = rows[c, 1]
+            if sweep < mc.burn_in and (sweep + 1) % plasma.ADAPT_SWEEPS == 0:
+                for c, (sx, sy) in enumerate(widths):
+                    rate = (accepted[c] - window_start[c]) \
+                        / (plasma.ADAPT_SWEEPS * n)
+                    scale = 0.7 if rate < 0.30 else 1.4 if rate > 0.60 else 1.0
+                    widths[c] = (sx * scale, sy * scale)
+                window_start = accepted.copy()
+            if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
+                kept.append(np.stack([xs, ys], axis=-1))
+    moves = total_sweeps * n
+    return (np.stack(kept, axis=1), [a / moves for a in accepted],
+            moves * chains, widths)
+
+
+def assert_same_run(got, expect):
+    (kept, accs, moves, widths), (kept0, accs0, moves0, widths0) = got, expect
+    assert kept.shape == kept0.shape
+    assert np.array_equal(kept.view(np.uint64), kept0.view(np.uint64))
+    assert (accs, moves, widths) == (accs0, moves0, widths0)
+
+
+B = plasma.BLOCK
+
+
+@pytest.mark.parametrize("N, chains, p, gamma", [
+    (1, 1, 3, 1.0), (2, 3, 2, 0.7), (B, 1, 3, 1.3), (B, 3, 2, 1.0),
+    (B + 1, 3, 3, 0.7), (B + 1, 1, 1, 1.0), (2 * B + 5, 3, 3, 1.0),
+    (2 * B + 5, 1, 2, 1.3)])
+def test_blocked_sweeps_match_one_move_at_a_time(N, chains, p, gamma):
+    """Blocked sweeps give the bits of the one-move-per-call route: the
+    same samples, acceptances and adapted widths, also at block edges
+    and with a short last block."""
+    params = ModelParams(p, N, gamma)
+    mc = plasma.McConfig(sweeps=12, burn_in=plasma.ADAPT_SWEEPS + 4,
+                         thinning=3, seed=N)
+
+    def generators():
+        return [np.random.default_rng(s) for s in
+                np.random.SeedSequence(10 * N + p).spawn(chains)]
+
+    got = plasma._run_chain(params, mc, generators(), (0.6, 0.8), 4)
+    assert_same_run(got, reference_chain(params, mc, generators(),
+                                         (0.6, 0.8), 4))
+    assert 0.0 < min(got[1]) and max(got[1]) < 1.0
+
+
+def test_pair_matrix_matches_row_loop():
+    """One broadcast call gives the row loop's matrix bit for bit, the
+    -inf of coincident points included."""
+    rng = np.random.default_rng(8)
+    factors = plasma._pair_factors(0.9)
+    for trial in range(200):
+        n = int(rng.integers(1, 12))
+        coords = np.column_stack([rng.normal(scale=3.0, size=n),
+                                  rng.uniform(0, 2 * math.pi / 0.9, size=n)])
+        if n > 2 and trial % 4 == 0:
+            coords[n - 1] = coords[0]
+        with np.errstate(divide="ignore"):
+            expect = row_loop_pair_matrix(coords[:, 0], coords[:, 1],
+                                          factors)
+        got = plasma._pair_matrix(coords, 0.9)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        assert (np.isneginf(got).any()) == (n > 2 and trial % 4 == 0)
+
+
+ALMOST_ONE = float(np.nextafter(1.0, 0.0))
+
+
+class ScriptedRng:
+    """Starts particle j at (p gamma j, 1) and draws the given normal
+    steps, zero once they run out; every uniform is just below 1, so a
+    move is accepted unless its energy is -inf."""
+
+    def __init__(self, steps):
+        self.steps = iter(steps)
+
+    def standard_normal(self, size=None):
+        return next(self.steps, 0.0) if size is None else np.zeros(size)
+
+    def random(self):
+        return ALMOST_ONE
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.ones(size)
+
+
+def test_proposal_onto_a_point_moved_in_the_same_sweep(monkeypatch):
+    """Particle 0 moves to x = 1/2 and particle 1 then proposes onto it,
+    within a block; particle BLOCK - 1 moves and particle BLOCK then
+    proposes onto it, across a block edge.  Both proposals are rejected
+    without a warning, and every other move is accepted."""
+    params = ModelParams(3, B + 3, 1.0)
+    mc = plasma.McConfig(sweeps=3, burn_in=2, thinning=1)
+    steps = [0.0] * params.N
+    steps[0], steps[1] = 0.5, -2.5
+    steps[B - 1], steps[B] = 0.5, -2.5
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate",
+                        lambda **kw: entered.append(kw) or errstate(**kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = plasma._run_chain(params, mc, [ScriptedRng(steps)],
+                                (1.0, 0.0), 3)
+    kept, accs, moves, _ = got
+    assert moves == 5 * params.N and accs == [(moves - 2) / moves]
+    expect = 3.0 * np.arange(params.N)
+    expect[0] = 0.5
+    expect[B - 1] += 0.5
+    assert np.array_equal(kept[0, :, :, 0], np.tile(expect, (3, 1)))
+    assert np.all(kept[0, :, :, 1] == 1.0)
+    # a few entries per run, none per move or per block
+    assert len(entered) <= 3
+    monkeypatch.setattr(np, "errstate", errstate)
+    assert_same_run(got, reference_chain(params, mc, [ScriptedRng(steps)],
+                                         (1.0, 0.0), 3))
+
+
+def test_one_pair_call_per_block(monkeypatch):
+    """A sweep pairs its proposals block by block, not move by move."""
+    calls = []
+    real = plasma._pair_row
+    monkeypatch.setattr(plasma, "_pair_row",
+                        lambda *args: calls.append(1) or real(*args))
+    params = ModelParams(3, 2 * B + 5, 1.0)
+    mc = plasma.McConfig(sweeps=6, burn_in=4, thinning=2, chains=2)
+    rngs = [np.random.default_rng(s) for s in (1, 2)]
+    plasma._run_chain(params, mc, rngs, (0.5, 0.5), 3)
+    total_sweeps = 4 + 3 * 2
+    assert 0 < len(calls) <= 2 + total_sweeps * math.ceil(params.N / B)
+
+
 def test_log_weight_shape_validation():
     params = ModelParams(3, 2, 1.0)
     with pytest.raises(ConfigError):
