@@ -457,10 +457,16 @@ def cmd_ham(args) -> int:
         hamiltonian.require_p3(params)
     ground = total_momentum(args.p, args.N)
     momentum = ground if args.momentum is None else args.momentum
-    if args.check_ground_state and momentum != ground:
-        raise ConfigError(
-            f"--check-ground-state needs the ground sector (momentum "
-            f"{ground}), where the Laughlin state lies; got {momentum}")
+    # the Laughlin state, its monomer-dimer form and the series toward it
+    # all live in the ground sector
+    for flag, asked in (("--check-ground-state", args.check_ground_state),
+                        ("--monomer-dimer", args.monomer_dimer),
+                        ("--perturbation-order",
+                         args.perturbation_order is not None)):
+        if asked and momentum != ground:
+            raise ConfigError(
+                f"{flag} needs the ground sector (momentum {ground}), "
+                f"where the Laughlin state lies; got {momentum}")
     em = Emitter(args.out_dir, "ham", _config_dict(args))
     cap = args.cap if args.cap is not None else hamiltonian.DEFAULT_SECTOR_CAP
     with em.timed("sector") as sizes:
@@ -469,17 +475,6 @@ def cmd_ham(args) -> int:
     build = hamiltonian.build_H(params, basis=basis)
     em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz)
     em.stage("bond_assembly", build.seconds["bond"], nnz=build.bond.nnz)
-    # The monomer-dimer state and the perturbation series live in the
-    # ground sector: the one built above, or else one enumerated here,
-    # once and under the run's cap, for both.
-    in_ground = momentum == ground
-    ground_basis = basis
-    if not in_ground and (args.monomer_dimer
-                          or args.perturbation_order is not None):
-        with em.timed("ground_sector") as sizes:
-            ground_basis = hamiltonian.sector_basis(params, momentum=ground,
-                                                    cap=cap)
-            sizes["dim"] = ground_basis.dim
     doc: dict = {
         "p": args.p, "N": args.N, "gamma": args.gamma,
         "momentum": momentum, "dim": basis.dim,
@@ -512,11 +507,11 @@ def cmd_ham(args) -> int:
 
     if args.monomer_dimer:
         with em.timed("monomer_dimer") as sizes:
-            md = hamiltonian.build_monomer_dimer(params, basis=ground_basis)
+            md = hamiltonian.build_monomer_dimer(params, basis=basis)
             vals = hamiltonian.spectrum(md.H, count=min(
-                hamiltonian.KERNEL_COUNT, ground_basis.dim))
+                hamiltonian.KERNEL_COUNT, basis.dim))
             report = hamiltonian.ground_check(md.H, md.psi, vals)
-            sizes.update(dim=ground_basis.dim, num_terms=md.num_terms)
+            sizes.update(dim=basis.dim, num_terms=md.num_terms)
         residual_ok = _monomer_dimer_verdict(em, report.residual, args.N)
         build_ok = em.check(
             "monomer-dimer-build", md.deviation, 1e-12, md.deviation < 1e-12,
@@ -530,9 +525,7 @@ def cmd_ham(args) -> int:
     if args.perturbation_order is not None:
         with em.timed("perturbation"):
             report = hamiltonian.perturbation_series(
-                params, args.perturbation_order, amp, ground_basis,
-                build.H if in_ground else hamiltonian.repulsion(
-                    params, ground_basis))
+                params, args.perturbation_order, amp, basis, build.H)
         doc["perturbation"] = {
             "order": args.perturbation_order,
             "distances": list(report.distances),

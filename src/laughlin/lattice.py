@@ -2,9 +2,10 @@
 
 A filling-1/p Laughlin state of N particles lives on the one-particle
 orbital lattice {0, ..., pN-p}.  Everything in this module is integer
-combinatorics on that lattice: orbital configurations (sorted tuples of
-orbital indices), occupation configurations (per-site particle counts),
-the dominance/admissibility condition, renewal points of a configuration,
+combinatorics on that lattice: orbital configurations (the rows of a
+(D, N) array of orbital indices), their occupation rows (per-site
+particle counts, :func:`occupation_rows`), the dominance condition that
+makes a configuration admissible, renewal points of one configuration,
 and the compositions of N that split the site block {0, ..., pN-1} into
 rods of length p*n.
 
@@ -21,8 +22,14 @@ once, for the parent Hamiltonians and the finite-N correlations alike.
 Conventions
 -----------
 * An orbital configuration is stored canonically as a weakly increasing
-  tuple ``m = (m_1, ..., m_N)``.  For fermions (p odd) nonzero amplitudes
-  are strictly increasing, but the canonical form does not enforce that.
+  row ``m = (m_1, ..., m_N)``, or as such a tuple where one configuration
+  is handled alone.  For fermions (p odd) nonzero amplitudes are
+  strictly increasing, but the canonical form does not enforce that.
+* A configuration is admissible when every partial sum
+  ``m_1 + ... + m_k`` sits on or above the staircase p*k*(k-1)/2, with
+  equality for the full sum; nonzero expansion coefficients occur only
+  there.  :func:`configurations` lists the admissible set under the
+  floor p.
 * A renewal point of ``m`` is a value pk, 0 <= k <= N, with
   ``m_1 + ... + m_k == p*k*(k-1)/2``; k = 0 and k = N always qualify.
 * A rod partition splits {0, ..., pN-1} into consecutive intervals of
@@ -118,25 +125,6 @@ def is_canonical(m: tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(m, m[1:]))
 
 
-def is_admissible(m: tuple[int, ...], p: int) -> bool:
-    """Dominance test for a canonical configuration.
-
-    Every partial sum of the weakly increasing tuple ``m`` must sit on or
-    above the staircase p*k*(k-1)/2, with equality for the full sum.
-    Nonzero expansion coefficients occur only on admissible configurations.
-    """
-    if not is_canonical(m):
-        raise ConfigError(f"configuration {m} is not sorted")
-    if m and m[0] < 0:
-        return False
-    s = 0
-    for k, mk in enumerate(m, start=1):
-        s += mk
-        if s < staircase(p, k):
-            return False
-    return s == staircase(p, len(m))
-
-
 def renewal_points(m: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Lattice positions pk where the partial sums of ``m`` hit the staircase.
 
@@ -183,7 +171,7 @@ def configurations(N: int, sites: int, total: int, fermionic: bool,
 
     Rows increase strictly for fermions and weakly for bosons, and their
     first k entries sum to at least staircase(floor, k) for every k:
-    ``floor=p`` is the dominance condition of :func:`is_admissible`,
+    ``floor=p`` is the dominance condition of the admissible set,
     ``floor=0`` leaves a whole momentum sector.  The search extends all
     prefixes of one length at once, giving each prefix the values of its
     next entry, in increasing order, from which the particles still to
@@ -239,11 +227,17 @@ def config_tuples(configs: np.ndarray) -> list[tuple[int, ...]]:
 
 def occupation_rows(configs: np.ndarray, num_sites: int) -> np.ndarray:
     """Occupation numbers of sites 0..num_sites-1 for each row of a (D, N)
-    array of orbital configurations, as a (D, num_sites) int8 array."""
+    array of orbital configurations, as a (D, num_sites) int8 array.
+
+    One pass per particle column adds 1 at each row's site of that
+    column in place; within a pass every row differs, so no index
+    repeats, and a site several particles share adds up over passes."""
     count = len(configs)
-    flat = np.arange(count)[:, None] * num_sites + configs
-    counts = np.bincount(flat.ravel(), minlength=count * num_sites)
-    return counts.astype(np.int8).reshape(count, num_sites)
+    occ = np.zeros(count * num_sites, dtype=np.int8)
+    start = np.arange(0, count * num_sites, num_sites)
+    for column in configs.T:
+        occ[start + column] += 1
+    return occ.reshape(count, num_sites)
 
 
 def find_keys(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -381,18 +375,3 @@ class ConfigIndex:
             factor = 1.0 - 2.0 * (acc & 1) if fermionic else np.sqrt(acc)
             yield col, term, self.keys[col] + shift[term], factor
 
-
-def config_to_occupation(m: tuple[int, ...], num_sites: int) -> tuple[int, ...]:
-    n = [0] * num_sites
-    for mj in m:
-        if not 0 <= mj < num_sites:
-            raise ConfigError(f"orbital {mj} outside lattice of {num_sites} sites")
-        n[mj] += 1
-    return tuple(n)
-
-
-def occupation_to_config(n: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for site, nk in enumerate(n):
-        out.extend([site] * nk)
-    return tuple(out)

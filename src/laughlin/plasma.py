@@ -308,17 +308,22 @@ def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
                  chain_acceptance=tuple(accs), rhat=rhat, moves=moves)
 
 
-def batch_stderr(series: np.ndarray) -> float:
-    """Standard error of the mean by batch means: :data:`BATCHES`
-    batches, fewer (at least 2) for a series shorter than 2 BATCHES.
-    A series of fewer than two samples has none."""
-    series = np.asarray(series, dtype=float).ravel()
-    if series.size < 2:
+def _batching(count: int) -> tuple[int, int]:
+    """(batches, batch size) of every batch-means error over count
+    samples: :data:`BATCHES` batches from 2 BATCHES samples on, else
+    count // 2 batches of two (of one for 2 or 3 samples), the samples
+    past the last whole batch left out.  Fewer than two have none."""
+    if count < 2:
         raise ConfigError(ONE_SAMPLE)
-    nbatches = BATCHES
-    if series.size < 2 * nbatches:
-        nbatches = max(2, series.size // 2)
-    size = series.size // nbatches
+    nbatches = BATCHES if count >= 2 * BATCHES else max(2, count // 2)
+    return nbatches, count // nbatches
+
+
+def batch_stderr(series: np.ndarray) -> float:
+    """Standard error of the mean by batch means, batched by
+    :func:`_batching`."""
+    series = np.asarray(series, dtype=float).ravel()
+    nbatches, size = _batching(series.size)
     means = series[: nbatches * size].reshape(nbatches, size).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(nbatches))
 
@@ -375,20 +380,24 @@ def measure_excess(samples: np.ndarray, xbars, params: ModelParams
                        p_zero_stderr=p_err, tail=tails)
 
 
-def _sample_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Counts of each row of values in the bins of edges, those that
-    np.histogram gives row by row: every bin is half-open but the last,
-    which holds its right edge, and values outside the edges are left out.
+def _batch_counts(values: np.ndarray, edges: np.ndarray, nbatches: int,
+                  size: int) -> np.ndarray:
+    """Counts of the values in the bins of edges, summed over batches of
+    ``size`` consecutive rows: a (nbatches + 1, bins) table whose last row
+    holds the rows past the last whole batch.  Each row is binned as
+    np.histogram bins it: every bin is half-open but the last, which holds
+    its right edge, and values outside the edges are left out.
     """
-    rows, nbins = values.shape[0], edges.size - 1
+    nbins = edges.size - 1
     bins = np.searchsorted(edges, values, side="right")
     bins -= 1
     bins[values == edges[-1]] = nbins - 1
     # values outside the edges go to an extra column, dropped at the end
     bins[(bins < 0) | (bins >= nbins)] = nbins
-    bins += np.arange(0, rows * (nbins + 1), nbins + 1)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=rows * (nbins + 1))
-    return counts.reshape(rows, nbins + 1)[:, :nbins].copy()
+    batch = np.minimum(np.arange(values.shape[0]) // size, nbatches)
+    bins += (batch * (nbins + 1))[:, None]
+    counts = np.bincount(bins.ravel(), minlength=(nbatches + 1) * (nbins + 1))
+    return counts.reshape(nbatches + 1, nbins + 1)[:, :nbins]
 
 
 @dataclass
@@ -414,10 +423,12 @@ def density_histogram(samples: np.ndarray, bins: np.ndarray,
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ConfigError("bins must be increasing edges")
     widths = np.diff(edges)
-    per_sample = _sample_counts(samples[:, :, 0], edges)
-    density = per_sample.mean(axis=0) / widths
-    stderr = np.array([batch_stderr(per_sample[:, b]) for b in
-                       range(widths.size)]) / widths
+    nbatches, size = _batching(samples.shape[0])
+    counts = _batch_counts(samples[:, :, 0], edges, nbatches, size)
+    density = counts.sum(axis=0) / samples.shape[0] / widths
+    # each bin's batch means in one contiguous row, as batch_stderr takes them
+    means = np.ascontiguousarray((counts[:nbatches] / size).T)
+    stderr = means.std(axis=1, ddof=1) / math.sqrt(nbatches) / widths
     ys = np.sort(samples[:, :, 1].ravel()) * params.gamma / (2.0 * math.pi)
     if ys.size:
         up = np.arange(1, ys.size + 1) / ys.size
@@ -489,9 +500,9 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
 
     Only the samples inside :func:`phase_window` are folded.  bulk_occ
     is the length-p vector of stationary occupations; the prediction is
-    the wrapped-Gaussian mix it induces.  The standard errors come from
-    at least two batches of consecutive samples, each of which must
-    hold a sample inside the window.
+    the wrapped-Gaussian mix it induces.  The standard errors are batch
+    means of the window fractions, batched by :func:`_batching`; each
+    batch must hold a sample inside the window.
     """
     from scipy.special import erf
     samples = np.asarray(samples)
@@ -502,25 +513,21 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
     period = params.p * params.gamma
     edges = np.linspace(0.0, period, PHASE_BINS + 1)
     xs = samples[:, :, 0]
+    nbatches, size = _batching(len(xs))
     inside = (xs >= lo) & (xs < hi)
     phase = np.where(inside, np.mod(xs, period), -1.0)
-    per_sample = _sample_counts(phase, edges).astype(float)
-    totals = per_sample.sum(axis=1)
-    if totals.sum() == 0:
+    counts = _batch_counts(phase, edges, nbatches, size)
+    if counts.sum() == 0:
         raise ConfigError("no samples fell inside the bulk window")
-    observed = per_sample.sum(axis=0) / totals.sum()
+    observed = counts.sum(axis=0) / counts.sum()
     # batch the fractions, not the raw counts: the window total fluctuates
-    nb = min(BATCHES, per_sample.shape[0])
-    if nb < 2:
-        raise ConfigError(ONE_SAMPLE)
-    cut = (per_sample.shape[0] // nb) * nb
-    batches = per_sample[:cut].reshape(nb, -1, PHASE_BINS).sum(axis=1)
+    batches = counts[:nbatches]
     empty = np.flatnonzero(batches.sum(axis=1) == 0)
     if empty.size:
-        raise ConfigError(f"batches {empty.tolist()} of {nb} hold no sample "
-                          "inside the bulk window; run more sweeps")
+        raise ConfigError(f"batches {empty.tolist()} of {nbatches} hold no "
+                          "sample inside the bulk window; run more sweeps")
     fr = batches / batches.sum(axis=1, keepdims=True)
-    stderr = fr.std(axis=0, ddof=1) / math.sqrt(nb)
+    stderr = fr.std(axis=0, ddof=1) / math.sqrt(nbatches)
     # wrapped Gaussian mass of each phase bin, weighted by occupation
     predicted = np.zeros(PHASE_BINS)
     reach = int(math.ceil(6.0 / period)) + 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from laughlin.expansion import expand_all
@@ -38,3 +40,15 @@ def full_form_factor(monkeypatch):
         monkeypatch.setattr(FormFactor, "indices",
                             property(lambda self: tuple(range(self.p))))
     return use
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak MB of the allocations tracemalloc sees during one call of
+    fn(*args), NumPy's arrays among them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6

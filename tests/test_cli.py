@@ -387,44 +387,6 @@ def test_ham_and_verify_all_share_their_verdicts(dirs, tmp_path):
                                                   abs=1e-15)
 
 
-def test_ham_enumerates_the_ground_sector_once_under_the_cap(dirs,
-                                                             monkeypatch):
-    """Outside the ground sector (momentum 45 at p=3, N=6, 338 states)
-    the monomer-dimer state and the perturbation series share one
-    ground sector, enumerated under the run's cap, and the series reads
-    the bond route alone there: the quadruple sum is assembled once, on
-    the requested sector."""
-    cache, out = dirs
-    argv = ["ham", "--p", "3", "--N", "6", "--gamma", "1.5", "--momentum",
-            "60", "--cache-dir", cache, "--out-dir", out]
-    assert run_cli(*argv, "--cap", "300", "--perturbation-order", "2") == 3
-    calls = []
-    sector_basis = hamiltonian.sector_basis
-
-    def counting(params, momentum=None, **kwargs):
-        calls.append(momentum)
-        return sector_basis(params, momentum=momentum, **kwargs)
-
-    monkeypatch.setattr(hamiltonian, "sector_basis", counting)
-    builds = []
-    for name in ("build_H", "repulsion"):
-        def counted(params, basis, real=getattr(hamiltonian, name),
-                    name=name):
-            builds.append((name, basis.momentum))
-            return real(params, basis)
-        monkeypatch.setattr(hamiltonian, name, counted)
-    assert run_cli(*argv, "--monomer-dimer", "--perturbation-order", "2") == 0
-    assert calls == [60, 45]
-    # build_H's own bond route, then the series' operator
-    assert builds == [("build_H", 60), ("repulsion", 60), ("repulsion", 45)]
-    doc = read_json(os.path.join(out, "ham.json"))
-    assert doc["monomer_dimer"]["passed"] is True
-    assert doc["perturbation"]["decreasing"] is True
-    stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
-    ground = [s for s in stages if s["name"] == "ground_sector"]
-    assert [s["dim"] for s in ground] == [338]
-
-
 def test_timed_stage_records_the_rise_of_the_peak(tmp_path, monkeypatch):
     """rss_rise_mb is the peak's rise over the block in MB, 0 if it held."""
     peaks = iter([1000, 1000, 5000, 8072])
@@ -646,6 +608,14 @@ def test_exit_code_invalid_config(dirs):
       "--check-ground-state"],
      "--check-ground-state needs the ground sector (momentum 18), where the "
      "Laughlin state lies; got 17"),
+    (["ham", "--p", "3", "--N", "6", "--gamma", "1.5", "--momentum", "60",
+      "--monomer-dimer"],
+     "--monomer-dimer needs the ground sector (momentum 45), where the "
+     "Laughlin state lies; got 60"),
+    (["ham", "--p", "3", "--N", "6", "--gamma", "1.5", "--momentum", "60",
+      "--perturbation-order", "2"],
+     "--perturbation-order needs the ground sector (momentum 45), where the "
+     "Laughlin state lies; got 60"),
 ])
 def test_exit_code_count_that_asks_for_nothing(dirs, capsys, argv, message):
     # A negative kmax would write a header-only pairs.csv, and a zero

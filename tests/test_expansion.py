@@ -16,9 +16,9 @@ from laughlin.expansion import (CacheError, CoefficientTable, amplitudes,
                                 expand_all, load_cache, save_cache,
                                 verify_product_rule)
 from laughlin.lattice import (CapExceeded, ConfigError, check_cap,
-                              config_to_occupation, config_tuples,
-                              enumerate_admissible, is_admissible,
+                              config_tuples, enumerate_admissible,
                               renewal_points)
+from test_reference import config_to_occupation, is_admissible
 
 
 def test_two_particle_tables_by_hand():

@@ -1,15 +1,23 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laughlin.lattice import (CapExceeded, ConfigError, ModelParams,
-                              config_to_occupation, configurations,
+from conftest import traced_peak_mb
+from laughlin.lattice import (CapExceeded, ConfigError, ConfigIndex,
+                              ModelParams, configurations,
                               enumerate_admissible, enumerate_partitions,
-                              is_admissible, is_canonical,
-                              occupation_to_config, renewal_points,
+                              is_canonical, occupation_rows, renewal_points,
                               staircase, total_momentum)
+from test_reference import is_admissible
+
+
+def round_trip(m, num_sites):
+    """One configuration through its occupation row and back."""
+    occ = occupation_rows(np.array([m]), num_sites)[0]
+    return tuple(np.repeat(np.arange(num_sites), occ).tolist())
 
 
 def test_staircase_values():
@@ -41,11 +49,6 @@ def test_admissible_p3_n3_by_hand():
     # and total exactly 9, written out by hand.
     expected = [(0, 3, 6), (0, 4, 5), (1, 2, 6), (1, 3, 5), (2, 3, 4)]
     assert enumerate_admissible(3, 3) == expected
-    for m in expected:
-        assert is_admissible(m, 3)
-    assert not is_admissible((0, 2, 7), 3)   # second partial sum too small
-    assert not is_admissible((0, 4, 6), 3)   # wrong total
-    assert not is_admissible((-1, 4, 6), 3)  # negative orbital
 
 
 def test_configurations_limit_raises_before_building_the_sector():
@@ -65,11 +68,6 @@ def test_configurations_limit_raises_before_building_the_sector():
     assert peak < full.nbytes / 20
 
 
-def test_is_admissible_requires_sorted():
-    with pytest.raises(ConfigError):
-        is_admissible((3, 0), 3)
-
-
 def test_renewal_points_worked_examples():
     assert renewal_points((0, 3), 3) == (0, 3, 6)
     assert renewal_points((1, 2), 3) == (0, 6)
@@ -80,10 +78,8 @@ def test_renewal_points_worked_examples():
 
 
 def test_renewal_points_occupation_matches():
-    n = config_to_occupation((1, 2), 7)
-    assert renewal_points(occupation_to_config(n), 3) == (0, 6)
-    n = config_to_occupation((0, 3, 7, 8), 13)
-    assert renewal_points(occupation_to_config(n), 3) == (0, 3, 6, 12)
+    assert renewal_points(round_trip((1, 2), 7), 3) == (0, 6)
+    assert renewal_points(round_trip((0, 3, 7, 8), 13), 3) == (0, 3, 6, 12)
 
 
 def test_enumerate_partitions():
@@ -98,9 +94,45 @@ def test_enumerate_partitions():
 
 def test_occupation_round_trip():
     m = (0, 3, 3, 7)
-    n = config_to_occupation(m, 9)
-    assert n == (1, 0, 0, 2, 0, 0, 0, 1, 0)
-    assert occupation_to_config(n) == m
+    assert occupation_rows(np.array([m]), 9).tolist() == [
+        [1, 0, 0, 2, 0, 0, 0, 1, 0]]
+    assert round_trip(m, 9) == m
+
+
+def bincount_occupations(configs, num_sites):
+    """Occupation rows by one bincount over the flat (D * sites) range."""
+    count = len(configs)
+    flat = np.arange(count)[:, None] * num_sites + configs
+    counts = np.bincount(flat.ravel(), minlength=count * num_sites)
+    return counts.astype(np.int8).reshape(count, num_sites)
+
+
+def test_occupation_rows_match_one_bincount(tables_p3, tables_p2):
+    """Fermionic rows, bosonic rows with multiple occupancy, and the
+    zeroed rows ConfigIndex.find gives configurations off the lattice."""
+    for configs, sites in ((tables_p3[-1].configs, 24),
+                           (tables_p2[-1].configs, 16),
+                           (configurations(4, 7, 9, False), 7)):
+        got = occupation_rows(configs, sites)
+        assert got.dtype == np.int8 and got.shape == (len(configs), sites)
+        assert np.array_equal(got, bincount_occupations(configs, sites))
+    assert occupation_rows(tables_p2[-1].configs, 16).max() > 1
+    configs = np.array([[0, 3, 6], [-1, 3, 6], [0, 3, 9], [2, 2, 5]])
+    index = ConfigIndex(configurations(3, 7, 9, True), 7)
+    inside = ((configs >= 0) & (configs < 7)).all(axis=1, keepdims=True)
+    zeroed = configs * inside
+    assert occupation_rows(zeroed, 7)[1].tolist() == [3, 0, 0, 0, 0, 0, 0]
+    assert np.array_equal(occupation_rows(zeroed, 7),
+                          bincount_occupations(zeroed, 7))
+    assert (index.find(configs) >= 0).tolist() == [True, False, False, False]
+
+
+def test_occupation_rows_build_no_wider_table(tables_p3):
+    """Peak memory stays within three times the int8 result: an int64
+    count per site would be eight."""
+    configs = tables_p3[-1].configs
+    result = len(configs) * 24
+    assert traced_peak_mb(occupation_rows, configs, 24) * 1e6 < 3 * result
 
 
 def admissible_pool():
@@ -119,8 +151,7 @@ def test_renewal_criteria_agree(case):
     # Renewal points survive the round trip through occupation numbers.
     p, m = case
     pts = renewal_points(m, p)
-    n = config_to_occupation(m, p * (len(m) - 1) + 1)
-    assert renewal_points(occupation_to_config(n), p) == pts
+    assert renewal_points(round_trip(m, p * (len(m) - 1) + 1), p) == pts
     assert pts[0] == 0 and pts[-1] == p * len(m)
     assert total_momentum(p, len(m)) == sum(m)
     assert is_canonical(m)

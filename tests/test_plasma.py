@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from conftest import traced_peak_mb
 from laughlin.expansion import amplitudes
 from laughlin.correlations import (
     occupation_finite,
@@ -443,19 +444,118 @@ def test_density_histogram_normalization(run_p3_n4):
         plasma.density_histogram(run_p3_n4.pooled(), np.array([1.0]), params)
 
 
-def test_sample_counts_match_row_histograms():
-    """One binning pass gives the counts of np.histogram row by row:
-    values on every edge, the closed last edge, and values outside."""
+@pytest.mark.parametrize("count, batching", [
+    (2, (2, 1)), (3, (2, 1)), (4, (2, 2)), (99, (49, 2)), (100, (50, 2)),
+    (199, (50, 3)), (8000, (50, 160))])
+def test_one_batching_rule(count, batching):
+    assert plasma._batching(count) == batching
+
+
+def per_sample_counts(values, edges):
+    """The (S, bins) table of np.histogram over each row of values."""
+    return np.stack([np.histogram(row, bins=edges)[0] for row in values])
+
+
+@pytest.mark.parametrize("rows", [2, 3, 99, 100, 101, 199, 300])
+def test_batch_counts_match_row_histograms(rows):
+    """One binning pass gives the counts of np.histogram row by row,
+    summed per batch, with the rows past the last whole batch in the
+    last row: values on every edge, the closed last edge, and values
+    outside."""
     rng = np.random.default_rng(4)
     edges = np.arange(-4.0, 10.25, 0.5)
-    values = rng.normal(3.0, 5.0, size=(300, 7))
-    values[:, 0] = rng.choice(edges, size=300)
+    values = rng.normal(3.0, 5.0, size=(rows, 7))
+    values[:, 0] = rng.choice(edges, size=rows)
     values[:, 1] = np.where(values[:, 1] > 3.0, -1.0, values[:, 1])
     values[0, :3] = edges[-1], edges[0], np.nextafter(edges[-1], np.inf)
-    counts = plasma._sample_counts(values, edges)
-    expect = np.stack([np.histogram(row, bins=edges)[0] for row in values])
+    nbatches, size = plasma._batching(rows)
+    counts = plasma._batch_counts(values, edges, nbatches, size)
+    per_row = per_sample_counts(values, edges)
+    whole = nbatches * size
+    expect = np.vstack([
+        per_row[:whole].reshape(nbatches, size, -1).sum(axis=1),
+        per_row[whole:].sum(axis=0)])
     assert counts.dtype == expect.dtype
     assert np.array_equal(counts, expect)
+
+
+def reference_density(samples, edges):
+    """Density and standard errors from the per-sample count table, one
+    batch-means error per bin: 50 batches, max(2, S // 2) below 100."""
+    per_sample = per_sample_counts(samples[:, :, 0], edges)
+    widths = np.diff(edges)
+    stderr = []
+    for column in per_sample.T.astype(float):
+        nb = 50 if column.size >= 100 else max(2, column.size // 2)
+        size = column.size // nb
+        means = column[:nb * size].reshape(nb, size).mean(axis=1)
+        stderr.append(float(means.std(ddof=1) / math.sqrt(nb)))
+    return per_sample.mean(axis=0) / widths, np.array(stderr) / widths
+
+
+def reference_phase(samples, params, nb):
+    """Observed phase fractions and their standard errors from the
+    per-sample count table, over nb batches of S // nb samples."""
+    lo, hi = plasma.phase_window(params)
+    period = params.p * params.gamma
+    edges = np.linspace(0.0, period, plasma.PHASE_BINS + 1)
+    xs = samples[:, :, 0]
+    phase = np.where((xs >= lo) & (xs < hi), np.mod(xs, period), -1.0)
+    per_sample = per_sample_counts(phase, edges).astype(float)
+    observed = per_sample.sum(axis=0) / per_sample.sum(axis=1).sum()
+    cut = (len(per_sample) // nb) * nb
+    batches = per_sample[:cut].reshape(nb, -1, plasma.PHASE_BINS).sum(axis=1)
+    fr = batches / batches.sum(axis=1, keepdims=True)
+    return observed, fr.std(axis=0, ddof=1) / math.sqrt(nb)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("count", [2, 3, 7, 60, 99, 100, 101, 1001, 8000])
+def test_estimators_match_per_sample_tables(count):
+    """The batch-count estimators give the per-sample estimators' bits:
+    density and its errors at every S, the phase profile under the same
+    batches, min(50, S) of them, from S = 100 on, and below that S // 2
+    batches of two."""
+    params = ModelParams(3, 6, 1.0)
+    rng = np.random.default_rng(count)
+    samples = np.empty((count, 6, 2))
+    # four particles around the bulk window (6, 9), one over the edges
+    # and one past them
+    samples[:, :, 0] = rng.uniform(5.0, 10.0, size=(count, 6))
+    samples[:, 4, 0] = rng.uniform(-3.0, 18.0, size=count)
+    samples[:, 5, 0] = rng.uniform(-6.0, 22.0, size=count)
+    samples[:, :, 1] = rng.uniform(0.0, 2.0 * math.pi, size=(count, 6))
+    edges = np.arange(-4.0, 19.25, 0.5)
+    samples[0, :2, 0] = edges[-1], edges[3]
+    est = plasma.density_histogram(samples, edges, params)
+    density, stderr = reference_density(samples, edges)
+    assert np.array_equal(bits(est.density), bits(density))
+    assert np.array_equal(bits(est.stderr), bits(stderr))
+    if count < 4:
+        return  # a batch of one can miss the bulk window
+    prof = plasma.phase_profile(samples, params, np.full(3, 1 / 3))
+    observed, stderr = reference_phase(
+        samples, params, min(50, count) if count >= 100 else count // 2)
+    assert np.array_equal(bits(prof.observed), bits(observed))
+    assert np.array_equal(bits(prof.stderr), bits(stderr))
+
+
+def test_density_histogram_memory_does_not_grow_with_a_sample_table():
+    """On the README's mcmc example, 40,000 pooled samples of 12
+    particles in 82 bins, a per-sample count table alone would be
+    26 MB."""
+    params = ModelParams(3, 12, 1.0)
+    rng = np.random.default_rng(0)
+    samples = np.empty((40000, 12, 2))
+    samples[:, :, 0] = rng.normal(16.5, 10.0, size=(40000, 12))
+    samples[:, :, 1] = rng.uniform(0.0, 2.0 * math.pi, size=(40000, 12))
+    edges = np.arange(-4.0, 37.25, 0.5)
+    assert edges.size == 83
+    assert traced_peak_mb(plasma.density_histogram, samples, edges,
+                          params) < 20.0
 
 
 def test_batch_stderr_scaling():

@@ -3,9 +3,9 @@
 The library reads every per-configuration quantity from the columns of
 a coefficient table or a sector basis.  Here each one is recomputed the
 direct way, one configuration at a time, with the scalar lattice
-helpers, and the library's array passes must agree with it; the
-moment-table route of the norms, weights, rod moments and finite
-occupations to 1e-13, the exact polynomials exactly.  The bulk pair
+helpers of this module, and the library's array passes must agree with
+it; the moment-table route of the norms, weights, rod moments and
+finite occupations to 1e-13, the exact polynomials exactly.  The bulk pair
 correlation is checked bit for bit against one call that recomputes
 all its inputs.  The level-batched squeezing pass is checked against
 the recursion that visits one configuration and one unsqueeze at a
@@ -36,10 +36,9 @@ from laughlin.correlations import (moments_finite, occupation_finite,
                                    rod_expectations)
 from laughlin.expansion import (CoefficientTable, amplitudes, expand_all,
                                 verify_product_rule)
-from laughlin.lattice import (ConfigError, ModelParams, config_to_occupation,
-                              config_tuples, enumerate_admissible,
-                              is_admissible, occupation_to_config,
-                              renewal_points, total_momentum)
+from laughlin.lattice import (ConfigError, ModelParams, config_tuples,
+                              enumerate_admissible, renewal_points,
+                              staircase, total_momentum)
 from laughlin.moments import derive
 from laughlin.renewal import (build_model, irreducible_weights,
                               norms_from_tables)
@@ -48,6 +47,34 @@ from laughlin.renewal import (build_model, irreducible_weights,
 @pytest.fixture(scope="module", params=(2, 3))
 def tables(request):
     return expand_all(request.param, 6)
+
+
+def config_to_occupation(m, num_sites):
+    """Occupation numbers of one configuration, as a tuple."""
+    n = [0] * num_sites
+    for mj in m:
+        if not 0 <= mj < num_sites:
+            raise ValueError(f"orbital {mj} outside {num_sites} sites")
+        n[mj] += 1
+    return tuple(n)
+
+
+def occupation_to_config(n):
+    """The sorted configuration of one occupation tuple."""
+    return tuple(site for site, nk in enumerate(n) for _ in range(nk))
+
+
+def is_admissible(m, p):
+    """Dominance test of one weakly increasing configuration: every
+    partial sum on or above the staircase, the full sum on it."""
+    if m and m[0] < 0:
+        return False
+    s = 0
+    for k, mk in enumerate(m, start=1):
+        s += mk
+        if s < staircase(p, k):
+            return False
+    return s == staircase(p, len(m))
 
 
 def exponent(m, p):
