@@ -682,6 +682,18 @@ def _verify_checks(em: Emitter, args) -> None:
     em.check("activity-equation", act, 1e-10, act <= 1e-10,
              "sum alpha_n r^n = 1 at the solved activity")
 
+    N_h = min(4, Nmax)
+    amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
+    dec = correlations.quasi_state(amp_h)
+    dev = float(np.max(np.abs(dec.reconstruction() - dec.projector())))
+    em.check("quasi-state-reconstruction", dev, 1e-12, dev <= 1e-12,
+             f"sum_X p_N(X) omega_X against |Psi><Psi|/C_N at N={N_h}")
+    dev = max(abs(w - renewal.partition_probability(model, X))
+              for X, w in dec.weights.items())
+    em.check("quasi-state-weights", dev, 1e-12, dev <= 1e-12,
+             "quasi-state weights p_N(X) against prod alpha_n / C_N "
+             f"at N={N_h}")
+
     usable = not model.unconverged or model.admit_unconverged
     em.check("tail-converged", model.tail_mass, renewal.TAIL_THRESHOLD,
              usable, "rod-size distribution tail below threshold")
@@ -710,7 +722,6 @@ def _verify_checks(em: Emitter, args) -> None:
     em.check("bulk-epsilon", dev, eps, dev <= eps,
              f"center occupation at N={Nmax} within the bridge-weight bound")
 
-    N_h = min(4, Nmax)
     params = ModelParams(p, N_h, gamma)
     basis = hamiltonian.sector_basis(params,
                                      momentum=total_momentum(p, N_h))
@@ -719,7 +730,6 @@ def _verify_checks(em: Emitter, args) -> None:
              build.deviation <= 1e-12,
              "quadruple and bond assemblies of the parent Hamiltonian")
 
-    amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
     psi = hamiltonian.exact_vector(basis, amp_h)
     report = hamiltonian.ground_check(build.H, psi, hamiltonian.spectrum(
         build.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim)))

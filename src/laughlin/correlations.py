@@ -1,4 +1,4 @@
-"""Finite-N, finite-domain and infinite-volume correlation functions.
+"""Finite-N and infinite-volume correlation functions.
 
 Diagonal observables factorize over rods: conditioned on the renewal
 structure, the expectation of a product of occupation numbers is the
@@ -18,11 +18,8 @@ read from the moment tables (see :mod:`laughlin.moments`): per
 Gaussian exponent e, the sums of c^2 / prod n_k! times occ (all rows
 and the irreducible rows) and occ occ^T (the irreducible rows),
 weighted by x^e, x = exp(-gamma^2), and divided by C_N or alpha_n.
-The quasi-state, finite-domain and operator-string expectations need
-single rows and read the amplitude table.  An operator string is
-applied by the operator engine of the table's configuration index,
-:meth:`~laughlin.lattice.ConfigIndex.images`, the same engine that
-assembles the parent Hamiltonians.
+The quasi-state decomposition needs single rows and reads the
+amplitude table.
 
 Conventions: orbitals are indexed 0..p(N-1) for a finite table; the
 occupation basis is ordered by increasing orbital, and fermionic signs
@@ -37,20 +34,17 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from scipy.special import erf
 
 from laughlin.expansion import AmplitudeTable, CoefficientTable
-from laughlin.lattice import (ConfigError, config_tuples,
-                              enumerate_partitions, find_keys)
+from laughlin.lattice import ConfigError, config_tuples, enumerate_partitions
 from laughlin.moments import MomentTable, as_moments, derive
 from laughlin.renewal import RenewalModel, long_interval_bound
 
 #: Largest deviation between shifted bulk correlations that
 #: :func:`period_test` counts as equal.
 PERIOD_TOLERANCE = 1e-8
-# x (and x') points and angle differences of offdiag_bound_check's grid
-_GRID_X = 41
-_GRID_DY = 5
+#: Most rod partitions, 2^(N-1), that :func:`quasi_state` decomposes over.
+MAX_PARTITIONS = 256
 
 
 # -- finite N ----------------------------------------------------------------
@@ -72,35 +66,6 @@ def occupation_finite(amp: AmplitudeTable | MomentTable,
     return amp.occupation(gamma)
 
 
-def moments_finite(amp: AmplitudeTable, creation, annihilation) -> float:
-    """Normalized expectation of a Wick-ordered monomial.
-
-    ``creation`` and ``annihilation`` list the orbital indices of the
-    c* and c factors in left-to-right operator order.  Index sums must
-    match for a nonzero value (momentum around the cylinder).
-    """
-    creation = tuple(creation)
-    annihilation = tuple(annihilation)
-    if len(creation) != len(annihilation):
-        raise ConfigError("unbalanced operator string")
-    sites = amp.num_orbitals
-    if any(not 0 <= s < sites for s in creation + annihilation):
-        raise ConfigError("operator site out of range")
-    if sum(creation) != sum(annihilation):
-        return 0.0
-    if not creation:
-        return 1.0
-    index = amp.table.index
-    total = 0.0
-    for col, _, key, factor in index.images(
-            np.array([creation], dtype=np.intp),
-            np.array([annihilation], dtype=np.intp), amp.p % 2 == 1):
-        row = find_keys(index.keys, key)
-        hit = row >= 0
-        total += float(amp.occ[row[hit]] @ (factor[hit] * amp.occ[col[hit]]))
-    return total / amp.norm_sq()
-
-
 # -- quasi-state decomposition ------------------------------------------------
 
 @dataclass
@@ -117,13 +82,11 @@ class QuasiStateDecomposition:
 
     p: int
     N: int
-    gamma: float
     basis: tuple[tuple[int, ...], ...]
     amps: np.ndarray
     occupations: np.ndarray
     weights: dict[tuple[int, ...], float]
     omega: dict[tuple[int, ...], np.ndarray]
-    u_norm_sq: dict[tuple[int, ...], float]
 
     def reconstruction(self) -> np.ndarray:
         """sum_X p_N(X) omega_X, which must equal |Psi><Psi| / C_N."""
@@ -142,8 +105,7 @@ class QuasiStateDecomposition:
         return float(np.diag(self.omega[X]) @ self.occupations[:, site])
 
 
-def quasi_state(amp: AmplitudeTable, max_partitions: int = 256
-                ) -> QuasiStateDecomposition:
+def quasi_state(amp: AmplitudeTable) -> QuasiStateDecomposition:
     """Decompose |Psi><Psi|/C_N over rod partitions.
 
     Every ordered pair (Y, Z) of partitions contributes |u_Y><u_Z| to
@@ -153,7 +115,7 @@ def quasi_state(amp: AmplitudeTable, max_partitions: int = 256
     """
     p, N = amp.p, amp.N
     parts = enumerate_partitions(N)
-    if len(parts) > max_partitions:
+    if len(parts) > MAX_PARTITIONS:
         raise ConfigError(f"{len(parts)} partitions exceed the sector limit")
     table = amp.table
     basis = tuple(config_tuples(table.configs))
@@ -185,10 +147,9 @@ def quasi_state(amp: AmplitudeTable, max_partitions: int = 256
             continue
         weights[X] = norms[X] / C
         omega[X] = blocks[X] / norms[X]
-    return QuasiStateDecomposition(p=p, N=N, gamma=amp.gamma, basis=basis,
-                                   amps=amps, occupations=table.occupations,
-                                   weights=weights, omega=omega,
-                                   u_norm_sq=norms)
+    return QuasiStateDecomposition(p=p, N=N, basis=basis, amps=amps,
+                                   occupations=table.occupations,
+                                   weights=weights, omega=omega)
 
 
 # -- rod expectations and the infinite volume ---------------------------------
@@ -409,7 +370,7 @@ def bulk_epsilon(model: RenewalModel, rods: RodExpectations, N: int, k: int
     return total
 
 
-# -- continuum density and off-diagonal bound ---------------------------------
+# -- continuum density ---------------------------------------------------------
 
 def density_profile(occ: np.ndarray, gamma: float, xs: np.ndarray
                     ) -> np.ndarray:
@@ -422,105 +383,6 @@ def density_profile(occ: np.ndarray, gamma: float, xs: np.ndarray
     ks = np.arange(len(occ)) * gamma
     gauss = np.exp(-(xs[:, None] - ks[None, :]) ** 2)
     return gamma / (2.0 * math.pi ** 1.5) * (gauss @ np.asarray(occ))
-
-
-def one_particle_matrix(occ: np.ndarray, gamma: float, z, zp) -> complex:
-    """rho_1(z; z') = sum_k <n_k> psi_k(z) conj(psi_k(z')), occ[k] the
-    occupation of orbital k."""
-    x, y = z
-    xp, yp = zp
-    ks = np.arange(len(occ))
-    phase = np.exp(1j * ks * gamma * (y - yp))
-    gauss = np.exp(-0.5 * (x - ks * gamma) ** 2 - 0.5 * (xp - ks * gamma) ** 2)
-    return complex(gamma / (2.0 * math.pi ** 1.5)
-                   * np.sum(np.asarray(occ) * phase * gauss))
-
-
-@dataclass(frozen=True)
-class OffdiagReport:
-    K_fitted: float
-    K_analytic: float
-    max_violation: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_violation <= 1e-12 * max(self.K_analytic, 1.0)
-
-
-def offdiag_bound_check(amp: AmplitudeTable) -> OffdiagReport:
-    """Scan |rho_1(z; z')| against K exp(-(x-x')^2 / 4) on a grid of 41
-    x (and x') points and 5 angle differences.
-
-    The analytic constant comes from completing the square in the two
-    Gaussians: (x-kg)^2 + (x'-kg)^2 = 2(xbar-kg)^2 + (x-x')^2/2, so
-    K(xbar) = (2 pi R)^{-1} pi^{-1/2} sum_k <n_k> exp(-(xbar-kg)^2/2).
-    The fitted constant is the largest observed ratio; it can never
-    exceed the analytic one, and the report records the worst gap.
-    """
-    gamma = amp.gamma
-    occ = occupation_finite(amp)
-    L = gamma * (len(occ) - 1)
-    xs = np.linspace(-2.0, L + 2.0, _GRID_X)
-    dys = np.linspace(0.0, math.pi / gamma, _GRID_DY)
-    ks = np.arange(len(occ)) * gamma
-
-    def K_at(xbar):
-        return gamma / (2.0 * math.pi ** 1.5) * float(
-            occ @ np.exp(-0.5 * (xbar - ks) ** 2))
-
-    K_analytic = max(K_at(x) for x in xs)
-    K_fitted = 0.0
-    worst = -math.inf
-    for x in xs:
-        for xp in xs:
-            envelope = math.exp(-0.25 * (x - xp) ** 2)
-            bound_here = K_at(0.5 * (x + xp)) * envelope
-            for dy in dys:
-                val = abs(one_particle_matrix(occ, gamma, (x, 0.0), (xp, dy)))
-                K_fitted = max(K_fitted, val / envelope)
-                worst = max(worst, val - bound_here)
-    return OffdiagReport(K_fitted=K_fitted, K_analytic=K_analytic,
-                         max_violation=worst)
-
-
-# -- finite domain -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DomainReport:
-    a: float
-    b: float
-    weights: np.ndarray
-    norm: float
-    occupations: np.ndarray
-
-
-def domain_weighted(amp: AmplitudeTable, a: float, b: float) -> DomainReport:
-    """Occupations and norm with the x-integration restricted to [a, b].
-
-    Per-orbital weights w_k = (1/sqrt(pi)) int_a^b exp(-(x-kg)^2) dx;
-    the restricted norm is C_N^L = sum A^2 prod_k w_k^{n_k} and the
-    occupations weight every particle except the counted one:
-    <n_k>^L = sum A^2 n_k prod w^{n - delta_k} / C_N^L.
-    """
-    if not a < b:
-        raise ConfigError(f"empty domain [{a}, {b}]")
-    ks = np.arange(amp.num_orbitals) * amp.gamma
-    w = 0.5 * (erf(b - ks) - erf(a - ks))
-    configs = amp.table.configs
-    wm = w[configs]
-    # The product over every particle but slot j, from prefix and suffix
-    # products; no division, since w_k may vanish on remote domains.
-    ones = np.ones((len(wm), 1))
-    before = np.hstack([ones, np.cumprod(wm[:, :-1], axis=1)])
-    after = np.hstack([np.cumprod(wm[:, :0:-1], axis=1)[:, ::-1], ones])
-    A2 = amp.weights
-    norm = float(A2 @ wm.prod(axis=1))
-    occ = np.bincount(configs.ravel(),
-                      weights=(A2[:, None] * before * after).ravel(),
-                      minlength=amp.num_orbitals)
-    if norm <= 0:
-        raise ConfigError("domain carries no weight")
-    return DomainReport(a=a, b=b, weights=w, norm=norm, occupations=occ / norm)
 
 
 # -- periodicity ---------------------------------------------------------------

@@ -298,18 +298,19 @@ def build_H(params: ModelParams, basis: SectorBasis) -> HBuild:
 # restarts; with 41 they take 0.9 s.
 _NCV = 41
 _LANCZOS_TOL = 1e-11  # ARPACK's relative accuracy of the Ritz values
+LANCZOS_MAXITER = 600  # ARPACK's limit on restarts
 KERNEL_COUNT = 40  # lowest eigenvalues ground_check examines
 _KERNEL_CUT = 1e-10  # its kernel cut at unit scale
 
 
-def spectrum(H, count: int = 6, maxiter: int = 600, seed: int = 1234
-             ) -> np.ndarray:
+def spectrum(H, count: int = 6, seed: int = 1234) -> np.ndarray:
     """Lowest eigenvalues of a symmetric operator, ascending.
 
     ARPACK's implicitly restarted Lanczos (``eigsh``) to a relative
-    accuracy of 1e-11 in the Ritz values, with ``maxiter`` its limit on
-    restarts; the start vector comes from a fixed-seed generator, so
-    repeated runs agree far below the tolerance.  Raises
+    accuracy of 1e-11 in the Ritz values, within
+    :data:`LANCZOS_MAXITER` restarts; the start vector comes from a
+    fixed-seed generator, so repeated runs agree far below the
+    tolerance.  Raises
     :class:`~laughlin.lattice.CapExceeded` (a ``RuntimeError``) if
     ARPACK fails or the requested values have not converged.  Where
     ARPACK cannot run (count >= dim - 1) the dense eigensolver takes
@@ -327,14 +328,14 @@ def spectrum(H, count: int = 6, maxiter: int = 600, seed: int = 1234
         return np.linalg.eigvalsh(H.toarray())[:count]
     v0 = np.random.default_rng(seed).standard_normal(dim)
     try:
-        vals = eigsh(H, k=count, which="SA", v0=v0, maxiter=maxiter,
+        vals = eigsh(H, k=count, which="SA", v0=v0, maxiter=LANCZOS_MAXITER,
                      tol=_LANCZOS_TOL,
                      ncv=min(dim, max(2 * count + 1, _NCV)),
                      return_eigenvectors=False)
     except ArpackError as exc:
         raise CapExceeded(f"Lanczos did not converge the lowest {count} "
-                          f"eigenvalues within maxiter={maxiter} restarts: "
-                          f"{exc}") from exc
+                          f"eigenvalues within maxiter={LANCZOS_MAXITER} "
+                          f"restarts: {exc}") from exc
     return np.sort(vals)
 
 

@@ -92,18 +92,6 @@ def _pair_matrix(coords: np.ndarray, gamma: float) -> np.ndarray:
     return pairs
 
 
-def log_weight(coords, params: ModelParams) -> float:
-    """log |Psi|^2 up to a state-independent constant; -inf at coincidences.
-
-    ``coords`` is an (N, 2) array of particle positions (x, y).
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (params.N, 2):
-        raise ConfigError(f"expected coordinate shape {(params.N, 2)}")
-    pairs = _pair_matrix(coords, params.gamma)  # each pair counted twice
-    return -float(np.sum(coords[:, 0] ** 2)) + params.p * float(np.sum(pairs))
-
-
 def _start_coordinates(params: ModelParams, rng: np.random.Generator
                        ) -> np.ndarray:
     """Particles near the root-configuration positions, random y."""
@@ -380,24 +368,31 @@ def measure_excess(samples: np.ndarray, xbars, params: ModelParams
                        p_zero_stderr=p_err, tail=tails)
 
 
-def _batch_counts(values: np.ndarray, edges: np.ndarray, nbatches: int,
-                  size: int) -> np.ndarray:
-    """Counts of the values in the bins of edges, summed over batches of
-    ``size`` consecutive rows: a (nbatches + 1, bins) table whose last row
-    holds the rows past the last whole batch.  Each row is binned as
-    np.histogram bins it: every bin is half-open but the last, which holds
-    its right edge, and values outside the edges are left out.
+def _batch_rows(values: np.ndarray, nbatches: int, size: int):
+    """The rows of each of nbatches batches of ``size`` consecutive rows
+    of values, then the rows past the last whole batch."""
+    for b in range(nbatches):
+        yield values[b * size:(b + 1) * size]
+    yield values[nbatches * size:]
+
+
+def _batch_counts(batches, edges: np.ndarray) -> np.ndarray:
+    """Counts of the values of each batch in the bins of edges, one row
+    per batch, such as the batches of :func:`_batch_rows`.  Values are
+    binned as np.histogram bins them: every bin is half-open but the
+    last, which holds its right edge, and values outside the edges are
+    left out.  The batches are binned one at a time, so no temporary
+    spans them all.
     """
     nbins = edges.size - 1
-    bins = np.searchsorted(edges, values, side="right")
-    bins -= 1
-    bins[values == edges[-1]] = nbins - 1
-    # values outside the edges go to an extra column, dropped at the end
-    bins[(bins < 0) | (bins >= nbins)] = nbins
-    batch = np.minimum(np.arange(values.shape[0]) // size, nbatches)
-    bins += (batch * (nbins + 1))[:, None]
-    counts = np.bincount(bins.ravel(), minlength=(nbatches + 1) * (nbins + 1))
-    return counts.reshape(nbatches + 1, nbins + 1)[:, :nbins]
+    counts = []
+    for rows in batches:
+        bins = np.searchsorted(edges, rows, side="right")
+        bins -= 1
+        bins[rows == edges[-1]] = nbins - 1
+        counts.append(np.bincount(bins[(bins >= 0) & (bins < nbins)],
+                                  minlength=nbins))
+    return np.array(counts)
 
 
 @dataclass
@@ -424,7 +419,8 @@ def density_histogram(samples: np.ndarray, bins: np.ndarray,
         raise ConfigError("bins must be increasing edges")
     widths = np.diff(edges)
     nbatches, size = _batching(samples.shape[0])
-    counts = _batch_counts(samples[:, :, 0], edges, nbatches, size)
+    counts = _batch_counts(_batch_rows(samples[:, :, 0], nbatches, size),
+                           edges)
     density = counts.sum(axis=0) / samples.shape[0] / widths
     # each bin's batch means in one contiguous row, as batch_stderr takes them
     means = np.ascontiguousarray((counts[:nbatches] / size).T)
@@ -440,20 +436,6 @@ def density_histogram(samples: np.ndarray, bins: np.ndarray,
 
 
 # -- exact references for cross-validation ------------------------------------------
-
-def orbital_interval_weights(occ: np.ndarray, gamma: float, a: float, b: float
-                             ) -> float:
-    """Expected particle count with x in [a, b] from exact occupations.
-
-    After integrating out y, cross terms between occupation
-    configurations vanish, so each orbital contributes its occupation
-    times the Gaussian mass of [a, b] around its center.
-    """
-    from scipy.special import erf
-    k = np.arange(occ.size)
-    w = 0.5 * (erf(b - k * gamma) - erf(a - k * gamma))
-    return float(occ @ w)
-
 
 @dataclass
 class PhaseProfile:
@@ -512,11 +494,11 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
     lo, hi = phase_window(params)
     period = params.p * params.gamma
     edges = np.linspace(0.0, period, PHASE_BINS + 1)
-    xs = samples[:, :, 0]
-    nbatches, size = _batching(len(xs))
-    inside = (xs >= lo) & (xs < hi)
-    phase = np.where(inside, np.mod(xs, period), -1.0)
-    counts = _batch_counts(phase, edges, nbatches, size)
+    nbatches, size = _batching(len(samples))
+    # fold each batch's samples inside the window
+    counts = _batch_counts((np.mod(xs[(xs >= lo) & (xs < hi)], period)
+                            for xs in _batch_rows(samples[:, :, 0],
+                                                  nbatches, size)), edges)
     if counts.sum() == 0:
         raise ConfigError("no samples fell inside the bulk window")
     observed = counts.sum(axis=0) / counts.sum()

@@ -28,9 +28,6 @@ tail.  A model whose estimated tail exceeds 1% refuses to feed
 infinite-volume quantities unless it admits its unconverged tail, which
 is decided once, where the model is built (:func:`build_model`'s
 ``admit_unconverged``); every consumer asks the model.
-
-Positions and window arguments below are in rod coordinates: rod
-coordinate a means lattice position p*a.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from laughlin.expansion import CoefficientTable
-from laughlin.lattice import ConfigError, enumerate_partitions
+from laughlin.lattice import ConfigError
 from laughlin.moments import MomentTable, as_moments
 
 TAIL_THRESHOLD = 0.01
@@ -254,148 +251,19 @@ def build_model(p: int, Nmax: int, gamma: float,
                         admit_unconverged=admit_unconverged)
 
 
-@dataclass(frozen=True)
-class RenewalFunctionReport:
-    """u sequence with its internal consistency and convergence record.
-
-    ``consistency`` is the worst relative gap between C_N r^N and the
-    convolution values over N <= Nmax.  ``sup_dev[d]`` is
-    sup_{d <= k <= kmax} |u_k - 1/mu|, nonincreasing in d by definition.
-    """
-
-    u: np.ndarray
-    consistency: float
-    sup_dev: np.ndarray
-
-
-def renewal_function(model: RenewalModel, kmax: int | None = None
-                     ) -> RenewalFunctionReport:
-    """Renewal sequence u_0..u_kmax with convergence diagnostics."""
-    if kmax is None:
-        kmax = 4 * model.Nmax
-    u = model.renewal_sequence(kmax)
-    worst = 0.0
-    for n in range(model.Nmax + 1):
-        closed = model.C[n] * model.r ** n
-        worst = max(worst, abs(u[n] - closed) / max(abs(closed), 1e-300))
-    dev = np.abs(u - 1.0 / model.mu)
-    sup_dev = np.maximum.accumulate(dev[::-1])[::-1]
-    return RenewalFunctionReport(u=u, consistency=worst, sup_dev=sup_dev)
-
-
-def partition_probability(model: RenewalModel, lengths, N: int | None = None
-                          ) -> float:
-    """Probability p_N(X) = prod alpha_{n_i} / C_N of a rod partition."""
+def partition_probability(model: RenewalModel, lengths) -> float:
+    """Probability p_N(X) = prod alpha_{n_i} / C_N of a rod partition X,
+    given by its rod lengths, which sum to N."""
     lengths = tuple(int(n) for n in lengths)
     if not lengths or any(n < 1 for n in lengths):
         raise ConfigError(f"rod lengths must be positive, got {lengths}")
     total = sum(lengths)
-    if N is not None and N != total:
-        raise ConfigError(f"lengths sum to {total}, expected N={N}")
     if total > model.Nmax:
         raise ConfigError(f"partition of {total} exceeds Nmax={model.Nmax}")
     num = 1.0
     for n in lengths:
         num *= model.alpha[n - 1]
     return num / model.C[total]
-
-
-@dataclass(frozen=True)
-class WindowEvent:
-    """A pinned renewal at rod coordinate ``start`` followed by rods of
-    the given ``lengths`` (possibly none)."""
-
-    start: int
-    lengths: tuple[int, ...] = ()
-
-    @property
-    def end(self) -> int:
-        return self.start + sum(self.lengths)
-
-
-def stationary_event_probability(model: RenewalModel,
-                                 events: WindowEvent | list[WindowEvent]
-                                 ) -> float:
-    """Stationary probability of one or two pinned window events.
-
-    A single window costs mu^{-1} prod p_{n_i}; a second window is tied
-    to the first by the renewal bridge u_gap, which is what makes the
-    process clustering.
-    """
-    model.require_converged()
-    if isinstance(events, WindowEvent):
-        events = [events]
-    if not 1 <= len(events) <= 2:
-        raise ConfigError("expected one or two window events")
-    for ev in events:
-        if any(n < 1 for n in ev.lengths):
-            raise ConfigError(f"rod lengths must be positive: {ev}")
-        if any(n > model.Nmax for n in ev.lengths):
-            raise ConfigError(f"rod length beyond Nmax={model.Nmax}: {ev}")
-    prob = 1.0 / model.mu
-    for n in events[0].lengths:
-        prob *= model.pn[n - 1]
-    if len(events) == 2:
-        first, second = events
-        gap = second.start - first.end
-        if gap < 0:
-            raise ConfigError("windows overlap or are out of order")
-        prob *= model.renewal_sequence(gap)[gap]
-        for n in second.lengths:
-            prob *= model.pn[n - 1]
-    return prob
-
-
-def finite_window_probability(model: RenewalModel, N: int,
-                              events: WindowEvent | list[WindowEvent]
-                              ) -> float:
-    """Probability of pinned window events under the length-N state.
-
-    Bridges u_a (before), u_gap (between) and u_{N-end} (after), divided
-    by u_N; reduces to p_N(X) when the windows exhaust the system.
-    """
-    if isinstance(events, WindowEvent):
-        events = [events]
-    if not 1 <= len(events) <= 2:
-        raise ConfigError("expected one or two window events")
-    if N > model.Nmax:
-        raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
-    u = model.renewal_sequence(N)
-    prev_end = 0
-    prob = 1.0
-    for ev in events:
-        gap = ev.start - prev_end
-        if gap < 0 or ev.end > N:
-            raise ConfigError("windows overlap, disordered, or exceed N")
-        prob *= u[gap]
-        for n in ev.lengths:
-            if n > model.Nmax:
-                raise ConfigError(f"rod length beyond Nmax={model.Nmax}")
-            prob *= model.pn[n - 1]
-        prev_end = ev.end
-    return prob * u[N - prev_end] / u[N]
-
-
-def no_renewal_probability(model: RenewalModel, N: int, positions) -> float:
-    """Exact probability that none of the rod coordinates in ``positions``
-    is a renewal point of a length-N system.
-
-    Enumerates all 2^(N-1) partitions, so meant for small N.
-    """
-    if N > model.Nmax:
-        raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
-    banned = set(int(a) for a in positions)
-    total = 0.0
-    for lengths in enumerate_partitions(N):
-        boundary = {0}
-        s = 0
-        for n in lengths:
-            s += n
-            boundary.add(s)
-        if boundary & banned:
-            continue
-        total += partition_probability(model, lengths)
-    return total
 
 
 def long_interval_bound(model: RenewalModel, d: int) -> float:

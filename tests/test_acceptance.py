@@ -20,7 +20,6 @@ from laughlin.expansion import (
 )
 from laughlin.correlations import (
     bulk_epsilon,
-    domain_weighted,
     occupation_finite,
     occupation_infinite,
     pair_infinite,
@@ -42,6 +41,7 @@ from laughlin.hamiltonian import (
 )
 from laughlin.lattice import ModelParams, total_momentum
 from laughlin.renewal import build_model
+from test_reference import domain_weighted, orbital_interval_weights
 
 
 def report(criterion: int, detail: str) -> None:
@@ -220,7 +220,7 @@ def test_criterion_11_mcmc_cross_validation(run_n4, tables_p3, model_p3_g1,
     worst_z = 0.0
     for k in range(occ.size):
         a, b = k - 0.5, k + 0.5
-        expect = plasma.orbital_interval_weights(occ, 1.0, a, b)
+        expect = orbital_interval_weights(occ, 1.0, a, b)
         counts = np.sum((pooled[:, :, 0] > a) & (pooled[:, :, 0] <= b),
                         axis=1)
         z = abs(counts.mean() - expect) / plasma.batch_stderr(counts)

@@ -564,9 +564,7 @@ def test_exit_code_unconverged_eigensolve(dirs, capsys, monkeypatch):
     # A Lanczos solve that runs out of restarts is a resource limit: one
     # error line and exit 3, not an ARPACK traceback.
     cache, out = dirs
-    spectrum = hamiltonian.spectrum
-    monkeypatch.setattr(hamiltonian, "spectrum", lambda H, **kwargs:
-                        spectrum(H, **kwargs, maxiter=1))
+    monkeypatch.setattr(hamiltonian, "LANCZOS_MAXITER", 1)
     assert run_cli("ham", "--p", "3", "--N", "6", "--spectrum", "6",
                    "--cache-dir", cache, "--out-dir", out) == 3
     err = capsys.readouterr().err.splitlines()
@@ -743,6 +741,7 @@ def test_verify_all_passes(dirs, capsys):
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"product-rule", "expansion-oracle", "moments-vs-rows",
+            "quasi-state-reconstruction", "quasi-state-weights",
             "ground-residual", "monomer-dimer-residual", "mcmc-excess",
             "mcmc-chain"} <= names
     assert all(c["passed"] for c in doc["checks"])

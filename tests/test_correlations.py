@@ -10,26 +10,25 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy.integrate import quad
 
+from laughlin import correlations
 from laughlin.correlations import (
     bulk_epsilon,
     density_profile,
-    domain_weighted,
-    moments_finite,
     occupation_finite,
     occupation_finite_via_renewal,
     occupation_infinite,
-    offdiag_bound_check,
-    one_particle_matrix,
     pair_infinite,
     period_test,
     quasi_state,
     rod_expectations,
 )
-from laughlin.expansion import amplitudes
+from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import ConfigError
 from laughlin.moments import derive
-from laughlin.renewal import (UnconvergedError, WindowEvent, build_model,
-                              stationary_event_probability)
+from laughlin.renewal import (UnconvergedError, build_model,
+                              partition_probability)
+from test_reference import (WindowEvent, domain_weighted, moments_finite,
+                            stationary_event_probability)
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +146,19 @@ def test_quasi_state_two_particles(amp_p3_n2):
     assert dec.omega[(2,)][j, i] == approx(off, rel=1e-14)
 
 
-def test_quasi_state_rebuilds_projector(tables_p3):
-    for N in (2, 3, 4):
-        dec = quasi_state(amplitudes(tables_p3[N - 1], 1.0))
-        err = np.max(np.abs(dec.reconstruction() - dec.projector()))
-        assert err < 1e-12
-        assert sum(dec.weights.values()) == approx(1.0, abs=1e-13)
+def test_quasi_state_rebuilds_projector(tables_p1, tables_p2, tables_p3):
+    # The two quasi-state verdicts of verify-all, at every N they read.
+    for tables in (tables_p1, tables_p2, tables_p3, expand_all(4, 4)):
+        model = build_model(tables[0].p, 4, 1.0, tables=tables,
+                            admit_unconverged=True)
+        for N in (2, 3, 4):
+            dec = quasi_state(amplitudes(tables[N - 1], 1.0))
+            err = np.max(np.abs(dec.reconstruction() - dec.projector()))
+            assert err < 1e-12
+            assert sum(dec.weights.values()) == approx(1.0, abs=1e-13)
+            for X, weight in dec.weights.items():
+                assert weight == approx(partition_probability(model, X),
+                                        abs=1e-12)
 
 
 def test_quasi_state_locality(tables_p3, rods_p3):
@@ -170,9 +176,10 @@ def test_quasi_state_locality(tables_p3, rods_p3):
             assert dec.diagonal_value(X, site) == approx(expect, abs=1e-12)
 
 
-def test_quasi_state_partition_cap(amp_p3_n4):
+def test_quasi_state_partition_cap(amp_p3_n4, monkeypatch):
+    monkeypatch.setattr(correlations, "MAX_PARTITIONS", 2)
     with pytest.raises(ConfigError):
-        quasi_state(amp_p3_n4, max_partitions=2)
+        quasi_state(amp_p3_n4)
 
 
 def test_quasi_state_skips_dead_partitions(tables_p1):
@@ -339,7 +346,7 @@ def test_pair_infinite_p1_truncated_vanishes(tables_p1):
         assert pc.truncated == approx(0.0, abs=1e-12)
 
 
-# -- continuum density and off-diagonal bound ------------------------------------
+# -- continuum density -----------------------------------------------------------
 
 
 def test_density_integrates_to_n(amp_p3_n4):
@@ -347,26 +354,6 @@ def test_density_integrates_to_n(amp_p3_n4):
     val, _ = quad(lambda x: density_profile(occ, 1.0, np.array([x]))[0],
                   -8.0, 17.0, limit=200)
     assert 2 * math.pi * val == approx(4.0, rel=1e-9)
-
-
-def test_one_particle_matrix_consistency(amp_p3_n4):
-    occ = occupation_finite(amp_p3_n4)
-    z, zp = (1.3, 0.4), (0.2, -1.1)
-    fwd = one_particle_matrix(occ, 1.0, z, zp)
-    bwd = one_particle_matrix(occ, 1.0, zp, z)
-    assert fwd == approx(np.conj(bwd), rel=1e-12)
-    diag = one_particle_matrix(occ, 1.0, z, z)
-    assert diag.imag == approx(0.0, abs=1e-15)
-    assert diag.real == approx(density_profile(occ, 1.0, np.array([z[0]]))[0],
-                               rel=1e-12)
-
-
-def test_offdiag_bound(amp_p3_n4, tables_p2):
-    rep = offdiag_bound_check(amp_p3_n4)
-    assert rep.ok
-    assert rep.K_fitted <= rep.K_analytic + 1e-12
-    rep2 = offdiag_bound_check(amplitudes(tables_p2[3], 0.9))
-    assert rep2.ok
 
 
 # -- finite domains ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 from scipy import sparse
 
+from laughlin import hamiltonian
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.hamiltonian import (
     KERNEL_COUNT,
@@ -362,11 +363,12 @@ def test_spectrum_matches_dense(hbuild_p3_n3):
     assert vals[0] <= 1e-10
 
 
-def test_spectrum_maxiter():
+def test_spectrum_maxiter(monkeypatch):
     params = ModelParams(3, 4, 1.0)
     build = build_H(params, basis=sector_basis(params))
+    monkeypatch.setattr(hamiltonian, "LANCZOS_MAXITER", 3)
     with pytest.raises(RuntimeError):
-        spectrum(build.H, count=6, maxiter=3)
+        spectrum(build.H, count=6)
 
 
 # -- monomer-dimer model ------------------------------------------------------------

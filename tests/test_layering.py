@@ -19,6 +19,11 @@ Every settable value of the package (a function parameter with a
 default, a dataclass field with a default, a command-line option) is
 listed in ``settings_inventory.txt``; a new one is added there on
 purpose.
+
+Every top-level function and class of the package is run by a
+subcommand: the names each definition of ``cli.py`` uses reach it,
+directly or through other definitions.  The only exceptions are the
+definitions that ``bench/`` alone still calls.
 """
 
 import ast
@@ -28,6 +33,9 @@ import laughlin
 
 TABLE_SOURCES = {"expand", "expand_all", "load_cache"}
 MAY_SOURCE_TABLES = {"expansion", "cli"}
+# called by bench/ and the tests only, until the benchmark reads arrays
+BENCH_ONLY = {"expansion.expand_all", "lattice.enumerate_admissible",
+              "lattice.renewal_points", "lattice.is_canonical"}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -187,3 +195,67 @@ def test_settings_inventory():
               / "settings_inventory.txt").read_text().splitlines()
     assert listed == sorted(listed)
     assert sorted(found) == listed
+
+
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def definition_uses(path: pathlib.Path) -> dict[str, set[str]]:
+    """The package definitions (``module.name``) that each top-level
+    definition of a module uses, with the module's other top-level
+    statements under ``module.``: names defined in the module, names
+    imported from the package, and attributes of imported package
+    modules.  A class uses what any of its methods uses."""
+    module = path.stem
+    tree = ast.parse(path.read_text(), str(path))
+    scope = {node.name: f"{module}.{node.name}" for node in tree.body
+             if isinstance(node, DEFINITIONS)}
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("laughlin")):
+            for alias in node.names:
+                if node.module in (None, "laughlin"):
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    source = node.module.rpartition(".")[2]
+                    scope[alias.asname or alias.name] = \
+                        f"{source}.{alias.name}"
+
+    def used(node) -> set[str]:
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in scope:
+                found.add(scope[sub.id])
+            elif (isinstance(sub, ast.Attribute)
+                  and isinstance(sub.value, ast.Name)
+                  and sub.value.id in modules):
+                found.add(f"{modules[sub.value.id]}.{sub.attr}")
+        return found
+
+    uses = {f"{module}.": set()}
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            uses[f"{module}.{node.name}"] = used(node)
+        else:
+            uses[f"{module}."] |= used(node)
+    return uses
+
+
+def test_every_definition_is_run_by_a_subcommand():
+    package = pathlib.Path(laughlin.__file__).parent
+    uses = {}
+    for path in sorted(package.glob("*.py")):
+        uses.update(definition_uses(path))
+    # the command line, and what each module runs on import
+    todo = [name for name in uses
+            if name.startswith("cli.") or name.endswith(".")]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += uses.get(name, ())
+    unreached = {name for name in uses
+                 if name not in reached and not name.endswith(".")}
+    assert unreached == BENCH_ONLY

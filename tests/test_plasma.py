@@ -25,6 +25,7 @@ from laughlin.correlations import (
 from laughlin.lattice import ConfigError, ModelParams
 from laughlin.renewal import build_model
 from laughlin import plasma
+from test_reference import log_weight, orbital_interval_weights
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def test_single_particle_weight_is_gaussian():
     params = ModelParams(3, 1, 1.0)
     for x in (-1.7, 0.0, 0.4, 2.2):
         state = np.array([[x, 0.9]])
-        assert plasma.log_weight(state, params) == pytest.approx(-x * x, abs=1e-14)
+        assert log_weight(state, params) == pytest.approx(-x * x, abs=1e-14)
 
 
 def test_label_exchange_invariance():
@@ -59,9 +60,9 @@ def test_label_exchange_invariance():
     for _ in range(20):
         state = np.column_stack([rng.normal(scale=3.0, size=4),
                                  rng.uniform(0, 2 * math.pi / 0.8, size=4)])
-        base = plasma.log_weight(state, params)
+        base = log_weight(state, params)
         perm = rng.permutation(4)
-        assert plasma.log_weight(state[perm], params) == pytest.approx(
+        assert log_weight(state[perm], params) == pytest.approx(
             base, rel=1e-12)
 
 
@@ -86,7 +87,7 @@ def test_sorted_form_identity():
                                       + 4 * math.exp(d)
                                       * math.sin(0.5 * g * (ys[k] - ys[j])) ** 2)
         shifted = -sum((xs[k] - k * p * g) ** 2 for k in range(N))
-        direct = plasma.log_weight(state, params)
+        direct = log_weight(state, params)
         worst = max(worst, abs(direct - (shifted + pairs + const)))
     assert worst < 1e-10
 
@@ -96,7 +97,7 @@ def test_coincident_points_have_zero_weight():
     state = np.array([[0.3, 1.1], [0.3, 1.1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert plasma.log_weight(state, params) == -math.inf
+        assert log_weight(state, params) == -math.inf
 
 
 class OntoNeighbourRng:
@@ -348,9 +349,9 @@ def test_one_pair_call_per_block(monkeypatch):
 def test_log_weight_shape_validation():
     params = ModelParams(3, 2, 1.0)
     with pytest.raises(ConfigError):
-        plasma.log_weight(np.zeros((3, 2)), params)
+        log_weight(np.zeros((3, 2)), params)
     with pytest.raises(ConfigError):
-        plasma.log_weight(np.zeros((2, 3)), params)
+        log_weight(np.zeros((2, 3)), params)
 
 
 # -- configuration ------------------------------------------------------------------
@@ -458,7 +459,7 @@ def per_sample_counts(values, edges):
 
 @pytest.mark.parametrize("rows", [2, 3, 99, 100, 101, 199, 300])
 def test_batch_counts_match_row_histograms(rows):
-    """One binning pass gives the counts of np.histogram row by row,
+    """Binning batch by batch gives the counts of np.histogram row by row,
     summed per batch, with the rows past the last whole batch in the
     last row: values on every edge, the closed last edge, and values
     outside."""
@@ -469,7 +470,8 @@ def test_batch_counts_match_row_histograms(rows):
     values[:, 1] = np.where(values[:, 1] > 3.0, -1.0, values[:, 1])
     values[0, :3] = edges[-1], edges[0], np.nextafter(edges[-1], np.inf)
     nbatches, size = plasma._batching(rows)
-    counts = plasma._batch_counts(values, edges, nbatches, size)
+    counts = plasma._batch_counts(
+        plasma._batch_rows(values, nbatches, size), edges)
     per_row = per_sample_counts(values, edges)
     whole = nbatches * size
     expect = np.vstack([
@@ -543,19 +545,32 @@ def test_estimators_match_per_sample_tables(count):
     assert np.array_equal(bits(prof.stderr), bits(stderr))
 
 
-def test_density_histogram_memory_does_not_grow_with_a_sample_table():
-    """On the README's mcmc example, 40,000 pooled samples of 12
-    particles in 82 bins, a per-sample count table alone would be
-    26 MB."""
-    params = ModelParams(3, 12, 1.0)
+@pytest.fixture(scope="module")
+def samples_p3_n12():
+    """The size of the README's mcmc example: 40,000 pooled samples of 12
+    particles, a 3.8 MB x column."""
     rng = np.random.default_rng(0)
     samples = np.empty((40000, 12, 2))
     samples[:, :, 0] = rng.normal(16.5, 10.0, size=(40000, 12))
     samples[:, :, 1] = rng.uniform(0.0, 2.0 * math.pi, size=(40000, 12))
+    return samples
+
+
+def test_density_histogram_memory_does_not_grow_with_a_sample_table(
+        samples_p3_n12):
+    """In 82 bins, a per-sample count table alone would be 26 MB."""
     edges = np.arange(-4.0, 37.25, 0.5)
     assert edges.size == 83
-    assert traced_peak_mb(plasma.density_histogram, samples, edges,
-                          params) < 20.0
+    assert traced_peak_mb(plasma.density_histogram, samples_p3_n12, edges,
+                          ModelParams(3, 12, 1.0)) < 20.0
+
+
+def test_phase_profile_memory_is_one_batch(samples_p3_n12):
+    """Folding and binning one batch at a time peaks at 0.12 MB; a fold
+    of every sample at once takes 9.1 MB."""
+    args = samples_p3_n12, ModelParams(3, 12, 1.0), np.full(3, 1 / 3)
+    plasma.phase_profile(*args)  # imports scipy.special
+    assert traced_peak_mb(plasma.phase_profile, *args) < 1.0
 
 
 def test_batch_stderr_scaling():
@@ -659,7 +674,7 @@ def test_excess_sampler_matches_exact(run_p3_n2, tables_p3):
 
 def test_interval_weights_cover_all_particles(tables_p3):
     occ = occupation_finite(amplitudes(tables_p3[3], 1.0))
-    total = plasma.orbital_interval_weights(occ, 1.0, -60.0, 60.0)
+    total = orbital_interval_weights(occ, 1.0, -60.0, 60.0)
     assert total == pytest.approx(4.0, abs=1e-9)
 
 
@@ -668,7 +683,7 @@ def test_annulus_occupations_match_exact(run_p3_n4, tables_p3):
     pooled = run_p3_n4.pooled()
     for k in range(occ.size):
         a, b = (k - 0.5), (k + 0.5)
-        expect = plasma.orbital_interval_weights(occ, 1.0, a, b)
+        expect = orbital_interval_weights(occ, 1.0, a, b)
         counts = np.sum((pooled[:, :, 0] > a) & (pooled[:, :, 0] <= b),
                         axis=1)
         z = abs(counts.mean() - expect) / plasma.batch_stderr(counts)

@@ -17,10 +17,15 @@ search behind sector bases and admissible sets is checked against the
 whole layer filtered by momentum, and by dominance.  The array-native
 product-rule check must report the same checks and failures as a loop
 over every configuration's renewal points.
+
+The quantities that only the tests compute live here too, and the
+other test files import them, ``moments_finite`` (a client of the
+operator engine) among them.
 """
 
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -31,17 +36,17 @@ from scipy import sparse
 from scipy.special import erf
 
 from laughlin import hamiltonian, plasma
-from laughlin.correlations import (moments_finite, occupation_finite,
-                                   occupation_infinite, pair_infinite,
-                                   rod_expectations)
+from laughlin.correlations import (occupation_finite, occupation_infinite,
+                                   pair_infinite, rod_expectations)
 from laughlin.expansion import (CoefficientTable, amplitudes, expand_all,
                                 verify_product_rule)
 from laughlin.lattice import (ConfigError, ModelParams, config_tuples,
-                              enumerate_admissible, renewal_points,
-                              staircase, total_momentum)
+                              enumerate_admissible, enumerate_partitions,
+                              find_keys, renewal_points, staircase,
+                              total_momentum)
 from laughlin.moments import derive
-from laughlin.renewal import (build_model, irreducible_weights,
-                              norms_from_tables)
+from laughlin.renewal import (RenewalModel, build_model, irreducible_weights,
+                              norms_from_tables, partition_probability)
 
 
 @pytest.fixture(scope="module", params=(2, 3))
@@ -399,6 +404,35 @@ def apply_string(n: list[int], creation, annihilation, fermionic: bool
     return tuple(n), factor
 
 
+def moments_finite(amp, creation, annihilation) -> float:
+    """Normalized expectation of a Wick-ordered monomial.
+
+    ``creation`` and ``annihilation`` list the orbital indices of the
+    c* and c factors in left-to-right operator order.  Index sums must
+    match for a nonzero value (momentum around the cylinder).
+    """
+    creation = tuple(creation)
+    annihilation = tuple(annihilation)
+    if len(creation) != len(annihilation):
+        raise ConfigError("unbalanced operator string")
+    sites = amp.num_orbitals
+    if any(not 0 <= s < sites for s in creation + annihilation):
+        raise ConfigError("operator site out of range")
+    if sum(creation) != sum(annihilation):
+        return 0.0
+    if not creation:
+        return 1.0
+    index = amp.table.index
+    total = 0.0
+    for col, _, key, factor in index.images(
+            np.array([creation], dtype=np.intp),
+            np.array([annihilation], dtype=np.intp), amp.p % 2 == 1):
+        row = find_keys(index.keys, key)
+        hit = row >= 0
+        total += float(amp.occ[row[hit]] @ (factor[hit] * amp.occ[col[hit]]))
+    return total / amp.norm_sq()
+
+
 def reference_moments(amp, creation, annihilation):
     """<c*...c*... c...c> / C_N by a walk over the table's occupation
     rows, each image looked up in a dict of the rows."""
@@ -737,3 +771,171 @@ def test_metropolis_adapts_like_reference(N, burn_in):
                          chains=3)
     run = check_against_reference(params, mc)
     assert all(sx == sy < 6.0 for sx, sy in run.sigma)
+
+
+# -- quantities no subcommand computes ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DomainReport:
+    a: float
+    b: float
+    weights: np.ndarray
+    norm: float
+    occupations: np.ndarray
+
+
+def domain_weighted(amp, a: float, b: float) -> DomainReport:
+    """Occupations and norm with the x-integration restricted to [a, b].
+
+    Per-orbital weights w_k = (1/sqrt(pi)) int_a^b exp(-(x-kg)^2) dx;
+    the restricted norm is C_N^L = sum A^2 prod_k w_k^{n_k} and the
+    occupations weight every particle except the counted one:
+    <n_k>^L = sum A^2 n_k prod w^{n - delta_k} / C_N^L.
+    """
+    if not a < b:
+        raise ConfigError(f"empty domain [{a}, {b}]")
+    ks = np.arange(amp.num_orbitals) * amp.gamma
+    w = 0.5 * (erf(b - ks) - erf(a - ks))
+    configs = amp.table.configs
+    wm = w[configs]
+    # The product over every particle but slot j, from prefix and suffix
+    # products; no division, since w_k may vanish on remote domains.
+    ones = np.ones((len(wm), 1))
+    before = np.hstack([ones, np.cumprod(wm[:, :-1], axis=1)])
+    after = np.hstack([np.cumprod(wm[:, :0:-1], axis=1)[:, ::-1], ones])
+    A2 = amp.weights
+    norm = float(A2 @ wm.prod(axis=1))
+    occ = np.bincount(configs.ravel(),
+                      weights=(A2[:, None] * before * after).ravel(),
+                      minlength=amp.num_orbitals)
+    if norm <= 0:
+        raise ConfigError("domain carries no weight")
+    return DomainReport(a=a, b=b, weights=w, norm=norm, occupations=occ / norm)
+
+
+def log_weight(coords, params: ModelParams) -> float:
+    """log |Psi|^2 up to a state-independent constant; -inf at coincidences.
+
+    ``coords`` is an (N, 2) array of particle positions (x, y).
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (params.N, 2):
+        raise ConfigError(f"expected coordinate shape {(params.N, 2)}")
+    pairs = plasma._pair_matrix(coords, params.gamma)  # each pair twice
+    return -float(np.sum(coords[:, 0] ** 2)) + params.p * float(np.sum(pairs))
+
+
+def orbital_interval_weights(occ: np.ndarray, gamma: float, a: float, b: float
+                             ) -> float:
+    """Expected particle count with x in [a, b] from exact occupations.
+
+    After integrating out y, cross terms between occupation
+    configurations vanish, so each orbital contributes its occupation
+    times the Gaussian mass of [a, b] around its center.
+    """
+    k = np.arange(occ.size)
+    w = 0.5 * (erf(b - k * gamma) - erf(a - k * gamma))
+    return float(occ @ w)
+
+
+# Window events are in rod coordinates: rod coordinate a means lattice
+# position p*a.
+
+
+@dataclass(frozen=True)
+class WindowEvent:
+    """A pinned renewal at rod coordinate ``start`` followed by rods of
+    the given ``lengths`` (possibly none)."""
+
+    start: int
+    lengths: tuple[int, ...] = ()
+
+    @property
+    def end(self) -> int:
+        return self.start + sum(self.lengths)
+
+
+def stationary_event_probability(model: RenewalModel,
+                                 events: WindowEvent | list[WindowEvent]
+                                 ) -> float:
+    """Stationary probability of one or two pinned window events.
+
+    A single window costs mu^{-1} prod p_{n_i}; a second window is tied
+    to the first by the renewal bridge u_gap, which is what makes the
+    process clustering.
+    """
+    model.require_converged()
+    if isinstance(events, WindowEvent):
+        events = [events]
+    if not 1 <= len(events) <= 2:
+        raise ConfigError("expected one or two window events")
+    for ev in events:
+        if any(n < 1 for n in ev.lengths):
+            raise ConfigError(f"rod lengths must be positive: {ev}")
+        if any(n > model.Nmax for n in ev.lengths):
+            raise ConfigError(f"rod length beyond Nmax={model.Nmax}: {ev}")
+    prob = 1.0 / model.mu
+    for n in events[0].lengths:
+        prob *= model.pn[n - 1]
+    if len(events) == 2:
+        first, second = events
+        gap = second.start - first.end
+        if gap < 0:
+            raise ConfigError("windows overlap or are out of order")
+        prob *= model.renewal_sequence(gap)[gap]
+        for n in second.lengths:
+            prob *= model.pn[n - 1]
+    return prob
+
+
+def finite_window_probability(model: RenewalModel, N: int,
+                              events: WindowEvent | list[WindowEvent]
+                              ) -> float:
+    """Probability of pinned window events under the length-N state.
+
+    Bridges u_a (before), u_gap (between) and u_{N-end} (after), divided
+    by u_N; reduces to p_N(X) when the windows exhaust the system.
+    """
+    if isinstance(events, WindowEvent):
+        events = [events]
+    if not 1 <= len(events) <= 2:
+        raise ConfigError("expected one or two window events")
+    if N > model.Nmax:
+        raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
+    u = model.renewal_sequence(N)
+    prev_end = 0
+    prob = 1.0
+    for ev in events:
+        gap = ev.start - prev_end
+        if gap < 0 or ev.end > N:
+            raise ConfigError("windows overlap, disordered, or exceed N")
+        prob *= u[gap]
+        for n in ev.lengths:
+            if n > model.Nmax:
+                raise ConfigError(f"rod length beyond Nmax={model.Nmax}")
+            prob *= model.pn[n - 1]
+        prev_end = ev.end
+    return prob * u[N - prev_end] / u[N]
+
+
+def no_renewal_probability(model: RenewalModel, N: int, positions) -> float:
+    """Exact probability that none of the rod coordinates in ``positions``
+    is a renewal point of a length-N system.
+
+    Enumerates all 2^(N-1) partitions, so meant for small N.
+    """
+    if N > model.Nmax:
+        raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
+    banned = set(int(a) for a in positions)
+    total = 0.0
+    for lengths in enumerate_partitions(N):
+        boundary = {0}
+        s = 0
+        for n in lengths:
+            s += n
+            boundary.add(s)
+        if boundary & banned:
+            continue
+        total += partition_probability(model, lengths)
+    return total

@@ -5,12 +5,12 @@ import pytest
 
 from laughlin.expansion import expand_all
 from laughlin.lattice import ConfigError, enumerate_partitions
-from laughlin.renewal import (RenewalModel, UnconvergedError, WindowEvent,
-                              build_model, finite_window_probability,
+from laughlin.renewal import (RenewalModel, UnconvergedError, build_model,
                               irreducible_weights, long_interval_bound,
-                              no_renewal_probability, partition_probability,
-                              renewal_function, solve_activity,
-                              stationary_event_probability)
+                              partition_probability, solve_activity)
+from test_reference import (WindowEvent, finite_window_probability,
+                            no_renewal_probability,
+                            stationary_event_probability)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -57,8 +57,7 @@ def test_filled_level_model(tables_p1):
     assert model.mu == pytest.approx(1.0, abs=1e-15)
     assert model.alpha[0] == 1.0
     assert all(a == 0.0 for a in model.alpha[1:])
-    rep = renewal_function(model, kmax=20)
-    assert np.allclose(rep.u, 1.0, atol=1e-14)
+    assert np.allclose(model.renewal_sequence(20), 1.0, atol=1e-14)
 
 
 def test_irreducible_weights_worked_example(tables_p3):
@@ -116,13 +115,17 @@ def test_supermultiplicativity(model_p3_g1, model_p2_g1):
 
 
 def test_renewal_function_two_routes(model_p3_g1):
-    rep = renewal_function(model_p3_g1, kmax=32)
-    assert rep.consistency < 1e-12
+    m = model_p3_g1
+    u = m.renewal_sequence(32)
+    # The convolution against the closed form u_N = C_N r^N, N <= Nmax.
+    closed = np.array(m.C) * m.r ** np.arange(m.Nmax + 1)
+    assert np.max(np.abs(u[:m.Nmax + 1] - closed) / closed) < 1e-12
     # u_N converges to 1/mu, deviations decreasing over the whole range.
-    dev = np.abs(rep.u - 1.0 / model_p3_g1.mu)
+    dev = np.abs(u - 1.0 / m.mu)
     assert all(a > b for a, b in zip(dev[1:16], dev[2:17]))
-    assert rep.sup_dev[10] < 1e-5
-    assert all(a >= b for a, b in zip(rep.sup_dev, rep.sup_dev[1:]))
+    sup_dev = np.maximum.accumulate(dev[::-1])[::-1]
+    assert sup_dev[10] < 1e-5
+    assert all(a >= b for a, b in zip(sup_dev, sup_dev[1:]))
 
 
 def test_partition_probabilities(model_p3_g1):
@@ -156,8 +159,6 @@ def test_partition_probability_two_forms(model_p3_g1):
 def test_partition_probability_errors(model_p3_g1):
     with pytest.raises(ConfigError):
         partition_probability(model_p3_g1, (0, 2))
-    with pytest.raises(ConfigError):
-        partition_probability(model_p3_g1, (2, 2), N=5)
     with pytest.raises(ConfigError):
         partition_probability(model_p3_g1, (9,))
 
