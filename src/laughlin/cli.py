@@ -610,8 +610,10 @@ def cmd_mcmc(args) -> int:
 
 def _moments_vs_rows(tables: list[expansion.CoefficientTable],
                      moment_tables: list[moments.MomentTable],
-                     gamma: float) -> float:
-    """Worst relative gap between the moment route and the row route.
+                     model: renewal.RenewalModel,
+                     rods: correlations.RodExpectations) -> float:
+    """Worst relative gap between the moment route (the model, the rods
+    and the finite occupations of the moment tables) and the row route.
 
     The row route sums the amplitude weights w of every row of each
     table: C_N = sum w, alpha_N over the irreducible rows, the finite
@@ -619,7 +621,7 @@ def _moments_vs_rows(tables: list[expansion.CoefficientTable],
     are compared each against itself, the profiles against their
     largest entry.
     """
-    worst = 0.0
+    gamma, worst = model.gamma, 0.0
 
     def gap(got, want):
         nonlocal worst
@@ -630,19 +632,16 @@ def _moments_vs_rows(tables: list[expansion.CoefficientTable],
         elif np.any(got):
             worst = math.inf
 
-    C = renewal.norms_from_tables(moment_tables, gamma)
-    alpha, _ = renewal.irreducible_weights(moment_tables, gamma)
-    rods = correlations.rod_expectations(moment_tables, gamma)
     for table, m in zip(tables, moment_tables):
         n = table.N
         w = expansion.amplitudes(table, gamma).weights
         occ = table.occupations.astype(float)
         keep = table.irreducible
-        gap(C[n], w.sum())
+        gap(model.C[n], w.sum())
         gap(correlations.occupation_finite(m, gamma),
             w @ occ[:, :m.p * (n - 1) + 1] / w.sum())
         a = w[keep].sum()
-        gap(alpha[n - 1], a)
+        gap(model.alpha[n - 1], a)
         if a:
             gap(rods.nu[n - 1], w[keep] @ occ[keep] / a)
             gap(rods.pair[n - 1], (occ[keep].T * w[keep]) @ occ[keep] / a)
@@ -666,13 +665,14 @@ def _verify_checks(em: Emitter, args) -> None:
              "share of random points mod 2^31-1 where a table of "
              "N = 2..Nmax misses its polynomial")
 
-    dev = _moments_vs_rows(tables, moment_tables, gamma)
+    model = renewal.build_model(p, Nmax, gamma, tables=moment_tables,
+                                admit_unconverged=args.override_unconverged)
+    rods = correlations.rod_expectations(moment_tables, gamma)
+    dev = _moments_vs_rows(tables, moment_tables, model, rods)
     em.check("moments-vs-rows", dev, 1e-13, dev <= 1e-13,
              "C_N, alpha_n, rod profiles and pair moments and finite "
              "occupations from the moment tables against sums over the rows")
 
-    model = renewal.build_model(p, Nmax, gamma, tables=moment_tables,
-                                admit_unconverged=args.override_unconverged)
     em.check("alpha-residual", model.alpha_residual, 1e-12,
              model.alpha_residual <= 1e-12,
              "direct vs recursive irreducible weights")
@@ -694,17 +694,15 @@ def _verify_checks(em: Emitter, args) -> None:
              "quasi-state weights p_N(X) against prod alpha_n / C_N "
              f"at N={N_h}")
 
+    # only the checks that read the bulk occupations need the tail
     usable = not model.unconverged or model.admit_unconverged
     em.check("tail-converged", model.tail_mass, renewal.TAIL_THRESHOLD,
              usable, "rod-size distribution tail below threshold")
-    if not usable:
-        return
-
-    rods = correlations.rod_expectations(moment_tables, gamma)
-    occ_inf = correlations.occupation_infinite(model, rods)
-    dev = abs(float(occ_inf.sum()) - 1.0)
-    em.check("occupation-normalization", dev, 1e-8, dev <= 1e-8,
-             "bulk occupations over one period sum to 1")
+    if usable:
+        occ_inf = correlations.occupation_infinite(model, rods)
+        dev = abs(float(occ_inf.sum()) - 1.0)
+        em.check("occupation-normalization", dev, 1e-8, dev <= 1e-8,
+                 "bulk occupations over one period sum to 1")
 
     occ_fin = correlations.occupation_finite(moment_tables[Nmax - 1], gamma)
     via = correlations.occupation_finite_via_renewal(model, rods, Nmax)
@@ -716,11 +714,13 @@ def _verify_checks(em: Emitter, args) -> None:
     em.check("occupation-reflection", dev, 1e-12, dev <= 1e-12,
              "finite occupations reflection-symmetric")
 
-    k_mid = p * (Nmax // 2)
-    eps = correlations.bulk_epsilon(model, rods, Nmax, k_mid)
-    dev = abs(occ_fin[k_mid] - occ_inf[k_mid % p])
-    em.check("bulk-epsilon", dev, eps, dev <= eps,
-             f"center occupation at N={Nmax} within the bridge-weight bound")
+    if usable:
+        k_mid = p * (Nmax // 2)
+        eps = correlations.bulk_epsilon(model, rods, Nmax, k_mid)
+        dev = abs(occ_fin[k_mid] - occ_inf[k_mid % p])
+        em.check("bulk-epsilon", dev, eps, dev <= eps,
+                 f"center occupation at N={Nmax} within the bridge-weight "
+                 "bound")
 
     params = ModelParams(p, N_h, gamma)
     basis = hamiltonian.sector_basis(params,
@@ -743,8 +743,10 @@ def _verify_checks(em: Emitter, args) -> None:
                 params_md, momentum=total_momentum(3, N_md)))
         _monomer_dimer_verdict(em, hamiltonian.residual(md.H, md.psi), N_md)
 
+        # the thin-torus and perturbation checks share one ground sector
         params_tt = ModelParams(3, min(3, Nmax), gamma)
-        basis_tt = hamiltonian.sector_basis(params_tt)
+        basis_tt = hamiltonian.sector_basis(
+            params_tt, momentum=total_momentum(3, params_tt.N))
         htt = hamiltonian.build_HTT(params_tt, basis=basis_tt)
         vec = hamiltonian.tao_thouless(params_tt, basis_tt)
         res_tt = hamiltonian.residual(htt, vec)
@@ -752,13 +754,10 @@ def _verify_checks(em: Emitter, args) -> None:
                  "one-per-rod state annihilated by the diagonal truncation")
 
         if gamma >= 1.2:
-            params_pt = ModelParams(3, min(3, Nmax), gamma)
-            basis_pt = hamiltonian.sector_basis(
-                params_pt, momentum=total_momentum(3, params_pt.N))
             rep = hamiltonian.perturbation_series(
-                params_pt, 3, expansion.amplitudes(
-                    tables[params_pt.N - 1], gamma), basis_pt,
-                hamiltonian.repulsion(params_pt, basis_pt))
+                params_tt, 3, expansion.amplitudes(
+                    tables[params_tt.N - 1], gamma), basis_tt,
+                hamiltonian.repulsion(params_tt, basis_tt))
             d = rep.distances
             em.check("perturbation-decreasing", d[-1], d[0], rep.decreasing,
                      "series distances to the exact state shrink per order")

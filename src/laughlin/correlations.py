@@ -19,7 +19,8 @@ Gaussian exponent e, the sums of c^2 / prod n_k! times occ (all rows
 and the irreducible rows) and occ occ^T (the irreducible rows),
 weighted by x^e, x = exp(-gamma^2), and divided by C_N or alpha_n.
 The quasi-state decomposition needs single rows and reads the
-amplitude table.
+amplitude table; it keeps one vector per rod partition and rebuilds any
+block, or their sum, from the vectors.
 
 Conventions: orbitals are indexed 0..p(N-1) for a finite table; the
 occupation basis is ordered by increasing orbital, and fermionic signs
@@ -74,10 +75,12 @@ class QuasiStateDecomposition:
 
     ``basis``, ``amps`` and ``occupations`` hold the configurations,
     occupation amplitudes and occupation rows in the table's row order;
-    ``weights[X]`` and ``omega[X]`` give the
-    probability and the operator block of each rod partition X (keyed by
-    its tuple of rod lengths).  Partitions whose configuration class is
-    empty carry weight zero and no block.
+    ``weights[X]`` is the probability of each rod partition X (keyed by
+    its tuple of rod lengths), zero where its configuration class is
+    empty.  The others are ``partitions``, in the order of
+    :func:`enumerate_partitions`: row i of ``vectors`` is u_X of the
+    i-th, and ``meet[i, j]`` the index of the partition whose renewal
+    points the i-th and j-th share, -1 where that class is empty.
     """
 
     p: int
@@ -86,23 +89,33 @@ class QuasiStateDecomposition:
     amps: np.ndarray
     occupations: np.ndarray
     weights: dict[tuple[int, ...], float]
-    omega: dict[tuple[int, ...], np.ndarray]
+    partitions: tuple[tuple[int, ...], ...]
+    vectors: np.ndarray
+    meet: np.ndarray
 
     def reconstruction(self) -> np.ndarray:
-        """sum_X p_N(X) omega_X, which must equal |Psi><Psi| / C_N."""
-        dim = len(self.basis)
-        out = np.zeros((dim, dim))
-        for X, block in self.omega.items():
-            out += self.weights[X] * block
-        return out
+        """sum_X p_N(X) omega_X, which must equal |Psi><Psi| / C_N: U^T S U,
+        where S[Y, Z] = p_N(X) / ||u_X||^2 for X the meet of Y and Z."""
+        scale = np.array([self.weights[X] / (u @ u)
+                          for X, u in zip(self.partitions, self.vectors)])
+        S = np.where(self.meet >= 0, scale[self.meet], 0.0)
+        return self.vectors.T @ (S @ self.vectors)
+
+    def omega(self, X: tuple[int, ...]) -> np.ndarray:
+        """The block of X: sum of |u_Y><u_Z| / ||u_X||^2 over the pairs
+        (Y, Z) whose meet is X, a partition of nonzero weight."""
+        U, x = self.vectors, self.partitions.index(X)
+        return U.T @ ((self.meet == x) @ U) / (U[x] @ U[x])
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amps, self.amps) / (self.amps @ self.amps)
 
     def diagonal_value(self, X: tuple[int, ...], site: int) -> float:
         """omega_X(n_site) evaluated as a state on the diagonal algebra."""
-        # Diagonal observable: only the diagonal of the block survives.
-        return float(np.diag(self.omega[X]) @ self.occupations[:, site])
+        # Only the diagonal of the block survives, and the classes are
+        # disjoint, so only the pair (X, X) reaches it: u_X^2 / ||u_X||^2.
+        u = self.vectors[self.partitions.index(X)]
+        return float((u * u) @ self.occupations[:, site] / (u @ u))
 
 
 def quasi_state(amp: AmplitudeTable) -> QuasiStateDecomposition:
@@ -118,7 +131,6 @@ def quasi_state(amp: AmplitudeTable) -> QuasiStateDecomposition:
     if len(parts) > MAX_PARTITIONS:
         raise ConfigError(f"{len(parts)} partitions exceed the sector limit")
     table = amp.table
-    basis = tuple(config_tuples(table.configs))
     amps = amp.occ
     C = float(amps @ amps)
 
@@ -126,30 +138,19 @@ def quasi_state(amp: AmplitudeTable) -> QuasiStateDecomposition:
     # over rod coordinates 1..N-1, and R(Y) n R(Z) is the bitwise and.
     bits = 1 << np.arange(N - 1)
     row_masks = table.renewal[:, 1:N] @ bits
-    masks = {X: int(bits[np.cumsum(X)[:-1] - 1].sum()) for X in parts}
-    by_mask = {b: X for X, b in masks.items()}
-    vectors = {X: np.where(row_masks == masks[X], amps, 0.0) for X in parts}
-    norms = {X: float(v @ v) for X, v in vectors.items()}
-    live = [X for X in parts if norms[X] != 0.0]
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for Y in live:
-        for Z in live:
-            X = by_mask[masks[Y] & masks[Z]]
-            if X not in blocks:
-                blocks[X] = np.zeros((len(basis), len(basis)))
-            blocks[X] += np.outer(vectors[Y], vectors[Z])
-
-    weights = {}
-    omega = {}
-    for X in parts:
-        if norms[X] == 0.0:
-            weights[X] = 0.0
-            continue
-        weights[X] = norms[X] / C
-        omega[X] = blocks[X] / norms[X]
-    return QuasiStateDecomposition(p=p, N=N, basis=basis, amps=amps,
-                                   occupations=table.occupations,
-                                   weights=weights, omega=omega)
+    masks = np.array([bits[np.cumsum(X)[:-1] - 1].sum() for X in parts])
+    vectors = np.where(row_masks[None, :] == masks[:, None], amps, 0.0)
+    norms = [float(u @ u) for u in vectors]
+    live = [i for i, norm in enumerate(norms) if norm != 0.0]
+    index = {int(masks[i]): j for j, i in enumerate(live)}
+    meet = np.array([[index.get(int(a & b), -1) for b in masks[live]]
+                     for a in masks[live]], dtype=np.intp)
+    return QuasiStateDecomposition(
+        p=p, N=N, basis=tuple(config_tuples(table.configs)), amps=amps,
+        occupations=table.occupations,
+        weights={X: norm / C for X, norm in zip(parts, norms)},
+        partitions=tuple(parts[i] for i in live), vectors=vectors[live],
+        meet=meet)
 
 
 # -- rod expectations and the infinite volume ---------------------------------

@@ -36,23 +36,19 @@ from .lattice import ConfigError, ModelParams
 class McConfig:
     """Sampler schedule: all counts positive; the seed fixes every chain.
 
-    ``sigma_x`` and ``sigma_y`` are the proposal widths every chain
-    starts from; each adapts them in its burn-in (see :func:`_run_chain`).
+    Every chain starts from the proposal widths :data:`START_WIDTHS` and
+    adapts them in its burn-in (see :func:`_run_chain`).
     """
 
     sweeps: int
     burn_in: int = 500
     thinning: int = 5
-    sigma_x: float = 0.5
-    sigma_y: float = 0.5
     seed: int = 0
     chains: int = 2
 
     def __post_init__(self):
         if min(self.sweeps, self.burn_in, self.thinning, self.chains) <= 0:
             raise ConfigError("sweeps, burn_in, thinning, chains must be positive")
-        if self.sigma_x < 0 or self.sigma_y < 0:
-            raise ConfigError("proposal widths must be nonnegative")
 
 
 def _pair_factors(gamma: float) -> tuple[np.ndarray, ...]:
@@ -103,6 +99,8 @@ def _start_coordinates(params: ModelParams, rng: np.random.Generator
     return coords
 
 
+#: The proposal widths in x and y that every chain starts from.
+START_WIDTHS = (0.5, 0.5)
 #: Burn-in sweeps per window in which a chain adapts its proposal widths.
 ADAPT_SWEEPS = 50
 #: The most moves of a sweep whose proposals one ``_pair_row`` call pairs.
@@ -235,8 +233,6 @@ PHASE_WINDOW = (0.3, 0.7)
 
 @dataclass
 class McRun:
-    params: ModelParams
-    config: McConfig
     #: each chain's final proposal widths, in the order of chain_acceptance
     sigma: tuple[tuple[float, float], ...]
     samples: np.ndarray
@@ -288,11 +284,11 @@ def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
         raise ConfigError("sweeps shorter than one thinning interval")
     rngs = [np.random.default_rng(seed)
             for seed in np.random.SeedSequence(mc.seed).spawn(mc.chains)]
-    samples, accs, moves, sigma = _run_chain(
-        params, mc, rngs, (mc.sigma_x, mc.sigma_y), n_keep)
+    samples, accs, moves, sigma = _run_chain(params, mc, rngs, START_WIDTHS,
+                                             n_keep)
     rhat = _split_rhat(samples[:, :, :, 0].sum(axis=2))
-    return McRun(params=params, config=mc, sigma=tuple(sigma),
-                 samples=samples, acceptance=float(np.mean(accs)),
+    return McRun(sigma=tuple(sigma), samples=samples,
+                 acceptance=float(np.mean(accs)),
                  chain_acceptance=tuple(accs), rhat=rhat, moves=moves)
 
 
@@ -323,15 +319,13 @@ class ExcessStats:
     """Particle-excess statistics at cut positions (k - 1/2) p gamma.
 
     ``histogram[xbar]`` maps the integer excess K to its frequency;
-    ``p_zero`` and ``p_zero_stderr`` are per-xbar; ``tail[xbar]`` lists
-    P(|K| >= n) for n = 1, 2, ...
+    ``p_zero`` and ``p_zero_stderr`` are per-xbar.
     """
 
     xbars: tuple[float, ...]
     histogram: dict[float, dict[int, float]]
     p_zero: dict[float, float]
     p_zero_stderr: dict[float, float]
-    tail: dict[float, tuple[float, ...]]
 
 
 def _cut_index(xbar: float, step: float) -> int:
@@ -352,7 +346,6 @@ def measure_excess(samples: np.ndarray, xbars, params: ModelParams
     hist: dict[float, dict[int, float]] = {}
     p_zero: dict[float, float] = {}
     p_err: dict[float, float] = {}
-    tails: dict[float, tuple[float, ...]] = {}
     xbars = tuple(float(x) for x in xbars)
     for xbar in xbars:
         K = np.sum(xs <= xbar, axis=1) - _cut_index(xbar, step)
@@ -361,11 +354,8 @@ def measure_excess(samples: np.ndarray, xbars, params: ModelParams
         hist[xbar] = {int(v): float(f) for v, f in zip(values, freq)}
         p_zero[xbar] = hist[xbar].get(0, 0.0)
         p_err[xbar] = batch_stderr(K == 0)
-        nmax = int(np.max(np.abs(values))) if values.size else 0
-        tails[xbar] = tuple(float(np.mean(np.abs(K) >= n))
-                            for n in range(1, nmax + 1))
     return ExcessStats(xbars=xbars, histogram=hist, p_zero=p_zero,
-                       p_zero_stderr=p_err, tail=tails)
+                       p_zero_stderr=p_err)
 
 
 def _batch_rows(values: np.ndarray, nbatches: int, size: int):
@@ -393,6 +383,10 @@ def _batch_counts(batches, edges: np.ndarray) -> np.ndarray:
         counts.append(np.bincount(bins[(bins >= 0) & (bins < nbins)],
                                   minlength=nbins))
     return np.array(counts)
+
+
+#: Values per slice of the Kolmogorov-Smirnov ramp of density_histogram.
+KS_SLICE = 1 << 14
 
 
 @dataclass
@@ -425,14 +419,19 @@ def density_histogram(samples: np.ndarray, bins: np.ndarray,
     # each bin's batch means in one contiguous row, as batch_stderr takes them
     means = np.ascontiguousarray((counts[:nbatches] / size).T)
     stderr = means.std(axis=1, ddof=1) / math.sqrt(nbatches) / widths
-    ys = np.sort(samples[:, :, 1].ravel()) * params.gamma / (2.0 * math.pi)
-    if ys.size:
-        up = np.arange(1, ys.size + 1) / ys.size
-        y_ks = float(max(np.max(up - ys), np.max(ys - up + 1.0 / ys.size)))
-    else:
-        y_ks = math.nan
+    # one copy of the y values, sorted and scaled to [0, 1) in place, met by
+    # the ramp i / n a slice at a time
+    ys = samples[:, :, 1].flatten()
+    ys.sort()
+    ys *= params.gamma
+    ys /= 2.0 * math.pi
+    y_ks = -math.inf if ys.size else math.nan
+    for lo in range(0, ys.size, KS_SLICE):
+        part = ys[lo:lo + KS_SLICE]
+        up = np.arange(lo + 1, lo + part.size + 1) / ys.size
+        y_ks = max(y_ks, np.max(up - part), np.max(part - up + 1.0 / ys.size))
     return DensityEstimate(edges=edges, centers=0.5 * (edges[:-1] + edges[1:]),
-                           density=density, stderr=stderr, y_ks=y_ks)
+                           density=density, stderr=stderr, y_ks=float(y_ks))
 
 
 # -- exact references for cross-validation ------------------------------------------

@@ -74,7 +74,7 @@ def test_criterion_01_two_particle_exactness(tables_p3):
     w = 9.0 * math.exp(-4.0 * gamma**2)
     assert dec.weights[(1, 1)] == pytest.approx(1.0 / (1.0 + w), rel=1e-12)
     i, j = dec.basis.index((0, 3)), dec.basis.index((1, 2))
-    off = dec.omega[(2,)][i, j]
+    off = dec.omega((2,))[i, j]
     assert off == pytest.approx(-math.exp(2.0 * gamma**2) / 3.0, rel=1e-12)
     report(1, f"coeffs exact, p_2(staircase) = {dec.weights[(1, 1)]:.12g}, "
               f"off-diagonal {off:.12g}")

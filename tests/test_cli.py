@@ -747,6 +747,24 @@ def test_verify_all_passes(dirs, capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_verify_all_runs_what_needs_no_tail(dirs):
+    """An unconverged tail fails its own check and leaves out only the
+    two checks that read the bulk occupations."""
+    cache, out = dirs
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "4", "--gamma", "0.4",
+                   "--cache-dir", cache, "--out-dir", out) == 1
+    doc = read_json(os.path.join(out, "verify.json"))
+    assert [c["name"] for c in doc["checks"]] == [
+        "product-rule", "expansion-oracle", "moments-vs-rows",
+        "alpha-residual", "activity-equation", "quasi-state-reconstruction",
+        "quasi-state-weights", "tail-converged", "finite-renewal-match",
+        "occupation-reflection", "build-agreement", "ground-residual",
+        "ground-kernel", "monomer-dimer-residual", "thin-torus-zero-mode",
+        "mcmc-excess", "mcmc-chain", "mcmc-y-uniform"]
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == \
+        ["tail-converged"]
+
+
 def test_verify_all_fails_on_degenerate_chain(dirs, monkeypatch):
     cache, out = dirs
     real = plasma.metropolis_run

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy.integrate import quad
 
+from conftest import traced_peak_mb
 from laughlin import correlations
 from laughlin.correlations import (
     bulk_epsilon,
@@ -141,9 +142,9 @@ def test_quasi_state_two_particles(amp_p3_n2):
     assert dec.weights[(2,)] == approx(w / (1 + w), rel=1e-13)
     i = dec.basis.index((0, 3))
     j = dec.basis.index((1, 2))
-    off = dec.omega[(2,)][i, j]
+    off = dec.omega((2,))[i, j]
     assert off == approx(-math.exp(2.0) / 3.0, rel=1e-12)
-    assert dec.omega[(2,)][j, i] == approx(off, rel=1e-14)
+    assert dec.omega((2,))[j, i] == approx(off, rel=1e-14)
 
 
 def test_quasi_state_rebuilds_projector(tables_p1, tables_p2, tables_p3):
@@ -159,6 +160,22 @@ def test_quasi_state_rebuilds_projector(tables_p1, tables_p2, tables_p3):
             for X, weight in dec.weights.items():
                 assert weight == approx(partition_probability(model, X),
                                         abs=1e-12)
+
+
+def test_quasi_state_blocks_sum_to_reconstruction(amp_p3_n4):
+    # the blocks are the terms of the reconstruction, grouped by meet
+    dec = quasi_state(amp_p3_n4)
+    total = sum(dec.weights[X] * dec.omega(X) for X in dec.partitions)
+    assert len(dec.partitions) == 8
+    assert np.max(np.abs(total - dec.reconstruction())) < 1e-15
+
+
+def test_quasi_state_memory_is_one_vector_per_partition(tables_p3):
+    """At (3, 6), 247 rows and 32 partitions, the decomposition and its
+    reconstruction peak at 0.64 MB, mostly the one dim x dim array of
+    the sum; a dense block per partition took 31 MB."""
+    amp = amplitudes(tables_p3[5], 1.0)
+    assert traced_peak_mb(lambda: quasi_state(amp).reconstruction()) < 1.0
 
 
 def test_quasi_state_locality(tables_p3, rods_p3):
@@ -188,6 +205,9 @@ def test_quasi_state_skips_dead_partitions(tables_p1):
     dec = quasi_state(amplitudes(tables_p1[2], 1.0))
     assert dec.weights[(1, 1, 1)] == approx(1.0, abs=1e-14)
     assert all(w == 0.0 for X, w in dec.weights.items() if X != (1, 1, 1))
+    assert dec.partitions == ((1, 1, 1),)
+    with pytest.raises(ValueError):
+        dec.omega((3,))
 
 
 # -- rod profiles ---------------------------------------------------------------

@@ -363,8 +363,6 @@ def test_mcconfig_validation():
     with pytest.raises(ConfigError):
         plasma.McConfig(sweeps=100, thinning=0)
     with pytest.raises(ConfigError):
-        plasma.McConfig(sweeps=100, sigma_x=-0.1)
-    with pytest.raises(ConfigError):
         plasma.McConfig(sweeps=100, chains=0)
 
 
@@ -393,13 +391,13 @@ def test_sweeps_below_thinning_rejected():
 def test_frozen_proposal_chain_is_constant():
     # a burn-in shorter than one adaptation window keeps the zero widths
     params = ModelParams(3, 3, 1.0)
-    mc = plasma.McConfig(sweeps=200, burn_in=10, thinning=2, sigma_x=0.0,
-                         sigma_y=0.0, seed=4, chains=1)
-    run = plasma.metropolis_run(params, mc)
-    first = run.samples[0, 0]
-    assert np.all(run.samples == first[None, None, :, :])
-    assert run.acceptance == 1.0
-    assert run.pathological
+    mc = plasma.McConfig(sweeps=200, burn_in=10, thinning=2, chains=1)
+    samples, accs, _, _ = plasma._run_chain(
+        params, mc, [np.random.default_rng(4)], (0.0, 0.0), 100)
+    first = samples[0, 0]
+    assert np.all(samples == first[None, None, :, :])
+    assert accs == [1.0]
+    assert accs[0] > plasma.ACCEPTANCE_BAND[1]  # a pathological run
 
 
 # -- sampler statistics -------------------------------------------------------------
@@ -558,11 +556,14 @@ def samples_p3_n12():
 
 def test_density_histogram_memory_does_not_grow_with_a_sample_table(
         samples_p3_n12):
-    """In 82 bins, a per-sample count table alone would be 26 MB."""
+    """In 82 bins, a per-sample count table alone would be 26 MB.  The
+    peak is 4.4 MB, the one sorted copy of the 3.8 MB y column and a
+    slice of the Kolmogorov-Smirnov ramp; a sorted copy, its scaled copy
+    and a whole ramp took 11.7 MB."""
     edges = np.arange(-4.0, 37.25, 0.5)
     assert edges.size == 83
     assert traced_peak_mb(plasma.density_histogram, samples_p3_n12, edges,
-                          ModelParams(3, 12, 1.0)) < 20.0
+                          ModelParams(3, 12, 1.0)) < 5.0
 
 
 def test_phase_profile_memory_is_one_batch(samples_p3_n12):
@@ -602,7 +603,6 @@ def test_excess_zero_on_lattice_configuration():
     for c in cuts:
         assert stats.p_zero[c] == 1.0
         assert stats.histogram[c] == {0: 1.0}
-        assert stats.tail[c] == ()
 
 
 def test_excess_when_all_particles_left():
@@ -613,7 +613,6 @@ def test_excess_when_all_particles_left():
     # all four particles sit left of the k=2 cut, so K = 4 - 2
     assert stats.histogram[4.5] == {2: 1.0}
     assert stats.p_zero[4.5] == 0.0
-    assert stats.tail[4.5] == (1.0, 1.0)
 
 
 def test_excess_invalid_cut_rejected():
@@ -664,9 +663,6 @@ def test_excess_sampler_matches_exact(run_p3_n2, tables_p3):
                                   ModelParams(3, 2, 1.0))
     z = abs(stats.p_zero[1.5] - exact) / stats.p_zero_stderr[1.5]
     assert z < 3.0
-    # the tail probabilities are a decreasing sequence by construction
-    tail = stats.tail[1.5]
-    assert all(a >= b for a, b in zip(tail, tail[1:]))
 
 
 # -- interval counts against exact occupations --------------------------------------

@@ -712,14 +712,19 @@ def reference_chain(params, mc, rng, sigma, n_keep):
     return np.array(kept), accepted / proposed, (sx, sy)
 
 
-def reference_run(params, mc):
-    """(samples, widths, chain acceptances) with the library's seeding:
-    chain c draws from child c of the seed's SeedSequence."""
+def library_rngs(mc):
+    """The library's seeding: chain c draws from child c of the seed's
+    SeedSequence."""
+    return [np.random.default_rng(seed)
+            for seed in np.random.SeedSequence(mc.seed).spawn(mc.chains)]
+
+
+def reference_run(params, mc, sigma):
+    """(samples, widths, chain acceptances) of reference chains started
+    from the widths sigma, seeded as the library seeds its chains."""
     n_keep = mc.sweeps // mc.thinning
-    seeds = np.random.SeedSequence(mc.seed).spawn(mc.chains)
-    chains = [reference_chain(params, mc, np.random.default_rng(seed),
-                              (mc.sigma_x, mc.sigma_y), n_keep)
-              for seed in seeds]
+    chains = [reference_chain(params, mc, rng, sigma, n_keep)
+              for rng in library_rngs(mc)]
     return (np.array([k for k, _, _ in chains]),
             tuple(w for _, _, w in chains), tuple(a for _, a, _ in chains))
 
@@ -730,17 +735,33 @@ def same_bits(a, b):
                                                  b.view(np.uint64))
 
 
-def check_against_reference(params, mc):
-    """The run's samples, widths, chain acceptances and R-hat are the
-    reference's to the bit; returns the run."""
+def check_against_reference(params, mc, sigma):
+    """The chains started from the widths sigma: their samples, final
+    widths and acceptances are the reference's to the bit; returns the
+    final widths."""
+    kept, accs, _, widths = plasma._run_chain(
+        params, mc, library_rngs(mc), sigma, mc.sweeps // mc.thinning)
+    samples, ref_widths, ref_accs = reference_run(params, mc, sigma)
+    assert same_bits(kept, samples)
+    assert same_bits(widths, ref_widths)
+    assert same_bits(accs, ref_accs)
+    return tuple(widths)
+
+
+@pytest.mark.parametrize("chains", (1, 3))
+def test_metropolis_run_matches_reference(chains):
+    """A run starts every chain from the library's widths; its samples,
+    widths, chain acceptances and R-hat are the reference's to the bit."""
+    params = ModelParams(3, 4, 0.9)
+    mc = plasma.McConfig(sweeps=60, burn_in=120, thinning=2, seed=chains,
+                         chains=chains)
     run = plasma.metropolis_run(params, mc)
-    samples, sigma, accs = reference_run(params, mc)
+    samples, sigma, accs = reference_run(params, mc, plasma.START_WIDTHS)
     assert same_bits(run.samples, samples)
     assert same_bits(run.sigma, sigma)
     assert same_bits(run.chain_acceptance, accs)
     assert same_bits(run.rhat,
                      plasma._split_rhat(samples[:, :, :, 0].sum(axis=2)))
-    return run
 
 
 @pytest.mark.parametrize("chains", (1, 2, 3))
@@ -753,10 +774,9 @@ def test_metropolis_matches_reference(p, N, tune, chains):
     every chain keeps the configured widths."""
     params = ModelParams(p, N, 0.9)
     mc = plasma.McConfig(sweeps=60, burn_in=120 if tune else 20, thinning=2,
-                         sigma_x=0.3, sigma_y=0.8, seed=17 * p + N,
-                         chains=chains)
-    run = check_against_reference(params, mc)
-    assert (run.sigma == ((0.3, 0.8),) * chains) != tune
+                         seed=17 * p + N, chains=chains)
+    sigma = check_against_reference(params, mc, (0.3, 0.8))
+    assert (sigma == ((0.3, 0.8),) * chains) != tune
 
 
 @pytest.mark.parametrize("burn_in", (50, 99, 260))
@@ -767,10 +787,9 @@ def test_metropolis_adapts_like_reference(N, burn_in):
     widths start too wide for any of them to stay."""
     params = ModelParams(3, N, 0.9)
     mc = plasma.McConfig(sweeps=60, burn_in=burn_in, thinning=2,
-                         sigma_x=6.0, sigma_y=6.0, seed=5 * N + burn_in,
-                         chains=3)
-    run = check_against_reference(params, mc)
-    assert all(sx == sy < 6.0 for sx, sy in run.sigma)
+                         seed=5 * N + burn_in, chains=3)
+    sigma = check_against_reference(params, mc, (6.0, 6.0))
+    assert all(sx == sy < 6.0 for sx, sy in sigma)
 
 
 # -- quantities no subcommand computes ------------------------------------------------
