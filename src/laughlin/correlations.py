@@ -95,10 +95,9 @@ class QuasiStateDecomposition:
 
     def reconstruction(self) -> np.ndarray:
         """sum_X p_N(X) omega_X, which must equal |Psi><Psi| / C_N: U^T S U,
-        where S[Y, Z] = p_N(X) / ||u_X||^2 for X the meet of Y and Z."""
-        scale = np.array([self.weights[X] / (u @ u)
-                          for X, u in zip(self.partitions, self.vectors)])
-        S = np.where(self.meet >= 0, scale[self.meet], 0.0)
+        where S[Y, Z] = p_N(X) / ||u_X||^2 = 1 / C_N for X the meet of Y
+        and Z, and 0 where that class is empty."""
+        S = (self.meet >= 0) / (self.amps @ self.amps)
         return self.vectors.T @ (S @ self.vectors)
 
     def omega(self, X: tuple[int, ...]) -> np.ndarray:

@@ -388,16 +388,17 @@ def test_sweeps_below_thinning_rejected():
         plasma.metropolis_run(params, plasma.McConfig(sweeps=3, thinning=5))
 
 
-def test_frozen_proposal_chain_is_constant():
+def test_frozen_proposal_chain_is_constant(monkeypatch):
     # a burn-in shorter than one adaptation window keeps the zero widths
+    monkeypatch.setattr(plasma, "START_WIDTHS", (0.0, 0.0))
     params = ModelParams(3, 3, 1.0)
-    mc = plasma.McConfig(sweeps=200, burn_in=10, thinning=2, chains=1)
-    samples, accs, _, _ = plasma._run_chain(
-        params, mc, [np.random.default_rng(4)], (0.0, 0.0), 100)
-    first = samples[0, 0]
-    assert np.all(samples == first[None, None, :, :])
-    assert accs == [1.0]
-    assert accs[0] > plasma.ACCEPTANCE_BAND[1]  # a pathological run
+    mc = plasma.McConfig(sweeps=200, burn_in=10, thinning=2, seed=4,
+                         chains=1)
+    run = plasma.metropolis_run(params, mc)
+    first = run.samples[0, 0]
+    assert np.all(run.samples == first[None, None, :, :])
+    assert run.acceptance == 1.0
+    assert run.pathological
 
 
 # -- sampler statistics -------------------------------------------------------------
