@@ -19,8 +19,9 @@ Gaussian exponent e, the sums of c^2 / prod n_k! times occ (all rows
 and the irreducible rows) and occ occ^T (the irreducible rows),
 weighted by x^e, x = exp(-gamma^2), and divided by C_N or alpha_n.
 The quasi-state decomposition needs single rows and reads the
-amplitude table; it keeps one vector per rod partition and rebuilds any
-block, or their sum, from the vectors.
+amplitude table; it keeps the amplitudes, the partition weights, one
+vector per live rod partition and their meet table, and rebuilds the
+sum of the blocks from them.
 
 Conventions: orbitals are indexed 0..p(N-1) for a finite table; the
 occupation basis is ordered by increasing orbital, and fermionic signs
@@ -37,7 +38,7 @@ from operator import add
 import numpy as np
 
 from laughlin.expansion import AmplitudeTable, CoefficientTable
-from laughlin.lattice import ConfigError, config_tuples, enumerate_partitions
+from laughlin.lattice import ConfigError, enumerate_partitions
 from laughlin.moments import MomentTable, as_moments, derive
 from laughlin.renewal import RenewalModel, long_interval_bound
 
@@ -73,23 +74,18 @@ def occupation_finite(amp: AmplitudeTable | MomentTable,
 class QuasiStateDecomposition:
     """Rank-one-per-pair decomposition of the normalized projector.
 
-    ``basis``, ``amps`` and ``occupations`` hold the configurations,
-    occupation amplitudes and occupation rows in the table's row order;
+    ``amps`` holds the occupation amplitudes in the table's row order;
     ``weights[X]`` is the probability of each rod partition X (keyed by
-    its tuple of rod lengths), zero where its configuration class is
-    empty.  The others are ``partitions``, in the order of
-    :func:`enumerate_partitions`: row i of ``vectors`` is u_X of the
-    i-th, and ``meet[i, j]`` the index of the partition whose renewal
-    points the i-th and j-th share, -1 where that class is empty.
+    its tuple of rod lengths, in the order of
+    :func:`enumerate_partitions`), zero where its configuration class is
+    empty.  The live partitions are those of nonzero weight, in that
+    order: row i of ``vectors`` is u_X of the i-th, and ``meet[i, j]``
+    the index of the partition whose renewal points the i-th and j-th
+    share, -1 where that class is empty.
     """
 
-    p: int
-    N: int
-    basis: tuple[tuple[int, ...], ...]
     amps: np.ndarray
-    occupations: np.ndarray
     weights: dict[tuple[int, ...], float]
-    partitions: tuple[tuple[int, ...], ...]
     vectors: np.ndarray
     meet: np.ndarray
 
@@ -100,21 +96,8 @@ class QuasiStateDecomposition:
         S = (self.meet >= 0) / (self.amps @ self.amps)
         return self.vectors.T @ (S @ self.vectors)
 
-    def omega(self, X: tuple[int, ...]) -> np.ndarray:
-        """The block of X: sum of |u_Y><u_Z| / ||u_X||^2 over the pairs
-        (Y, Z) whose meet is X, a partition of nonzero weight."""
-        U, x = self.vectors, self.partitions.index(X)
-        return U.T @ ((self.meet == x) @ U) / (U[x] @ U[x])
-
     def projector(self) -> np.ndarray:
         return np.outer(self.amps, self.amps) / (self.amps @ self.amps)
-
-    def diagonal_value(self, X: tuple[int, ...], site: int) -> float:
-        """omega_X(n_site) evaluated as a state on the diagonal algebra."""
-        # Only the diagonal of the block survives, and the classes are
-        # disjoint, so only the pair (X, X) reaches it: u_X^2 / ||u_X||^2.
-        u = self.vectors[self.partitions.index(X)]
-        return float((u * u) @ self.occupations[:, site] / (u @ u))
 
 
 def quasi_state(amp: AmplitudeTable) -> QuasiStateDecomposition:
@@ -125,18 +108,17 @@ def quasi_state(amp: AmplitudeTable) -> QuasiStateDecomposition:
     ||u_X||^{-2} makes each block a state on diagonal observables, and
     the weights p_N(X) = ||u_X||^2 / C_N rebuild the projector exactly.
     """
-    p, N = amp.p, amp.N
+    N = amp.N
     parts = enumerate_partitions(N)
     if len(parts) > MAX_PARTITIONS:
         raise ConfigError(f"{len(parts)} partitions exceed the sector limit")
-    table = amp.table
     amps = amp.occ
     C = float(amps @ amps)
 
     # A partition is the set of its interior renewal points, a bit mask
     # over rod coordinates 1..N-1, and R(Y) n R(Z) is the bitwise and.
     bits = 1 << np.arange(N - 1)
-    row_masks = table.renewal[:, 1:N] @ bits
+    row_masks = amp.table.renewal[:, 1:N] @ bits
     masks = np.array([bits[np.cumsum(X)[:-1] - 1].sum() for X in parts])
     vectors = np.where(row_masks[None, :] == masks[:, None], amps, 0.0)
     norms = [float(u @ u) for u in vectors]
@@ -145,11 +127,8 @@ def quasi_state(amp: AmplitudeTable) -> QuasiStateDecomposition:
     meet = np.array([[index.get(int(a & b), -1) for b in masks[live]]
                      for a in masks[live]], dtype=np.intp)
     return QuasiStateDecomposition(
-        p=p, N=N, basis=tuple(config_tuples(table.configs)), amps=amps,
-        occupations=table.occupations,
-        weights={X: norm / C for X, norm in zip(parts, norms)},
-        partitions=tuple(parts[i] for i in live), vectors=vectors[live],
-        meet=meet)
+        amps=amps, weights={X: norm / C for X, norm in zip(parts, norms)},
+        vectors=vectors[live], meet=meet)
 
 
 # -- rod expectations and the infinite volume ---------------------------------
@@ -161,8 +140,8 @@ class RodExpectations:
     ``nu[n-1][s]`` is the expectation of n_s (s = 0..pn-1) inside a rod
     of n particles; ``pair[n-1]`` the (pn, pn) symmetric array of the
     diagonal pair moments <n_s n_t>, both at ``gamma``.  Rod classes that
-    are empty (alpha_n = 0, e.g. every n >= 2 at p = 1) are flagged in
-    ``empty`` and carry zero profiles.
+    are empty (alpha_n = 0, e.g. every n >= 2 at p = 1) carry zero
+    profiles.
     """
 
     p: int
@@ -170,16 +149,10 @@ class RodExpectations:
     nmax: int
     nu: tuple[np.ndarray, ...]
     pair: tuple[np.ndarray, ...]
-    empty: tuple[bool, ...]
 
     def nu_at(self, n: int, s: int) -> float:
         if 0 <= s < self.p * n:
             return self.nu[n - 1][s]
-        return 0.0
-
-    def pair_at(self, n: int, s: int, t: int) -> float:
-        if 0 <= min(s, t) and max(s, t) < self.p * n:
-            return self.pair[n - 1][s, t]
         return 0.0
 
 
@@ -194,15 +167,13 @@ def rod_expectations(tables: list[CoefficientTable] | list[MomentTable],
     """
     nu = []
     pair = []
-    empty = []
     for moments in as_moments(tables):
         alpha, profile, pairs = moments.rod(gamma)
-        empty.append(alpha == 0.0)
         alpha = alpha or 1.0  # an empty class keeps zero profiles
         nu.append(profile / alpha)
         pair.append(pairs / alpha)
     return RodExpectations(p=tables[0].p, gamma=gamma, nmax=len(tables),
-                           nu=tuple(nu), pair=tuple(pair), empty=tuple(empty))
+                           nu=tuple(nu), pair=tuple(pair))
 
 
 def _check_rods(model: RenewalModel, rods: RodExpectations) -> None:

@@ -197,10 +197,6 @@ class AmplitudeTable:
     def N(self) -> int:
         return self.table.N
 
-    @property
-    def num_orbitals(self) -> int:
-        return self.p * (self.N - 1) + 1
-
     @cached_property
     def occ(self) -> np.ndarray:
         return self.amp / np.sqrt(self.table.factorials)
@@ -540,10 +536,11 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def load_cache(path: str, expected_p: int | None = None,
-               expected_N: int | None = None) -> CoefficientTable:
-    """Read and fully validate a cache file written by :func:`save_cache`;
-    any fault in its contents raises :class:`CacheError`."""
+def load_cache(path: str, expected_p: int, expected_N: int
+               ) -> CoefficientTable:
+    """Read and fully validate a cache file written by :func:`save_cache`,
+    whose header must name ``expected_p`` and ``expected_N``; any fault in
+    its contents raises :class:`CacheError`."""
     with open(path, errors="replace") as fh:  # bad bytes fail the checks
         lines = fh.readlines()
     if len(lines) < 2:
@@ -558,9 +555,9 @@ def load_cache(path: str, expected_p: int | None = None,
             raise ValueError("p and N must be positive")
     except (KeyError, ValueError) as exc:
         raise CacheError(f"{path}: malformed header") from exc
-    if expected_p is not None and p != expected_p:
+    if p != expected_p:
         raise CacheError(f"{path}: header p={p}, expected {expected_p}")
-    if expected_N is not None and N != expected_N:
+    if N != expected_N:
         raise CacheError(f"{path}: header N={N}, expected {expected_N}")
     if not lines[-1].startswith("checksum="):
         raise CacheError(f"{path}: missing checksum line")

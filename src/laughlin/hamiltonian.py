@@ -1,11 +1,13 @@
 """Parent Hamiltonians on the orbital lattice.
 
-The two-body repulsion is fixed by form-factor components f_n built
-from Hermite polynomials H_n.  :func:`repulsion` assembles it as a sum
-of bond operators B_{s,n}*B_{s,n} over components n and half-integer
-bond centers s (iterated as integer doubled centers); :func:`build_H`
-assembles it a second time, as a sum over momentum-conserving
-quadruples, and reports how far the two routes differ.
+The two-body repulsion is fixed by form-factor components
+f_n(t) = H_n(t) e^{-t^2/4}, with H_n the Hermite polynomials, tabulated
+once per lattice distance for both assemblies.  :func:`repulsion`
+assembles it as a sum of bond operators B_{s,n}*B_{s,n} over components
+n and half-integer bond centers s (iterated as integer doubled
+centers); :func:`build_H` assembles it a second time, as a sum over
+momentum-conserving quadruples, and reports how far the two routes
+differ.
 
 A momentum sector is enumerated directly, by the array search of
 :func:`~laughlin.lattice.configurations` that also lists the admissible
@@ -25,11 +27,11 @@ the bond form is A^T A, with one row of A per image of a bond, from one
 engine pass over the terms of every bond.
 
 Every builder and check takes the sector basis, and every check the
-eigenvalues, that its caller enumerated or solved; only
-:func:`build_monomer_dimer` still enumerates the whole layer when it is
-given no basis.  Spectra, and so the kernel of the ground-state check
-at every dimension, come from :func:`spectrum`, ARPACK's implicitly
-restarted Lanczos from a seeded vector.
+eigenvalues, that its caller enumerated or solved, and no result hands
+the basis back; only :func:`build_monomer_dimer` still enumerates the
+whole layer when it is given no basis.  Spectra, and so the kernel of
+the ground-state check at every dimension, come from :func:`spectrum`,
+ARPACK's implicitly restarted Lanczos from a seeded vector.
 
 The module also builds two truncations with exactly known ground
 states, the monomer-dimer Hamiltonian and the nearest/next-nearest
@@ -57,44 +59,6 @@ from .lattice import (CapExceeded, ConfigError, ConfigIndex, ModelParams,
                       configurations, find_keys, total_momentum)
 
 DEFAULT_SECTOR_CAP = 200_000
-
-
-# -- form factor ---------------------------------------------------------------
-
-def hermite_value(n: int, t: float) -> float:
-    """Physicists' Hermite polynomial H_n(t)."""
-    if n < 0:
-        raise ConfigError("Hermite index must be nonnegative")
-    return float(eval_hermite(n, t))
-
-
-@dataclass(frozen=True)
-class FormFactor:
-    """Gaussian-damped pair form factor F(t) = sum_n f_n(t), with the
-    components f_n(t) = H_n(t) e^{-t^2/4}.
-
-    Only the n < p with n = p mod 2 are kept: the other components
-    vanish when contracted with (anti)symmetric pairs, so every n < p
-    gives the same pair operators.
-    """
-
-    p: int
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ConfigError("p must be positive")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(n for n in range(self.p) if n % 2 == self.p % 2)
-
-    def components(self, t: float) -> tuple[float, ...]:
-        """f_n(t) for each n of ``indices``."""
-        damp = math.exp(-0.25 * t * t)
-        return tuple(hermite_value(n, t) * damp for n in self.indices)
-
-    def __call__(self, t: float) -> float:
-        return sum(self.components(t))
 
 
 # -- sector bases ----------------------------------------------------------------
@@ -169,10 +133,18 @@ def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
 
 def _components(params: ModelParams, sites: int
                 ) -> dict[int, tuple[float, ...]]:
-    """f[d] = the form-factor components f_j(d*gamma), for every
-    distance d between two of the ``sites`` orbitals."""
-    F = FormFactor(params.p)
-    return {d: F.components(d * params.gamma) for d in range(1 - sites, sites)}
+    """f[d] = the form-factor components f_j(t) = H_j(t) e^{-t^2/4} at
+    t = d*gamma, for every distance d between two of the ``sites``
+    orbitals.  Only the j < p with j = p mod 2 are kept: the others
+    vanish when contracted with (anti)symmetric pairs, so every j < p
+    gives the same pair operators."""
+    f = {}
+    for d in range(1 - sites, sites):
+        t = d * params.gamma
+        damp = math.exp(-0.25 * t * t)
+        f[d] = tuple(float(eval_hermite(j, t)) * damp
+                     for j in range(params.p % 2, params.p, 2))
+    return f
 
 
 def _bond_annihilators(sites: int, f: dict[int, tuple[float, ...]]):
@@ -235,7 +207,6 @@ def _number_pairs(bond, key):
 class HBuild:
     """Both assemblies of the repulsion, with their entrywise deviation."""
 
-    basis: SectorBasis
     pair: sparse.csr_matrix
     bond: sparse.csr_matrix
     deviation: float
@@ -287,7 +258,7 @@ def build_H(params: ModelParams, basis: SectorBasis) -> HBuild:
     bond = repulsion(params, basis)
     t2 = time.perf_counter()
     dev = abs(pair - bond).max() if basis.dim else 0.0
-    return HBuild(basis=basis, pair=pair, bond=bond, deviation=float(dev),
+    return HBuild(pair=pair, bond=bond, deviation=float(dev),
                   seconds={"pair": t1 - t0, "bond": t2 - t1})
 
 
@@ -303,7 +274,7 @@ KERNEL_COUNT = 40  # lowest eigenvalues ground_check examines
 _KERNEL_CUT = 1e-10  # its kernel cut at unit scale
 
 
-def spectrum(H, count: int = 6, seed: int = 1234) -> np.ndarray:
+def spectrum(H, count: int, seed: int = 1234) -> np.ndarray:
     """Lowest eigenvalues of a symmetric operator, ascending.
 
     ARPACK's implicitly restarted Lanczos (``eigsh``) to a relative
@@ -392,7 +363,6 @@ def require_p3(params: ModelParams) -> None:
 
 @dataclass
 class MonomerDimer:
-    basis: SectorBasis
     H: sparse.csr_matrix
     deviation: float
     psi: np.ndarray
@@ -455,8 +425,7 @@ def build_monomer_dimer(params: ModelParams,
 
     tile(0, (), 1.0)
     psi = basis.vector(list(coeffs), list(coeffs.values()))
-    return MonomerDimer(basis=basis, H=H, deviation=dev, psi=psi,
-                        num_terms=len(coeffs))
+    return MonomerDimer(H=H, deviation=dev, psi=psi, num_terms=len(coeffs))
 
 
 # -- nearest/next-nearest truncation and the perturbation series -------------------
@@ -486,8 +455,6 @@ def tao_thouless(params: ModelParams, basis: SectorBasis) -> np.ndarray:
 @dataclass(frozen=True)
 class PerturbationReport:
     distances: tuple[float, ...]
-    vector: np.ndarray
-    basis: SectorBasis
 
     @property
     def decreasing(self) -> bool:
@@ -544,5 +511,4 @@ def perturbation_series(params: ModelParams, order: int,
         term[others] /= -energies[others]
         partial = partial + term
         distances.append(float(np.linalg.norm(partial - exact)))
-    return PerturbationReport(distances=tuple(distances), vector=partial,
-                              basis=basis)
+    return PerturbationReport(distances=tuple(distances))

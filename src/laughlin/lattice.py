@@ -97,19 +97,9 @@ class ModelParams:
         return self.p % 2 == 1
 
     @property
-    def num_orbitals(self) -> int:
-        """Number of sites of the one-particle lattice {0, ..., pN-p}."""
-        return self.p * (self.N - 1) + 1
-
-    @property
     def root_config(self) -> tuple[int, ...]:
         """The maximally spread configuration (0, p, 2p, ...)."""
         return tuple(self.p * j for j in range(self.N))
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / self.gamma
-
 
 def staircase(p: int, k: int) -> int:
     """Minimal admissible partial sum p*k*(k-1)/2 of the first k orbitals."""

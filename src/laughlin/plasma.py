@@ -41,10 +41,10 @@ class McConfig:
     """
 
     sweeps: int
-    burn_in: int = 500
-    thinning: int = 5
-    seed: int = 0
-    chains: int = 2
+    burn_in: int
+    thinning: int
+    seed: int
+    chains: int
 
     def __post_init__(self):
         if min(self.sweeps, self.burn_in, self.thinning, self.chains) <= 0:

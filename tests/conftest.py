@@ -2,8 +2,8 @@ import tracemalloc
 
 import pytest
 
+from laughlin import hamiltonian
 from laughlin.expansion import expand_all
-from laughlin.hamiltonian import FormFactor
 from laughlin.renewal import build_model
 
 
@@ -36,9 +36,15 @@ def model_p2_g1(tables_p2):
 def full_form_factor(monkeypatch):
     """Calling it makes the form factor keep every component n < p, not
     only those of p's parity, for the rest of the test."""
+    from test_reference import reference_components
+
+    def full(params, sites):
+        return {d: reference_components(params.p, d * params.gamma,
+                                        range(params.p))
+                for d in range(1 - sites, sites)}
+
     def use():
-        monkeypatch.setattr(FormFactor, "indices",
-                            property(lambda self: tuple(range(self.p))))
+        monkeypatch.setattr(hamiltonian, "_components", full)
     return use
 
 

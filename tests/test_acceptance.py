@@ -39,9 +39,9 @@ from laughlin.hamiltonian import (
     sector_basis,
     spectrum,
 )
-from laughlin.lattice import ModelParams, total_momentum
+from laughlin.lattice import ModelParams, config_tuples, total_momentum
 from laughlin.renewal import build_model
-from test_reference import domain_weighted, orbital_interval_weights
+from test_reference import domain_weighted, omega, orbital_interval_weights
 
 
 def report(criterion: int, detail: str) -> None:
@@ -73,8 +73,9 @@ def test_criterion_01_two_particle_exactness(tables_p3):
     dec = quasi_state(amp)
     w = 9.0 * math.exp(-4.0 * gamma**2)
     assert dec.weights[(1, 1)] == pytest.approx(1.0 / (1.0 + w), rel=1e-12)
-    i, j = dec.basis.index((0, 3)), dec.basis.index((1, 2))
-    off = dec.omega((2,))[i, j]
+    basis = config_tuples(table.configs)
+    i, j = basis.index((0, 3)), basis.index((1, 2))
+    off = omega(dec, (2,))[i, j]
     assert off == pytest.approx(-math.exp(2.0 * gamma**2) / 3.0, rel=1e-12)
     report(1, f"coeffs exact, p_2(staircase) = {dec.weights[(1, 1)]:.12g}, "
               f"off-diagonal {off:.12g}")

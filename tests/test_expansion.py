@@ -358,7 +358,7 @@ def test_cache_rejects_corrupt_body(tmp_path, body, message):
     path = str(tmp_path / "table.txt")
     write_body(path, 3, 3, body)
     with pytest.raises(CacheError, match=message):
-        load_cache(path)
+        load_cache(path, 3, 3)
 
 
 @pytest.mark.parametrize("p, N, digest", (
@@ -408,7 +408,7 @@ def test_cache_rejects_tampering(tmp_path):
     with open(path, "w") as fh:
         fh.writelines(lines)
     with pytest.raises(CacheError):
-        load_cache(path)
+        load_cache(path, 3, 3)
 
 
 def test_cache_rejects_wrong_header(tmp_path):
@@ -416,11 +416,11 @@ def test_cache_rejects_wrong_header(tmp_path):
     path = cache_path(str(tmp_path), 3, 3)
     save_cache(table, path)
     with pytest.raises(CacheError):
-        load_cache(path, expected_p=2)
+        load_cache(path, expected_p=2, expected_N=3)
     with open(path, "w") as fh:
         fh.write("NOT-A-CACHE\n")
     with pytest.raises(CacheError):
-        load_cache(path)
+        load_cache(path, 3, 3)
 
 
 def test_cache_rejects_unsorted_key_under_valid_checksum(tmp_path):
@@ -436,7 +436,7 @@ def test_cache_rejects_unsorted_key_under_valid_checksum(tmp_path):
     with open(path, "w") as fh:
         fh.writelines(body + [f"checksum={digest}\n"])
     with pytest.raises(CacheError, match="malformed line"):
-        load_cache(path)
+        load_cache(path, 3, 3)
 
 
 def test_cache_rejects_binary_file(tmp_path):
@@ -444,7 +444,7 @@ def test_cache_rejects_binary_file(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"\xff\xfe\x00garbage\n\x80\n")
     with pytest.raises(CacheError):
-        load_cache(path)
+        load_cache(path, 3, 3)
 
 
 def test_root_coefficient_enforced():

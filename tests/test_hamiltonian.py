@@ -11,15 +11,14 @@ from laughlin import hamiltonian
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.hamiltonian import (
     KERNEL_COUNT,
-    FormFactor,
     _bond_annihilators,
+    _components,
     _gram_build,
     build_H,
     build_HTT,
     build_monomer_dimer,
     exact_vector,
     ground_check,
-    hermite_value,
     perturbation_series,
     repulsion,
     residual,
@@ -51,30 +50,30 @@ def kernel_values(H):
 # -- form factor -----------------------------------------------------------------
 
 
-def test_hermite_recurrence():
-    for t in (-1.7, 0.0, 0.4, 2.2):
-        assert hermite_value(0, t) == 1.0
-        assert hermite_value(1, t) == approx(2 * t, abs=1e-14)
-        for n in range(1, 6):
-            lhs = hermite_value(n + 1, t)
-            rhs = 2 * t * hermite_value(n, t) - 2 * n * hermite_value(n - 1, t)
-            assert lhs == approx(rhs, rel=1e-12, abs=1e-12)
+def form_factor(p: int, gamma: float) -> dict[int, float]:
+    """F(d gamma) = sum_n f_n(d gamma) for the distances d = -3..3."""
+    return {d: sum(f) for d, f in
+            _components(ModelParams(p, 2, gamma), 4).items()}
 
 
 def test_form_factor_values():
-    F3 = FormFactor(3)
-    assert F3(0.0) == 0.0
-    assert F3(2.0) == approx(4.0 / math.e, rel=1e-14)
+    assert form_factor(3, 1.0)[0] == 0.0
+    assert form_factor(3, 2.0)[1] == approx(4.0 / math.e, rel=1e-14)
     for g in (0.7, 1.0, 1.6):
-        ratio = F3(3 * g) / F3(g)
+        F3 = form_factor(3, g)
+        ratio = F3[3] / F3[1]
         assert ratio == approx(3 * math.exp(-2 * g * g), rel=1e-13)
-    assert FormFactor(2)(1.3) == approx(math.exp(-1.3 ** 2 / 4), rel=1e-14)
+    assert form_factor(2, 1.3)[1] == approx(math.exp(-1.3 ** 2 / 4),
+                                            rel=1e-14)
 
 
 def test_form_factor_variants():
-    F = FormFactor(3)
-    assert F.indices == (1,)
-    assert FormFactor(2).indices == (0,)
+    # the components n < p of p's parity: H_1 at p=3, H_0 at p=2
+    t, damp = 0.9, math.exp(-0.9 ** 2 / 4)
+    assert _components(ModelParams(3, 2, t), 2)[1] == \
+        approx((2 * t * damp,), rel=1e-15)
+    assert _components(ModelParams(2, 2, t), 2)[1] == approx((damp,),
+                                                             rel=1e-15)
 
 
 # -- sector bases ------------------------------------------------------------------
@@ -183,9 +182,7 @@ def test_gram_build_is_one_engine_pass(p, N, monkeypatch):
     params = ModelParams(p, N, 1.1)
     basis = sector_basis(params, momentum=total_momentum(p, N))
     sites = basis.num_sites
-    F = FormFactor(p)
-    bonds = _bond_annihilators(
-        sites, {d: F.components(d * 1.1) for d in range(1 - sites, sites)})
+    bonds = _bond_annihilators(sites, _components(params, sites))
     assert len(bonds) > 1
     passes = counting_passes(monkeypatch)
     gram = _gram_build(basis, bonds, params.fermionic)
@@ -210,7 +207,8 @@ def test_two_particle_block_closed_form():
     params = ModelParams(3, 2, g)
     basis = sector_basis(params, momentum=total_momentum(3, 2))
     build = build_H(params, basis=basis)
-    F1, F3 = FormFactor(3)(g), FormFactor(3)(3 * g)
+    F = form_factor(3, g)
+    F1, F3 = F[1], F[3]
     expect = 4 * np.array([[F3 * F3, F3 * F1], [F1 * F3, F1 * F1]])
     assert build.H.toarray() == approx(expect, abs=1e-13)
     vals = spectrum(build.H, count=2)
@@ -329,23 +327,23 @@ def test_doubled_kernel_counted(p, N, tables_p3, tables_p2):
     assert rep.kernel_dim == 2
 
 
-def test_random_vector_is_not_ground(hbuild_p3_n3):
+def test_random_vector_is_not_ground(layer_p3_n3, hbuild_p3_n3):
     rng = np.random.default_rng(5)
-    v = rng.standard_normal(hbuild_p3_n3.basis.dim)
+    v = rng.standard_normal(layer_p3_n3.dim)
     assert residual(hbuild_p3_n3.H, v) > 0.1
 
 
-def test_ground_check_rejects_zero(hbuild_p3_n3):
-    H, zero = hbuild_p3_n3.H, np.zeros(hbuild_p3_n3.basis.dim)
+def test_ground_check_rejects_zero(layer_p3_n3, hbuild_p3_n3):
+    H, zero = hbuild_p3_n3.H, np.zeros(layer_p3_n3.dim)
     with pytest.raises(ConfigError):
         residual(H, zero)
     with pytest.raises(ConfigError):
         ground_check(H, zero, kernel_values(H))
 
 
-def test_ground_check_reads_given_eigenvalues(hbuild_p3_n3):
+def test_ground_check_reads_given_eigenvalues(layer_p3_n3, hbuild_p3_n3):
     H = hbuild_p3_n3.H
-    v = np.random.default_rng(5).standard_normal(hbuild_p3_n3.basis.dim)
+    v = np.random.default_rng(5).standard_normal(layer_p3_n3.dim)
     vals = np.linalg.eigvalsh(H.toarray())  # all 35 of them
     with pytest.raises(ConfigError, match="lowest 35 eigenvalues, got 34"):
         ground_check(H, v, vals[:34])
@@ -393,16 +391,20 @@ def test_monomer_dimer_eight_particles():
 
 
 def test_monomer_dimer_matches_exact_two_particles(tables_p3):
-    md = build_monomer_dimer(ModelParams(3, 2, 0.8))
-    psi_exact = exact_vector(md.basis, amplitudes(tables_p3[1], 0.8))
+    params = ModelParams(3, 2, 0.8)
+    basis = sector_basis(params)
+    md = build_monomer_dimer(params, basis)
+    psi_exact = exact_vector(basis, amplitudes(tables_p3[1], 0.8))
     assert md.psi == approx(psi_exact, abs=1e-15)
 
 
 def test_monomer_dimer_no_distance_two_pairs():
-    md = build_monomer_dimer(ModelParams(3, 4, 1.0))
-    occs = np.array([np.bincount(m, minlength=md.basis.num_sites)
-                     for m in md.basis.configs])
-    for j in range(md.basis.num_sites - 2):
+    params = ModelParams(3, 4, 1.0)
+    basis = sector_basis(params)
+    md = build_monomer_dimer(params, basis)
+    occs = np.array([np.bincount(m, minlength=basis.num_sites)
+                     for m in basis.configs])
+    for j in range(basis.num_sites - 2):
         assert np.all(occs[:, j] * occs[:, j + 2] * md.psi == 0.0)
 
 
@@ -450,9 +452,10 @@ def ground_operator(params):
 def test_perturbation_order_zero_distance(tables_p3):
     params = ModelParams(3, 3, 2.0)
     amp = amplitudes(tables_p3[2], 2.0)
-    rep = perturbation_series(params, 0, amp, *ground_operator(params))
-    exact = exact_vector(rep.basis, amp)
-    tt = tao_thouless(params, rep.basis)
+    basis, H = ground_operator(params)
+    rep = perturbation_series(params, 0, amp, basis, H)
+    exact = exact_vector(basis, amp)
+    tt = tao_thouless(params, basis)
     assert rep.distances[0] == approx(float(np.linalg.norm(exact - tt)),
                                       rel=1e-14)
 

@@ -29,9 +29,7 @@ def test_staircase_values():
 def test_model_params_basic():
     mp = ModelParams(p=3, N=4, gamma=1.0)
     assert mp.fermionic
-    assert mp.num_orbitals == 10
     assert mp.root_config == (0, 3, 6, 9)
-    assert mp.radius == pytest.approx(1.0)
     assert not ModelParams(p=2, N=2, gamma=0.5).fermionic
 
 

@@ -22,20 +22,43 @@ purpose.
 
 Every top-level function and class of the package is run by a
 subcommand: the names each definition of ``cli.py`` uses reach it,
-directly or through other definitions.  The only exceptions are the
-definitions that ``bench/`` alone still calls.
+directly or through other definitions.  So is every member of a class
+(method, property or field): reached code reads an attribute of its
+name.  The only exceptions are the definitions that ``bench/`` alone
+still calls and the members that it alone reads.
+
+What the benchmark needs from the package is kept working here too:
+``bench/selftest.py`` passes, and every function that ``bench/run.py``
+traces can be wrapped and restored, so a change that deletes a name
+the benchmark calls or traces fails here and not in a benchmark run.
 """
 
 import ast
+import importlib
+import inspect
+import os
 import pathlib
+import subprocess
+import sys
+from collections import defaultdict
 
 import laughlin
 
 TABLE_SOURCES = {"expand", "expand_all", "load_cache"}
 MAY_SOURCE_TABLES = {"expansion", "cli"}
 # called by bench/ and the tests only, until the benchmark reads arrays
+# (config_tuples through enumerate_admissible)
 BENCH_ONLY = {"expansion.expand_all", "lattice.enumerate_admissible",
-              "lattice.renewal_points", "lattice.is_canonical"}
+              "lattice.renewal_points", "lattice.is_canonical",
+              "lattice.config_tuples"}
+# class members that bench/ alone reads, with the file that reads them
+BENCH_READS = {
+    "expansion.CoefficientTable.coeffs": "bench/run.py",
+    "expansion.ProductRuleReport.checked": "bench/checks.py",
+    "expansion.ProductRuleReport.ok": "bench/checks.py",
+    "plasma.PhaseProfile.window": "bench/workloads.py",
+    "plasma.PhaseProfile.zscores": "bench/checks.py",
+}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -200,62 +223,143 @@ def test_settings_inventory():
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
-def definition_uses(path: pathlib.Path) -> dict[str, set[str]]:
-    """The package definitions (``module.name``) that each top-level
-    definition of a module uses, with the module's other top-level
-    statements under ``module.``: names defined in the module, names
-    imported from the package, and attributes of imported package
-    modules.  A class uses what any of its methods uses."""
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def module_nodes(path: pathlib.Path) -> dict[str, tuple[set, set]]:
+    """The nodes of one module, each with the package definitions it
+    uses and the attribute names it reads.
+
+    The nodes are the top-level definitions (``module.name``), the
+    members of each class (``module.Class.member``: methods, properties
+    and fields) and the module's other top-level statements
+    (``module.``).  A class node holds the class body outside its
+    methods, and its dunder methods, which run without being named.  A
+    node uses the names defined in the module, the names imported from
+    the package and the attributes of imported package modules; it reads
+    every attribute it loads from anything other than an imported
+    module, so ``np.empty`` reads nothing of the package."""
     module = path.stem
     tree = ast.parse(path.read_text(), str(path))
     scope = {node.name: f"{module}.{node.name}" for node in tree.body
              if isinstance(node, DEFINITIONS)}
-    modules = {}
+    package_modules = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").startswith("laughlin")):
             for alias in node.names:
                 if node.module in (None, "laughlin"):
-                    modules[alias.asname or alias.name] = alias.name
+                    package_modules[alias.asname or alias.name] = alias.name
                 else:
                     source = node.module.rpartition(".")[2]
                     scope[alias.asname or alias.name] = \
                         f"{source}.{alias.name}"
+    namespace = vars(importlib.import_module(f"laughlin.{module}"))
+    imported = {name for name, value in namespace.items()
+                if inspect.ismodule(value)} | {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names}
 
-    def used(node) -> set[str]:
-        found = set()
-        for sub in ast.walk(node):
+    def node(*parts) -> tuple[set, set]:
+        uses, reads = set(), set()
+        for sub in (sub for part in parts for sub in ast.walk(part)):
             if isinstance(sub, ast.Name) and sub.id in scope:
-                found.add(scope[sub.id])
-            elif (isinstance(sub, ast.Attribute)
-                  and isinstance(sub.value, ast.Name)
-                  and sub.value.id in modules):
-                found.add(f"{modules[sub.value.id]}.{sub.attr}")
-        return found
+                uses.add(scope[sub.id])
+            elif isinstance(sub, ast.Attribute):
+                receiver = getattr(sub.value, "id", None)
+                if receiver in package_modules:
+                    uses.add(f"{package_modules[receiver]}.{sub.attr}")
+                elif (receiver not in imported
+                      and isinstance(sub.ctx, ast.Load)):
+                    reads.add(sub.attr)
+        return uses, reads
 
-    uses = {f"{module}.": set()}
-    for node in tree.body:
-        if isinstance(node, DEFINITIONS):
-            uses[f"{module}.{node.name}"] = used(node)
-        else:
-            uses[f"{module}."] |= used(node)
-    return uses
+    nodes = {f"{module}.": node(*(part for part in tree.body
+                                  if not isinstance(part, DEFINITIONS)))}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            nodes[f"{module}.{top.name}"] = node(top)
+        elif isinstance(top, ast.ClassDef):
+            methods = [part for part in top.body
+                       if isinstance(part, ast.FunctionDef)
+                       and not dunder(part.name)]
+            nodes[f"{module}.{top.name}"] = node(
+                *top.decorator_list, *top.bases,
+                *(part for part in top.body if part not in methods))
+            for method in methods:
+                nodes[f"{module}.{top.name}.{method.name}"] = node(method)
+            for field in top.body:
+                if isinstance(field, ast.AnnAssign):
+                    nodes[f"{module}.{top.name}.{field.target.id}"] = \
+                        (set(), set())
+    return nodes
 
 
 def test_every_definition_is_run_by_a_subcommand():
     package = pathlib.Path(laughlin.__file__).parent
-    uses = {}
+    nodes = {}
     for path in sorted(package.glob("*.py")):
-        uses.update(definition_uses(path))
+        nodes.update(module_nodes(path))
+    members = defaultdict(set)  # attribute name -> the members of that name
+    for name in nodes:
+        if name.count(".") == 2:
+            members[name.rpartition(".")[2]].add(name)
     # the command line, and what each module runs on import
-    todo = [name for name in uses
-            if name.startswith("cli.") or name.endswith(".")]
+    todo = [name for name in nodes if name.endswith(".")
+            or name.startswith("cli.") and name.count(".") == 1]
     reached = set()
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            todo += uses.get(name, ())
-    unreached = {name for name in uses
+            uses, reads = nodes.get(name, ((), ()))
+            todo += uses
+            for attr in reads:
+                todo += members[attr]
+    unreached = {name for name in nodes
                  if name not in reached and not name.endswith(".")}
-    assert unreached == BENCH_ONLY
+    assert sorted(unreached) == sorted(BENCH_ONLY | BENCH_READS.keys())
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Python in a child process at the root of the checkout, with the
+    package and ``bench/`` importable and no bytecode written."""
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join((str(ROOT / "src"),
+                                           str(ROOT / "bench"))))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_bench_selftest_passes():
+    done = run_python("bench/selftest.py")
+    assert done.returncode == 0, done.stderr[-3000:]
+
+
+# run.py re-executes itself unless PYTHONHASHSEED is 0, which the child has
+TRACE_EVERY_TARGET = """
+import importlib
+import run
+from tracing import Tracer
+targets = run._layer_targets()
+def bound():
+    return [getattr(importlib.import_module(module), name)
+            for module, name, _, _ in targets]
+found = bound()
+tracer = Tracer()
+tracer.install(targets)
+wrapped = bound()
+tracer.uninstall()
+assert all(w is not f for w, f in zip(wrapped, found)), "not wrapped"
+assert bound() == found, "not restored"
+"""
+
+
+def test_every_bench_target_can_be_traced():
+    done = run_python("-c", TRACE_EVERY_TARGET)
+    assert done.returncode == 0, done.stderr[-3000:]

@@ -119,7 +119,8 @@ class OntoNeighbourRng:
 
 def test_proposal_onto_occupied_point_rejected(monkeypatch):
     params = ModelParams(3, 2, 1.0)
-    mc = plasma.McConfig(sweeps=40, burn_in=5, thinning=1)
+    mc = plasma.McConfig(sweeps=40, burn_in=5, thinning=1, seed=0,
+                         chains=2)
     entered = []
     errstate = np.errstate
     monkeypatch.setattr(np, "errstate",
@@ -141,7 +142,8 @@ def test_lockstep_chains_match_single_chains(N):
     also when one chain proposes onto an occupied point and the others
     do not."""
     params = ModelParams(3, N, 1.0)
-    mc = plasma.McConfig(sweeps=30, burn_in=7, thinning=3)
+    mc = plasma.McConfig(sweeps=30, burn_in=7, thinning=3, seed=0,
+                         chains=2)
 
     def generators():
         middle = OntoNeighbourRng(3.0) if N == 2 \
@@ -248,7 +250,7 @@ def test_blocked_sweeps_match_one_move_at_a_time(N, chains, p, gamma):
     and with a short last block."""
     params = ModelParams(p, N, gamma)
     mc = plasma.McConfig(sweeps=12, burn_in=plasma.ADAPT_SWEEPS + 4,
-                         thinning=3, seed=N)
+                         thinning=3, seed=N, chains=2)
 
     def generators():
         return [np.random.default_rng(s) for s in
@@ -306,7 +308,8 @@ def test_proposal_onto_a_point_moved_in_the_same_sweep(monkeypatch):
     proposes onto it, across a block edge.  Both proposals are rejected
     without a warning, and every other move is accepted."""
     params = ModelParams(3, B + 3, 1.0)
-    mc = plasma.McConfig(sweeps=3, burn_in=2, thinning=1)
+    mc = plasma.McConfig(sweeps=3, burn_in=2, thinning=1, seed=0,
+                         chains=2)
     steps = [0.0] * params.N
     steps[0], steps[1] = 0.5, -2.5
     steps[B - 1], steps[B] = 0.5, -2.5
@@ -339,7 +342,8 @@ def test_one_pair_call_per_block(monkeypatch):
     monkeypatch.setattr(plasma, "_pair_row",
                         lambda *args: calls.append(1) or real(*args))
     params = ModelParams(3, 2 * B + 5, 1.0)
-    mc = plasma.McConfig(sweeps=6, burn_in=4, thinning=2, chains=2)
+    mc = plasma.McConfig(sweeps=6, burn_in=4, thinning=2, seed=0,
+                         chains=2)
     rngs = [np.random.default_rng(s) for s in (1, 2)]
     plasma._run_chain(params, mc, rngs, (0.5, 0.5), 3)
     total_sweeps = 4 + 3 * 2
@@ -358,12 +362,13 @@ def test_log_weight_shape_validation():
 
 
 def test_mcconfig_validation():
+    schedule = dict(sweeps=100, burn_in=500, thinning=5, seed=0, chains=2)
     with pytest.raises(ConfigError):
-        plasma.McConfig(sweeps=0)
+        plasma.McConfig(**{**schedule, "sweeps": 0})
     with pytest.raises(ConfigError):
-        plasma.McConfig(sweeps=100, thinning=0)
+        plasma.McConfig(**{**schedule, "thinning": 0})
     with pytest.raises(ConfigError):
-        plasma.McConfig(sweeps=100, chains=0)
+        plasma.McConfig(**{**schedule, "chains": 0})
 
 
 def test_one_lockstep_call_makes_every_move(monkeypatch):
@@ -375,7 +380,8 @@ def test_one_lockstep_call_makes_every_move(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(plasma, "_run_chain", counted)
-    mc = plasma.McConfig(sweeps=30, burn_in=70, thinning=4, chains=3)
+    mc = plasma.McConfig(sweeps=30, burn_in=70, thinning=4, seed=0,
+                         chains=3)
     run = plasma.metropolis_run(ModelParams(3, 4, 1.0), mc)
     assert calls == [3]
     assert run.moves == 3 * (70 + 7 * 4) * 4
@@ -385,7 +391,8 @@ def test_one_lockstep_call_makes_every_move(monkeypatch):
 def test_sweeps_below_thinning_rejected():
     params = ModelParams(3, 2, 1.0)
     with pytest.raises(ConfigError):
-        plasma.metropolis_run(params, plasma.McConfig(sweeps=3, thinning=5))
+        plasma.metropolis_run(params, plasma.McConfig(
+            sweeps=3, burn_in=500, thinning=5, seed=0, chains=2))
 
 
 def test_frozen_proposal_chain_is_constant(monkeypatch):

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 from pytest import approx
 from scipy import sparse
-from scipy.special import erf
+from scipy.special import erf, eval_hermite
 
 from laughlin import hamiltonian, plasma
 from laughlin.correlations import (occupation_finite, occupation_infinite,
@@ -160,7 +160,7 @@ def test_rod_expectations(tables, gamma):
             alpha += w
             nu += w * occ
             pair += w * np.outer(occ, occ)
-        assert rods.empty[n - 1] == (alpha == 0.0)
+        assert (not rods.nu[n - 1].any()) == (alpha == 0.0)
         if alpha:
             assert rods.nu[n - 1] == approx(nu / alpha, abs=1e-13)
             assert rods.pair[n - 1] == approx(pair / alpha, abs=1e-13)
@@ -222,7 +222,7 @@ def reference_pair_infinite(model, rods, k, l):
         for j in range(n):
             s = k + p * j
             if s + l <= p * n - 1:
-                same += pn * rods.pair_at(n, s, s + l)
+                same += pn * rods.pair[n - 1][s, s + l]
     same /= model.mu
     split = 0.0
     if l >= 1:
@@ -415,7 +415,7 @@ def moments_finite(amp, creation, annihilation) -> float:
     annihilation = tuple(annihilation)
     if len(creation) != len(annihilation):
         raise ConfigError("unbalanced operator string")
-    sites = amp.num_orbitals
+    sites = num_orbitals(amp)
     if any(not 0 <= s < sites for s in creation + annihilation):
         raise ConfigError("operator site out of range")
     if sum(creation) != sum(annihilation):
@@ -438,7 +438,7 @@ def reference_moments(amp, creation, annihilation):
     rows, each image looked up in a dict of the rows."""
     if sum(creation) != sum(annihilation):
         return 0.0
-    rows = amp.table.occupations[:, :amp.num_orbitals].tolist()
+    rows = amp.table.occupations[:, :num_orbitals(amp)].tolist()
     by_occ = dict(zip(map(tuple, rows), amp.occ.tolist()))
     total = 0.0
     for occ, A in by_occ.items():
@@ -454,7 +454,7 @@ def test_moments_finite_matches_reference(p, N):
     # At p=2, N=4 some of them create past the largest occupation any
     # row has on a site, where a packed key would carry.
     amp = amplitudes(expand_all(p, N)[-1], 1.1)
-    sites = amp.num_orbitals
+    sites = num_orbitals(amp)
     rows = amp.table.occupations[:, :sites].tolist()
     limit = amp.table.index.limit.tolist()
     past = 0
@@ -565,6 +565,24 @@ def reference_vector(basis, coeffs):
     for m, c in coeffs.items():
         v[index[tuple(sorted(m))]] = c
     return v
+
+
+def reference_components(p, t, indices=None):
+    """The form-factor components f_n(t) = H_n(t) e^{-t^2/4} at one t, for
+    each n of ``indices``, by default the n < p of p's parity."""
+    if indices is None:
+        indices = [n for n in range(p) if n % 2 == p % 2]
+    damp = math.exp(-0.25 * t * t)
+    return tuple(float(eval_hermite(n, t)) * damp for n in indices)
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_components_match_reference(p):
+    # bit for bit, at every distance of a 9-site lattice
+    for gamma in (0.3, 0.7, 1.0, 1.3, 2.2, 3.5):
+        got = hamiltonian._components(ModelParams(p, 2, gamma), 9)
+        assert got == {d: reference_components(p, d * gamma)
+                       for d in range(-8, 9)}
 
 
 @pytest.fixture()
@@ -814,7 +832,7 @@ def domain_weighted(amp, a: float, b: float) -> DomainReport:
     """
     if not a < b:
         raise ConfigError(f"empty domain [{a}, {b}]")
-    ks = np.arange(amp.num_orbitals) * amp.gamma
+    ks = np.arange(num_orbitals(amp)) * amp.gamma
     w = 0.5 * (erf(b - ks) - erf(a - ks))
     configs = amp.table.configs
     wm = w[configs]
@@ -827,7 +845,7 @@ def domain_weighted(amp, a: float, b: float) -> DomainReport:
     norm = float(A2 @ wm.prod(axis=1))
     occ = np.bincount(configs.ravel(),
                       weights=(A2[:, None] * before * after).ravel(),
-                      minlength=amp.num_orbitals)
+                      minlength=num_orbitals(amp))
     if norm <= 0:
         raise ConfigError("domain carries no weight")
     return DomainReport(a=a, b=b, weights=w, norm=norm, occupations=occ / norm)
@@ -958,3 +976,29 @@ def no_renewal_probability(model: RenewalModel, N: int, positions) -> float:
             continue
         total += partition_probability(model, lengths)
     return total
+
+
+def num_orbitals(amp) -> int:
+    """Number of sites of the lattice {0, ..., p(N-1)} of a table."""
+    return amp.p * (amp.N - 1) + 1
+
+
+def live_partitions(dec) -> list[tuple[int, ...]]:
+    """The rod partitions of nonzero weight, in the row order of
+    ``dec.vectors``."""
+    return [X for X, weight in dec.weights.items() if weight != 0.0]
+
+
+def omega(dec, X) -> np.ndarray:
+    """The quasi-state block of X: sum of |u_Y><u_Z| / ||u_X||^2 over the
+    pairs (Y, Z) whose meet is X, a partition of nonzero weight."""
+    U, x = dec.vectors, live_partitions(dec).index(X)
+    return U.T @ ((dec.meet == x) @ U) / (U[x] @ U[x])
+
+
+def diagonal_value(dec, amp, X, site: int) -> float:
+    """omega_X(n_site) evaluated as a state on the diagonal algebra."""
+    # Only the diagonal of the block survives, and the classes are
+    # disjoint, so only the pair (X, X) reaches it: u_X^2 / ||u_X||^2.
+    u = dec.vectors[live_partitions(dec).index(X)]
+    return float((u * u) @ amp.table.occupations[:, site] / (u @ u))
