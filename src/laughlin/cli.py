@@ -24,13 +24,15 @@ records ``rss_rise_mb``, the rise of the process's peak resident size
 over it, so the ``mcmc`` manifest's ``sample`` stage shows the memory
 the sampler took.  The ``ham`` manifest records the seconds
 spent on sector enumeration (with the sector dimension), on each
-assembly of H (with its nnz), on its one eigensolve (with the count of
+assembly of H (with its nnz) inside one ``assembly`` stage that holds
+the memory both took, on its one eigensolve (with the count of
 values, shared with the ground-state check), on that check, on the
 monomer-dimer model (with its dimension and number of terms) and on the
 perturbation series.  Reading and deriving the moment tables is a
 ``moments`` stage (with the exponent count of each), and the renewal
 model a ``model`` stage recording its tail mass, root shift and alpha
-residual, before the further stages of each subcommand.
+residual, before the further stages of each subcommand; the tail is
+also the run's ``tail-converged`` check.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -38,11 +40,12 @@ All floating-point output is printed with 17 significant digits so
 doubles round-trip exactly.
 
 Exit codes: 0 success, 1 one of the manifest's ``checks`` failed
-(including ``mcmc-chain`` on a degenerate Metropolis run) or a cached
-coefficient table or moment file failed validation, 2 invalid configuration (including an
-unconverged renewal model without ``--override-unconverged``), 3 a
-resource cap was exceeded (including occupation keys past int64 and a
-Lanczos eigensolve that does not converge within its restarts).
+(including ``mcmc-chain`` on a degenerate Metropolis run and
+``tail-converged`` on a renewal model whose rod-size tail is too large)
+or a cached coefficient table or moment file failed validation,
+2 invalid configuration, 3 a resource cap was exceeded (including
+occupation keys past int64 and a Lanczos eigensolve that does not
+converge within its restarts).
 """
 
 from __future__ import annotations
@@ -312,20 +315,24 @@ def _load_moments(em: Emitter, args, Nmax: int, no_compute: bool = False
 
 def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
     """The renewal model of ``args.Nmax`` rods as a ``model`` stage with
-    its convergence record; an unconverged model ends the run unless
-    ``--override-unconverged`` is given, which the model then admits in
-    every infinite-volume quantity."""
+    its convergence record, and its tail as the run's verdict."""
     with em.timed("model") as sizes:
-        model = renewal.build_model(
-            args.p, args.Nmax, args.gamma, tables=tables,
-            admit_unconverged=args.override_unconverged)
+        model = renewal.build_model(args.p, args.Nmax, args.gamma,
+                                    tables=tables)
         sizes.update(tail_mass=model.tail_mass, root_shift=model.root_shift,
                      alpha_residual=model.alpha_residual)
-    model.require_converged()
+    _tail_verdict(em, model)
     return model
 
 
 # -- verdicts shared by subcommands -------------------------------------------------
+
+
+def _tail_verdict(em: Emitter, model: renewal.RenewalModel) -> bool:
+    """The rod-size tail beyond Nmax is small enough to trust the bulk."""
+    return em.check("tail-converged", model.tail_mass,
+                    renewal.TAIL_THRESHOLD, not model.unconverged,
+                    "rod-size distribution tail below threshold")
 
 
 def _ground_verdict(em: Emitter, report: hamiltonian.GroundReport,
@@ -472,9 +479,10 @@ def cmd_ham(args) -> int:
     with em.timed("sector") as sizes:
         basis = hamiltonian.sector_basis(params, momentum=momentum, cap=cap)
         sizes["dim"] = basis.dim
-    build = hamiltonian.build_H(params, basis=basis)
-    em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz)
-    em.stage("bond_assembly", build.seconds["bond"], nnz=build.bond.nnz)
+    with em.timed("assembly"):
+        build = hamiltonian.build_H(params, basis=basis)
+        em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz)
+        em.stage("bond_assembly", build.seconds["bond"], nnz=build.bond.nnz)
     doc: dict = {
         "p": args.p, "N": args.N, "gamma": args.gamma,
         "momentum": momentum, "dim": basis.dim,
@@ -665,8 +673,7 @@ def _verify_checks(em: Emitter, args) -> None:
              "share of random points mod 2^31-1 where a table of "
              "N = 2..Nmax misses its polynomial")
 
-    model = renewal.build_model(p, Nmax, gamma, tables=moment_tables,
-                                admit_unconverged=args.override_unconverged)
+    model = renewal.build_model(p, Nmax, gamma, tables=moment_tables)
     rods = correlations.rod_expectations(moment_tables, gamma)
     dev = _moments_vs_rows(tables, moment_tables, model, rods)
     em.check("moments-vs-rows", dev, 1e-13, dev <= 1e-13,
@@ -694,15 +701,11 @@ def _verify_checks(em: Emitter, args) -> None:
              "quasi-state weights p_N(X) against prod alpha_n / C_N "
              f"at N={N_h}")
 
-    # only the checks that read the bulk occupations need the tail
-    usable = not model.unconverged or model.admit_unconverged
-    em.check("tail-converged", model.tail_mass, renewal.TAIL_THRESHOLD,
-             usable, "rod-size distribution tail below threshold")
-    if usable:
-        occ_inf = correlations.occupation_infinite(model, rods)
-        dev = abs(float(occ_inf.sum()) - 1.0)
-        em.check("occupation-normalization", dev, 1e-8, dev <= 1e-8,
-                 "bulk occupations over one period sum to 1")
+    _tail_verdict(em, model)
+    occ_inf = correlations.occupation_infinite(model, rods)
+    dev = abs(float(occ_inf.sum()) - 1.0)
+    em.check("occupation-normalization", dev, 1e-8, dev <= 1e-8,
+             "bulk occupations over one period sum to 1")
 
     occ_fin = correlations.occupation_finite(moment_tables[Nmax - 1], gamma)
     via = correlations.occupation_finite_via_renewal(model, rods, Nmax)
@@ -714,13 +717,11 @@ def _verify_checks(em: Emitter, args) -> None:
     em.check("occupation-reflection", dev, 1e-12, dev <= 1e-12,
              "finite occupations reflection-symmetric")
 
-    if usable:
-        k_mid = p * (Nmax // 2)
-        eps = correlations.bulk_epsilon(model, rods, Nmax, k_mid)
-        dev = abs(occ_fin[k_mid] - occ_inf[k_mid % p])
-        em.check("bulk-epsilon", dev, eps, dev <= eps,
-                 f"center occupation at N={Nmax} within the bridge-weight "
-                 "bound")
+    k_mid = p * (Nmax // 2)
+    eps = correlations.bulk_epsilon(model, rods, Nmax, k_mid)
+    dev = abs(occ_fin[k_mid] - occ_inf[k_mid % p])
+    em.check("bulk-epsilon", dev, eps, dev <= eps,
+             f"center occupation at N={Nmax} within the bridge-weight bound")
 
     params = ModelParams(p, N_h, gamma)
     basis = hamiltonian.sector_basis(params,
@@ -802,9 +803,9 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, gamma: bool = True,
-                seed: bool = False, override: bool = False) -> None:
-    """The flags of every subcommand, plus ``--gamma``, ``--seed`` and
-    ``--override-unconverged`` where the subcommand reads them."""
+                seed: bool = False) -> None:
+    """The flags of every subcommand, plus ``--gamma`` and ``--seed``
+    where the subcommand reads them."""
     sub.add_argument("--cache-dir", type=_cache_dir_arg, default="",
                      help=f"coefficient cache (default ${CACHE_ENV} "
                           "or ~/.cache/laughlin)")
@@ -817,10 +818,6 @@ def _add_common(sub: argparse.ArgumentParser, gamma: bool = True,
         sub.add_argument("--gamma", type=float, default=1.0)
     if seed:
         sub.add_argument("--seed", type=int, default=0)
-    if override:
-        sub.add_argument("--override-unconverged", action="store_true",
-                         help="proceed when the rod-size tail is above "
-                              "threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -842,13 +839,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_norms)
 
     sub = subs.add_parser("renewal", help="rod weights and renewal model")
-    _add_common(sub, override=True)
+    _add_common(sub)
     sub.add_argument("--Nmax", type=int, default=6)
     sub.set_defaults(func=cmd_renewal)
 
     sub = subs.add_parser("corr", help="occupations, pair correlations, "
                                        "density profile, period test")
-    _add_common(sub, override=True)
+    _add_common(sub)
     sub.add_argument("--Nmax", type=int, default=6)
     sub.add_argument("--N", type=int, default=None,
                      help="also emit exact finite-N occupations")
@@ -874,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_ham)
 
     sub = subs.add_parser("mcmc", help="Metropolis sampling of |Psi|^2")
-    _add_common(sub, seed=True, override=True)
+    _add_common(sub, seed=True)
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--sweeps", type=int, default=20000)
     sub.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
@@ -887,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_mcmc)
 
     sub = subs.add_parser("verify-all", help="cross-module consistency suite")
-    _add_common(sub, seed=True, override=True)
+    _add_common(sub, seed=True)
     sub.add_argument("--Nmax", type=int, default=6)
     sub.set_defaults(func=cmd_verify)
 
@@ -918,10 +915,6 @@ def main(argv=None) -> int:
     try:
         _validate_common(args)
         return args.func(args)
-    except renewal.UnconvergedError as exc:
-        print(f"error: {exc}; pass --override-unconverged to proceed",
-              file=sys.stderr)
-        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

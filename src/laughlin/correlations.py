@@ -192,10 +192,9 @@ def occupation_infinite(model: RenewalModel, rods: RodExpectations
                         ) -> np.ndarray:
     """Bulk occupations <n_0..n_{p-1}>; exactly p-periodic, summing to 1.
 
-    Refuses an unconverged model that does not admit its tail, and rods
-    that are not the model's.
+    Refuses rods that are not the model's.  An unconverged model is
+    read as it is; its tail mass is the caller's to judge.
     """
-    model.require_converged()
     _check_rods(model, rods)
     p = model.p
     total = [0.0] * p
@@ -237,8 +236,8 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int
     the second site.  Rod sizes beyond Nmax are out of reach of the
     exact tables; their weight is estimated by the long-interval bound
     and reported as the error.  The truncation subtracts the bulk
-    occupations of :func:`occupation_infinite`, which also refuses a
-    model or rods it cannot use.
+    occupations of :func:`occupation_infinite`, which also refuses rods
+    that are not the model's.
     """
     occ = occupation_infinite(model, rods)
     p = model.p

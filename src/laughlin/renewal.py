@@ -24,10 +24,9 @@ estimate of the waiting-time mass beyond Nmax; by construction the
 truncated p_n sum to one exactly, so the literal missing mass is not
 observable and the estimate extrapolates the decay of the last two
 weights instead; one weight (Nmax = 1) gives no estimate, an infinite
-tail.  A model whose estimated tail exceeds 1% refuses to feed
-infinite-volume quantities unless it admits its unconverged tail, which
-is decided once, where the model is built (:func:`build_model`'s
-``admit_unconverged``); every consumer asks the model.
+tail.  A model whose estimated tail exceeds 1% is ``unconverged``: it
+still feeds every infinite-volume quantity, and the command line
+records the tail as a failed ``tail-converged`` check.
 """
 
 from __future__ import annotations
@@ -43,11 +42,6 @@ from laughlin.moments import MomentTable, as_moments
 
 TAIL_THRESHOLD = 0.01
 _ACTIVITY_TOL = 1e-12  # relative width at which the bisection stops
-
-
-class UnconvergedError(RuntimeError):
-    """Raised when infinite-volume output is requested from a model whose
-    truncation tail is too large."""
 
 
 def norms_from_tables(tables: list[CoefficientTable] | list[MomentTable],
@@ -183,19 +177,10 @@ class RenewalModel:
     tail_mass: float
     root_shift: float
     c_sub: float
-    admit_unconverged: bool
 
     @property
     def unconverged(self) -> bool:
         return self.tail_mass > TAIL_THRESHOLD
-
-    def require_converged(self) -> None:
-        """Raise :class:`UnconvergedError` for an unconverged model that
-        does not admit its tail."""
-        if self.unconverged and not self.admit_unconverged:
-            raise UnconvergedError(
-                f"estimated waiting-time tail {self.tail_mass:.3g} exceeds "
-                f"{TAIL_THRESHOLD}")
 
     def renewal_sequence(self, kmax: int) -> np.ndarray:
         """u_0..u_kmax by the convolution recursion."""
@@ -225,12 +210,10 @@ def _tail_estimate(pn: np.ndarray) -> float:
 
 
 def build_model(p: int, Nmax: int, gamma: float,
-                tables: list[CoefficientTable] | list[MomentTable],
-                admit_unconverged: bool = False) -> RenewalModel:
+                tables: list[CoefficientTable] | list[MomentTable]
+                ) -> RenewalModel:
     """Assemble the renewal model from exact tables up to Nmax, given as
-    coefficient tables or their moment tables.  With
-    ``admit_unconverged`` the model feeds infinite-volume quantities even
-    when its tail is above :data:`TAIL_THRESHOLD`."""
+    coefficient tables or their moment tables."""
     tables = as_moments(tables[:Nmax])
     if len(tables) < Nmax:
         raise ConfigError(f"need tables up to N={Nmax}, got {len(tables)}")
@@ -247,8 +230,7 @@ def build_model(p: int, Nmax: int, gamma: float,
     return RenewalModel(p=p, gamma=gamma, Nmax=Nmax, C=tuple(C),
                         alpha=tuple(alpha), alpha_residual=residual, r=r,
                         pn=tuple(pn), mu=mu, tail_mass=_tail_estimate(pn),
-                        root_shift=root_shift, c_sub=csub,
-                        admit_unconverged=admit_unconverged)
+                        root_shift=root_shift, c_sub=csub)
 
 
 def partition_probability(model: RenewalModel, lengths) -> float:

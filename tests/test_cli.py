@@ -192,18 +192,20 @@ def test_ham_report(dirs, tmp_path):
     stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
     # the empty cache makes ham compute tables 1 and 2
     assert [s["name"] for s in stages] == [
-        "sector", "pair_assembly", "bond_assembly", "squeeze", "squeeze",
-        "spectrum", "ground_check"]
-    assert [s["N"] for s in stages[3:5]] == [1, 2]
+        "sector", "pair_assembly", "bond_assembly", "assembly", "squeeze",
+        "squeeze", "spectrum", "ground_check"]
+    assert [s["N"] for s in stages[4:6]] == [1, 2]
     assert all(s["seconds"] >= 0.0 for s in stages)
     assert stages[0]["dim"] == 2
     assert stages[1]["nnz"] == stages[2]["nnz"] == 4
+    # the memory of both assemblies is the enclosing stage's
+    assert stages[3]["rss_rise_mb"] >= 0.0
 
     out2 = str(tmp_path / "out2")
     assert run_cli(*argv, "--out-dir", out2) == 0
     stages = read_json(os.path.join(out2, "ham_manifest.json"))["stages"]
     assert [s["name"] for s in stages] == [
-        "sector", "pair_assembly", "bond_assembly", "spectrum",
+        "sector", "pair_assembly", "bond_assembly", "assembly", "spectrum",
         "ground_check"]
     with open(os.path.join(out, "ham.json"), "rb") as fa, \
             open(os.path.join(out2, "ham.json"), "rb") as fb:
@@ -285,9 +287,9 @@ def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
     assert len(dists) == 3 and doc["perturbation"]["decreasing"] is True
     stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
     assert [s["name"] for s in stages] == [
-        "sector", "pair_assembly", "bond_assembly", "squeeze", "squeeze",
-        "squeeze", "monomer_dimer", "perturbation"]
-    assert stages[6]["dim"] == doc["dim"] and stages[6]["num_terms"] == 3
+        "sector", "pair_assembly", "bond_assembly", "assembly", "squeeze",
+        "squeeze", "squeeze", "monomer_dimer", "perturbation"]
+    assert stages[7]["dim"] == doc["dim"] and stages[7]["num_terms"] == 3
 
 
 def test_ham_records_each_computed_table(dirs, monkeypatch):
@@ -523,6 +525,22 @@ def test_mcmc_phase_observable(dirs, monkeypatch):
     assert max(pred) > 2 * min(pred)
 
 
+def test_mcmc_unconverged_phase_writes_everything_and_exits_one(dirs):
+    """An unconverged phase prediction fails tail-converged after the
+    run has written every observable and its manifest."""
+    cache, out = dirs
+    assert run_cli("mcmc", "--p", "3", "--N", "6", "--sweeps", "400",
+                   "--burn-in", "100", "--thinning", "2",
+                   "--observables", "density,excess,phase", "--Nmax", "1",
+                   "--cache-dir", cache, "--out-dir", out) == 1
+    manifest = read_json(os.path.join(out, "mcmc_manifest.json"))
+    assert set(manifest["artifacts"]) == \
+        {"density.csv", "excess.csv", "phase.csv"}
+    assert [c["name"] for c in manifest["checks"]] == \
+        ["mcmc-chain", "tail-converged"]
+    assert failed_checks(out, "mcmc") == ["tail-converged"]
+
+
 def test_corr_manifest_records_cache_hits(dirs):
     cache, out = dirs
     argv = ["corr", "--p", "3", "--Nmax", "4", "--N", "4", "--kmax", "2",
@@ -666,6 +684,8 @@ def test_exit_code_corrupt_cache(dirs, capsys, line, resign, message):
     ["renewal", "--seed", "1"],
     ["corr", "--seed", "1"],
     ["ham", "--N", "2", "--override-unconverged"],
+    ["corr", "--override-unconverged"],
+    ["verify-all", "--override-unconverged"],
 ])
 def test_unread_flags_rejected(argv, dirs, capsys):
     cache, out = dirs
@@ -682,34 +702,46 @@ def test_exit_code_no_compute_on_cold_cache(dirs):
 
 
 def test_exit_code_unconverged(dirs, capsys):
-    # One rod weight gives no tail estimate, and so no convergence.
+    """An unconverged tail fails tail-converged and exits 1 after every
+    artifact is written.  One rod weight gives no tail estimate, and so
+    no convergence."""
     cache, out = dirs
     for argv in (["renewal", "--Nmax", "8", "--gamma", "0.4"],
                  ["renewal", "--Nmax", "1", "--gamma", "0.5"],
                  ["corr", "--Nmax", "1", "--gamma", "0.5"]):
         argv += ["--p", "3", "--cache-dir", cache, "--out-dir", out]
         capsys.readouterr()
-        assert run_cli(*argv) == 2
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == ""
+        manifest = read_json(os.path.join(out, f"{argv[0]}_manifest.json"))
+        (tail,) = manifest["checks"]
+        assert tail["name"] == "tail-converged" and tail["passed"] is False
+        assert tail["tolerance"] == 0.01
+        model = next(s for s in manifest["stages"] if s["name"] == "model")
+        assert tail["measured"] == model["tail_mass"]
         if argv[2] == "1":
-            assert capsys.readouterr().err.splitlines() == [
-                "error: estimated waiting-time tail inf exceeds 0.01; "
-                "pass --override-unconverged to proceed"]
-        assert run_cli(*argv, "--override-unconverged") == 0
+            assert tail["measured"] == "inf"
+        assert set(manifest["artifacts"]) == {
+            "renewal": {"renewal.csv", "renewal_summary.json"},
+            "corr": {"occupations.csv", "pairs.csv", "profile.csv",
+                     "period.json"}}[argv[0]]
         if argv[0] == "renewal":
             summary = read_json(os.path.join(out, "renewal_summary.json"))
             assert summary["converged"] is False
 
 
 def test_corr_override_admits_the_model(dirs):
-    """--override-unconverged builds a model that admits its tail, and
-    every bulk output of corr is that model's."""
+    """corr on an unconverged model fails tail-converged, and every bulk
+    output it writes is still that model's."""
     cache, out = dirs
     argv = ["corr", "--p", "3", "--Nmax", "6", "--gamma", "0.35",
             "--kmax", "4", "--cache-dir", cache, "--out-dir", out]
-    assert run_cli(*argv) == 2
-    assert run_cli(*argv, "--override-unconverged") == 0
+    assert run_cli(*argv) == 1
+    checks = read_json(os.path.join(out, "corr_manifest.json"))["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == \
+        [("tail-converged", False)]
     tables = [moments.read(cache, 3, n) for n in range(1, 7)]
-    model = build_model(3, 6, 0.35, tables=tables, admit_unconverged=True)
+    model = build_model(3, 6, 0.35, tables=tables)
     rods = rod_expectations(tables, 0.35)
     assert model.unconverged
     occ = read_csv(os.path.join(out, "occupations.csv"))
@@ -748,8 +780,8 @@ def test_verify_all_passes(dirs, capsys):
 
 
 def test_verify_all_runs_what_needs_no_tail(dirs):
-    """An unconverged tail fails its own check and leaves out only the
-    two checks that read the bulk occupations."""
+    """An unconverged tail fails its own check; every other check, the
+    two that read the bulk occupations too, still runs."""
     cache, out = dirs
     assert run_cli("verify-all", "--p", "3", "--Nmax", "4", "--gamma", "0.4",
                    "--cache-dir", cache, "--out-dir", out) == 1
@@ -757,8 +789,9 @@ def test_verify_all_runs_what_needs_no_tail(dirs):
     assert [c["name"] for c in doc["checks"]] == [
         "product-rule", "expansion-oracle", "moments-vs-rows",
         "alpha-residual", "activity-equation", "quasi-state-reconstruction",
-        "quasi-state-weights", "tail-converged", "finite-renewal-match",
-        "occupation-reflection", "build-agreement", "ground-residual",
+        "quasi-state-weights", "tail-converged", "occupation-normalization",
+        "finite-renewal-match", "occupation-reflection", "bulk-epsilon",
+        "build-agreement", "ground-residual",
         "ground-kernel", "monomer-dimer-residual", "thin-torus-zero-mode",
         "mcmc-excess", "mcmc-chain", "mcmc-y-uniform"]
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == \
@@ -923,6 +956,7 @@ def test_manifest_checks_give_the_exit_code(dirs, argv):
             read_json(os.path.join(out, "verify.json"))["checks"]
     else:
         assert names == {
+            "renewal": ["tail-converged"], "corr": ["tail-converged"],
             "ham": ["ground-residual", "ground-kernel",
                     "monomer-dimer-residual", "monomer-dimer-build"],
             "mcmc": ["mcmc-chain"]}.get(sub, [])

@@ -26,11 +26,9 @@ from laughlin.correlations import (
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import ConfigError, config_tuples
 from laughlin.moments import derive
-from laughlin.renewal import (UnconvergedError, build_model,
-                              partition_probability)
-from test_reference import (WindowEvent, diagonal_value, domain_weighted,
-                            live_partitions, moments_finite, num_orbitals,
-                            omega, stationary_event_probability)
+from laughlin.renewal import build_model, partition_probability
+from test_reference import (diagonal_value, domain_weighted, live_partitions,
+                            moments_finite, num_orbitals, omega)
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +150,7 @@ def test_quasi_state_two_particles(amp_p3_n2):
 def test_quasi_state_rebuilds_projector(tables_p1, tables_p2, tables_p3):
     # The two quasi-state verdicts of verify-all, at every N they read.
     for tables in (tables_p1, tables_p2, tables_p3, expand_all(4, 4)):
-        model = build_model(tables[0].p, 4, 1.0, tables=tables,
-                            admit_unconverged=True)
+        model = build_model(tables[0].p, 4, 1.0, tables=tables)
         for N in (2, 3, 4):
             dec = quasi_state(amplitudes(tables[N - 1], 1.0))
             err = np.max(np.abs(dec.reconstruction() - dec.projector()))
@@ -331,29 +328,6 @@ def test_bulk_functions_check_their_rods(name, rods_of, tables_p3,
     # rods of more sizes than the model has are read up to its Nmax
     assert BULK_CALLS[name](model, rod_expectations(tables_p3, 1.0)) == \
         BULK_CALLS[name](model, rod_expectations(tables_p3[:6], 1.0))
-
-
-ADMISSION_CALLS = {
-    "occupation_infinite": occupation_infinite,
-    "pair_infinite": lambda m, r: pair_infinite(m, r, 0, 2),
-    "period_test": period_test,
-    "stationary_event_probability":
-        lambda m, r: stationary_event_probability(m, WindowEvent(0, (1,))),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ADMISSION_CALLS))
-def test_bulk_consumers_ask_the_model_for_admission(name, tables_p3):
-    """An unconverged model feeds bulk quantities only when it was built
-    to admit its tail."""
-    rods = rod_expectations(tables_p3[:6], 0.4)
-    refused = build_model(3, 6, 0.4, tables=tables_p3)
-    admitted = build_model(3, 6, 0.4, tables=tables_p3,
-                           admit_unconverged=True)
-    assert refused.unconverged and admitted.unconverged
-    with pytest.raises(UnconvergedError):
-        ADMISSION_CALLS[name](refused, rods)
-    assert ADMISSION_CALLS[name](admitted, rods) is not None
 
 
 def test_occupation_finite_refuses_a_missing_or_second_gamma(tables_p3):

@@ -11,6 +11,9 @@ A module reaches another only through its public names: none imports,
 or reads as an attribute of an imported module, a ``_``-prefixed name
 of another module of the package.
 
+No module of the package, and no test module, imports a name it never
+reads.
+
 Every subcommand of the command line has one ``return``, of its
 manifest's exit code, so no subcommand decides its exit code apart from
 the checks it records.
@@ -134,6 +137,32 @@ def test_no_module_takes_a_private_name_of_another():
         if names := private_names_from_other_modules(tree):
             offenders[path.stem] = sorted(names)
     assert offenders == {}
+
+
+def unread_imports(tree: ast.AST) -> set[str]:
+    """The names a module imports (``__future__`` features aside) and
+    never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    package = pathlib.Path(laughlin.__file__).parent
+    paths = [m for m in sorted(package.glob("*.py"))
+             if m.name != "__init__.py"]
+    paths += sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    unread = {f"{path.parent.name}/{path.name}": sorted(names)
+              for path in paths
+              if (names := unread_imports(ast.parse(path.read_text())))}
+    assert unread == {}
 
 
 def exits_through_manifest(ret: ast.Return) -> bool:

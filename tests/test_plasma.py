@@ -23,7 +23,6 @@ from laughlin.correlations import (
     rod_expectations,
 )
 from laughlin.lattice import ConfigError, ModelParams
-from laughlin.renewal import build_model
 from laughlin import plasma
 from test_reference import log_weight, orbital_interval_weights
 

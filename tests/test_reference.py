@@ -902,7 +902,6 @@ def stationary_event_probability(model: RenewalModel,
     to the first by the renewal bridge u_gap, which is what makes the
     process clustering.
     """
-    model.require_converged()
     if isinstance(events, WindowEvent):
         events = [events]
     if not 1 <= len(events) <= 2:

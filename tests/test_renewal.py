@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from laughlin.expansion import expand_all
 from laughlin.lattice import ConfigError, enumerate_partitions
-from laughlin.renewal import (RenewalModel, UnconvergedError, build_model,
-                              irreducible_weights, long_interval_bound,
-                              partition_probability, solve_activity)
+from laughlin.renewal import (RenewalModel, build_model, irreducible_weights,
+                              long_interval_bound, partition_probability,
+                              solve_activity)
 from test_reference import (WindowEvent, finite_window_probability,
                             no_renewal_probability,
                             stationary_event_probability)
@@ -42,8 +41,7 @@ def test_toy_renewal_sequence_by_hand():
     model = RenewalModel(p=3, gamma=1.0, Nmax=2, C=(1.0, 1.0, 2.0),
                          alpha=(1.0, 1.0), alpha_residual=0.0, r=GOLDEN,
                          pn=(GOLDEN, GOLDEN ** 2), mu=GOLDEN + 2 * GOLDEN ** 2,
-                         tail_mass=0.0, root_shift=0.0, c_sub=1.0,
-                         admit_unconverged=False)
+                         tail_mass=0.0, root_shift=0.0, c_sub=1.0)
     u = model.renewal_sequence(2)
     assert u[0] == 1.0
     assert u[1] == pytest.approx(GOLDEN, abs=1e-15)
@@ -199,13 +197,7 @@ def test_stationary_event_errors(model_p3_g1):
 def test_unconverged_gate(tables_p3):
     model = build_model(3, 6, 0.4, tables=tables_p3)
     assert model.unconverged
-    with pytest.raises(UnconvergedError):
-        stationary_event_probability(model, WindowEvent(0))
-    # A model built to admit its tail lets it through.
-    admitted = build_model(3, 6, 0.4, tables=tables_p3,
-                           admit_unconverged=True)
-    assert admitted.unconverged
-    assert stationary_event_probability(admitted, WindowEvent(0)) > 0
+    assert stationary_event_probability(model, WindowEvent(0)) > 0
 
 
 def test_finite_window_probability(model_p3_g1):
