@@ -5,8 +5,10 @@ output directory, then a ``<subcommand>_manifest.json`` recording the
 full configuration, library versions, SHA-256 checksums of the
 artifacts, the wall time, the run's ``checks`` (the name, measured
 value, tolerance, ``passed`` and note of each verdict, recorded by
-:meth:`Emitter.check`) and, where coefficient tables were read, a
-``cache`` record of the N read from the cache and the N computed.
+:meth:`Emitter.bound`, or :meth:`Emitter.check` where the verdict is not
+``measured <= tolerance``, in the one helper that computes its quantity)
+and, where coefficient tables were read, a ``cache`` record of the N
+read from the cache and the N computed.
 One loader, :func:`_load_tables`, decides for each N whether its table
 is read from the cache or computed by the one route that computes a
 table, :func:`laughlin.expansion.expand`, which it calls with the
@@ -31,8 +33,9 @@ monomer-dimer model (with its dimension and number of terms) and on the
 perturbation series.  Reading and deriving the moment tables is a
 ``moments`` stage (with the exponent count of each), and the renewal
 model a ``model`` stage recording its tail mass, root shift and alpha
-residual, before the further stages of each subcommand; the tail is
-also the run's ``tail-converged`` check.
+residual and checked by ``alpha-residual``, ``activity-equation`` and
+``tail-converged``; the Metropolis run is a ``sample`` stage checked by
+``mcmc-chain``, and ``verify-all``'s polynomial oracle an ``oracle`` stage.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -196,6 +199,11 @@ class Emitter:
                             "note": note})
         return bool(passed)
 
+    def bound(self, name: str, measured, tolerance, note: str) -> bool:
+        """Record the verdict ``measured <= tolerance`` (false on NaN)."""
+        return self.check(name, measured, tolerance, measured <= tolerance,
+                          note)
+
     @property
     def passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -315,31 +323,45 @@ def _load_moments(em: Emitter, args, Nmax: int, no_compute: bool = False
 
 def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
     """The renewal model of ``args.Nmax`` rods as a ``model`` stage with
-    its convergence record, and its tail as the run's verdict."""
+    its convergence record, and the model's three verdicts."""
     with em.timed("model") as sizes:
         model = renewal.build_model(args.p, args.Nmax, args.gamma,
                                     tables=tables)
         sizes.update(tail_mass=model.tail_mass, root_shift=model.root_shift,
                      alpha_residual=model.alpha_residual)
-    _tail_verdict(em, model)
+    em.bound("alpha-residual", model.alpha_residual, 1e-12,
+             "direct vs recursive irreducible weights")
+    act = abs(float(np.polyval(model.alpha[::-1] + (0.0,), model.r)) - 1.0)
+    em.bound("activity-equation", act, 1e-10,
+             "sum alpha_n r^n = 1 at the solved activity")
+    em.bound("tail-converged", model.tail_mass, renewal.TAIL_THRESHOLD,
+             "rod-size distribution tail below threshold")
     return model
+
+
+def _sample_stage(em: Emitter, params: ModelParams,
+                  mc: plasma.McConfig) -> plasma.McRun:
+    """The Metropolis run as a ``sample`` stage, and its verdict: split
+    R-hat near 1 and the acceptance inside its band."""
+    with em.timed("sample") as sizes:
+        run = plasma.metropolis_run(params, mc)
+        sizes.update(chains=mc.chains, moves=run.moves)
+    lo, hi = plasma.ACCEPTANCE_BAND
+    em.check("mcmc-chain", abs(run.rhat - 1.0), plasma.RHAT_TOLERANCE,
+             run.rhat_ok and not run.pathological,
+             f"|split R-hat - 1|; acceptance {fmt(run.acceptance)} "
+             f"must lie in [{fmt(lo)}, {fmt(hi)}]")
+    return run
 
 
 # -- verdicts shared by subcommands -------------------------------------------------
 
 
-def _tail_verdict(em: Emitter, model: renewal.RenewalModel) -> bool:
-    """The rod-size tail beyond Nmax is small enough to trust the bulk."""
-    return em.check("tail-converged", model.tail_mass,
-                    renewal.TAIL_THRESHOLD, not model.unconverged,
-                    "rod-size distribution tail below threshold")
-
-
 def _ground_verdict(em: Emitter, report: hamiltonian.GroundReport,
                     N: int) -> bool:
     """The Laughlin state is the one zero mode of H in its sector."""
-    residual_ok = em.check("ground-residual", report.residual, 1e-8,
-                           report.residual < 1e-8, f"N={N} momentum sector")
+    residual_ok = em.bound("ground-residual", report.residual, 1e-8,
+                           f"N={N} momentum sector")
     kernel_ok = em.check("ground-kernel", float(report.kernel_dim), 1.0,
                          report.kernel_dim == 1,
                          "kernel dimension in the sector")
@@ -348,18 +370,8 @@ def _ground_verdict(em: Emitter, report: hamiltonian.GroundReport,
 
 def _monomer_dimer_verdict(em: Emitter, residual: float, N: int) -> bool:
     """The monomer-dimer state is a zero mode of its truncated H."""
-    return em.check("monomer-dimer-residual", residual, 1e-10,
-                    residual < 1e-10,
+    return em.bound("monomer-dimer-residual", residual, 1e-10,
                     f"N={N} tiling state against the truncated Hamiltonian")
-
-
-def _chain_verdict(em: Emitter, run: plasma.McRun) -> bool:
-    """Split R-hat near 1 and the acceptance inside its band."""
-    lo, hi = plasma.ACCEPTANCE_BAND
-    return em.check("mcmc-chain", abs(run.rhat - 1.0), plasma.RHAT_TOLERANCE,
-                    run.rhat_ok and not run.pathological,
-                    f"|split R-hat - 1|; acceptance {fmt(run.acceptance)} "
-                    f"must lie in [{fmt(lo)}, {fmt(hi)}]")
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -521,8 +533,8 @@ def cmd_ham(args) -> int:
             report = hamiltonian.ground_check(md.H, md.psi, vals)
             sizes.update(dim=basis.dim, num_terms=md.num_terms)
         residual_ok = _monomer_dimer_verdict(em, report.residual, args.N)
-        build_ok = em.check(
-            "monomer-dimer-build", md.deviation, 1e-12, md.deviation < 1e-12,
+        build_ok = em.bound(
+            "monomer-dimer-build", md.deviation, 1e-12,
             "square and expanded assemblies of the truncated Hamiltonian")
         doc["monomer_dimer"] = {
             "residual": report.residual, "kernel_dim": report.kernel_dim,
@@ -558,10 +570,7 @@ def cmd_mcmc(args) -> int:
     if observables and mc.chains * (mc.sweeps // mc.thinning) < 2:
         raise ConfigError(plasma.ONE_SAMPLE)
     em = Emitter(args.out_dir, "mcmc", _config_dict(args))
-    with em.timed("sample") as sizes:
-        run = plasma.metropolis_run(params, mc)
-        sizes["chains"] = args.chains
-        sizes["moves"] = run.moves
+    run = _sample_stage(em, params, mc)
     pooled = run.pooled()
 
     run_info = {
@@ -572,8 +581,6 @@ def cmd_mcmc(args) -> int:
         "pathological": run.pathological,
         "nsamples": pooled.shape[0],
         "acceptance_band": list(plasma.ACCEPTANCE_BAND),
-        "rhat_tolerance": plasma.RHAT_TOLERANCE,
-        "passed": _chain_verdict(em, run),
     }
 
     if "density" in observables:
@@ -665,70 +672,60 @@ def _verify_checks(em: Emitter, args) -> None:
     moment_tables = moments.as_moments(tables)
 
     failures = expansion.verify_product_rule(p, Nmax, tables=tables).failures
-    em.check("product-rule", float(len(failures)), 0.0, not failures,
+    em.bound("product-rule", float(len(failures)), 0.0,
              "cached tables inconsistent across renewal points")
 
-    dev = max(expansion.evaluate_oracle(table) for table in tables[1:])
-    em.check("expansion-oracle", dev, 0.0, dev == 0.0,
+    with em.timed("oracle"):
+        dev = max(expansion.evaluate_oracle(table) for table in tables[1:])
+    em.bound("expansion-oracle", dev, 0.0,
              "share of random points mod 2^31-1 where a table of "
              "N = 2..Nmax misses its polynomial")
 
-    model = renewal.build_model(p, Nmax, gamma, tables=moment_tables)
+    model = _model_stage(em, args, moment_tables)
     rods = correlations.rod_expectations(moment_tables, gamma)
     dev = _moments_vs_rows(tables, moment_tables, model, rods)
-    em.check("moments-vs-rows", dev, 1e-13, dev <= 1e-13,
+    em.bound("moments-vs-rows", dev, 1e-13,
              "C_N, alpha_n, rod profiles and pair moments and finite "
              "occupations from the moment tables against sums over the rows")
-
-    em.check("alpha-residual", model.alpha_residual, 1e-12,
-             model.alpha_residual <= 1e-12,
-             "direct vs recursive irreducible weights")
-
-    act = abs(float(np.polyval(
-        np.concatenate(([0.0], np.asarray(model.alpha)))[::-1], model.r)) - 1.0)
-    em.check("activity-equation", act, 1e-10, act <= 1e-10,
-             "sum alpha_n r^n = 1 at the solved activity")
 
     N_h = min(4, Nmax)
     amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
     dec = correlations.quasi_state(amp_h)
     dev = float(np.max(np.abs(dec.reconstruction() - dec.projector())))
-    em.check("quasi-state-reconstruction", dev, 1e-12, dev <= 1e-12,
+    em.bound("quasi-state-reconstruction", dev, 1e-12,
              f"sum_X p_N(X) omega_X against |Psi><Psi|/C_N at N={N_h}")
     dev = max(abs(w - renewal.partition_probability(model, X))
               for X, w in dec.weights.items())
-    em.check("quasi-state-weights", dev, 1e-12, dev <= 1e-12,
+    em.bound("quasi-state-weights", dev, 1e-12,
              "quasi-state weights p_N(X) against prod alpha_n / C_N "
              f"at N={N_h}")
 
-    _tail_verdict(em, model)
     occ_inf = correlations.occupation_infinite(model, rods)
     dev = abs(float(occ_inf.sum()) - 1.0)
-    em.check("occupation-normalization", dev, 1e-8, dev <= 1e-8,
+    em.bound("occupation-normalization", dev, 1e-8,
              "bulk occupations over one period sum to 1")
 
     occ_fin = correlations.occupation_finite(moment_tables[Nmax - 1], gamma)
     via = correlations.occupation_finite_via_renewal(model, rods, Nmax)
     dev = float(np.max(np.abs(occ_fin - via)))
-    em.check("finite-renewal-match", dev, 1e-10, dev <= 1e-10,
+    em.bound("finite-renewal-match", dev, 1e-10,
              "finite occupations reassembled from the renewal form")
 
     dev = float(np.max(np.abs(occ_fin - occ_fin[::-1])))
-    em.check("occupation-reflection", dev, 1e-12, dev <= 1e-12,
+    em.bound("occupation-reflection", dev, 1e-12,
              "finite occupations reflection-symmetric")
 
     k_mid = p * (Nmax // 2)
     eps = correlations.bulk_epsilon(model, rods, Nmax, k_mid)
     dev = abs(occ_fin[k_mid] - occ_inf[k_mid % p])
-    em.check("bulk-epsilon", dev, eps, dev <= eps,
+    em.bound("bulk-epsilon", dev, eps,
              f"center occupation at N={Nmax} within the bridge-weight bound")
 
     params = ModelParams(p, N_h, gamma)
     basis = hamiltonian.sector_basis(params,
                                      momentum=total_momentum(p, N_h))
     build = hamiltonian.build_H(params, basis=basis)
-    em.check("build-agreement", build.deviation, 1e-12,
-             build.deviation <= 1e-12,
+    em.bound("build-agreement", build.deviation, 1e-12,
              "quadruple and bond assemblies of the parent Hamiltonian")
 
     psi = hamiltonian.exact_vector(basis, amp_h)
@@ -751,7 +748,7 @@ def _verify_checks(em: Emitter, args) -> None:
         htt = hamiltonian.build_HTT(params_tt, basis=basis_tt)
         vec = hamiltonian.tao_thouless(params_tt, basis_tt)
         res_tt = hamiltonian.residual(htt, vec)
-        em.check("thin-torus-zero-mode", res_tt, 1e-12, res_tt <= 1e-12,
+        em.bound("thin-torus-zero-mode", res_tt, 1e-12,
                  "one-per-rod state annihilated by the diagonal truncation")
 
         if gamma >= 1.2:
@@ -764,9 +761,8 @@ def _verify_checks(em: Emitter, args) -> None:
                      "series distances to the exact state shrink per order")
 
     params2 = ModelParams(p, 2, gamma)
-    mc = plasma.McConfig(sweeps=12000, burn_in=500, thinning=3,
-                         seed=args.seed, chains=2)
-    run = plasma.metropolis_run(params2, mc)
+    run = _sample_stage(em, params2, plasma.McConfig(
+        sweeps=12000, burn_in=500, thinning=3, seed=args.seed, chains=2))
     pooled = run.pooled()
     xbar = 0.5 * p * gamma
     stats = plasma.measure_excess(pooled, [xbar], params2)
@@ -774,15 +770,13 @@ def _verify_checks(em: Emitter, args) -> None:
         expansion.amplitudes(tables[1], gamma), xbar)
     se = stats.p_zero_stderr[xbar]
     z = abs(stats.p_zero[xbar] - exact) / se if se > 0 else math.inf
-    em.check("mcmc-excess", z, 4.0, z < 4.0,
+    em.bound("mcmc-excess", z, 4.0,
              "sampled P(K=0) against the exact two-particle value, in sigma")
-
-    _chain_verdict(em, run)
 
     est = plasma.density_histogram(
         pooled, np.linspace(-4.0, p * gamma + 4.0, 40), params2)
     crit = 1.63 / math.sqrt(pooled.shape[0] * pooled.shape[1])
-    em.check("mcmc-y-uniform", est.y_ks, crit, est.y_ks < crit,
+    em.bound("mcmc-y-uniform", est.y_ks, crit,
              "Kolmogorov-Smirnov distance of the angular marginal")
 
 

@@ -37,6 +37,10 @@ def read_json(path):
         return json.load(fh)
 
 
+# the verdicts every run that builds a renewal model records, in order
+MODEL_CHECKS = ["alpha-residual", "activity-equation", "tail-converged"]
+
+
 @pytest.fixture()
 def dirs(tmp_path):
     cache = tmp_path / "cache"
@@ -367,7 +371,9 @@ def test_ham_failed_monomer_dimer_check_exits_one(dirs, monkeypatch, target,
 
 def test_ham_and_verify_all_share_their_verdicts(dirs, tmp_path):
     """The ground-state and monomer-dimer verdicts of ``ham`` at N=4 are
-    those ``verify-all --Nmax 4`` records."""
+    those ``verify-all --Nmax 4`` records, and the renewal model's
+    verdicts of ``renewal`` and ``corr`` are verify-all's record for
+    record."""
     cache, out = dirs
     assert run_cli("verify-all", "--p", "3", "--Nmax", "4", "--seed", "5",
                    "--cache-dir", cache, "--out-dir", out) == 0
@@ -387,6 +393,12 @@ def test_ham_and_verify_all_share_their_verdicts(dirs, tmp_path):
             assert check[key] == shared[key]
         assert check["measured"] == pytest.approx(shared["measured"],
                                                   abs=1e-15)
+    for sub in ("renewal", "corr"):
+        assert run_cli(sub, "--p", "3", "--Nmax", "4", "--cache-dir", cache,
+                       "--out-dir", out2) == 0
+        checks = read_json(os.path.join(out2, f"{sub}_manifest.json"))[
+            "checks"]
+        assert checks == [verify[name] for name in MODEL_CHECKS]
 
 
 def test_timed_stage_records_the_rise_of_the_peak(tmp_path, monkeypatch):
@@ -451,7 +463,8 @@ def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path, monkeypatch):
     manifest = read_json(os.path.join(out, "mcmc_manifest.json"))
     assert manifest["run"]["rhat"] == pytest.approx(1.0, abs=0.1)
     assert 0.0 < manifest["run"]["acceptance"] < 1.0
-    assert manifest["run"]["passed"] is True
+    assert [(c["name"], c["passed"]) for c in manifest["checks"]] == \
+        [("mcmc-chain", True)]
 
 
 @pytest.mark.parametrize("change", [{"rhat": math.nan}, {"rhat": 1.25},
@@ -464,11 +477,12 @@ def test_mcmc_degenerate_run_exits_one(dirs, monkeypatch, change):
     assert run_cli("mcmc", "--p", "3", "--N", "2", "--sweeps", "500",
                    "--burn-in", "100", "--seed", "3", "--cache-dir", cache,
                    "--out-dir", out) == 1
-    run = read_json(os.path.join(out, "mcmc_manifest.json"))["run"]
-    assert run["passed"] is False
-    assert run["rhat_tolerance"] == 0.1
-    assert run["acceptance_band"] == [0.01, 0.99]
-    assert failed_checks(out, "mcmc") == ["mcmc-chain"]
+    manifest = read_json(os.path.join(out, "mcmc_manifest.json"))
+    assert manifest["run"]["acceptance_band"] == [0.01, 0.99]
+    assert set(manifest["run"]) & {"passed", "rhat_tolerance"} == set()
+    (chain,) = manifest["checks"]
+    assert chain["name"] == "mcmc-chain" and chain["passed"] is False
+    assert chain["tolerance"] == 0.1
     assert os.path.exists(os.path.join(out, "density.csv"))
 
 
@@ -537,7 +551,7 @@ def test_mcmc_unconverged_phase_writes_everything_and_exits_one(dirs):
     assert set(manifest["artifacts"]) == \
         {"density.csv", "excess.csv", "phase.csv"}
     assert [c["name"] for c in manifest["checks"]] == \
-        ["mcmc-chain", "tail-converged"]
+        ["mcmc-chain"] + MODEL_CHECKS
     assert failed_checks(out, "mcmc") == ["tail-converged"]
 
 
@@ -714,8 +728,9 @@ def test_exit_code_unconverged(dirs, capsys):
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err == ""
         manifest = read_json(os.path.join(out, f"{argv[0]}_manifest.json"))
-        (tail,) = manifest["checks"]
-        assert tail["name"] == "tail-converged" and tail["passed"] is False
+        assert [c["name"] for c in manifest["checks"]] == MODEL_CHECKS
+        assert failed_checks(out, argv[0]) == ["tail-converged"]
+        tail = manifest["checks"][-1]
         assert tail["tolerance"] == 0.01
         model = next(s for s in manifest["stages"] if s["name"] == "model")
         assert tail["measured"] == model["tail_mass"]
@@ -739,7 +754,8 @@ def test_corr_override_admits_the_model(dirs):
     assert run_cli(*argv) == 1
     checks = read_json(os.path.join(out, "corr_manifest.json"))["checks"]
     assert [(c["name"], c["passed"]) for c in checks] == \
-        [("tail-converged", False)]
+        [("alpha-residual", True), ("activity-equation", True),
+         ("tail-converged", False)]
     tables = [moments.read(cache, 3, n) for n in range(1, 7)]
     model = build_model(3, 6, 0.35, tables=tables)
     rods = rod_expectations(tables, 0.35)
@@ -777,6 +793,9 @@ def test_verify_all_passes(dirs, capsys):
             "ground-residual", "monomer-dimer-residual", "mcmc-excess",
             "mcmc-chain"} <= names
     assert all(c["passed"] for c in doc["checks"])
+    manifest = read_json(os.path.join(out, "verify_manifest.json"))
+    assert [s["name"] for s in manifest["stages"]] == \
+        ["squeeze"] * 4 + ["oracle", "model", "sample"]
 
 
 def test_verify_all_runs_what_needs_no_tail(dirs):
@@ -787,13 +806,13 @@ def test_verify_all_runs_what_needs_no_tail(dirs):
                    "--cache-dir", cache, "--out-dir", out) == 1
     doc = read_json(os.path.join(out, "verify.json"))
     assert [c["name"] for c in doc["checks"]] == [
-        "product-rule", "expansion-oracle", "moments-vs-rows",
-        "alpha-residual", "activity-equation", "quasi-state-reconstruction",
-        "quasi-state-weights", "tail-converged", "occupation-normalization",
-        "finite-renewal-match", "occupation-reflection", "bulk-epsilon",
-        "build-agreement", "ground-residual",
-        "ground-kernel", "monomer-dimer-residual", "thin-torus-zero-mode",
-        "mcmc-excess", "mcmc-chain", "mcmc-y-uniform"]
+        "product-rule", "expansion-oracle", *MODEL_CHECKS, "moments-vs-rows",
+        "quasi-state-reconstruction", "quasi-state-weights",
+        "occupation-normalization", "finite-renewal-match",
+        "occupation-reflection", "bulk-epsilon", "build-agreement",
+        "ground-residual", "ground-kernel", "monomer-dimer-residual",
+        "thin-torus-zero-mode", "mcmc-chain", "mcmc-excess",
+        "mcmc-y-uniform"]
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == \
         ["tail-converged"]
 
@@ -956,7 +975,7 @@ def test_manifest_checks_give_the_exit_code(dirs, argv):
             read_json(os.path.join(out, "verify.json"))["checks"]
     else:
         assert names == {
-            "renewal": ["tail-converged"], "corr": ["tail-converged"],
+            "renewal": MODEL_CHECKS, "corr": MODEL_CHECKS,
             "ham": ["ground-residual", "ground-kernel",
                     "monomer-dimer-residual", "monomer-dimer-build"],
             "mcmc": ["mcmc-chain"]}.get(sub, [])

@@ -18,6 +18,11 @@ Every subcommand of the command line has one ``return``, of its
 manifest's exit code, so no subcommand decides its exit code apart from
 the checks it records.
 
+Each check name is recorded at one call site, so its tolerance is
+written once, and a verdict that compares its measured value with its
+tolerance is recorded by ``Emitter.bound``, not spelt out in a
+``check`` call.
+
 Every settable value of the package (a function parameter with a
 default, a dataclass field with a default, a command-line option) is
 listed in ``settings_inventory.txt``; a new one is added there on
@@ -189,6 +194,42 @@ def test_every_subcommand_exits_through_its_manifest():
         if len(returns) != 1 or not exits_through_manifest(returns[0]):
             offenders[command.name] = [ast.unparse(r) for r in returns]
     assert offenders == {}
+
+
+def verdict_calls(tree: ast.AST) -> list[ast.Call]:
+    """The ``.check(...)`` and ``.bound(...)`` calls of a module that
+    name their check by a string literal."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("check", "bound")
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)]
+
+
+def compares_its_own_arguments(call: ast.Call) -> bool:
+    """Whether a ``check`` call's verdict is a comparison of the measured
+    value and the tolerance it passes, which ``bound`` records."""
+    if call.func.attr != "check" or len(call.args) < 4:
+        return False
+    measured, tolerance, passed = call.args[1:4]
+    return (isinstance(passed, ast.Compare) and len(passed.comparators) == 1
+            and {ast.dump(passed.left), ast.dump(passed.comparators[0])}
+            == {ast.dump(measured), ast.dump(tolerance)})
+
+
+def test_each_check_is_recorded_at_one_site_and_bounds_use_bound():
+    package = pathlib.Path(laughlin.__file__).parent
+    sites, spelt_out = defaultdict(list), []
+    for path in sorted(package.glob("*.py")):
+        for call in verdict_calls(ast.parse(path.read_text(), str(path))):
+            where = f"{path.stem}:{call.lineno}"
+            sites[call.args[0].value].append(where)
+            if compares_its_own_arguments(call):
+                spelt_out.append(where)
+    assert spelt_out == []
+    assert {name: where for name, where in sites.items()
+            if len(where) > 1} == {}
+    assert len(sites) == 22  # every check name, so the scan sees them all
 
 
 class SettableValues(ast.NodeVisitor):
