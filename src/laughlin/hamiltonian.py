@@ -22,9 +22,9 @@ here is assembled by the index's operator engine,
 acts on every row at once (an occupied/empty mask or a site's largest
 occupation, a fermionic sign from the parity of a prefix count, bosonic
 square-root factors), and the images are found by their packed keys.
-The quadruple sum and the monomer-dimer terms are one engine pass each;
-the bond form is A^T A, with one row of A per image of a bond, from one
-engine pass over the terms of every bond.
+The quadruple sum and the monomer-dimer closed form are one engine
+pass each; the bond form is A^T A, with one row of A per image of a
+bond, from one engine pass over the terms of every bond.
 
 Every builder and check takes the sector basis, and every check the
 eigenvalues, that its caller enumerated or solved, and no result hands
@@ -33,10 +33,12 @@ whole layer when it is given no basis.  Spectra, and so the kernel of
 the ground-state check at every dimension, come from :func:`spectrum`,
 ARPACK's implicitly restarted Lanczos from a seeded vector.
 
-The module also builds two truncations with exactly known ground
-states, the monomer-dimer Hamiltonian and the nearest/next-nearest
-repulsion whose kernel is the one-particle-every-three-sites state,
-plus the ground-state perturbation series seeded by the latter.
+The module also has two p = 3 truncations with exactly known ground
+states: the monomer-dimer Hamiltonian, the repulsion's bonds cut at
+distance 3 with the paper's closed form as its oracle, and the diagonal
+nearest/next-nearest repulsion (:func:`tt_energies`), whose kernel is
+the one-particle-every-three-sites state that seeds the perturbation
+series.
 
 Operator convention: a basis label m is a row of ascending orbitals,
 and |m> carries the creation operators in ascending orbital order.  In
@@ -154,11 +156,14 @@ def _bond_annihilators(sites: int, f: dict[int, tuple[float, ...]]):
 
     The offset k runs over both signs (and zero for bosons), so the
     adjoint pairs B_{s,j}* B_{s,j} reproduce the quadruple sum exactly.
+    A pair whose distance d is not a key of f is left out, so a table
+    cut to the short distances gives the bonds of the cut repulsion.
     """
     bonds = []
     for S in range(2 * sites - 1):
         pairs = [(a, S - a) for a in range(max(0, S - sites + 1),
-                                           min(S, sites - 1) + 1)]
+                                           min(S, sites - 1) + 1)
+                 if S - 2 * a in f]
         for j in range(len(f[0])):
             terms = [((a, b), f[b - a][j]) for a, b in pairs
                      if f[b - a][j] != 0.0]
@@ -373,9 +378,11 @@ def build_monomer_dimer(params: ModelParams,
                         basis: SectorBasis | None = None) -> MonomerDimer:
     """Truncated-range Hamiltonian and its monomer-dimer ground state.
 
-    Keeping only pair distances <= 3 in the repulsion (and dividing out
-    the overall 16 gamma^2 e^{-gamma^2/2}) leaves per-site terms
-    4 e^{-3g^2/2} n_j n_{j+2} plus the square of
+    The operator is the repulsion's bond squares with only the pair
+    distances <= 3 kept, divided by 16 gamma^2 e^{-gamma^2/2}: one bond
+    assembly.  ``deviation`` checks it against the closed form of
+    Nakamura, Wang and Bergholtz, per-site terms 4 e^{-3g^2/2}
+    n_j n_{j+2} plus the expanded square of
     M_j = c_{j+2} c_{j+1} + 3 e^{-2g^2} c_{j+3} c_j.  The ground state
     sums over monomer-dimer tilings of the rods: a monomer places one
     particle at 3k, a dimer places the pair (3k+1, 3k+2) with
@@ -386,32 +393,21 @@ def build_monomer_dimer(params: ModelParams,
         basis = sector_basis(params)
     g2 = params.gamma ** 2
     hop = 3.0 * math.exp(-2.0 * g2)
-    nnn = 4.0 * math.exp(-1.5 * g2)
     sites = basis.num_sites
 
-    diag_terms = [((k, k + 2), (k + 2, k), nnn)
-                  for k in range(sites - 2)]
-    H = _operator_from_terms(basis, diag_terms, True)
-    bonds = []
-    for j in range(-1, sites - 2):
-        terms = []
-        if 0 <= j + 1 and j + 2 < sites:
-            terms.append(((j + 2, j + 1), 1.0))
-        if 0 <= j and j + 3 < sites:
-            terms.append(((j + 3, j), hop))
-        if terms:
-            bonds.append(terms)
-    H = H + _gram_build(basis, bonds, True)
+    cut = {d: f for d, f in _components(params, sites).items()
+           if abs(d) <= 3}
+    H = _gram_build(basis, _bond_annihilators(sites, cut), True) / (
+        16.0 * g2 * math.exp(-0.5 * g2))
 
-    expanded = list(diag_terms)
-    for k in range(sites - 1):
-        expanded.append(((k, k + 1), (k + 1, k), 1.0))
+    closed = [((k, k + 2), (k + 2, k), 4.0 * math.exp(-1.5 * g2))
+              for k in range(sites - 2)]
+    closed += [((k, k + 1), (k + 1, k), 1.0) for k in range(sites - 1)]
     for k in range(sites - 3):
-        expanded.append(((k, k + 3), (k + 3, k), hop * hop))
-        expanded.append(((k + 1, k + 2), (k + 3, k), hop))
-        expanded.append(((k, k + 3), (k + 2, k + 1), hop))
-    direct = _operator_from_terms(basis, expanded, True)
-    dev = float(abs(H - direct).max())
+        closed += [((k, k + 3), (k + 3, k), hop * hop),
+                   ((k + 1, k + 2), (k + 3, k), hop),
+                   ((k, k + 3), (k + 2, k + 1), hop)]
+    dev = float(abs(H - _operator_from_terms(basis, closed, True)).max())
 
     coeffs: dict[tuple[int, ...], float] = {}
 
@@ -440,12 +436,6 @@ def tt_energies(basis: SectorBasis, gamma: float) -> np.ndarray:
     return e1 * near + e2 * next_near
 
 
-def build_HTT(params: ModelParams, basis: SectorBasis) -> sparse.csr_matrix:
-    """Diagonal nearest/next-nearest repulsion (p = 3 truncation)."""
-    require_p3(params)
-    return sparse.diags(tt_energies(basis, params.gamma)).tocsr()
-
-
 def tao_thouless(params: ModelParams, basis: SectorBasis) -> np.ndarray:
     """The one-particle-every-three-sites occupation state as a vector."""
     require_p3(params)
@@ -455,11 +445,7 @@ def tao_thouless(params: ModelParams, basis: SectorBasis) -> np.ndarray:
 @dataclass(frozen=True)
 class PerturbationReport:
     distances: tuple[float, ...]
-
-    @property
-    def decreasing(self) -> bool:
-        d = self.distances
-        return all(d[i + 1] < d[i] for i in range(len(d) - 1))
+    decreasing: bool  # each distance below the one before, or rounding
 
 
 def perturbation_series(params: ModelParams, order: int,
@@ -474,7 +460,9 @@ def perturbation_series(params: ModelParams, order: int,
     the previous term, where D is the truncated diagonal and Q projects
     off the seed.  Distances are Euclidean against the exact amplitude
     vector of ``amp``, the amplitudes of (p, N) at gamma, in the gauge
-    where both have unit seed coefficient.
+    where both have unit seed coefficient; the series counts as
+    decreasing while each distance falls, or has reached the rounding
+    floor 1e-14 |exact|.
 
     ``H`` is the repulsion on ``basis``, the ground momentum sector of
     ``params``, such as :func:`repulsion` assembles.
@@ -511,4 +499,6 @@ def perturbation_series(params: ModelParams, order: int,
         term[others] /= -energies[others]
         partial = partial + term
         distances.append(float(np.linalg.norm(partial - exact)))
-    return PerturbationReport(distances=tuple(distances))
+    floor = 1e-14 * float(np.linalg.norm(exact))  # entries round to ulps
+    return PerturbationReport(distances=tuple(distances), decreasing=all(
+        b < a or b <= floor for a, b in zip(distances, distances[1:])))

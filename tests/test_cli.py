@@ -387,7 +387,7 @@ def test_ham_and_verify_all_share_their_verdicts(dirs, tmp_path):
     assert [c["name"] for c in ham] == [
         "ground-residual", "ground-kernel", "monomer-dimer-residual",
         "monomer-dimer-build"]
-    for check in ham[:3]:
+    for check in ham:
         shared = verify[check["name"]]
         for key in ("tolerance", "passed", "note"):
             assert check[key] == shared[key]
@@ -790,8 +790,8 @@ def test_verify_all_passes(dirs, capsys):
     names = {c["name"] for c in doc["checks"]}
     assert {"product-rule", "expansion-oracle", "moments-vs-rows",
             "quasi-state-reconstruction", "quasi-state-weights",
-            "ground-residual", "monomer-dimer-residual", "mcmc-excess",
-            "mcmc-chain"} <= names
+            "ground-residual", "monomer-dimer-residual",
+            "monomer-dimer-build", "mcmc-excess", "mcmc-chain"} <= names
     assert all(c["passed"] for c in doc["checks"])
     manifest = read_json(os.path.join(out, "verify_manifest.json"))
     assert [s["name"] for s in manifest["stages"]] == \
@@ -811,10 +811,45 @@ def test_verify_all_runs_what_needs_no_tail(dirs):
         "occupation-normalization", "finite-renewal-match",
         "occupation-reflection", "bulk-epsilon", "build-agreement",
         "ground-residual", "ground-kernel", "monomer-dimer-residual",
-        "thin-torus-zero-mode", "mcmc-chain", "mcmc-excess",
-        "mcmc-y-uniform"]
+        "monomer-dimer-build", "thin-torus-zero-mode", "mcmc-chain",
+        "mcmc-excess", "mcmc-y-uniform"]
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == \
         ["tail-converged"]
+
+
+def test_verify_all_passes_on_an_exact_series(dirs):
+    """At N=2 the first order of the series is the exact state, and the
+    later distances sit at rounding, below the floor."""
+    cache, out = dirs
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "2", "--gamma", "1.5",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    doc = read_json(os.path.join(out, "verify.json"))
+    (series,) = [c for c in doc["checks"]
+                 if c["name"] == "perturbation-decreasing"]
+    assert series["passed"] is True and series["measured"] < 1e-16
+
+
+def test_verify_all_records_a_refused_series(dirs, capsys):
+    """Where a truncated energy underflows the series is refused: verify-all
+    records the refusal as its one failed series check and writes
+    everything, while ham still exits 2."""
+    cache, out = dirs
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "3", "--gamma", "4.5",
+                   "--cache-dir", cache, "--out-dir", out) == 1
+    manifest = read_json(os.path.join(out, "verify_manifest.json"))
+    doc = read_json(os.path.join(out, "verify.json"))
+    assert manifest["checks"] == doc["checks"]
+    (series,) = [c for c in doc["checks"]
+                 if c["name"] == "perturbation-decreasing"]
+    assert series["passed"] is False and series["measured"] == "nan"
+    assert series["note"] == ("series refused: degenerate truncated "
+                              "diagonal; series undefined")
+    capsys.readouterr()
+    assert run_cli("ham", "--p", "3", "--N", "3", "--gamma", "4.5",
+                   "--perturbation-order", "2", "--cache-dir", cache,
+                   "--out-dir", os.path.join(out, "ham")) == 2
+    assert capsys.readouterr().err == \
+        "error: degenerate truncated diagonal; series undefined\n"
 
 
 def test_verify_all_fails_on_degenerate_chain(dirs, monkeypatch):

@@ -15,7 +15,6 @@ from laughlin.hamiltonian import (
     _components,
     _gram_build,
     build_H,
-    build_HTT,
     build_monomer_dimer,
     exact_vector,
     ground_check,
@@ -196,7 +195,7 @@ def test_gram_build_is_one_engine_pass(p, N, monkeypatch):
     if p == 3:
         passes.clear()
         build_monomer_dimer(params, basis)
-        assert len(passes) == 3  # the diagonal, the bonds, the direct sum
+        assert len(passes) == 2  # the cut bonds, the closed form
 
 
 # -- the repulsion and its kernel ---------------------------------------------------
@@ -425,13 +424,12 @@ def test_monomer_dimer_requires_p3():
 def test_tt_state_is_unique_zero_mode():
     params = ModelParams(3, 4, 1.0)
     sec = sector_basis(params, momentum=total_momentum(3, 4))
-    HTT = build_HTT(params, sec)
-    tt = tao_thouless(params, sec)
-    assert np.linalg.norm(HTT @ tt) == 0.0
     energies = tt_energies(sec, 1.0)
+    tt = tao_thouless(params, sec)
+    assert np.linalg.norm(energies * tt) == 0.0
     assert int(np.sum(energies < 1e-14)) == 1
     with pytest.raises(ConfigError):
-        build_HTT(ModelParams(2, 3, 1.0), sec)
+        tao_thouless(ModelParams(2, 3, 1.0), sec)
 
 
 def test_tt_overlap_with_exact_is_unity(tables_p3):
@@ -468,6 +466,19 @@ def test_perturbation_converges(tables_p3):
     assert rep.distances[4] < 1e-12
 
 
+def test_perturbation_exact_series_reaches_the_floor(tables_p3):
+    # At N=2 the first order is already the exact state: the later
+    # distances are rounding, at or below the floor, and count as
+    # converged; above the floor the decrease must be strict.
+    params = ModelParams(3, 2, 1.5)
+    rep = perturbation_series(params, 3, amplitudes(tables_p3[1], 1.5),
+                              *ground_operator(params))
+    d = rep.distances
+    assert d[0] > 1e-2 and max(d[1:]) <= 1e-14
+    assert not all(d[i + 1] < d[i] for i in range(3))
+    assert rep.decreasing
+
+
 def test_perturbation_strong_coupling(tables_p3):
     params = ModelParams(3, 3, 2.0)
     rep = perturbation_series(params, 4, amplitudes(tables_p3[2], 2.0),
@@ -481,7 +492,7 @@ def test_perturbation_divergence_reported(tables_p3):
     params = ModelParams(3, 3, 0.3)
     rep = perturbation_series(params, 5, amplitudes(tables_p3[2], 0.3),
                               *ground_operator(params))
-    assert rep.distances[-1] > rep.distances[0]
+    assert rep.distances[-1] > rep.distances[0] and not rep.decreasing
     assert all(math.isfinite(d) for d in rep.distances)
 
 

@@ -652,6 +652,31 @@ def test_monomer_dimer_matches_reference(reference_assembly):
         assert np.array_equal(md.psi, expect.psi)
 
 
+def test_monomer_dimer_is_the_cut_repulsion():
+    """The monomer-dimer operator is the repulsion's bond squares with
+    only the pair distances <= 3 kept, over 16 g^2 e^{-g^2/2}; its
+    deviation from the closed form is rounding."""
+    for N in range(2, 8):
+        params = ModelParams(3, N, 1.0)
+        basis = hamiltonian.sector_basis(params,
+                                         momentum=total_momentum(3, N))
+        sites = basis.num_sites
+        for g in (0.2, 0.9, 2.0, 5.0):
+            bonds = []
+            for S in range(2 * sites - 1):
+                terms = [((a, S - a), reference_components(3, d * g)[0])
+                         for a in range(sites) if 0 <= S - a < sites
+                         and 0 < abs(d := S - 2 * a) <= 3]
+                if terms:
+                    bonds.append(terms)
+            expect = reference_gram(basis, bonds, True) / (
+                16 * g * g * math.exp(-0.5 * g * g))
+            md = hamiltonian.build_monomer_dimer(ModelParams(3, N, g), basis)
+            scale = abs(expect).max()
+            assert abs(md.H - expect).max() <= 1e-13 * scale
+            assert md.deviation <= 1e-13 * scale
+
+
 def test_tt_energies_and_vectors(tables_p3, tables_p2):
     for p, tables in ((3, tables_p3), (2, tables_p2)):
         for N in (3, 5):
