@@ -666,6 +666,24 @@ def _moments_vs_rows(tables: list[expansion.CoefficientTable],
     return worst
 
 
+def _occupation_rounding(table: moments.MomentTable, Nmax: int,
+                         finite: float, bulk: float) -> float:
+    """Float64 rounding of the gap between a finite occupation of
+    ``table`` and a bulk occupation of a model of ``Nmax`` rod sizes.
+
+    Sums and products of nonnegative float64 numbers over m roundings
+    carry a relative error below m u, to first order in the unit
+    roundoff u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1).  The finite occupation is two dot products
+    over the table's E exponents and a division, m = 2E + 1; the bulk
+    one sums at most Nmax sites of a rod, takes a product, sums at most
+    Nmax rod sizes and divides, m = 2 Nmax.  Their inputs are taken as
+    exact.
+    """
+    m_finite = 2 * len(table.exponents) + 1
+    return 2.0 ** -53 * (m_finite * finite + 2 * Nmax * bulk)
+
+
 
 def _verify_checks(em: Emitter, args) -> None:
     """The cross-module consistency suite behind ``verify-all``, each
@@ -719,10 +737,12 @@ def _verify_checks(em: Emitter, args) -> None:
              "finite occupations reflection-symmetric")
 
     k_mid = p * (Nmax // 2)
-    eps = correlations.bulk_epsilon(model, rods, Nmax, k_mid)
-    dev = abs(occ_fin[k_mid] - occ_inf[k_mid % p])
-    em.bound("bulk-epsilon", dev, eps,
-             f"center occupation at N={Nmax} within the bridge-weight bound")
+    finite, bulk = occ_fin[k_mid], occ_inf[k_mid % p]
+    eps = correlations.bulk_epsilon(model, rods, Nmax, k_mid) + \
+        _occupation_rounding(moment_tables[Nmax - 1], Nmax, finite, bulk)
+    em.bound("bulk-epsilon", abs(finite - bulk), eps,
+             f"center occupation at N={Nmax} within the bridge-weight bound "
+             "plus the float64 rounding of both occupations")
 
     params = ModelParams(p, N_h, gamma)
     basis = hamiltonian.sector_basis(params,
@@ -777,7 +797,12 @@ def _verify_checks(em: Emitter, args) -> None:
     exact = plasma.exact_excess_zero(
         expansion.amplitudes(tables[1], gamma), xbar)
     se = stats.p_zero_stderr[xbar]
-    z = abs(stats.p_zero[xbar] - exact) / se if se > 0 else math.inf
+    if se > 0:
+        z = abs(stats.p_zero[xbar] - exact) / se
+    else:  # every batch alike, as when K=0 is never or always seen
+        total = len(pooled)
+        z = plasma.count_zscore(round(stats.p_zero[xbar] * total), total,
+                                exact)
     em.bound("mcmc-excess", z, 4.0,
              "sampled P(K=0) against the exact two-particle value, in sigma")
 

@@ -33,6 +33,11 @@ whole layer when it is given no basis.  Spectra, and so the kernel of
 the ground-state check at every dimension, come from :func:`spectrum`,
 ARPACK's implicitly restarted Lanczos from a seeded vector.
 
+SciPy loads on the first assembly or solve: ``scipy.sparse`` and
+``scipy.special`` are imported inside the functions that use them, so
+importing this module, and running a subcommand that never assembles
+an operator, does not pay for them (about 0.2 s of a cold start).
+
 The module also has two p = 3 truncations with exactly known ground
 states: the monomer-dimer Hamiltonian, the repulsion's bonds cut at
 distance 3 with the paper's closed form as its oracle, and the diagonal
@@ -53,8 +58,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import eval_hermite
 
 from .expansion import AmplitudeTable
 from .lattice import (CapExceeded, ConfigError, ConfigIndex, ModelParams,
@@ -114,6 +117,8 @@ def sector_basis(params: ModelParams, momentum: int | None = None,
 def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
                          ) -> sparse.csr_matrix:
     """Assemble sum_t coeff_t c*...c*... c...c from (creation, annihilation, coeff)."""
+    from scipy import sparse
+
     if not terms:
         return sparse.csr_matrix((basis.dim, basis.dim))
     creation, annihilation, coeff = zip(*terms)
@@ -140,6 +145,8 @@ def _components(params: ModelParams, sites: int
     orbitals.  Only the j < p with j = p mod 2 are kept: the others
     vanish when contracted with (anti)symmetric pairs, so every j < p
     gives the same pair operators."""
+    from scipy.special import eval_hermite
+
     f = {}
     for d in range(1 - sites, sites):
         t = d * params.gamma
@@ -180,6 +187,8 @@ def _gram_build(basis: SectorBasis, bonds, fermionic: bool
     distinct image n of a bond s; the rows are numbered by (s, key of
     n).  One pass of the engine applies the terms of every bond.
     """
+    from scipy import sparse
+
     if not bonds:
         return sparse.csr_matrix((basis.dim, basis.dim))
     terms = [term for bond in bonds for term in bond]
@@ -292,7 +301,7 @@ def spectrum(H, count: int, seed: int = 1234) -> np.ndarray:
     ARPACK cannot run (count >= dim - 1) the dense eigensolver takes
     over.
     """
-    # 0.08 s: import only to solve
+    from scipy import sparse
     from scipy.sparse.linalg import ArpackError, eigsh
 
     H = sparse.csr_matrix(H)
@@ -467,6 +476,8 @@ def perturbation_series(params: ModelParams, order: int,
     ``H`` is the repulsion on ``basis``, the ground momentum sector of
     ``params``, such as :func:`repulsion` assembles.
     """
+    from scipy import sparse
+
     require_p3(params)
     if order < 0:
         raise ConfigError("order must be nonnegative")

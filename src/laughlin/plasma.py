@@ -541,3 +541,15 @@ def exact_excess_zero(amp, xbar: float) -> float:
         dist[:, 1:] = dist[:, 1:] * (1 - q[:, None]) + dist[:, :-1] * q[:, None]
         dist[:, 0] *= 1 - q
     return float(amp.weights @ dist[:, k]) / amp.norm_sq()
+
+
+def count_zscore(count: int, total: int, prob: float) -> float:
+    """The normal-equivalent z of ``count`` events in ``total`` independent
+    trials of probability ``prob``: the |z| whose two-sided normal tail
+    is twice the smaller binomial tail, P(X <= count) or P(X >= count),
+    and 0 where that tail is 1/2 or more.  Unlike a z in batch-means
+    errors it stays finite for an event never or always seen.
+    """
+    from scipy.special import bdtr, bdtrc, ndtri
+    tail = min(bdtr(count, total, prob), bdtrc(count - 1, total, prob))
+    return float(abs(ndtri(min(1.0, 2.0 * tail) / 2.0)))

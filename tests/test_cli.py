@@ -18,8 +18,8 @@ import pytest
 from laughlin import cli, hamiltonian, lattice, moments, plasma
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import enumerate_admissible, renewal_points
-from laughlin.correlations import occupation_finite, occupation_infinite, \
-    pair_infinite, period_test, rod_expectations
+from laughlin.correlations import bulk_epsilon, occupation_finite, \
+    occupation_infinite, pair_infinite, period_test, rod_expectations
 from laughlin.renewal import build_model
 
 
@@ -816,6 +816,36 @@ def test_verify_all_runs_what_needs_no_tail(dirs):
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == \
         ["tail-converged"]
 
+
+def center_occupation_gap(tables, Nmax, gamma):
+    """verify-all's bulk-epsilon inputs: the gap between the finite and
+    the bulk center occupation, the bridge-weight bound and the
+    rounding allowance."""
+    p = tables[0].p
+    mts = moments.as_moments(tables[:Nmax])
+    model = build_model(p, Nmax, gamma, tables=mts)
+    rods = rod_expectations(mts, gamma)
+    k = p * (Nmax // 2)
+    finite = occupation_finite(mts[-1], gamma)[k]
+    bulk = occupation_infinite(model, rods)[k % p]
+    return (abs(finite - bulk), bulk_epsilon(model, rods, Nmax, k),
+            cli._occupation_rounding(mts[-1], Nmax, finite, bulk))
+
+
+# points where one term dominates the bound, which the gap then exceeds
+# by rounding: 1.4810375e-12 against 1.4809570e-12 at (3, 8, 1.5)
+@pytest.mark.parametrize("p, Nmax, gamma", [
+    (3, 8, 1.5), (3, 8, 1.6), (3, 7, 2.0), (2, 8, 1.9), (2, 5, 2.1)])
+def test_bulk_epsilon_allows_for_rounding(request, p, Nmax, gamma):
+    tables = request.getfixturevalue(f"tables_p{p}")
+    gap, eps, rounding = center_occupation_gap(tables, Nmax, gamma)
+    assert eps < gap <= eps + rounding
+    assert rounding < 1e-13
+
+
+def test_bulk_epsilon_is_as_tight_above_rounding(tables_p3):
+    gap, eps, rounding = center_occupation_gap(tables_p3, 8, 1.0)
+    assert gap <= eps and rounding < 1e-9 * eps
 
 def test_verify_all_passes_on_an_exact_series(dirs):
     """At N=2 the first order of the series is the exact state, and the

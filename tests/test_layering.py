@@ -39,11 +39,13 @@ What the benchmark needs from the package is kept working here too:
 ``bench/selftest.py`` passes, and every function that ``bench/run.py``
 traces can be wrapped and restored, so a change that deletes a name
 the benchmark calls or traces fails here and not in a benchmark run.
+
+``expand``, ``norms``, ``renewal`` and ``corr`` start without
+``scipy.sparse`` and ``scipy.special``, which only assembling or
+solving a Hamiltonian loads.
 """
 
 import ast
-import importlib
-import inspect
 import os
 import pathlib
 import subprocess
@@ -308,13 +310,15 @@ def module_nodes(path: pathlib.Path) -> dict[str, tuple[set, set]]:
     methods, and its dunder methods, which run without being named.  A
     node uses the names defined in the module, the names imported from
     the package and the attributes of imported package modules; it reads
-    every attribute it loads from anything other than an imported
-    module, so ``np.empty`` reads nothing of the package."""
+    every attribute it loads from anything other than a name that an
+    import from outside the package binds, at any depth, so neither
+    ``np.empty`` nor ``sparse.diags`` in a function that imports
+    ``sparse`` reads anything of the package."""
     module = path.stem
     tree = ast.parse(path.read_text(), str(path))
     scope = {node.name: f"{module}.{node.name}" for node in tree.body
              if isinstance(node, DEFINITIONS)}
-    package_modules = {}
+    package_modules, imported = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").startswith("laughlin")):
@@ -325,12 +329,11 @@ def module_nodes(path: pathlib.Path) -> dict[str, tuple[set, set]]:
                     source = node.module.rpartition(".")[2]
                     scope[alias.asname or alias.name] = \
                         f"{source}.{alias.name}"
-    namespace = vars(importlib.import_module(f"laughlin.{module}"))
-    imported = {name for name, value in namespace.items()
-                if inspect.ismodule(value)} | {
-        alias.asname or alias.name.partition(".")[0]
-        for node in ast.walk(tree) if isinstance(node, ast.Import)
-        for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):  # at any depth
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
 
     def node(*parts) -> tuple[set, set]:
         uses, reads = set(), set()
@@ -365,6 +368,14 @@ def module_nodes(path: pathlib.Path) -> dict[str, tuple[set, set]]:
                     nodes[f"{module}.{top.name}.{field.target.id}"] = \
                         (set(), set())
     return nodes
+
+
+def test_a_name_imported_in_a_function_reads_nothing(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("def f(x):\n"
+                    "    from scipy import sparse\n"
+                    "    return sparse.diags(x).shape\n")
+    assert module_nodes(path)["probe.f"] == (set(), {"shape"})
 
 
 def test_every_definition_is_run_by_a_subcommand():
@@ -432,4 +443,31 @@ assert bound() == found, "not restored"
 
 def test_every_bench_target_can_be_traced():
     done = run_python("-c", TRACE_EVERY_TARGET)
+    assert done.returncode == 0, done.stderr[-3000:]
+
+
+# the exact-table, renewal and correlation subcommands run without the
+# SciPy packages that only assembling or solving a Hamiltonian needs
+SCIPY_ONLY_TO_ASSEMBLE = """
+import sys
+from laughlin import cli
+common = ["--cache-dir", sys.argv[1], "--out-dir", sys.argv[2]]
+def loaded():
+    return [name for name in ("scipy.sparse", "scipy.special")
+            if name in sys.modules]
+assert loaded() == [], loaded()
+for argv in (["expand", "--p", "3", "--N", "4"],
+             ["norms", "--p", "3", "--Nmax", "4"],
+             ["renewal", "--p", "3", "--Nmax", "4"],
+             ["corr", "--p", "3", "--Nmax", "4", "--N", "4", "--no-compute"]):
+    assert cli.main(argv + common) == 0, argv
+    assert loaded() == [], (argv, loaded())
+assert cli.main(["ham", "--p", "3", "--N", "3"] + common) == 0
+assert loaded() == ["scipy.sparse", "scipy.special"], loaded()
+"""
+
+
+def test_scipy_loads_only_to_assemble(tmp_path):
+    done = run_python("-c", SCIPY_ONLY_TO_ASSEMBLE, str(tmp_path / "cache"),
+                      str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr[-3000:]

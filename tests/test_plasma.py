@@ -672,6 +672,34 @@ def test_excess_sampler_matches_exact(run_p3_n2, tables_p3):
     assert z < 3.0
 
 
+def test_excess_never_missed_scores_by_its_count(tables_p3):
+    # verify-all's sample at p=3, gamma 2: P(K=0) = 0.99998, so about
+    # 0.18 misses are expected in 8,000 samples and none is seen; the
+    # batch-means error is 0, and the count's tail, 0.84, scores z = 0
+    params = ModelParams(3, 2, 2.0)
+    run = plasma.metropolis_run(params, plasma.McConfig(
+        sweeps=12000, burn_in=500, thinning=3, seed=0, chains=2))
+    pooled = run.pooled()
+    stats = plasma.measure_excess(pooled, [3.0], params)
+    exact = plasma.exact_excess_zero(amplitudes(tables_p3[1], 2.0), 3.0)
+    assert stats.p_zero[3.0] == 1.0 and stats.p_zero_stderr[3.0] == 0.0
+    assert exact ** len(pooled) == pytest.approx(0.837, abs=1e-3)
+    assert plasma.count_zscore(len(pooled), len(pooled), exact) == 0.0
+
+
+@pytest.mark.parametrize("count, total, prob, z", [
+    (100, 100, 0.9, 4.04),  # one tail 0.9^100 = 2.66e-5, as at 4.04 sigma
+    (0, 100, 0.1, 4.04),  # the same tail from the other end
+    (5200, 10000, 0.5, 3.99),  # four binomial sigmas above the mean
+    (4800, 10000, 0.5, 3.99),  # and below
+    (5000, 10000, 0.5, 0.0),  # the median
+    (1, 10, 0.0, math.inf),  # an impossible count
+])
+def test_count_zscore(count, total, prob, z):
+    assert plasma.count_zscore(count, total, prob) == \
+        pytest.approx(z, abs=5e-3)
+
+
 # -- interval counts against exact occupations --------------------------------------
 
 
