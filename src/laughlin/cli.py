@@ -26,7 +26,8 @@ records ``rss_rise_mb``, the rise of the process's peak resident size
 over it, so the ``mcmc`` manifest's ``sample`` stage shows the memory
 the sampler took.  The ``ham`` manifest records the seconds
 spent on sector enumeration (with the sector dimension), on each
-assembly of H (with its nnz) inside one ``assembly`` stage that holds
+assembly of H (with its nnz, and the pair route's with the number of
+quadruple strings it applied) inside one ``assembly`` stage that holds
 the memory both took, on its one eigensolve (with the count of
 values, shared with the ground-state check), on that check, on the
 monomer-dimer model (with its dimension and number of terms) and on the
@@ -499,7 +500,8 @@ def cmd_ham(args) -> int:
         sizes["dim"] = basis.dim
     with em.timed("assembly"):
         build = hamiltonian.build_H(params, basis=basis)
-        em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz)
+        em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz,
+                 terms=build.pair_terms)
         em.stage("bond_assembly", build.seconds["bond"], nnz=build.bond.nnz)
     doc: dict = {
         "p": args.p, "N": args.N, "gamma": args.gamma,

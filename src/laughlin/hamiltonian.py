@@ -7,7 +7,12 @@ assembles it as a sum of bond operators B_{s,n}*B_{s,n} over components
 n and half-integer bond centers s (iterated as integer doubled
 centers); :func:`build_H` assembles it a second time, as a sum over
 momentum-conserving quadruples, and reports how far the two routes
-differ.
+differ.  The quadruple sum applies each unordered quadruple once: the
+two orderings of a pair are folded by the exchange sign eps (c*_b c*_a =
+eps c*_a c*_b, -1 for fermions, +1 for bosons) into one component
+g_n = f_n(a-b) + eps f_n(b-a).  As f_n(-t) = (-1)^n f_n(t) holds bit for
+bit, this is exactly 2 f_n(a-b) for the components kept, n = p mod 2,
+and exactly 0 for a component of the other parity.
 
 A momentum sector is enumerated directly, by the array search of
 :func:`~laughlin.lattice.configurations` that also lists the admissible
@@ -22,9 +27,10 @@ here is assembled by the index's operator engine,
 acts on every row at once (an occupied/empty mask or a site's largest
 occupation, a fermionic sign from the parity of a prefix count, bosonic
 square-root factors), and the images are found by their packed keys.
-The quadruple sum and the monomer-dimer closed form are one engine
-pass each; the bond form is A^T A, with one row of A per image of a
-bond, from one engine pass over the terms of every bond.
+The quadruple sum, one string per unordered quadruple, and the
+monomer-dimer closed form are one engine pass each; the bond form is
+A^T A, with one row of A per image of a bond, from one engine pass over
+the terms of every bond.
 
 Every builder and check takes the sector basis, and every check the
 eigenvalues, that its caller enumerated or solved, and no result hands
@@ -225,6 +231,7 @@ class HBuild:
     bond: sparse.csr_matrix
     deviation: float
     seconds: dict[str, float]  # wall time of the "pair" and "bond" routes
+    pair_terms: int  # quadruple strings the pair route applied
 
     @property
     def H(self) -> sparse.csr_matrix:
@@ -243,37 +250,48 @@ def repulsion(params: ModelParams, basis: SectorBasis) -> sparse.csr_matrix:
 def build_H(params: ModelParams, basis: SectorBasis) -> HBuild:
     """Assemble the repulsion twice: quadruple sum and bond squares.
 
-    Quadruple route: sum over ordered (k1, k2, n1, n2) with
+    Quadruple route: the sum over ordered (k1, k2, n1, n2) with
     k1 + k2 = n1 + n2 of sum_j f_j((k1-k2)g) f_j((n1-n2)g)
-    c*_{k1} c*_{k2} c_{n2} c_{n1}, over the form-factor components j.
+    c*_{k1} c*_{k2} c_{n2} c_{n1}, over the form-factor components j,
+    applied once per unordered quadruple: one string c*_a c*_b c_d c_c
+    per a <= b and c <= d, with coefficient sum_j g_j(a, b) g_j(c, d).
+    The folded component g_j(a, b) = f_j(a-b) + eps f_j(b-a) holds both
+    orderings of the pair (eps = -1 for fermions, +1 for bosons), and
+    g_j(a, a) = f_j(0), which only bosons keep.  It is exactly
+    2 f_j(a-b) for j = p mod 2 and exactly 0 for a component of the
+    other parity, since f_j(-t) = (-1)^j f_j(t) bit for bit.
     Bond route: :func:`repulsion`.  The two agree entrywise up to
     rounding; the bond form is returned as ``H`` because its positivity
     is manifest.
     """
     sites = basis.num_sites
+    eps = -1.0 if params.fermionic else 1.0
 
     t0 = time.perf_counter()
     f = _components(params, sites)
     terms = []
     for S in range(2 * sites - 1):
-        modes = [(a, S - a) for a in range(max(0, S - sites + 1),
-                                           min(S, sites - 1) + 1)]
-        for k1, k2 in modes:
-            fk = f[k1 - k2]
-            if not any(fk):
+        pairs = []
+        for a in range(max(0, S - sites + 1), S // 2 + 1):
+            b = S - a
+            if a < b:
+                g = tuple(x + eps * y for x, y in zip(f[a - b], f[b - a]))
+            elif params.fermionic:
                 continue
-            for n1, n2 in modes:
-                fn = f[n1 - n2]
-                if any(fn):
-                    terms.append(((k1, k2), (n2, n1),
-                                  sum(a * b for a, b in zip(fk, fn))))
+            else:
+                g = f[0]
+            if any(g):
+                pairs.append(((a, b), g))
+        terms += [(creation, (d, c), sum(x * y for x, y in zip(g, h)))
+                  for creation, g in pairs for (c, d), h in pairs]
     pair = _operator_from_terms(basis, terms, params.fermionic)
     t1 = time.perf_counter()
     bond = repulsion(params, basis)
     t2 = time.perf_counter()
     dev = abs(pair - bond).max() if basis.dim else 0.0
     return HBuild(pair=pair, bond=bond, deviation=float(dev),
-                  seconds={"pair": t1 - t0, "bond": t2 - t1})
+                  seconds={"pair": t1 - t0, "bond": t2 - t1},
+                  pair_terms=len(terms))
 
 
 # -- spectra and ground-state checks ----------------------------------------------

@@ -202,6 +202,9 @@ def test_ham_report(dirs, tmp_path):
     assert all(s["seconds"] >= 0.0 for s in stages)
     assert stages[0]["dim"] == 2
     assert stages[1]["nnz"] == stages[2]["nnz"] == 4
+    # one string per unordered quadruple: (0, 1), (0, 2), (1, 3) and
+    # (2, 3) with themselves, and the four of (0, 3) and (1, 2)
+    assert stages[1]["terms"] == 8
     # the memory of both assemblies is the enclosing stage's
     assert stages[3]["rss_rise_mb"] >= 0.0
 

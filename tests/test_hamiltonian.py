@@ -162,12 +162,14 @@ def test_images_create_within_the_index_limit():
 
 
 def counting_passes(monkeypatch):
-    """Record the number of strings of every pass of the operator engine."""
+    """Record the strings of every pass of the operator engine, as a
+    list of (creation, annihilation) tuples per pass."""
     passes = []
     images = ConfigIndex.images
 
     def counted(self, creation, annihilation, fermionic):
-        passes.append(len(annihilation))
+        passes.append(list(zip(map(tuple, creation.tolist()),
+                               map(tuple, annihilation.tolist()))))
         return images(self, creation, annihilation, fermionic)
 
     monkeypatch.setattr(ConfigIndex, "images", counted)
@@ -185,7 +187,8 @@ def test_gram_build_is_one_engine_pass(p, N, monkeypatch):
     assert len(bonds) > 1
     passes = counting_passes(monkeypatch)
     gram = _gram_build(basis, bonds, params.fermionic)
-    assert passes == [sum(len(bond) for bond in bonds)]
+    assert [len(strings) for strings in passes] == [
+        sum(len(bond) for bond in bonds)]
     expect = sum(_gram_build(basis, [bond], params.fermionic)
                  for bond in bonds)
     assert abs(gram - expect).max() <= 1e-13 * abs(expect).max()
@@ -196,6 +199,33 @@ def test_gram_build_is_one_engine_pass(p, N, monkeypatch):
         passes.clear()
         build_monomer_dimer(params, basis)
         assert len(passes) == 2  # the cut bonds, the closed form
+
+
+@pytest.mark.parametrize("p, N, momentum", ((3, 5, True), (2, 5, False)))
+def test_pair_route_applies_each_unordered_quadruple_once(p, N, momentum,
+                                                          monkeypatch):
+    """One string per (creation pair, annihilation pair) at one doubled
+    center, against the four orderings of a fermion quadruple and up to
+    four of a boson one."""
+    from test_reference import reference_pair_terms
+
+    params = ModelParams(p, N, 1.1)
+    basis = sector_basis(params, momentum=total_momentum(p, N) if momentum
+                         else None)
+    sites = basis.num_sites
+    expect = set()
+    for S in range(2 * sites - 1):
+        # Every folded component is nonzero here: 2 f_1(a-b) at p=3 for
+        # a < b, and 2 f_0(a-b) or f_0(0) at p=2 for a <= b.
+        pairs = [(a, S - a) for a in range(sites)
+                 if a + params.fermionic <= S - a < sites]
+        expect |= {(k, n[::-1]) for k in pairs for n in pairs}
+    passes = counting_passes(monkeypatch)
+    build = build_H(params, basis=basis)
+    strings = passes[0]
+    assert len(strings) == len(set(strings)) == build.pair_terms
+    assert set(strings) == expect
+    assert 3 * len(strings) <= len(reference_pair_terms(params, sites))
 
 
 # -- the repulsion and its kernel ---------------------------------------------------

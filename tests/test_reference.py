@@ -497,6 +497,28 @@ def reference_operator(basis, terms, fermionic):
                              shape=(basis.dim, basis.dim)).tocsr()
 
 
+def reference_pair_terms(params, sites):
+    """The quadruple sum term by term: every ordered (k1, k2, n1, n2)
+    with k1 + k2 = n1 + n2 as the string c*_{k1} c*_{k2} c_{n2} c_{n1}
+    with coefficient sum_j f_j((k1-k2)g) f_j((n1-n2)g), each unordered
+    quadruple in all four of its orderings."""
+    f = hamiltonian._components(params, sites)
+    terms = []
+    for S in range(2 * sites - 1):
+        modes = [(a, S - a) for a in range(max(0, S - sites + 1),
+                                           min(S, sites - 1) + 1)]
+        for k1, k2 in modes:
+            fk = f[k1 - k2]
+            if not any(fk):
+                continue
+            for n1, n2 in modes:
+                fn = f[n1 - n2]
+                if any(fn):
+                    terms.append(((k1, k2), (n2, n1),
+                                  sum(a * b for a, b in zip(fk, fn))))
+    return terms
+
+
 def reference_gram(basis, bonds, fermionic):
     """sum_s B_s* B_s, summing c_i c_j over every pair of basis states
     with a common image under B_s."""
@@ -611,12 +633,9 @@ def assert_same_operator(got, expect):
 HAM_CASES = ((2, 5, 5), (3, 4, 5), (4, 3, 5))
 
 
-@pytest.mark.parametrize("variant", ("parity", "full"))
-@pytest.mark.parametrize("p,n_layer,n_sector", HAM_CASES)
-def test_build_H_matches_reference(p, n_layer, n_sector, variant,
-                                   reference_assembly, full_form_factor):
-    if variant == "full":
-        full_form_factor()
+def ham_bases(p, n_layer, n_sector):
+    """(params, basis) of the whole layer for N <= n_layer and of the
+    ground sector for N <= n_sector, from N = 2, at gamma 1.3."""
     bases = []
     for N in range(2, n_sector + 1):
         params = ModelParams(p, N, 1.3)
@@ -627,6 +646,16 @@ def test_build_H_matches_reference(p, n_layer, n_sector, variant,
             assert tuple(config_tuples(basis.configs)) == \
                 reference_configs(params, momentum)
             bases.append((params, basis))
+    return bases
+
+
+@pytest.mark.parametrize("variant", ("parity", "full"))
+@pytest.mark.parametrize("p,n_layer,n_sector", HAM_CASES)
+def test_build_H_matches_reference(p, n_layer, n_sector, variant,
+                                   reference_assembly, full_form_factor):
+    if variant == "full":
+        full_form_factor()
+    bases = ham_bases(p, n_layer, n_sector)
     got = [hamiltonian.build_H(params, basis=basis) for params, basis in bases]
     reference_assembly()
     for (params, basis), build in zip(bases, got):
@@ -634,6 +663,21 @@ def test_build_H_matches_reference(p, n_layer, n_sector, variant,
         assert_same_operator(build.pair, expect.pair)
         assert_same_operator(build.bond, expect.bond)
         assert build.deviation <= 1e-12 * abs(expect.bond).max()
+
+
+@pytest.mark.parametrize("variant", ("parity", "full"))
+@pytest.mark.parametrize("p,n_layer,n_sector", HAM_CASES)
+def test_pair_route_matches_ordered_quadruples(p, n_layer, n_sector, variant,
+                                               full_form_factor):
+    """Applying each unordered quadruple once, its orderings folded by
+    the exchange sign, gives the operator of all ordered quadruples."""
+    if variant == "full":
+        full_form_factor()
+    for params, basis in ham_bases(p, n_layer, n_sector):
+        expect = reference_operator(
+            basis, reference_pair_terms(params, basis.num_sites),
+            params.fermionic)
+        assert_same_operator(hamiltonian.build_H(params, basis).pair, expect)
 
 
 def test_monomer_dimer_matches_reference(reference_assembly):
