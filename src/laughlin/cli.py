@@ -369,6 +369,13 @@ def _ground_verdict(em: Emitter, report: hamiltonian.GroundReport,
     return residual_ok and kernel_ok
 
 
+def _reflection_verdict(em: Emitter, occ_fin: np.ndarray) -> bool:
+    """The finite droplet's occupations read the same from either end."""
+    dev = float(np.max(np.abs(occ_fin - occ_fin[::-1])))
+    return em.bound("occupation-reflection", dev, 1e-12,
+                    "finite occupations reflection-symmetric")
+
+
 def _monomer_dimer_verdict(em: Emitter, md: hamiltonian.MonomerDimer,
                            residual: float, N: int) -> bool:
     """The monomer-dimer state is a zero mode of its truncated H, and
@@ -443,6 +450,8 @@ def cmd_corr(args) -> int:
                      for k in range(occ_fin.size)]
     em.csv("occupations.csv", ["k", "value", "source", "error_estimate"],
            rows)
+    if args.N:
+        _reflection_verdict(em, occ_fin)
 
     kmax = args.kmax if args.kmax is not None else 5 * args.p
     with em.timed("pairs") as sizes:
@@ -734,9 +743,7 @@ def _verify_checks(em: Emitter, args) -> None:
     em.bound("finite-renewal-match", dev, 1e-10,
              "finite occupations reassembled from the renewal form")
 
-    dev = float(np.max(np.abs(occ_fin - occ_fin[::-1])))
-    em.bound("occupation-reflection", dev, 1e-12,
-             "finite occupations reflection-symmetric")
+    _reflection_verdict(em, occ_fin)
 
     k_mid = p * (Nmax // 2)
     finite, bulk = occ_fin[k_mid], occ_inf[k_mid % p]

@@ -39,10 +39,11 @@ whole layer when it is given no basis.  Spectra, and so the kernel of
 the ground-state check at every dimension, come from :func:`spectrum`,
 ARPACK's implicitly restarted Lanczos from a seeded vector.
 
-SciPy loads on the first assembly or solve: ``scipy.sparse`` and
-``scipy.special`` are imported inside the functions that use them, so
-importing this module, and running a subcommand that never assembles
-an operator, does not pay for them (about 0.2 s of a cold start).
+SciPy loads on the first assembly or solve: ``scipy.sparse`` is
+imported inside the functions that use it, so importing this module,
+and running a subcommand that never assembles an operator, does not pay
+for it.  The form factor's Hermite polynomials come from
+:func:`_hermite`, so this module never loads ``scipy.special``.
 
 The module also has two p = 3 truncations with exactly known ground
 states: the monomer-dimer Hamiltonian, the repulsion's bonds cut at
@@ -144,6 +145,19 @@ def _operator_from_terms(basis: SectorBasis, terms, fermionic: bool
     return mat.tocsr()
 
 
+def _hermite(n: int, t: float) -> float:
+    """The physicists' Hermite polynomial H_n(t), bit for bit as SciPy's
+    ``eval_hermite`` computes it: the downward recurrence of the
+    probabilists' He_n at x = sqrt(2) t, scaled by 2^{n/2}."""
+    if n == 0:
+        return 1.0
+    x = math.sqrt(2.0) * t
+    y3, y2 = 0.0, 1.0
+    for k in range(n, 1, -1):
+        y3, y2 = y2, x * y2 - k * y3
+    return (x * y2 - y3) * math.pow(2.0, n / 2.0)
+
+
 def _components(params: ModelParams, sites: int
                 ) -> dict[int, tuple[float, ...]]:
     """f[d] = the form-factor components f_j(t) = H_j(t) e^{-t^2/4} at
@@ -151,13 +165,11 @@ def _components(params: ModelParams, sites: int
     orbitals.  Only the j < p with j = p mod 2 are kept: the others
     vanish when contracted with (anti)symmetric pairs, so every j < p
     gives the same pair operators."""
-    from scipy.special import eval_hermite
-
     f = {}
     for d in range(1 - sites, sites):
         t = d * params.gamma
         damp = math.exp(-0.25 * t * t)
-        f[d] = tuple(float(eval_hermite(j, t)) * damp
+        f[d] = tuple(_hermite(j, t) * damp
                      for j in range(params.p % 2, params.p, 2))
     return f
 

@@ -229,6 +229,10 @@ ONE_SAMPLE = "one kept sample gives no standard error; run more sweeps"
 #: of the droplet length.
 PHASE_BINS = 6
 PHASE_WINDOW = (0.3, 0.7)
+#: erf elementwise over the few hundred points the Gaussian estimators
+#: need; the standard library's spares ``mcmc`` the about 25 MB that
+#: loading ``scipy.special`` costs.
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass
@@ -485,7 +489,6 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
     means of the window fractions, batched by :func:`_batching`; each
     batch must hold a sample inside the window.
     """
-    from scipy.special import erf
     samples = np.asarray(samples)
     bulk_occ = np.asarray(bulk_occ, dtype=float)
     if bulk_occ.size != params.p:
@@ -514,9 +517,8 @@ def phase_profile(samples: np.ndarray, params: ModelParams,
     reach = int(math.ceil(6.0 / period)) + 1
     for r in range(params.p):
         for j in range(-reach, reach + 1):
-            c = r * params.gamma + j * period
-            predicted += bulk_occ[r] * 0.5 * (erf(edges[1:] - c)
-                                              - erf(edges[:-1] - c))
+            cdf = _erf(edges - (r * params.gamma + j * period))
+            predicted += bulk_occ[r] * 0.5 * (cdf[1:] - cdf[:-1])
     predicted /= predicted.sum()
     return PhaseProfile(edges=edges, observed=observed, stderr=stderr,
                         predicted=predicted, window=(lo, hi))
@@ -529,11 +531,10 @@ def exact_excess_zero(amp, xbar: float) -> float:
     the particle x's independent Gaussians at the occupied centers, so
     the count left of the cut is a sum of independent Bernoullis.
     """
-    from scipy.special import erf
     k = _cut_index(xbar, amp.p * amp.gamma)
     if k > amp.N:
         return 0.0
-    probs = 0.5 * (1.0 + erf(xbar - amp.table.configs * amp.gamma))
+    probs = 0.5 * (1.0 + _erf(xbar - amp.table.configs * amp.gamma))
     # the law of the count left of the cut, one row per configuration
     dist = np.zeros((len(probs), amp.N + 1))
     dist[:, 0] = 1.0

@@ -558,6 +558,22 @@ def test_mcmc_unconverged_phase_writes_everything_and_exits_one(dirs):
     assert failed_checks(out, "mcmc") == ["tail-converged"]
 
 
+def test_corr_records_occupation_reflection(dirs):
+    """corr --N records verify-all's reflection check on the finite
+    occupations after the model's checks."""
+    cache, out = dirs
+    assert run_cli("corr", "--p", "3", "--Nmax", "6", "--N", "6",
+                   "--kmax", "2", "--cache-dir", cache, "--out-dir", out) == 0
+    checks = read_json(os.path.join(out, "corr_manifest.json"))["checks"]
+    assert [c["name"] for c in checks] == \
+        MODEL_CHECKS + ["occupation-reflection"]
+    reflection = checks[-1]
+    assert reflection["tolerance"] == 1e-12 and reflection["passed"]
+    occ = np.array([float(r["value"]) for r in read_csv(
+        os.path.join(out, "occupations.csv")) if r["source"] == "exact"])
+    assert reflection["measured"] == np.max(np.abs(occ - occ[::-1]))
+
+
 def test_corr_manifest_records_cache_hits(dirs):
     cache, out = dirs
     argv = ["corr", "--p", "3", "--Nmax", "4", "--N", "4", "--kmax", "2",

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import erf
 
 from conftest import traced_peak_mb
 from laughlin.expansion import amplitudes
@@ -577,7 +578,7 @@ def test_phase_profile_memory_is_one_batch(samples_p3_n12):
     """Folding and binning one batch at a time peaks at 0.12 MB; a fold
     of every sample at once takes 9.1 MB."""
     args = samples_p3_n12, ModelParams(3, 12, 1.0), np.full(3, 1 / 3)
-    plasma.phase_profile(*args)  # imports scipy.special
+    plasma.phase_profile(*args)  # first-call costs stay out of the trace
     assert traced_peak_mb(plasma.phase_profile, *args) < 1.0
 
 
@@ -739,6 +740,27 @@ def test_phase_profile_against_renewal(tables_p3, model_p3_g1):
     assert prof.predicted[1] == pytest.approx(prof.predicted[4], rel=1e-9)
     assert np.max(np.abs(prof.zscores)) < 5.0
     assert prof.contrast > 0.5
+
+
+def test_standard_library_erf_matches_scipy(run_p3_n4, tables_p3,
+                                            model_p3_g1, monkeypatch):
+    """The predicted phase profile and the exact P(K=0), with math.erf,
+    are those SciPy's erf gives to within rounding."""
+    params = ModelParams(3, 4, 1.0)
+    occ = occupation_infinite(model_p3_g1, rod_expectations(tables_p3, 1.0))
+    amp = amplitudes(tables_p3[3], 1.0)
+    cuts = (1.5, 4.5, 7.5, 10.5)
+
+    def estimates():
+        return (plasma.phase_profile(run_p3_n4.pooled(), params,
+                                     occ).predicted,
+                [plasma.exact_excess_zero(amp, xbar) for xbar in cuts])
+    predicted, exact = estimates()
+    monkeypatch.setattr(plasma, "_erf", erf)
+    want_predicted, want_exact = estimates()
+    assert np.max(np.abs(predicted - want_predicted)) <= 1e-15
+    assert np.max(np.abs(np.subtract(exact, want_exact))) <= 1e-15
+    assert 0.0 < min(exact) and max(exact) < 1.0
 
 
 def test_phase_profile_validation(model_p3_g1, tables_p3):

@@ -607,6 +607,20 @@ def test_components_match_reference(p):
                        for d in range(-8, 9)}
 
 
+def test_hermite_matches_scipy():
+    # bit for bit for j < 8 at every distance d of a sector up to p = 6,
+    # N = 9 (49 orbitals), at the gammas of the tests and the benchmark
+    # and at a seeded random grid
+    rng = np.random.default_rng(34)
+    gammas = [0.3, 0.35, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.3, 1.5, 1.6,
+              2.0, 2.2, 2.5, 3.0, 3.5, 4.5, *rng.uniform(0.05, 5.0, 40)]
+    ts = [d * gamma for gamma in gammas for d in range(-48, 49)]
+    ts += list(rng.uniform(-60.0, 60.0, 2000))
+    for j in range(8):
+        assert same_bits([hamiltonian._hermite(j, t) for t in ts],
+                         eval_hermite(j, ts)), j
+
+
 @pytest.fixture()
 def reference_assembly(monkeypatch):
     """Swap the per-configuration loops in for the array assembly."""
