@@ -24,19 +24,20 @@ leave out those of any stage recorded inside it, so the stage seconds
 sum to at most the wall time.  A stage timed around its work also
 records ``rss_rise_mb``, the rise of the process's peak resident size
 over it, so the ``mcmc`` manifest's ``sample`` stage shows the memory
-the sampler took.  The ``ham`` manifest records the seconds
-spent on sector enumeration (with the sector dimension), on each
-assembly of H (with its nnz, and the pair route's with the number of
-quadruple strings it applied) inside one ``assembly`` stage that holds
-the memory both took, on its one eigensolve (with the count of
-values, shared with the ground-state check), on that check, on the
-monomer-dimer model (with its dimension and number of terms) and on the
-perturbation series.  Reading and deriving the moment tables is a
-``moments`` stage (with the exponent count of each), and the renewal
-model a ``model`` stage recording its tail mass, root shift and alpha
-residual and checked by ``alpha-residual``, ``activity-equation`` and
-``tail-converged``; the Metropolis run is a ``sample`` stage checked by
-``mcmc-chain``, and ``verify-all``'s polynomial oracle an ``oracle`` stage.
+the sampler took.  The ``ham`` manifest records the seconds spent on
+sector enumeration (with the sector dimension), on each assembly of H
+(with its nnz, and the pair route's with the number of quadruple
+strings it applied) inside one ``assembly`` stage that holds the memory
+both took, on its one eigensolve (with the count of values, shared with
+the ground-state check), on the zero-mode stages that ``verify-all``
+records too, ``ground_check`` and ``monomer_dimer`` (with its dimension
+and number of terms), and on the perturbation series.  Reading and
+deriving the moment tables is a ``moments`` stage (with the exponent
+count of each), and the renewal model a ``model`` stage recording its
+tail mass, root shift and alpha residual and checked by
+``alpha-residual``, ``activity-equation`` and ``tail-converged``; the
+Metropolis run is a ``sample`` stage checked by ``mcmc-chain``, and
+``verify-all``'s polynomial oracle an ``oracle`` stage.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -240,12 +241,11 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
-                 cap: int | None, no_compute: bool = False,
-                 only: list[int] | None = None
+def _load_tables(em: Emitter, p: int, ns, cache_dir: str,
+                 cap: int | None, no_compute: bool = False
                  ) -> list[expansion.CoefficientTable]:
-    """Coefficient tables 1..Nmax (or the N in ``only``): the one place
-    that decides whether a table is read from the cache or computed.
+    """Coefficient tables of the N in ``ns``: the one place that decides
+    whether a table is read from the cache or computed.
 
     Every N up to the largest asked for whose cache file is missing is
     computed by :func:`~laughlin.expansion.expand` and written to the
@@ -260,13 +260,12 @@ def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
     the N asked for that were read from the cache (``hits``) and the N
     computed in this run (``computed``).
     """
-    every = range(1, Nmax + 1) if only is None else only
-    missing = [n for n in range(1, max(every, default=0) + 1)
+    missing = [n for n in range(1, max(ns, default=0) + 1)
                if not os.path.exists(expansion.cache_path(cache_dir, p, n))]
     if missing:
         if no_compute:
             raise ConfigError(
-                f"cache at {cache_dir} lacks tables for p={p}, N<={Nmax}; "
+                f"cache at {cache_dir} lacks tables for p={p}, N<={max(ns)}; "
                 "run the expand subcommand or drop --no-compute")
         check_cap(p, missing[-1], cap)
         os.makedirs(cache_dir, exist_ok=True)
@@ -288,9 +287,9 @@ def _load_tables(em: Emitter, p: int, Nmax: int, cache_dir: str,
             sizes.update(terms=len(held[n]), max_coeff_bits=bits)
             expansion.save_cache(held[n],
                                  expansion.cache_path(cache_dir, p, n))
-    em.cache.update(hits=[n for n in every if n not in missing],
+    em.cache.update(hits=[n for n in ns if n not in missing],
                     computed=missing)
-    return [table(n) for n in every]
+    return [table(n) for n in ns]
 
 
 def _load_moments(em: Emitter, args, Nmax: int, no_compute: bool = False
@@ -311,8 +310,8 @@ def _load_moments(em: Emitter, args, Nmax: int, no_compute: bool = False
         derive = [n for n in every if not (
             os.path.exists(moments.moment_path(cache_dir, p, n))
             and os.path.exists(expansion.cache_path(cache_dir, p, n)))]
-        tables = _load_tables(em, p, Nmax, cache_dir, cap=args.cap,
-                              no_compute=no_compute, only=derive)
+        tables = _load_tables(em, p, derive, cache_dir, cap=args.cap,
+                              no_compute=no_compute)
         derived = {t.N: moments.store(t, cache_dir) for t in tables}
         em.cache.update(moments_read=[n for n in every if n not in derived],
                         moments_derived=derive)
@@ -358,15 +357,21 @@ def _sample_stage(em: Emitter, params: ModelParams,
 # -- verdicts shared by subcommands -------------------------------------------------
 
 
-def _ground_verdict(em: Emitter, report: hamiltonian.GroundReport,
-                    N: int) -> bool:
-    """The Laughlin state is the one zero mode of H in its sector."""
+def _ground_stage(em: Emitter, basis: hamiltonian.SectorBasis, H,
+                  amp: expansion.AmplitudeTable, vals: np.ndarray) -> dict:
+    """The Laughlin state is the one zero mode of H in its sector: the
+    ``ground_check`` stage, its verdicts and its ``ham.json`` section."""
+    psi = hamiltonian.exact_vector(basis, amp)
+    with em.timed("ground_check"):
+        report = hamiltonian.ground_check(H, psi, vals)
     residual_ok = em.bound("ground-residual", report.residual, 1e-8,
-                           f"N={N} momentum sector")
+                           f"N={basis.N} momentum sector")
     kernel_ok = em.check("ground-kernel", float(report.kernel_dim), 1.0,
                          report.kernel_dim == 1,
                          "kernel dimension in the sector")
-    return residual_ok and kernel_ok
+    return {"residual": report.residual, "kernel_dim": report.kernel_dim,
+            "min_eigenvalue": report.min_eigenvalue,
+            "passed": residual_ok and kernel_ok}
 
 
 def _reflection_verdict(em: Emitter, occ_fin: np.ndarray) -> bool:
@@ -376,16 +381,24 @@ def _reflection_verdict(em: Emitter, occ_fin: np.ndarray) -> bool:
                     "finite occupations reflection-symmetric")
 
 
-def _monomer_dimer_verdict(em: Emitter, md: hamiltonian.MonomerDimer,
-                           residual: float, N: int) -> bool:
+def _monomer_dimer_stage(em: Emitter, params: ModelParams,
+                         basis: hamiltonian.SectorBasis) -> dict:
     """The monomer-dimer state is a zero mode of its truncated H, and
-    that H, the repulsion cut at range 3, is the paper's closed form."""
+    that H, the repulsion cut at range 3, is the paper's closed form:
+    the ``monomer_dimer`` stage, its verdicts and its ``ham.json`` section."""
+    with em.timed("monomer_dimer") as sizes:
+        md = hamiltonian.build_monomer_dimer(params, basis=basis)
+        report = hamiltonian.ground_check(md.H, md.psi, hamiltonian.spectrum(
+            md.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim)))
+        sizes.update(dim=basis.dim, num_terms=md.num_terms)
     residual_ok = em.bound(
-        "monomer-dimer-residual", residual, 1e-10,
-        f"N={N} tiling state against the truncated Hamiltonian")
+        "monomer-dimer-residual", report.residual, 1e-10,
+        f"N={params.N} tiling state against the truncated Hamiltonian")
     build_ok = em.bound("monomer-dimer-build", md.deviation, 1e-12,
                         "repulsion cut at range 3 against the closed form")
-    return residual_ok and build_ok
+    return {"residual": report.residual, "kernel_dim": report.kernel_dim,
+            "build_deviation": md.deviation, "num_terms": md.num_terms,
+            "passed": residual_ok and build_ok}
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -393,7 +406,8 @@ def _monomer_dimer_verdict(em: Emitter, md: hamiltonian.MonomerDimer,
 
 def cmd_expand(args) -> int:
     em = Emitter(args.out_dir, "expand", _config_dict(args))
-    tables = _load_tables(em, args.p, args.N, args.cache_dir, cap=args.cap)
+    tables = _load_tables(em, args.p, range(1, args.N + 1), args.cache_dir,
+                          cap=args.cap)
     entries = []
     for table in tables:
         path = expansion.cache_path(args.cache_dir, args.p, table.N)
@@ -518,8 +532,7 @@ def cmd_ham(args) -> int:
         "build_deviation": build.deviation,
     }
     if args.check_ground_state or args.perturbation_order is not None:
-        (table,) = _load_tables(em, args.p, args.N, args.cache_dir,
-                                cap=args.cap, only=[args.N])
+        (table,) = _load_tables(em, args.p, [args.N], args.cache_dir, args.cap)
         amp = expansion.amplitudes(table, args.gamma)
 
     if args.spectrum or args.check_ground_state:
@@ -533,28 +546,10 @@ def cmd_ham(args) -> int:
             doc["spectrum"] = list(vals[:args.spectrum])
 
     if args.check_ground_state:
-        psi = hamiltonian.exact_vector(basis, amp)
-        with em.timed("ground_check"):
-            report = hamiltonian.ground_check(build.H, psi, vals)
-        doc["ground_state"] = {
-            "residual": report.residual, "kernel_dim": report.kernel_dim,
-            "min_eigenvalue": report.min_eigenvalue,
-            "passed": _ground_verdict(em, report, args.N),
-        }
+        doc["ground_state"] = _ground_stage(em, basis, build.H, amp, vals)
 
     if args.monomer_dimer:
-        with em.timed("monomer_dimer") as sizes:
-            md = hamiltonian.build_monomer_dimer(params, basis=basis)
-            vals = hamiltonian.spectrum(md.H, count=min(
-                hamiltonian.KERNEL_COUNT, basis.dim))
-            report = hamiltonian.ground_check(md.H, md.psi, vals)
-            sizes.update(dim=basis.dim, num_terms=md.num_terms)
-        doc["monomer_dimer"] = {
-            "residual": report.residual, "kernel_dim": report.kernel_dim,
-            "build_deviation": md.deviation, "num_terms": md.num_terms,
-            "passed": _monomer_dimer_verdict(em, md, report.residual,
-                                             args.N),
-        }
+        doc["monomer_dimer"] = _monomer_dimer_stage(em, params, basis)
 
     if args.perturbation_order is not None:
         with em.timed("perturbation"):
@@ -700,7 +695,7 @@ def _verify_checks(em: Emitter, args) -> None:
     """The cross-module consistency suite behind ``verify-all``, each
     check recorded on ``em``."""
     p, Nmax, gamma = args.p, args.Nmax, args.gamma
-    tables = _load_tables(em, p, Nmax, args.cache_dir, cap=args.cap)
+    tables = _load_tables(em, p, range(1, Nmax + 1), args.cache_dir, args.cap)
     moment_tables = moments.as_moments(tables)
 
     failures = expansion.verify_product_rule(p, Nmax, tables=tables).failures
@@ -760,19 +755,13 @@ def _verify_checks(em: Emitter, args) -> None:
     em.bound("build-agreement", build.deviation, 1e-12,
              "quadruple and bond assemblies of the parent Hamiltonian")
 
-    psi = hamiltonian.exact_vector(basis, amp_h)
-    report = hamiltonian.ground_check(build.H, psi, hamiltonian.spectrum(
+    _ground_stage(em, basis, build.H, amp_h, hamiltonian.spectrum(
         build.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim)))
-    _ground_verdict(em, report, N_h)
 
     if p == 3:
-        N_md = min(6, Nmax)
-        params_md = ModelParams(3, N_md, gamma)
-        md = hamiltonian.build_monomer_dimer(
-            params_md, basis=hamiltonian.sector_basis(
-                params_md, momentum=total_momentum(3, N_md)))
-        _monomer_dimer_verdict(em, md, hamiltonian.residual(md.H, md.psi),
-                               N_md)
+        params_md = ModelParams(3, min(6, Nmax), gamma)
+        _monomer_dimer_stage(em, params_md, hamiltonian.sector_basis(
+            params_md, momentum=total_momentum(3, params_md.N)))
 
         # the thin-torus and perturbation checks share one ground sector
         params_tt = ModelParams(3, min(3, Nmax), gamma)

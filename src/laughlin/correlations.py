@@ -12,6 +12,10 @@ which is p-periodic and sums to one particle per period by construction.
 Pair correlations split into a same-rod part and a two-rod part bridged
 by the renewal function; the truncation of rod sizes at the model's Nmax
 is converted into a reported error estimate via the long-interval bound.
+One enumeration of the rods covering a site serves the finite occupations
+from renewal bridges and the bound on their gap to the bulk; the bulk
+occupations (summed in the order that fixes ``corr``'s bytes) and pair
+correlations (on ``corr``'s timed path) keep their own loops.
 
 Finite-N occupations, the rod profiles and the rod pair moments are
 read from the moment tables (see :mod:`laughlin.moments`): per
@@ -283,6 +287,23 @@ def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int
                            error_estimate=err)
 
 
+def _covering_rods(model: RenewalModel, rods: RodExpectations, N: int,
+                   sites: range | list[int]):
+    """(k, w, p_n, nu_n(k - pa)) per site k in ``sites`` and covering rod
+    (start a, size n <= Nmax), offset j = k // p - a outer and n inner;
+    w = u_a u_{N-a-n} / u_N is the bridge weight, 0 off [0, N)."""
+    _check_rods(model, rods)
+    if N > model.Nmax:
+        raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
+    u = model.renewal_sequence(N)
+    for k in sites:
+        for j in range(model.Nmax):
+            a, s = k // model.p - j, k % model.p + model.p * j
+            for n in range(j + 1, model.Nmax + 1):
+                w = u[a] * u[N - a - n] / u[N] if 0 <= a <= N - n else 0.0
+                yield k, w, model.pn[n - 1], rods.nu_at(n, s)
+
+
 def occupation_finite_via_renewal(model: RenewalModel, rods: RodExpectations,
                                   N: int) -> np.ndarray:
     """Finite-N occupations reassembled from the renewal description.
@@ -292,22 +313,9 @@ def occupation_finite_via_renewal(model: RenewalModel, rods: RodExpectations,
     occupation_finite exactly; exercises the amplitude factorization,
     the rod profiles, and the renewal bridge in one identity.
     """
-    _check_rods(model, rods)
-    if N > model.Nmax:
-        raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
-    p = model.p
-    u = model.renewal_sequence(N)
-    occ = np.zeros(p * (N - 1) + 1)
-    for k in range(len(occ)):
-        total = 0.0
-        for a in range(k // p + 1):
-            for n in range(1, N - a + 1):
-                s = k - p * a
-                if s >= p * n:
-                    continue
-                total += u[a] * model.pn[n - 1] * u[N - a - n] \
-                    * rods.nu_at(n, s)
-        occ[k] = total / u[N]
+    occ = np.zeros(model.p * (N - 1) + 1)
+    for k, w, pn, nu in _covering_rods(model, rods, N, range(occ.size)):
+        occ[k] += w * pn * nu
     return occ
 
 
@@ -322,21 +330,9 @@ def bulk_epsilon(model: RenewalModel, rods: RodExpectations, N: int, k: int
     nu over the full index set bounds the gap by the triangle
     inequality, up to rod sizes beyond Nmax.
     """
-    _check_rods(model, rods)
-    if N > model.Nmax:
-        raise ConfigError(f"N={N} exceeds Nmax={model.Nmax}")
-    p = model.p
-    u = model.renewal_sequence(N)
     total = 0.0
-    for j in range(model.Nmax):
-        a = k // p - j
-        for n in range(j + 1, model.Nmax + 1):
-            s = (k % p) + p * j
-            if s >= p * n:
-                continue
-            w_fin = u[a] * u[N - a - n] / u[N] if 0 <= a <= N - n else 0.0
-            total += abs(w_fin - 1.0 / model.mu) * model.pn[n - 1] \
-                * rods.nu_at(n, s)
+    for _, w, pn, nu in _covering_rods(model, rods, N, [k]):
+        total += abs(w - 1.0 / model.mu) * pn * nu
     return total
 
 

@@ -466,15 +466,15 @@ def phase_window(params: ModelParams) -> tuple[float, float]:
 
     :data:`PHASE_WINDOW` of the droplet length, snapped inward to whole
     periods p gamma so every phase bin covers the same number of
-    orbitals.  A window that holds no full period is refused.
+    orbitals.  A window of no full period, counted in integers, is refused.
     """
     period = params.p * params.gamma
     length = (params.N - 1) * period
-    lo = math.ceil(PHASE_WINDOW[0] * length / period) * period
-    hi = math.floor(PHASE_WINDOW[1] * length / period) * period
-    if hi - lo < period:
+    lo_k = math.ceil(PHASE_WINDOW[0] * length / period)
+    hi_k = math.floor(PHASE_WINDOW[1] * length / period)
+    if hi_k - lo_k < 1:
         raise ConfigError("window too narrow to hold one full period")
-    return lo, hi
+    return lo_k * period, hi_k * period
 
 
 def phase_profile(samples: np.ndarray, params: ModelParams,

@@ -813,8 +813,15 @@ def test_verify_all_passes(dirs, capsys):
             "monomer-dimer-build", "mcmc-excess", "mcmc-chain"} <= names
     assert all(c["passed"] for c in doc["checks"])
     manifest = read_json(os.path.join(out, "verify_manifest.json"))
-    assert [s["name"] for s in manifest["stages"]] == \
-        ["squeeze"] * 4 + ["oracle", "model", "sample"]
+    assert [s["name"] for s in manifest["stages"]] == ["squeeze"] * 4 + [
+        "oracle", "model", "ground_check", "monomer_dimer", "sample"]
+    # the monomer-dimer model at N_md = min(6, Nmax) = 4
+    params = lattice.ModelParams(3, 4, 1.0)
+    basis = hamiltonian.sector_basis(
+        params, momentum=lattice.total_momentum(3, 4))
+    (stage,) = [s for s in manifest["stages"] if s["name"] == "monomer_dimer"]
+    assert (stage["dim"], stage["num_terms"]) == (
+        basis.dim, hamiltonian.build_monomer_dimer(params, basis).num_terms)
 
 
 def test_verify_all_runs_what_needs_no_tail(dirs):

@@ -10,6 +10,7 @@ bug rather than bad luck.
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -771,6 +772,37 @@ def test_phase_profile_validation(model_p3_g1, tables_p3):
         plasma.phase_profile(samples, ModelParams(3, 2, 1.0), occ)
     with pytest.raises(ConfigError):
         plasma.phase_profile(samples, ModelParams(3, 12, 1.0), occ[:2])
+
+
+def test_phase_window_of_one_period():
+    """At (2, 8, 1.3) the window is periods 3..4.  Its float ends lie
+    2.5999999999999996 apart, so comparing that length with the period
+    would refuse the whole period that the integer counts show."""
+    assert plasma.phase_window(ModelParams(2, 8, 1.3)) == (3 * 2.6, 4 * 2.6)
+
+
+def test_phase_window_refused_exactly_without_a_whole_period():
+    """Over p 1-6, N 2-64 and gamma 0.30-3.00, the window is refused
+    exactly when no whole period lies between 0.3 and 0.7 of the droplet
+    length, counted in exact arithmetic; an accepted window spans
+    whole periods, at least one."""
+    lo_w, hi_w = Fraction(3, 10), Fraction(7, 10)
+    assert plasma.PHASE_WINDOW == (float(lo_w), float(hi_w))
+    for p, N, step in itertools.product(range(1, 7), range(2, 65),
+                                        range(30, 301, 5)):
+        params = ModelParams(p, N, step / 100)
+        period = p * params.gamma
+        whole = math.floor(hi_w * (N - 1)) - math.ceil(lo_w * (N - 1))
+        if whole < 1:
+            with pytest.raises(ConfigError, match="one full period"):
+                plasma.phase_window(params)
+            continue
+        lo, hi = plasma.phase_window(params)
+        length = (N - 1) * period
+        assert 0.3 * length - 1e-9 <= lo and hi <= 0.7 * length + 1e-9
+        assert round((hi - lo) / period) >= 1
+        assert lo / period == pytest.approx(round(lo / period), abs=1e-9)
+        assert hi / period == pytest.approx(round(hi / period), abs=1e-9)
 
 
 def test_phase_profile_refuses_an_empty_batch():
