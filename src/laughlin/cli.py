@@ -469,12 +469,11 @@ def cmd_corr(args) -> int:
 
     kmax = args.kmax if args.kmax is not None else 5 * args.p
     with em.timed("pairs") as sizes:
-        pair_rows = []
-        for l in range(kmax + 1):
-            pc = correlations.pair_infinite(model, rods, 0, l)
-            pair_rows.append((l, pc.truncated, "renewal", pc.error_estimate))
+        pc = correlations.pair_infinite(model, rods, 0, kmax)
         sizes["separations"] = kmax + 1
-    em.csv("pairs.csv", ["l", "value", "source", "error_estimate"], pair_rows)
+    em.csv("pairs.csv", ["l", "value", "source", "error_estimate"],
+           [(l, x, "renewal", pc.error_estimate)
+            for l, x in enumerate(pc.truncated)])
 
     step = args.gamma / 10.0
     if args.N:
@@ -536,9 +535,10 @@ def cmd_ham(args) -> int:
         amp = expansion.amplitudes(table, args.gamma)
 
     if args.spectrum or args.check_ground_state:
-        # One solve serves both the spectrum and the kernel check.
-        least = hamiltonian.KERNEL_COUNT if args.check_ground_state else 1
-        count = min(max(args.spectrum or 1, least), basis.dim)
+        # One solve serves both the spectrum and the kernel check; a
+        # narrower Lanczos window may fail to converge.
+        count = min(max(args.spectrum or 0, hamiltonian.KERNEL_COUNT),
+                    basis.dim)
         with em.timed("spectrum") as sizes:
             vals = hamiltonian.spectrum(build.H, count=count, seed=args.seed)
             sizes["count"] = count

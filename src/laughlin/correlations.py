@@ -14,8 +14,9 @@ by the renewal function; the truncation of rod sizes at the model's Nmax
 is converted into a reported error estimate via the long-interval bound.
 One enumeration of the rods covering a site serves the finite occupations
 from renewal bridges and the bound on their gap to the bulk; the bulk
-occupations (summed in the order that fixes ``corr``'s bytes) and pair
-correlations (on ``corr``'s timed path) keep their own loops.
+occupations keep their own loop, summed in the order that fixes
+``corr``'s bytes, and one pass builds a whole row of pair correlations
+from site k, each separation summed in the order it has on its own.
 
 Finite-N occupations, the rod profiles and the rod pair moments are
 read from the moment tables (see :mod:`laughlin.moments`): per
@@ -213,75 +214,63 @@ def occupation_infinite(model: RenewalModel, rods: RodExpectations
     return np.array(total) / model.mu
 
 
-def _psi_split(model: RenewalModel, rods: RodExpectations, s: int) -> float:
-    """sum_n p_n nu_n(s): weight that a rod started s sites back covers s;
-    only rods of more than s // p particles reach site s."""
-    total = 0.0
-    for n in range(s // model.p + 1, model.Nmax + 1):
-        if model.pn[n - 1]:
-            total += model.pn[n - 1] * rods.nu[n - 1][s]
-    return total
-
-
 @dataclass(frozen=True)
 class PairCorrelation:
-    value: float
-    truncated: float
+    """One row l = 0..lmax of <n_k n_{k+l}>: ``value`` and ``truncated``
+    per separation, and the truncation error estimate of the row."""
+
+    value: np.ndarray
+    truncated: np.ndarray
     error_estimate: float
 
 
-def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int, l: int
-                  ) -> PairCorrelation:
-    """<n_k n_{k+l}> in the bulk, with the truncated correlation.
+def pair_infinite(model: RenewalModel, rods: RodExpectations, k: int,
+                  lmax: int) -> PairCorrelation:
+    """<n_k n_{k+l}> in the bulk for l = 0..lmax, with the truncated
+    correlations.
 
     Same-rod part: both sites inside one rod, using in-rod pair moments.
     Split part: the left rod ends at or before the second site, a
     renewal bridge u_c crosses the gap, and an independent rod covers
-    the second site.  Rod sizes beyond Nmax are out of reach of the
-    exact tables; their weight is estimated by the long-interval bound
-    and reported as the error.  The truncation subtracts the bulk
-    occupations of :func:`occupation_infinite`, which also refuses rods
-    that are not the model's.
+    the second site.  Each term is added to the slice of separations it
+    reaches, in the (rod, site, bridge) order of a single separation, so
+    every entry is that separation's sum.  Rod sizes beyond Nmax are out
+    of reach of the exact tables; their weight is estimated by the
+    long-interval bound and reported as the error.  The truncation
+    subtracts the bulk occupations of :func:`occupation_infinite`, which
+    also refuses rods that are not the model's.
     """
     occ = occupation_infinite(model, rods)
     p = model.p
     k = k % p
-    if l < 0:
+    if lmax < 0:
         raise ConfigError("site separation must be >= 0")
-
-    same = 0.0
-    for n in range(1, model.Nmax + 1):
-        pn = model.pn[n - 1]
-        if pn == 0.0:
-            continue
+    size = lmax + 1
+    same, split = np.zeros(size), np.zeros(size)
+    # psi[s] = sum_n p_n nu_n(s): weight that a rod started s sites back
+    # covers s; only rods of more than s // p particles reach site s
+    psi = np.zeros(size)
+    live = [(n, pn) for n, pn in enumerate(model.pn, 1) if pn != 0.0]
+    for n, pn in live:
+        psi[:p * n] += pn * rods.nu[n - 1][:size]
         for j in range(n):
             s = k + p * j
-            if s + l <= p * n - 1:
-                same += pn * rods.pair[n - 1][s, s + l]
-    same /= model.mu
+            same[:p * n - s] += pn * rods.pair[n - 1][s, s:s + size]
 
-    split = 0.0
-    if l >= 1:
-        u = model.renewal_sequence(l // p + 1)
-        psi = [_psi_split(model, rods, s) for s in range(l)]
-        for n1 in range(1, model.Nmax + 1):
-            pn1 = model.pn[n1 - 1]
-            if pn1 == 0.0:
+    u = model.renewal_sequence(lmax // p + 1)
+    for n1, pn1 in live:
+        for j in range(n1):
+            s1 = k + p * j  # inside rod1, as k < p
+            reach = p * n1 - s1  # distance from site k to rod1's end
+            left = pn1 * rods.nu[n1 - 1][s1]
+            if left == 0.0:
                 continue
-            for j in range(n1):
-                s1 = k + p * j  # inside rod1, as k < p
-                reach = p * n1 - s1  # distance from site k to rod1's end
-                if reach > l:
-                    continue
-                left = pn1 * rods.nu[n1 - 1][s1]
-                if left == 0.0:
-                    continue
-                for c in range((l - reach) // p + 1):
-                    split += left * u[c] * psi[l - reach - p * c]
-        split /= model.mu
+            for c in range((lmax - reach) // p + 1):
+                start = reach + p * c
+                split[start:] += left * u[c] * psi[:size - start]
 
-    value = same + split
-    truncated = value - occ[k] * occ[(k + l) % p]
+    value = same / model.mu + split / model.mu
+    truncated = value - occ[k] * occ[(k + np.arange(size)) % p]
     err = 2.0 * long_interval_bound(model, model.Nmax + 1)
     return PairCorrelation(value=value, truncated=truncated,
                            error_estimate=err)
@@ -368,8 +357,8 @@ def period_test(model: RenewalModel, rods: RodExpectations) -> PeriodReport:
 
     Shifts d = 1..p are compared on the occupation p-vector of
     :func:`occupation_infinite`; if the occupations alone would declare
-    a period smaller than p, the pair moments of :func:`pair_infinite`
-    up to separation 2p are consulted as well, so flat first moments
+    a period smaller than p, the pair rows of :func:`pair_infinite` up
+    to separation 2p are consulted as well, so flat first moments
     cannot fake a short period.
     """
     p, tol = model.p, PERIOD_TOLERANCE
@@ -378,12 +367,10 @@ def period_test(model: RenewalModel, rods: RodExpectations) -> PeriodReport:
     for d in range(1, p + 1):
         devs.append(max(abs(occ[k] - occ[(k + d) % p]) for k in range(p)))
     if any(dev <= tol for dev in devs[:-1]):
-        seps = range(1, 2 * p + 1)
-        pairs = {(k, l): pair_infinite(model, rods, k, l).value
-                 for k in range(p) for l in seps}
+        rows = np.array([pair_infinite(model, rods, k, 2 * p).value[1:]
+                         for k in range(p)])
         for d in range(1, p + 1):
-            pair_dev = max(abs(pairs[(k, l)] - pairs[((k + d) % p, l)])
-                           for k in range(p) for l in seps)
+            pair_dev = np.abs(rows - np.roll(rows, -d, axis=0)).max()
             devs[d - 1] = max(devs[d - 1], pair_dev)
         used = "occupations+pair_moments"
     else:

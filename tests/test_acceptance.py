@@ -90,8 +90,7 @@ def test_criterion_02_filled_level(tables_p1):
     rods = rod_expectations(tables_p1, gamma)
     period = period_test(model, rods)
     assert period.period == 1
-    worst = max(abs(pair_infinite(model, rods, 0, l).truncated)
-                for l in range(11))
+    worst = np.abs(pair_infinite(model, rods, 0, 10).truncated).max()
     assert worst <= 1e-12
     report(2, f"C_N = 1, occupations 1, period 1, "
               f"max |truncated| = {worst:.2e}")
@@ -188,8 +187,7 @@ def test_criterion_08_period_three(model_p3_g1, rods_p3):
 
 
 def test_criterion_09_clustering(model_p3_g1, rods_p3):
-    trunc = [abs(pair_infinite(model_p3_g1, rods_p3, 0, l).truncated)
-             for l in range(1, 16)]
+    trunc = np.abs(pair_infinite(model_p3_g1, rods_p3, 0, 15).truncated[1:])
     envelope = np.maximum.accumulate(trunc[::-1])[::-1]
     assert all(b <= a for a, b in zip(envelope, envelope[1:]))
     assert envelope[-1] < 1e-3

@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from laughlin import cli, hamiltonian, lattice, moments, plasma
+from laughlin import cli, correlations, hamiltonian, lattice, moments, plasma
 from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import enumerate_admissible, renewal_points
 from laughlin.correlations import bulk_epsilon, occupation_finite, \
@@ -235,13 +235,14 @@ def test_ham_one_fermion(dirs):
 @pytest.mark.parametrize("flags, count", [
     (["--spectrum", "2", "--check-ground-state"], 40),
     (["--spectrum", "45", "--check-ground-state"], 45),
-    (["--spectrum", "3"], 3),
+    (["--spectrum", "3"], 40),
     (["--check-ground-state"], 40),
 ])
 def test_ham_solves_once(dirs, monkeypatch, flags, count):
-    """The spectrum and the kernel check share one eigensolve of H, with
-    at least the 40 values the check reads (dim 338, so ARPACK runs),
-    seeded by --seed."""
+    """The spectrum and the kernel check share one eigensolve of H, of
+    at least the 40 values the check reads, with or without the check,
+    as a narrower Lanczos window may fail to converge (dim 338, so
+    ARPACK runs), seeded by --seed."""
     cache, out = dirs
     calls = []
     spectrum = hamiltonian.spectrum
@@ -613,14 +614,15 @@ def test_exit_code_cap_writes_no_table(dirs, monkeypatch, limit):
 
 def test_exit_code_unconverged_eigensolve(dirs, capsys, monkeypatch):
     # A Lanczos solve that runs out of restarts is a resource limit: one
-    # error line and exit 3, not an ARPACK traceback.
+    # error line and exit 3, not an ARPACK traceback.  --spectrum 6 still
+    # solves the 40-value window.
     cache, out = dirs
     monkeypatch.setattr(hamiltonian, "LANCZOS_MAXITER", 1)
     assert run_cli("ham", "--p", "3", "--N", "6", "--spectrum", "6",
                    "--cache-dir", cache, "--out-dir", out) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: Lanczos did not converge the lowest 6 "
+    assert err[0].startswith("error: Lanczos did not converge the lowest 40 "
                              "eigenvalues within maxiter=1 restarts")
 
 
@@ -764,6 +766,24 @@ def test_exit_code_unconverged(dirs, capsys):
             assert summary["converged"] is False
 
 
+def test_corr_builds_each_bulk_quantity_once(dirs, monkeypatch):
+    """corr reads its pair table as one row: one pair_infinite call, and
+    one occupation_infinite call each for the occupations, the row and
+    the period test."""
+    cache, out = dirs
+    calls = []
+    for name in ("pair_infinite", "occupation_infinite"):
+        def counting(*args, _name=name, _f=getattr(correlations, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(correlations, name, counting)
+    assert run_cli("corr", "--p", "3", "--Nmax", "6", "--N", "6",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert (calls.count("pair_infinite"),
+            calls.count("occupation_infinite")) == (1, 3)
+    assert len(read_csv(os.path.join(out, "pairs.csv"))) == 16
+
+
 def test_corr_override_admits_the_model(dirs):
     """corr on an unconverged model fails tail-converged, and every bulk
     output it writes is still that model's."""
@@ -784,8 +804,7 @@ def test_corr_override_admits_the_model(dirs):
         [cli.fmt(x) for x in occupation_infinite(model, rods)]
     pairs = read_csv(os.path.join(out, "pairs.csv"))
     assert [r["value"] for r in pairs] == \
-        [cli.fmt(pair_infinite(model, rods, 0, l).truncated)
-         for l in range(5)]
+        [cli.fmt(x) for x in pair_infinite(model, rods, 0, 4).truncated]
     report = period_test(model, rods)
     period = read_json(os.path.join(out, "period.json"))
     assert (period["period"], period["used"], period["deviations"]) == \

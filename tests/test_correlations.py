@@ -309,13 +309,13 @@ def test_finite_occupations_lie_within_epsilon_of_the_bulk(request, p, gamma,
 
 def test_pair_infinite_decay(model_p3_g1, rods_p3):
     occ = occupation_infinite(model_p3_g1, rods_p3)
+    pc = pair_infinite(model_p3_g1, rods_p3, 0, 15)
+    assert pc.error_estimate >= 0.0
     trunc = []
     for l in range(1, 16):
-        pc = pair_infinite(model_p3_g1, rods_p3, 0, l)
-        assert pc.error_estimate >= 0.0
-        assert pc.truncated == approx(pc.value - occ[0] * occ[l % 3],
-                                      abs=1e-13)
-        trunc.append(abs(pc.truncated))
+        assert pc.truncated[l] == approx(pc.value[l] - occ[0] * occ[l % 3],
+                                         abs=1e-13)
+        trunc.append(abs(pc.truncated[l]))
     envelope = np.maximum.accumulate(trunc[::-1])[::-1]
     assert np.all(np.diff(envelope) <= 0)
     assert trunc[2] > 1e-2       # structure at one rod spacing
@@ -324,7 +324,7 @@ def test_pair_infinite_decay(model_p3_g1, rods_p3):
 
 BULK_CALLS = {
     "occupation_infinite": lambda m, r: tuple(occupation_infinite(m, r)),
-    "pair_infinite": lambda m, r: pair_infinite(m, r, 0, 2),
+    "pair_infinite": lambda m, r: pair_infinite(m, r, 0, 2).truncated.tolist(),
     "occupation_finite_via_renewal":
         lambda m, r: tuple(occupation_finite_via_renewal(m, r, 6)),
     "bulk_epsilon": lambda m, r: bulk_epsilon(m, r, 6, 7),
@@ -362,10 +362,9 @@ def test_occupation_finite_refuses_a_missing_or_second_gamma(tables_p3):
 def test_pair_infinite_p1_truncated_vanishes(tables_p1):
     model = build_model(1, 8, 1.0, tables=tables_p1[:8])
     rods = rod_expectations(tables_p1[:8], 1.0)
-    for l in range(1, 6):
-        pc = pair_infinite(model, rods, 0, l)
-        assert pc.value == approx(1.0, abs=1e-12)
-        assert pc.truncated == approx(0.0, abs=1e-12)
+    pc = pair_infinite(model, rods, 0, 5)
+    assert pc.value[1:] == approx(1.0, abs=1e-12)
+    assert pc.truncated[1:] == approx(0.0, abs=1e-12)
 
 
 # -- continuum density -----------------------------------------------------------

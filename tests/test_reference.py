@@ -35,7 +35,7 @@ from pytest import approx
 from scipy import sparse
 from scipy.special import erf, eval_hermite
 
-from laughlin import hamiltonian, plasma
+from laughlin import correlations, hamiltonian, plasma
 from laughlin.correlations import (occupation_finite, occupation_infinite,
                                    pair_infinite, rod_expectations)
 from laughlin.expansion import (CoefficientTable, amplitudes, expand_all,
@@ -251,14 +251,39 @@ def reference_pair_infinite(model, rods, k, l):
 
 @pytest.mark.parametrize("gamma", (0.7, 1.5))
 def test_pair_infinite_matches_reference(tables, gamma):
+    """Every entry of a row equals its separation's own sum."""
     p = tables[0].p
     model = build_model(p, len(tables), gamma, tables=tables)
     rods = rod_expectations(tables, gamma)
-    for k in range(p):
-        for l in range(16):
-            got = pair_infinite(model, rods, k, l)
-            assert (got.value, got.truncated) == \
-                reference_pair_infinite(model, rods, k, l)
+    for k, lmax in product(range(p), (0, 1, 15, 40)):
+        got = pair_infinite(model, rods, k, lmax)
+        assert got.value.shape == got.truncated.shape == (lmax + 1,)
+        assert list(zip(got.value, got.truncated)) == \
+            [reference_pair_infinite(model, rods, k, l)
+             for l in range(lmax + 1)]
+
+
+@pytest.mark.parametrize("gamma", (0.7, 1.5))
+def test_period_test_pair_moments(tables, gamma, monkeypatch):
+    """With a tolerance the occupations pass at every shift, the
+    deviations also take the pair moments of separations 1..2p."""
+    p = tables[0].p
+    model = build_model(p, len(tables), gamma, tables=tables)
+    rods = rod_expectations(tables, gamma)
+    occ = occupation_infinite(model, rods)
+    occ_devs = [max(abs(occ[k] - occ[(k + d) % p]) for k in range(p))
+                for d in range(1, p + 1)]
+    monkeypatch.setattr(correlations, "PERIOD_TOLERANCE",
+                        2.0 * max(occ_devs))
+    pairs = {(k, l): reference_pair_infinite(model, rods, k, l)[0]
+             for k in range(p) for l in range(1, 2 * p + 1)}
+    expect = [max(occ_devs[d - 1],
+                  max(abs(pairs[(k, l)] - pairs[((k + d) % p, l)])
+                      for k in range(p) for l in range(1, 2 * p + 1)))
+              for d in range(1, p + 1)]
+    rep = correlations.period_test(model, rods)
+    assert rep.used == "occupations+pair_moments"
+    assert list(rep.deviations) == expect
 
 
 # -- coefficient recursion ----------------------------------------------------------
