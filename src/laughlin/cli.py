@@ -382,14 +382,14 @@ def _reflection_verdict(em: Emitter, occ_fin: np.ndarray) -> bool:
 
 
 def _monomer_dimer_stage(em: Emitter, params: ModelParams,
-                         basis: hamiltonian.SectorBasis) -> dict:
+                         basis: hamiltonian.SectorBasis, seed: int) -> dict:
     """The monomer-dimer state is a zero mode of its truncated H, and
     that H, the repulsion cut at range 3, is the paper's closed form:
     the ``monomer_dimer`` stage, its verdicts and its ``ham.json`` section."""
     with em.timed("monomer_dimer") as sizes:
         md = hamiltonian.build_monomer_dimer(params, basis=basis)
         report = hamiltonian.ground_check(md.H, md.psi, hamiltonian.spectrum(
-            md.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim)))
+            md.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim), seed=seed))
         sizes.update(dim=basis.dim, num_terms=md.num_terms)
     residual_ok = em.bound(
         "monomer-dimer-residual", report.residual, 1e-10,
@@ -549,7 +549,8 @@ def cmd_ham(args) -> int:
         doc["ground_state"] = _ground_stage(em, basis, build.H, amp, vals)
 
     if args.monomer_dimer:
-        doc["monomer_dimer"] = _monomer_dimer_stage(em, params, basis)
+        doc["monomer_dimer"] = _monomer_dimer_stage(em, params, basis,
+                                                    args.seed)
 
     if args.perturbation_order is not None:
         with em.timed("perturbation"):
@@ -715,17 +716,15 @@ def _verify_checks(em: Emitter, args) -> None:
              "C_N, alpha_n, rod profiles and pair moments and finite "
              "occupations from the moment tables against sums over the rows")
 
-    N_h = min(4, Nmax)
-    amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
-    dec = correlations.quasi_state(amp_h)
-    dev = float(np.max(np.abs(dec.reconstruction() - dec.projector())))
-    em.bound("quasi-state-reconstruction", dev, 1e-12,
-             f"sum_X p_N(X) omega_X against |Psi><Psi|/C_N at N={N_h}")
+    dec = correlations.quasi_state(
+        expansion.amplitudes(tables[Nmax - 1], gamma))
+    em.bound("quasi-state-reconstruction", dec.residual, 1e-12,
+             f"sum_X p_N(X) omega_X against |Psi><Psi|/C_N at N={Nmax}")
     dev = max(abs(w - renewal.partition_probability(model, X))
               for X, w in dec.weights.items())
     em.bound("quasi-state-weights", dev, 1e-12,
              "quasi-state weights p_N(X) against prod alpha_n / C_N "
-             f"at N={N_h}")
+             f"at N={Nmax}")
 
     occ_inf = correlations.occupation_infinite(model, rods)
     dev = abs(float(occ_inf.sum()) - 1.0)
@@ -748,6 +747,7 @@ def _verify_checks(em: Emitter, args) -> None:
              f"center occupation at N={Nmax} within the bridge-weight bound "
              "plus the float64 rounding of both occupations")
 
+    N_h = min(4, Nmax)
     params = ModelParams(p, N_h, gamma)
     basis = hamiltonian.sector_basis(params,
                                      momentum=total_momentum(p, N_h))
@@ -755,13 +755,15 @@ def _verify_checks(em: Emitter, args) -> None:
     em.bound("build-agreement", build.deviation, 1e-12,
              "quadruple and bond assemblies of the parent Hamiltonian")
 
+    amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
     _ground_stage(em, basis, build.H, amp_h, hamiltonian.spectrum(
-        build.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim)))
+        build.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim),
+        seed=args.seed))
 
     if p == 3:
         params_md = ModelParams(3, min(6, Nmax), gamma)
         _monomer_dimer_stage(em, params_md, hamiltonian.sector_basis(
-            params_md, momentum=total_momentum(3, params_md.N)))
+            params_md, momentum=total_momentum(3, params_md.N)), args.seed)
 
         # the thin-torus and perturbation checks share one ground sector
         params_tt = ModelParams(3, min(3, Nmax), gamma)

@@ -24,9 +24,9 @@ Gaussian exponent e, the sums of c^2 / prod n_k! times occ (all rows
 and the irreducible rows) and occ occ^T (the irreducible rows),
 weighted by x^e, x = exp(-gamma^2), and divided by C_N or alpha_n.
 The quasi-state decomposition needs single rows and reads the
-amplitude table; it keeps the amplitudes, the partition weights, one
-vector per live rod partition and their meet table, and rebuilds the
-sum of the blocks from them.
+amplitude table in one pass: the squared and the largest amplitude per
+rod partition, with the meets of the live partitions, give its weights
+and residual, with no vector or matrix over the configurations.
 
 Conventions: orbitals are indexed 0..p(N-1) for a finite table; the
 occupation basis is ordered by increasing orbital, and fermionic signs
@@ -50,8 +50,6 @@ from laughlin.renewal import RenewalModel, long_interval_bound
 #: Largest deviation between shifted bulk correlations that
 #: :func:`period_test` counts as equal.
 PERIOD_TOLERANCE = 1e-8
-#: Most rod partitions, 2^(N-1), that :func:`quasi_state` decomposes over.
-MAX_PARTITIONS = 256
 
 
 # -- finite N ----------------------------------------------------------------
@@ -75,65 +73,55 @@ def occupation_finite(amp: AmplitudeTable | MomentTable,
 
 # -- quasi-state decomposition ------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QuasiStateDecomposition:
-    """Rank-one-per-pair decomposition of the normalized projector.
+    """The rod-partition decomposition of the normalized projector, in
+    factored form.
 
-    ``amps`` holds the occupation amplitudes in the table's row order;
-    ``weights[X]`` is the probability of each rod partition X (keyed by
-    its tuple of rod lengths, in the order of
+    ``weights[X]`` is the probability p_N(X) = ||u_X||^2 / C_N of each
+    rod partition X (keyed by its tuple of rod lengths, in the order of
     :func:`enumerate_partitions`), zero where its configuration class is
-    empty.  The live partitions are those of nonzero weight, in that
-    order: row i of ``vectors`` is u_X of the i-th, and ``meet[i, j]``
-    the index of the partition whose renewal points the i-th and j-th
-    share, -1 where that class is empty.
+    empty; ``residual`` is the largest entry of
+    sum_X p_N(X) omega_X - |Psi><Psi| / C_N.
     """
 
-    amps: np.ndarray
     weights: dict[tuple[int, ...], float]
-    vectors: np.ndarray
-    meet: np.ndarray
-
-    def reconstruction(self) -> np.ndarray:
-        """sum_X p_N(X) omega_X, which must equal |Psi><Psi| / C_N: U^T S U,
-        where S[Y, Z] = p_N(X) / ||u_X||^2 = 1 / C_N for X the meet of Y
-        and Z, and 0 where that class is empty."""
-        S = (self.meet >= 0) / (self.amps @ self.amps)
-        return self.vectors.T @ (S @ self.vectors)
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amps, self.amps) / (self.amps @ self.amps)
+    residual: float
 
 
 def quasi_state(amp: AmplitudeTable) -> QuasiStateDecomposition:
-    """Decompose |Psi><Psi|/C_N over rod partitions.
+    """Decompose |Psi><Psi|/C_N over rod partitions, in factored form.
 
     Every ordered pair (Y, Z) of partitions contributes |u_Y><u_Z| to
     the block of the partition X with R(X) = R(Y) n R(Z); scaling by
     ||u_X||^{-2} makes each block a state on diagonal observables, and
-    the weights p_N(X) = ||u_X||^2 / C_N rebuild the projector exactly.
+    the weights p_N(X) = ||u_X||^2 / C_N rebuild the projector but for
+    the pairs whose meet class is empty.  Each row has one renewal set,
+    so the u_X have disjoint supports and each entry of the difference
+    belongs to one pair: the residual is the largest
+    ||u_Y||_inf ||u_Z||_inf / C_N over live pairs with an empty meet, 0
+    where there is none.  O(rows + L^2) for L live partitions.
     """
     N = amp.N
-    parts = enumerate_partitions(N)
-    if len(parts) > MAX_PARTITIONS:
-        raise ConfigError(f"{len(parts)} partitions exceed the sector limit")
     amps = amp.occ
     C = float(amps @ amps)
 
     # A partition is the set of its interior renewal points, a bit mask
     # over rod coordinates 1..N-1, and R(Y) n R(Z) is the bitwise and.
     bits = 1 << np.arange(N - 1)
-    row_masks = amp.table.renewal[:, 1:N] @ bits
-    masks = np.array([bits[np.cumsum(X)[:-1] - 1].sum() for X in parts])
-    vectors = np.where(row_masks[None, :] == masks[:, None], amps, 0.0)
-    norms = [float(u @ u) for u in vectors]
-    live = [i for i, norm in enumerate(norms) if norm != 0.0]
-    index = {int(masks[i]): j for j, i in enumerate(live)}
-    meet = np.array([[index.get(int(a & b), -1) for b in masks[live]]
-                     for a in masks[live]], dtype=np.intp)
+    labels = amp.table.renewal[:, 1:N] @ bits
+    norms = np.bincount(labels, weights=amps * amps, minlength=1 << (N - 1))
+    peaks = np.zeros(norms.size)
+    np.maximum.at(peaks, labels, np.abs(amps))
+    live = np.flatnonzero(norms)
+    empty_meet = norms[live[:, None] & live[None, :]] == 0.0
+    residual = np.max(np.outer(peaks[live], peaks[live]), initial=0.0,
+                      where=empty_meet) / C
+    parts = enumerate_partitions(N)
+    masks = [bits[np.cumsum(X)[:-1] - 1].sum() for X in parts]
     return QuasiStateDecomposition(
-        amps=amps, weights={X: norm / C for X, norm in zip(parts, norms)},
-        vectors=vectors[live], meet=meet)
+        weights={X: float(norms[m]) / C for X, m in zip(parts, masks)},
+        residual=float(residual))
 
 
 # -- rod expectations and the infinite volume ---------------------------------

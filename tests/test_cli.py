@@ -48,6 +48,20 @@ def dirs(tmp_path):
     return str(cache), str(out)
 
 
+@pytest.fixture()
+def solves(monkeypatch):
+    """The (count, seed) of every ``hamiltonian.spectrum`` call of a test."""
+    calls = []
+    spectrum = hamiltonian.spectrum
+
+    def recording(H, count=6, **kwargs):
+        calls.append((count, kwargs.get("seed")))
+        return spectrum(H, count=count, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "spectrum", recording)
+    return calls
+
+
 def test_expand_writes_cache_and_summary(dirs):
     cache, out = dirs
     assert run_cli("expand", "--p", "3", "--N", "4",
@@ -238,23 +252,15 @@ def test_ham_one_fermion(dirs):
     (["--spectrum", "3"], 40),
     (["--check-ground-state"], 40),
 ])
-def test_ham_solves_once(dirs, monkeypatch, flags, count):
+def test_ham_solves_once(dirs, solves, flags, count):
     """The spectrum and the kernel check share one eigensolve of H, of
     at least the 40 values the check reads, with or without the check,
     as a narrower Lanczos window may fail to converge (dim 338, so
     ARPACK runs), seeded by --seed."""
     cache, out = dirs
-    calls = []
-    spectrum = hamiltonian.spectrum
-
-    def counting(H, count=6, **kwargs):
-        calls.append((count, kwargs.get("seed")))
-        return spectrum(H, count=count, **kwargs)
-
-    monkeypatch.setattr(hamiltonian, "spectrum", counting)
     assert run_cli("ham", "--p", "3", "--N", "6", *flags, "--seed", "3",
                    "--cache-dir", cache, "--out-dir", out) == 0
-    assert calls == [(count, 3)]
+    assert solves == [(count, 3)]
     doc = read_json(os.path.join(out, "ham.json"))
     assert doc["dim"] == 338
     stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
@@ -272,6 +278,15 @@ def test_ham_solves_once(dirs, monkeypatch, flags, count):
             assert ground["min_eigenvalue"] == doc["spectrum"][0]
     else:
         assert "ground_state" not in doc
+
+
+def test_ham_seeds_every_solve(dirs, solves):
+    """--seed starts the monomer-dimer solve as well as the solve of H."""
+    cache, out = dirs
+    assert run_cli("ham", "--p", "3", "--N", "5", "--monomer-dimer",
+                   "--check-ground-state", "--seed", "5",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert [seed for _, seed in solves] == [5, 5]
 
 
 def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
@@ -817,10 +832,12 @@ def test_missing_subcommand_exits_two():
     assert exc.value.code == 2
 
 
-def test_verify_all_passes(dirs, capsys):
+def test_verify_all_passes(dirs, capsys, solves):
     cache, out = dirs
     assert run_cli("verify-all", "--p", "3", "--Nmax", "4", "--seed", "5",
                    "--cache-dir", cache, "--out-dir", out) == 0
+    # the ground and the monomer-dimer solve
+    assert [seed for _, seed in solves] == [5, 5]
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
     assert all(ln.startswith("PASS") for ln in lines)
     doc = read_json(os.path.join(out, "verify.json"))
@@ -841,6 +858,19 @@ def test_verify_all_passes(dirs, capsys):
     (stage,) = [s for s in manifest["stages"] if s["name"] == "monomer_dimer"]
     assert (stage["dim"], stage["num_terms"]) == (
         basis.dim, hamiltonian.build_monomer_dimer(params, basis).num_terms)
+
+
+def test_verify_all_decomposes_the_largest_table(dirs):
+    """Both quasi-state checks read the N = Nmax state, and the
+    factored residual is exactly 0 when every meet class is live."""
+    cache, out = dirs
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "5",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    checks = {c["name"]: c
+              for c in read_json(os.path.join(out, "verify.json"))["checks"]}
+    for name in ("quasi-state-reconstruction", "quasi-state-weights"):
+        assert checks[name]["note"].endswith("at N=5")
+    assert checks["quasi-state-reconstruction"]["measured"] == 0.0
 
 
 def test_verify_all_runs_what_needs_no_tail(dirs):

@@ -11,7 +11,6 @@ from pytest import approx
 from scipy.integrate import quad
 
 from conftest import traced_peak_mb
-from laughlin import correlations
 from laughlin.correlations import (
     bulk_epsilon,
     density_profile,
@@ -27,8 +26,8 @@ from laughlin.expansion import amplitudes, expand_all
 from laughlin.lattice import ConfigError, config_tuples
 from laughlin.moments import derive
 from laughlin.renewal import build_model, partition_probability
-from test_reference import (diagonal_value, domain_weighted, live_partitions,
-                            moments_finite, num_orbitals, omega)
+from test_reference import (diagonal_value, domain_weighted, moments_finite,
+                            num_orbitals, omega, reference_quasi_state)
 
 
 @pytest.fixture(scope="module")
@@ -142,19 +141,19 @@ def test_quasi_state_two_particles(amp_p3_n2):
     basis = config_tuples(amp_p3_n2.table.configs)
     i = basis.index((0, 3))
     j = basis.index((1, 2))
-    off = omega(dec, (2,))[i, j]
+    ref = reference_quasi_state(amp_p3_n2)
+    off = omega(ref, (2,))[i, j]
     assert off == approx(-math.exp(2.0) / 3.0, rel=1e-12)
-    assert omega(dec, (2,))[j, i] == approx(off, rel=1e-14)
+    assert omega(ref, (2,))[j, i] == approx(off, rel=1e-14)
 
 
 def test_quasi_state_rebuilds_projector(tables_p1, tables_p2, tables_p3):
-    # The two quasi-state verdicts of verify-all, at every N they read.
+    # The two quasi-state verdicts of verify-all, at N = 2..4.
     for tables in (tables_p1, tables_p2, tables_p3, expand_all(4, 4)):
         model = build_model(tables[0].p, 4, 1.0, tables=tables)
         for N in (2, 3, 4):
             dec = quasi_state(amplitudes(tables[N - 1], 1.0))
-            err = np.max(np.abs(dec.reconstruction() - dec.projector()))
-            assert err < 1e-12
+            assert dec.residual < 1e-12
             assert sum(dec.weights.values()) == approx(1.0, abs=1e-13)
             for X, weight in dec.weights.items():
                 assert weight == approx(partition_probability(model, X),
@@ -164,18 +163,26 @@ def test_quasi_state_rebuilds_projector(tables_p1, tables_p2, tables_p3):
 def test_quasi_state_blocks_sum_to_reconstruction(amp_p3_n4):
     # the blocks are the terms of the reconstruction, grouped by meet
     dec = quasi_state(amp_p3_n4)
-    live = live_partitions(dec)
-    total = sum(dec.weights[X] * omega(dec, X) for X in live)
-    assert len(live) == 8
-    assert np.max(np.abs(total - dec.reconstruction())) < 1e-15
+    ref = reference_quasi_state(amp_p3_n4)
+    total = sum(dec.weights[X] * omega(ref, X) for X in ref.live)
+    assert len(ref.live) == 8
+    assert np.max(np.abs(total - ref.reconstruction())) < 1e-15
 
 
-def test_quasi_state_memory_is_one_vector_per_partition(tables_p3):
-    """At (3, 6), 247 rows and 32 partitions, the decomposition and its
-    reconstruction peak at 0.64 MB, mostly the one dim x dim array of
-    the sum; a dense block per partition took 31 MB."""
+def test_quasi_state_memory_has_no_configuration_matrix(tables_p3):
+    """At (3, 6), 247 rows and 32 partitions, the factored decomposition
+    peaks at about 0.03 MB; the dense reconstruction, one 247 x 247
+    array and its terms, took 0.61 MB."""
     amp = amplitudes(tables_p3[5], 1.0)
-    assert traced_peak_mb(lambda: quasi_state(amp).reconstruction()) < 1.0
+    assert traced_peak_mb(quasi_state, amp) < 0.1
+
+
+def test_quasi_state_at_ten_particles(tables_p1):
+    # 2^9 = 512 partitions, all but the staircase's one dead at p=1
+    dec = quasi_state(amplitudes(tables_p1[9], 1.0))
+    assert len(dec.weights) == 512
+    assert dec.weights[(1,) * 10] == 1.0
+    assert dec.residual == 0.0
 
 
 def test_quasi_state_locality(tables_p3, rods_p3):
@@ -183,6 +190,7 @@ def test_quasi_state_locality(tables_p3, rods_p3):
     # the profile of the corresponding irreducible class.
     amp = amplitudes(tables_p3[3], 1.0)
     dec = quasi_state(amp)
+    ref = reference_quasi_state(amp)
     for X, weight in dec.weights.items():
         if weight == 0.0:
             continue
@@ -191,26 +199,22 @@ def test_quasi_state_locality(tables_p3, rods_p3):
             r = next(i for i in range(len(X))
                      if bounds[i] <= site < bounds[i + 1])
             expect = rods_p3.nu_at(X[r], site - bounds[r])
-            assert diagonal_value(dec, amp, X, site) == approx(expect,
-                                                               abs=1e-12)
-
-
-def test_quasi_state_partition_cap(amp_p3_n4, monkeypatch):
-    monkeypatch.setattr(correlations, "MAX_PARTITIONS", 2)
-    with pytest.raises(ConfigError):
-        quasi_state(amp_p3_n4)
+            assert diagonal_value(ref, X, site) == approx(expect, abs=1e-12)
 
 
 def test_quasi_state_skips_dead_partitions(tables_p1):
     # p=1 has no irreducible class beyond single rods, so every
     # partition with a longer rod carries zero weight.
-    dec = quasi_state(amplitudes(tables_p1[2], 1.0))
+    amp = amplitudes(tables_p1[2], 1.0)
+    dec = quasi_state(amp)
     assert dec.weights[(1, 1, 1)] == approx(1.0, abs=1e-14)
     assert all(w == 0.0 for X, w in dec.weights.items() if X != (1, 1, 1))
-    assert live_partitions(dec) == [(1, 1, 1)]
-    assert len(dec.vectors) == 1
+    assert dec.residual == 0.0
+    ref = reference_quasi_state(amp)
+    assert ref.live == [(1, 1, 1)]
+    assert len(ref.vectors) == 1
     with pytest.raises(ValueError):
-        omega(dec, (3,))
+        omega(ref, (3,))
 
 
 # -- rod profiles ---------------------------------------------------------------

@@ -16,7 +16,9 @@ that applies them to one occupation row at a time.  The one configuration
 search behind sector bases and admissible sets is checked against the
 whole layer filtered by momentum, and by dominance.  The array-native
 product-rule check must report the same checks and failures as a loop
-over every configuration's renewal points.
+over every configuration's renewal points.  The factored quasi-state
+decomposition is checked against the dense one: a vector per rod
+partition, the sum of its blocks and the projector as matrices.
 
 The quantities that only the tests compute live here too, and the
 other test files import them, ``moments_finite`` (a client of the
@@ -27,7 +29,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (accumulate, combinations, combinations_with_replacement,
+                       product)
 
 import numpy as np
 import pytest
@@ -38,8 +41,8 @@ from scipy.special import erf, eval_hermite
 from laughlin import correlations, hamiltonian, plasma
 from laughlin.correlations import (occupation_finite, occupation_infinite,
                                    pair_infinite, rod_expectations)
-from laughlin.expansion import (CoefficientTable, amplitudes, expand_all,
-                                verify_product_rule)
+from laughlin.expansion import (AmplitudeTable, CoefficientTable, amplitudes,
+                                expand_all, verify_product_rule)
 from laughlin.lattice import (ConfigError, ModelParams, config_tuples,
                               enumerate_admissible, enumerate_partitions,
                               find_keys, renewal_points, staircase,
@@ -1090,22 +1093,109 @@ def num_orbitals(amp) -> int:
     return amp.p * (amp.N - 1) + 1
 
 
-def live_partitions(dec) -> list[tuple[int, ...]]:
-    """The rod partitions of nonzero weight, in the row order of
-    ``dec.vectors``."""
-    return [X for X, weight in dec.weights.items() if weight != 0.0]
+@dataclass(frozen=True)
+class DenseQuasiState:
+    """The quasi-state decomposition in dense form, the oracle of the
+    factored ``correlations.quasi_state``.
+
+    ``live`` lists the rod partitions of nonzero weight in the order of
+    ``enumerate_partitions``; row i of ``vectors`` is u_i, the occupation
+    amplitudes of the rows whose renewal points are those of the i-th,
+    and ``meet[i, j]`` the index of the partition whose renewal points
+    the i-th and j-th share, -1 where that class is empty.
+    """
+
+    amp: AmplitudeTable
+    live: list[tuple[int, ...]]
+    vectors: np.ndarray
+    meet: np.ndarray
+
+    @property
+    def norm_sq(self) -> float:
+        return float(self.amp.occ @ self.amp.occ)
+
+    def reconstruction(self, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` of sum_X p_N(X) omega_X: U^T S U, where
+        S[Y, Z] = p_N(X) / ||u_X||^2 = 1 / C_N for X the meet of Y and Z,
+        and 0 where that class is empty."""
+        S = (self.meet >= 0) / self.norm_sq
+        return self.vectors[:, rows].T @ (S @ self.vectors)
+
+    def projector(self, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` of |Psi><Psi| / C_N."""
+        return np.outer(self.amp.occ[rows], self.amp.occ) / self.norm_sq
+
+    def residual(self) -> float:
+        """The largest entry of reconstruction - projector, compared 512
+        rows at a time."""
+        return max(float(np.max(np.abs(self.reconstruction(rows)
+                                       - self.projector(rows))))
+                   for rows in (slice(i, i + 512)
+                                for i in range(0, len(self.amp.occ), 512)))
 
 
-def omega(dec, X) -> np.ndarray:
+def reference_quasi_state(amp: AmplitudeTable) -> DenseQuasiState:
+    """One vector per rod partition, selected by comparing each row's
+    set of interior renewal points with the partition's."""
+    N, amps = amp.N, amp.occ
+    points = [frozenset((np.flatnonzero(row[1:N]) + 1).tolist())
+              for row in amp.table.renewal]
+    live, sets, vectors = [], [], []
+    for X in enumerate_partitions(N):
+        cuts = frozenset(accumulate(X[:-1]))
+        u = np.array([a if cut == cuts else 0.0
+                      for a, cut in zip(amps.tolist(), points)])
+        if u @ u != 0.0:
+            live.append(X)
+            sets.append(cuts)
+            vectors.append(u)
+    meet = np.array([[sets.index(a & b) if a & b in sets else -1
+                      for b in sets] for a in sets], dtype=np.intp)
+    return DenseQuasiState(amp, live, np.array(vectors), meet)
+
+
+def omega(ref: DenseQuasiState, X) -> np.ndarray:
     """The quasi-state block of X: sum of |u_Y><u_Z| / ||u_X||^2 over the
     pairs (Y, Z) whose meet is X, a partition of nonzero weight."""
-    U, x = dec.vectors, live_partitions(dec).index(X)
-    return U.T @ ((dec.meet == x) @ U) / (U[x] @ U[x])
+    U, x = ref.vectors, ref.live.index(X)
+    return U.T @ ((ref.meet == x) @ U) / (U[x] @ U[x])
 
 
-def diagonal_value(dec, amp, X, site: int) -> float:
+def diagonal_value(ref: DenseQuasiState, X, site: int) -> float:
     """omega_X(n_site) evaluated as a state on the diagonal algebra."""
     # Only the diagonal of the block survives, and the classes are
     # disjoint, so only the pair (X, X) reaches it: u_X^2 / ||u_X||^2.
-    u = dec.vectors[live_partitions(dec).index(X)]
-    return float((u * u) @ amp.table.occupations[:, site] / (u @ u))
+    u = ref.vectors[ref.live.index(X)]
+    return float((u * u) @ ref.amp.table.occupations[:, site] / (u @ u))
+
+
+@pytest.mark.parametrize("p", (1, 2, 3, 4))
+def test_quasi_state_matches_dense(p):
+    """The factored residual is the dense largest entry of
+    reconstruction - projector, and each weight is ||u_X||^2 / C_N."""
+    tables = expand_all(p, 6)
+    for table, gamma in product(tables, (0.5, 1.0, 3.0)):
+        amp = amplitudes(table, gamma)
+        dec = correlations.quasi_state(amp)
+        ref = reference_quasi_state(amp)
+        assert dec.residual == approx(ref.residual(), abs=1e-15)
+        norms = dict(zip(ref.live, (u @ u for u in ref.vectors)))
+        assert list(dec.weights) == enumerate_partitions(table.N)
+        for X, weight in dec.weights.items():
+            assert weight == approx(norms.get(X, 0.0) / ref.norm_sq,
+                                    abs=1e-15)
+
+
+def test_quasi_state_empty_meet_matches_dense(tables_p3):
+    """Zeroing the irreducible rows of N = 4 empties the one-rod class,
+    the meet of every pair of partitions with no renewal point in
+    common; those pairs leave entries of reconstruction - projector,
+    and both forms find the same largest."""
+    amp = amplitudes(tables_p3[3], 1.0)
+    cut = AmplitudeTable(amp.table, amp.gamma,
+                         np.where(amp.table.irreducible, 0.0, amp.amp))
+    dec = correlations.quasi_state(cut)
+    ref = reference_quasi_state(cut)
+    assert dec.weights[(4,)] == 0.0 and (4,) not in ref.live
+    assert dec.residual > 0.0
+    assert dec.residual == approx(ref.residual(), rel=1e-15)
