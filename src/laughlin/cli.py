@@ -24,18 +24,17 @@ leave out those of any stage recorded inside it, so the stage seconds
 sum to at most the wall time.  A stage timed around its work also
 records ``rss_rise_mb``, the rise of the process's peak resident size
 over it, so the ``mcmc`` manifest's ``sample`` stage shows the memory
-the sampler took.  The ``ham`` manifest records the seconds spent on
-sector enumeration (with the sector dimension), on each assembly of H
-(with its nnz, and the pair route's with the number of quadruple
-strings it applied) inside one ``assembly`` stage that holds the memory
-both took, on its one eigensolve (with the count of values, shared with
-the ground-state check), on the zero-mode stages that ``verify-all``
-records too, ``ground_check`` and ``monomer_dimer`` (with its dimension
-and number of terms), and on the perturbation series.  Reading and
-deriving the moment tables is a ``moments`` stage (with the exponent
-count of each), and the renewal model a ``model`` stage recording its
-tail mass, root shift and alpha residual and checked by
+the sampler took.  The ``ham`` stages, which ``verify-all`` runs on its
+ground sector too, are ``sector`` (with the dimension), ``assembly``
+(holding the memory of its ``pair_assembly`` and ``bond_assembly``
+stages), ``spectrum`` (the one eigensolve, shared with the kernel
+check), ``ground_check``, ``monomer_dimer`` and ``perturbation``.
+Reading and deriving the moment tables is a ``moments`` stage (with the
+exponent count of each), and the renewal model a ``model`` stage
+recording its tail mass, root shift and alpha residual and checked by
 ``alpha-residual``, ``activity-equation`` and ``tail-converged``; the
+``occupations`` stage of ``corr`` and ``verify-all`` is checked by
+``occupation-normalization`` and ``occupation-reflection``, the
 Metropolis run is a ``sample`` stage checked by ``mcmc-chain``, and
 ``verify-all``'s polynomial oracle an ``oracle`` stage.
 Apart from the manifest (whose wall time necessarily varies), reruns
@@ -194,17 +193,15 @@ class Emitter:
                    **sizes, rss_rise_mb=(_peak_rss_kb() - peak) / 1024.0)
 
     def check(self, name: str, measured, tolerance, passed: bool,
-              note: str) -> bool:
-        """Record one verdict for the manifest's ``checks``; returns it."""
+              note: str) -> None:
+        """Record one verdict for the manifest's ``checks``."""
         self.checks.append({"name": name, "measured": measured,
                             "tolerance": tolerance, "passed": bool(passed),
                             "note": note})
-        return bool(passed)
 
-    def bound(self, name: str, measured, tolerance, note: str) -> bool:
+    def bound(self, name: str, measured, tolerance, note: str) -> None:
         """Record the verdict ``measured <= tolerance`` (false on NaN)."""
-        return self.check(name, measured, tolerance, measured <= tolerance,
-                          note)
+        self.check(name, measured, tolerance, measured <= tolerance, note)
 
     @property
     def passed(self) -> bool:
@@ -354,7 +351,57 @@ def _sample_stage(em: Emitter, params: ModelParams,
     return run
 
 
-# -- verdicts shared by subcommands -------------------------------------------------
+# -- stages shared by subcommands ---------------------------------------------------
+
+
+def _occupations_stage(em: Emitter, model: renewal.RenewalModel,
+                       rods: correlations.RodExpectations,
+                       finite: moments.MomentTable | None) -> tuple:
+    """The bulk occupations and, when ``finite`` is given, its droplet's
+    (else None): the ``occupations`` stage and its verdicts."""
+    with em.timed("occupations"):
+        occ_inf = correlations.occupation_infinite(model, rods)
+        occ_fin = None if finite is None else \
+            correlations.occupation_finite(finite, model.gamma)
+    em.bound("occupation-normalization", abs(float(occ_inf.sum()) - 1.0),
+             1e-8, "bulk occupations over one period sum to 1")
+    if occ_fin is not None:
+        em.bound("occupation-reflection",
+                 float(np.max(np.abs(occ_fin - occ_fin[::-1]))), 1e-12,
+                 "finite occupations reflection-symmetric")
+    return occ_inf, occ_fin
+
+
+def _sector_stage(em: Emitter, params: ModelParams, momentum: int,
+                  cap: int) -> hamiltonian.SectorBasis:
+    """One momentum sector as the ``sector`` stage, with its dimension."""
+    with em.timed("sector") as sizes:
+        basis = hamiltonian.sector_basis(params, momentum=momentum, cap=cap)
+        sizes["dim"] = basis.dim
+    return basis
+
+
+def _assembly_stage(em: Emitter, params: ModelParams,
+                    basis: hamiltonian.SectorBasis) -> hamiltonian.HBuild:
+    """Both assemblies of H: the ``assembly`` stage, which holds their
+    memory, around the ``pair_assembly`` and ``bond_assembly`` stages."""
+    with em.timed("assembly"):
+        build = hamiltonian.build_H(params, basis=basis)
+        em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz,
+                 terms=build.pair_terms)
+        em.stage("bond_assembly", build.seconds["bond"], nnz=build.bond.nnz)
+    return build
+
+
+def _spectrum_stage(em: Emitter, H, least: int, seed: int) -> np.ndarray:
+    """The lowest max(least, 40) eigenvalues of H (all, if fewer): the
+    ``spectrum`` stage.  One solve serves both a reported spectrum and
+    the kernel check, as a narrower Lanczos window may not converge."""
+    count = min(max(least, hamiltonian.KERNEL_COUNT), H.shape[0])
+    with em.timed("spectrum") as sizes:
+        vals = hamiltonian.spectrum(H, count=count, seed=seed)
+        sizes["count"] = count
+    return vals
 
 
 def _ground_stage(em: Emitter, basis: hamiltonian.SectorBasis, H,
@@ -364,21 +411,12 @@ def _ground_stage(em: Emitter, basis: hamiltonian.SectorBasis, H,
     psi = hamiltonian.exact_vector(basis, amp)
     with em.timed("ground_check"):
         report = hamiltonian.ground_check(H, psi, vals)
-    residual_ok = em.bound("ground-residual", report.residual, 1e-8,
-                           f"N={basis.N} momentum sector")
-    kernel_ok = em.check("ground-kernel", float(report.kernel_dim), 1.0,
-                         report.kernel_dim == 1,
-                         "kernel dimension in the sector")
+    em.bound("ground-residual", report.residual, 1e-8,
+             f"N={basis.N} momentum sector")
+    em.check("ground-kernel", float(report.kernel_dim), 1.0,
+             report.kernel_dim == 1, "kernel dimension in the sector")
     return {"residual": report.residual, "kernel_dim": report.kernel_dim,
-            "min_eigenvalue": report.min_eigenvalue,
-            "passed": residual_ok and kernel_ok}
-
-
-def _reflection_verdict(em: Emitter, occ_fin: np.ndarray) -> bool:
-    """The finite droplet's occupations read the same from either end."""
-    dev = float(np.max(np.abs(occ_fin - occ_fin[::-1])))
-    return em.bound("occupation-reflection", dev, 1e-12,
-                    "finite occupations reflection-symmetric")
+            "min_eigenvalue": report.min_eigenvalue}
 
 
 def _monomer_dimer_stage(em: Emitter, params: ModelParams,
@@ -391,14 +429,30 @@ def _monomer_dimer_stage(em: Emitter, params: ModelParams,
         report = hamiltonian.ground_check(md.H, md.psi, hamiltonian.spectrum(
             md.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim), seed=seed))
         sizes.update(dim=basis.dim, num_terms=md.num_terms)
-    residual_ok = em.bound(
-        "monomer-dimer-residual", report.residual, 1e-10,
-        f"N={params.N} tiling state against the truncated Hamiltonian")
-    build_ok = em.bound("monomer-dimer-build", md.deviation, 1e-12,
-                        "repulsion cut at range 3 against the closed form")
+    em.bound("monomer-dimer-residual", report.residual, 1e-10,
+             f"N={params.N} tiling state against the truncated Hamiltonian")
+    em.bound("monomer-dimer-build", md.deviation, 1e-12,
+             "repulsion cut at range 3 against the closed form")
     return {"residual": report.residual, "kernel_dim": report.kernel_dim,
-            "build_deviation": md.deviation, "num_terms": md.num_terms,
-            "passed": residual_ok and build_ok}
+            "build_deviation": md.deviation, "num_terms": md.num_terms}
+
+
+def _perturbation_stage(em: Emitter, params: ModelParams, order: int,
+                        amp: expansion.AmplitudeTable,
+                        basis: hamiltonian.SectorBasis, H) -> dict:
+    """The ``perturbation`` stage, its verdict and its ``ham.json``
+    section; a refused series (a truncated energy underflows) fails the
+    verdict with measured NaN."""
+    note = ("series distances to the exact state shrink per order, or "
+            "reach the rounding floor")
+    with em.timed("perturbation"):
+        try:
+            rep = hamiltonian.perturbation_series(params, order, amp, basis, H)
+            d, ok = rep.distances, rep.decreasing
+        except ConfigError as exc:
+            d, ok, note = (math.nan,), False, f"series refused: {exc}"
+    em.check("perturbation-decreasing", d[-1], d[0], ok, note)
+    return {"order": order, "distances": list(d)}
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -453,19 +507,13 @@ def cmd_corr(args) -> int:
     with em.timed("rods"):
         rods = correlations.rod_expectations(tables[:args.Nmax], args.gamma)
 
-    with em.timed("occupations"):
-        occ_inf = correlations.occupation_infinite(model, rods)
-        rows = [(k, occ_inf[k], "renewal", model.tail_mass)
-                for k in range(args.p)]
-        if args.N:
-            occ_fin = correlations.occupation_finite(tables[args.N - 1],
-                                                     args.gamma)
-            rows += [(k, occ_fin[k], "exact", 0.0)
-                     for k in range(occ_fin.size)]
+    occ_inf, occ_fin = _occupations_stage(
+        em, model, rods, tables[args.N - 1] if args.N else None)
+    rows = [(k, x, "renewal", model.tail_mass) for k, x in enumerate(occ_inf)]
+    if args.N:
+        rows += [(k, x, "exact", 0.0) for k, x in enumerate(occ_fin)]
     em.csv("occupations.csv", ["k", "value", "source", "error_estimate"],
            rows)
-    if args.N:
-        _reflection_verdict(em, occ_fin)
 
     kmax = args.kmax if args.kmax is not None else 5 * args.p
     with em.timed("pairs") as sizes:
@@ -516,15 +564,10 @@ def cmd_ham(args) -> int:
                 f"{flag} needs the ground sector (momentum {ground}), "
                 f"where the Laughlin state lies; got {momentum}")
     em = Emitter(args.out_dir, "ham", _config_dict(args))
-    cap = args.cap if args.cap is not None else hamiltonian.DEFAULT_SECTOR_CAP
-    with em.timed("sector") as sizes:
-        basis = hamiltonian.sector_basis(params, momentum=momentum, cap=cap)
-        sizes["dim"] = basis.dim
-    with em.timed("assembly"):
-        build = hamiltonian.build_H(params, basis=basis)
-        em.stage("pair_assembly", build.seconds["pair"], nnz=build.pair.nnz,
-                 terms=build.pair_terms)
-        em.stage("bond_assembly", build.seconds["bond"], nnz=build.bond.nnz)
+    # --cap, the tables' cap too, may raise the sector cap, never lower it
+    basis = _sector_stage(em, params, momentum, max(
+        args.cap or 0, hamiltonian.DEFAULT_SECTOR_CAP))
+    build = _assembly_stage(em, params, basis)
     doc: dict = {
         "p": args.p, "N": args.N, "gamma": args.gamma,
         "momentum": momentum, "dim": basis.dim,
@@ -535,13 +578,7 @@ def cmd_ham(args) -> int:
         amp = expansion.amplitudes(table, args.gamma)
 
     if args.spectrum or args.check_ground_state:
-        # One solve serves both the spectrum and the kernel check; a
-        # narrower Lanczos window may fail to converge.
-        count = min(max(args.spectrum or 0, hamiltonian.KERNEL_COUNT),
-                    basis.dim)
-        with em.timed("spectrum") as sizes:
-            vals = hamiltonian.spectrum(build.H, count=count, seed=args.seed)
-            sizes["count"] = count
+        vals = _spectrum_stage(em, build.H, args.spectrum or 0, args.seed)
         if args.spectrum:
             doc["spectrum"] = list(vals[:args.spectrum])
 
@@ -553,14 +590,8 @@ def cmd_ham(args) -> int:
                                                     args.seed)
 
     if args.perturbation_order is not None:
-        with em.timed("perturbation"):
-            report = hamiltonian.perturbation_series(
-                params, args.perturbation_order, amp, basis, build.H)
-        doc["perturbation"] = {
-            "order": args.perturbation_order,
-            "distances": list(report.distances),
-            "decreasing": report.decreasing,
-        }
+        doc["perturbation"] = _perturbation_stage(
+            em, params, args.perturbation_order, amp, basis, build.H)
 
     em.json("ham.json", doc)
     return em.manifest()
@@ -691,7 +722,6 @@ def _occupation_rounding(table: moments.MomentTable, Nmax: int,
     return 2.0 ** -53 * (m_finite * finite + 2 * Nmax * bulk)
 
 
-
 def _verify_checks(em: Emitter, args) -> None:
     """The cross-module consistency suite behind ``verify-all``, each
     check recorded on ``em``."""
@@ -726,18 +756,12 @@ def _verify_checks(em: Emitter, args) -> None:
              "quasi-state weights p_N(X) against prod alpha_n / C_N "
              f"at N={Nmax}")
 
-    occ_inf = correlations.occupation_infinite(model, rods)
-    dev = abs(float(occ_inf.sum()) - 1.0)
-    em.bound("occupation-normalization", dev, 1e-8,
-             "bulk occupations over one period sum to 1")
-
-    occ_fin = correlations.occupation_finite(moment_tables[Nmax - 1], gamma)
+    occ_inf, occ_fin = _occupations_stage(em, model, rods,
+                                          moment_tables[Nmax - 1])
     via = correlations.occupation_finite_via_renewal(model, rods, Nmax)
     dev = float(np.max(np.abs(occ_fin - via)))
     em.bound("finite-renewal-match", dev, 1e-10,
              "finite occupations reassembled from the renewal form")
-
-    _reflection_verdict(em, occ_fin)
 
     k_mid = p * (Nmax // 2)
     finite, bulk = occ_fin[k_mid], occ_inf[k_mid % p]
@@ -747,46 +771,31 @@ def _verify_checks(em: Emitter, args) -> None:
              f"center occupation at N={Nmax} within the bridge-weight bound "
              "plus the float64 rounding of both occupations")
 
-    N_h = min(4, Nmax)
+    # every check on H but the monomer-dimer model's reads one ground sector
+    N_h, cap = min(4, Nmax), hamiltonian.DEFAULT_SECTOR_CAP
     params = ModelParams(p, N_h, gamma)
-    basis = hamiltonian.sector_basis(params,
-                                     momentum=total_momentum(p, N_h))
-    build = hamiltonian.build_H(params, basis=basis)
+    basis = _sector_stage(em, params, total_momentum(p, N_h), cap)
+    build = _assembly_stage(em, params, basis)
     em.bound("build-agreement", build.deviation, 1e-12,
              "quadruple and bond assemblies of the parent Hamiltonian")
 
     amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
-    _ground_stage(em, basis, build.H, amp_h, hamiltonian.spectrum(
-        build.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim),
-        seed=args.seed))
+    _ground_stage(em, basis, build.H, amp_h,
+                  _spectrum_stage(em, build.H, 0, args.seed))
 
     if p == 3:
         params_md = ModelParams(3, min(6, Nmax), gamma)
-        _monomer_dimer_stage(em, params_md, hamiltonian.sector_basis(
-            params_md, momentum=total_momentum(3, params_md.N)), args.seed)
+        _monomer_dimer_stage(em, params_md, _sector_stage(
+            em, params_md, total_momentum(3, params_md.N), cap), args.seed)
 
-        # the thin-torus and perturbation checks share one ground sector
-        params_tt = ModelParams(3, min(3, Nmax), gamma)
-        basis_tt = hamiltonian.sector_basis(
-            params_tt, momentum=total_momentum(3, params_tt.N))
-        vec = hamiltonian.tao_thouless(params_tt, basis_tt)
-        energies = hamiltonian.tt_energies(basis_tt, gamma)
+        vec = hamiltonian.tao_thouless(params, basis)
+        energies = hamiltonian.tt_energies(basis, gamma)
         res_tt = float(np.linalg.norm(energies * vec) / np.linalg.norm(vec))
         em.bound("thin-torus-zero-mode", res_tt, 1e-12,
                  "one-per-rod state annihilated by the diagonal truncation")
 
         if gamma >= 1.2:
-            try:
-                rep = hamiltonian.perturbation_series(
-                    params_tt, 3, expansion.amplitudes(
-                        tables[params_tt.N - 1], gamma), basis_tt,
-                    hamiltonian.repulsion(params_tt, basis_tt))
-                d, ok, note = rep.distances, rep.decreasing, (
-                    "series distances to the exact state shrink per "
-                    "order, or reach the rounding floor")
-            except ConfigError as exc:  # a truncated energy underflows
-                d, ok, note = (math.nan,), False, f"series refused: {exc}"
-            em.check("perturbation-decreasing", d[-1], d[0], ok, note)
+            _perturbation_stage(em, params, 3, amp_h, basis, build.H)
 
     params2 = ModelParams(p, 2, gamma)
     run = _sample_stage(em, params2, plasma.McConfig(

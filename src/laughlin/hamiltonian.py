@@ -318,13 +318,13 @@ KERNEL_COUNT = 40  # lowest eigenvalues ground_check examines
 _KERNEL_CUT = 1e-10  # its kernel cut at unit scale
 
 
-def spectrum(H, count: int, seed: int = 1234) -> np.ndarray:
+def spectrum(H, count: int, seed: int) -> np.ndarray:
     """Lowest eigenvalues of a symmetric operator, ascending.
 
     ARPACK's implicitly restarted Lanczos (``eigsh``) to a relative
     accuracy of 1e-11 in the Ritz values, within
     :data:`LANCZOS_MAXITER` restarts; the start vector comes from a
-    fixed-seed generator, so repeated runs agree far below the
+    generator seeded by ``seed``, so repeated runs agree far below the
     tolerance.  Raises
     :class:`~laughlin.lattice.CapExceeded` (a ``RuntimeError``) if
     ARPACK fails or the requested values have not converged.  Where

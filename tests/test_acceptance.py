@@ -128,7 +128,7 @@ def test_criterion_05_ground_states(tables_p2, tables_p3):
             worst_build = max(worst_build, build.deviation)
             amp = amplitudes(tables[N - 1], 1.0)
             rep = ground_check(build.H, exact_vector(basis, amp), spectrum(
-                build.H, count=min(KERNEL_COUNT, basis.dim)))
+                build.H, count=min(KERNEL_COUNT, basis.dim), seed=1234))
             assert rep.residual < 1e-8, f"p={p} N={N}"
             assert rep.kernel_dim == 1, f"p={p} N={N}"
             worst_residual = max(worst_residual, rep.residual)

@@ -37,8 +37,16 @@ def read_json(path):
         return json.load(fh)
 
 
+def verdicts(out, sub):
+    """The verdict of each check in a run's manifest, by name."""
+    manifest = read_json(os.path.join(out, f"{sub}_manifest.json"))
+    return {c["name"]: c["passed"] for c in manifest["checks"]}
+
+
 # the verdicts every run that builds a renewal model records, in order
 MODEL_CHECKS = ["alpha-residual", "activity-equation", "tail-converged"]
+GROUND = {"ground-residual": True, "ground-kernel": True}
+MONOMER_DIMER = {"monomer-dimer-residual": True, "monomer-dimer-build": True}
 
 
 @pytest.fixture()
@@ -204,7 +212,7 @@ def test_ham_report(dirs, tmp_path):
     assert doc["dim"] == 2 and doc["momentum"] == 3
     assert doc["spectrum"][0] == pytest.approx(0.0, abs=1e-12)
     assert doc["spectrum"][1] == pytest.approx(11.304186056909032, rel=1e-12)
-    assert doc["ground_state"]["passed"] is True
+    assert verdicts(out, "ham") == GROUND
     assert doc["ground_state"]["residual"] < 1e-12
 
     stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
@@ -243,7 +251,7 @@ def test_ham_one_fermion(dirs):
     doc = read_json(os.path.join(out, "ham.json"))
     assert doc["dim"] == 1 and doc["spectrum"] == [0.0]
     assert doc["ground_state"]["kernel_dim"] == 1
-    assert doc["ground_state"]["passed"] is True
+    assert verdicts(out, "ham") == GROUND
 
 
 @pytest.mark.parametrize("flags, count", [
@@ -273,7 +281,7 @@ def test_ham_solves_once(dirs, solves, flags, count):
         assert "spectrum" not in doc
     if "--check-ground-state" in flags:
         ground = doc["ground_state"]
-        assert ground["kernel_dim"] == 1 and ground["passed"] is True
+        assert ground["kernel_dim"] == 1 and verdicts(out, "ham") == GROUND
         if "spectrum" in doc:
             assert ground["min_eigenvalue"] == doc["spectrum"][0]
     else:
@@ -304,10 +312,11 @@ def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
                    "--cache-dir", cache, "--out-dir", out) == 0
     assert len(calls) == 1
     doc = read_json(os.path.join(out, "ham.json"))
-    assert doc["monomer_dimer"]["passed"] is True
+    assert verdicts(out, "ham") == {**MONOMER_DIMER,
+                                    "perturbation-decreasing": True}
     assert doc["monomer_dimer"]["num_terms"] == 3
-    dists = doc["perturbation"]["distances"]
-    assert len(dists) == 3 and doc["perturbation"]["decreasing"] is True
+    assert set(doc["perturbation"]) == {"order", "distances"}
+    assert len(doc["perturbation"]["distances"]) == 3
     stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
     assert [s["name"] for s in stages] == [
         "sector", "pair_assembly", "bond_assembly", "assembly", "squeeze",
@@ -351,7 +360,7 @@ def test_ham_monomer_dimer_in_ground_sector(dirs):
                    "--monomer-dimer", "--cache-dir", cache,
                    "--out-dir", out) == 0
     md = read_json(os.path.join(out, "ham.json"))["monomer_dimer"]
-    assert md["passed"] is True and md["kernel_dim"] == 1
+    assert verdicts(out, "ham") == MONOMER_DIMER and md["kernel_dim"] == 1
 
 
 def failed_checks(out, sub):
@@ -368,7 +377,8 @@ def test_ham_failed_kernel_check_exits_one(dirs, monkeypatch):
                    "--cache-dir", cache, "--out-dir", out) == 1
     assert failed_checks(out, "ham") == ["ground-kernel"]
     ground = read_json(os.path.join(out, "ham.json"))["ground_state"]
-    assert ground["kernel_dim"] == 2 and ground["passed"] is False
+    assert ground["kernel_dim"] == 2 and "passed" not in ground
+    assert verdicts(out, "ham") == {**GROUND, "ground-kernel": False}
 
 
 @pytest.mark.parametrize("target, change, failed", [
@@ -385,14 +395,57 @@ def test_ham_failed_monomer_dimer_check_exits_one(dirs, monkeypatch, target,
                    "--cache-dir", cache, "--out-dir", out) == 1
     assert failed_checks(out, "ham") == [failed]
     md = read_json(os.path.join(out, "ham.json"))["monomer_dimer"]
-    assert md["passed"] is False
+    assert "passed" not in md
+    assert verdicts(out, "ham") == {**MONOMER_DIMER, failed: False}
+
+
+def test_ham_fails_a_series_that_does_not_decrease(dirs):
+    """At gamma 0.8 the third-order series at N=4 grows: ham records
+    perturbation-decreasing failed and exits 1."""
+    cache, out = dirs
+    assert run_cli("ham", "--p", "3", "--N", "4", "--gamma", "0.8",
+                   "--perturbation-order", "3", "--cache-dir", cache,
+                   "--out-dir", out) == 1
+    assert failed_checks(out, "ham") == ["perturbation-decreasing"]
+    (series,) = read_json(os.path.join(out, "ham_manifest.json"))["checks"]
+    distances = read_json(os.path.join(out, "ham.json"))["perturbation"][
+        "distances"]
+    assert (series["measured"], series["tolerance"]) == \
+        (distances[-1], distances[0])
+
+
+def test_ham_cap_never_lowers_the_sector_cap(dirs):
+    """--cap caps the coefficient tables; the sector keeps at least the
+    default cap of 200,000 states."""
+    cache, out = dirs
+    assert run_cli("ham", "--p", "3", "--N", "5", "--cap", "10",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert read_json(os.path.join(out, "ham.json"))["dim"] == 73
+    assert read_json(os.path.join(out, "ham_manifest.json"))["checks"] == []
+
+
+@pytest.mark.parametrize("p, N, gamma, flags", [
+    (3, 6, 1.5, ["--check-ground-state", "--spectrum", "6",
+                 "--perturbation-order", "4"]),
+    (2, 7, 1.0, ["--check-ground-state", "--spectrum", "6"]),
+    (3, 5, 1.0, ["--monomer-dimer"]),
+])
+def test_ham_sector_benchmark_cases_pass(dirs, p, N, gamma, flags):
+    """The ham command lines of the ham-sector benchmark workload exit 0
+    with every check passed."""
+    cache, out = dirs
+    assert run_cli("ham", "--p", str(p), "--N", str(N), "--gamma",
+                   repr(gamma), *flags, "--seed", "1", "--cache-dir", cache,
+                   "--out-dir", out) == 0
+    checks = verdicts(out, "ham")
+    assert checks and all(checks.values())
 
 
 def test_ham_and_verify_all_share_their_verdicts(dirs, tmp_path):
     """The ground-state and monomer-dimer verdicts of ``ham`` at N=4 are
     those ``verify-all --Nmax 4`` records, and the renewal model's
-    verdicts of ``renewal`` and ``corr`` are verify-all's record for
-    record."""
+    verdicts of ``renewal`` and ``corr``, and the bulk occupations' of
+    ``corr``, are verify-all's record for record."""
     cache, out = dirs
     assert run_cli("verify-all", "--p", "3", "--Nmax", "4", "--seed", "5",
                    "--cache-dir", cache, "--out-dir", out) == 0
@@ -412,12 +465,44 @@ def test_ham_and_verify_all_share_their_verdicts(dirs, tmp_path):
             assert check[key] == shared[key]
         assert check["measured"] == pytest.approx(shared["measured"],
                                                   abs=1e-15)
-    for sub in ("renewal", "corr"):
+    for sub, names in (("renewal", MODEL_CHECKS),
+                       ("corr", MODEL_CHECKS + ["occupation-normalization"])):
         assert run_cli(sub, "--p", "3", "--Nmax", "4", "--cache-dir", cache,
                        "--out-dir", out2) == 0
         checks = read_json(os.path.join(out2, f"{sub}_manifest.json"))[
             "checks"]
-        assert checks == [verify[name] for name in MODEL_CHECKS]
+        assert checks == [verify[name] for name in names]
+
+
+def test_ham_and_verify_all_share_the_series_verdict(dirs, tmp_path):
+    """At p=3, gamma >= 1.2 verify-all runs ham's stages on its N=4 ground
+    sector, the perturbation series among them: its third-order series
+    verdict is the one ``ham --N 4 --perturbation-order 3`` records."""
+    cache, out = dirs
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "5", "--gamma", "1.5",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    manifest = read_json(os.path.join(out, "verify_manifest.json"))
+    assert [s["name"] for s in manifest["stages"]] == ["squeeze"] * 5 + [
+        "oracle", "model", "occupations", "sector", "pair_assembly",
+        "bond_assembly", "assembly", "spectrum", "ground_check", "sector",
+        "monomer_dimer", "perturbation", "sample"]
+    # the parent-Hamiltonian sector at N=4, the monomer-dimer one at N=5
+    assert [s["dim"] for s in manifest["stages"] if s["name"] == "sector"] \
+        == [hamiltonian.sector_basis(lattice.ModelParams(3, n, 1.5),
+                                     momentum=lattice.total_momentum(3, n)).dim
+            for n in (4, 5)]
+    (series,) = [c for c in manifest["checks"]
+                 if c["name"] == "perturbation-decreasing"]
+    out2 = str(tmp_path / "out2")
+    assert run_cli("ham", "--p", "3", "--N", "4", "--gamma", "1.5",
+                   "--perturbation-order", "3", "--cache-dir", cache,
+                   "--out-dir", out2) == 0
+    (ham,) = read_json(os.path.join(out2, "ham_manifest.json"))["checks"]
+    assert ham == series and series["passed"]
+    distances = read_json(os.path.join(out2, "ham.json"))["perturbation"][
+        "distances"]
+    assert (series["measured"], series["tolerance"]) == \
+        (distances[-1], distances[0])
 
 
 def test_timed_stage_records_the_rise_of_the_peak(tmp_path, monkeypatch):
@@ -574,15 +659,33 @@ def test_mcmc_unconverged_phase_writes_everything_and_exits_one(dirs):
     assert failed_checks(out, "mcmc") == ["tail-converged"]
 
 
+def test_corr_records_occupation_normalization(dirs):
+    """corr records verify-all's normalization check on the bulk
+    occupations after the model's checks, and no reflection check
+    without --N."""
+    cache, out = dirs
+    assert run_cli("corr", "--p", "3", "--Nmax", "4", "--cache-dir", cache,
+                   "--out-dir", out) == 0
+    checks = read_json(os.path.join(out, "corr_manifest.json"))["checks"]
+    assert [c["name"] for c in checks] == \
+        MODEL_CHECKS + ["occupation-normalization"]
+    normalization = checks[-1]
+    assert normalization["tolerance"] == 1e-8 and normalization["passed"]
+    occ = [float(r["value"]) for r in read_csv(
+        os.path.join(out, "occupations.csv"))]
+    assert len(occ) == 3
+    assert normalization["measured"] == abs(float(np.sum(occ)) - 1.0)
+
+
 def test_corr_records_occupation_reflection(dirs):
     """corr --N records verify-all's reflection check on the finite
-    occupations after the model's checks."""
+    occupations after the model's checks and the normalization check."""
     cache, out = dirs
     assert run_cli("corr", "--p", "3", "--Nmax", "6", "--N", "6",
                    "--kmax", "2", "--cache-dir", cache, "--out-dir", out) == 0
     checks = read_json(os.path.join(out, "corr_manifest.json"))["checks"]
     assert [c["name"] for c in checks] == \
-        MODEL_CHECKS + ["occupation-reflection"]
+        MODEL_CHECKS + ["occupation-normalization", "occupation-reflection"]
     reflection = checks[-1]
     assert reflection["tolerance"] == 1e-12 and reflection["passed"]
     occ = np.array([float(r["value"]) for r in read_csv(
@@ -764,9 +867,10 @@ def test_exit_code_unconverged(dirs, capsys):
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err == ""
         manifest = read_json(os.path.join(out, f"{argv[0]}_manifest.json"))
-        assert [c["name"] for c in manifest["checks"]] == MODEL_CHECKS
+        assert [c["name"] for c in manifest["checks"]] == MODEL_CHECKS + {
+            "renewal": [], "corr": ["occupation-normalization"]}[argv[0]]
         assert failed_checks(out, argv[0]) == ["tail-converged"]
-        tail = manifest["checks"][-1]
+        tail = manifest["checks"][2]
         assert tail["tolerance"] == 0.01
         model = next(s for s in manifest["stages"] if s["name"] == "model")
         assert tail["measured"] == model["tail_mass"]
@@ -809,7 +913,7 @@ def test_corr_override_admits_the_model(dirs):
     checks = read_json(os.path.join(out, "corr_manifest.json"))["checks"]
     assert [(c["name"], c["passed"]) for c in checks] == \
         [("alpha-residual", True), ("activity-equation", True),
-         ("tail-converged", False)]
+         ("tail-converged", False), ("occupation-normalization", True)]
     tables = [moments.read(cache, 3, n) for n in range(1, 7)]
     model = build_model(3, 6, 0.35, tables=tables)
     rods = rod_expectations(tables, 0.35)
@@ -850,7 +954,9 @@ def test_verify_all_passes(dirs, capsys, solves):
     assert all(c["passed"] for c in doc["checks"])
     manifest = read_json(os.path.join(out, "verify_manifest.json"))
     assert [s["name"] for s in manifest["stages"]] == ["squeeze"] * 4 + [
-        "oracle", "model", "ground_check", "monomer_dimer", "sample"]
+        "oracle", "model", "occupations", "sector", "pair_assembly",
+        "bond_assembly", "assembly", "spectrum", "ground_check", "sector",
+        "monomer_dimer", "sample"]
     # the monomer-dimer model at N_md = min(6, Nmax) = 4
     params = lattice.ModelParams(3, 4, 1.0)
     basis = hamiltonian.sector_basis(
@@ -883,8 +989,8 @@ def test_verify_all_runs_what_needs_no_tail(dirs):
     assert [c["name"] for c in doc["checks"]] == [
         "product-rule", "expansion-oracle", *MODEL_CHECKS, "moments-vs-rows",
         "quasi-state-reconstruction", "quasi-state-weights",
-        "occupation-normalization", "finite-renewal-match",
-        "occupation-reflection", "bulk-epsilon", "build-agreement",
+        "occupation-normalization", "occupation-reflection",
+        "finite-renewal-match", "bulk-epsilon", "build-agreement",
         "ground-residual", "ground-kernel", "monomer-dimer-residual",
         "monomer-dimer-build", "thin-torus-zero-mode", "mcmc-chain",
         "mcmc-excess", "mcmc-y-uniform"]
@@ -936,8 +1042,8 @@ def test_verify_all_passes_on_an_exact_series(dirs):
 
 def test_verify_all_records_a_refused_series(dirs, capsys):
     """Where a truncated energy underflows the series is refused: verify-all
-    records the refusal as its one failed series check and writes
-    everything, while ham still exits 2."""
+    and ham both record the refusal as their one failed series check and
+    write everything."""
     cache, out = dirs
     assert run_cli("verify-all", "--p", "3", "--Nmax", "3", "--gamma", "4.5",
                    "--cache-dir", cache, "--out-dir", out) == 1
@@ -950,11 +1056,15 @@ def test_verify_all_records_a_refused_series(dirs, capsys):
     assert series["note"] == ("series refused: degenerate truncated "
                               "diagonal; series undefined")
     capsys.readouterr()
+    ham = os.path.join(out, "ham")
     assert run_cli("ham", "--p", "3", "--N", "3", "--gamma", "4.5",
                    "--perturbation-order", "2", "--cache-dir", cache,
-                   "--out-dir", os.path.join(out, "ham")) == 2
-    assert capsys.readouterr().err == \
-        "error: degenerate truncated diagonal; series undefined\n"
+                   "--out-dir", ham) == 1
+    assert capsys.readouterr().err == ""
+    assert read_json(os.path.join(ham, "ham_manifest.json"))["checks"] == \
+        [series]
+    assert read_json(os.path.join(ham, "ham.json"))["perturbation"] == \
+        {"order": 2, "distances": ["nan"]}
 
 
 def test_verify_all_fails_on_degenerate_chain(dirs, monkeypatch):
@@ -1115,7 +1225,8 @@ def test_manifest_checks_give_the_exit_code(dirs, argv):
             read_json(os.path.join(out, "verify.json"))["checks"]
     else:
         assert names == {
-            "renewal": MODEL_CHECKS, "corr": MODEL_CHECKS,
+            "renewal": MODEL_CHECKS,
+            "corr": MODEL_CHECKS + ["occupation-normalization"],
             "ham": ["ground-residual", "ground-kernel",
                     "monomer-dimer-residual", "monomer-dimer-build"],
             "mcmc": ["mcmc-chain"]}.get(sub, [])
