@@ -28,15 +28,21 @@ the sampler took.  The ``ham`` stages, which ``verify-all`` runs on its
 ground sector too, are ``sector`` (with the dimension), ``assembly``
 (holding the memory of its ``pair_assembly`` and ``bond_assembly``
 stages), ``spectrum`` (the one eigensolve, shared with the kernel
-check), ``ground_check``, ``monomer_dimer`` and ``perturbation``.
+check), ``ground_check``, ``monomer_dimer`` (after the ``spectrum``
+stage of its own kernel check, as every eigensolve is a ``spectrum``
+stage) and ``perturbation``.
 Reading and deriving the moment tables is a ``moments`` stage (with the
 exponent count of each), and the renewal model a ``model`` stage
 recording its tail mass, root shift and alpha residual and checked by
 ``alpha-residual``, ``activity-equation`` and ``tail-converged``; the
 ``occupations`` stage of ``corr`` and ``verify-all`` is checked by
 ``occupation-normalization`` and ``occupation-reflection``, the
-Metropolis run is a ``sample`` stage checked by ``mcmc-chain``, and
-``verify-all``'s polynomial oracle an ``oracle`` stage.
+Metropolis run is a ``sample`` stage holding the chain record (the
+acceptance overall and per chain, split R-hat, each chain's final
+proposal widths and the kept samples) and checked by ``mcmc-chain``,
+``mcmc``'s ``density`` and ``phase`` stages record the angular
+Kolmogorov-Smirnov distance and the phase contrast, and
+``verify-all``'s polynomial oracle is an ``oracle`` stage.
 Apart from the manifest (whose wall time necessarily varies), reruns
 with the same configuration and seed produce byte-identical files.
 
@@ -207,7 +213,7 @@ class Emitter:
     def passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
 
-    def manifest(self, **records) -> int:
+    def manifest(self) -> int:
         """Write the manifest; returns the exit code, 1 if a check failed."""
         doc = {
             "subcommand": self.subcommand,
@@ -223,7 +229,6 @@ class Emitter:
         }
         if self.stages:
             doc["stages"] = self.stages
-        doc.update(records)
         if self.cache:
             doc["cache"] = self.cache
         doc["checks"] = self.checks
@@ -338,11 +343,15 @@ def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
 
 def _sample_stage(em: Emitter, params: ModelParams,
                   mc: plasma.McConfig) -> plasma.McRun:
-    """The Metropolis run as a ``sample`` stage, and its verdict: split
-    R-hat near 1 and the acceptance inside its band."""
+    """The Metropolis run as a ``sample`` stage with its chain record,
+    and its verdict: split R-hat near 1 and the acceptance inside its
+    band."""
     with em.timed("sample") as sizes:
         run = plasma.metropolis_run(params, mc)
-        sizes.update(chains=mc.chains, moves=run.moves)
+        sizes.update(chains=mc.chains, moves=run.moves,
+                     acceptance=run.acceptance,
+                     chain_acceptance=run.chain_acceptance, rhat=run.rhat,
+                     sigma=run.sigma, nsamples=len(run.pooled()))
     lo, hi = plasma.ACCEPTANCE_BAND
     em.check("mcmc-chain", abs(run.rhat - 1.0), plasma.RHAT_TOLERANCE,
              run.rhat_ok and not run.pathological,
@@ -423,11 +432,12 @@ def _monomer_dimer_stage(em: Emitter, params: ModelParams,
                          basis: hamiltonian.SectorBasis, seed: int) -> dict:
     """The monomer-dimer state is a zero mode of its truncated H, and
     that H, the repulsion cut at range 3, is the paper's closed form:
-    the ``monomer_dimer`` stage, its verdicts and its ``ham.json`` section."""
+    the ``monomer_dimer`` stage around the ``spectrum`` stage of its
+    kernel check, its verdicts and its ``ham.json`` section."""
     with em.timed("monomer_dimer") as sizes:
         md = hamiltonian.build_monomer_dimer(params, basis=basis)
-        report = hamiltonian.ground_check(md.H, md.psi, hamiltonian.spectrum(
-            md.H, count=min(hamiltonian.KERNEL_COUNT, basis.dim), seed=seed))
+        report = hamiltonian.ground_check(
+            md.H, md.psi, _spectrum_stage(em, md.H, 0, seed))
         sizes.update(dim=basis.dim, num_terms=md.num_terms)
     em.bound("monomer-dimer-residual", report.residual, 1e-10,
              f"N={params.N} tiling state against the truncated Hamiltonian")
@@ -611,29 +621,18 @@ def cmd_mcmc(args) -> int:
     if observables and mc.chains * (mc.sweeps // mc.thinning) < 2:
         raise ConfigError(plasma.ONE_SAMPLE)
     em = Emitter(args.out_dir, "mcmc", _config_dict(args))
-    run = _sample_stage(em, params, mc)
-    pooled = run.pooled()
-
-    run_info = {
-        "seed": args.seed, "chains": args.chains,
-        "acceptance": run.acceptance,
-        "chain_acceptance": list(run.chain_acceptance),
-        "rhat": run.rhat, "sigma": list(run.sigma),
-        "pathological": run.pathological,
-        "nsamples": pooled.shape[0],
-        "acceptance_band": list(plasma.ACCEPTANCE_BAND),
-    }
+    pooled = _sample_stage(em, params, mc).pooled()
 
     if "density" in observables:
         width = args.gamma / 2.0
         lo = -4.0
         hi = args.p * (args.N - 1) * args.gamma + 4.0
         edges = np.arange(lo, hi + 0.5 * width, width)
-        with em.timed("density"):
+        with em.timed("density") as sizes:
             est = plasma.density_histogram(pooled, edges, params)
+            sizes["y_ks"] = est.y_ks
         em.csv("density.csv", ["bin_center", "density", "stderr"],
                zip(est.centers, est.density, est.stderr))
-        run_info["y_ks"] = est.y_ks
 
     if "excess" in observables:
         cuts = [(k - 0.5) * args.p * args.gamma for k in range(1, args.N)]
@@ -648,32 +647,33 @@ def cmd_mcmc(args) -> int:
     if "phase" in observables:
         tables = _load_moments(em, args, args.Nmax)
         model = _model_stage(em, args, tables)
-        with em.timed("phase"):
+        with em.timed("phase") as sizes:
             rods = correlations.rod_expectations(tables, args.gamma)
             occ = correlations.occupation_infinite(model, rods)
             prof = plasma.phase_profile(pooled, params, occ)
+            sizes["phase_contrast"] = prof.contrast
         centers = 0.5 * (prof.edges[:-1] + prof.edges[1:])
         em.csv("phase.csv",
                ["phase_center", "observed", "predicted", "stderr"],
                zip(centers, prof.observed, prof.predicted, prof.stderr))
-        run_info["phase_contrast"] = prof.contrast
 
-    return em.manifest(run=run_info)
+    return em.manifest()
 
 
 # -- verify-all ---------------------------------------------------------------------
 
 
-def _moments_vs_rows(tables: list[expansion.CoefficientTable],
+def _moments_vs_rows(amps: list[expansion.AmplitudeTable],
                      moment_tables: list[moments.MomentTable],
                      model: renewal.RenewalModel,
                      rods: correlations.RodExpectations) -> float:
     """Worst relative gap between the moment route (the model, the rods
     and the finite occupations of the moment tables) and the row route.
 
-    The row route sums the amplitude weights w of every row of each
-    table: C_N = sum w, alpha_N over the irreducible rows, the finite
-    occupations, and the rod profile and pair moments.  C_N and alpha_N
+    The row route sums the weights w of every row of each amplitude
+    table, at the model's gamma: C_N = sum w, alpha_N over the
+    irreducible rows, the finite occupations, and the rod profile and
+    pair moments.  C_N and alpha_N
     are compared each against itself, the profiles against their
     largest entry.
     """
@@ -688,9 +688,8 @@ def _moments_vs_rows(tables: list[expansion.CoefficientTable],
         elif np.any(got):
             worst = math.inf
 
-    for table, m in zip(tables, moment_tables):
-        n = table.N
-        w = expansion.amplitudes(table, gamma).weights
+    for amp, m in zip(amps, moment_tables):
+        table, n, w = amp.table, amp.N, amp.weights
         occ = table.occupations.astype(float)
         keep = table.irreducible
         gap(model.C[n], w.sum())
@@ -728,6 +727,7 @@ def _verify_checks(em: Emitter, args) -> None:
     p, Nmax, gamma = args.p, args.Nmax, args.gamma
     tables = _load_tables(em, p, range(1, Nmax + 1), args.cache_dir, args.cap)
     moment_tables = moments.as_moments(tables)
+    amps = [expansion.amplitudes(table, gamma) for table in tables]
 
     failures = expansion.verify_product_rule(p, Nmax, tables=tables).failures
     em.bound("product-rule", float(len(failures)), 0.0,
@@ -741,13 +741,12 @@ def _verify_checks(em: Emitter, args) -> None:
 
     model = _model_stage(em, args, moment_tables)
     rods = correlations.rod_expectations(moment_tables, gamma)
-    dev = _moments_vs_rows(tables, moment_tables, model, rods)
+    dev = _moments_vs_rows(amps, moment_tables, model, rods)
     em.bound("moments-vs-rows", dev, 1e-13,
              "C_N, alpha_n, rod profiles and pair moments and finite "
              "occupations from the moment tables against sums over the rows")
 
-    dec = correlations.quasi_state(
-        expansion.amplitudes(tables[Nmax - 1], gamma))
+    dec = correlations.quasi_state(amps[Nmax - 1])
     em.bound("quasi-state-reconstruction", dec.residual, 1e-12,
              f"sum_X p_N(X) omega_X against |Psi><Psi|/C_N at N={Nmax}")
     dev = max(abs(w - renewal.partition_probability(model, X))
@@ -779,7 +778,7 @@ def _verify_checks(em: Emitter, args) -> None:
     em.bound("build-agreement", build.deviation, 1e-12,
              "quadruple and bond assemblies of the parent Hamiltonian")
 
-    amp_h = expansion.amplitudes(tables[N_h - 1], gamma)
+    amp_h = amps[N_h - 1]
     _ground_stage(em, basis, build.H, amp_h,
                   _spectrum_stage(em, build.H, 0, args.seed))
 
@@ -803,8 +802,7 @@ def _verify_checks(em: Emitter, args) -> None:
     pooled = run.pooled()
     xbar = 0.5 * p * gamma
     stats = plasma.measure_excess(pooled, [xbar], params2)
-    exact = plasma.exact_excess_zero(
-        expansion.amplitudes(tables[1], gamma), xbar)
+    exact = plasma.exact_excess_zero(amps[1], xbar)
     se = stats.p_zero_stderr[xbar]
     if se > 0:
         z = abs(stats.p_zero[xbar] - exact) / se

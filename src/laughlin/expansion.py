@@ -379,8 +379,6 @@ def amplitudes(table: CoefficientTable, gamma: float) -> AmplitudeTable:
 
 @dataclass
 class ProductRuleReport:
-    p: int
-    N: int
     checked: int
     failures: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
 
@@ -399,7 +397,7 @@ def verify_product_rule(p: int, N: int, tables: list[CoefficientTable]
     if [(t.p, t.N) for t in tables] != [(p, n) for n in range(1, N + 1)]:
         raise ConfigError(f"the tables checked at p={p}, N={N} must be "
                           f"those of 1..{N} particles")
-    report = ProductRuleReport(p, N, 0)
+    report = ProductRuleReport(0)
     for table in tables:
         c, bad = table.values, []
         for k, rows, products in _split_products(

@@ -26,8 +26,10 @@ four text lines (header, exponents, the two exact numerator lists), the
 float64 sums as little-endian bytes, and a trailing
 ``checksum=<sha256>`` line over everything before it.  The header
 records the SHA-256 of the coefficient file, so a moment file that no
-longer matches its coefficient file is rejected as stale.  Files are
-written atomically and their bytes depend only on the table.
+longer matches its coefficient file is rejected as stale; the digest
+lives in the file only, so a table read from the cache and one derived
+in memory are the same value.  Files are written atomically and their
+bytes depend only on the table and its coefficient file.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ class MomentTable:
     * ``rod_profile``: the same over the irreducible rows, (E, pN);
     * ``rod_pairs``: sum c^2 / prod n_k! n_s n_t over the irreducible
       rows, the upper triangle s <= t in ``np.triu_indices`` order.
-
-    ``source_sha256`` is the digest of the coefficient file the table
-    came from, empty for a table derived in memory.
     """
 
     p: int
@@ -70,7 +69,6 @@ class MomentTable:
     occupations: np.ndarray
     rod_profile: np.ndarray
     rod_pairs: np.ndarray
-    source_sha256: str = ""
 
     @cached_property
     def _norm_sums(self) -> np.ndarray:
@@ -113,7 +111,7 @@ class MomentTable:
         return float(x @ self._alpha_sums), x @ self.rod_profile, pair
 
 
-def derive(table: CoefficientTable, source_sha256: str = "") -> MomentTable:
+def derive(table: CoefficientTable) -> MomentTable:
     """The moment table of a coefficient table, one pass over its rows."""
     p, N = table.p, table.N
     distinct, inverse = np.unique(table.exponents, return_inverse=True)
@@ -148,7 +146,7 @@ def derive(table: CoefficientTable, source_sha256: str = "") -> MomentTable:
     return MomentTable(p=p, N=N, denominator=denominator, exponents=distinct,
                        norm=tuple(norm), alpha=tuple(alpha),
                        occupations=occupations, rod_profile=rod_profile,
-                       rod_pairs=rod_pairs, source_sha256=source_sha256)
+                       rod_pairs=rod_pairs)
 
 
 def as_moments(tables) -> list[MomentTable]:
@@ -172,14 +170,16 @@ def file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def save_moments(moments: MomentTable, path: str) -> None:
-    """Write a moment table in the cache format (see the module docstring)."""
-    if not moments.source_sha256:
+def save_moments(moments: MomentTable, path: str, source_sha256: str) -> None:
+    """Write a moment table in the cache format (see the module docstring),
+    its header naming ``source_sha256``, the digest of its coefficient
+    file."""
+    if not source_sha256:
         raise ValueError("a moment file needs the digest of its source")
     lines = [f"{_MAGIC} p={moments.p} N={moments.N} "
              f"exponents={len(moments.exponents)} "
              f"denominator={moments.denominator} "
-             f"source={moments.source_sha256}",
+             f"source={source_sha256}",
              ",".join(map(str, moments.exponents.tolist())),
              ",".join(map(str, moments.norm)),
              ",".join(map(str, moments.alpha))]
@@ -242,16 +242,16 @@ def load_moments(path: str, source: str, expected_p: int,
         a.reshape(count, w) for a, w in zip(arrays, widths))
     return MomentTable(p=p, N=N, denominator=denominator, exponents=exponents,
                        norm=norm, alpha=alpha, occupations=occupations,
-                       rod_profile=rod_profile, rod_pairs=rod_pairs,
-                       source_sha256=digest)
+                       rod_profile=rod_profile, rod_pairs=rod_pairs)
 
 
 def store(table: CoefficientTable, cache_dir: str) -> MomentTable:
     """Derive the moment table of a cached coefficient table and write it
     beside the coefficient file."""
     source = cache_path(cache_dir, table.p, table.N)
-    moments = derive(table, source_sha256=file_sha256(source))
-    save_moments(moments, moment_path(cache_dir, table.p, table.N))
+    moments = derive(table)
+    save_moments(moments, moment_path(cache_dir, table.p, table.N),
+                 file_sha256(source))
     return moments
 
 

@@ -395,7 +395,6 @@ KS_SLICE = 1 << 14
 
 @dataclass
 class DensityEstimate:
-    edges: np.ndarray
     centers: np.ndarray
     density: np.ndarray
     stderr: np.ndarray
@@ -434,7 +433,7 @@ def density_histogram(samples: np.ndarray, bins: np.ndarray,
         part = ys[lo:lo + KS_SLICE]
         up = np.arange(lo + 1, lo + part.size + 1) / ys.size
         y_ks = max(y_ks, np.max(up - part), np.max(part - up + 1.0 / ys.size))
-    return DensityEstimate(edges=edges, centers=0.5 * (edges[:-1] + edges[1:]),
+    return DensityEstimate(centers=0.5 * (edges[:-1] + edges[1:]),
                            density=density, stderr=stderr, y_ks=float(y_ks))
 
 

@@ -47,6 +47,9 @@ def verdicts(out, sub):
 MODEL_CHECKS = ["alpha-residual", "activity-equation", "tail-converged"]
 GROUND = {"ground-residual": True, "ground-kernel": True}
 MONOMER_DIMER = {"monomer-dimer-residual": True, "monomer-dimer-build": True}
+# the keys of a sample stage: the run's size and its chain record
+SAMPLE_KEYS = {"name", "seconds", "chains", "moves", "acceptance",
+               "chain_acceptance", "rhat", "sigma", "nsamples", "rss_rise_mb"}
 
 
 @pytest.fixture()
@@ -320,8 +323,8 @@ def test_ham_monomer_dimer_and_perturbation(dirs, monkeypatch):
     stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
     assert [s["name"] for s in stages] == [
         "sector", "pair_assembly", "bond_assembly", "assembly", "squeeze",
-        "squeeze", "squeeze", "monomer_dimer", "perturbation"]
-    assert stages[7]["dim"] == doc["dim"] and stages[7]["num_terms"] == 3
+        "squeeze", "squeeze", "spectrum", "monomer_dimer", "perturbation"]
+    assert stages[8]["dim"] == doc["dim"] and stages[8]["num_terms"] == 3
 
 
 def test_ham_records_each_computed_table(dirs, monkeypatch):
@@ -352,6 +355,20 @@ def test_ham_records_each_computed_table(dirs, monkeypatch):
     assert calls == [5]
     manifest = read_json(os.path.join(out, "ham_manifest.json"))
     assert manifest["cache"] == {"hits": [5], "computed": []}
+
+
+def test_ham_monomer_dimer_solve_is_a_spectrum_stage(dirs, solves):
+    """The eigensolve of the monomer-dimer kernel check is the spectrum
+    stage just before monomer_dimer, for min(40, dim) values."""
+    cache, out = dirs
+    assert run_cli("ham", "--p", "3", "--N", "5", "--monomer-dimer",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    dim = read_json(os.path.join(out, "ham.json"))["dim"]
+    stages = read_json(os.path.join(out, "ham_manifest.json"))["stages"]
+    assert [s["name"] for s in stages] == [
+        "sector", "pair_assembly", "bond_assembly", "assembly", "spectrum",
+        "monomer_dimer"]
+    assert solves == [(min(40, dim), 0)] and stages[4]["count"] == min(40, dim)
 
 
 def test_ham_monomer_dimer_in_ground_sector(dirs):
@@ -485,7 +502,7 @@ def test_ham_and_verify_all_share_the_series_verdict(dirs, tmp_path):
     assert [s["name"] for s in manifest["stages"]] == ["squeeze"] * 5 + [
         "oracle", "model", "occupations", "sector", "pair_assembly",
         "bond_assembly", "assembly", "spectrum", "ground_check", "sector",
-        "monomer_dimer", "perturbation", "sample"]
+        "spectrum", "monomer_dimer", "perturbation", "sample"]
     # the parent-Hamiltonian sector at N=4, the monomer-dimer one at N=5
     assert [s["dim"] for s in manifest["stages"] if s["name"] == "sector"] \
         == [hamiltonian.sector_basis(lattice.ModelParams(3, n, 1.5),
@@ -564,9 +581,9 @@ def test_mcmc_outputs_and_reruns_identical(dirs, tmp_path, monkeypatch):
     widths = 0.5
     mass = sum(float(r["density"]) for r in dens) * widths
     assert mass == pytest.approx(3.0, abs=1e-9)
+    assert stages[0]["rhat"] == pytest.approx(1.0, abs=0.1)
+    assert 0.0 < stages[0]["acceptance"] < 1.0
     manifest = read_json(os.path.join(out, "mcmc_manifest.json"))
-    assert manifest["run"]["rhat"] == pytest.approx(1.0, abs=0.1)
-    assert 0.0 < manifest["run"]["acceptance"] < 1.0
     assert [(c["name"], c["passed"]) for c in manifest["checks"]] == \
         [("mcmc-chain", True)]
 
@@ -582,12 +599,34 @@ def test_mcmc_degenerate_run_exits_one(dirs, monkeypatch, change):
                    "--burn-in", "100", "--seed", "3", "--cache-dir", cache,
                    "--out-dir", out) == 1
     manifest = read_json(os.path.join(out, "mcmc_manifest.json"))
-    assert manifest["run"]["acceptance_band"] == [0.01, 0.99]
-    assert set(manifest["run"]) & {"passed", "rhat_tolerance"} == set()
+    assert set(manifest["stages"][0]) == SAMPLE_KEYS
     (chain,) = manifest["checks"]
     assert chain["name"] == "mcmc-chain" and chain["passed"] is False
+    assert chain["note"].endswith(
+        f"must lie in [{cli.fmt(0.01)}, {cli.fmt(0.99)}]")
     assert chain["tolerance"] == 0.1
     assert os.path.exists(os.path.join(out, "density.csv"))
+
+
+def test_mcmc_records_the_chain_in_its_stages(dirs):
+    """The chain record is the sample stage's, and each observable's
+    statistic its own stage's; the manifest has no run record."""
+    cache, out = dirs
+    assert run_cli("mcmc", "--p", "3", "--N", "4", "--sweeps", "2000",
+                   "--burn-in", "100", "--observables",
+                   "density,excess,phase", "--cache-dir", cache,
+                   "--out-dir", out) == 0
+    manifest = read_json(os.path.join(out, "mcmc_manifest.json"))
+    assert "run" not in manifest
+    stages = {s["name"]: s for s in manifest["stages"]}
+    sample = stages["sample"]
+    assert set(sample) == SAMPLE_KEYS
+    assert 0.0 < sample["acceptance"] < 1.0
+    assert len(sample["chain_acceptance"]) == len(sample["sigma"]) == 2
+    assert sample["nsamples"] == 2 * (2000 // 5)
+    assert sample["rhat"] == pytest.approx(1.0, abs=0.1)
+    assert 0.0 < stages["density"]["y_ks"] < 1.0
+    assert isinstance(stages["phase"]["phase_contrast"], float)
 
 
 @pytest.mark.parametrize("observable", ["density", "excess"])
@@ -956,7 +995,9 @@ def test_verify_all_passes(dirs, capsys, solves):
     assert [s["name"] for s in manifest["stages"]] == ["squeeze"] * 4 + [
         "oracle", "model", "occupations", "sector", "pair_assembly",
         "bond_assembly", "assembly", "spectrum", "ground_check", "sector",
-        "monomer_dimer", "sample"]
+        "spectrum", "monomer_dimer", "sample"]
+    (sample,) = [s for s in manifest["stages"] if s["name"] == "sample"]
+    assert set(sample) == SAMPLE_KEYS
     # the monomer-dimer model at N_md = min(6, Nmax) = 4
     params = lattice.ModelParams(3, 4, 1.0)
     basis = hamiltonian.sector_basis(
@@ -964,6 +1005,21 @@ def test_verify_all_passes(dirs, capsys, solves):
     (stage,) = [s for s in manifest["stages"] if s["name"] == "monomer_dimer"]
     assert (stage["dim"], stage["num_terms"]) == (
         basis.dim, hamiltonian.build_monomer_dimer(params, basis).num_terms)
+
+
+def test_verify_all_builds_one_amplitude_table_per_n(dirs, monkeypatch):
+    cache, out = dirs
+    calls = []
+    amplitudes = cli.expansion.amplitudes
+
+    def counting(table, gamma):
+        calls.append(table.N)
+        return amplitudes(table, gamma)
+
+    monkeypatch.setattr(cli.expansion, "amplitudes", counting)
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "6",
+                   "--cache-dir", cache, "--out-dir", out) == 0
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def test_verify_all_decomposes_the_largest_table(dirs):

@@ -23,6 +23,10 @@ written once, and a verdict that compares its measured value with its
 tolerance is recorded by ``Emitter.bound``, not spelt out in a
 ``check`` call.
 
+The command line calls each solver in the one stage helper that records
+it: the Lanczos eigensolve in ``_spectrum_stage`` and the Metropolis
+run in ``_sample_stage``.
+
 Every settable value of the package (a function parameter with a
 default, a dataclass field with a default, a command-line option) is
 listed in ``settings_inventory.txt``; a new one is added there on
@@ -232,6 +236,24 @@ def test_each_check_is_recorded_at_one_site_and_bounds_use_bound():
     assert {name: where for name, where in sites.items()
             if len(where) > 1} == {}
     assert len(sites) == 22  # every check name, so the scan sees them all
+
+
+# each solver the command line calls, with the one stage helper calling it
+SOLVER_STAGES = {"hamiltonian.spectrum": "_spectrum_stage",
+                 "plasma.metropolis_run": "_sample_stage"}
+
+
+def test_each_solver_is_called_in_its_stage_alone():
+    path = pathlib.Path(laughlin.__file__).parent / "cli.py"
+    callers = defaultdict(set)
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and \
+                    ast.unparse(node.func) in SOLVER_STAGES:
+                callers[ast.unparse(node.func)].add(
+                    getattr(top, "name", "<module>"))
+    assert callers == {solver: {stage}
+                       for solver, stage in SOLVER_STAGES.items()}
 
 
 class SettableValues(ast.NodeVisitor):

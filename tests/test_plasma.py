@@ -444,9 +444,9 @@ def test_y_marginal_uniform(run_p3_n4):
 
 def test_density_histogram_normalization(run_p3_n4):
     params = ModelParams(3, 4, 1.0)
-    est = plasma.density_histogram(run_p3_n4.pooled(),
-                                   np.linspace(-30, 40, 71), params)
-    mass = float(np.sum(est.density * np.diff(est.edges)))
+    edges = np.linspace(-30, 40, 71)
+    est = plasma.density_histogram(run_p3_n4.pooled(), edges, params)
+    mass = float(np.sum(est.density * np.diff(edges)))
     assert mass == pytest.approx(params.N, abs=1e-12)
     with pytest.raises(ConfigError):
         plasma.density_histogram(run_p3_n4.pooled(), np.array([1.0]), params)
