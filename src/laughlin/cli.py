@@ -39,7 +39,9 @@ recording its tail mass, root shift and alpha residual and checked by
 ``occupation-normalization`` and ``occupation-reflection``, the
 Metropolis run is a ``sample`` stage holding the chain record (the
 acceptance overall and per chain, split R-hat, each chain's final
-proposal widths and the kept samples) and checked by ``mcmc-chain``,
+proposal widths, the kept samples and the angular effective sample
+size that bounds ``verify-all``'s ``mcmc-y-uniform``) and checked by
+``mcmc-chain``,
 ``mcmc``'s ``density`` and ``phase`` stages record the angular
 Kolmogorov-Smirnov distance and the phase contrast, and
 ``verify-all``'s polynomial oracle is an ``oracle`` stage.
@@ -342,22 +344,24 @@ def _model_stage(em: Emitter, args, tables) -> renewal.RenewalModel:
 
 
 def _sample_stage(em: Emitter, params: ModelParams,
-                  mc: plasma.McConfig) -> plasma.McRun:
+                  mc: plasma.McConfig) -> tuple[plasma.McRun, float]:
     """The Metropolis run as a ``sample`` stage with its chain record,
-    and its verdict: split R-hat near 1 and the acceptance inside its
-    band."""
+    its verdict (split R-hat near 1 and the acceptance inside its band)
+    and the run's angular ESS (:func:`plasma.angular_ess`), which the
+    stage records as ``ess``."""
     with em.timed("sample") as sizes:
         run = plasma.metropolis_run(params, mc)
+        ess = plasma.angular_ess(run.samples, params.gamma)
         sizes.update(chains=mc.chains, moves=run.moves,
                      acceptance=run.acceptance,
                      chain_acceptance=run.chain_acceptance, rhat=run.rhat,
-                     sigma=run.sigma, nsamples=len(run.pooled()))
+                     sigma=run.sigma, nsamples=len(run.pooled()), ess=ess)
     lo, hi = plasma.ACCEPTANCE_BAND
     em.check("mcmc-chain", abs(run.rhat - 1.0), plasma.RHAT_TOLERANCE,
              run.rhat_ok and not run.pathological,
              f"|split R-hat - 1|; acceptance {fmt(run.acceptance)} "
              f"must lie in [{fmt(lo)}, {fmt(hi)}]")
-    return run
+    return run, ess
 
 
 # -- stages shared by subcommands ---------------------------------------------------
@@ -621,7 +625,10 @@ def cmd_mcmc(args) -> int:
     if observables and mc.chains * (mc.sweeps // mc.thinning) < 2:
         raise ConfigError(plasma.ONE_SAMPLE)
     em = Emitter(args.out_dir, "mcmc", _config_dict(args))
-    pooled = _sample_stage(em, params, mc).pooled()
+    pooled = _sample_stage(em, params, mc)[0].pooled()
+    # every observable is computed before any is written, so a refused
+    # one leaves no artifact without a manifest
+    outputs = []
 
     if "density" in observables:
         width = args.gamma / 2.0
@@ -631,8 +638,8 @@ def cmd_mcmc(args) -> int:
         with em.timed("density") as sizes:
             est = plasma.density_histogram(pooled, edges, params)
             sizes["y_ks"] = est.y_ks
-        em.csv("density.csv", ["bin_center", "density", "stderr"],
-               zip(est.centers, est.density, est.stderr))
+        outputs.append(("density.csv", ["bin_center", "density", "stderr"],
+                        zip(est.centers, est.density, est.stderr)))
 
     if "excess" in observables:
         cuts = [(k - 0.5) * args.p * args.gamma for k in range(1, args.N)]
@@ -642,7 +649,7 @@ def cmd_mcmc(args) -> int:
         for xbar in stats.xbars:
             for K in sorted(stats.histogram[xbar]):
                 rows.append((xbar, K, stats.histogram[xbar][K]))
-        em.csv("excess.csv", ["xbar", "K", "probability"], rows)
+        outputs.append(("excess.csv", ["xbar", "K", "probability"], rows))
 
     if "phase" in observables:
         tables = _load_moments(em, args, args.Nmax)
@@ -653,10 +660,13 @@ def cmd_mcmc(args) -> int:
             prof = plasma.phase_profile(pooled, params, occ)
             sizes["phase_contrast"] = prof.contrast
         centers = 0.5 * (prof.edges[:-1] + prof.edges[1:])
-        em.csv("phase.csv",
-               ["phase_center", "observed", "predicted", "stderr"],
-               zip(centers, prof.observed, prof.predicted, prof.stderr))
+        outputs.append(("phase.csv",
+                        ["phase_center", "observed", "predicted", "stderr"],
+                        zip(centers, prof.observed, prof.predicted,
+                            prof.stderr)))
 
+    for name, header, rows in outputs:
+        em.csv(name, header, rows)
     return em.manifest()
 
 
@@ -797,7 +807,7 @@ def _verify_checks(em: Emitter, args) -> None:
             _perturbation_stage(em, params, 3, amp_h, basis, build.H)
 
     params2 = ModelParams(p, 2, gamma)
-    run = _sample_stage(em, params2, plasma.McConfig(
+    run, ess = _sample_stage(em, params2, plasma.McConfig(
         sweeps=12000, burn_in=500, thinning=3, seed=args.seed, chains=2))
     pooled = run.pooled()
     xbar = 0.5 * p * gamma
@@ -815,9 +825,13 @@ def _verify_checks(em: Emitter, args) -> None:
 
     est = plasma.density_histogram(
         pooled, np.linspace(-4.0, p * gamma + 4.0, 40), params2)
-    crit = 1.63 / math.sqrt(pooled.shape[0] * pooled.shape[1])
+    # the samples are autocorrelated, so the 1 % point of the distance for
+    # independent draws is taken at n_eff = N x ESS, not at every value
+    crit = 1.63 / math.sqrt(params2.N * ess)
     em.bound("mcmc-y-uniform", est.y_ks, crit,
-             "Kolmogorov-Smirnov distance of the angular marginal")
+             "Kolmogorov-Smirnov distance of the angular marginal; 1 % "
+             "point 1.63/sqrt(n_eff), n_eff = N x ESS of the per-sample "
+             "means of cos(gamma y) and sin(gamma y)")
 
 
 def cmd_verify(args) -> int:

@@ -8,18 +8,28 @@ separation; coincident points give -inf and are simply never accepted.
 
 Sampling uses single-particle proposals, Gaussian in x and
 uniform-wrapped in y, with widths each chain adapts in its discarded
-burn-in only.  Each chain keeps an N x N matrix of pair terms, so the old
-energy of a move is a sum over a cached row, and an accepted move writes
-its new row into row and column i.  The chains of a run advance in
-lockstep, and a sweep evaluates its proposals in blocks of up to
-:data:`BLOCK` particles: one vectorised call pairs the block's proposals
-of every chain with the current points and with each other, and each
-chain then makes its own accept test move by move.  Every generator is
-drawn in a fixed order: the initial state, then per move one normal and
-two uniform numbers, so a seed fixes every sample, however many chains
-run beside it and whatever the block size.  Particle labels are never
-sorted while sampling; order statistics appear only in the excess
-measurement.
+burn-in only.  Each chain keeps an N x N matrix of log-weight terms, so
+the energy change of a move is a sum over a cached row and a proposed
+one, and an accepted move writes its new row into row and column i.
+The chains of a run advance in lockstep, and a sweep evaluates its
+proposals in blocks of up to :data:`BLOCK` particles: one vectorised
+call pairs the block's proposals of every chain with the current points
+and with each other, and each chain then makes its own accept test move
+by move.
+
+Every generator is drawn in a fixed order: the initial state, then per
+adaptation window of :data:`ADAPT_SWEEPS` sweeps (fewer in the last)
+one ``standard_normal((sweeps, N))`` array of x steps and one
+``random((2, sweeps, N))`` array whose first half moves y and whose
+second half tests acceptance, both sweep-major with particles in label
+order.  A seed therefore fixes every sample, however many chains run
+beside it and whatever the block size.  The order is chosen for speed
+alone: a window's draws are two calls per chain, and each kind of step
+is one contiguous array that a few operations scale for all chains at
+once; drawing once per sweep instead was as fast from N = 32 on and
+slower at N = 4.
+Particle labels are never sorted while sampling; order statistics
+appear only in the excess measurement.
 """
 
 from __future__ import annotations
@@ -101,7 +111,8 @@ def _start_coordinates(params: ModelParams, rng: np.random.Generator
 
 #: The proposal widths in x and y that every chain starts from.
 START_WIDTHS = (0.5, 0.5)
-#: Burn-in sweeps per window in which a chain adapts its proposal widths.
+#: Sweeps per window: a chain draws a window's moves at its start, and
+#: adapts its proposal widths after each whole window of burn-in.
 ADAPT_SWEEPS = 50
 #: The most moves of a sweep whose proposals one ``_pair_row`` call pairs.
 BLOCK = 32
@@ -119,99 +130,140 @@ def _run_chain(params: ModelParams, mc: McConfig, rngs,
     the window's moves, by 1.4 if above 0.60; the kept samples are drawn
     with the widths the burn-in ends with.
 
-    A sweep moves each particle once, in label order, with widths fixed
-    for the sweep, and no draw depends on the state, so each chain makes
-    a sweep's draws at its start, in the per-move order.  Each chain
-    caches every pair term in a symmetric matrix, so the old energy of
-    particle i is a row sum.  One ``_pair_row`` call per block of up to
-    :data:`BLOCK` moves pairs the block's proposals of every chain,
-    shaped (m, C, 1), with the current points followed by the block's
-    proposals, shaped (C, N + m).  Per move, one reduction over the
-    cached and the proposed row gives both energies in every chain, and
-    each chain makes its own accept test.  An accepted move writes its
-    row into row and column i of its matrix and into column i of the
-    block's later rows, cached and proposed (the latter from the
-    proposal-to-proposal terms).  ``_pair_row`` is symmetric bit for bit,
-    so every term is the one a call per move would give, and the samples
-    do not depend on BLOCK.
+    The run goes window by window, ADAPT_SWEEPS sweeps each and fewer in
+    the last.  No draw depends on the state and the widths are fixed in
+    a window, so each chain makes the window's draws at its start, in
+    the order the module docstring gives, and a few array operations
+    turn them into every x step, y step and accept threshold
+    log(1 - u) / 2p of the window.  A sweep moves each particle once, in
+    label order, so its proposals are two array sums of the points at
+    its start and its steps.
+
+    Each chain caches the log-weight / 2p in a symmetric matrix: the
+    pair terms off the diagonal and -x_i^2 / 2p on it, so the energy
+    change of moving particle i is a sum over its new row less its
+    cached one.  One ``_pair_row`` call per block of up to :data:`BLOCK`
+    moves pairs the block's proposals of every chain, shaped (m, C, 1),
+    with the current points followed by the block's proposals, shaped
+    (C, N + m).  Per move, one reduction over the negated cached row and
+    the proposed row gives the change in every chain, and each chain
+    makes its own accept test.  An accepted move writes its row into
+    row and column i of its matrix, and makes one write into column i
+    of the block's later rows, the cached and proposed entries side by
+    side (the latter from the proposal-to-proposal terms); the accepted
+    points are written once, at the end of the block.  ``_pair_row`` is
+    symmetric bit for bit, so every term is the one a call per move
+    would give, and the samples do not depend on BLOCK.
     """
     g = params.gamma
     two_p = 2.0 * params.p
     circ = 2.0 * math.pi / g
     n, chains = params.N, len(rngs)
+    size = min(BLOCK, n)
     start = np.stack([_start_coordinates(params, rng) for rng in rngs])
     pairs = np.stack([_pair_matrix(coords, g) for coords in start])
+    labels = np.arange(n)
+    pairs[:, labels, labels] = start[:, :, 0] * start[:, :, 0] / -two_p
     factors = _pair_factors(g)
     # points[0] and points[1] hold every chain's x and y, then room for the
-    # proposals of one block
-    points = np.empty((2, chains, n + min(BLOCK, n)))
+    # proposals of one block; proposed holds the sweep's proposals, and
+    # moved marks the points a block moves
+    points = np.empty((2, chains, n + size))
     points[:, :, :n] = start.transpose(2, 0, 1)
-    xs, ys = points[:, :, :n]
-    # rows[k, c, 0] holds chain c's cached row of the block's k-th particle
-    # and rows[k, c, 1] its proposed row, so one reduction gives both
-    # energies of that move in every chain
-    rows = np.empty((min(BLOCK, n), chains, 2, n))
-    own = np.arange(min(BLOCK, n))
+    current = points[:, :, :n]
+    xs, ys = current
+    proposed = np.empty((2, chains, n))
+    x_new, y_new = proposed
+    moved = np.zeros((chains, n), dtype=bool)
+    own_new = np.empty((chains, n))
+    # steps[:, s, c]: chain c's x steps, y steps and thresholds in sweep s
+    # of a window
+    steps = np.empty((3, ADAPT_SWEEPS, chains, n))
+    # rows[k, c, 0] holds chain c's cached row of the block's k-th
+    # particle, negated, and rows[k, c, 1] its proposed row; later[k, c, j]
+    # holds the entries of the block's later row j that an accepted k-th
+    # move writes, negated cached and proposed side by side
+    rows = np.empty((size, chains, 2, n))
+    later = np.empty((size, chains, size, 2))
     widths = [sigma] * chains
     accepted, window_start = [0] * chains, [0] * chains
     kept = np.empty((chains, n_keep, n, 2))
     stored = 0
     total_sweeps = mc.burn_in + n_keep * mc.thinning
-    draws = [(rng.standard_normal, rng.random) for rng in rngs]
     row_sums = np.add.reduce
     # a proposal onto an occupied point has energy -inf and is rejected
     with np.errstate(divide="ignore"):
-        for sweep in range(total_sweeps):
-            # steps[c][i]: chain c's proposed x and y for particle i and the
-            # log of its accept test's uniform.  uniform(a, b) is
-            # a + (b - a) * random(), so these are the draws and values of
-            # standard_normal(), uniform(-1, 1) and uniform(), in move order
-            x_old = xs.tolist()
-            steps = [[(x + sx * normal(),
-                       (y + sy * (2.0 * uniform() - 1.0)) % circ,
-                       math.log(1.0 - uniform())) for x, y in zip(xc, yc)]
-                     for (normal, uniform), (sx, sy), xc, yc
-                     in zip(draws, widths, x_old, ys.tolist())]
-            proposals = np.array(list(zip(*steps)))  # (N, C, 3)
-            for b0 in range(0, n, BLOCK):
-                b1 = min(b0 + BLOCK, n)
-                m = b1 - b0
-                mine = proposals[b0:b1]
-                points[:, :, n:n + m] = mine[:, :, :2].T
-                # terms[k, c]: chain c's k-th proposal of the block against
-                # the current points, then against the block's proposals
-                terms = _pair_row(mine[:, :, :1], mine[:, :, 1:2],
-                                  points[0, :, :n + m], points[1, :, :n + m],
-                                  factors)
-                block = rows[:m]
-                block[:, :, 0] = pairs[:, b0:b1].swapaxes(0, 1)
-                block[:, :, 1] = terms[:, :, :n]
-                # no proposal pairs with its own particle's old point
-                block[own[:m], :, 1, b0 + own[:m]] = 0.0
-                for k, i in enumerate(range(b0, b1)):
-                    sums = row_sums(block[k], axis=2).tolist()
-                    for c, (s_old, s_new) in enumerate(sums):
-                        x = x_old[c][i]
-                        x_c, y_c, log_u = steps[c][i]
-                        if log_u < (-x_c * x_c + two_p * s_new) \
-                                - (-x * x + two_p * s_old):
-                            accepted[c] += 1
-                            xs[c, i], ys[c, i] = x_c, y_c
-                            row = block[k, c, 1]
-                            pairs[c, i] = pairs[c, :, i] = row
-                            # the block's later moves see i at its new point
-                            block[k + 1:, c, 0, i] = row[i + 1:b1]
-                            block[k + 1:, c, 1, i] = terms[k + 1:, c, n + k]
-            if sweep < mc.burn_in and (sweep + 1) % ADAPT_SWEEPS == 0:
+        for first in range(0, total_sweeps, ADAPT_SWEEPS):
+            span = min(ADAPT_SWEEPS, total_sweeps - first)
+            dx, dy, thresholds = steps[:, :span]
+            for c, rng in enumerate(rngs):
+                dx[:, c] = rng.standard_normal((span, n))
+                steps[1:, :span, c] = rng.random((2, span, n))
+            sigmas = np.array(widths)[:, :, None]
+            dx *= sigmas[:, 0]
+            # uniform(-1, 1) is -1 + 2 random()
+            dy *= 2.0
+            dy -= 1.0
+            dy *= sigmas[:, 1]
+            np.subtract(1.0, thresholds, out=thresholds)
+            np.log(thresholds, out=thresholds)
+            thresholds /= two_p
+            for sweep in range(first, first + span):
+                s = sweep - first
+                np.add(xs, dx[s], out=x_new)
+                np.add(ys, dy[s], out=y_new)
+                np.remainder(y_new, circ, out=y_new)
+                np.multiply(x_new, x_new, out=own_new)
+                own_new /= -two_p
+                # limits[i][c]: chain c accepts particle i's move when its
+                # change exceeds this
+                limits = thresholds[s].T.tolist()
+                for b0 in range(0, n, BLOCK):
+                    b1 = min(b0 + BLOCK, n)
+                    m = b1 - b0
+                    points[:, :, n:n + m] = proposed[:, :, b0:b1]
+                    # terms[k, c]: chain c's k-th proposal of the block
+                    # against the current points, then against the block's
+                    # proposals
+                    terms = _pair_row(x_new[:, b0:b1].T[:, :, None],
+                                      y_new[:, b0:b1].T[:, :, None],
+                                      points[0, :, :n + m],
+                                      points[1, :, :n + m], factors)
+                    block = rows[:m]
+                    np.negative(pairs[:, b0:b1].swapaxes(0, 1),
+                                out=block[:, :, 0])
+                    block[:, :, 1] = terms[:, :, :n]
+                    # a proposal meets its own particle in -x_new^2 / 2p
+                    own = labels[:m]
+                    block[own, :, 1, b0 + own] = own_new[:, b0:b1].T
+                    side = later[:m, :, :m]
+                    np.negative(terms[:, :, b0:b1], out=side[..., 0])
+                    side[..., 1] = terms[:, :, n:].transpose(2, 1, 0)
+                    for k, i in enumerate(range(b0, b1)):
+                        changes = row_sums(block[k], axis=(1, 2)).tolist()
+                        for c, (change, limit) in enumerate(
+                                zip(changes, limits[i])):
+                            if limit < change:
+                                accepted[c] += 1
+                                moved[c, i] = True
+                                row = block[k, c, 1]
+                                pairs[c, i] = pairs[c, :, i] = row
+                                # the block's later moves see i at its
+                                # new point
+                                block[k + 1:, c, :, i] = side[k, c, k + 1:]
+                    np.copyto(current, proposed, where=moved)
+                    moved.fill(False)
+                if sweep >= mc.burn_in \
+                        and (sweep - mc.burn_in) % mc.thinning == 0:
+                    kept[:, stored, :, 0] = xs
+                    kept[:, stored, :, 1] = ys
+                    stored += 1
+            if first + span <= mc.burn_in and span == ADAPT_SWEEPS:
                 for c, (sx, sy) in enumerate(widths):
                     rate = (accepted[c] - window_start[c]) / (ADAPT_SWEEPS * n)
                     scale = 0.7 if rate < 0.30 else 1.4 if rate > 0.60 else 1.0
                     widths[c] = (sx * scale, sy * scale)
                 window_start = accepted.copy()
-            if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
-                kept[:, stored, :, 0] = xs
-                kept[:, stored, :, 1] = ys
-                stored += 1
     moves = total_sweeps * n
     return (kept[:, :stored], [a / moves for a in accepted], moves * chains,
             widths)
@@ -294,6 +346,53 @@ def metropolis_run(params: ModelParams, mc: McConfig) -> McRun:
     return McRun(sigma=tuple(sigma), samples=samples,
                  acceptance=float(np.mean(accs)),
                  chain_acceptance=tuple(accs), rhat=rhat, moves=moves)
+
+
+#: Sokal's window constant: the autocorrelation sum of
+#: :func:`effective_samples` stops at the first lag M >= SOKAL_WINDOW
+#: tau(M).
+SOKAL_WINDOW = 5.0
+
+
+def effective_samples(series: np.ndarray) -> float:
+    """Effective sample size of observables sampled by several chains,
+    summed over the chains: ``series`` has shape (observables, chains,
+    samples), and the result is the mean over observables of
+    chains * samples / tau.
+
+    tau(M) = 1 + 2 sum_{t=1..M} rho(t) is the integrated autocorrelation
+    time with Sokal's automatic window, the smallest M with M >= c tau(M)
+    for c = :data:`SOKAL_WINDOW` (Sokal, Monte Carlo Methods in
+    Statistical Mechanics, 1996), the largest lag where none is.  Each
+    observable's normalised autocorrelation rho, by FFT, is averaged over
+    its chains before the window is chosen.  A constant observable has
+    no autocorrelation and gives NaN.
+    """
+    series = np.asarray(series, dtype=float)
+    _, chains, n = series.shape
+    centred = series - series.mean(axis=-1, keepdims=True)
+    f = np.fft.rfft(centred, 2 * n)
+    acov = np.fft.irfft(f * np.conj(f))[..., :n]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = (acov / acov[..., :1]).mean(axis=1)
+    taus = 1.0 + 2.0 * np.cumsum(rho[:, 1:], axis=1)
+    lags = np.arange(1, n)
+    ess = []
+    for tau in taus:
+        within = np.flatnonzero(lags >= SOKAL_WINDOW * tau)
+        t = tau[within[0]] if within.size else tau[-1] if tau.size else 1.0
+        ess.append(chains * n / t)
+    return float(np.mean(ess))
+
+
+def angular_ess(samples: np.ndarray, gamma: float) -> float:
+    """:func:`effective_samples` of the per-sample means over the
+    particles of cos(gamma y) and sin(gamma y), the first Fourier mode
+    of the angular marginal, over ``samples`` of shape (C, S, N, 2) such
+    as ``McRun.samples``."""
+    phase = gamma * np.asarray(samples)[..., 1]
+    return effective_samples(np.stack([np.cos(phase).mean(axis=-1),
+                                       np.sin(phase).mean(axis=-1)]))
 
 
 def _batching(count: int) -> tuple[int, int]:

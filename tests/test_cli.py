@@ -7,6 +7,7 @@ library calls they wrap.
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -47,9 +48,11 @@ def verdicts(out, sub):
 MODEL_CHECKS = ["alpha-residual", "activity-equation", "tail-converged"]
 GROUND = {"ground-residual": True, "ground-kernel": True}
 MONOMER_DIMER = {"monomer-dimer-residual": True, "monomer-dimer-build": True}
-# the keys of a sample stage: the run's size and its chain record
+# the keys of a sample stage: the run's size, its chain record and its
+# angular ESS
 SAMPLE_KEYS = {"name", "seconds", "chains", "moves", "acceptance",
-               "chain_acceptance", "rhat", "sigma", "nsamples", "rss_rise_mb"}
+               "chain_acceptance", "rhat", "sigma", "nsamples", "ess",
+               "rss_rise_mb"}
 
 
 @pytest.fixture()
@@ -682,11 +685,24 @@ def test_mcmc_phase_observable(dirs, monkeypatch):
     assert max(pred) > 2 * min(pred)
 
 
+def test_mcmc_refused_observable_leaves_no_artifact(dirs, capsys):
+    """A phase profile refused after sampling, for a batch with no
+    sample inside the bulk window, exits 2 before any observable is
+    written: the run leaves no CSV that no manifest checksums."""
+    cache, out = dirs
+    assert run_cli("mcmc", "--p", "3", "--N", "4", "--sweeps", "500",
+                   "--burn-in", "100", "--observables",
+                   "density,excess,phase", "--cache-dir", cache,
+                   "--out-dir", out) == 2
+    assert "hold no sample inside the bulk window" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_mcmc_unconverged_phase_writes_everything_and_exits_one(dirs):
     """An unconverged phase prediction fails tail-converged after the
     run has written every observable and its manifest."""
     cache, out = dirs
-    assert run_cli("mcmc", "--p", "3", "--N", "6", "--sweeps", "400",
+    assert run_cli("mcmc", "--p", "3", "--N", "6", "--sweeps", "2000",
                    "--burn-in", "100", "--thinning", "2",
                    "--observables", "density,excess,phase", "--Nmax", "1",
                    "--cache-dir", cache, "--out-dir", out) == 1
@@ -1083,6 +1099,35 @@ def test_bulk_epsilon_allows_for_rounding(request, p, Nmax, gamma):
 def test_bulk_epsilon_is_as_tight_above_rounding(tables_p3):
     gap, eps, rounding = center_occupation_gap(tables_p3, 8, 1.0)
     assert gap <= eps and rounding < 1e-9 * eps
+
+# faults of the sampler's y wrap: y lands only in half the circle, or
+# is never wrapped and wanders off the circle
+Y_FAULTS = {"half-circle": lambda remainder, y, circ, out:
+            remainder(y, circ / 2, out=out),
+            "unwrapped": lambda remainder, y, circ, out: out}
+
+
+@pytest.mark.parametrize("fault", sorted(Y_FAULTS))
+def test_y_uniform_catches_a_faulty_sampler(dirs, monkeypatch, fault):
+    """The ESS bound of mcmc-y-uniform, looser than the bound for
+    independent draws, still fails a sampler whose y proposals are
+    wrapped wrongly, though its chains mix."""
+    cache, out = dirs
+    real, remainder = plasma._run_chain, np.remainder
+
+    def faulty(*args):
+        with monkeypatch.context() as m:
+            m.setattr(np, "remainder", functools.partial(Y_FAULTS[fault],
+                                                         remainder))
+            return real(*args)
+
+    monkeypatch.setattr(plasma, "_run_chain", faulty)
+    assert run_cli("verify-all", "--p", "3", "--Nmax", "2", "--cache-dir",
+                   cache, "--out-dir", out) == 1
+    assert np.remainder is remainder
+    got = verdicts(out, "verify")
+    assert got["mcmc-chain"] and not got["mcmc-y-uniform"]
+
 
 def test_verify_all_passes_on_an_exact_series(dirs):
     """At N=2 the first order of the series is the exact state, and the

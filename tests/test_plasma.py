@@ -103,19 +103,23 @@ def test_coincident_points_have_zero_weight():
 
 class OntoNeighbourRng:
     """Draws that start two particles at x = 0 and x = p gamma with y = 1
-    and then propose each move onto the other particle's position."""
+    and then propose each move onto the other particle's position: the
+    start draws vectors of N, each window an array of (sweeps, N) normal
+    steps and one of (2, sweeps, N) uniforms."""
 
     def __init__(self, step):
         self.steps = itertools.cycle((step, -step))
 
-    def standard_normal(self, size=None):
-        return next(self.steps) if size is None else np.zeros(size)
+    def standard_normal(self, size):
+        if isinstance(size, int):  # the start's x offsets
+            return np.zeros(size)
+        return np.fromiter(self.steps, float, math.prod(size)).reshape(size)
 
-    def random(self):
-        return 0.5
+    def random(self, size):
+        return np.full(size, 0.5)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return low + 0.5 * (high - low) if size is None else np.ones(size)
+    def uniform(self, low, high, size):
+        return np.ones(size)
 
 
 def test_proposal_onto_occupied_point_rejected(monkeypatch):
@@ -175,12 +179,26 @@ def row_loop_pair_matrix(xs, ys, factors):
     return pairs
 
 
+def window_steps(rngs, widths, span, n, two_p):
+    """Each chain's draws of a window of span sweeps in the library's
+    order, as (x steps, y steps, accept thresholds), each (span, n):
+    one standard_normal((span, n)) call, then one random((2, span, n))
+    call whose first half moves y and whose second half tests."""
+    steps = []
+    for rng, (sx, sy) in zip(rngs, widths):
+        normal = rng.standard_normal((span, n))
+        uniform = rng.random((2, span, n))
+        steps.append((normal * sx, (uniform[0] * 2.0 - 1.0) * sy,
+                      np.log(1.0 - uniform[1]) / two_p))
+    return steps
+
+
 def reference_chain(params, mc, rngs, sigma, n_keep):
     """The lockstep sampler one move at a time: one ``_pair_row`` call
     pairs particle i's proposals of every chain with the current points,
-    and an accepted move writes its row into row and column i.  This is
-    the route that blocked sweeps replace; it returns what ``_run_chain``
-    returns."""
+    and an accepted move writes its row into row and column i and its
+    point into the state.  This is the route that blocked sweeps
+    replace; it returns what ``_run_chain`` returns."""
     g, n, chains = params.gamma, params.N, len(rngs)
     two_p, circ = 2.0 * params.p, 2.0 * math.pi / g
     factors = plasma._pair_factors(g)
@@ -189,6 +207,9 @@ def reference_chain(params, mc, rngs, sigma, n_keep):
     with np.errstate(divide="ignore"):
         pairs = np.stack([row_loop_pair_matrix(x, y, factors)
                           for x, y in zip(xs, ys)])
+    # the diagonal holds each particle's Gaussian term, -x^2 / 2p
+    for c, i in itertools.product(range(chains), range(n)):
+        pairs[c, i, i] = xs[c, i] * xs[c, i] / -two_p
     rows = np.empty((chains, 2, n))
     x_new, y_new = np.empty((chains, 1)), np.empty((chains, 1))
     widths = [sigma] * chains
@@ -196,36 +217,36 @@ def reference_chain(params, mc, rngs, sigma, n_keep):
     kept = []
     total_sweeps = mc.burn_in + n_keep * mc.thinning
     with np.errstate(divide="ignore"):
-        for sweep in range(total_sweeps):
-            for i in range(n):
-                steps = []
-                for c, rng in enumerate(rngs):
-                    sx, sy = widths[c]
-                    x = xs.item(c, i)
-                    x_new[c] = x_c = x + sx * rng.standard_normal()
-                    y_new[c] = (ys.item(c, i)
-                                + sy * (2.0 * rng.random() - 1.0)) % circ
-                    steps.append((x, x_c, math.log(1.0 - rng.random())))
-                rows[:, 0] = pairs[:, i]
-                rows[:, 1] = plasma._pair_row(x_new, y_new, xs, ys, factors)
-                rows[:, 1, i] = 0.0
-                sums = np.add.reduce(rows, axis=2).tolist()
-                for c, ((x, x_c, log_u), (s_old, s_new)) in enumerate(
-                        zip(steps, sums)):
-                    if log_u < (-x_c * x_c + two_p * s_new) \
-                            - (-x * x + two_p * s_old):
-                        accepted[c] += 1
-                        xs[c, i], ys[c, i] = x_c, y_new.item(c)
-                        pairs[c, i] = pairs[c, :, i] = rows[c, 1]
-            if sweep < mc.burn_in and (sweep + 1) % plasma.ADAPT_SWEEPS == 0:
+        for first in range(0, total_sweeps, plasma.ADAPT_SWEEPS):
+            span = min(plasma.ADAPT_SWEEPS, total_sweeps - first)
+            steps = window_steps(rngs, widths, span, n, two_p)
+            for sweep in range(first, first + span):
+                s = sweep - first
+                for i in range(n):
+                    for c, (dx, dy, _) in enumerate(steps):
+                        x_new[c] = xs[c, i] + dx[s, i]
+                        y_new[c] = np.remainder(ys[c, i] + dy[s, i], circ)
+                    rows[:, 0] = -pairs[:, i]
+                    rows[:, 1] = plasma._pair_row(x_new, y_new, xs, ys,
+                                                  factors)
+                    rows[:, 1, i] = (x_new * x_new / -two_p)[:, 0]
+                    changes = np.add.reduce(rows, axis=(1, 2)).tolist()
+                    for c, (change, (_, _, limit)) in enumerate(
+                            zip(changes, steps)):
+                        if limit[s, i] < change:
+                            accepted[c] += 1
+                            xs[c, i], ys[c, i] = x_new[c, 0], y_new[c, 0]
+                            pairs[c, i] = pairs[c, :, i] = rows[c, 1]
+                if sweep >= mc.burn_in \
+                        and (sweep - mc.burn_in) % mc.thinning == 0:
+                    kept.append(np.stack([xs, ys], axis=-1))
+            if first + span <= mc.burn_in and span == plasma.ADAPT_SWEEPS:
                 for c, (sx, sy) in enumerate(widths):
                     rate = (accepted[c] - window_start[c]) \
                         / (plasma.ADAPT_SWEEPS * n)
                     scale = 0.7 if rate < 0.30 else 1.4 if rate > 0.60 else 1.0
                     widths[c] = (sx * scale, sy * scale)
                 window_start = accepted.copy()
-            if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thinning == 0:
-                kept.append(np.stack([xs, ys], axis=-1))
     moves = total_sweeps * n
     return (np.stack(kept, axis=1), [a / moves for a in accepted],
             moves * chains, widths)
@@ -287,19 +308,23 @@ ALMOST_ONE = float(np.nextafter(1.0, 0.0))
 
 class ScriptedRng:
     """Starts particle j at (p gamma j, 1) and draws the given normal
-    steps, zero once they run out; every uniform is just below 1, so a
-    move is accepted unless its energy is -inf."""
+    steps in the first window, zero after them; every uniform is just
+    below 1, so a move is accepted unless its energy is -inf."""
 
     def __init__(self, steps):
-        self.steps = iter(steps)
+        self.steps = list(steps)
 
-    def standard_normal(self, size=None):
-        return next(self.steps, 0.0) if size is None else np.zeros(size)
+    def standard_normal(self, size):
+        draws = np.zeros(size)
+        if not isinstance(size, int):  # a window, not the start
+            draws.flat[:len(self.steps)] = self.steps
+            self.steps = []
+        return draws
 
-    def random(self):
-        return ALMOST_ONE
+    def random(self, size):
+        return np.full(size, ALMOST_ONE)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
+    def uniform(self, low, high, size):
         return np.ones(size)
 
 
@@ -349,6 +374,33 @@ def test_one_pair_call_per_block(monkeypatch):
     plasma._run_chain(params, mc, rngs, (0.5, 0.5), 3)
     total_sweeps = 4 + 3 * 2
     assert 0 < len(calls) <= 2 + total_sweeps * math.ceil(params.N / B)
+
+
+class CountingRng:
+    """A generator that records the name of each of its draws."""
+
+    def __init__(self, seed, calls):
+        self.rng, self.calls = np.random.default_rng(seed), calls
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+        return lambda *args, **kwargs: self.calls.append(name) \
+            or draw(*args, **kwargs)
+
+
+def test_one_draw_of_each_kind_per_window():
+    """After the start, a chain draws each adaptation window's moves in
+    one standard_normal and one random call, also in a short last
+    window."""
+    calls = [[], []]
+    params = ModelParams(3, 2 * B + 5, 1.0)
+    mc = plasma.McConfig(sweeps=30, burn_in=plasma.ADAPT_SWEEPS + 4,
+                         thinning=2, seed=0, chains=2)
+    rngs = [CountingRng(s, c) for s, c in zip((1, 2), calls)]
+    plasma._run_chain(params, mc, rngs, (0.5, 0.5), 15)
+    # windows of 50 and 34 sweeps
+    assert calls == [["standard_normal", "uniform"]
+                     + ["standard_normal", "random"] * 2] * 2
 
 
 def test_log_weight_shape_validation():

@@ -807,7 +807,10 @@ def reference_chain(params, mc, rng, sigma, n_keep):
     """Metropolis with both energies of every move evaluated afresh, and
     the widths adapted after each whole window of 50 burn-in sweeps:
     times 0.7 below an acceptance of 0.30 in the window, times 1.4 above
-    0.60.  Returns (kept samples, acceptance, final widths)."""
+    0.60.  Each window's draws are made at its start: its normal x steps
+    as one (sweeps, N) array, then its uniforms as one (2, sweeps, N)
+    array, the y steps' first.  Returns (kept samples, acceptance, final
+    widths)."""
     circ = 2.0 * math.pi / params.gamma
     coords = np.empty((params.N, 2))
     coords[:, 0] = params.p * params.gamma * np.arange(params.N) \
@@ -816,15 +819,23 @@ def reference_chain(params, mc, rng, sigma, n_keep):
     sx, sy = sigma
     accepted = proposed = in_window = 0
     kept = []
-    for sweep in range(mc.burn_in + n_keep * mc.thinning):
+    total_sweeps = mc.burn_in + n_keep * mc.thinning
+    for sweep in range(total_sweeps):
+        if sweep % 50 == 0:
+            span = min(50, total_sweeps - sweep)
+            normal = rng.standard_normal((span, params.N))
+            uniform = rng.random((2, span, params.N))
+            log_u = np.log(1.0 - uniform[1])
+        s = sweep % 50
         for i in range(params.N):
             old = coords[i].copy()
             e_old = reference_particle_energy(coords, i, params)
-            coords[i, 0] = old[0] + sx * rng.standard_normal()
-            coords[i, 1] = (old[1] + sy * rng.uniform(-1.0, 1.0)) % circ
+            coords[i, 0] = old[0] + sx * normal[s, i]
+            coords[i, 1] = np.remainder(
+                old[1] + sy * (2.0 * uniform[0, s, i] - 1.0), circ)
             e_new = reference_particle_energy(coords, i, params)
             proposed += 1
-            if math.log(1.0 - rng.uniform()) < e_new - e_old:
+            if log_u[s, i] < e_new - e_old:
                 accepted += 1
                 in_window += 1
             else:
